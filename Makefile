@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow bench-smoke bench-json bench-check backend-check event-check csr-check numba-check scenarios-check store-check docs-check docs-api docs-api-check campaigns-check asymptotics-check
+.PHONY: test test-slow bench-smoke bench-json bench-check backend-check event-check csr-check scenarios-check store-check docs-check docs-api docs-api-check campaigns-check asymptotics-check
 
 ## Tier-1 test suite (unit + property + integration).  Tests marked `slow`
 ## (the large batch-vs-scalar equivalence sweeps) are skipped here.  The
@@ -83,18 +83,10 @@ event-check:
 ## >=2x full-size floors live in the committed BENCH_E13 record, guarded by
 ## `make bench-check`.
 csr-check:
-	$(PYTHON) -m pytest tests/test_csr_pipeline.py tests/test_event_kernel.py -q
+	$(PYTHON) -m pytest tests/test_csr_pipeline.py -q
 	REPRO_BENCH_CSR_N=2048 REPRO_BENCH_CSR_TRIALS=2 \
 	REPRO_BENCH_CSR_MIN_SPEEDUP=1.5 REPRO_BENCH_CSR_MIN_RSS_REDUCTION=0.9 \
 		$(PYTHON) -m pytest benchmarks/bench_csr_pipeline.py --benchmark-only -q
-
-## Jitted event-kernel parity: with numba installed, the parity matrix in
-## tests/test_event_kernel.py runs the kernel against the pure-python loop
-## per seed/action/loss and against the networkx pipeline.  Without numba the
-## same file still asserts the fallback contract (empty kernel slot, results
-## unchanged) — the parametrised parity cases simply skip.
-numba-check:
-	$(PYTHON) -m pytest tests/test_event_kernel.py -q -rs
 
 ## Scenario-registry health check: materialise and smoke-run (1 trial) every
 ## registered scenario through the CLI.

@@ -73,13 +73,11 @@ def bench_store() -> "ResultStore | None":
     return _BENCH_STORE
 
 
-def cached_sweep(cases, *, trials, seed, jobs=None, batch=True):
+def cached_sweep(cases, *, trials, seed, jobs=None):
     """:func:`repro.analysis.run_sweep` reading through the benchmark store."""
     from repro.analysis import run_sweep
 
-    return run_sweep(
-        cases, trials=trials, seed=seed, jobs=jobs, batch=batch, store=bench_store()
-    )
+    return run_sweep(cases, trials=trials, seed=seed, jobs=jobs, store=bench_store())
 
 
 def cached_measure(workload, *, trials=None, seed=None):

@@ -64,7 +64,7 @@ def _child(pipeline: str, n: int, trials: int, seed: int) -> None:
     scenario = spec.materialize_csr() if pipeline == "csr" else spec.materialize()
     materialize_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    results = scenario.measure(batch=False)
+    results = scenario.measure()
     simulate_seconds = time.perf_counter() - start
     signature = hashlib.sha256(
         repr(trial_signature(results)).encode("utf-8")

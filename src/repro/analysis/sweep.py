@@ -26,7 +26,7 @@ import networkx as nx
 from ..core.config import SimulationConfig
 from ..core.results import StoppingTimeStats
 from ..errors import AnalysisError
-from .stopping_time import ProtocolFactory, run_trials
+from .stopping_time import ProtocolFactory
 
 __all__ = ["SweepCase", "SweepPoint", "run_sweep", "scaling_table"]
 
@@ -102,7 +102,6 @@ def run_sweep(
     trials: int = 5,
     seed: int = 0,
     jobs: int | None = None,
-    batch: bool = True,
     store: Any = None,
     fresh: bool = False,
 ) -> list[SweepPoint]:
@@ -125,14 +124,11 @@ def run_sweep(
         ``seed + i * 10_007`` so cases stay independent.
     jobs:
         When set (> 1), each case's trials are spread over that many worker
-        processes via :func:`repro.experiments.parallel.run_trials_parallel`.
-    batch:
-        When ``True`` (default), cases whose protocol supports the rank-only
-        fast path run through the vectorised
-        :class:`~repro.gossip.batch.BatchGossipEngine`; others fall back to
-        the sequential engine automatically.  Results are bit-identical
-        either way — same seeds, same stopping times — so this is purely a
-        wall-clock knob.
+        processes.  Every case runs through
+        :func:`repro.experiments.parallel.run_trials_parallel` on the engine
+        family and compute backend its spec names (auto-selected for
+        hand-assembled cases); engines and backends are bit-identical, so
+        neither choice changes a result.
     store, fresh:
         A :class:`~repro.store.ResultStore` makes the sweep cache-aware and
         resumable: for every case that carries a scenario spec (all cases
@@ -155,7 +151,7 @@ def run_sweep(
         raise AnalysisError(f"jobs must be positive, got {jobs}")
     # Imported lazily: these modules sit above repro.analysis in the
     # dependency stack, so top-level imports would be circular.
-    from ..experiments.parallel import run_trials_batched, run_trials_parallel
+    from ..experiments.parallel import run_trials_parallel
     from ..scenarios.spec import ScenarioSpec
 
     cases = [
@@ -166,26 +162,12 @@ def run_sweep(
     points: list[SweepPoint] = []
     for index, case in enumerate(cases):
         case_seed = seed + index * 10_007
-        case_store = store if case.spec is not None else None
-        if (jobs is not None and jobs > 1) or case_store is not None:
-            # The parallel runner handles jobs=1 in-process and is the one
-            # store-aware entry point covering both the batch and the
-            # sequential (batch=False) execution paths.
-            stats = run_trials_parallel(
-                case.graph, case.protocol_factory, case.config,
-                trials=trials, seed=case_seed, jobs=jobs or 1, batch=batch,
-                store=case_store, fresh=fresh, spec=case.spec,
-            )
-        elif batch:
-            stats = run_trials_batched(
-                case.graph, case.protocol_factory, case.config,
-                trials=trials, seed=case_seed,
-            )
-        else:
-            stats = run_trials(
-                case.graph, case.protocol_factory, case.config,
-                trials=trials, seed=case_seed,
-            )
+        stats = run_trials_parallel(
+            case.graph, case.protocol_factory, case.config,
+            trials=trials, seed=case_seed, jobs=jobs or 1,
+            store=store if case.spec is not None else None, fresh=fresh,
+            spec=case.spec,
+        )
         points.append(
             SweepPoint(
                 label=case.label,

@@ -254,15 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help=(
-            "run all trials through the protocol's vectorised batch engine "
-            "(uniform gossip, tag and tag-is all declare one — see "
-            "GossipProcess.batch_strategy); --no-batch forces the sequential "
-            "scalar engine (same results, slower)"
-        ),
-    )
-    run_parser.add_argument(
         "--backend", choices=sorted(all_backends()), default="",
         help=(
             "compute backend for the linear algebra: numpy (dense reference, "
@@ -335,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Runs the scenario's Monte Carlo plan and prints the "
             "stopping-time statistics.  --trials/--seed override the spec's "
-            "plan; --jobs/--batch control execution only (results are "
-            "identical for any value)."
+            "plan; --jobs/--backend/--engine control execution only (results "
+            "are identical for any value)."
         ),
     )
     scenario_run_parser.add_argument(
@@ -358,10 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run_parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes (default: run in-process)",
-    )
-    scenario_run_parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="use the scenario's vectorised batch engine when it declares one",
     )
     scenario_run_parser.add_argument(
         "--backend", choices=sorted(all_backends()), default="",
@@ -529,10 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     campaign_run_parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="use each unit's vectorised batch engine when it declares one",
-    )
-    campaign_run_parser.add_argument(
         "--fresh", action="store_true",
         help=(
             "recompute every trial instead of reading the store (results are "
@@ -636,14 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes per sweep case (default: run in-process)",
-    )
-    experiment_parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help=(
-            "use each case's vectorised batch engine (uniform AG and every "
-            "TAG variant have one); --no-batch forces the sequential path "
-            "(same results, slower)"
-        ),
     )
     _add_store_arguments(experiment_parser)
 
@@ -801,7 +776,6 @@ def _run_scenario_spec(
     trials: int | None,
     seed: int | None,
     jobs: int | None,
-    batch: bool,
     store: ResultStore | None = None,
     fresh: bool = False,
     title_prefix: str | None = None,
@@ -833,9 +807,7 @@ def _run_scenario_spec(
         _print_store_summary(store)
         return 0 if result.completed else 1
     with _profiled(profile):
-        stats = scenario.run(
-            trials=trials, jobs=jobs, batch=batch, store=store, fresh=fresh
-        )
+        stats = scenario.run(trials=trials, jobs=jobs, store=store, fresh=fresh)
     print(f"{title}: {stats.summary()}")
     _print_store_summary(store)
     return 0
@@ -860,7 +832,6 @@ def _command_run(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=None,  # args.seed is already the spec's root seed
         jobs=1 if args.jobs is None else args.jobs,
-        batch=args.batch,
         store=_open_store(args),
         fresh=args.fresh,
         title_prefix=f"{args.protocol} on",
@@ -924,7 +895,6 @@ def _command_scenario(args: argparse.Namespace) -> int:
             trials=args.trials,
             seed=args.seed,
             jobs=args.jobs,
-            batch=args.batch,
             store=_open_store(args),
             fresh=args.fresh,
             profile=args.profile,
@@ -1086,7 +1056,6 @@ def _command_campaign(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         jobs=getattr(args, "jobs", None),
-        batch=getattr(args, "batch", True),
         fresh=getattr(args, "fresh", False),
         offline=offline,
         progress=print if not offline else None,
@@ -1147,7 +1116,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         jobs=args.jobs,
-        batch=args.batch,
         store=store,
         fresh=args.fresh,
     )

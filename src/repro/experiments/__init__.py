@@ -22,9 +22,7 @@ from .runner import (
     tag_case,
     uniform_ag_case,
 )
-# Re-exported from the scenario layer (their home since the placements move);
-# the deprecated repro.experiments.workloads shim is *not* imported here, so
-# its DeprecationWarning only fires for code still using the old module path.
+# Re-exported from the scenario layer, where the placements live.
 from ..scenarios.placements import (
     Placement,
     adversarial_far_placement,

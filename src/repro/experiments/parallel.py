@@ -234,11 +234,10 @@ def _measure_trial_indices(
     config: SimulationConfig,
     seed: int,
     trial_indices: Sequence[int],
-    batch: bool,
     backend: str = "",
     engine: str = "",
 ) -> list[RunResult]:
-    """Run the selected trial streams, batched when allowed and possible.
+    """Run the selected trial streams, batched when possible.
 
     The sequential fallback builds each trial's process lazily, one at a
     time, so a long non-batchable run never holds more than one set of
@@ -276,21 +275,16 @@ def _measure_trial_indices(
             "only; pin engine='event' (or materialise through the networkx "
             "pipeline for the scalar/batch engines)"
         )
-    if engine == "scalar":
-        batch = False
     require_batch = engine == "batch"
-    if require_batch:
-        if not batch_supports_config(config):
-            raise EngineError(
-                "the batch engines do not support this configuration "
-                "(reset-mode churn); drop engine='batch' or pick "
-                "'scalar'/'event'"
-            )
-        batch = True
+    if require_batch and not batch_supports_config(config):
+        raise EngineError(
+            "the batch engines do not support this configuration "
+            "(reset-mode churn); drop engine='batch' or pick "
+            "'scalar'/'event'"
+        )
     # Reset-mode churn is outside the batch support matrix: fall back to the
     # scalar engine explicitly rather than letting a strategy fail mid-run.
-    if not batch_supports_config(config):
-        batch = False
+    batch = engine != "scalar" and batch_supports_config(config)
     results: list[RunResult] = []
     remaining = list(rngs)
     with use_backend(backend):
@@ -365,13 +359,12 @@ def measure_protocol_batched(
         trial_indices = range(trials)
     if store is None:
         return _measure_trial_indices(
-            graph, protocol_factory, config, seed, trial_indices, True, backend,
-            engine,
+            graph, protocol_factory, config, seed, trial_indices, backend, engine
         )
     return _run_through_store(
         store, spec, seed, trial_indices, fresh,
         lambda missing: _measure_trial_indices(
-            graph, protocol_factory, config, seed, missing, True, backend, engine
+            graph, protocol_factory, config, seed, missing, backend, engine
         ),
     )
 
@@ -405,10 +398,10 @@ def run_trials_batched(
 def _run_chunk(payload: bytes) -> list[RunResult]:
     """Worker entry point: unpickle one chunk description and run it."""
     (
-        graph, protocol_factory, config, seed, indices, batch, backend, engine,
+        graph, protocol_factory, config, seed, indices, backend, engine,
     ) = pickle.loads(payload)
     return _measure_trial_indices(
-        graph, protocol_factory, config, seed, indices, batch, backend, engine
+        graph, protocol_factory, config, seed, indices, backend, engine
     )
 
 
@@ -432,7 +425,6 @@ def _measure_indices_chunked(
     seed: int,
     trial_indices: Sequence[int],
     jobs: int,
-    batch: bool,
     backend: str = "",
     engine: str = "",
 ) -> list[RunResult]:
@@ -447,15 +439,13 @@ def _measure_indices_chunked(
     jobs = min(jobs, len(trial_indices))
     if jobs == 1:
         return _measure_trial_indices(
-            graph, protocol_factory, config, seed, trial_indices, batch, backend,
-            engine,
+            graph, protocol_factory, config, seed, trial_indices, backend, engine
         )
     chunks = _chunks(trial_indices, jobs)
     try:
         payloads = [
             pickle.dumps(
-                (graph, protocol_factory, config, seed, chunk, batch, backend,
-                 engine)
+                (graph, protocol_factory, config, seed, chunk, backend, engine)
             )
             for chunk in chunks
         ]
@@ -464,8 +454,7 @@ def _measure_indices_chunked(
         # process boundary; run them in-process instead — the results are
         # identical, only the wall-clock differs.
         return _measure_trial_indices(
-            graph, protocol_factory, config, seed, trial_indices, batch, backend,
-            engine,
+            graph, protocol_factory, config, seed, trial_indices, backend, engine
         )
     if _SHARED_POOL is not None:
         # Inside a shared_process_pool() block: reuse the long-lived workers
@@ -488,7 +477,6 @@ def measure_protocol_parallel(
     trials: int | None = None,
     seed: int | None = None,
     jobs: int | None = None,
-    batch: bool = True,
     store: Any = None,
     fresh: bool = False,
     spec: Any = None,
@@ -499,8 +487,8 @@ def measure_protocol_parallel(
     :class:`~repro.scenarios.MaterializedScenario`.
 
     The trial set is split into contiguous chunks, one worker process per
-    chunk, and every worker runs its indices — through the batch engine when
-    ``batch`` is true and the protocol allows it, sequentially otherwise.
+    chunk, and every worker runs its indices through the engine the spec pins
+    (auto-selected as in :func:`measure_protocol_batched` when it pins none).
     Because trial ``i`` derives its generator from the root seed alone
     (``derive_rng(seed, f"trial-{i}")`` — the spawned-child-seed scheme of
     :mod:`repro.core.rng`), the partitioning has no effect on any trial's
@@ -528,14 +516,13 @@ def measure_protocol_parallel(
         raise AnalysisError(f"jobs must be positive, got {jobs}")
     if store is None:
         return _measure_indices_chunked(
-            graph, protocol_factory, config, seed, range(trials), jobs, batch,
-            backend, engine,
+            graph, protocol_factory, config, seed, range(trials), jobs, backend,
+            engine,
         )
     return _run_through_store(
         store, spec, seed, range(trials), fresh,
         lambda missing: _measure_indices_chunked(
-            graph, protocol_factory, config, seed, missing, jobs, batch, backend,
-            engine,
+            graph, protocol_factory, config, seed, missing, jobs, backend, engine
         ),
     )
 
@@ -548,7 +535,6 @@ def run_trials_parallel(
     trials: int | None = None,
     seed: int | None = None,
     jobs: int | None = None,
-    batch: bool = True,
     store: Any = None,
     fresh: bool = False,
     spec: Any = None,
@@ -563,7 +549,7 @@ def run_trials_parallel(
     return aggregate_results(
         measure_protocol_parallel(
             graph, protocol_factory, config,
-            trials=trials, seed=seed, jobs=jobs, batch=batch,
+            trials=trials, seed=seed, jobs=jobs,
             store=store, fresh=fresh, spec=spec,
         )
     )

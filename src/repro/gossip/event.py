@@ -279,11 +279,6 @@ class EventGossipEngine:
     # Time models
     # ------------------------------------------------------------------
     def _run_asynchronous(self) -> int:
-        from ..backends.accel import async_event_kernel
-
-        kernel = async_event_kernel(self)
-        if kernel is not None:
-            return kernel()
         round_index = 0
         max_timeslots = self.config.max_rounds * self._n
         dynamics = self._dynamics

@@ -1,8 +1,7 @@
 """Placements: how the ``k`` source messages are initially placed at nodes.
 
-(Formerly ``repro.experiments.workloads``, which still re-exports everything
-here; the placement vocabulary is part of the scenario layer now, so that a
-:class:`~repro.scenarios.ScenarioSpec` can name its placement declaratively.)
+The placement vocabulary is part of the scenario layer, so that a
+:class:`~repro.scenarios.ScenarioSpec` can name its placement declaratively.
 
 The paper's k-dissemination setting allows any initial placement ("k initial
 messages located at some nodes; a node can hold more than one initial

@@ -890,7 +890,6 @@ class MaterializedScenario:
         trials: int | None = None,
         seed: int | None = None,
         jobs: int | None = None,
-        batch: bool = True,
         store: Any = None,
         fresh: bool = False,
     ) -> list[RunResult]:
@@ -915,7 +914,6 @@ class MaterializedScenario:
             trials=self.spec.trials if trials is None else trials,
             seed=self.spec.seed if seed is None else seed,
             jobs=1 if jobs is None else jobs,
-            batch=batch,
             store=store,
             fresh=fresh,
             spec=self.spec,
@@ -927,7 +925,6 @@ class MaterializedScenario:
         trials: int | None = None,
         seed: int | None = None,
         jobs: int | None = None,
-        batch: bool = True,
         store: Any = None,
         fresh: bool = False,
     ) -> StoppingTimeStats:
@@ -936,8 +933,7 @@ class MaterializedScenario:
 
         return aggregate_results(
             self.measure(
-                trials=trials, seed=seed, jobs=jobs, batch=batch,
-                store=store, fresh=fresh,
+                trials=trials, seed=seed, jobs=jobs, store=store, fresh=fresh
             )
         )
 

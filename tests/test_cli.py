@@ -56,6 +56,45 @@ class TestRunCommand:
         assert "error:" in captured.err
 
 
+class TestEngineSwitch:
+    """A spec's engine is the only engine switch; `--engine` sets it on the CLI."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["scenario", "run", "uniform/ring"],
+        ["experiment", "E2-constant-degree"],
+        ["campaign", "run", "table1"],
+    ], ids=["run", "scenario-run", "experiment", "campaign-run"])
+    def test_batch_flag_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--batch"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "E2-constant-degree"],
+        ["campaign", "run", "table1"],
+    ], ids=["experiment", "campaign-run"])
+    def test_engine_flag_is_refused_where_cases_carry_their_engine(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--engine", "scalar"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--trials", "3"],
+        ["scenario", "run", "uniform/ring", "--trials", "3"],
+    ], ids=["run", "scenario-run"])
+    def test_scalar_engine_prints_the_default_statistics(self, argv, capsys):
+        assert main([*argv, "--no-store"]) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--no-store", "--engine", "scalar"]) == 0
+        assert capsys.readouterr().out == default
+        assert "mean=" in default
+
+
 class TestExperimentCommand:
     def test_runs_registered_experiment(self, capsys):
         exit_code = main(["experiment", "E2-constant-degree", "--trials", "1"])

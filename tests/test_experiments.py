@@ -27,28 +27,6 @@ from repro.experiments import (
 from repro.graphs import line_graph, ring_graph
 
 
-class TestWorkloadsShimDeprecation:
-    def test_experiments_package_does_not_import_the_shim(self):
-        # The placements re-exported by repro.experiments come straight from
-        # repro.scenarios.placements; importing the package must not pull in
-        # (and hence not warn about) the deprecated workloads module.
-        import sys
-
-        import repro.experiments  # noqa: F401 - already imported at module scope
-
-        assert "repro.experiments.workloads" not in sys.modules
-
-    def test_shim_import_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.experiments.workloads", None)
-        with pytest.warns(DeprecationWarning, match="repro.scenarios.placements"):
-            shim = importlib.import_module("repro.experiments.workloads")
-        assert shim.all_to_all_placement is all_to_all_placement
-        sys.modules.pop("repro.experiments.workloads", None)
-
-
 class TestWorkloads:
     def test_all_to_all(self):
         graph = ring_graph(6)

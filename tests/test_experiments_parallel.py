@@ -165,17 +165,17 @@ class TestParallelEqualsSequential:
         )
         assert _signature(parallel) == _signature(sequential)
 
-    def test_no_batch_with_jobs_still_matches(self, uniform_case):
-        # --no-batch combined with worker processes must honour both: the
-        # workers run the sequential scalar path, and the results still
-        # equal the reference runner's.
+    def test_scalar_engine_with_jobs_still_matches(self, uniform_case):
+        # A spec pinning the scalar engine combined with worker processes
+        # must honour both: the workers run the sequential scalar path, and
+        # the results still equal the reference runner's.
         sequential = measure_protocol(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
             trials=4, seed=19,
         )
         parallel = measure_protocol_parallel(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
-            trials=4, seed=19, jobs=2, batch=False,
+            trials=4, seed=19, jobs=2, spec=uniform_case.spec.replace(engine="scalar"),
         )
         assert _signature(parallel) == _signature(sequential)
 
@@ -207,9 +207,31 @@ class TestSweepWiring:
         from repro.analysis import run_sweep
 
         cases = [uniform_ag_case("ring", 8, 4), uniform_ag_case("grid", 9, 4)]
-        fast = run_sweep(cases, trials=3, seed=2, batch=True)
-        slow = run_sweep(cases, trials=3, seed=2, batch=False)
+        fast = run_sweep(cases, trials=3, seed=2)
+        slow = run_sweep(
+            [case.spec.replace(engine="scalar") for case in cases], trials=3, seed=2
+        )
         assert [p.stats.samples for p in fast] == [p.stats.samples for p in slow]
+
+    def test_run_sweep_runs_each_case_on_its_spec_engine(self, monkeypatch):
+        from repro.analysis import run_sweep
+        from repro.gossip.event import EventGossipEngine
+        from repro.scenarios import get_scenario
+
+        runs = []
+        original_run = EventGossipEngine.run
+
+        def spy(engine):
+            runs.append(engine)
+            return original_run(engine)
+
+        monkeypatch.setattr(EventGossipEngine, "run", spy)
+        spec = get_scenario("event/er-logn").replace(n=64, trials=2)
+        [point] = run_sweep([spec], trials=2, seed=3)
+        # The spec pins engine="event", so both trials run on it even
+        # without a store.
+        assert len(runs) == 2
+        assert point.stats == spec.materialize().run(seed=3)
 
 
 class TestSharedProcessPool:

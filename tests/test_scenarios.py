@@ -354,9 +354,9 @@ class TestSingleSpecDrivesEveryConsumer:
         out = capsys.readouterr().out
         assert self.SPEC.materialize().run().summary() in out
 
-    def test_no_batch_gives_same_numbers(self):
-        scenario = self.SPEC.materialize()
-        assert scenario.run(batch=True) == scenario.run(batch=False)
+    def test_scalar_engine_gives_same_numbers(self):
+        scalar = self.SPEC.replace(engine="scalar").materialize()
+        assert self.SPEC.materialize().run() == scalar.run()
 
     def test_scenario_with_explicit_factory_or_config_rejected(self):
         from repro.errors import AnalysisError

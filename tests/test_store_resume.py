@@ -30,7 +30,7 @@ SEED = 42
 TOPOLOGIES = ("line", "grid", "complete", "binary_tree")
 
 
-def _table1_specs(topologies=TOPOLOGIES) -> list[ScenarioSpec]:
+def _table1_specs(topologies=TOPOLOGIES, engine="") -> list[ScenarioSpec]:
     return [
         ScenarioSpec(
             topology=topology,
@@ -39,6 +39,7 @@ def _table1_specs(topologies=TOPOLOGIES) -> list[ScenarioSpec]:
             config=default_scenario_config(),
             trials=TRIALS,
             seed=SEED,
+            engine=engine,
         )
         for topology in topologies
     ]
@@ -64,23 +65,22 @@ def _truncate_final_record(store_root) -> None:
 
 
 class TestResumeSemantics:
-    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
-    def test_interrupted_sweep_resumes_bit_identical(self, tmp_path, batch):
-        specs = _table1_specs()
-        cold = run_sweep(specs, trials=TRIALS, seed=SEED, batch=batch)
+    # The default engine auto-selects the batch engine for these specs.
+    @pytest.mark.parametrize("engine", ["", "scalar"], ids=["batch", "scalar"])
+    def test_interrupted_sweep_resumes_bit_identical(self, tmp_path, engine):
+        specs = _table1_specs(engine=engine)
+        cold = run_sweep(specs, trials=TRIALS, seed=SEED)
 
         # Phase 1: the "interrupted" sweep got through half the trials...
         first_half = ResultStore(tmp_path / "store")
-        run_sweep(specs, trials=TRIALS // 2, seed=SEED, batch=batch, store=first_half)
+        run_sweep(specs, trials=TRIALS // 2, seed=SEED, store=first_half)
         assert first_half.puts == len(specs) * (TRIALS // 2)
         # ... and its writer died mid-append on the final record.
         _truncate_final_record(tmp_path / "store")
 
         # Phase 2: resume with the same specs/seed against the same store.
         resumed_store = ResultStore(tmp_path / "store")
-        resumed = run_sweep(
-            specs, trials=TRIALS, seed=SEED, batch=batch, store=resumed_store
-        )
+        resumed = run_sweep(specs, trials=TRIALS, seed=SEED, store=resumed_store)
         assert _signature(resumed) == _signature(cold)
         # Only the remaining trials (plus the one lost to the truncation)
         # were computed.
@@ -101,12 +101,15 @@ class TestResumeSemantics:
         assert replayed == direct
 
     def test_scalar_and_batch_paths_share_cache_records(self, tmp_path):
-        specs = _table1_specs(("line", "complete"))
+        topologies = ("line", "complete")
         batch_store = ResultStore(tmp_path)
-        batch_points = run_sweep(specs, trials=TRIALS, seed=SEED, store=batch_store)
+        batch_points = run_sweep(
+            _table1_specs(topologies), trials=TRIALS, seed=SEED, store=batch_store
+        )
         scalar_store = ResultStore(tmp_path)
         scalar_points = run_sweep(
-            specs, trials=TRIALS, seed=SEED, batch=False, store=scalar_store
+            _table1_specs(topologies, engine="scalar"),
+            trials=TRIALS, seed=SEED, store=scalar_store,
         )
         # The engines are bit-identical, so the scalar pass is served
         # entirely from the batch pass's records.

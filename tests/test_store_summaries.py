@@ -56,7 +56,6 @@ def _measure(spec, engine: str):
         scenario.config,
         pinned.seed,
         list(range(pinned.trials)),
-        True,
         pinned.backend,
         pinned.engine,
     )
