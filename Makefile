@@ -64,13 +64,14 @@ backend-check:
 
 ## Event-driven engine contract: the full equivalence/refusal/dispatch suite
 ## (event vs scalar bit-identity over both time models, churn, rates, loss;
-## single-problem eliminator fast paths; typed EngineError refusals) plus a
+## single-problem eliminator fast paths; typed EngineError refusals), the
+## block-draw reader's conformance with numpy's own draws, plus a
 ## scaled-down run of the crossover benchmark proving the event engine is
 ## faster than the lockstep batch engine *and* bit-identical to it.  The
 ## full-size >=1.5x floor at n=4096 is asserted by `make bench-json` / the
 ## committed BENCH record.
 event-check:
-	$(PYTHON) -m pytest tests/test_event_engine.py -q
+	$(PYTHON) -m pytest tests/test_event_engine.py tests/test_rng_draws.py -q
 	REPRO_BENCH_EVENT_MAX_N=512 REPRO_BENCH_EVENT_TRIALS=2 REPRO_BENCH_EVENT_MIN_SPEEDUP=1.2 \
 		$(PYTHON) -m pytest benchmarks/bench_event_engine.py --benchmark-only -q
 

@@ -20,6 +20,7 @@ equivalence checks.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Sequence
 
 import numpy as np
 
@@ -88,17 +89,18 @@ class EliminatorState(ABC):
         result is a dense ``(columns,)`` row of field elements.
         """
 
-    def combine_one(self, index: int, coefficients: np.ndarray):
+    def combine_one(self, index: int, coefficients: "Sequence[int] | np.ndarray"):
         """Encode step for one problem in the backend's *native* payload form.
 
-        Semantically identical to :meth:`combine`, but the return value is an
-        opaque payload understood only by :meth:`eliminate_one` on the same
-        eliminator — a backend may hand back a packed representation so the
-        event-driven engine's per-delivery cost stays flat instead of paying
-        dense pack/unpack round-trips on every message.  The default simply
-        returns the dense :meth:`combine` row.
+        Semantically identical to :meth:`combine`, but ``coefficients`` may
+        be a plain sequence and the return value is an opaque payload
+        understood only by :meth:`eliminate_one` on the same eliminator — a
+        backend may hand back a packed representation so the event-driven
+        engine's per-delivery cost stays flat instead of paying dense
+        pack/unpack round-trips on every message.  The default returns the
+        dense :meth:`combine` row of the converted coefficients.
         """
-        return self.combine(index, coefficients)
+        return self.combine(index, np.asarray(coefficients, dtype=self.field.dtype))
 
     def eliminate_one(self, index: int, payload) -> bool:
         """Absorb one :meth:`combine_one` payload into one problem.

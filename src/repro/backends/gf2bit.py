@@ -29,6 +29,8 @@ that names this backend either computes with packed words or fails loudly.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import BackendError, FieldError
@@ -249,27 +251,34 @@ class PackedGf2Eliminator(EliminatorState):
             np.bitwise_xor.reduce(selected, axis=0), self.columns, self.field.dtype
         )
 
-    def combine_one(self, index: int, coefficients: np.ndarray) -> int:
+    def combine_one(self, index: int, coefficients: "Sequence[int] | np.ndarray") -> int:
         """Encode step for one problem, returned as one packed python int.
 
         The packed twin of :meth:`combine`: same coefficient-per-pivot
         semantics (ascending pivot order), but the XOR-reduction runs on
         arbitrary-precision ints and the dense unpack is skipped entirely.
+        ``coefficients`` may be a plain sequence, which is iterated as is.
         The payload is only meaningful to :meth:`eliminate_one` on this
         eliminator.
         """
         index = int(index)
-        coefficients = np.asarray(coefficients)
-        rank = int(self.ranks[index])
-        if coefficients.shape != (rank,):
+        rank = self.ranks.item(index)
+        if isinstance(coefficients, np.ndarray):
+            if coefficients.shape != (rank,):
+                raise FieldError(
+                    f"expected {rank} coefficients for problem {index}, "
+                    f"got {coefficients.shape}"
+                )
+            coefficients = coefficients.tolist()
+        elif len(coefficients) != rank:
             raise FieldError(
                 f"expected {rank} coefficients for problem {index}, "
-                f"got {coefficients.shape}"
+                f"got {len(coefficients)}"
             )
         bits = self._ensure_pivot_bits()[index]
         rows = self.rows[index]
         acc = 0
-        for coefficient in coefficients.tolist():
+        for coefficient in coefficients:
             col = (bits & -bits).bit_length() - 1
             if coefficient:
                 acc ^= int.from_bytes(rows[col].tobytes(), "little")

@@ -22,6 +22,8 @@ difference — a non-default backend is purely a speed choice.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import FieldError
@@ -409,14 +411,18 @@ class BatchEliminator:
             np.asarray(coefficients, dtype=self.field.dtype), self.rows[index, pivots]
         )
 
-    def combine_one(self, index: int, coefficients: np.ndarray) -> np.ndarray:
+    def combine_one(
+        self, index: int, coefficients: "Sequence[int] | np.ndarray"
+    ) -> np.ndarray:
         """Single-problem encode; the dense payload twin of :meth:`combine`.
 
         Part of the :class:`~repro.backends.base.EliminatorState` hot-path
         contract (``BatchEliminator`` is a virtual subclass, so the base
-        defaults do not apply).  The payload feeds :meth:`eliminate_one`.
+        defaults do not apply).  ``coefficients`` may be a plain sequence;
+        it is converted once, since :meth:`combine` reads its shape.  The
+        payload feeds :meth:`eliminate_one`.
         """
-        return self.combine(index, coefficients)
+        return self.combine(index, np.asarray(coefficients, dtype=self.field.dtype))
 
     def eliminate_one(self, index: int, payload: np.ndarray) -> bool:
         """Absorb one dense row into one problem; return the helpfulness flag.

@@ -27,10 +27,15 @@ unchanged.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..core.config import SimulationConfig
 from ..errors import SimulationError
+
+if TYPE_CHECKING:
+    from ..core.rng import BlockDraws
 
 __all__ = ["NodeDynamics"]
 
@@ -137,7 +142,7 @@ class NodeDynamics:
     # ------------------------------------------------------------------
     def choose_wakeup(
         self,
-        rng: np.random.Generator,
+        rng: "np.random.Generator | BlockDraws",
         round_index: int,
         down: np.ndarray | None = None,
     ) -> int | None:
@@ -148,8 +153,10 @@ class NodeDynamics:
         draw the engine always has, so pre-existing seeded runs reproduce.
         Churn restricts the draw to alive positions; heterogeneous rates turn
         it into one ``rng.random()`` draw against the cumulative alive
-        weights.  Both engines call this same method per trial, which is what
-        keeps the batch path bit-identical.
+        weights.  Every engine calls this same method per trial, which is what
+        keeps the batch and event paths bit-identical; the event engine
+        passes its :class:`~repro.core.rng.BlockDraws` reader as ``rng``,
+        which serves these two calls draw for draw.
 
         Callers that already hold this round's :meth:`down_mask` pass it as
         ``down`` so the slot pays for the mask only once.

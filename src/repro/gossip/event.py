@@ -26,12 +26,16 @@ bookkeeping:
   two O(k) encode/eliminate steps per timeslot; the synchronous loop buckets
   one round's transmissions into a queue and drains it at the round boundary,
   as the paper's synchronous semantics require.
+* **Only state-changing work** — a packet addressed to a full-rank receiver
+  is never built or eliminated (see below), and every draw is served by a
+  :class:`~repro.core.rng.BlockDraws` reader instead of a numpy call.
 
 Bit-identical by construction
 -----------------------------
 Like the batch engines, this engine is a *pure optimisation*: given the same
 per-trial generator it emits exactly the
-:class:`~repro.core.results.RunResult` the scalar engine would.  The
+:class:`~repro.core.results.RunResult` the scalar engine would, and leaves
+the generator in the same state.  The
 asynchronous wakeup draw is delegated to the very same
 :class:`~repro.gossip.dynamics.NodeDynamics` methods (for uniform clocks,
 ``rng.integers(0, n)`` *is* the embedded jump chain of ``n`` i.i.d.
@@ -41,8 +45,31 @@ selection indexes the same sorted neighbour tuples; coefficients are drawn
 against the canonical RREF basis, whose uniqueness makes every encoded packet
 and helpfulness flag coincide with the scalar decoder's; churn kills a
 transmission before the loss draw, consuming no randomness.
-``tests/test_event_engine.py`` asserts the equivalence per seed over both
-time models, churn (pause *and* reset), heterogeneous rates and packet loss.
+
+* **Skip rule** — when the receiver's rank is already ``k`` as a packet is
+  encoded, its coefficients are still drawn (the stream must advance), but
+  no payload is built; at delivery the packet still counts in
+  ``messages_sent`` and still meets the churn check and the loss coin, and
+  ``eliminate_one`` is never called on a full-rank receiver (it could not
+  help).  Ranks only grow between encode and delivery, because crashes are
+  processed at the start of the slot (asynchronous) or round (synchronous),
+  so a receiver full at encode is still full at delivery.
+* **Block reader** — the wakeup, partner, coefficient and loss draws go
+  through one :class:`~repro.core.rng.BlockDraws` per run, which serves
+  them from blocks of raw 64-bit outputs with numpy's own algorithms and,
+  on exit (exceptions included), leaves ``rng.bit_generator.state`` exactly
+  where the numpy calls would have.  ``NodeDynamics.choose_wakeup`` takes
+  the reader as its ``rng``.
+* **Bit-generator requirement** — the reader needs a bit generator that
+  splits raw outputs into buffered 32-bit halves (PCG64, which
+  :mod:`repro.core.rng` always builds, PCG64DXSM, Philox, SFC64); any other
+  (MT19937) raises :class:`~repro.errors.EngineError` at engine
+  construction.  There is no fallback to per-call numpy draws.
+
+``tests/test_event_engine.py`` asserts the equivalence per seed — results
+and final generator state — over both time models, GF(2), GF(3), GF(5) and
+GF(16), churn (pause *and* reset), heterogeneous rates and packet loss;
+``tests/test_rng_draws.py`` checks the reader against numpy draw for draw.
 
 Unlike the lockstep fast path, reset-mode churn **is** supported: each trial
 owns its eliminator, so a crash wipes one problem
@@ -64,6 +91,7 @@ import numpy as np
 
 from ..core.config import GossipAction, SimulationConfig, TimeModel
 from ..core.results import RunResult
+from ..core.rng import BlockDraws
 from ..errors import EngineError, SimulationError
 from ..graphs.csr import CSRGraph
 from ..graphs.topologies import csr_adjacency
@@ -142,7 +170,9 @@ class EventGossipEngine:
         The simulation configuration.
     rng:
         This trial's generator; every draw is issued in the scalar engine's
-        exact order.
+        exact order.  Its bit generator must split raw outputs into buffered
+        32-bit halves (see :class:`~repro.core.rng.BlockDraws`), else
+        :class:`EngineError`.
     """
 
     def __init__(
@@ -174,6 +204,7 @@ class EventGossipEngine:
         self.process = process
         self.config = config
         self.rng = rng
+        self._draws = BlockDraws(rng)
         # A CSRGraph's nodes are exactly 0..n-1, so its node view (a range)
         # serves directly — position == node id and no O(n) list is built.
         if isinstance(graph, CSRGraph):
@@ -183,6 +214,7 @@ class EventGossipEngine:
         self._n = len(self._nodes)
         self._indptr, self._indices = csr_adjacency(graph)
         self._field = process.generation.field
+        self._order = self._field.order
         self._k = process.generation.k
         if self._field.order != config.field_size:
             raise SimulationError(
@@ -248,10 +280,11 @@ class EventGossipEngine:
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Run the trial to completion (or to the ``max_rounds`` limit)."""
-        if self.config.time_model is TimeModel.SYNCHRONOUS:
-            rounds = self._run_synchronous()
-        else:
-            rounds = self._run_asynchronous()
+        with self._draws as draws:
+            if self.config.time_model is TimeModel.SYNCHRONOUS:
+                rounds = self._run_synchronous(draws)
+            else:
+                rounds = self._run_asynchronous(draws)
         completed = self._finished == self._n
         if not completed and not self.config.allow_incomplete:
             raise SimulationError(
@@ -278,99 +311,118 @@ class EventGossipEngine:
     # ------------------------------------------------------------------
     # Time models
     # ------------------------------------------------------------------
-    def _run_asynchronous(self) -> int:
+    def _run_asynchronous(self, draws: BlockDraws) -> int:
         round_index = 0
-        max_timeslots = self.config.max_rounds * self._n
+        n = self._n
+        max_timeslots = self.config.max_rounds * n
         dynamics = self._dynamics
-        rng = self.rng
-        indptr, indices = self._indptr, self._indices
+        choose_wakeup = dynamics.choose_wakeup
+        integers = draws.integers
+        encode, deliver = self._encode, self._deliver
+        start_of, neighbour = self._indptr.item, self._indices.item
         action = self.process.action
         do_push = action in (GossipAction.PUSH, GossipAction.EXCHANGE)
         do_pull = action in (GossipAction.PULL, GossipAction.EXCHANGE)
         has_churn = dynamics.has_churn
-        n = self._n
+        reset_on_crash = dynamics.reset_on_crash
+        timeslot = self._timeslot
+        down = None
         while self._finished < n:
-            if self._timeslot >= max_timeslots:
-                return round_index
-            round_now = self._timeslot // n + 1
-            self._process_crashes(round_now)
-            down = dynamics.down_mask(round_now) if has_churn else None
-            pos = dynamics.choose_wakeup(rng, round_now, down)
-            self._timeslot += 1
+            if timeslot >= max_timeslots:
+                break
+            round_now = timeslot // n + 1
+            if reset_on_crash:
+                self._process_crashes(round_now)
+            if has_churn:
+                down = dynamics.down_mask(round_now)
+            pos = choose_wakeup(draws, round_now, down)
+            timeslot += 1
             round_index = round_now
             if pos is None:
                 continue
-            start = indptr[pos]
-            degree = int(indptr[pos + 1] - start)
-            partner = int(indices[start + int(rng.integers(0, degree))])
-            # Both packets are built before either is delivered, matching the
-            # scalar on_wakeup (PUSH draws first, then PULL).
-            row_push = self._encode(pos) if do_push else None
-            row_pull = self._encode(partner) if do_pull else None
-            if row_push is not None:
-                self._deliver(pos, partner, row_push, round_now, down)
-            if row_pull is not None:
-                self._deliver(partner, pos, row_pull, round_now, down)
+            start = start_of(pos)
+            partner = neighbour(start + integers(0, start_of(pos + 1) - start))
+            # Both packets are encoded before either is delivered, matching
+            # the scalar on_wakeup (PUSH draws first, then PULL).
+            push = encode(pos, partner) if do_push else None
+            pull = encode(partner, pos) if do_pull else None
+            if push is not None:
+                deliver(pos, partner, push, round_now, down)
+            if pull is not None:
+                deliver(partner, pos, pull, round_now, down)
+        self._timeslot = timeslot
         return round_index
 
-    def _run_synchronous(self) -> int:
+    def _run_synchronous(self, draws: BlockDraws) -> int:
         round_index = 0
+        n = self._n
         dynamics = self._dynamics
-        rng = self.rng
-        indptr, indices = self._indptr, self._indices
+        integers = draws.integers
+        encode, deliver = self._encode, self._deliver
+        start_of, neighbour = self._indptr.item, self._indices.item
         action = self.process.action
         do_push = action in (GossipAction.PUSH, GossipAction.EXCHANGE)
         do_pull = action in (GossipAction.PULL, GossipAction.EXCHANGE)
         has_churn = dynamics.has_churn
-        n = self._n
+        reset_on_crash = dynamics.reset_on_crash
+        down = None
         while self._finished < n:
             if round_index >= self.config.max_rounds:
                 return round_index
             round_index += 1
-            self._process_crashes(round_index)
-            down = dynamics.down_mask(round_index) if has_churn else None
+            if reset_on_crash:
+                self._process_crashes(round_index)
+            if has_churn:
+                down = dynamics.down_mask(round_index)
             # Wakeup phase: all partner/coefficient draws against committed
             # state, transmissions bucketed for the round boundary.
             bucket: list[tuple[int, int, object]] = []
             for pos in range(n):
                 if down is not None and down[pos]:
                     continue
-                start = indptr[pos]
-                degree = int(indptr[pos + 1] - start)
-                partner = int(indices[start + int(rng.integers(0, degree))])
-                row_push = self._encode(pos) if do_push else None
-                row_pull = self._encode(partner) if do_pull else None
-                if row_push is not None:
-                    bucket.append((pos, partner, row_push))
-                if row_pull is not None:
-                    bucket.append((partner, pos, row_pull))
+                start = start_of(pos)
+                partner = neighbour(start + integers(0, start_of(pos + 1) - start))
+                push = encode(pos, partner) if do_push else None
+                pull = encode(partner, pos) if do_pull else None
+                if push is not None:
+                    bucket.append((pos, partner, push))
+                if pull is not None:
+                    bucket.append((partner, pos, pull))
             self._timeslot += n
             # Deliveries become visible only now: end of the round.
-            for sender, receiver, row in bucket:
-                self._deliver(sender, receiver, row, round_index, down)
+            for sender, receiver, payload in bucket:
+                deliver(sender, receiver, payload, round_index, down)
         return round_index
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _encode(self, pos: int):
-        """One freshly coded packet of the node at ``pos`` (or ``None``).
+    def _encode(self, sender: int, receiver: int):
+        """One coded packet from ``sender`` to ``receiver``, or ``None``.
 
-        The payload is whatever the backend's ``combine_one`` hands back — a
-        packed python int for gf2bit, a dense row elsewhere — and is only
-        ever fed to the same eliminator's ``eliminate_one``.
+        ``None`` means the sender knows nothing and sends nothing.  A packet
+        for a full-rank receiver draws its coefficients but is not built
+        (the skip rule): it returns ``False``, which :meth:`_deliver` never
+        feeds to the eliminator.  Otherwise the payload is whatever the
+        backend's ``combine_one`` hands back — a packed python int for
+        gf2bit, a dense row elsewhere.
         """
-        rank = int(self._ranks[pos])
-        if rank == 0:
+        ranks = self._ranks
+        rank = ranks.item(sender)
+        if not rank:
             return None
-        coefficients = self._field.random_elements(self.rng, rank)
-        return self._eliminator.combine_one(pos, coefficients)
+        if ranks.item(receiver) == self._k:
+            self._draws.skip_elements(self._order, rank)
+            return False
+        return self._eliminator.combine_one(
+            sender, self._draws.elements(self._order, rank)
+        )
 
     def _deliver(
         self,
         sender_pos: int,
         receiver_pos: int,
-        row: object,
+        payload: object,
         round_index: int,
         down: np.ndarray | None,
     ) -> None:
@@ -380,13 +432,17 @@ class EventGossipEngine:
         if down is not None and (down[sender_pos] or down[receiver_pos]):
             self._churn_dropped += 1
             return
-        if self._loss_probability > 0 and self.rng.random() < self._loss_probability:
+        loss = self._loss_probability
+        if loss > 0 and self._draws.random() < loss:
             self._dropped_messages += 1
             return
-        helpful = self._eliminator.eliminate_one(receiver_pos, row)
-        if helpful:
+        ranks = self._ranks
+        # A full-rank receiver cannot be helped: nothing to eliminate.
+        if ranks.item(receiver_pos) == self._k:
+            return
+        if self._eliminator.eliminate_one(receiver_pos, payload):
             self._helpful_messages += 1
-            if self._ranks[receiver_pos] == self._k and not self._noted[receiver_pos]:
+            if ranks.item(receiver_pos) == self._k and not self._noted[receiver_pos]:
                 self._note_completion(receiver_pos, round_index)
 
     def _note_completion(self, pos: int, round_index: int) -> None:
@@ -395,9 +451,10 @@ class EventGossipEngine:
         self._completion_rounds[self._nodes[pos]] = round_index
 
     def _process_crashes(self, round_index: int) -> None:
-        """Reset-mode churn: wipe crashing nodes back to initial knowledge."""
-        if not self._dynamics.reset_on_crash:
-            return
+        """Reset-mode churn: wipe crashing nodes back to initial knowledge.
+
+        Both loops call this only when ``dynamics.reset_on_crash`` is set.
+        """
         while self._last_crash_round < round_index:
             self._last_crash_round += 1
             for pos in self._dynamics.crashes_at(self._last_crash_round):

@@ -4,9 +4,11 @@ Three layers of guarantees:
 
 * **Equivalence matrix** — on small graphs the event engine reproduces the
   scalar engine's :class:`~repro.core.results.RunResult` *exactly* (every
-  field, every trial) across both time models, PUSH/PULL/EXCHANGE, packet
-  loss, pause- and reset-mode churn, heterogeneous activation rates and both
-  compute backends.
+  field, every trial) and leaves its generator in the same state, across
+  both time models, PUSH/PULL/EXCHANGE, packet loss, pause- and reset-mode
+  churn, heterogeneous activation rates, degree-one leaves, GF(2), GF(3),
+  GF(5) and GF(16), and both compute backends — while never building or eliminating a packet
+  for a full-rank receiver.
 * **Hot-path conformance** — the single-problem ``combine_one`` /
   ``eliminate_one`` fast paths of both shipped eliminators hold state
   identical to the batched ``eliminate`` reference on random traces, and
@@ -49,6 +51,9 @@ SYNC = default_scenario_config()
 EQUIVALENCE_CASES = {
     "sync-ring": dict(topology="ring", n=16, k=8, config=SYNC),
     "async-grid": dict(topology="grid", n=16, k=8, config=ASYNC),
+    # Leaves have degree one: their partner draw is a range of one, which
+    # consumes no randomness.
+    "async-binary-tree": dict(topology="binary_tree", n=16, k=8, config=ASYNC),
     "async-loss": dict(
         topology="complete", n=16, k=8, config=ASYNC.replace(loss_probability=0.25)
     ),
@@ -94,6 +99,15 @@ EQUIVALENCE_CASES = {
         backend="gf2bit",
         config=ASYNC.replace(field_size=2, churn=((4, 3, 9),), churn_reset=True),
     ),
+    # Prime fields: coefficient draws go through the rejection path of the
+    # bounded-integer rule, not the power-of-two shift.
+    "async-gf3": dict(
+        topology="grid",
+        n=16,
+        k=8,
+        config=ASYNC.replace(field_size=3, loss_probability=0.1),
+    ),
+    "sync-gf5": dict(topology="ring", n=16, k=8, config=SYNC.replace(field_size=5)),
 }
 
 #: Registered scenarios the event engine can run (uniform protocol only).
@@ -157,18 +171,62 @@ def test_event_engine_stopping_times_match_on_registry_scenarios(name, seed):
     assert _measure(spec, "scalar", trials=2) == _measure(spec, "event", trials=2)
 
 
-def test_event_engine_direct_construction_matches_scalar():
-    """Engine-level (not spec-level) equivalence, sharing one derived rng."""
+def _direct_run(engine_cls, materialized, seed):
+    """One engine-level trial; returns its result and the generator after it."""
+    rng = derive_rng(seed, "trial-0")
+    with use_backend(materialized.spec.backend):
+        process = materialized.build_process(rng)
+        result = engine_cls(materialized.graph, process, materialized.config, rng).run()
+    return result, rng
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES), ids=str)
+def test_event_engine_direct_construction_matches_scalar(case):
+    """Engine-level equivalence: same RunResult *and* same generator state.
+
+    The event engine serves its draws from raw blocks and rewinds the
+    generator on exit; the state it leaves must be the one the scalar
+    engine's numpy calls leave, buffered 32-bit half included.
+    """
     from repro.gossip import GossipEngine
 
-    spec = _spec(topology="binary_tree", n=16, k=8, trials=1, seed=3, config=ASYNC)
-    materialized = spec.materialize()
-    results = []
-    for engine_cls in (GossipEngine, EventGossipEngine):
-        rng = derive_rng(3, "trial-0")
-        process = materialized.build_process(rng)
-        results.append(engine_cls(materialized.graph, process, spec.config, rng).run())
-    assert results[0] == results[1]
+    materialized = _spec(trials=1, **EQUIVALENCE_CASES[case]).materialize()
+    for seed in (3, 11, 20260808, 2**40 + 1):
+        scalar, scalar_rng = _direct_run(GossipEngine, materialized, seed)
+        event, event_rng = _direct_run(EventGossipEngine, materialized, seed)
+        assert scalar == event, seed
+        assert scalar_rng.bit_generator.state == event_rng.bit_generator.state, seed
+
+
+@pytest.mark.parametrize("case", ["gf2bit-er-logn", "sync-ring"])
+def test_event_engine_builds_and_eliminates_only_what_can_help(case, monkeypatch):
+    """The skip rule: no elimination into a full-rank problem, fewer encodes
+    than messages, and the results unchanged."""
+    from repro.backends.gf2bit import PackedGf2Eliminator
+
+    calls = {"combine_one": 0, "eliminate_one": 0, "full_rank_targets": 0}
+    for cls in (BatchEliminator, PackedGf2Eliminator):
+        combine_one, eliminate_one = cls.combine_one, cls.eliminate_one
+
+        def spy_combine(self, index, coefficients, _original=combine_one):
+            calls["combine_one"] += 1
+            return _original(self, index, coefficients)
+
+        def spy_eliminate(self, index, payload, _original=eliminate_one):
+            calls["eliminate_one"] += 1
+            calls["full_rank_targets"] += int(self.ranks[index] == self.pivot_limit)
+            return _original(self, index, payload)
+
+        monkeypatch.setattr(cls, "combine_one", spy_combine)
+        monkeypatch.setattr(cls, "eliminate_one", spy_eliminate)
+    spec = _spec(trials=2, seed=20260808, **EQUIVALENCE_CASES[case])
+    event = _measure(spec, "event", trials=2)
+    sent = sum(result.messages_sent for result in event)
+    assert calls["eliminate_one"] > 0
+    assert calls["full_rank_targets"] == 0
+    assert calls["combine_one"] < sent
+    monkeypatch.undo()
+    assert event == _measure(spec, "scalar", trials=2)
 
 
 def test_event_engine_timeout_matches_scalar():
@@ -222,6 +280,16 @@ def test_event_engine_rejects_non_rank_only_process():
     assert not event_supports_process(process)
     with pytest.raises(EngineError, match="event-driven"):
         EventGossipEngine(materialized.graph, process, spec.config, rng)
+
+
+def test_event_engine_refuses_a_bit_generator_without_halves():
+    """MT19937 has no buffered 32-bit halves to replay: typed error, no fallback."""
+    spec = _spec(topology="ring", n=8, k=4, trials=1, seed=5, config=ASYNC)
+    materialized = spec.materialize()
+    rng = np.random.Generator(np.random.MT19937(5))
+    process = materialized.build_process(rng)
+    with pytest.raises(EngineError, match="MT19937"):
+        EventGossipEngine(materialized.graph, process, materialized.config, rng)
 
 
 def test_event_supports_config_covers_every_axis():
@@ -299,7 +367,10 @@ def test_single_problem_fast_paths_match_bulk_eliminate(
         draw = np.random.default_rng(1000 + step)
         if rng.random() < 0.3 and reference.ranks[index] > 0:
             coefficients = field.random_elements(draw, int(reference.ranks[index]))
-            payload = fast.combine_one(index, coefficients)
+            # combine_one takes an array or a plain list (the event engine's form).
+            payload = fast.combine_one(
+                index, coefficients.tolist() if step % 2 else coefficients
+            )
             dense = reference.combine(index, coefficients)
             helpful = fast.eliminate_one(index, payload)
             expected = bool(
