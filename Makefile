@@ -75,11 +75,12 @@ event-check:
 	REPRO_BENCH_EVENT_MAX_N=512 REPRO_BENCH_EVENT_TRIALS=2 REPRO_BENCH_EVENT_MIN_SPEEDUP=1.2 \
 		$(PYTHON) -m pytest benchmarks/bench_event_engine.py --benchmark-only -q
 
-## Graph-free CSR pipeline contract: the builder equivalence matrix (every
-## direct-CSR generator byte-identical to csr_adjacency of its networkx
-## reference), pipeline bit-identity (materialize_csr == materialize, field
-## for field), the typed refusals, plus a scaled-down run of the pipeline
-## crossover benchmark.  At smoke sizes the RSS ratio tends to 1 (the
+## One-graph-type contract: generated builder conformance (every family's
+## direct CSR build byte-identical to CSRGraph.from_networkx of its networkx
+## oracle in tests/nx_topologies.py, same TopologyError text on invalid
+## input), the CSRGraph container, the rank-only event process replaying the
+## decoder-built one, plus a scaled-down run of the direct-build vs
+## networkx-built benchmark.  At smoke sizes the RSS ratio tends to 1 (the
 ## interpreter baseline dominates), so both floors are lowered; the >=5x /
 ## >=2x full-size floors live in the committed BENCH_E13 record, guarded by
 ## `make bench-check`.

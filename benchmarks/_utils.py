@@ -82,9 +82,11 @@ def cached_sweep(cases, *, trials, seed, jobs=None):
 
 def cached_measure(workload, *, trials=None, seed=None):
     """Per-trial results of a scenario, read through the benchmark store."""
-    from repro.experiments.parallel import measure_protocol_batched
+    from repro.experiments.parallel import measure_protocol_parallel
 
-    return measure_protocol_batched(workload, trials=trials, seed=seed, store=bench_store())
+    return measure_protocol_parallel(
+        workload, trials=trials, seed=seed, store=bench_store(), jobs=1
+    )
 
 
 def cached_run(workload, *, trials=None, seed=None):

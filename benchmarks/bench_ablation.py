@@ -19,7 +19,7 @@ from __future__ import annotations
 from _utils import PEDANTIC, bench_store, cached_run, report
 from repro.core import GossipAction
 from repro.experiments import default_config, tag_case
-from repro.experiments.parallel import run_trials_batched
+from repro.experiments.parallel import run_trials_parallel
 from repro.scenarios import ScenarioSpec
 
 TRIALS = 3
@@ -61,9 +61,9 @@ def _tree_protocol_ablation():
                         config=default_config(max_rounds=500_000))
         # A materialised case keeps its spec, which is the content address the
         # store needs alongside the explicit (graph, factory, config) triple.
-        stats = run_trials_batched(case.graph, case.protocol_factory, case.config,
-                                   trials=TRIALS, seed=911,
-                                   store=bench_store(), spec=case.spec)
+        stats = run_trials_parallel(case.graph, case.protocol_factory, case.config,
+                                    trials=TRIALS, seed=911, jobs=1,
+                                    store=bench_store(), spec=case.spec)
         rows.append({"spanning_tree": stp, "mean_rounds": round(stats.mean, 1),
                      "p95_rounds": round(stats.whp, 1)})
     return rows

@@ -78,7 +78,7 @@ def _run():
             key=lambda outcome: outcome.spec.n,
         )
         start = time.perf_counter()
-        scenario = largest.spec.materialize_preferred()
+        scenario = largest.spec.materialize()
         full_results = scenario.measure()
         resimulate_seconds = time.perf_counter() - start
         assert store.aggregate(largest.spec) == aggregate_results(full_results), (

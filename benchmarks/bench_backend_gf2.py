@@ -27,7 +27,7 @@ import os
 import time
 
 from _utils import PEDANTIC, record_trials, report, report_json, trial_signature
-from repro.experiments.parallel import measure_protocol_batched
+from repro.experiments.parallel import measure_protocol_parallel
 from repro.scenarios import ScenarioSpec, default_scenario_config
 
 N = int(os.environ.get("REPRO_BENCH_GF2_N", "128"))
@@ -56,7 +56,7 @@ def _run():
     for backend in ("numpy", "gf2bit"):
         spec = SPEC.replace(backend=backend)
         start = time.perf_counter()
-        results[backend] = measure_protocol_batched(spec)
+        results[backend] = measure_protocol_parallel(spec, jobs=1)
         timings[backend] = time.perf_counter() - start
 
     assert trial_signature(results["gf2bit"]) == trial_signature(

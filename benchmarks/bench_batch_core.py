@@ -30,7 +30,6 @@ from _utils import PEDANTIC, record_trials, report, report_json, trial_signature
 from repro.analysis.stopping_time import measure_protocol
 from repro.experiments.parallel import (
     default_jobs,
-    measure_protocol_batched,
     measure_protocol_parallel,
 )
 from repro.scenarios import ScenarioSpec, default_scenario_config
@@ -66,7 +65,7 @@ def _run():
     timings["sequential (scalar decoders)"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = measure_protocol_batched(scenario)
+    batched = measure_protocol_parallel(scenario, jobs=1)
     timings["batched (BatchDecoder)"] = time.perf_counter() - start
 
     jobs = min(default_jobs(), 8)

@@ -28,7 +28,7 @@ import time
 
 from _utils import PEDANTIC, record_trials, report, report_json, trial_signature
 from repro.analysis.stopping_time import measure_protocol
-from repro.experiments.parallel import measure_protocol_batched
+from repro.experiments.parallel import measure_protocol_parallel
 from repro.scenarios import ScenarioSpec, default_scenario_config
 
 N = int(os.environ.get("REPRO_BENCH_TAG_N", "128"))
@@ -65,7 +65,7 @@ def _run():
     timings["sequential (scalar TagProtocol)"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = measure_protocol_batched(scenario)
+    batched = measure_protocol_parallel(scenario, jobs=1)
     timings["batched (BatchTagEngine)"] = time.perf_counter() - start
 
     assert trial_signature(batched) == trial_signature(sequential), (

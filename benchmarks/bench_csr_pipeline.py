@@ -1,25 +1,25 @@
-"""E13 — the direct-CSR topology pipeline vs the networkx pipeline at large ``n``.
+"""E13 — direct-CSR topology builds vs networkx-built graphs at large ``n``.
 
-The event-driven engine (E12) removed the per-event cost of large-``n``
-uniform algebraic gossip; what remained was the *materialisation* cost: the
-networkx pipeline builds a dict-of-dicts ``nx.Graph`` (hundreds of bytes per
-edge, plus ``n`` scalar decoders per trial) only to flatten it into the CSR
-arrays the engine actually walks.  The direct-CSR pipeline
-(:meth:`~repro.scenarios.ScenarioSpec.materialize_csr`) builds those arrays
-straight from the generator's edge stream — byte-identical ``(indptr,
-indices)`` per seed, by the tested builder contract — and feeds the engine a
-decoder-less rank-only process.
+Every topology family is built straight into the ``(indptr, indices)``
+arrays of a :class:`~repro.graphs.CSRGraph`, which is the only graph the
+engines run on.  This benchmark measures what that saves against building
+the same graph the way the simulator used to: a dict-of-dicts
+``nx.Graph`` (hundreds of bytes per edge) from the networkx builders kept as
+the test oracle (``tests/nx_topologies.py``), converted with
+:meth:`~repro.graphs.CSRGraph.from_networkx`.
 
-This benchmark runs the registry's large-``n`` workload — uniform AG over
-``GF(2)`` on connected ``G(n, 2·log n/n)``, asynchronous EXCHANGE, ``k = 8``,
-gf2bit backend, event engine — through **both pipelines in separate
-subprocesses** (``ru_maxrss`` is a process-lifetime high-water mark, so a
-per-pipeline peak needs a per-pipeline process) and asserts:
+It runs the registry's large-``n`` workload — uniform AG over ``GF(2)`` on
+connected ``G(n, 2·log n/n)``, asynchronous EXCHANGE, ``k = 8``, gf2bit
+backend, event engine — **once per side in separate subprocesses**
+(``ru_maxrss`` is a process-lifetime high-water mark, so a per-side peak
+needs a per-side process).  The ``networkx`` side materialises the scenario
+with ``build_topology`` swapped for oracle + ``from_networkx``; the ``csr``
+side calls :meth:`~repro.scenarios.ScenarioSpec.materialize`.  It asserts:
 
-* both pipelines are **bit-identical** — the per-trial result signatures
+* both sides are **bit-identical** — the per-trial result signatures
   (stopping times, message/helpful counts, completion rounds, metadata)
   hash identically;
-* the direct pipeline materialises at least ``5×`` faster and the run's
+* the direct build materialises at least ``5×`` faster and the run's
   peak RSS is at least ``2×`` smaller (the committed ``BENCH_E13`` record is
   gated on both by ``check_regression.py``).
 
@@ -54,14 +54,24 @@ SCALED_DOWN = (N, TRIALS, MIN_SPEEDUP, MIN_RSS_REDUCTION) != (100000, 2, 5.0, 2.
 _REPO = Path(__file__).resolve().parent.parent
 
 
-def _child(pipeline: str, n: int, trials: int, seed: int) -> None:
-    """Run one pipeline's materialise + simulate phases; print a JSON record."""
+def _child(side: str, n: int, trials: int, seed: int) -> None:
+    """Run one side's materialise + simulate phases; print a JSON record."""
     from _utils import peak_rss_mib, trial_signature
+    from repro.graphs import CSRGraph
     from repro.scenarios import get_scenario
+    from repro.scenarios import spec as scenario_spec
 
+    if side == "networkx":
+        sys.path.insert(0, str(_REPO / "tests"))
+        from nx_topologies import ORACLE_BUILDERS
+
+        def build_via_networkx(name, size, **kwargs):
+            return CSRGraph.from_networkx(ORACLE_BUILDERS[name](size, **kwargs))
+
+        scenario_spec.build_topology = build_via_networkx
     spec = get_scenario("event/er-logn").replace(n=n, trials=trials, seed=seed)
     start = time.perf_counter()
-    scenario = spec.materialize_csr() if pipeline == "csr" else spec.materialize()
+    scenario = spec.materialize()
     materialize_seconds = time.perf_counter() - start
     start = time.perf_counter()
     results = scenario.measure()
@@ -72,7 +82,7 @@ def _child(pipeline: str, n: int, trials: int, seed: int) -> None:
     print(
         json.dumps(
             {
-                "pipeline": scenario.pipeline,
+                "side": side,
                 "n": scenario.n,
                 "materialize_seconds": materialize_seconds,
                 "simulate_seconds": simulate_seconds,
@@ -84,7 +94,7 @@ def _child(pipeline: str, n: int, trials: int, seed: int) -> None:
     )
 
 
-def _run_pipeline(pipeline: str) -> dict:
+def _run_side(side: str) -> dict:
     env = dict(os.environ)
     src = str(_REPO / "src")
     env["PYTHONPATH"] = (
@@ -95,7 +105,7 @@ def _run_pipeline(pipeline: str) -> dict:
             sys.executable,
             str(Path(__file__).resolve()),
             "--child",
-            pipeline,
+            side,
             str(N),
             str(TRIALS),
             str(SEED),
@@ -107,24 +117,24 @@ def _run_pipeline(pipeline: str) -> dict:
     )
     if proc.returncode != 0:
         raise AssertionError(
-            f"{pipeline} pipeline child failed "
+            f"{side} side child failed "
             f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}"
         )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _run():
-    measured = {pipeline: _run_pipeline(pipeline) for pipeline in ("networkx", "csr")}
+    measured = {side: _run_side(side) for side in ("networkx", "csr")}
     nx_rec, csr_rec = measured["networkx"], measured["csr"]
     assert nx_rec["signature"] == csr_rec["signature"], (
-        "the CSR pipeline diverged from the networkx pipeline at "
+        "the direct CSR build diverged from the networkx-built graph at "
         f"n={N}: per-trial result signatures differ"
     )
     speedup = nx_rec["materialize_seconds"] / csr_rec["materialize_seconds"]
     rss_reduction = nx_rec["peak_rss_mib"] / csr_rec["peak_rss_mib"]
     rows = [
         {
-            "pipeline": record["pipeline"],
+            "graph built by": record["side"],
             "materialize s": round(record["materialize_seconds"], 3),
             "simulate s": round(record["simulate_seconds"], 3),
             "peak RSS MiB": round(record["peak_rss_mib"], 1),
@@ -140,15 +150,15 @@ def test_csr_pipeline_crossover(benchmark):
     nx_rec, csr_rec = measured["networkx"], measured["csr"]
     report(
         "E13-csr-pipeline",
-        f"Direct-CSR vs networkx topology pipeline — uniform AG over GF(2) on "
-        f"G(n, 2·log n/n), n={N}, k=8, asynchronous EXCHANGE, gf2bit backend, "
-        f"event engine, {TRIALS} trials (one subprocess per pipeline)",
+        f"Direct-CSR build vs networkx-built graph (oracle + from_networkx) — "
+        f"uniform AG over GF(2) on G(n, 2·log n/n), n={N}, k=8, asynchronous "
+        f"EXCHANGE, gf2bit backend, event engine, {TRIALS} trials (one "
+        f"subprocess per side)",
         rows,
         notes=[
-            "Both pipelines are bit-identical (asserted): the per-trial "
-            "result signatures hash identically, so either pipeline serves "
-            "the same result-store records.",
-            f"The direct pipeline must materialise ≥{MIN_SPEEDUP:.1f}x faster "
+            "Both sides are bit-identical (asserted): the per-trial result "
+            "signatures hash identically.",
+            f"The direct build must materialise ≥{MIN_SPEEDUP:.1f}x faster "
             f"(measured {speedup:.1f}x) and peak at ≤1/{MIN_RSS_REDUCTION:.1f} "
             f"of the RSS (measured 1/{rss_reduction:.1f}).",
         ],

@@ -218,7 +218,7 @@ def quick_run(
     if protocol == "uniform":
         process = AlgebraicGossip(graph, generation, placement, config, rng)
     elif protocol == "tag":
-        root = sorted(graph.nodes())[0]
+        root = 0
         process = TagProtocol(
             graph,
             generation,

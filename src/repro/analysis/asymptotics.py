@@ -3,7 +3,7 @@
 The paper's headline results are *order-of-growth* statements — Theorem 2's
 O(n) bound for uniform algebraic gossip on good expanders, the Ω(n²) barbell
 regime, TAG's O(n) guarantee — but the published evaluation stops at finite-n
-tables.  With the event-driven engine and the graph-free CSR pipeline the
+tables.  With the event-driven engine and direct CSR topology builds the
 repository completes uniform AG at ``n = 10^6`` on one core, which makes the
 asymptotic question empirically answerable: sweep ``n`` over decades, record
 only the stopping times (the streaming-summary store path), and fit

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..core.config import SimulationConfig
@@ -23,6 +22,7 @@ from ..core.results import RunResult, StoppingTimeStats, aggregate_results
 from ..core.rng import derive_rng
 from ..errors import AnalysisError
 from ..gossip.engine import GossipEngine, GossipProcess
+from ..graphs.csr import CSRGraph
 
 __all__ = [
     "ProtocolFactory",
@@ -38,11 +38,11 @@ __all__ = [
 #: A factory building a fresh protocol instance for one trial.  It receives
 #: the trial's random generator so that message contents, coding coefficients
 #: and any protocol-internal randomness are independent across trials.
-ProtocolFactory = Callable[[nx.Graph, np.random.Generator], GossipProcess]
+ProtocolFactory = Callable[[CSRGraph, np.random.Generator], GossipProcess]
 
 
 def measure_protocol(
-    graph: nx.Graph,
+    graph: CSRGraph,
     protocol_factory: ProtocolFactory,
     config: SimulationConfig,
     *,
@@ -52,11 +52,9 @@ def measure_protocol(
     """Run ``trials`` independent simulations and return every :class:`RunResult`.
 
     This is the sequential reference runner.
-    :func:`repro.experiments.parallel.measure_protocol_batched` and
-    :func:`~repro.experiments.parallel.measure_protocol_parallel` produce the
+    :func:`repro.experiments.parallel.measure_protocol_parallel` produces the
     same results (same seeds → same stopping times) through the vectorised
-    batch engine and worker processes respectively; prefer them for large
-    trial counts.
+    batch engine and worker processes; prefer it for large trial counts.
     """
     if trials < 1:
         raise AnalysisError(f"trials must be positive, got {trials}")
@@ -70,7 +68,7 @@ def measure_protocol(
 
 
 def run_trials(
-    graph: nx.Graph,
+    graph: CSRGraph,
     protocol_factory: ProtocolFactory,
     config: SimulationConfig,
     *,

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-import networkx as nx
-
 from ..core.config import SimulationConfig
 from ..core.results import StoppingTimeStats
 from ..errors import AnalysisError
+from ..graphs.csr import CSRGraph
 from .stopping_time import ProtocolFactory
 
 __all__ = ["SweepCase", "SweepPoint", "run_sweep", "scaling_table"]
@@ -59,7 +58,7 @@ class SweepCase:
 
     label: str
     value: float
-    graph: nx.Graph
+    graph: CSRGraph
     protocol_factory: ProtocolFactory
     config: SimulationConfig
     bounds: dict[str, float] = field(default_factory=dict)
@@ -118,7 +117,7 @@ def run_sweep(
         trial/seed plan is deliberately not consulted here (it drives the
         single-scenario runners:
         :meth:`~repro.scenarios.MaterializedScenario.run`,
-        :func:`~repro.experiments.parallel.run_trials_batched`, the CLI).
+        :func:`~repro.experiments.parallel.run_trials_parallel`, the CLI).
     trials, seed:
         Monte Carlo repetitions per case and the root seed; case ``i`` uses
         ``seed + i * 10_007`` so cases stay independent.

@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Mapping, Sequence
 
-import networkx as nx
-
 from ..errors import AnalysisError
+from ..graphs.csr import CSRGraph
 from ..graphs.properties import (
     diameter as graph_diameter,
 )
@@ -97,7 +96,7 @@ def table1_rows(
     n: int,
     k: int,
     *,
-    graphs: Mapping[str, nx.Graph],
+    graphs: Mapping[str, CSRGraph],
     tree_diameter: int | None = None,
     tree_time: float | None = None,
     weak_conductance_value: float = 0.5,
@@ -179,7 +178,7 @@ def table1_rows(
     return rows
 
 
-_TABLE2_FAMILIES: dict[str, Callable[[int], nx.Graph]] = {
+_TABLE2_FAMILIES: dict[str, Callable[[int], CSRGraph]] = {
     "line": line_graph,
     "grid": grid_graph,
     "binary_tree": binary_tree_graph,

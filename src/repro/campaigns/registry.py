@@ -326,9 +326,7 @@ register_campaign(
 
 #: Family label → (base scenario name, topology_params policy, scale
 #: divisor).  Both bases run uniform AG through the event engine on the
-#: gf2bit backend, and both topologies have graph-free CSR builders, so
-#: every decade takes the CSR pipeline
-#: (:meth:`~repro.scenarios.ScenarioSpec.materialize_preferred`).
+#: gf2bit backend.
 #:
 #: The divisor equalises *event cost* across families rather than node
 #: count: per trial the event engine pays ``T(n)·n`` timeslots, which grows

@@ -213,12 +213,8 @@ def _run_summary_unit(
     The asymptotic campaigns run decades up to ``n = 10^6``, where archiving
     full :class:`~repro.core.results.RunResult` payloads (per-node completion
     rounds included) would dwarf the statistics they exist to support.  This
-    path differs from :func:`_run_unit` in three deliberate ways:
+    path differs from :func:`_run_unit` in two deliberate ways:
 
-    * the scenario materializes through
-      :meth:`~repro.scenarios.ScenarioSpec.materialize_preferred`, so
-      event-engine units take the graph-free CSR pipeline when the topology
-      has a CSR builder;
     * missing trials are computed **in-process** with
       :func:`~repro.experiments.parallel._measure_trial_indices` — the trial
       results stream straight into :meth:`~repro.store.ResultStore.put_summaries`
@@ -228,7 +224,7 @@ def _run_summary_unit(
       over a store already holding full records is served from cache,
       bit-identically.
     """
-    scenario = spec.materialize_preferred()
+    scenario = spec.materialize()
     missing_before = store.missing_summary_trials(spec)
     if offline and missing_before:
         raise CampaignError(

@@ -2,9 +2,7 @@
 
 from .parallel import (
     default_jobs,
-    measure_protocol_batched,
     measure_protocol_parallel,
-    run_trials_batched,
     run_trials_parallel,
     shared_process_pool,
 )
@@ -35,9 +33,7 @@ from ..scenarios.placements import (
 
 __all__ = [
     "default_jobs",
-    "measure_protocol_batched",
     "measure_protocol_parallel",
-    "run_trials_batched",
     "run_trials_parallel",
     "shared_process_pool",
     "SpanningTreeFactory",

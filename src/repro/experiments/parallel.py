@@ -1,33 +1,29 @@
 """Batched and multi-process Monte Carlo trial runners.
 
 The stopping-time statistics everywhere in this repository are Monte Carlo
-estimates over independent seeded trials.  This module provides three
-increasingly aggressive — but **bit-identical** — ways of running them:
-
-* :func:`~repro.analysis.stopping_time.measure_protocol` (sequential, in
-  :mod:`repro.analysis.stopping_time`): one
-  :class:`~repro.gossip.engine.GossipEngine` per trial, scalar decoders.
-* :func:`measure_protocol_batched` / :func:`run_trials_batched`: all trials
-  in one vectorised batch engine when the protocol declares one through
-  :meth:`~repro.gossip.engine.GossipProcess.batch_strategy` (uniform
-  algebraic gossip, TAG with every built-in spanning-tree protocol, and
-  standalone spanning-tree broadcasts all do), falling back to the
-  sequential engine otherwise.
-* :func:`measure_protocol_parallel` / :func:`run_trials_parallel`: the trial
-  set split across worker processes with a ``ProcessPoolExecutor``, each
-  worker running the batched engine on its chunk.
+estimates over independent seeded trials.  This module provides the
+**bit-identical** fast way of running them next to the sequential
+:func:`~repro.analysis.stopping_time.measure_protocol` (one
+:class:`~repro.gossip.engine.GossipEngine` per trial, scalar decoders):
+:func:`measure_protocol_parallel` / :func:`run_trials_parallel` split the
+trial set across ``jobs`` worker processes (``jobs=1`` runs in-process), and
+each chunk runs in one vectorised batch engine when the protocol declares
+one through :meth:`~repro.gossip.engine.GossipProcess.batch_strategy`
+(uniform algebraic gossip, TAG with every built-in spanning-tree protocol,
+and standalone spanning-tree broadcasts all do), falling back to the
+sequential engine otherwise.
 
 Reproducibility is anchored in :mod:`repro.core.rng`: trial ``i`` always uses
 the generator ``derive_rng(seed, f"trial-{i}")`` regardless of which runner
 executes it, which worker process it lands on, or how trials are chunked — so
-all three runners return the same results trial-for-trial.
+every runner returns the same results trial-for-trial.
 
 Every runner also accepts a :class:`~repro.scenarios.ScenarioSpec` (or an
 already-materialised :class:`~repro.scenarios.MaterializedScenario`) in place
 of the ``(graph, protocol_factory, config)`` triple; the spec's trial/seed
 plan fills in ``trials``/``seed`` when those are not given explicitly::
 
-    run_trials_batched(get_scenario("tag/brr-barbell"))
+    run_trials_parallel(get_scenario("tag/brr-barbell"), jobs=1)
 """
 
 from __future__ import annotations
@@ -38,8 +34,6 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Iterator, Sequence
 
-import networkx as nx
-
 from ..core.config import SimulationConfig
 from ..core.results import RunResult, StoppingTimeStats, aggregate_results
 from ..core.rng import derive_rng
@@ -47,10 +41,9 @@ from ..errors import AnalysisError
 from ..analysis.stopping_time import ProtocolFactory
 from ..gossip.batch import batch_supports_config
 from ..gossip.engine import BatchRunner, GossipEngine
+from ..graphs.csr import CSRGraph
 
 __all__ = [
-    "measure_protocol_batched",
-    "run_trials_batched",
     "measure_protocol_parallel",
     "run_trials_parallel",
     "scenario_batch_strategy",
@@ -108,7 +101,7 @@ def _resolve_workload(
     trials: int | None,
     seed: int | None,
     spec: Any = None,
-) -> tuple[nx.Graph, ProtocolFactory, SimulationConfig, int, int, Any]:
+) -> tuple[CSRGraph, ProtocolFactory, SimulationConfig, int, int, Any]:
     """Normalise the ``(graph | spec | materialized, ...)`` calling conventions.
 
     The returned sixth element is the :class:`~repro.scenarios.ScenarioSpec`
@@ -162,8 +155,7 @@ def _run_through_store(
 ) -> list[RunResult]:
     """Serve trials from the store, compute the rest, persist, merge in order.
 
-    The one cache-aware code path shared by the batched and the parallel
-    runner: ``compute(missing_indices)`` runs only the trial streams the
+    The parallel runner's cache-aware code path: ``compute(missing_indices)`` runs only the trial streams the
     store does not hold, the fresh results are persisted, and the merged
     list comes back in ``trial_indices`` order — bit-identical to computing
     everything, because trial ``i`` derives its generator from the root seed
@@ -229,7 +221,7 @@ def scenario_batch_strategy(scenario: Any) -> BatchRunner | None:
 
 
 def _measure_trial_indices(
-    graph: nx.Graph,
+    graph: CSRGraph,
     protocol_factory: ProtocolFactory,
     config: SimulationConfig,
     seed: int,
@@ -267,14 +259,6 @@ def _measure_trial_indices(
                 build_event_process(graph, protocol_factory, rng) for rng in rngs
             ]
             return run_event_trials(graph, processes, config, rngs)
-    from ..graphs.csr import CSRGraph
-
-    if isinstance(graph, CSRGraph):
-        raise EngineError(
-            "a CSR-materialised scenario runs on the event-driven engine "
-            "only; pin engine='event' (or materialise through the networkx "
-            "pipeline for the scalar/batch engines)"
-        )
     require_batch = engine == "batch"
     if require_batch and not batch_supports_config(config):
         raise EngineError(
@@ -309,92 +293,6 @@ def _measure_trial_indices(
     return results
 
 
-def measure_protocol_batched(
-    graph: "nx.Graph | Any",
-    protocol_factory: ProtocolFactory | None = None,
-    config: SimulationConfig | None = None,
-    *,
-    trials: int | None = None,
-    seed: int | None = None,
-    trial_indices: Sequence[int] | None = None,
-    store: Any = None,
-    fresh: bool = False,
-    spec: Any = None,
-) -> list[RunResult]:
-    """Run seeded trials through the vectorised batch engine when possible.
-
-    Each trial's process is built with its own derived generator (so
-    setup-time draws are consumed exactly as in the sequential runner); if
-    the protocol opts in to the rank-only fast path the whole set runs in
-    one :class:`~repro.gossip.batch.BatchGossipEngine`, otherwise the trials
-    run sequentially with the same generators.  Either way the returned
-    results are identical to :func:`~repro.analysis.stopping_time.measure_protocol`.
-
-    ``graph`` may also be a :class:`~repro.scenarios.ScenarioSpec` or
-    :class:`~repro.scenarios.MaterializedScenario`, in which case the
-    factory/config (and, when not given, the trial/seed plan) come from it.
-
-    ``trial_indices`` selects which trial streams to run (default
-    ``0 .. trials-1``); the parallel runner uses it to assign disjoint chunks
-    to workers without perturbing any trial's randomness.
-
-    ``store`` (a :class:`~repro.store.ResultStore`) makes the call
-    cache-aware: only the ``(fingerprint, seed, trial)`` keys not already
-    present are computed, and newly computed results are persisted.  Because
-    trial ``i`` derives its generator from the root seed alone, running just
-    the missing indices is bit-identical to running them all — so a resumed
-    or fully-cached call returns exactly what a cold call would.  Caching
-    needs a content address: when the workload arrives as a bare
-    ``(graph, protocol_factory, config)`` triple, pass the ``spec`` it came
-    from (``fresh=True`` bypasses cache reads but still persists).
-    """
-    graph, protocol_factory, config, trials, seed, spec = _resolve_workload(
-        graph, protocol_factory, config, trials, seed, spec
-    )
-    backend = getattr(spec, "backend", "") or ""
-    engine = getattr(spec, "engine", "") or ""
-    if trial_indices is None:
-        if trials < 1:
-            raise AnalysisError(f"trials must be positive, got {trials}")
-        trial_indices = range(trials)
-    if store is None:
-        return _measure_trial_indices(
-            graph, protocol_factory, config, seed, trial_indices, backend, engine
-        )
-    return _run_through_store(
-        store, spec, seed, trial_indices, fresh,
-        lambda missing: _measure_trial_indices(
-            graph, protocol_factory, config, seed, missing, backend, engine
-        ),
-    )
-
-
-def run_trials_batched(
-    graph: "nx.Graph | Any",
-    protocol_factory: ProtocolFactory | None = None,
-    config: SimulationConfig | None = None,
-    *,
-    trials: int | None = None,
-    seed: int | None = None,
-    store: Any = None,
-    fresh: bool = False,
-    spec: Any = None,
-) -> StoppingTimeStats:
-    """Like :func:`~repro.analysis.stopping_time.run_trials`, batched.
-
-    Also accepts a :class:`~repro.scenarios.ScenarioSpec` in place of the
-    ``(graph, protocol_factory, config)`` triple, and a
-    :class:`~repro.store.ResultStore` through which cached trials are reused
-    (see :func:`measure_protocol_batched`).
-    """
-    return aggregate_results(
-        measure_protocol_batched(
-            graph, protocol_factory, config, trials=trials, seed=seed,
-            store=store, fresh=fresh, spec=spec,
-        )
-    )
-
-
 def _run_chunk(payload: bytes) -> list[RunResult]:
     """Worker entry point: unpickle one chunk description and run it."""
     (
@@ -419,7 +317,7 @@ def _chunks(indices: Sequence[int], jobs: int) -> list[list[int]]:
 
 
 def _measure_indices_chunked(
-    graph: nx.Graph,
+    graph: CSRGraph,
     protocol_factory: ProtocolFactory,
     config: SimulationConfig,
     seed: int,
@@ -470,7 +368,7 @@ def _measure_indices_chunked(
 
 
 def measure_protocol_parallel(
-    graph: "nx.Graph | Any",
+    graph: "CSRGraph | Any",
     protocol_factory: ProtocolFactory | None = None,
     config: SimulationConfig | None = None,
     *,
@@ -488,18 +386,22 @@ def measure_protocol_parallel(
 
     The trial set is split into contiguous chunks, one worker process per
     chunk, and every worker runs its indices through the engine the spec pins
-    (auto-selected as in :func:`measure_protocol_batched` when it pins none).
+    (when it pins none: the batch fast path if the protocol declares one, the
+    sequential engine otherwise).
     Because trial ``i`` derives its generator from the root seed alone
     (``derive_rng(seed, f"trial-{i}")`` — the spawned-child-seed scheme of
     :mod:`repro.core.rng`), the partitioning has no effect on any trial's
     randomness and the concatenated results equal the sequential runner's
     trial-for-trial.
 
-    ``store`` makes the call cache-aware exactly as in
-    :func:`measure_protocol_batched`: cached trials are read back, only the
-    missing indices are chunked over workers, and the freshly computed
-    results are persisted (in the parent process — workers never touch the
-    store).
+    ``store`` (a :class:`~repro.store.ResultStore`) makes the call
+    cache-aware: cached ``(fingerprint, seed, trial)`` records are read back,
+    only the missing indices are chunked over workers, and the freshly
+    computed results are persisted (in the parent process — workers never
+    touch the store), which is bit-identical to running them all.  Caching
+    needs a content address: when the workload arrives as a bare ``(graph,
+    protocol_factory, config)`` triple, pass the ``spec`` it came from
+    (``fresh=True`` bypasses cache reads but still persists).
 
     Falls back to in-process execution when only one job is needed or when
     the factory cannot be pickled (e.g. a locally defined closure).
@@ -528,7 +430,7 @@ def measure_protocol_parallel(
 
 
 def run_trials_parallel(
-    graph: "nx.Graph | Any",
+    graph: "CSRGraph | Any",
     protocol_factory: ProtocolFactory | None = None,
     config: SimulationConfig | None = None,
     *,

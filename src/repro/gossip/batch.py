@@ -59,12 +59,12 @@ from __future__ import annotations
 
 from typing import Any
 
-import networkx as nx
 import numpy as np
 
 from ..core.config import GossipAction, SimulationConfig, TimeModel
 from ..core.results import RunResult
 from ..errors import SimulationError
+from ..graphs.csr import CSRGraph
 from ..rlnc.batch import BatchDecoder
 from .dynamics import NodeDynamics
 from .engine import GossipProcess
@@ -126,14 +126,14 @@ class BatchEngineCore:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         processes: list[GossipProcess],
         config: SimulationConfig,
         rngs: list[np.random.Generator],
     ) -> None:
         if graph.number_of_nodes() < 2:
             raise SimulationError("gossip requires at least two nodes")
-        if not nx.is_connected(graph):
+        if not graph.is_connected():
             raise SimulationError("gossip requires a connected graph")
         if not processes:
             raise SimulationError(f"{type(self).__name__} needs at least one trial")
@@ -511,7 +511,7 @@ class BatchGossipEngine(RlncBatchMixin, BatchEngineCore):
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         processes: list[GossipProcess],
         config: SimulationConfig,
         rngs: list[np.random.Generator],
@@ -567,7 +567,7 @@ class BatchGossipEngine(RlncBatchMixin, BatchEngineCore):
 
 
 def run_rank_only_batch(
-    graph: nx.Graph,
+    graph: CSRGraph,
     processes: list[GossipProcess],
     config: SimulationConfig,
     rngs: list[np.random.Generator],

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 from typing import Any
 
-import networkx as nx
 import numpy as np
 
 from ..core.config import SimulationConfig
 from ..core.results import RunResult
 from ..errors import SimulationError
+from ..graphs.csr import CSRGraph
 from .batch import _RLNC, _STP, BatchEngineCore, RlncBatchMixin
 from .engine import BatchRunner, GossipProcess
 
@@ -70,7 +70,7 @@ class BatchSpanningTreeState:
     it is initialised *from* the per-trial scalar instances (which have
     already consumed their construction-time draws, e.g. round-robin
     offsets), advances parent/informed state as stacked numpy arrays indexed
-    by node *position* (``sorted(graph.nodes())`` order, matching the scalar
+    by node *position* (ascending node order, matching the scalar
     protocols' neighbour ordering), and can :meth:`restore` its final state
     back into a scalar instance so that protocol metadata is produced by the
     very same code path as the sequential engine.
@@ -82,7 +82,7 @@ class BatchSpanningTreeState:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         protocols: list[Any],
         nodes: list[int],
         pos: dict[int, int],
@@ -96,11 +96,9 @@ class BatchSpanningTreeState:
         #: ``t``, or ``-1`` while unassigned (the root stays ``-1``).
         self.parent = np.full((self.trials, self.n), -1, dtype=np.int64)
         self._unparented = np.full(self.trials, self.n - 1, dtype=np.int64)
-        #: Neighbour positions per node, sorted — identical ordering to the
-        #: scalar selectors' ``tuple(sorted(graph.neighbors(node)))``.
-        self._nbrs = tuple(
-            tuple(pos[v] for v in sorted(graph.neighbors(node))) for node in nodes
-        )
+        #: Neighbour positions per node, ascending — the scalar selectors'
+        #: tuples (node ids are positions on a CSRGraph).
+        self._nbrs = graph.neighbor_tuples()
 
     # -- queries ---------------------------------------------------------
     def parent_pos(self, t: int, p: int) -> int:
@@ -349,7 +347,7 @@ class BatchTagEngine(RlncBatchMixin, BatchEngineCore):
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         processes: list[GossipProcess],
         config: SimulationConfig,
         rngs: list[np.random.Generator],
@@ -453,7 +451,7 @@ class BatchSpanningTreeEngine(BatchEngineCore):
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         processes: list[GossipProcess],
         config: SimulationConfig,
         rngs: list[np.random.Generator],
@@ -501,7 +499,7 @@ class BatchSpanningTreeEngine(BatchEngineCore):
 # Strategy entry points (see GossipProcess.batch_strategy)
 # ----------------------------------------------------------------------
 def run_tag_batch(
-    graph: nx.Graph,
+    graph: CSRGraph,
     processes: list[GossipProcess],
     config: SimulationConfig,
     rngs: list[np.random.Generator],
@@ -511,7 +509,7 @@ def run_tag_batch(
 
 
 def run_spanning_tree_batch(
-    graph: nx.Graph,
+    graph: CSRGraph,
     processes: list[GossipProcess],
     config: SimulationConfig,
     rngs: list[np.random.Generator],

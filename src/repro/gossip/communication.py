@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-import networkx as nx
 import numpy as np
 
 from ..errors import SimulationError
-from ..graphs.topologies import neighbor_lists
+from ..graphs.csr import CSRGraph
 
 __all__ = [
     "PartnerSelector",
@@ -48,13 +47,15 @@ class PartnerSelector(ABC):
 class UniformSelector(PartnerSelector):
     """Definition 1: partner chosen uniformly at random among the neighbours."""
 
-    def __init__(self, graph: nx.Graph) -> None:
+    def __init__(self, graph: CSRGraph) -> None:
         # Memoized per graph instance: trial runners reuse one graph across
         # all trials of a sweep, so adjacency is built once, not per trial.
-        self._neighbors = neighbor_lists(graph)
-        for node, neighbors in self._neighbors.items():
-            if not neighbors:
-                raise SimulationError(f"node {node} has no neighbours; graph must be connected")
+        self._neighbors = graph.neighbor_tuples()
+        isolated = np.flatnonzero(graph.degrees() == 0)
+        if isolated.size:
+            raise SimulationError(
+                f"node {int(isolated[0])} has no neighbours; graph must be connected"
+            )
 
     def partner(self, node: int, rng: np.random.Generator) -> int:
         neighbors = self._neighbors[node]
@@ -66,20 +67,18 @@ class RoundRobinSelector(PartnerSelector):
 
     The starting offset of every node's cycle is chosen uniformly at random
     when the selector is created (the quasirandom rumor-spreading model of
-    Doerr et al.); subsequent wakeups walk the list cyclically.
+    Doerr et al.); subsequent wakeups walk the list cyclically.  The offsets
+    are drawn one per node in ascending node order.
     """
 
-    def __init__(self, graph: nx.Graph, rng: np.random.Generator | None = None) -> None:
+    def __init__(self, graph: CSRGraph, rng: np.random.Generator | None = None) -> None:
         rng = rng if rng is not None else np.random.default_rng(0)
-        neighbors_map = neighbor_lists(graph)
-        self._neighbors: dict[int, tuple[int, ...]] = {}
+        self._neighbors = graph.neighbor_tuples()
         self._initial_offset: dict[int, int] = {}
         self._position: dict[int, int] = {}
-        for node in graph.nodes():
-            neighbors = neighbors_map[node]
+        for node, neighbors in enumerate(self._neighbors):
             if not neighbors:
                 raise SimulationError(f"node {node} has no neighbours; graph must be connected")
-            self._neighbors[node] = neighbors
             offset = int(rng.integers(0, len(neighbors)))
             self._initial_offset[node] = offset
             self._position[node] = offset

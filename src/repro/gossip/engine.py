@@ -28,12 +28,12 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, List
 
-import networkx as nx
 import numpy as np
 
 from ..core.config import SimulationConfig, TimeModel
 from ..core.results import RunResult
 from ..errors import SimulationError
+from ..graphs.csr import CSRGraph
 from .dynamics import NodeDynamics
 from .trace import EventTrace, GossipEvent
 
@@ -51,7 +51,7 @@ __all__ = [
 #: per-trial generators, and returns one :class:`~repro.core.results.RunResult`
 #: per trial — bit-identical to running :class:`GossipEngine` once per trial.
 BatchRunner = Callable[
-    [nx.Graph, "List[GossipProcess]", SimulationConfig, List[np.random.Generator]],
+    [CSRGraph, "List[GossipProcess]", SimulationConfig, List[np.random.Generator]],
     List[RunResult],
 ]
 
@@ -170,7 +170,7 @@ class GossipEngine:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         process: GossipProcess,
         config: SimulationConfig,
         rng: np.random.Generator,
@@ -178,7 +178,7 @@ class GossipEngine:
     ) -> None:
         if graph.number_of_nodes() < 2:
             raise SimulationError("gossip requires at least two nodes")
-        if not nx.is_connected(graph):
+        if not graph.is_connected():
             raise SimulationError("gossip requires a connected graph")
         self.graph = graph
         self.process = process
@@ -336,7 +336,7 @@ class GossipEngine:
 
 
 def run_protocol(
-    graph: nx.Graph,
+    graph: CSRGraph,
     process: GossipProcess,
     config: SimulationConfig,
     rng: np.random.Generator,

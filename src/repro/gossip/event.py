@@ -11,9 +11,9 @@ claims (``Θ(n log n)`` for uniform algebraic gossip, ``O(n)`` for TAG) live.
 :class:`EventGossipEngine` runs **one trial** with per-event O(1)
 bookkeeping:
 
-* **Sparse adjacency** — the engine walks the memoized CSR neighbour
-  structure from :func:`repro.graphs.topologies.csr_adjacency` (built once
-  per graph, shared across trials); no ``n × n`` matrix is ever formed.
+* **Sparse adjacency** — the engine walks the graph's own CSR arrays
+  (:class:`~repro.graphs.csr.CSRGraph`, shared across trials); no ``n × n``
+  matrix is ever formed.
 * **Rank-only decoder state** — all ``n`` node subspaces live in a single
   batched :class:`~repro.backends.EliminatorState` built by the ambient
   compute backend (``gf2bit`` packs GF(2) rows into machine words), and a
@@ -86,7 +86,6 @@ from __future__ import annotations
 
 from typing import List
 
-import networkx as nx
 import numpy as np
 
 from ..core.config import GossipAction, SimulationConfig, TimeModel
@@ -94,7 +93,6 @@ from ..core.results import RunResult
 from ..core.rng import BlockDraws
 from ..errors import EngineError, SimulationError
 from ..graphs.csr import CSRGraph
-from ..graphs.topologies import csr_adjacency
 from .dynamics import NodeDynamics
 from .engine import GossipProcess
 
@@ -108,24 +106,17 @@ __all__ = [
 
 
 def build_event_process(graph, protocol_factory, rng) -> GossipProcess:
-    """Build one trial's process for the event engine, honouring the graph type.
+    """Build one trial's process for the event engine.
 
-    For a networkx graph this is exactly ``protocol_factory(graph, rng)`` —
-    the full process with scalar decoders, as the event runners always built.
-    For a graph-free :class:`~repro.graphs.csr.CSRGraph` the factory must
-    provide a ``rank_only_process`` method (``UniformGossipFactory`` does)
-    building a decoder-less process from the *same* ``rng`` stream position;
-    factories without one (TAG, spanning trees) raise a typed
-    :class:`~repro.errors.EngineError`, never a silent fallback.
+    A factory with a ``rank_only_process`` method (``UniformGossipFactory``
+    has one) builds the decoder-less process from the *same* ``rng`` stream
+    position ``protocol_factory(graph, rng)`` would, so the two are
+    result-identical; any other factory is called as is, and the engine
+    refuses a process it cannot replay with a typed
+    :class:`~repro.errors.EngineError`.
     """
-    if isinstance(graph, CSRGraph):
-        rank_only = getattr(protocol_factory, "rank_only_process", None)
-        if rank_only is None:
-            raise EngineError(
-                f"{type(protocol_factory).__name__} cannot run on a CSRGraph: "
-                "the graph-free pipeline supports rank-only uniform algebraic "
-                "gossip only; materialise through the networkx path instead"
-            )
+    rank_only = getattr(protocol_factory, "rank_only_process", None)
+    if rank_only is not None:
         return rank_only(graph, rng)
     return protocol_factory(graph, rng)
 
@@ -161,7 +152,7 @@ class EventGossipEngine:
     Parameters
     ----------
     graph:
-        The communication graph; its CSR adjacency is memoized per instance.
+        The communication graph; the engine walks its CSR arrays directly.
     process:
         The already-constructed protocol of this trial (setup draws consumed
         exactly as in the sequential path).  Must pass
@@ -177,19 +168,14 @@ class EventGossipEngine:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         process: GossipProcess,
         config: SimulationConfig,
         rng: np.random.Generator,
     ) -> None:
         if graph.number_of_nodes() < 2:
             raise SimulationError("gossip requires at least two nodes")
-        connected = (
-            graph.is_connected()
-            if isinstance(graph, CSRGraph)
-            else nx.is_connected(graph)
-        )
-        if not connected:
+        if not graph.is_connected():
             raise SimulationError("gossip requires a connected graph")
         if not event_supports_process(process):
             raise EngineError(
@@ -205,14 +191,10 @@ class EventGossipEngine:
         self.config = config
         self.rng = rng
         self._draws = BlockDraws(rng)
-        # A CSRGraph's nodes are exactly 0..n-1, so its node view (a range)
-        # serves directly — position == node id and no O(n) list is built.
-        if isinstance(graph, CSRGraph):
-            self._nodes = graph.nodes()
-        else:
-            self._nodes = sorted(graph.nodes())
+        # Nodes are exactly 0..n-1, so position == node id throughout.
+        self._nodes = graph.nodes()
         self._n = len(self._nodes)
-        self._indptr, self._indices = csr_adjacency(graph)
+        self._indptr, self._indices = graph.indptr, graph.indices
         self._field = process.generation.field
         self._order = self._field.order
         self._k = process.generation.k
@@ -254,15 +236,11 @@ class EventGossipEngine:
                 node: decoder.coefficient_matrix()
                 for node, decoder in self.process.decoders.items()
             }
-        if isinstance(self._nodes, range):
-            pos = None  # position == node id on the CSR pipeline
-        else:
-            pos = {node: index for index, node in enumerate(self._nodes)}
         initial_rows: dict[int, np.ndarray] = {}
         max_depth = 0
         for node, matrix in node_rows.items():
             if matrix.shape[0]:
-                initial_rows[node if pos is None else pos[node]] = matrix
+                initial_rows[node] = matrix
                 max_depth = max(max_depth, matrix.shape[0])
         for depth in range(max_depth):
             indices = [
@@ -485,15 +463,15 @@ class EventGossipEngine:
 
 
 def run_event_trials(
-    graph: nx.Graph,
+    graph: CSRGraph,
     processes: List[GossipProcess],
     config: SimulationConfig,
     rngs: List[np.random.Generator],
 ) -> List[RunResult]:
     """Event-driven trial executor matching the ``BatchRunner`` signature.
 
-    Runs each trial through its own :class:`EventGossipEngine` (the CSR
-    adjacency is shared via the per-graph memo).  Raises
+    Runs each trial through its own :class:`EventGossipEngine` (all of them
+    walk the one graph's CSR arrays).  Raises
     :class:`~repro.errors.EngineError` if any trial's protocol is outside the
     engine's support — explicitly, never by falling back.
     """

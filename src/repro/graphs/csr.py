@@ -1,25 +1,27 @@
-"""A graph-free adjacency container: just ``(n, indptr, indices)``.
+"""The simulator's one graph type: ``(n, indptr, indices)`` in CSR form.
 
-At n = 10^5 the :class:`networkx.Graph` behind a scenario dominates both
-materialize time (~10 s) and peak RSS (~500 MiB) while the event-driven
-engine only ever reads the CSR arrays that :func:`repro.graphs.csr_adjacency`
-derives from it.  :class:`CSRGraph` *is* those arrays — node labels are the
-consecutive integers ``0 .. n-1`` (identical to the positions every builder in
-:mod:`repro.graphs.topologies` produces after relabelling), the neighbours of
+Every topology builder in :mod:`repro.graphs.topologies` returns a
+:class:`CSRGraph`, and every engine, protocol, selector and placement runs on
+it.  Node labels are the consecutive integers ``0 .. n-1``, the neighbours of
 node ``p`` are ``indices[indptr[p]:indptr[p+1]]`` in ascending order, and both
-arrays are read-only ``int64`` — byte-identical to what ``csr_adjacency``
-would return for the equivalent networkx graph.
+arrays are read-only ``int64``.  At n = 10^5 a :class:`networkx.Graph` would
+dominate both build time and peak RSS, while the engines only ever read these
+arrays.
 
-The class intentionally mirrors the handful of :class:`networkx.Graph`
-surface points the scenario/event layers touch (``number_of_nodes``,
-``nodes()``, ``degree``, containment) so the same code paths accept either
-representation; everything graph-algorithmic (conductance, spanning trees,
-the scalar/batch engines) keeps requiring the full networkx object.
+The class mirrors the handful of :class:`networkx.Graph` surface points the
+simulation layers touch (``number_of_nodes``, ``nodes()``, ``neighbors``,
+``degree``, ``has_edge``, containment).  Graph algorithms the analysis needs
+(diameter, conductance, min cuts) run on :meth:`CSRGraph.to_networkx`, and
+:meth:`CSRGraph.from_networkx` is the only conversion the other way.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
+
+from ..errors import TopologyError
 
 __all__ = ["CSRGraph", "csr_from_edges", "csr_bfs_distances"]
 
@@ -31,8 +33,8 @@ def csr_bfs_distances(
 
     Vectorised frontier expansion: each level gathers every neighbour of the
     frontier with one flat fancy-index, so the python-level cost is
-    O(diameter) instead of O(V + E) — the event pipeline's connectivity and
-    farthest-node queries at n = 10^6 stay sub-second.
+    O(diameter) instead of O(V + E) — connectivity and farthest-node queries
+    at n = 10^6 stay sub-second.
     """
     n = len(indptr) - 1
     distances = np.full(n, -1, dtype=np.int64)
@@ -62,10 +64,10 @@ def csr_from_edges(n: int, sources: np.ndarray, targets: np.ndarray) -> "CSRGrap
     """Build a :class:`CSRGraph` from one undirected edge list.
 
     ``sources[i]–targets[i]`` are the distinct undirected edges (no
-    duplicates, no self-loops — every generator in
-    :mod:`repro.graphs.csr_builders` guarantees this by construction).  Both
+    duplicates, no self-loops — every builder in
+    :mod:`repro.graphs.topologies` guarantees this by construction).  Both
     directions are emitted and sorted so each node's neighbours come out
-    ascending, matching :func:`repro.graphs.csr_adjacency` byte for byte.
+    ascending.
     """
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
@@ -81,32 +83,29 @@ def csr_from_edges(n: int, sources: np.ndarray, targets: np.ndarray) -> "CSRGrap
 
 
 class _DegreeView:
-    """The tiny slice of networkx's degree view the scenario layer uses."""
+    """The slice of networkx's degree view the simulation layers use."""
 
     def __init__(self, graph: "CSRGraph") -> None:
         self._graph = graph
 
     def __getitem__(self, node: int) -> int:
         graph = self._graph
+        node = graph._checked(node)
         return int(graph.indptr[node + 1] - graph.indptr[node])
 
     def __call__(self, node: int) -> int:
         return self[node]
 
     def __iter__(self):
-        indptr = self._graph.indptr
-        for node in range(self._graph.n):
-            yield node, int(indptr[node + 1] - indptr[node])
+        return zip(range(self._graph.n), self._graph.degrees().tolist())
 
 
 class CSRGraph:
     """Read-only undirected graph as CSR arrays; nodes are ``0 .. n-1``.
 
     ``indptr`` (``n + 1`` int64) and ``indices`` (``2m`` int64, each node's
-    neighbours ascending) follow exactly the :func:`repro.graphs.csr_adjacency`
-    contract, so ``csr_adjacency(CSRGraph(...))`` returns the arrays as-is and
-    every direct generator can be checked byte-for-byte against its networkx
-    reference.
+    neighbours ascending).  Node arguments outside ``0 .. n-1`` raise
+    :class:`~repro.errors.TopologyError` naming the node.
     """
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
@@ -124,8 +123,46 @@ class CSRGraph:
         self.indptr = indptr
         self.indices = indices
         self._connected: bool | None = None
+        self._neighbor_tuples: tuple[tuple[int, ...], ...] | None = None
 
-    # -- the networkx surface the scenario/event layers touch ------------
+    @classmethod
+    def from_networkx(cls, graph) -> "CSRGraph":
+        """The CSR form of a :class:`networkx.Graph`.
+
+        Node ``sorted(graph.nodes())[p]`` becomes node ``p``; each node's
+        neighbours are listed in ascending order.
+        """
+        nodes = sorted(graph.nodes())
+        position = {node: index for index, node in enumerate(nodes)}
+        rows = [sorted(position[v] for v in graph.neighbors(node)) for node in nodes]
+        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        indices = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+        )
+        return cls(len(nodes), indptr, indices)
+
+    def to_networkx(self):
+        """A fresh :class:`networkx.Graph` with the same nodes and edges.
+
+        Nodes are added in ascending order and edges row by row, so every
+        node's adjacency is ascending too.
+        """
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.n))
+        graph.add_edges_from(self.edges())
+        return graph
+
+    def _checked(self, node: object) -> int:
+        if node not in self:
+            raise TopologyError(
+                f"node {node!r} is not in the graph (nodes are 0..{self.n - 1})"
+            )
+        return int(node)  # type: ignore[arg-type]
+
+    # -- the networkx surface the simulation layers touch ------------------
     def number_of_nodes(self) -> int:
         return self.n
 
@@ -145,6 +182,7 @@ class CSRGraph:
         return isinstance(node, (int, np.integer)) and 0 <= int(node) < self.n
 
     def neighbors(self, node: int):
+        node = self._checked(node)
         start, stop = int(self.indptr[node]), int(self.indptr[node + 1])
         return iter(self.indices[start:stop].tolist())
 
@@ -152,10 +190,36 @@ class CSRGraph:
     def degree(self) -> _DegreeView:
         return _DegreeView(self)
 
+    def has_edge(self, u: int, v: int) -> bool:
+        u, v = self._checked(u), self._checked(v)
+        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
+        at = int(np.searchsorted(row, v))
+        return at < row.size and int(row[at]) == v
+
+    def edges(self):
+        """Every undirected edge once, as ``(u, v)`` with ``u < v``, row by row."""
+        sources = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        upper = sources < self.indices
+        return zip(sources[upper].tolist(), self.indices[upper].tolist())
+
     # -- CSR-native extras ------------------------------------------------
     def degrees(self) -> np.ndarray:
         """Degree of every node as one int64 array."""
         return np.diff(self.indptr)
+
+    def neighbor_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's ascending neighbour tuple, indexed by node (memoized).
+
+        The neighbour ordering every partner selector draws against; trial
+        runners reuse one graph across trials, so this is built once.
+        """
+        if self._neighbor_tuples is None:
+            flat = self.indices.tolist()
+            bounds = self.indptr.tolist()
+            self._neighbor_tuples = tuple(
+                tuple(flat[start:stop]) for start, stop in zip(bounds, bounds[1:])
+            )
+        return self._neighbor_tuples
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (memoized; vectorised BFS)."""
@@ -169,7 +233,7 @@ class CSRGraph:
 
     def bfs_distances(self, source: int) -> np.ndarray:
         """BFS hop distances from ``source`` (-1 for unreachable nodes)."""
-        return csr_bfs_distances(self.indptr, self.indices, source)
+        return csr_bfs_distances(self.indptr, self.indices, self._checked(source))
 
     # -- pickling (worker processes receive the graph by value) ----------
     def __getstate__(self) -> dict:

@@ -8,7 +8,9 @@ analysis, Theorem 5).  Claim 1 states that constant-degree graphs have
 conductance, spectral gap and *weak conductance* ``Φ_c``.
 
 This module computes all of those quantities (the weak conductance via the
-documented surrogate described in DESIGN.md).
+documented surrogate described in DESIGN.md).  Every function takes a
+:class:`~repro.graphs.csr.CSRGraph` (a :class:`networkx.Graph` works too);
+the graph algorithms run on :meth:`~repro.graphs.csr.CSRGraph.to_networkx`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import networkx as nx
 import numpy as np
 
 from ..errors import TopologyError
+from .csr import CSRGraph
 
 __all__ = [
     "GraphProfile",
@@ -39,6 +42,12 @@ __all__ = [
 ]
 
 
+def _as_networkx(graph) -> nx.Graph:
+    """The networkx graph the algorithms below run on."""
+    to_networkx = getattr(graph, "to_networkx", None)
+    return graph if to_networkx is None else to_networkx()
+
+
 def _require_connected(graph: nx.Graph) -> None:
     if graph.number_of_nodes() == 0:
         raise TopologyError("graph has no nodes")
@@ -46,24 +55,25 @@ def _require_connected(graph: nx.Graph) -> None:
         raise TopologyError("graph must be connected")
 
 
-def diameter(graph: nx.Graph) -> int:
+def diameter(graph: CSRGraph) -> int:
     """Graph diameter ``D`` (longest shortest path)."""
+    graph = _as_networkx(graph)
     _require_connected(graph)
     return int(nx.diameter(graph))
 
 
-def max_degree(graph: nx.Graph) -> int:
+def max_degree(graph: CSRGraph) -> int:
     """Maximum degree ``Δ``."""
     if graph.number_of_nodes() == 0:
         raise TopologyError("graph has no nodes")
-    return int(max(degree for _, degree in graph.degree()))
+    return int(max(degree for _, degree in graph.degree))
 
 
-def min_degree(graph: nx.Graph) -> int:
+def min_degree(graph: CSRGraph) -> int:
     """Minimum degree."""
     if graph.number_of_nodes() == 0:
         raise TopologyError("graph has no nodes")
-    return int(min(degree for _, degree in graph.degree()))
+    return int(min(degree for _, degree in graph.degree))
 
 
 def is_constant_degree_family(max_degree_value: int, threshold: int = 8) -> bool:
@@ -76,23 +86,25 @@ def is_constant_degree_family(max_degree_value: int, threshold: int = 8) -> bool
     return max_degree_value <= threshold
 
 
-def shortest_path_degree_sum(graph: nx.Graph, source: int, target: int) -> int:
+def shortest_path_degree_sum(graph: CSRGraph, source: int, target: int) -> int:
     """Sum of the degrees of the nodes along one shortest ``source → target`` path.
 
     Lemma 2 of the paper proves this is at most ``3n`` for every pair, which
     drives the ``O(n)`` bound on round-robin broadcast (Theorem 5).
     """
+    graph = _as_networkx(graph)
     _require_connected(graph)
     path = nx.shortest_path(graph, source, target)
     return int(sum(graph.degree(node) for node in path))
 
 
-def max_shortest_path_degree_sum(graph: nx.Graph, source: int | None = None) -> int:
+def max_shortest_path_degree_sum(graph: CSRGraph, source: int | None = None) -> int:
     """Maximum over targets of :func:`shortest_path_degree_sum` from ``source``.
 
     With ``source=None`` the maximum is additionally taken over all sources
     (exact but quadratic; fine for the graph sizes the simulations use).
     """
+    graph = _as_networkx(graph)
     _require_connected(graph)
     nodes = list(graph.nodes())
     sources = nodes if source is None else [source]
@@ -105,7 +117,7 @@ def max_shortest_path_degree_sum(graph: nx.Graph, source: int | None = None) -> 
     return best
 
 
-def cut_conductance(graph: nx.Graph, subset: set[int]) -> float:
+def cut_conductance(graph: CSRGraph, subset: set[int]) -> float:
     """Conductance ``Φ(S)`` of a single cut ``(S, V \\ S)``.
 
     ``Φ(S) = |E(S, V\\S)| / min(vol(S), vol(V\\S))`` where ``vol`` is the sum
@@ -125,7 +137,7 @@ def cut_conductance(graph: nx.Graph, subset: set[int]) -> float:
     return crossing / denominator
 
 
-def graph_conductance(graph: nx.Graph, *, exact_limit: int = 14) -> float:
+def graph_conductance(graph: CSRGraph, *, exact_limit: int = 14) -> float:
     """Conductance ``Φ(G) = min over cuts of Φ(S)``.
 
     Exact enumeration is exponential, so it is only attempted for graphs with
@@ -134,6 +146,7 @@ def graph_conductance(graph: nx.Graph, *, exact_limit: int = 14) -> float:
     based lower estimate ``λ₂ / 2``, which is the quantity the bound
     comparisons need (an order-of-magnitude proxy, documented in DESIGN.md).
     """
+    graph = _as_networkx(graph)
     _require_connected(graph)
     n = graph.number_of_nodes()
     if n <= exact_limit:
@@ -146,8 +159,9 @@ def graph_conductance(graph: nx.Graph, *, exact_limit: int = 14) -> float:
     return spectral_gap(graph) / 2.0
 
 
-def spectral_gap(graph: nx.Graph) -> float:
+def spectral_gap(graph: CSRGraph) -> float:
     """Second-smallest eigenvalue of the normalised Laplacian (``λ₂``)."""
+    graph = _as_networkx(graph)
     _require_connected(graph)
     laplacian = nx.normalized_laplacian_matrix(graph).toarray()
     eigenvalues = np.linalg.eigvalsh(laplacian)
@@ -155,7 +169,7 @@ def spectral_gap(graph: nx.Graph) -> float:
     return float(max(eigenvalues[1], 0.0))
 
 
-def weak_conductance(graph: nx.Graph, c: int) -> float:
+def weak_conductance(graph: CSRGraph, c: int) -> float:
     """Surrogate for the weak conductance ``Φ_c(G)`` of Censor-Hillel & Shachnai.
 
     The exact definition (a maximin over, for every node, subsets containing
@@ -169,6 +183,7 @@ def weak_conductance(graph: nx.Graph, c: int) -> float:
     * the barbell with ``c >= 2`` → ``Θ(1)`` (each clique is a community),
     * the line with any constant ``c`` → ``Θ(1/n)``.
     """
+    graph = _as_networkx(graph)
     _require_connected(graph)
     if c < 1:
         raise TopologyError(f"weak conductance parameter c must be >= 1, got {c}")
@@ -193,7 +208,7 @@ def weak_conductance(graph: nx.Graph, c: int) -> float:
     return float(worst)
 
 
-def min_cut_gamma(graph: nx.Graph) -> float:
+def min_cut_gamma(graph: CSRGraph) -> float:
     """Haeupler's min-cut measure ``γ`` used by the Table 2 comparison.
 
     For the uniform gossip model Haeupler's ``γ`` is (up to constants) the
@@ -203,6 +218,7 @@ def min_cut_gamma(graph: nx.Graph) -> float:
     typical degree for larger ones (documented proxy, Table 2 only needs the
     order of magnitude).
     """
+    graph = _as_networkx(graph)
     _require_connected(graph)
     n = graph.number_of_nodes()
 
@@ -250,12 +266,13 @@ class GraphProfile:
         )
 
 
-def profile_graph(graph: nx.Graph, *, include_path_degree_sum: bool = False) -> GraphProfile:
+def profile_graph(graph: CSRGraph, *, include_path_degree_sum: bool = False) -> GraphProfile:
     """Compute a :class:`GraphProfile` for ``graph``.
 
     ``include_path_degree_sum`` is off by default because the exact maximum is
     quadratic in ``n``; experiments that need Lemma 2's quantity opt in.
     """
+    graph = _as_networkx(graph)
     _require_connected(graph)
     return GraphProfile(
         n=graph.number_of_nodes(),

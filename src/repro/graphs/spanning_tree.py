@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from ..errors import TopologyError
+from .csr import CSRGraph
 
 __all__ = ["SpanningTree", "bfs_spanning_tree", "random_spanning_tree"]
 
@@ -119,7 +120,7 @@ class SpanningTree:
         graph.add_edges_from((child, parent) for child, parent in self.parent.items())
         return graph
 
-    def spans(self, graph: nx.Graph) -> bool:
+    def spans(self, graph: CSRGraph) -> bool:
         """``True`` if the tree covers every node of ``graph`` and uses only its edges."""
         if set(self.nodes) != set(graph.nodes()):
             return False
@@ -129,7 +130,7 @@ class SpanningTree:
         return f"SpanningTree(root={self.root}, size={self.size}, depth={self.depth})"
 
 
-def bfs_spanning_tree(graph: nx.Graph, root: int) -> SpanningTree:
+def bfs_spanning_tree(graph: CSRGraph, root: int) -> SpanningTree:
     """Breadth-first-search shortest-path spanning tree rooted at ``root``.
 
     This is the tree used by the proof of Theorem 1; its depth is at most the
@@ -137,14 +138,14 @@ def bfs_spanning_tree(graph: nx.Graph, root: int) -> SpanningTree:
     """
     if root not in graph:
         raise TopologyError(f"root {root} is not a node of the graph")
-    if not nx.is_connected(graph):
+    if not graph.is_connected():
         raise TopologyError("cannot build a spanning tree of a disconnected graph")
     parent: dict[int, int] = {}
     visited = {root}
     queue = deque([root])
     while queue:
         node = queue.popleft()
-        for neighbor in sorted(graph.neighbors(node)):
+        for neighbor in graph.neighbors(node):
             if neighbor in visited:
                 continue
             visited.add(neighbor)
@@ -153,7 +154,7 @@ def bfs_spanning_tree(graph: nx.Graph, root: int) -> SpanningTree:
     return SpanningTree(root=root, parent=parent)
 
 
-def random_spanning_tree(graph: nx.Graph, root: int, rng) -> SpanningTree:
+def random_spanning_tree(graph: CSRGraph, root: int, rng) -> SpanningTree:
     """A uniformly random-ish spanning tree built by a randomised BFS/DFS hybrid.
 
     Used by tests and ablations to exercise TAG with trees that are *not*
@@ -161,7 +162,7 @@ def random_spanning_tree(graph: nx.Graph, root: int, rng) -> SpanningTree:
     """
     if root not in graph:
         raise TopologyError(f"root {root} is not a node of the graph")
-    if not nx.is_connected(graph):
+    if not graph.is_connected():
         raise TopologyError("cannot build a spanning tree of a disconnected graph")
     parent: dict[int, int] = {}
     visited = {root}

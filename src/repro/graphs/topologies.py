@@ -1,8 +1,10 @@
 """Graph topology generators used throughout the paper.
 
-Every generator returns a connected, undirected :class:`networkx.Graph` whose
-nodes are consecutive integers ``0 .. n-1``.  The families cover everything
-the paper mentions explicitly:
+Every generator returns a connected, undirected
+:class:`~repro.graphs.csr.CSRGraph` whose nodes are consecutive integers
+``0 .. n-1``, built directly as CSR arrays (no networkx object is ever
+formed; call :meth:`~repro.graphs.csr.CSRGraph.to_networkx` for networkx
+algorithms).  The families cover everything the paper mentions explicitly:
 
 * constant-maximum-degree graphs where uniform algebraic gossip is order
   optimal (Theorem 3): line, ring, 2-D grid, torus, binary tree, bounded-degree
@@ -14,20 +16,28 @@ the paper mentions explicitly:
 * generalisations used by the weak-conductance experiments: the dumbbell
   (cliques joined by a path) and the clique chain (``c`` cliques in a row);
 * random graphs (Erdős–Rényi, random regular) for robustness experiments.
+
+The random families replicate the sampling algorithms of networkx
+(Batagelj–Brandes for ``G(n, p)``, Steger–Wormald pairing for random regular
+graphs, Watts–Strogatz rewiring) against the same ``random.Random`` streams,
+so a given ``(n, params, seed)`` yields the graph — and the scenario
+fingerprint and result-store records — it always has.
+``tests/test_csr_pipeline.py`` checks every family byte for byte against
+the networkx builders the simulator used before.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from collections import OrderedDict
-from typing import Callable, TypeVar
+import random
+from array import array
+from collections import OrderedDict, defaultdict
+from typing import Callable, Sequence, TypeVar
 
-import networkx as nx
 import numpy as np
 
 from ..errors import TopologyError
-from .csr import CSRGraph
+from .csr import CSRGraph, csr_from_edges
 
 #: Non-builder exports; every ``@register_topology``-decorated builder is
 #: appended automatically, so ``__all__`` and :data:`TOPOLOGY_BUILDERS` can
@@ -37,17 +47,14 @@ __all__ = [
     "TOPOLOGY_BUILDERS",
     "register_topology",
     "build_topology",
-    "topology_cache_key",
-    "neighbor_lists",
-    "csr_adjacency",
 ]
 
 #: Registry mapping a topology name to its builder.  Populated exclusively by
 #: :func:`register_topology`; experiment definitions, scenario specs and
 #: benchmark parameterisations refer to topologies by these names.
-TOPOLOGY_BUILDERS: dict[str, Callable[..., nx.Graph]] = {}
+TOPOLOGY_BUILDERS: dict[str, Callable[..., CSRGraph]] = {}
 
-_Builder = TypeVar("_Builder", bound=Callable[..., nx.Graph])
+_Builder = TypeVar("_Builder", bound=Callable[..., CSRGraph])
 
 
 def register_topology(name: str) -> Callable[[_Builder], _Builder]:
@@ -57,11 +64,12 @@ def register_topology(name: str) -> Callable[[_Builder], _Builder]:
     extension point for user-defined families::
 
         @register_topology("my_mesh")
-        def my_mesh_graph(n: int) -> nx.Graph: ...
+        def my_mesh_graph(n: int) -> CSRGraph: ...
 
-    Builders must return a connected, undirected graph whose nodes are the
-    consecutive integers ``0 .. n-1`` (``tests/test_graphs_topologies.py``
-    asserts this for every registered entry).
+    Builders must return a connected :class:`~repro.graphs.csr.CSRGraph`
+    (``tests/test_graphs_topologies.py`` asserts this for every registered
+    entry); a networkx graph converts with
+    :meth:`~repro.graphs.csr.CSRGraph.from_networkx`.
     """
 
     def decorate(builder: _Builder) -> _Builder:
@@ -75,128 +83,39 @@ def register_topology(name: str) -> Callable[[_Builder], _Builder]:
     return decorate
 
 
-# Memoized adjacency.  Trial runners reuse one graph object across every
-# trial of a sweep, so the sorted neighbour lists (and the CSR form the
-# event-driven engine walks) are built once per graph instead of once per
-# trial.  Two cache tiers serve this:
-#
-# * a *keyed* LRU, indexed by the (name, n, kwargs) fingerprint
-#   :func:`build_topology` stamps on every graph it returns.  Because the key
-#   is value-like, the graph-free CSR pipeline (`build_csr_topology`) and the
-#   networkx pipeline share entries — whichever materialises first, the other
-#   reuses its arrays.  The capacity bound keeps large-n arrays from pinning
-#   memory across sweeps over many topologies.
-# * the per-instance WeakKeyDictionary fallback for unstamped graphs (built
-#   directly, not through `build_topology`).  The (nodes, edges) shape guard
-#   protects both tiers against in-place mutation.
-_KEYED_CACHE_CAPACITY = 8
-_KEYED_CSR: "OrderedDict[tuple, tuple]" = OrderedDict()
-_KEYED_NEIGHBORS: "OrderedDict[tuple, tuple]" = OrderedDict()
-_NEIGHBOR_CACHE: "weakref.WeakKeyDictionary[nx.Graph, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-_CSR_CACHE: "weakref.WeakKeyDictionary[nx.Graph, tuple]" = weakref.WeakKeyDictionary()
+# Built graphs, keyed by value: ``(name, n, sorted kwargs)``.  Builders are
+# deterministic functions of exactly these arguments and a CSRGraph is
+# read-only, so equal keys share one instance — and with it the instance's
+# memoized neighbour tuples and connectivity — across every materialisation
+# of a sweep or campaign.  The capacity bound keeps large-n arrays from
+# pinning memory across sweeps over many topologies.
+_GRAPH_CACHE_CAPACITY = 8
+_GRAPH_CACHE: "OrderedDict[tuple, CSRGraph]" = OrderedDict()
 
 
-def topology_cache_key(name: str, n: int, kwargs: dict) -> tuple:
-    """Value-identity of one ``build_topology``/``build_csr_topology`` call.
+def build_topology(name: str, n: int, **kwargs) -> CSRGraph:
+    """Build a topology by registry name (served from a small value-keyed LRU).
 
-    Hashable and deterministic: ``(name, n, sorted kwarg items)``.  Equal keys
-    mean "the same graph down to the last edge" (builders are seed-derived
-    deterministic functions of exactly these arguments), which is what lets
-    the adjacency caches serve both materialization pipelines.
+    Raises
+    ------
+    TopologyError:
+        If the name is unknown.
     """
-    return (name, int(n), tuple(sorted(kwargs.items())))
-
-
-def _keyed_cache_get(cache: "OrderedDict[tuple, tuple]", key: tuple):
-    entry = cache.get(key)
-    if entry is not None:
-        cache.move_to_end(key)
-    return entry
-
-
-def _keyed_cache_put(cache: "OrderedDict[tuple, tuple]", key: tuple, entry: tuple) -> None:
-    cache[key] = entry
-    cache.move_to_end(key)
-    while len(cache) > _KEYED_CACHE_CAPACITY:
-        cache.popitem(last=False)
-
-
-def neighbor_lists(graph: nx.Graph) -> dict[int, tuple[int, ...]]:
-    """Sorted neighbour tuple per node, memoized.
-
-    This is the neighbour ordering every partner selector draws against
-    (``tuple(sorted(graph.neighbors(node)))``), so consumers share one
-    construction per graph rather than rebuilding adjacency per trial.
-    Graphs stamped by :func:`build_topology` share entries by value key;
-    unstamped instances fall back to the per-instance cache.  Callers must
-    treat the returned mapping as immutable.
-    """
-    shape = (graph.number_of_nodes(), graph.number_of_edges())
-    key = graph.graph.get("topology_cache_key")
-    if key is not None:
-        entry = _keyed_cache_get(_KEYED_NEIGHBORS, key)
-        if entry is not None and entry[0] == shape:
-            return entry[1]
-    cached = _NEIGHBOR_CACHE.get(graph)
-    if cached is not None and cached[0] == shape:
-        return cached[1]
-    lists = {node: tuple(sorted(graph.neighbors(node))) for node in graph.nodes()}
-    _NEIGHBOR_CACHE[graph] = (shape, lists)
-    if key is not None:
-        _keyed_cache_put(_KEYED_NEIGHBORS, key, (shape, lists))
-    return lists
-
-
-def csr_adjacency(graph) -> tuple[np.ndarray, np.ndarray]:
-    """Compressed-sparse-row adjacency in node-*position* space, memoized.
-
-    Returns ``(indptr, indices)``: the neighbours of the node at position
-    ``p`` of ``sorted(graph.nodes())`` are ``indices[indptr[p]:indptr[p+1]]``
-    (themselves positions, in ascending node order — the same ordering
-    :func:`neighbor_lists` exposes).  Both arrays are read-only; this is the
-    O(E) structure the event-driven engine walks instead of an n×n matrix.
-
-    A :class:`~repro.graphs.csr.CSRGraph` *is* this structure already and is
-    returned as-is; stamped networkx graphs share entries with the graph-free
-    pipeline through the keyed cache.
-    """
-    if isinstance(graph, CSRGraph):
-        return graph.indptr, graph.indices
-    shape = (graph.number_of_nodes(), graph.number_of_edges())
-    key = graph.graph.get("topology_cache_key")
-    if key is not None:
-        entry = _keyed_cache_get(_KEYED_CSR, key)
-        if entry is not None and entry[0] == shape:
-            return entry[1]
-    cached = _CSR_CACHE.get(graph)
-    if cached is not None and cached[0] == shape:
-        return cached[1]
-    lists = neighbor_lists(graph)
-    nodes = sorted(lists)
-    pos = {node: index for index, node in enumerate(nodes)}
-    degrees = np.fromiter((len(lists[node]) for node in nodes), dtype=np.int64,
-                          count=len(nodes))
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.fromiter(
-        (pos[neighbor] for node in nodes for neighbor in lists[node]),
-        dtype=np.int64,
-        count=int(indptr[-1]),
-    )
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
-    _CSR_CACHE[graph] = (shape, (indptr, indices))
-    if key is not None:
-        _keyed_cache_put(_KEYED_CSR, key, (shape, (indptr, indices)))
-    return indptr, indices
-
-
-def _relabel_consecutive(graph: nx.Graph) -> nx.Graph:
-    """Relabel nodes to ``0 .. n-1`` preserving adjacency."""
-    mapping = {node: index for index, node in enumerate(sorted(graph.nodes()))}
-    return nx.relabel_nodes(graph, mapping, copy=True)
+    try:
+        builder = TOPOLOGY_BUILDERS[name]
+    except KeyError:
+        raise TopologyError(
+            f"unknown topology {name!r}; known: {sorted(TOPOLOGY_BUILDERS)}"
+        ) from None
+    key = (name, int(n), tuple(sorted(kwargs.items())))
+    graph = _GRAPH_CACHE.get(key)
+    if graph is None:
+        graph = builder(n, **kwargs)
+        _GRAPH_CACHE[key] = graph
+        while len(_GRAPH_CACHE) > _GRAPH_CACHE_CAPACITY:
+            _GRAPH_CACHE.popitem(last=False)
+    _GRAPH_CACHE.move_to_end(key)
+    return graph
 
 
 def _check_size(n: int, minimum: int = 2) -> None:
@@ -204,27 +123,71 @@ def _check_size(n: int, minimum: int = 2) -> None:
         raise TopologyError(f"topology requires at least {minimum} nodes, got {n}")
 
 
-@register_topology("line")
-def line_graph(n: int) -> nx.Graph:
-    """Path graph on ``n`` nodes: maximum degree 2, diameter ``n - 1``."""
-    _check_size(n)
-    return nx.path_graph(n)
-
-
-@register_topology("ring")
-def ring_graph(n: int) -> nx.Graph:
-    """Cycle on ``n`` nodes: maximum degree 2, diameter ``floor(n / 2)``."""
-    _check_size(n, minimum=3)
-    return nx.cycle_graph(n)
-
-
 def two_dimensional_side(n: int) -> int:
     """Side length of the largest square grid with at most ``n`` nodes."""
     return max(2, int(math.isqrt(n)))
 
 
+# ----------------------------------------------------------------------
+# Edge-list helpers: every deterministic family is a union of cliques on
+# consecutive node blocks plus explicit extra edges.
+# ----------------------------------------------------------------------
+def _block_counts(members: int, blocks: int) -> np.ndarray:
+    """Sizes of ``blocks`` near-equal groups of ``members`` nodes (larger first)."""
+    size = members // blocks
+    counts = np.full(blocks, size, dtype=np.int64)
+    counts[: members - size * blocks] += 1
+    return counts
+
+
+def _clique_edges(
+    starts: Sequence[int], counts: Sequence[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Edges of one clique on each block ``start .. start + count - 1``."""
+    triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    sources: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    for start, count in zip(starts, counts):
+        count = int(count)
+        if count not in triu:
+            rows, cols = np.triu_indices(count, k=1)
+            triu[count] = (rows.astype(np.int64), cols.astype(np.int64))
+        rows, cols = triu[count]
+        sources.append(rows + int(start))
+        targets.append(cols + int(start))
+    return sources, targets
+
+
+def _from_parts(n: int, sources: list, targets: list) -> CSRGraph:
+    """:func:`csr_from_edges` over a list of edge-array parts."""
+    return csr_from_edges(
+        n,
+        np.concatenate([np.asarray(part, dtype=np.int64) for part in sources]),
+        np.concatenate([np.asarray(part, dtype=np.int64) for part in targets]),
+    )
+
+
+# ----------------------------------------------------------------------
+# Deterministic families
+# ----------------------------------------------------------------------
+@register_topology("line")
+def line_graph(n: int) -> CSRGraph:
+    """Path graph on ``n`` nodes: maximum degree 2, diameter ``n - 1``."""
+    _check_size(n)
+    left = np.arange(n - 1, dtype=np.int64)
+    return csr_from_edges(n, left, left + 1)
+
+
+@register_topology("ring")
+def ring_graph(n: int) -> CSRGraph:
+    """Cycle on ``n`` nodes: maximum degree 2, diameter ``floor(n / 2)``."""
+    _check_size(n, minimum=3)
+    nodes = np.arange(n, dtype=np.int64)
+    return csr_from_edges(n, nodes, np.roll(nodes, -1))
+
+
 @register_topology("grid")
-def grid_graph(n: int) -> nx.Graph:
+def grid_graph(n: int) -> CSRGraph:
     """Two-dimensional square grid with approximately ``n`` nodes.
 
     The actual node count is ``side ** 2`` where ``side = floor(sqrt(n))``;
@@ -232,61 +195,76 @@ def grid_graph(n: int) -> nx.Graph:
     """
     _check_size(n, minimum=4)
     side = two_dimensional_side(n)
-    graph = nx.grid_2d_graph(side, side)
-    return _relabel_consecutive(graph)
+    ids = np.arange(side * side, dtype=np.int64).reshape(side, side)
+    sources = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    targets = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    return csr_from_edges(side * side, sources, targets)
 
 
 @register_topology("torus")
-def torus_graph(n: int) -> nx.Graph:
+def torus_graph(n: int) -> CSRGraph:
     """Two-dimensional torus (grid with wraparound): 4-regular."""
     _check_size(n, minimum=9)
     side = two_dimensional_side(n)
-    graph = nx.grid_2d_graph(side, side, periodic=True)
-    return _relabel_consecutive(graph)
+    ids = np.arange(side * side, dtype=np.int64).reshape(side, side)
+    flat = ids.ravel()
+    # side >= 3, so the wraparound neighbours are distinct from the inner
+    # ones and every undirected edge is emitted exactly once.
+    sources = np.concatenate([flat, flat])
+    targets = np.concatenate(
+        [np.roll(ids, -1, axis=1).ravel(), np.roll(ids, -1, axis=0).ravel()]
+    )
+    return csr_from_edges(side * side, sources, targets)
 
 
 @register_topology("complete")
-def complete_graph(n: int) -> nx.Graph:
+def complete_graph(n: int) -> CSRGraph:
     """Complete graph ``K_n``: diameter 1, maximum degree ``n - 1``."""
     _check_size(n)
-    return nx.complete_graph(n)
+    return _from_parts(n, *_clique_edges([0], [n]))
 
 
 @register_topology("star")
-def star_graph(n: int) -> nx.Graph:
+def star_graph(n: int) -> CSRGraph:
     """Star: one hub connected to ``n - 1`` leaves (diameter 2, Δ = n - 1)."""
     _check_size(n)
-    return nx.star_graph(n - 1)
+    leaves = np.arange(1, n, dtype=np.int64)
+    return csr_from_edges(n, np.zeros_like(leaves), leaves)
 
 
 @register_topology("binary_tree")
-def binary_tree_graph(n: int) -> nx.Graph:
+def binary_tree_graph(n: int) -> CSRGraph:
     """Complete-ish binary tree on exactly ``n`` nodes.
 
     Node ``i`` has children ``2i + 1`` and ``2i + 2`` when they exist, so the
     maximum degree is 3 and the depth is ``Θ(log n)``.
     """
     _check_size(n)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for node in range(n):
-        for child in (2 * node + 1, 2 * node + 2):
-            if child < n:
-                graph.add_edge(node, child)
-    return graph
+    children = np.arange(1, n, dtype=np.int64)
+    return csr_from_edges(n, (children - 1) // 2, children)
 
 
 @register_topology("hypercube")
-def hypercube_graph(n: int) -> nx.Graph:
-    """Boolean hypercube with ``2 ** round(log2 n)`` nodes (degree = log2 n)."""
+def hypercube_graph(n: int) -> CSRGraph:
+    """Boolean hypercube with ``2 ** round(log2 n)`` nodes (degree = log2 n).
+
+    Node ``i`` is the bit string of ``i`` (most significant bit first, the
+    sorted order of networkx's tuple labels); neighbours differ in one bit.
+    """
     _check_size(n, minimum=4)
     dimension = max(2, int(round(math.log2(n))))
-    graph = nx.hypercube_graph(dimension)
-    return _relabel_consecutive(graph)
+    nodes = np.arange(2**dimension, dtype=np.int64)
+    sources: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    for bit in range(dimension):
+        low = nodes[(nodes >> bit) & 1 == 0]
+        sources.append(low)
+        targets.append(low | (1 << bit))
+    return _from_parts(2**dimension, sources, targets)
 
 
 @register_topology("barbell")
-def barbell_graph(n: int) -> nx.Graph:
+def barbell_graph(n: int) -> CSRGraph:
     """The paper's barbell: two cliques of ``n // 2`` nodes joined by one edge.
 
     This is the canonical "bad" topology for uniform algebraic gossip (Ω(n²)
@@ -295,26 +273,18 @@ def barbell_graph(n: int) -> nx.Graph:
     """
     _check_size(n, minimum=4)
     half = n // 2
-    if half < 2:
-        raise TopologyError(f"barbell graph requires at least 4 nodes, got {n}")
-    graph = nx.Graph()
-    left = list(range(half))
-    right = list(range(half, 2 * half))
-    for clique in (left, right):
-        for i, u in enumerate(clique):
-            for v in clique[i + 1 :]:
-                graph.add_edge(u, v)
-    graph.add_edge(left[-1], right[0])
+    sources, targets = _clique_edges([0, half], [half, half])
+    sources.append([half - 1])
+    targets.append([half])
     # If n is odd, attach the leftover node to the left clique so |V| == n.
     if 2 * half < n:
-        extra = 2 * half
-        for u in left:
-            graph.add_edge(extra, u)
-    return graph
+        sources.append(np.arange(half))
+        targets.append(np.full(half, 2 * half))
+    return _from_parts(n, sources, targets)
 
 
 @register_topology("dumbbell")
-def dumbbell_graph(n: int, path_length: int = 2) -> nx.Graph:
+def dumbbell_graph(n: int, path_length: int = 2) -> CSRGraph:
     """Two cliques connected by a path of ``path_length`` intermediate nodes."""
     _check_size(n, minimum=6)
     if path_length < 0:
@@ -324,28 +294,21 @@ def dumbbell_graph(n: int, path_length: int = 2) -> nx.Graph:
         raise TopologyError(
             f"dumbbell with n={n}, path_length={path_length} leaves cliques too small"
         )
-    graph = nx.Graph()
-    left = list(range(clique_size))
-    path = list(range(clique_size, clique_size + path_length))
-    right = list(range(clique_size + path_length, 2 * clique_size + path_length))
-    for clique in (left, right):
-        for i, u in enumerate(clique):
-            for v in clique[i + 1 :]:
-                graph.add_edge(u, v)
-    chain = [left[-1], *path, right[0]]
-    for u, v in zip(chain, chain[1:]):
-        graph.add_edge(u, v)
+    right = clique_size + path_length
+    sources, targets = _clique_edges([0, right], [clique_size, clique_size])
+    # The chain left[-1], path..., right[0] runs over consecutive ids.
+    chain = np.arange(clique_size - 1, right, dtype=np.int64)
+    sources.append(chain)
+    targets.append(chain + 1)
     # Attach any leftover nodes (from integer division) to the left clique.
-    next_node = 2 * clique_size + path_length
-    while next_node < n:
-        for u in left:
-            graph.add_edge(next_node, u)
-        next_node += 1
-    return graph
+    for extra in range(2 * clique_size + path_length, n):
+        sources.append(np.arange(clique_size))
+        targets.append(np.full(clique_size, extra))
+    return _from_parts(n, sources, targets)
 
 
 @register_topology("clique_chain")
-def clique_chain_graph(n: int, cliques: int = 4) -> nx.Graph:
+def clique_chain_graph(n: int, cliques: int = 4) -> CSRGraph:
     """``cliques`` equal cliques arranged in a chain, consecutive ones sharing one edge.
 
     Generalises the barbell (``cliques = 2``).  Its weak conductance for
@@ -355,29 +318,20 @@ def clique_chain_graph(n: int, cliques: int = 4) -> nx.Graph:
     _check_size(n, minimum=2 * cliques)
     if cliques < 2:
         raise TopologyError(f"clique_chain_graph needs at least 2 cliques, got {cliques}")
-    size = n // cliques
-    if size < 2:
+    if n // cliques < 2:
         raise TopologyError(
             f"clique_chain_graph with n={n}, cliques={cliques} leaves cliques too small"
         )
-    graph = nx.Graph()
-    groups: list[list[int]] = []
-    next_node = 0
-    for index in range(cliques):
-        count = size + (1 if index < n - size * cliques else 0)
-        group = list(range(next_node, next_node + count))
-        next_node += count
-        for i, u in enumerate(group):
-            for v in group[i + 1 :]:
-                graph.add_edge(u, v)
-        groups.append(group)
-    for left, right in zip(groups, groups[1:]):
-        graph.add_edge(left[-1], right[0])
-    return graph
+    counts = _block_counts(n, cliques)
+    offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
+    sources, targets = _clique_edges(offsets[:-1], counts)
+    sources.append(offsets[1:-1] - 1)
+    targets.append(offsets[1:-1])
+    return _from_parts(n, sources, targets)
 
 
 @register_topology("lollipop")
-def lollipop_graph(n: int) -> nx.Graph:
+def lollipop_graph(n: int) -> CSRGraph:
     """Lollipop: a clique of ``n // 2`` nodes with a path of ``n - n//2`` nodes attached.
 
     A classic slow-mixing graph — the clique traps a random walk while the
@@ -386,13 +340,16 @@ def lollipop_graph(n: int) -> nx.Graph:
     """
     _check_size(n, minimum=6)
     clique_size = n // 2
-    path_size = n - clique_size
-    graph = nx.lollipop_graph(clique_size, path_size)
-    return _relabel_consecutive(graph)
+    sources, targets = _clique_edges([0], [clique_size])
+    # The path continues from the clique's last node: clique_size - 1, ..., n - 1.
+    tail = np.arange(clique_size - 1, n - 1, dtype=np.int64)
+    sources.append(tail)
+    targets.append(tail + 1)
+    return _from_parts(n, sources, targets)
 
 
 @register_topology("caterpillar")
-def caterpillar_graph(n: int, legs_per_spine: int = 2) -> nx.Graph:
+def caterpillar_graph(n: int, legs_per_spine: int = 2) -> CSRGraph:
     """Caterpillar: a spine path where every spine node carries pendant leaves.
 
     Constant maximum degree (``legs_per_spine + 2``) with diameter Θ(n), so it
@@ -402,42 +359,17 @@ def caterpillar_graph(n: int, legs_per_spine: int = 2) -> nx.Graph:
     _check_size(n, minimum=4)
     if legs_per_spine < 1:
         raise TopologyError(f"legs_per_spine must be positive, got {legs_per_spine}")
-    graph = nx.Graph()
     spine_length = max(2, n // (legs_per_spine + 1))
-    for spine in range(spine_length - 1):
-        graph.add_edge(spine, spine + 1)
-    next_node = spine_length
-    spine = 0
-    while next_node < n:
-        graph.add_edge(spine % spine_length, next_node)
-        next_node += 1
-        spine += 1
-    return graph
-
-
-@register_topology("small_world")
-def small_world_graph(n: int, neighbours: int = 4, rewire_probability: float = 0.1,
-                      seed: int = 0) -> nx.Graph:
-    """Connected Watts–Strogatz small-world graph.
-
-    Near-constant degree with logarithmic diameter — a realistic "good"
-    topology to contrast with the engineered worst cases.
-    """
-    _check_size(n, minimum=8)
-    if neighbours < 2 or neighbours >= n:
-        raise TopologyError(f"neighbours must lie in [2, n), got {neighbours}")
-    if not 0.0 <= rewire_probability <= 1.0:
-        raise TopologyError(
-            f"rewire_probability must lie in [0, 1], got {rewire_probability}"
-        )
-    graph = nx.connected_watts_strogatz_graph(
-        n, neighbours, rewire_probability, tries=200, seed=seed
+    spine = np.arange(spine_length - 1, dtype=np.int64)
+    # Leaves spine_length .. n-1 attach round-robin to the spine nodes.
+    leaves = np.arange(spine_length, n, dtype=np.int64)
+    return _from_parts(
+        n, [spine, (leaves - spine_length) % spine_length], [spine + 1, leaves]
     )
-    return _relabel_consecutive(graph)
 
 
 @register_topology("star_of_cliques")
-def star_of_cliques_graph(n: int, cliques: int = 4) -> nx.Graph:
+def star_of_cliques_graph(n: int, cliques: int = 4) -> CSRGraph:
     """``cliques`` equal cliques all attached to one central hub node.
 
     Like the clique chain this has constant weak conductance but, unlike it,
@@ -447,60 +379,102 @@ def star_of_cliques_graph(n: int, cliques: int = 4) -> nx.Graph:
     _check_size(n, minimum=2 * cliques + 1)
     if cliques < 2:
         raise TopologyError(f"star_of_cliques_graph needs at least 2 cliques, got {cliques}")
-    graph = nx.Graph()
-    hub = 0
-    members = n - 1
-    size = members // cliques
-    if size < 2:
+    if (n - 1) // cliques < 2:
         raise TopologyError(
             f"star_of_cliques_graph with n={n}, cliques={cliques} leaves cliques too small"
         )
-    next_node = 1
-    for index in range(cliques):
-        count = size + (1 if index < members - size * cliques else 0)
-        group = list(range(next_node, next_node + count))
-        next_node += count
-        for i, u in enumerate(group):
-            for v in group[i + 1 :]:
-                graph.add_edge(u, v)
-        graph.add_edge(hub, group[0])
-    return graph
+    counts = _block_counts(n - 1, cliques)
+    firsts = 1 + np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]])
+    sources, targets = _clique_edges(firsts, counts)
+    # The hub (node 0) links to each clique's first node.
+    sources.append(np.zeros(cliques, dtype=np.int64))
+    targets.append(firsts)
+    return _from_parts(n, sources, targets)
 
 
-@register_topology("random_regular")
-def random_regular_graph(n: int, degree: int = 3, seed: int = 0) -> nx.Graph:
-    """Connected random ``degree``-regular graph (constant maximum degree)."""
-    _check_size(n, minimum=degree + 1)
-    if degree < 2:
-        raise TopologyError(f"degree must be at least 2, got {degree}")
-    if (n * degree) % 2 != 0:
-        n += 1  # a d-regular graph needs n*d even
+@register_topology("ring_of_cliques")
+def ring_of_cliques_graph(n: int, cliques: int = 4) -> CSRGraph:
+    """``cliques`` equal cliques arranged in a ring, consecutive ones sharing one edge.
+
+    The cyclic cousin of the clique chain: with ``cliques = Θ(n / log n)``
+    the graph stays sparse (``O(n log n)`` edges for clique size
+    ``Θ(log n)``) while every inter-clique path crosses single-edge
+    bottlenecks — a deterministic large-n stress case for the event-driven
+    engine.  Entirely deterministic, so scenario fingerprints are stable by
+    construction.
+    """
+    _check_size(n, minimum=2 * cliques)
+    if cliques < 3:
+        raise TopologyError(
+            f"ring_of_cliques_graph needs at least 3 cliques to form a ring, got {cliques}"
+        )
+    if n // cliques < 2:
+        raise TopologyError(
+            f"ring_of_cliques_graph with n={n}, cliques={cliques} leaves cliques too small"
+        )
+    counts = _block_counts(n, cliques)
+    offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
+    sources, targets = _clique_edges(offsets[:-1], counts)
+    firsts = offsets[:-1]
+    lasts = offsets[1:] - 1
+    sources.append(lasts)
+    targets.append(np.roll(firsts, -1))
+    return _from_parts(n, sources, targets)
+
+
+# ----------------------------------------------------------------------
+# Random families: the networkx sampling algorithms, fed by the same
+# random.Random streams the builders derive from their seeds.
+# ----------------------------------------------------------------------
+def _fast_gnp(n: int, p: float, seed: random.Random) -> CSRGraph:
+    """Batagelj–Brandes ``G(n, p)`` sampler, stream-identical to
+    ``nx.fast_gnp_random_graph``; edges land in compact int64 arrays."""
+    if p >= 1.0:
+        # fast_gnp delegates to gnp_random_graph, which returns the complete
+        # graph without consuming any draws.
+        return complete_graph(n)
+    sources = array("q")
+    targets = array("q")
+    lp = math.log(1.0 - p)
+    log = math.log
+    draw = seed.random
+    v = 1
+    w = -1
+    while v < n:
+        lr = log(1.0 - draw())
+        w = w + 1 + int(lr / lp)
+        while w >= v and v < n:
+            w = w - v
+            v = v + 1
+        if v < n:
+            sources.append(v)
+            targets.append(w)
+    return csr_from_edges(
+        n, np.frombuffer(sources, dtype=np.int64), np.frombuffer(targets, dtype=np.int64)
+    )
+
+
+def _connected_gnp(n: int, p: float, seed: int, failure: str) -> CSRGraph:
+    """The first connected ``G(n, p)`` sample; ``p`` grows 20% per retry."""
     rng = np.random.default_rng(seed)
     for attempt in range(100):
-        graph = nx.random_regular_graph(degree, n, seed=int(rng.integers(0, 2**31)))
-        if nx.is_connected(graph):
-            return _relabel_consecutive(graph)
-    raise TopologyError(
-        f"failed to sample a connected {degree}-regular graph on {n} nodes"
-    )  # pragma: no cover - overwhelmingly unlikely
+        graph = _fast_gnp(n, p, random.Random(int(rng.integers(0, 2**31))))
+        if graph.is_connected():
+            return graph
+        p = min(1.0, p * 1.2)
+    raise TopologyError(failure)  # pragma: no cover - overwhelmingly unlikely
 
 
 @register_topology("erdos_renyi")
-def erdos_renyi_graph(n: int, average_degree: float = 6.0, seed: int = 0) -> nx.Graph:
+def erdos_renyi_graph(n: int, average_degree: float = 6.0, seed: int = 0) -> CSRGraph:
     """Connected Erdős–Rényi graph ``G(n, p)`` with ``p = average_degree / n``."""
     _check_size(n)
     p = min(1.0, max(average_degree, 2.0 * math.log(max(n, 2))) / n)
-    rng = np.random.default_rng(seed)
-    for attempt in range(100):
-        graph = nx.fast_gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31)))
-        if nx.is_connected(graph):
-            return _relabel_consecutive(graph)
-        p = min(1.0, p * 1.2)
-    raise TopologyError(f"failed to sample a connected G({n}, p) graph")  # pragma: no cover
+    return _connected_gnp(n, p, seed, f"failed to sample a connected G({n}, p) graph")
 
 
 @register_topology("erdos_renyi_logn")
-def erdos_renyi_logn_graph(n: int, c: float = 2.0, seed: int = 0) -> nx.Graph:
+def erdos_renyi_logn_graph(n: int, c: float = 2.0, seed: int = 0) -> CSRGraph:
     """Connected ``G(n, p)`` at the connectivity threshold: ``p = c·log n / n``.
 
     The sparse regime the event-driven engine targets: average degree
@@ -516,57 +490,80 @@ def erdos_renyi_logn_graph(n: int, c: float = 2.0, seed: int = 0) -> nx.Graph:
             f"c must exceed 1 (the connectivity threshold of G(n, c log n / n)), got {c}"
         )
     p = min(1.0, c * math.log(n) / n)
+    return _connected_gnp(
+        n, p, seed, f"failed to sample a connected G({n}, {c} log n / n) graph"
+    )
+
+
+def _random_regular_edges(d: int, n: int, seed: random.Random) -> set[tuple[int, int]]:
+    """Steger–Wormald pairing, stream-identical to ``nx.random_regular_graph``."""
+
+    def _suitable(edges, potential_edges):
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def _try_creation():
+        edges = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            potential_edges = defaultdict(lambda: 0)
+            seed.shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and ((s1, s2) not in edges):
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] += 1
+                    potential_edges[s2] += 1
+            if not _suitable(edges, potential_edges):
+                return None
+            stubs = [
+                node
+                for node, potential in potential_edges.items()
+                for _ in range(potential)
+            ]
+        return edges
+
+    edges = _try_creation()
+    while edges is None:
+        edges = _try_creation()
+    return edges
+
+
+@register_topology("random_regular")
+def random_regular_graph(n: int, degree: int = 3, seed: int = 0) -> CSRGraph:
+    """Connected random ``degree``-regular graph (constant maximum degree)."""
+    _check_size(n, minimum=degree + 1)
+    if degree < 2:
+        raise TopologyError(f"degree must be at least 2, got {degree}")
+    if (n * degree) % 2 != 0:
+        n += 1  # a d-regular graph needs n*d even
     rng = np.random.default_rng(seed)
     for attempt in range(100):
-        graph = nx.fast_gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31)))
-        if nx.is_connected(graph):
-            return _relabel_consecutive(graph)
-        p = min(1.0, p * 1.2)
+        edges = _random_regular_edges(degree, n, random.Random(int(rng.integers(0, 2**31))))
+        sources = np.fromiter((u for u, _ in edges), dtype=np.int64, count=len(edges))
+        targets = np.fromiter((v for _, v in edges), dtype=np.int64, count=len(edges))
+        graph = csr_from_edges(n, sources, targets)
+        if graph.is_connected():
+            return graph
     raise TopologyError(
-        f"failed to sample a connected G({n}, {c} log n / n) graph"
-    )  # pragma: no cover - overwhelmingly unlikely for c > 1
-
-
-@register_topology("ring_of_cliques")
-def ring_of_cliques_graph(n: int, cliques: int = 4) -> nx.Graph:
-    """``cliques`` equal cliques arranged in a ring, consecutive ones sharing one edge.
-
-    The cyclic cousin of the clique chain: with ``cliques = Θ(n / log n)``
-    the graph stays sparse (``O(n log n)`` edges for clique size
-    ``Θ(log n)``) while every inter-clique path crosses single-edge
-    bottlenecks — a deterministic large-n stress case for the event-driven
-    engine.  Entirely deterministic, so scenario fingerprints are stable by
-    construction.
-    """
-    _check_size(n, minimum=2 * cliques)
-    if cliques < 3:
-        raise TopologyError(
-            f"ring_of_cliques_graph needs at least 3 cliques to form a ring, got {cliques}"
-        )
-    size = n // cliques
-    if size < 2:
-        raise TopologyError(
-            f"ring_of_cliques_graph with n={n}, cliques={cliques} leaves cliques too small"
-        )
-    graph = nx.Graph()
-    groups: list[list[int]] = []
-    next_node = 0
-    for index in range(cliques):
-        count = size + (1 if index < n - size * cliques else 0)
-        group = list(range(next_node, next_node + count))
-        next_node += count
-        for i, u in enumerate(group):
-            for v in group[i + 1 :]:
-                graph.add_edge(u, v)
-        groups.append(group)
-    for left, right in zip(groups, groups[1:]):
-        graph.add_edge(left[-1], right[0])
-    graph.add_edge(groups[-1][-1], groups[0][0])
-    return graph
+        f"failed to sample a connected {degree}-regular graph on {n} nodes"
+    )  # pragma: no cover - overwhelmingly unlikely
 
 
 @register_topology("expander")
-def expander_graph(n: int, seed: int = 0) -> nx.Graph:
+def expander_graph(n: int, seed: int = 0) -> CSRGraph:
     """A constant-degree expander surrogate: a connected random 4-regular graph.
 
     Random regular graphs are expanders with high probability, which is all
@@ -575,22 +572,74 @@ def expander_graph(n: int, seed: int = 0) -> nx.Graph:
     return random_regular_graph(n, degree=4, seed=seed)
 
 
-def build_topology(name: str, n: int, **kwargs) -> nx.Graph:
-    """Build a topology by registry name.
+def _watts_strogatz_adjacency(
+    n: int, k: int, p: float, seed: random.Random
+) -> list[set[int]]:
+    """Watts–Strogatz lattice + rewiring, stream-identical to
+    ``nx.watts_strogatz_graph`` (the builder guarantees ``2 <= k < n``)."""
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    nodes = list(range(n))
+    for j in range(1, k // 2 + 1):
+        targets = nodes[j:] + nodes[0:j]
+        for u, w in zip(nodes, targets):
+            adjacency[u].add(w)
+            adjacency[w].add(u)
+    for j in range(1, k // 2 + 1):
+        targets = nodes[j:] + nodes[0:j]
+        for u, v in zip(nodes, targets):
+            if seed.random() < p:
+                w = seed.choice(nodes)
+                while w == u or w in adjacency[u]:
+                    w = seed.choice(nodes)
+                    if len(adjacency[u]) >= n - 1:
+                        break  # skip this rewiring
+                else:
+                    # The lattice edge (u, v) is always still present here:
+                    # distinct lattice edges are distinct pairs (offsets j and
+                    # n - j cannot both be <= k // 2 < n / 2) and rewiring only
+                    # ever removes the edge currently being processed.
+                    adjacency[u].remove(v)
+                    adjacency[v].remove(u)
+                    adjacency[u].add(w)
+                    adjacency[w].add(u)
+    return adjacency
 
-    Raises
-    ------
-    TopologyError:
-        If the name is unknown.
+
+def _csr_from_adjacency_sets(adjacency: list[set[int]]) -> CSRGraph:
+    n = len(adjacency)
+    degrees = np.fromiter((len(nbrs) for nbrs in adjacency), dtype=np.int64, count=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.fromiter(
+        (w for nbrs in adjacency for w in sorted(nbrs)),
+        dtype=np.int64,
+        count=int(indptr[-1]),
+    )
+    return CSRGraph(n, indptr, indices)
+
+
+@register_topology("small_world")
+def small_world_graph(n: int, neighbours: int = 4, rewire_probability: float = 0.1,
+                      seed: int = 0) -> CSRGraph:
+    """Connected Watts–Strogatz small-world graph.
+
+    Near-constant degree with logarithmic diameter — a realistic "good"
+    topology to contrast with the engineered worst cases.
     """
-    try:
-        builder = TOPOLOGY_BUILDERS[name]
-    except KeyError:
+    _check_size(n, minimum=8)
+    if neighbours < 2 or neighbours >= n:
+        raise TopologyError(f"neighbours must lie in [2, n), got {neighbours}")
+    if not 0.0 <= rewire_probability <= 1.0:
         raise TopologyError(
-            f"unknown topology {name!r}; known: {sorted(TOPOLOGY_BUILDERS)}"
-        ) from None
-    graph = builder(n, **kwargs)
-    # Stamp the value identity of this call so the adjacency caches can be
-    # shared across graph instances (and with the graph-free CSR pipeline).
-    graph.graph["topology_cache_key"] = topology_cache_key(name, n, kwargs)
-    return graph
+            f"rewire_probability must lie in [0, 1], got {rewire_probability}"
+        )
+    # connected_watts_strogatz_graph shares one random.Random across tries.
+    sampler = random.Random(seed)
+    for attempt in range(200):
+        adjacency = _watts_strogatz_adjacency(n, neighbours, rewire_probability, sampler)
+        graph = _csr_from_adjacency_sets(adjacency)
+        if graph.is_connected():
+            return graph
+    raise TopologyError(
+        f"failed to sample a connected small-world graph on {n} nodes in 200 tries"
+    )  # pragma: no cover - overwhelmingly unlikely

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..core.config import GossipAction, SimulationConfig
 from ..errors import SimulationError
 from ..gossip.communication import PartnerSelector, UniformSelector
 from ..gossip.engine import GossipProcess, Transmission
+from ..graphs.csr import CSRGraph
 from ..rlnc.decoder import RlncDecoder
 from ..rlnc.encoder import RlncEncoder
 from ..rlnc.message import Generation
@@ -38,7 +38,7 @@ __all__ = [
 
 
 def build_node_decoders(
-    graph: nx.Graph,
+    graph: CSRGraph,
     generation: Generation,
     placement: Mapping[int, Sequence[int]],
     rng: np.random.Generator,
@@ -113,7 +113,7 @@ class AlgebraicGossip(GossipProcess):
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         generation: Generation,
         placement: Mapping[int, Sequence[int]],
         config: SimulationConfig,
@@ -214,12 +214,12 @@ class AlgebraicGossip(GossipProcess):
 
 class RankOnlyUniformGossip(GossipProcess):
     """Uniform algebraic gossip without per-node decoders: the event engine's
-    graph-free process.
+    process.
 
     :class:`AlgebraicGossip` builds ``n`` scalar decoders/encoders up front —
     exactly the O(n) object graph the event-driven engine then ignores in
     favour of its batched rank-only eliminator.  At ``n = 10^6`` that setup is
-    the dominant cost, so the CSR materialization path builds this process
+    the dominant cost, so the event engine's trials build this process
     instead: it validates the same placement, stores the same
     :class:`~repro.rlnc.message.Generation` (drawn from the *same* ``rng``
     stream position, so per-seed results are bit-identical), and hands the
@@ -247,7 +247,7 @@ class RankOnlyUniformGossip(GossipProcess):
                 f"config field_size {config.field_size}"
             )
         # Same placement validation as build_node_decoders, without building
-        # decoders (node membership is O(1) for both graph representations).
+        # decoders (node membership is O(1) on a CSRGraph).
         placed: set[int] = set()
         for node, indices in placement.items():
             if node not in graph:

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..core.config import GossipAction, SimulationConfig
 from ..errors import SimulationError
 from ..gossip.communication import PartnerSelector, UniformSelector
 from ..gossip.engine import GossipProcess, Transmission
+from ..graphs.csr import CSRGraph
 
 __all__ = ["UncodedRandomGossip", "FloodingDissemination"]
 
@@ -38,7 +38,7 @@ class UncodedRandomGossip(GossipProcess):
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         k: int,
         placement: Mapping[int, Sequence[int]],
         config: SimulationConfig,
@@ -128,7 +128,7 @@ class FloodingDissemination(GossipProcess):
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         k: int,
         placement: Mapping[int, Sequence[int]],
     ) -> None:

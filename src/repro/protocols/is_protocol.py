@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from typing import Any
 
-import networkx as nx
 import numpy as np
 
 from ..errors import SimulationError
 from ..gossip.communication import RoundRobinSelector, UniformSelector
+from ..graphs.csr import CSRGraph
 from .spanning_tree_protocols import SpanningTreeProtocol
 
 __all__ = ["BitStringMessage", "ISSpanningTree"]
@@ -73,7 +73,7 @@ class ISSpanningTree(SpanningTreeProtocol):
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         rng: np.random.Generator,
         root: int | None = None,
     ) -> None:

@@ -31,12 +31,12 @@ from __future__ import annotations
 from abc import abstractmethod
 from typing import Any
 
-import networkx as nx
 import numpy as np
 
 from ..errors import SimulationError
 from ..gossip.communication import RoundRobinSelector, UniformSelector
 from ..gossip.engine import GossipProcess, Transmission
+from ..graphs.csr import CSRGraph
 from ..graphs.spanning_tree import SpanningTree, bfs_spanning_tree
 
 __all__ = [
@@ -161,7 +161,7 @@ class SpanningTreeProtocol(GossipProcess):
 class BroadcastSpanningTree(SpanningTreeProtocol):
     """Spanning tree via gossip broadcast: parent = first informer (Section 4.1)."""
 
-    def __init__(self, graph: nx.Graph, root: int, rng: np.random.Generator) -> None:
+    def __init__(self, graph: CSRGraph, root: int, rng: np.random.Generator) -> None:
         if root not in graph:
             raise SimulationError(f"broadcast root {root} is not a node of the graph")
         self.graph = graph
@@ -171,7 +171,7 @@ class BroadcastSpanningTree(SpanningTreeProtocol):
         self._selector = self._build_selector(graph, rng)
 
     @abstractmethod
-    def _build_selector(self, graph: nx.Graph, rng: np.random.Generator):
+    def _build_selector(self, graph: CSRGraph, rng: np.random.Generator):
         """Return the partner selector implementing the communication model."""
 
     # -- tree hooks -----------------------------------------------------------
@@ -223,7 +223,7 @@ class BroadcastSpanningTree(SpanningTreeProtocol):
 class UniformBroadcastTree(BroadcastSpanningTree):
     """Broadcast with the uniform communication model (Definition 1)."""
 
-    def _build_selector(self, graph: nx.Graph, rng: np.random.Generator):
+    def _build_selector(self, graph: CSRGraph, rng: np.random.Generator):
         return UniformSelector(graph)
 
 
@@ -236,7 +236,7 @@ class RoundRobinBroadcastTree(BroadcastSpanningTree):
     ``k = Ω(n)`` on any topology.
     """
 
-    def _build_selector(self, graph: nx.Graph, rng: np.random.Generator):
+    def _build_selector(self, graph: CSRGraph, rng: np.random.Generator):
         return RoundRobinSelector(graph, rng)
 
 
@@ -248,7 +248,7 @@ class BfsOracleTree(SpanningTreeProtocol):
     algebraic-gossip-on-a-tree part of Theorem 4 (Lemma 1).
     """
 
-    def __init__(self, graph: nx.Graph, root: int, rng: np.random.Generator | None = None) -> None:
+    def __init__(self, graph: CSRGraph, root: int, rng: np.random.Generator | None = None) -> None:
         if root not in graph:
             raise SimulationError(f"tree root {root} is not a node of the graph")
         self.graph = graph

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..core.config import SimulationConfig
 from ..errors import SimulationError
 from ..gossip.engine import GossipProcess, Transmission
+from ..graphs.csr import CSRGraph
 from ..rlnc.message import Generation
 from ..rlnc.packet import CodedPacket
 from .algebraic_gossip import build_node_decoders, reset_node_to_initial_knowledge
@@ -37,7 +37,7 @@ __all__ = ["TagProtocol"]
 #: Factory signature expected for the ``spanning_tree_factory`` argument: it
 #: receives the graph and a random generator and returns a fresh protocol
 #: instance (a fresh instance per run keeps trials independent).
-SpanningTreeFactory = Callable[[nx.Graph, np.random.Generator], SpanningTreeProtocol]
+SpanningTreeFactory = Callable[[CSRGraph, np.random.Generator], SpanningTreeProtocol]
 
 
 class TagProtocol(GossipProcess):
@@ -70,7 +70,7 @@ class TagProtocol(GossipProcess):
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         generation: Generation,
         placement: Mapping[int, Sequence[int]],
         config: SimulationConfig,

@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from ..core.config import TimeModel
 from ..errors import SimulationError
+from ..graphs.csr import CSRGraph
 from ..graphs.properties import diameter as graph_diameter
 from ..graphs.properties import max_degree as graph_max_degree
 from ..graphs.spanning_tree import SpanningTree, bfs_spanning_tree
@@ -97,7 +97,7 @@ class QueueingReduction:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: CSRGraph,
         k: int,
         q: int = 2,
         time_model: TimeModel = TimeModel.ASYNCHRONOUS,

@@ -3,7 +3,7 @@
 One :class:`ScenarioSpec` describes a whole experiment — topology, size,
 message placement, protocol, simulation config (including churn schedules
 and heterogeneous activation rates), trial/seed plan — and drives the same
-workload through the CLI, the sweep runner, the batched/parallel trial
+workload through the CLI, the sweep runner, the parallel trial
 runners and the benchmarks with identical seeded results.
 """
 

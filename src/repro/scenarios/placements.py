@@ -21,11 +21,10 @@ message").  The placements below cover the cases the evaluation needs:
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from ..errors import SimulationError
-from ..graphs.csr import CSRGraph, csr_bfs_distances
+from ..graphs.csr import CSRGraph
 
 __all__ = [
     "Placement",
@@ -41,19 +40,7 @@ __all__ = [
 Placement = dict[int, list[int]]
 
 
-def _ordered_nodes(graph) -> range | list[int]:
-    """Sorted node sequence without materialising a list for a CSRGraph.
-
-    A CSRGraph's nodes are exactly ``0..n-1``, so ``range(n)`` *is* the sorted
-    node sequence — placements built against either representation of the
-    same topology are therefore identical dicts.
-    """
-    if isinstance(graph, CSRGraph):
-        return range(graph.number_of_nodes())
-    return sorted(graph.nodes())
-
-
-def validate_placement(graph: nx.Graph, k: int, placement: Placement) -> None:
+def validate_placement(graph: CSRGraph, k: int, placement: Placement) -> None:
     """Check that every message index ``0..k-1`` is placed at an existing node."""
     seen: set[int] = set()
     for node, indices in placement.items():
@@ -68,15 +55,15 @@ def validate_placement(graph: nx.Graph, k: int, placement: Placement) -> None:
         raise SimulationError(f"messages {sorted(missing)} are not placed anywhere")
 
 
-def all_to_all_placement(graph: nx.Graph) -> Placement:
+def all_to_all_placement(graph: CSRGraph) -> Placement:
     """One message per node (``k = n``): the all-to-all communication special case."""
-    nodes = _ordered_nodes(graph)
+    nodes = graph.nodes()
     return {node: [index] for index, node in enumerate(nodes)}
 
 
-def spread_placement(graph: nx.Graph, k: int) -> Placement:
+def spread_placement(graph: CSRGraph, k: int) -> Placement:
     """``k`` messages at ``k`` (approximately) evenly spaced distinct nodes."""
-    nodes = _ordered_nodes(graph)
+    nodes = graph.nodes()
     n = len(nodes)
     if not 1 <= k <= n:
         raise SimulationError(f"spread placement requires 1 <= k <= n, got k={k}, n={n}")
@@ -87,9 +74,9 @@ def spread_placement(graph: nx.Graph, k: int) -> Placement:
     return placement
 
 
-def single_source_placement(graph: nx.Graph, k: int, source: int | None = None) -> Placement:
+def single_source_placement(graph: CSRGraph, k: int, source: int | None = None) -> Placement:
     """All ``k`` messages at one node (defaults to the lowest-numbered node)."""
-    nodes = _ordered_nodes(graph)
+    nodes = graph.nodes()
     if k < 1:
         raise SimulationError(f"k must be positive, got {k}")
     chosen = nodes[0] if source is None else source
@@ -98,9 +85,9 @@ def single_source_placement(graph: nx.Graph, k: int, source: int | None = None) 
     return {chosen: list(range(k))}
 
 
-def random_placement(graph: nx.Graph, k: int, rng: np.random.Generator) -> Placement:
+def random_placement(graph: CSRGraph, k: int, rng: np.random.Generator) -> Placement:
     """Each message at an independently uniform random node."""
-    nodes = _ordered_nodes(graph)
+    nodes = graph.nodes()
     if k < 1:
         raise SimulationError(f"k must be positive, got {k}")
     placement: Placement = {}
@@ -110,7 +97,7 @@ def random_placement(graph: nx.Graph, k: int, rng: np.random.Generator) -> Place
     return placement
 
 
-def adversarial_far_placement(graph: nx.Graph, k: int, target: int) -> Placement:
+def adversarial_far_placement(graph: CSRGraph, k: int, target: int) -> Placement:
     """All ``k`` messages as far (in hops) from ``target`` as possible.
 
     This is the worst case permitted by Theorem 1/2 ("customers initially
@@ -121,16 +108,9 @@ def adversarial_far_placement(graph: nx.Graph, k: int, target: int) -> Placement
         raise SimulationError(f"target node {target} is not in the graph")
     if k < 1:
         raise SimulationError(f"k must be positive, got {k}")
-    if isinstance(graph, CSRGraph):
-        # Same ordering as the networkx branch: distance descending, node id
-        # ascending within a distance class (the sort key below is total, so
-        # the stable lexsort and sorted() agree exactly; BFS reaches every
-        # node of the connected graph, matching dict_keys coverage).
-        hops = csr_bfs_distances(graph.indptr, graph.indices, target)
-        farthest = np.lexsort((np.arange(hops.size), -hops)).tolist()
-    else:
-        distances = nx.single_source_shortest_path_length(graph, target)
-        farthest = sorted(distances, key=lambda node: (-distances[node], node))
+    # Distance descending, node id ascending within a distance class.
+    hops = graph.bfs_distances(target)
+    farthest = np.lexsort((np.arange(hops.size), -hops)).tolist()
     placement: Placement = {}
     for index in range(k):
         node = farthest[index % len(farthest)]

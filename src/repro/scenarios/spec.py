@@ -20,8 +20,7 @@ The same spec therefore drives the same workload through
 * the CLI (``python -m repro scenario run <name>`` /
   ``python -m repro run ...``),
 * :func:`repro.analysis.sweep.run_sweep` (specs are accepted directly),
-* :func:`repro.experiments.parallel.run_trials_batched` /
-  :func:`~repro.experiments.parallel.run_trials_parallel`, and
+* :func:`repro.experiments.parallel.run_trials_parallel`, and
 * every benchmark script,
 
 with identical seeded results everywhere — see
@@ -41,7 +40,6 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Any, Mapping
 
-import networkx as nx
 import numpy as np
 
 from ..analysis.bounds import (
@@ -61,7 +59,6 @@ from ..errors import ConfigurationError
 from ..gf import GF
 from ..gossip.engine import GossipEngine, GossipProcess
 from ..graphs.csr import CSRGraph
-from ..graphs.csr_builders import build_csr_topology, has_csr_builder
 from ..graphs.properties import diameter as graph_diameter
 from ..graphs.properties import max_degree as graph_max_degree
 from ..graphs.topologies import TOPOLOGY_BUILDERS, build_topology
@@ -96,6 +93,10 @@ __all__ = [
     "default_scenario_config",
     "scenario_case",
 ]
+
+# Kept as a second name for build_topology: the repository benchmark's tracer
+# patches both names on this module.
+build_csr_topology = build_topology
 
 #: Spanning-tree protocol registry (the protocol ``S`` plugged into TAG, or
 #: run standalone by ``protocol="spanning_tree"`` scenarios).
@@ -164,16 +165,16 @@ class UniformGossipFactory:
     placement: Placement
     config: SimulationConfig
 
-    def __call__(self, graph: nx.Graph, rng: np.random.Generator) -> AlgebraicGossip:
+    def __call__(self, graph: CSRGraph, rng: np.random.Generator) -> AlgebraicGossip:
         generation = Generation.random(
             GF(self.field_order), self.k, self.payload_length, rng
         )
         return AlgebraicGossip(graph, generation, self.placement, self.config, rng)
 
     def rank_only_process(
-        self, graph: Any, rng: np.random.Generator
+        self, graph: CSRGraph, rng: np.random.Generator
     ) -> RankOnlyUniformGossip:
-        """Decoder-less process for the event engine's graph-free pipeline.
+        """Decoder-less process for the event engine.
 
         Draws the :class:`~repro.rlnc.message.Generation` from the exact
         ``rng`` position ``__call__`` would, and construction consumes no
@@ -193,7 +194,7 @@ class SpanningTreeFactory:
     protocol: str
     root: int
 
-    def __call__(self, graph: nx.Graph, rng: np.random.Generator):
+    def __call__(self, graph: CSRGraph, rng: np.random.Generator):
         if self.protocol == "is":
             return ISSpanningTree(graph, rng)
         return TREE_PROTOCOLS[self.protocol](graph, self.root, rng)
@@ -211,7 +212,7 @@ class TagFactory:
     spanning_tree: SpanningTreeFactory
     keep_phase1_after_tree: bool = True
 
-    def __call__(self, graph: nx.Graph, rng: np.random.Generator) -> TagProtocol:
+    def __call__(self, graph: CSRGraph, rng: np.random.Generator) -> TagProtocol:
         generation = Generation.random(
             GF(self.field_order), self.k, self.payload_length, rng
         )
@@ -565,72 +566,6 @@ class ScenarioSpec:
         always yields the same workload.
         """
         graph = build_topology(self.topology, self.n, **dict(self.topology_params))
-        return self._materialize_from_graph(graph)
-
-    def materialize_csr(self) -> "MaterializedScenario":
-        """Materialise through the direct-CSR pipeline: no ``nx.Graph`` ever.
-
-        The graph is built straight to ``(indptr, indices)`` by the family's
-        direct-CSR builder — byte-identical per seed to
-        ``csr_adjacency(networkx_builder(...))``, the contract every builder
-        is tested against — and the protocol factory's decoder-less
-        ``rank_only_process`` feeds the event engine.  Per-seed results are
-        bit-identical to :meth:`materialize`; only peak memory and
-        materialisation time differ.
-
-        Only workloads the event engine can replay qualify: the spec must pin
-        ``engine="event"`` and ``protocol="uniform"``, and the topology family
-        must have a direct-CSR builder — anything else raises
-        :class:`~repro.errors.ConfigurationError` (use :meth:`materialize`).
-        """
-        if self.protocol != "uniform":
-            raise ConfigurationError(
-                f"materialize_csr runs uniform algebraic gossip only, got "
-                f"protocol {self.protocol!r}; use materialize() instead"
-            )
-        if self.engine != "event":
-            raise ConfigurationError(
-                "materialize_csr requires engine='event' (the CSR pipeline "
-                "feeds the event-driven engine only); use materialize() or "
-                "set engine='event' on the spec"
-            )
-        if not has_csr_builder(self.topology):
-            raise ConfigurationError(
-                f"topology {self.topology!r} has no direct-CSR builder; "
-                "use materialize() for the networkx pipeline"
-            )
-        graph = build_csr_topology(
-            self.topology, self.n, **dict(self.topology_params)
-        )
-        return self._materialize_from_graph(graph)
-
-    def uses_csr_pipeline(self) -> bool:
-        """Whether :meth:`materialize_preferred` would take the CSR pipeline."""
-        return (
-            self.engine == "event"
-            and self.protocol == "uniform"
-            and has_csr_builder(self.topology)
-        )
-
-    def materialize_preferred(self) -> "MaterializedScenario":
-        """Materialise through the cheapest eligible pipeline.
-
-        Routes to :meth:`materialize_csr` when the workload qualifies for
-        the graph-free pipeline (event engine, uniform protocol, a direct
-        CSR builder for the topology family) and to :meth:`materialize`
-        otherwise.  Per-seed results are bit-identical either way — only
-        materialisation time and peak RSS differ — which makes this the
-        right default wherever large-n workloads may flow through (the CLI
-        trial runners, the campaign runner's summary units).
-        """
-        if self.uses_csr_pipeline():
-            return self.materialize_csr()
-        return self.materialize()
-
-    def _materialize_from_graph(
-        self, graph: "nx.Graph | CSRGraph"
-    ) -> "MaterializedScenario":
-        """Shared tail of both materialisation pipelines (k resolution on)."""
         actual_n = graph.number_of_nodes()
         if self.k is None:
             actual_k = actual_n
@@ -658,7 +593,7 @@ class ScenarioSpec:
             actual_k = self.k
         config = self._resolve_activation(graph)
         placement = self._resolve_placement(graph, actual_k)
-        root = 0 if isinstance(graph, CSRGraph) else sorted(graph.nodes())[0]
+        root = 0
         if self.protocol == "uniform":
             factory: Any = UniformGossipFactory(
                 field_order=config.field_size,
@@ -692,9 +627,12 @@ class ScenarioSpec:
             root=root,
         )
 
+    # Kept as a second name for materialize: the repository benchmark calls it.
+    materialize_preferred = materialize
+
     _PLACEMENT_PARAMS = {"single_source": {"source"}, "adversarial_far": {"target"}}
 
-    def _resolve_placement(self, graph: nx.Graph, k: int) -> Placement:
+    def _resolve_placement(self, graph: CSRGraph, k: int) -> Placement:
         params = dict(self.placement_params)
         name = self.placement
         if name == "auto":
@@ -712,13 +650,11 @@ class ScenarioSpec:
         if name == "single_source":
             return single_source_placement(graph, k, **params)
         if name == "adversarial_far":
-            params.setdefault(
-                "target", 0 if isinstance(graph, CSRGraph) else sorted(graph.nodes())[0]
-            )
+            params.setdefault("target", 0)
             return adversarial_far_placement(graph, k, **params)
         return random_placement(graph, k, derive_rng(self.seed, "placement"))
 
-    def _resolve_activation(self, graph: nx.Graph) -> SimulationConfig:
+    def _resolve_activation(self, graph: CSRGraph) -> SimulationConfig:
         """Resolve the activation recipe into concrete per-node rates."""
         params = dict(self.activation)
         kind = params.pop("kind", "uniform")
@@ -729,8 +665,7 @@ class ScenarioSpec:
                 "give either an activation recipe or explicit "
                 "config.activation_rates, not both"
             )
-        nodes = graph.nodes() if isinstance(graph, CSRGraph) else sorted(graph.nodes())
-        n = len(nodes)
+        n = graph.number_of_nodes()
         if kind == "two_speed":
             ratio = float(params.pop("ratio", 4.0))
             fast_fraction = float(params.pop("fast_fraction", 0.5))
@@ -743,7 +678,7 @@ class ScenarioSpec:
             fast = max(1, int(round(n * fast_fraction)))
             rates = tuple(ratio if pos < fast else 1.0 for pos in range(n))
         elif kind == "degree":
-            rates = tuple(float(graph.degree[node]) for node in nodes)
+            rates = tuple(float(degree) for degree in graph.degrees().tolist())
         else:  # explicit
             rates = tuple(float(r) for r in params.pop("rates", ()))
             if len(rates) != n:
@@ -758,15 +693,9 @@ class ScenarioSpec:
         return self.config.replace(activation_rates=rates)
 
     def _bounds(
-        self, graph: nx.Graph, n: int, k: int, config: SimulationConfig
+        self, graph: CSRGraph, n: int, k: int, config: SimulationConfig
     ) -> dict[str, float]:
         """The analytic bounds attached to sweep points for this protocol."""
-        if isinstance(graph, CSRGraph):
-            raise ConfigurationError(
-                "analytic bounds need the networkx pipeline (graph diameter "
-                "and degree properties); use ScenarioSpec.materialize() "
-                "instead of materialize_csr() for sweeps with bounds"
-            )
         diameter_value = graph_diameter(graph)
         if self.protocol == "uniform":
             delta = graph_max_degree(graph)
@@ -809,7 +738,7 @@ class MaterializedScenario:
     """
 
     spec: ScenarioSpec
-    graph: "nx.Graph | CSRGraph"
+    graph: CSRGraph
     n: int
     k: int
     placement: Placement
@@ -821,11 +750,6 @@ class MaterializedScenario:
     def bounds(self) -> dict[str, float]:
         """The analytic bounds for this protocol (computed on first access)."""
         return self.spec._bounds(self.graph, self.n, self.k, self.config)
-
-    @property
-    def pipeline(self) -> str:
-        """Which topology pipeline served this scenario: ``csr`` or ``networkx``."""
-        return "csr" if isinstance(self.graph, CSRGraph) else "networkx"
 
     @property
     def label(self) -> str:
@@ -844,16 +768,8 @@ class MaterializedScenario:
         return f"{spec.spanning_tree} tree {spec.topology}(n={self.n})"
 
     def build_process(self, rng: np.random.Generator) -> GossipProcess:
-        """One fresh protocol instance drawing its setup from ``rng``.
-
-        Routed through :func:`~repro.gossip.event.build_event_process` so a
-        CSR-materialised scenario builds the decoder-less rank-only process;
-        on the networkx pipeline this is exactly ``protocol_factory(graph,
-        rng)`` as before.
-        """
-        from ..gossip.event import build_event_process
-
-        return build_event_process(self.graph, self.protocol_factory, rng)
+        """One fresh protocol instance drawing its setup from ``rng``."""
+        return self.protocol_factory(self.graph, rng)
 
     def batch_strategy(self):
         """The batch executor this scenario's trials would use, or ``None``.
@@ -958,15 +874,16 @@ class MaterializedScenario:
         engine = getattr(self.spec, "engine", "") or ""
         rng = derive_rng(effective_seed, "trial-0")
         with use_backend(self.spec.backend):
-            process = self.build_process(rng)
             if engine == "event":
-                from ..gossip.event import EventGossipEngine
+                from ..gossip.event import EventGossipEngine, build_event_process
 
+                process = build_event_process(self.graph, self.protocol_factory, rng)
                 result = EventGossipEngine(self.graph, process, self.config, rng).run()
             elif engine == "batch":
                 from ..errors import EngineError
                 from ..gossip.batch import batch_supports_config
 
+                process = self.build_process(rng)
                 strategy = process.batch_strategy()
                 if strategy is None or not batch_supports_config(self.config):
                     raise EngineError(
@@ -976,6 +893,7 @@ class MaterializedScenario:
                     )
                 result = strategy(self.graph, [process], self.config, [rng])[0]
             else:
+                process = self.build_process(rng)
                 result = GossipEngine(self.graph, process, self.config, rng).run()
         if store is not None:
             store.put(self.spec, 0, result, seed=effective_seed)

@@ -429,10 +429,10 @@ class TestScenarioEquivalence:
     def test_batch_engine_matches(
         self, backend_name, scenario_name, reference_signatures
     ):
-        from repro.experiments.parallel import measure_protocol_batched
+        from repro.experiments.parallel import measure_protocol_parallel
 
         spec = _gf2_spec(scenario_name).replace(backend=backend_name)
-        results = measure_protocol_batched(spec)
+        results = measure_protocol_parallel(spec, jobs=1)
         assert _signature(results) == reference_signatures[scenario_name]
 
 
@@ -460,23 +460,25 @@ class TestStoreBackendInvariance:
         assert "backend" not in self._spec("gf2bit").fingerprint_payload()
 
     def test_cross_backend_rerun_is_pure_cache_hit(self, tmp_path):
-        from repro.experiments.parallel import measure_protocol_batched
+        from repro.experiments.parallel import measure_protocol_parallel
 
         store = ResultStore(tmp_path)
-        first = measure_protocol_batched(self._spec("numpy"), store=store)
+        first = measure_protocol_parallel(self._spec("numpy"), store=store, jobs=1)
         assert store.puts == 3 and store.hits == 0
 
         rerun_store = ResultStore(tmp_path)
-        second = measure_protocol_batched(self._spec("gf2bit"), store=rerun_store)
+        second = measure_protocol_parallel(
+            self._spec("gf2bit"), store=rerun_store, jobs=1
+        )
         assert rerun_store.hits == 3
         assert rerun_store.puts == 0
         assert _signature(second) == _signature(first)
 
     def test_records_land_in_the_same_shard(self, tmp_path):
-        from repro.experiments.parallel import measure_protocol_batched
+        from repro.experiments.parallel import measure_protocol_parallel
 
         store = ResultStore(tmp_path)
-        measure_protocol_batched(self._spec("gf2bit"), store=store)
+        measure_protocol_parallel(self._spec("gf2bit"), store=store, jobs=1)
         assert store.fingerprints() == [self._spec("numpy").fingerprint()]
         assert store.trial_keys(self._spec("numpy").fingerprint()) == [
             (self._spec("numpy").seed, trial) for trial in range(3)

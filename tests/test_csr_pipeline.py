@@ -1,152 +1,153 @@
-"""The graph-free CSR topology pipeline: byte-identical arrays, bit-identical runs.
+"""The one graph type: every family built once as a CSRGraph, every engine on it.
 
 Three layers of guarantees:
 
-* **Builder equivalence matrix** — every direct-CSR generator registered in
-  :data:`repro.graphs.CSR_BUILDERS` produces ``(indptr, indices)`` arrays
-  that are *byte-identical* (``tobytes()``, int64) to
-  ``csr_adjacency(networkx_builder(...))`` for the same arguments, across
-  sizes, parameters and seeds — including the seed-derived retry loops of the
-  random families.
-* **Pipeline equivalence** — a scenario materialised through
-  :meth:`~repro.scenarios.ScenarioSpec.materialize_csr` replays the networkx
-  pipeline's per-trial :class:`~repro.core.results.RunResult` exactly (every
-  field, every trial) across loss, actions, placements and parallel worker
-  dispatch, and both pipelines share one keyed adjacency cache.
-* **Typed refusals** — workloads the CSR pipeline cannot serve (non-uniform
-  protocols, non-event engines, unconverted families, analytic bounds) fail
-  eagerly with :class:`~repro.errors.ConfigurationError` /
-  :class:`~repro.errors.EngineError`, never a silent fallback.
+* **Generated builder conformance** — for every registered family, size,
+  family parameter and seed a hypothesis strategy draws, the direct builder
+  produces ``(indptr, indices)`` arrays that are *byte-identical*
+  (``tobytes()``, int64) to ``CSRGraph.from_networkx`` of the networkx
+  builder the simulator used before (kept verbatim in
+  ``tests/nx_topologies.py``), and raises the same
+  :class:`~repro.errors.TopologyError` text on invalid input.
+* **The container** — :class:`~repro.graphs.CSRGraph`'s networkx-compatible
+  surface, its checked node ids, the value-keyed graph cache and the
+  networkx round trip the analysis layer relies on.
+* **One materialisation** — the event engine's decoder-less process replays
+  the decoder-built one exactly (results and generator state) across loss,
+  actions and placements; every engine, the analytic bounds and parallel
+  worker dispatch run on the same graph.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pickle
+import re
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from nx_topologies import ORACLE_BUILDERS
 
+from repro.backends import use_backend
 from repro.core import GossipAction
 from repro.core.rng import derive_rng
-from repro.errors import ConfigurationError, EngineError, TopologyError
+from repro.errors import TopologyError
+from repro.gossip import EventGossipEngine
+from repro.gossip.event import build_event_process
 from repro.graphs import (
-    CSR_BUILDERS,
     CSRGraph,
     TOPOLOGY_BUILDERS,
-    build_csr_topology,
     build_topology,
-    csr_adjacency,
     csr_bfs_distances,
     csr_from_edges,
-    topology_cache_key,
 )
 from repro.scenarios import ScenarioSpec, get_scenario
 
 # ----------------------------------------------------------------------
-# Builder equivalence matrix: direct CSR == csr_adjacency(networkx), bytewise
+# Generated builder conformance: direct CSR == from_networkx(oracle), bytewise
 # ----------------------------------------------------------------------
+_SEEDS = st.integers(min_value=0, max_value=2**16)
 
-#: (family, n, kwargs) — several sizes/parameterisations/seeds per family.
-CSR_EQUIVALENCE_CASES = [
-    ("line", 2, {}),
-    ("line", 17, {}),
-    ("line", 64, {}),
-    ("ring", 3, {}),
-    ("ring", 17, {}),
-    ("ring", 64, {}),
-    ("grid", 16, {}),
-    ("grid", 30, {}),  # non-square n: rounded by two_dimensional_side
-    ("torus", 9, {}),
-    ("torus", 30, {}),
-    ("ring_of_cliques", 8, {"cliques": 4}),
-    ("ring_of_cliques", 16, {}),
-    ("ring_of_cliques", 257, {"cliques": 8}),  # uneven clique sizes
-    ("erdos_renyi_logn", 64, {}),
-    ("erdos_renyi_logn", 200, {"c": 2.5, "seed": 3}),
-    ("random_regular", 20, {}),
-    ("random_regular", 30, {"degree": 4, "seed": 7}),
-    ("expander", 24, {"seed": 2}),
-    ("small_world", 32, {}),
-    ("small_world", 40, {"neighbours": 6, "rewire_probability": 0.3, "seed": 9}),
-]
+#: Every family parameter a builder takes, with ranges that reach its
+#: validation errors as well as its valid region.  Each is optional in a
+#: drawn case, so the builder defaults are exercised too.
+FAMILY_PARAMS: dict[str, dict[str, st.SearchStrategy]] = {
+    "dumbbell": {"path_length": st.integers(-1, 12)},
+    "clique_chain": {"cliques": st.integers(0, 7)},
+    "star_of_cliques": {"cliques": st.integers(0, 7)},
+    "ring_of_cliques": {"cliques": st.integers(1, 9)},
+    "caterpillar": {"legs_per_spine": st.integers(0, 5)},
+    "random_regular": {"degree": st.integers(1, 5), "seed": _SEEDS},
+    "expander": {"seed": _SEEDS},
+    "erdos_renyi": {
+        "average_degree": st.floats(0.5, 10.0, allow_nan=False), "seed": _SEEDS,
+    },
+    "erdos_renyi_logn": {"c": st.floats(0.5, 4.0, allow_nan=False), "seed": _SEEDS},
+    "small_world": {
+        "neighbours": st.integers(1, 9),
+        "rewire_probability": st.one_of(
+            st.floats(0.0, 1.0, allow_nan=False), st.sampled_from([-0.25, 1.5])
+        ),
+        "seed": _SEEDS,
+    },
+}
 
 
-@pytest.mark.parametrize(
-    "name,n,kwargs",
-    CSR_EQUIVALENCE_CASES,
-    ids=[f"{name}-{n}-{sorted(kw.items())}" for name, n, kwargs in CSR_EQUIVALENCE_CASES
-         for kw in (kwargs,)],
-)
-def test_direct_csr_builder_matches_networkx_reference_bytewise(name, n, kwargs):
-    """Cold builds on both sides: no shared cache can mask a divergence."""
-    direct = build_csr_topology(name, n, use_cache=False, **kwargs)
-    reference = TOPOLOGY_BUILDERS[name](n, **kwargs)  # raw builder: unstamped
-    indptr, indices = csr_adjacency(reference)
+@st.composite
+def builder_cases(draw):
+    name = draw(st.sampled_from(sorted(TOPOLOGY_BUILDERS)))
+    n = draw(st.integers(min_value=0, max_value=96))
+    kwargs = draw(st.fixed_dictionaries({}, optional=FAMILY_PARAMS.get(name, {})))
+    return name, n, kwargs
+
+
+def _build(builder, n, kwargs):
+    """``(graph, None)`` or ``(None, TopologyError text)``."""
+    try:
+        return builder(n, **kwargs), None
+    except TopologyError as error:
+        return None, str(error)
+
+
+def test_the_oracle_covers_every_registered_family():
+    assert set(ORACLE_BUILDERS) == set(TOPOLOGY_BUILDERS)
+    assert set(FAMILY_PARAMS) <= set(TOPOLOGY_BUILDERS)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=builder_cases())
+@example(case=("line", 2, {}))
+@example(case=("ring", 3, {}))
+@example(case=("grid", 30, {}))  # non-square n: rounded by two_dimensional_side
+@example(case=("torus", 9, {}))
+@example(case=("ring_of_cliques", 257, {"cliques": 8}))  # uneven clique sizes
+def test_direct_builder_matches_the_networkx_oracle_bytewise(case):
+    """Cold builds on both sides: the raw builders, not the graph cache."""
+    name, n, kwargs = case
+    direct, direct_error = _build(TOPOLOGY_BUILDERS[name], n, kwargs)
+    oracle, oracle_error = _build(ORACLE_BUILDERS[name], n, kwargs)
+    assert direct_error == oracle_error
+    if oracle is None:
+        return
+    reference = CSRGraph.from_networkx(oracle)
     assert direct.indptr.dtype == np.int64 and direct.indices.dtype == np.int64
-    assert direct.n == reference.number_of_nodes()
-    assert direct.indptr.tobytes() == indptr.tobytes()
-    assert direct.indices.tobytes() == indices.tobytes()
-
-
-def test_equivalence_matrix_covers_every_registered_csr_builder():
-    assert {name for name, _, _ in CSR_EQUIVALENCE_CASES} == set(CSR_BUILDERS)
-
-
-def test_csr_builders_are_a_subset_of_the_networkx_registry():
-    assert set(CSR_BUILDERS) <= set(TOPOLOGY_BUILDERS)
-
-
-def test_register_csr_topology_requires_a_networkx_reference():
-    from repro.graphs import register_csr_topology
-
-    with pytest.raises(TopologyError, match="no networkx reference"):
-
-        @register_csr_topology("csr_only_family")
-        def csr_only_family(n):  # pragma: no cover - must not register
-            raise AssertionError
-
-
-def test_build_csr_topology_refuses_unconverted_families():
-    with pytest.raises(TopologyError, match="no direct-CSR builder"):
-        build_csr_topology("complete", 16)
-    with pytest.raises(TopologyError, match="unknown topology"):
-        build_csr_topology("moebius", 16)
-
-
-def test_direct_builders_share_the_reference_validation_errors():
-    with pytest.raises(TopologyError):
-        build_csr_topology("ring", 2, use_cache=False)
-    with pytest.raises(TopologyError):
-        build_csr_topology("ring_of_cliques", 20, use_cache=False, cliques=1)
-    with pytest.raises(TopologyError):
-        build_csr_topology("erdos_renyi_logn", 64, use_cache=False, c=0.5)
-    with pytest.raises(TopologyError):
-        build_csr_topology("small_world", 32, use_cache=False, neighbours=1)
+    assert direct.n == oracle.number_of_nodes()
+    assert direct.indptr.tobytes() == reference.indptr.tobytes()
+    assert direct.indices.tobytes() == reference.indices.tobytes()
+    assert direct.is_connected()
 
 
 # ----------------------------------------------------------------------
-# The keyed adjacency cache is shared by both pipelines
+# The value-keyed graph cache
 # ----------------------------------------------------------------------
-def test_csr_build_first_then_networkx_adjacency_shares_arrays():
-    from repro.graphs.topologies import _KEYED_CSR
+class TestGraphCache:
+    def test_equal_arguments_share_one_instance(self):
+        assert build_topology("ring", 4099) is build_topology("ring", 4099)
+        assert build_topology("ring", 4099) is not build_topology("ring", 4101)
+        assert build_topology("ring_of_cliques", 64, cliques=4) is build_topology(
+            "ring_of_cliques", 64, cliques=4
+        )
 
-    _KEYED_CSR.pop(topology_cache_key("ring", 4099, {}), None)
-    direct = build_csr_topology("ring", 4099)
-    stamped = build_topology("ring", 4099)
-    indptr, indices = csr_adjacency(stamped)
-    assert indptr is direct.indptr and indices is direct.indices
+    def test_materialisations_share_the_graph_and_its_neighbour_memo(self):
+        spec = get_scenario("uniform/complete")
+        first, second = spec.materialize(), spec.replace(seed=9).materialize()
+        assert first.graph is second.graph
+        assert first.graph.neighbor_tuples() is second.graph.neighbor_tuples()
 
+    def test_capacity_bounds_the_cache(self):
+        from repro.graphs import topologies
 
-def test_networkx_adjacency_first_then_csr_build_shares_arrays():
-    from repro.graphs.topologies import _KEYED_CSR
+        built = [build_topology("line", 8 + size) for size in range(12)]
+        assert len(topologies._GRAPH_CACHE) == topologies._GRAPH_CACHE_CAPACITY
+        assert build_topology("line", 8) is not built[0]  # evicted, rebuilt
+        assert build_topology("line", 19) is built[-1]
 
-    _KEYED_CSR.pop(topology_cache_key("ring", 4101, {}), None)
-    indptr, indices = csr_adjacency(build_topology("ring", 4101))
-    direct = build_csr_topology("ring", 4101)
-    assert direct.indptr is indptr and direct.indices is indices
+    def test_unknown_family_is_a_topology_error(self):
+        with pytest.raises(TopologyError, match="unknown topology"):
+            build_topology("moebius", 16)
 
 
 # ----------------------------------------------------------------------
@@ -154,8 +155,8 @@ def test_networkx_adjacency_first_then_csr_build_shares_arrays():
 # ----------------------------------------------------------------------
 class TestCSRGraph:
     def test_matches_networkx_surface(self):
-        graph = build_csr_topology("grid", 16, use_cache=False)
-        reference = TOPOLOGY_BUILDERS["grid"](16)
+        graph = TOPOLOGY_BUILDERS["grid"](16)
+        reference = ORACLE_BUILDERS["grid"](16)
         assert graph.number_of_nodes() == reference.number_of_nodes()
         assert graph.number_of_edges() == reference.number_of_edges()
         assert list(graph.nodes()) == sorted(reference.nodes())
@@ -163,12 +164,51 @@ class TestCSRGraph:
         for node in graph.nodes():
             assert list(graph.neighbors(node)) == sorted(reference.neighbors(node))
             assert graph.degree[node] == reference.degree[node]
+            assert graph.degree(node) == reference.degree(node)
         assert dict(iter(graph.degree)) == dict(reference.degree)
-        assert 0 in graph and 15 in graph
+        assert sorted(graph.edges()) == sorted(tuple(sorted(e)) for e in reference.edges())
+        assert graph.has_edge(0, 1) and graph.has_edge(1, 0) and not graph.has_edge(0, 5)
+        assert 0 in graph and 15 in graph and np.int64(3) in graph
         assert 16 not in graph and -1 not in graph and "a" not in graph
 
+    @pytest.mark.parametrize("node", [-1, 8, np.int64(-3), 2**40, "a", 1.5])
+    def test_node_ids_outside_the_graph_raise_a_topology_error(self, node):
+        graph = build_topology("ring", 8)
+        for query in (
+            lambda: graph.degree[node],
+            lambda: graph.degree(node),
+            lambda: list(graph.neighbors(node)),
+            lambda: graph.bfs_distances(node),
+            lambda: graph.has_edge(node, 0),
+            lambda: graph.has_edge(0, node),
+        ):
+            with pytest.raises(TopologyError, match=re.escape(f"node {node!r} is not")):
+                query()
+
+    def test_numpy_node_ids_are_accepted(self):
+        graph = build_topology("ring", 8)
+        assert graph.degree[np.int64(7)] == 2
+        assert list(graph.neighbors(np.int32(0))) == [1, 7]
+        assert graph.bfs_distances(np.int64(0))[4] == 4
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGY_BUILDERS))
+    def test_networkx_round_trip_is_byte_identical(self, name):
+        graph = TOPOLOGY_BUILDERS[name](32)
+        view = graph.to_networkx()
+        assert sorted(view.nodes()) == list(range(graph.n))
+        for node in view.nodes():  # ascending adjacency, like the CSR rows
+            assert list(view.neighbors(node)) == sorted(view.neighbors(node))
+        back = CSRGraph.from_networkx(view)
+        assert back.indptr.tobytes() == graph.indptr.tobytes()
+        assert back.indices.tobytes() == graph.indices.tobytes()
+
+    def test_from_networkx_relabels_sorted_nodes_to_positions(self):
+        graph = CSRGraph.from_networkx(nx.path_graph(["c", "a", "b"]))
+        # sorted labels a, b, c -> 0, 1, 2; the path is c - a - b.
+        assert [list(graph.neighbors(node)) for node in graph] == [[1, 2], [0], [0]]
+
     def test_arrays_are_read_only_int64(self):
-        graph = build_csr_topology("ring", 12, use_cache=False)
+        graph = TOPOLOGY_BUILDERS["ring"](12)
         assert not graph.indptr.flags.writeable
         assert not graph.indices.flags.writeable
         with pytest.raises(ValueError):
@@ -181,47 +221,51 @@ class TestCSRGraph:
             CSRGraph(2, np.array([0, 1, 2]), np.zeros(5, dtype=np.int64))
 
     def test_pickle_roundtrip_preserves_arrays_and_flags(self):
-        graph = build_csr_topology("torus", 16, use_cache=False)
+        graph = TOPOLOGY_BUILDERS["torus"](16)
+        graph.neighbor_tuples()
         clone = pickle.loads(pickle.dumps(graph))
         assert clone.n == graph.n
         assert clone.indptr.tobytes() == graph.indptr.tobytes()
         assert clone.indices.tobytes() == graph.indices.tobytes()
         assert not clone.indptr.flags.writeable
         assert not clone.indices.flags.writeable
+        assert clone.neighbor_tuples() == graph.neighbor_tuples()
 
     def test_degrees_vector(self):
-        graph = build_csr_topology("torus", 16, use_cache=False)
+        graph = TOPOLOGY_BUILDERS["torus"](16)
         assert np.array_equal(graph.degrees(), np.full(16, 4, dtype=np.int64))
 
+    def test_neighbor_tuples_are_the_sorted_rows_and_memoized(self):
+        graph = TOPOLOGY_BUILDERS["star_of_cliques"](17)
+        tuples = graph.neighbor_tuples()
+        assert tuples is graph.neighbor_tuples()
+        assert tuples == tuple(tuple(sorted(graph.neighbors(v))) for v in graph)
+
     def test_connectivity(self):
-        assert build_csr_topology("ring", 10, use_cache=False).is_connected()
+        assert TOPOLOGY_BUILDERS["ring"](10).is_connected()
         split = csr_from_edges(4, np.array([0, 2]), np.array([1, 3]))
         assert not split.is_connected()
 
     def test_bfs_distances_match_networkx(self):
-        graph = build_csr_topology("grid", 25, use_cache=False)
-        reference = TOPOLOGY_BUILDERS["grid"](25)
+        graph = TOPOLOGY_BUILDERS["grid"](25)
+        reference = ORACLE_BUILDERS["grid"](25)
         for source in (0, 12, 24):
             expected = nx.single_source_shortest_path_length(reference, source)
             hops = csr_bfs_distances(graph.indptr, graph.indices, source)
             assert {node: int(d) for node, d in enumerate(hops)} == expected
+            assert np.array_equal(graph.bfs_distances(source), hops)
 
-    def test_csr_from_edges_matches_csr_adjacency(self):
+    def test_csr_from_edges_matches_from_networkx(self):
         reference = nx.gnp_random_graph(30, 0.2, seed=11)
         edges = np.array(sorted(reference.edges()), dtype=np.int64)
         graph = csr_from_edges(30, edges[:, 0], edges[:, 1])
-        indptr, indices = csr_adjacency(reference)
-        assert graph.indptr.tobytes() == indptr.tobytes()
-        assert graph.indices.tobytes() == indices.tobytes()
-
-    def test_csr_adjacency_returns_csr_graph_arrays_as_is(self):
-        graph = build_csr_topology("ring", 10, use_cache=False)
-        indptr, indices = csr_adjacency(graph)
-        assert indptr is graph.indptr and indices is graph.indices
+        converted = CSRGraph.from_networkx(reference)
+        assert graph.indptr.tobytes() == converted.indptr.tobytes()
+        assert graph.indices.tobytes() == converted.indices.tobytes()
 
 
 # ----------------------------------------------------------------------
-# Pipeline equivalence: materialize_csr() == materialize(), field for field
+# One materialisation: the rank-only process replays the decoder-built one
 # ----------------------------------------------------------------------
 def _er_spec(**overrides) -> ScenarioSpec:
     settings = dict(n=64, trials=3, seed=20260808)
@@ -229,8 +273,8 @@ def _er_spec(**overrides) -> ScenarioSpec:
     return get_scenario("event/er-logn").replace(**settings)
 
 
-#: name → spec factory: one entry per behavioural axis the CSR pipeline
-#: claims to replay bit-identically.
+#: name → spec factory: one entry per behavioural axis the event engine's
+#: decoder-less process claims to replay bit-identically.
 PIPELINE_CASES = {
     "er-logn": lambda: _er_spec(),
     "ring-of-cliques": lambda: get_scenario("event/ring-of-cliques").replace(
@@ -250,93 +294,83 @@ PIPELINE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(PIPELINE_CASES), ids=str)
-def test_csr_pipeline_matches_networkx_pipeline_bit_identically(case):
+def test_rank_only_process_matches_the_decoder_process(case):
+    """Same results *and* generator state, trial for trial."""
     spec = PIPELINE_CASES[case]()
-    via_networkx = spec.materialize()
-    via_csr = spec.materialize_csr()
-    assert via_networkx.pipeline == "networkx" and via_csr.pipeline == "csr"
-    assert via_networkx.measure() == via_csr.measure()
+    scenario = spec.materialize()
+    factory = scenario.protocol_factory
+    for trial in range(spec.trials):
+        runs = []
+        for build in (factory, factory.rank_only_process):
+            rng = derive_rng(spec.seed, f"trial-{trial}")
+            with use_backend(spec.backend):
+                process = build(scenario.graph, rng)
+                result = EventGossipEngine(
+                    scenario.graph, process, scenario.config, rng
+                ).run()
+            runs.append((result, rng.bit_generator.state))
+        assert runs[0] == runs[1], trial
 
 
-def test_run_single_matches_across_pipelines():
-    spec = _er_spec(trials=1)
-    assert spec.materialize().run_single() == spec.materialize_csr().run_single()
+def test_every_engine_runs_on_the_one_graph():
+    spec = _er_spec(trials=2)
+    event = spec.materialize().measure()
+    assert spec.replace(engine="scalar").materialize().measure() == event
+    assert spec.replace(engine="batch").materialize().measure() == event
+    assert spec.materialize().run_single() == event[0]
 
 
-def test_parallel_worker_dispatch_matches_inline_on_csr_pipeline():
+def test_parallel_worker_dispatch_matches_inline():
     """Chunked workers receive the CSRGraph by pickle and stay bit-identical."""
-    spec = _er_spec(trials=4)
-    scenario = spec.materialize_csr()
-    assert scenario.measure(jobs=2) == spec.materialize().measure(jobs=1)
+    scenario = _er_spec(trials=4).materialize()
+    assert scenario.measure(jobs=2) == scenario.measure(jobs=1)
 
 
-def test_pipelines_share_one_fingerprint():
-    spec = _er_spec()
-    assert spec.materialize().spec.fingerprint() == spec.materialize_csr().spec.fingerprint()
+def test_bounds_work_for_every_scenario():
+    bounds = _er_spec().materialize().bounds
+    assert {"theorem1", "lower"} <= set(bounds)
+    assert all(value > 0 for value in bounds.values())
 
 
-# ----------------------------------------------------------------------
-# Typed refusals
-# ----------------------------------------------------------------------
-def test_materialize_csr_rejects_non_uniform_protocols():
-    spec = ScenarioSpec(
-        name="t", description="t", topology="barbell", n=16, protocol="tag",
-        spanning_tree="brr",
-    )
-    with pytest.raises(ConfigurationError, match="uniform algebraic gossip"):
-        spec.materialize_csr()
+def test_build_event_process_calls_factories_without_a_rank_only_path():
+    """A user factory with no ``rank_only_process`` still feeds the event engine."""
+    scenario = _er_spec(trials=1).materialize()
+    factory = scenario.protocol_factory
+
+    def user_factory(graph, rng):
+        return factory(graph, rng)
+
+    rng = derive_rng(0, "trial-0")
+    process = build_event_process(scenario.graph, user_factory, rng)
+    assert type(process).__name__ == "AlgebraicGossip"
+    with use_backend(scenario.spec.backend):
+        result = EventGossipEngine(scenario.graph, process, scenario.config, rng).run()
+    expected = scenario.run_single(seed=0)
+    assert result == expected
 
 
-def test_materialize_csr_requires_the_event_engine():
-    spec = _er_spec(engine="")
-    with pytest.raises(ConfigurationError, match="engine='event'"):
-        spec.materialize_csr()
+def test_names_the_repository_benchmark_uses_stay_bound():
+    """``perfbench/`` calls ``materialize_preferred`` and its tracer patches
+    the topology build by these module attribute names."""
+    from repro.campaigns import runner
+    from repro.scenarios import spec as scenario_spec
 
-
-def test_materialize_csr_rejects_unconverted_topologies():
-    spec = ScenarioSpec(
-        name="t", description="t", topology="complete", n=16, k=8, engine="event",
-        config=_er_spec().config,
-    )
-    with pytest.raises(ConfigurationError, match="no direct-CSR builder"):
-        spec.materialize_csr()
-
-
-def test_bounds_require_the_networkx_pipeline():
-    scenario = _er_spec().materialize_csr()
-    with pytest.raises(ConfigurationError, match="analytic bounds"):
-        scenario.bounds
-
-
-def test_csr_scenario_refuses_non_event_engines():
-    scenario = _er_spec().materialize_csr()
-    rewired = dataclasses.replace(scenario, spec=scenario.spec.replace(engine="scalar"))
-    with pytest.raises(EngineError, match="event-driven engine"):
-        rewired.measure()
-
-
-def test_build_event_process_refuses_non_rank_only_factories_on_csr():
-    from repro.gossip.event import build_event_process
-
-    tag = ScenarioSpec(
-        name="t", description="t", topology="barbell", n=16, protocol="tag",
-        spanning_tree="brr",
-    ).materialize()
-    graph = build_csr_topology("ring", 16)
-    with pytest.raises(EngineError, match="graph-free pipeline"):
-        build_event_process(graph, tag.protocol_factory, derive_rng(0, "trial-0"))
+    assert ScenarioSpec.materialize_preferred is ScenarioSpec.materialize
+    assert scenario_spec.build_csr_topology is build_topology
+    assert scenario_spec.build_topology is build_topology
+    assert runner.build_topology is build_topology
 
 
 # ----------------------------------------------------------------------
 # CLI: `repro scenario stats`
 # ----------------------------------------------------------------------
 class TestScenarioStatsCommand:
-    def test_json_reports_csr_pipeline(self, capsys):
+    def test_json_reports_the_topology_statistics(self, capsys):
         from repro.cli import main
 
         assert main(["scenario", "stats", "event/er-logn", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["pipeline"] == "csr"
+        assert "pipeline" not in payload
         assert payload["topology"] == "erdos_renyi_logn"
         assert payload["n"] == 2048
         assert payload["degree_min"] >= 1
@@ -344,19 +378,19 @@ class TestScenarioStatsCommand:
         assert payload["materialize_seconds"] >= 0
         assert payload["m"] > payload["n"]  # connected G(n, 2 log n / n)
 
-    def test_networkx_pipeline_reported_for_unconverted_workloads(self, capsys):
+    def test_dense_families_report_like_any_other(self, capsys):
         from repro.cli import main
 
         assert main(["scenario", "stats", "uniform/complete", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["pipeline"] == "networkx"
+        assert payload["m"] == payload["n"] * (payload["n"] - 1) // 2
 
     def test_human_readable_output(self, capsys):
         from repro.cli import main
 
         assert main(["scenario", "stats", "event/ring-of-cliques"]) == 0
         out = capsys.readouterr().out
-        assert "csr" in out and "ring_of_cliques" in out
+        assert "ring_of_cliques" in out and "pipeline" not in out
 
     def test_unknown_scenario_is_an_error(self, capsys):
         from repro.cli import main

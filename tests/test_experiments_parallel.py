@@ -16,9 +16,7 @@ from repro.core import TimeModel
 from repro.errors import AnalysisError, SimulationError
 from repro.experiments import (
     default_config,
-    measure_protocol_batched,
     measure_protocol_parallel,
-    run_trials_batched,
     run_trials_parallel,
     tag_case,
     uniform_ag_case,
@@ -47,8 +45,9 @@ class TestBatchedEqualsSequential:
         sequential = measure_protocol(
             case.graph, case.protocol_factory, case.config, trials=4, seed=99
         )
-        batched = measure_protocol_batched(
-            case.graph, case.protocol_factory, case.config, trials=4, seed=99
+        batched = measure_protocol_parallel(
+            case.graph, case.protocol_factory, case.config, trials=4, seed=99,
+            jobs=1,
         )
         assert _signature(batched) == _signature(sequential)
 
@@ -57,8 +56,9 @@ class TestBatchedEqualsSequential:
         sequential = measure_protocol(
             uniform_case.graph, uniform_case.protocol_factory, config, trials=3, seed=5
         )
-        batched = measure_protocol_batched(
-            uniform_case.graph, uniform_case.protocol_factory, config, trials=3, seed=5
+        batched = measure_protocol_parallel(
+            uniform_case.graph, uniform_case.protocol_factory, config, trials=3,
+            seed=5, jobs=1,
         )
         assert _signature(batched) == _signature(sequential)
 
@@ -67,9 +67,9 @@ class TestBatchedEqualsSequential:
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
             trials=4, seed=21,
         )
-        batched = run_trials_batched(
+        batched = run_trials_parallel(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
-            trials=4, seed=21,
+            trials=4, seed=21, jobs=1,
         )
         assert batched.samples == sequential.samples
 
@@ -79,8 +79,9 @@ class TestBatchedEqualsSequential:
         sequential = measure_protocol(
             case.graph, case.protocol_factory, case.config, trials=2, seed=13
         )
-        batched = measure_protocol_batched(
-            case.graph, case.protocol_factory, case.config, trials=2, seed=13
+        batched = measure_protocol_parallel(
+            case.graph, case.protocol_factory, case.config, trials=2, seed=13,
+            jobs=1,
         )
         assert _signature(batched) == _signature(sequential)
 
@@ -109,8 +110,8 @@ class TestBatchedEqualsSequential:
         sequential = measure_protocol(
             uniform_case.graph, factory, config, trials=2, seed=13
         )
-        batched = measure_protocol_batched(
-            uniform_case.graph, factory, config, trials=2, seed=13
+        batched = measure_protocol_parallel(
+            uniform_case.graph, factory, config, trials=2, seed=13, jobs=1
         )
         assert _signature(batched) == _signature(sequential)
 

@@ -19,7 +19,7 @@ from repro.analysis.stopping_time import measure_protocol
 from repro.core import SimulationConfig, TimeModel
 from repro.errors import SimulationError
 from repro.experiments import all_to_all_placement, default_config, tag_case
-from repro.experiments.parallel import measure_protocol_batched
+from repro.experiments.parallel import measure_protocol_parallel
 from repro.gf import GF
 from repro.gossip import (
     BatchTagEngine,
@@ -38,6 +38,7 @@ from repro.protocols import (
     UniformBroadcastTree,
 )
 from repro.rlnc import Generation
+from repro.scenarios import ScenarioSpec, default_scenario_config
 
 SPANNING_TREES = ["brr", "uniform_broadcast", "bfs_oracle", "is"]
 
@@ -53,7 +54,9 @@ def _signature(results):
 
 def _assert_batched_equals_sequential(graph, factory, config, *, trials, seed):
     sequential = measure_protocol(graph, factory, config, trials=trials, seed=seed)
-    batched = measure_protocol_batched(graph, factory, config, trials=trials, seed=seed)
+    batched = measure_protocol_parallel(
+        graph, factory, config, trials=trials, seed=seed, jobs=1
+    )
     assert _signature(batched) == _signature(sequential)
 
 
@@ -170,6 +173,36 @@ class TestSpanningTreeBatchedEqualsSequential:
 
             GossipEngine(graph, reference, config, rng).run()
             assert protocol.current_tree().parent == reference.current_tree().parent
+
+
+#: Families whose former networkx builders listed their nodes out of
+#: ascending order; round-robin offsets are drawn in ascending node order.
+ORDER_SENSITIVE_SPECS = {
+    "dumbbell": ScenarioSpec(topology="dumbbell", n=14, topology_params={"path_length": 3}),
+    "star_of_cliques": ScenarioSpec(
+        topology="star_of_cliques", n=13, topology_params={"cliques": 3}
+    ),
+}
+
+
+class TestRoundRobinOnOrderSensitiveFamilies:
+    @pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("protocol", ["tag", "spanning_tree"])
+    @pytest.mark.parametrize("spanning_tree", ["brr", "is"])
+    @pytest.mark.parametrize("family", sorted(ORDER_SENSITIVE_SPECS))
+    def test_scalar_and_batch_engines_match(
+        self, family, spanning_tree, protocol, time_model
+    ):
+        spec = ORDER_SENSITIVE_SPECS[family].replace(
+            protocol=protocol,
+            spanning_tree=spanning_tree,
+            config=default_scenario_config(time_model=time_model),
+            trials=3,
+            seed=23,
+        )
+        scalar = spec.replace(engine="scalar").materialize().measure()
+        batch = spec.replace(engine="batch").materialize().measure()
+        assert _signature(batch) == _signature(scalar)
 
 
 class TestBatchStrategySelection:

@@ -10,7 +10,14 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.gossip import FixedPartnerSelector, RoundRobinSelector, UniformSelector
-from repro.graphs import line_graph, ring_graph, star_graph
+from repro.graphs import (
+    CSRGraph,
+    dumbbell_graph,
+    line_graph,
+    ring_graph,
+    star_graph,
+    star_of_cliques_graph,
+)
 
 
 class TestUniformSelector:
@@ -30,10 +37,11 @@ class TestUniformSelector:
             assert 800 <= counts[leaf] <= 1200
 
     def test_isolated_node_rejected(self, rng):
-        graph = nx.Graph()
-        graph.add_nodes_from([0, 1])
-        graph.add_edge(0, 1)
-        graph.add_node(2)
+        reference = nx.Graph()
+        reference.add_nodes_from([0, 1])
+        reference.add_edge(0, 1)
+        reference.add_node(2)
+        graph = CSRGraph.from_networkx(reference)
         with pytest.raises(SimulationError):
             UniformSelector(graph)
 
@@ -67,6 +75,20 @@ class TestRoundRobinSelector:
         selector = RoundRobinSelector(graph, np.random.default_rng(2))
         assert selector.partner(0, rng) == 1
         assert selector.partner(0, rng) == 1
+
+    @pytest.mark.parametrize(
+        "graph",
+        [star_of_cliques_graph(13, cliques=3), dumbbell_graph(12, path_length=3)],
+        ids=["star_of_cliques", "dumbbell"],
+    )
+    def test_offsets_are_drawn_in_ascending_node_order(self, graph):
+        """One offset per node, node 0 first: the families whose nodes were
+        once listed out of order draw the same stream as every other."""
+        selector = RoundRobinSelector(graph, np.random.default_rng(5))
+        draws = np.random.default_rng(5)
+        expected = {node: int(draws.integers(0, graph.degree[node])) for node in graph}
+        assert selector.positions() == expected
+        assert list(selector.positions()) == list(range(graph.number_of_nodes()))
 
 
 class TestFixedPartnerSelector:

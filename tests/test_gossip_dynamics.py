@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.stopping_time import measure_protocol
 from repro.core import SimulationConfig, TimeModel
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.parallel import measure_protocol_batched
+from repro.experiments.parallel import measure_protocol_parallel
 from repro.gf import GF
 from repro.gossip import GossipEngine, NodeDynamics, batch_supports_config
 from repro.gossip.engine import GossipProcess
@@ -42,7 +42,7 @@ def _measure_both(spec, trials=4, seed=7):
         scenario.graph, scenario.protocol_factory, scenario.config,
         trials=trials, seed=seed,
     )
-    batched = measure_protocol_batched(scenario, trials=trials, seed=seed)
+    batched = measure_protocol_parallel(scenario, trials=trials, seed=seed, jobs=1)
     return sequential, batched
 
 

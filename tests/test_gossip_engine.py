@@ -11,7 +11,7 @@ import pytest
 from repro.core import GossipAction, SimulationConfig, TimeModel
 from repro.errors import SimulationError
 from repro.gossip import EventTrace, GossipEngine, GossipProcess, Transmission, run_protocol
-from repro.graphs import line_graph, ring_graph
+from repro.graphs import CSRGraph, line_graph, ring_graph
 
 
 class TokenSpread(GossipProcess):
@@ -22,7 +22,7 @@ class TokenSpread(GossipProcess):
     the engine's "deliveries visible next round" semantics directly testable.
     """
 
-    def __init__(self, graph: nx.Graph) -> None:
+    def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
         self.informed = {0}
         self.n = graph.number_of_nodes()
@@ -130,12 +130,12 @@ class TestSafetyLimits:
 
     def test_disconnected_or_tiny_graphs_rejected(self):
         config = SimulationConfig()
-        tiny = nx.Graph()
-        tiny.add_node(0)
+        single = nx.Graph()
+        single.add_node(0)
+        tiny = CSRGraph.from_networkx(single)
         with pytest.raises(SimulationError):
             GossipEngine(tiny, TokenSpread(tiny), config, np.random.default_rng(0))
-        disconnected = nx.Graph()
-        disconnected.add_edges_from([(0, 1), (2, 3)])
+        disconnected = CSRGraph.from_networkx(nx.Graph([(0, 1), (2, 3)]))
         with pytest.raises(SimulationError):
             GossipEngine(disconnected, TokenSpread(disconnected), config, np.random.default_rng(0))
 

@@ -24,7 +24,7 @@ class TestLollipop:
     def test_structure(self):
         graph = lollipop_graph(16)
         assert graph.number_of_nodes() == 16
-        assert nx.is_connected(graph)
+        assert graph.is_connected()
         # Clique of 8 plus a path of 8: diameter is at least the path length.
         assert diameter(graph) >= 8
         assert max_degree(graph) >= 7
@@ -41,7 +41,7 @@ class TestCaterpillar:
     def test_constant_degree_and_exact_size(self):
         graph = caterpillar_graph(20, legs_per_spine=2)
         assert graph.number_of_nodes() == 20
-        assert nx.is_connected(graph)
+        assert graph.is_connected()
         assert max_degree(graph) <= 6
 
     def test_invalid_legs(self):
@@ -53,8 +53,8 @@ class TestSmallWorld:
     def test_connected_and_seeded(self):
         a = small_world_graph(24, seed=5)
         b = small_world_graph(24, seed=5)
-        assert nx.is_connected(a)
-        assert nx.utils.graphs_equal(a, b)
+        assert a.is_connected()
+        assert nx.utils.graphs_equal(a.to_networkx(), b.to_networkx())
         # Small world: diameter much smaller than n.
         assert diameter(a) <= 8
 
@@ -69,9 +69,9 @@ class TestStarOfCliques:
     def test_structure(self):
         graph = star_of_cliques_graph(17, cliques=4)
         assert graph.number_of_nodes() == 17
-        assert nx.is_connected(graph)
+        assert graph.is_connected()
         # The hub connects the cliques; removing it disconnects the graph.
-        pruned = graph.copy()
+        pruned = graph.to_networkx()
         pruned.remove_node(0)
         assert not nx.is_connected(pruned)
 

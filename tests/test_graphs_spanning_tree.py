@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.graphs import (
+    CSRGraph,
     SpanningTree,
     barbell_graph,
     bfs_spanning_tree,
@@ -80,7 +81,7 @@ class TestBfsSpanningTree:
     def test_bfs_tree_gives_shortest_path_depths(self):
         graph = grid_graph(16)
         tree = bfs_spanning_tree(graph, 0)
-        lengths = nx.single_source_shortest_path_length(graph, 0)
+        lengths = nx.single_source_shortest_path_length(graph.to_networkx(), 0)
         for node, distance in lengths.items():
             if node == 0:
                 continue
@@ -91,8 +92,7 @@ class TestBfsSpanningTree:
             bfs_spanning_tree(ring_graph(6), 99)
 
     def test_disconnected_graph_rejected(self):
-        graph = nx.Graph()
-        graph.add_edges_from([(0, 1), (2, 3)])
+        graph = CSRGraph.from_networkx(nx.Graph([(0, 1), (2, 3)]))
         with pytest.raises(TopologyError):
             bfs_spanning_tree(graph, 0)
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.graphs import (
+    CSRGraph,
     TOPOLOGY_BUILDERS,
     barbell_graph,
     binary_tree_graph,
@@ -30,7 +31,8 @@ from repro.graphs.properties import diameter, max_degree
 @pytest.mark.parametrize("name", sorted(TOPOLOGY_BUILDERS))
 def test_every_builder_produces_connected_consecutive_graph(name):
     graph = build_topology(name, 16)
-    assert nx.is_connected(graph)
+    assert isinstance(graph, CSRGraph)
+    assert nx.is_connected(graph.to_networkx())
     assert sorted(graph.nodes()) == list(range(graph.number_of_nodes()))
     assert graph.number_of_nodes() >= 4
 
@@ -62,7 +64,7 @@ class TestLineRingGrid:
 
     def test_torus_is_four_regular(self):
         graph = torus_graph(16)
-        degrees = {d for _, d in graph.degree()}
+        degrees = {d for _, d in graph.degree}
         assert degrees == {4}
 
     def test_too_small_rejected(self):
@@ -97,7 +99,7 @@ class TestTreeTopologies:
         assert graph.number_of_nodes() == 13
         assert graph.number_of_edges() == 12
         assert max_degree(graph) <= 3
-        assert nx.is_tree(graph)
+        assert nx.is_tree(graph.to_networkx())
 
     def test_binary_tree_logarithmic_diameter(self):
         graph = binary_tree_graph(31)
@@ -115,7 +117,7 @@ class TestBottleneckTopologies:
     def test_barbell_odd_count_keeps_n_nodes(self):
         graph = barbell_graph(11)
         assert graph.number_of_nodes() == 11
-        assert nx.is_connected(graph)
+        assert graph.is_connected()
 
     def test_barbell_too_small(self):
         with pytest.raises(TopologyError):
@@ -124,7 +126,7 @@ class TestBottleneckTopologies:
     def test_dumbbell_path_length(self):
         graph = dumbbell_graph(14, path_length=4)
         assert graph.number_of_nodes() == 14
-        assert nx.is_connected(graph)
+        assert graph.is_connected()
         assert diameter(graph) >= 5
 
     def test_dumbbell_invalid_parameters(self):
@@ -136,7 +138,7 @@ class TestBottleneckTopologies:
     def test_clique_chain_counts(self):
         graph = clique_chain_graph(20, cliques=4)
         assert graph.number_of_nodes() == 20
-        assert nx.is_connected(graph)
+        assert graph.is_connected()
         # Four 5-cliques plus three bridges.
         assert graph.number_of_edges() == 4 * 10 + 3
 
@@ -151,8 +153,8 @@ class TestRandomTopologies:
     def test_random_regular_is_regular_and_deterministic(self):
         a = random_regular_graph(12, degree=3, seed=7)
         b = random_regular_graph(12, degree=3, seed=7)
-        assert set(dict(a.degree()).values()) == {3}
-        assert nx.utils.graphs_equal(a, b)
+        assert set(dict(a.degree).values()) == {3}
+        assert nx.utils.graphs_equal(a.to_networkx(), b.to_networkx())
 
     def test_random_regular_invalid_degree(self):
         with pytest.raises(TopologyError):
@@ -161,12 +163,12 @@ class TestRandomTopologies:
     def test_erdos_renyi_connected_and_seeded(self):
         a = erdos_renyi_graph(30, average_degree=5.0, seed=3)
         b = erdos_renyi_graph(30, average_degree=5.0, seed=3)
-        assert nx.is_connected(a)
-        assert nx.utils.graphs_equal(a, b)
+        assert a.is_connected()
+        assert nx.utils.graphs_equal(a.to_networkx(), b.to_networkx())
 
     def test_expander_is_connected_constant_degree(self):
         graph = expander_graph(20, seed=1)
-        assert nx.is_connected(graph)
+        assert graph.is_connected()
         assert max_degree(graph) == 4
 
 
@@ -195,7 +197,7 @@ class TestTopologyRegistry:
     @pytest.mark.parametrize("name", sorted(TOPOLOGY_BUILDERS))
     def test_every_builder_yields_connected_consecutive_graph(self, name):
         graph = build_topology(name, 16)
-        assert nx.is_connected(graph)
+        assert graph.is_connected()
         assert sorted(graph.nodes()) == list(range(graph.number_of_nodes()))
 
     def test_duplicate_registration_rejected(self):
@@ -213,7 +215,7 @@ class TestTopologyRegistry:
 
         @register_topology("test_tiny_clique")
         def test_tiny_clique_graph(n):
-            return nx.complete_graph(n)
+            return CSRGraph.from_networkx(nx.complete_graph(n))
 
         try:
             assert build_topology("test_tiny_clique", 5).number_of_nodes() == 5

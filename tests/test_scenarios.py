@@ -11,7 +11,7 @@ from repro.cli import main
 from repro.core import SimulationConfig, TimeModel
 from repro.errors import ConfigurationError
 from repro.experiments import tag_case, uniform_ag_case
-from repro.experiments.parallel import run_trials_batched, run_trials_parallel
+from repro.experiments.parallel import run_trials_parallel
 from repro.scenarios import (
     SCENARIOS,
     MaterializedScenario,
@@ -342,7 +342,7 @@ class TestSingleSpecDrivesEveryConsumer:
 
     def test_runners_agree(self):
         direct = self.SPEC.materialize().run()
-        batched = run_trials_batched(self.SPEC)
+        batched = run_trials_parallel(self.SPEC, jobs=1)
         parallel = run_trials_parallel(self.SPEC, jobs=2)
         swept = run_sweep([self.SPEC], trials=3, seed=41)[0]
         assert direct == batched == parallel == swept.stats
@@ -363,9 +363,9 @@ class TestSingleSpecDrivesEveryConsumer:
 
         scenario = self.SPEC.materialize()
         with pytest.raises(AnalysisError):
-            run_trials_batched(self.SPEC, scenario.protocol_factory)
+            run_trials_parallel(self.SPEC, scenario.protocol_factory, jobs=1)
         with pytest.raises(AnalysisError):
-            run_trials_batched(scenario, None, scenario.config)
+            run_trials_parallel(scenario, None, scenario.config, jobs=1)
 
 
 class TestSweepCaseRebase:

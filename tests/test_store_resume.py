@@ -21,7 +21,7 @@ import pytest
 
 from repro.analysis import run_sweep
 from repro.experiments import run_experiment
-from repro.experiments.parallel import measure_protocol_batched
+from repro.experiments.parallel import measure_protocol_parallel
 from repro.scenarios import ScenarioSpec, default_scenario_config
 from repro.store import ResultStore
 
@@ -90,14 +90,14 @@ class TestResumeSemantics:
 
     def test_per_trial_results_identical_through_the_store(self, tmp_path):
         spec = _table1_specs(("grid",))[0]
-        direct = measure_protocol_batched(spec)
+        direct = measure_protocol_parallel(spec, jobs=1)
         store = ResultStore(tmp_path)
         # Warm the store with a prefix of the trial range only.
-        measure_protocol_batched(spec, trials=4, store=store)
-        mixed = measure_protocol_batched(spec, store=store)
+        measure_protocol_parallel(spec, trials=4, store=store, jobs=1)
+        mixed = measure_protocol_parallel(spec, store=store, jobs=1)
         assert mixed == direct
         # And a pure read-back run returns the same objects' worth of data.
-        replayed = measure_protocol_batched(spec, store=ResultStore(tmp_path))
+        replayed = measure_protocol_parallel(spec, store=ResultStore(tmp_path), jobs=1)
         assert replayed == direct
 
     def test_scalar_and_batch_paths_share_cache_records(self, tmp_path):
@@ -161,9 +161,11 @@ class TestCachedRerun:
     def test_fresh_recomputes_without_duplicating_records(self, tmp_path):
         spec = _table1_specs(("grid",))[0]
         store = ResultStore(tmp_path)
-        baseline = measure_protocol_batched(spec, store=store)
+        baseline = measure_protocol_parallel(spec, store=store, jobs=1)
         fresh_store = ResultStore(tmp_path)
-        recomputed = measure_protocol_batched(spec, store=fresh_store, fresh=True)
+        recomputed = measure_protocol_parallel(
+            spec, store=fresh_store, fresh=True, jobs=1
+        )
         assert recomputed == baseline
         assert fresh_store.hits == 0, "fresh must not read the cache"
         assert fresh_store.puts == 0, "identical records must not be re-appended"

@@ -49,7 +49,7 @@ def _measure(spec, engine: str):
     with) the same shard.
     """
     pinned = spec.replace(engine=engine)
-    scenario = pinned.materialize_preferred()
+    scenario = pinned.materialize()
     return _measure_trial_indices(
         scenario.graph,
         scenario.protocol_factory,
