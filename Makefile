@@ -51,15 +51,18 @@ bench-json:
 bench-check:
 	$(PYTHON) benchmarks/check_regression.py
 
-## Compute-backend contract: the full conformance suite (every registered
-## backend vs the numpy reference — kernels, eliminator traces, end-to-end
-## scenario equivalence, typed q!=2 refusal, store invariance) plus a
-## scaled-down run of the GF(2) backend benchmark proving gf2bit is faster
-## *and* bit-identical on the all-to-all workload.  The full-size >=5x floor
-## is asserted by `make bench-json` / the committed BENCH record.
+## Packed GF(2) eliminator vs the dense reference: the conformance suite
+## (the field picks the eliminator, packed-vs-dense eliminator traces,
+## generated GF(2) scenarios on every eligible engine against the dense
+## scalar run, typed q!=2 refusal, store invariance) plus a scaled-down run
+## of the GF(2) eliminator benchmark proving the packed eliminator is faster
+## *and* bit-identical on the all-to-all workload.  n=64 keeps the 2x smoke
+## floor clear of the fixed per-call cost that dominates smaller n.  The
+## full-size >=5x floor is asserted by `make bench-json` / the committed
+## BENCH record.
 backend-check:
 	$(PYTHON) -m pytest tests/test_backend_conformance.py -q
-	REPRO_BENCH_GF2_N=48 REPRO_BENCH_GF2_TRIALS=4 REPRO_BENCH_GF2_MIN_SPEEDUP=2 \
+	REPRO_BENCH_GF2_N=64 REPRO_BENCH_GF2_TRIALS=4 REPRO_BENCH_GF2_MIN_SPEEDUP=2 \
 		$(PYTHON) -m pytest benchmarks/bench_backend_gf2.py --benchmark-only -q
 
 ## Event-driven engine contract: the full equivalence/refusal/dispatch suite

@@ -151,7 +151,6 @@ def test_asymptotics_campaign(benchmark):
         protocol="uniform-ag",
         families=sorted(fits),
         field_size=2,
-        backend="gf2bit",
         engine="event",
         peak_rss_mib_run=peak_rss_mib(),
     )

@@ -9,8 +9,8 @@ the test oracle (``tests/nx_topologies.py``), converted with
 :meth:`~repro.graphs.CSRGraph.from_networkx`.
 
 It runs the registry's large-``n`` workload — uniform AG over ``GF(2)`` on
-connected ``G(n, 2·log n/n)``, asynchronous EXCHANGE, ``k = 8``, gf2bit
-backend, event engine — **once per side in separate subprocesses**
+connected ``G(n, 2·log n/n)``, asynchronous EXCHANGE, ``k = 8``, packed
+GF(2) eliminator, event engine — **once per side in separate subprocesses**
 (``ru_maxrss`` is a process-lifetime high-water mark, so a per-side peak
 needs a per-side process).  The ``networkx`` side materialises the scenario
 with ``build_topology`` swapped for oracle + ``from_networkx``; the ``csr``
@@ -152,7 +152,7 @@ def test_csr_pipeline_crossover(benchmark):
         "E13-csr-pipeline",
         f"Direct-CSR build vs networkx-built graph (oracle + from_networkx) — "
         f"uniform AG over GF(2) on G(n, 2·log n/n), n={N}, k=8, asynchronous "
-        f"EXCHANGE, gf2bit backend, event engine, {TRIALS} trials (one "
+        f"EXCHANGE, packed eliminator, event engine, {TRIALS} trials (one "
         f"subprocess per side)",
         rows,
         notes=[
@@ -193,7 +193,6 @@ def test_csr_pipeline_crossover(benchmark):
         protocol="uniform-ag",
         topology="erdos_renyi_logn",
         field_size=2,
-        backend="gf2bit",
         engine="event",
     )
     assert speedup >= MIN_SPEEDUP, (

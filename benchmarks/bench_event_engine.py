@@ -11,7 +11,7 @@ O(k) packed encode/eliminate steps per event and never materialises anything
 
 This benchmark runs the registry's large-``n`` workload — uniform AG over
 ``GF(2)`` on connected ``G(n, 2·log n/n)``, asynchronous EXCHANGE, ``k = 8``,
-gf2bit backend — through both engines at ``n ∈ {256, 1024, 4096}`` and
+packed GF(2) eliminator — through both engines at ``n ∈ {256, 1024, 4096}`` and
 asserts:
 
 * both engines are **bit-identical** — same seeds give the same per-trial
@@ -44,7 +44,7 @@ SCALED_DOWN = (MAX_N, TRIALS, MIN_SPEEDUP) != (4096, 4, 1.5)
 SIZES = tuple(n for n in (256, 1024) if n < MAX_N) + (MAX_N,)
 
 #: The registered large-n scenario is the single source of truth for the
-#: workload (topology, k, field, backend); the bench only varies n, the
+#: workload (topology, k, field); the bench only varies n, the
 #: engine and the trial plan.
 BASE = get_scenario("event/er-logn").replace(trials=TRIALS, seed=SEED)
 
@@ -87,7 +87,7 @@ def test_event_engine_crossover(benchmark):
     report(
         "E12-event-engine",
         f"Event-driven vs lockstep batch engine — uniform AG over GF(2) on "
-        f"G(n, 2·log n/n), k=8, asynchronous EXCHANGE, gf2bit backend, "
+        f"G(n, 2·log n/n), k=8, asynchronous EXCHANGE, packed eliminator, "
         f"{TRIALS} trials",
         rows,
         notes=[
@@ -112,7 +112,6 @@ def test_event_engine_crossover(benchmark):
         protocol="uniform-ag",
         topology="erdos_renyi_logn",
         field_size=2,
-        backend="gf2bit",
         engine="event-vs-batch",
     )
     assert speedups[MAX_N] >= MIN_SPEEDUP, (

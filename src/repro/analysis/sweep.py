@@ -125,9 +125,8 @@ def run_sweep(
         When set (> 1), each case's trials are spread over that many worker
         processes.  Every case runs through
         :func:`repro.experiments.parallel.run_trials_parallel` on the engine
-        family and compute backend its spec names (auto-selected for
-        hand-assembled cases); engines and backends are bit-identical, so
-        neither choice changes a result.
+        family its spec names (auto-selected for hand-assembled cases);
+        engines are bit-identical, so the choice never changes a result.
     store, fresh:
         A :class:`~repro.store.ResultStore` makes the sweep cache-aware and
         resumable: for every case that carries a scenario spec (all cases

@@ -1,143 +1,49 @@
-"""Pluggable linear-algebra compute backends for the RLNC stack.
+"""The field picks the eliminator.
 
-Every array-touching operation of the decoders — Gaussian elimination, rank
-updates, pivot search, the helpfulness test and their batched variants —
-goes through one :class:`ComputeBackend`.  Two implementations ship:
+Every array-touching step of the RLNC decoders and engines — absorbing a
+row, the helpfulness test, encoding a random combination — runs on an
+:class:`EliminatorState`: incremental Gaussian elimination over many
+independent problems.  Two implementations ship, and the field alone
+decides which one runs (:func:`make_eliminator`):
 
-* ``numpy`` (default) — the dense reference kernels in
-  :mod:`repro.gf.linalg`, supporting every field;
-* ``gf2bit`` — GF(2) rows packed into uint64 words with word-parallel XOR
-  elimination and vectorised pivot scans (:mod:`repro.backends.gf2bit`);
-  rejects any other field with a typed :class:`~repro.errors.BackendError`.
+* ``GF(2)`` — :class:`~repro.backends.gf2bit.PackedGf2Eliminator`, rows
+  packed into uint64 words with word-parallel XOR elimination;
+* every other field — the dense :class:`~repro.gf.linalg.BatchEliminator`.
 
-Selection is ambient, per run: :func:`use_backend` installs a backend for a
-``with`` block (the trial runners wrap every simulation in it, driven by
-``ScenarioSpec.backend`` / the CLI ``--backend`` flag), and the
-``REPRO_BACKEND`` environment variable overrides the process-wide default.
-Backends are **bit-identical by contract** — same seeds give the same
-trial results on every backend, which is why
-:meth:`~repro.scenarios.ScenarioSpec.fingerprint` excludes the backend
-choice and the :class:`~repro.store.ResultStore` cache is backend-invariant.
-``tests/test_backend_conformance.py`` enforces the contract for every
-registered backend, so a future numba/cupy kernel plugs into the same suite.
+Both keep the canonical RREF basis of every problem, so they are
+**bit-identical by contract**: the choice changes wall-clock only, never a
+result, a fingerprint or a stored record.
+``tests/test_backend_conformance.py`` holds the packed eliminator to the
+dense one on seeded traces and on generated GF(2) scenarios.
 
->>> from repro.backends import all_backends, current_backend, use_backend
->>> sorted(all_backends())
-['gf2bit', 'numpy']
->>> current_backend().name
-'numpy'
->>> with use_backend("gf2bit"):
-...     current_backend().name
-'gf2bit'
+>>> from repro.backends import make_eliminator
+>>> from repro.gf import GF
+>>> type(make_eliminator(GF(2), 4, 8)).__name__
+'PackedGf2Eliminator'
+>>> type(make_eliminator(GF(16), 4, 8)).__name__
+'BatchEliminator'
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from typing import Iterator
+from ..gf.field import GaloisField
+from ..gf.linalg import BatchEliminator
+from .base import EliminatorState
+from .gf2bit import PackedGf2Eliminator
 
-from ..errors import BackendError
-from .base import ComputeBackend, EliminatorState
-from .gf2bit import Gf2BitBackend, PackedGf2Eliminator
-from .numpy_backend import NumpyBackend
-
-__all__ = [
-    "ComputeBackend",
-    "EliminatorState",
-    "NumpyBackend",
-    "Gf2BitBackend",
-    "PackedGf2Eliminator",
-    "register_backend",
-    "get_backend",
-    "all_backends",
-    "current_backend",
-    "default_backend_name",
-    "resolve_backend",
-    "use_backend",
-]
-
-#: Environment variable naming the process-wide default backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
-_REGISTRY: "dict[str, ComputeBackend]" = {}
-
-#: Stack of ambient overrides installed by :func:`use_backend` (innermost last).
-_ACTIVE: "list[str]" = []
+__all__ = ["EliminatorState", "PackedGf2Eliminator", "make_eliminator"]
 
 
-def register_backend(backend: ComputeBackend) -> ComputeBackend:
-    """Register a backend instance under its :attr:`~ComputeBackend.name`.
+def make_eliminator(
+    field: GaloisField, batch: int, columns: int, *, augmented_columns: int = 0
+) -> EliminatorState:
+    """A fresh eliminator for ``batch`` problems over ``columns``-wide rows.
 
-    Re-registering an existing name replaces it (useful for tests); the
-    name must be non-empty.  Returns the backend for chaining.
+    Packed words over ``GF(2)``, dense field arithmetic over any other
+    field.  The decoders and the event engine look this function up at call
+    time, so patching ``repro.backends.make_eliminator`` swaps the
+    eliminator everywhere (the conformance tests and the E11 benchmark force
+    the dense one on ``GF(2)`` that way).
     """
-    if not backend.name:
-        raise BackendError(f"{type(backend).__name__} has no registry name")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str) -> ComputeBackend:
-    """Look up a registered backend by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise BackendError(
-            f"unknown compute backend {name!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def all_backends() -> "tuple[str, ...]":
-    """Names of every registered backend, sorted (the conformance matrix)."""
-    return tuple(sorted(_REGISTRY))
-
-
-def default_backend_name() -> str:
-    """The process default: ``$REPRO_BACKEND`` when set, else ``"numpy"``."""
-    return os.environ.get(BACKEND_ENV, "").strip() or "numpy"
-
-
-def current_backend() -> ComputeBackend:
-    """The ambient backend: innermost :func:`use_backend`, else the default."""
-    return get_backend(_ACTIVE[-1] if _ACTIVE else default_backend_name())
-
-
-def resolve_backend(backend: "ComputeBackend | str | None" = None) -> ComputeBackend:
-    """Normalise a backend argument: instance, name, or ``None`` (ambient).
-
-    The constructor-side convention of the decoders: an explicit backend (or
-    name) wins, ``None``/empty falls through to :func:`current_backend`.
-    """
-    if backend is None or backend == "":
-        return current_backend()
-    if isinstance(backend, ComputeBackend):
-        return backend
-    return get_backend(backend)
-
-
-@contextlib.contextmanager
-def use_backend(name: "str | None") -> Iterator[ComputeBackend]:
-    """Install a backend as the ambient default for the enclosed block.
-
-    A falsy ``name`` is a no-op passthrough (the ambient backend stays
-    whatever it already was) so callers can wrap unconditionally::
-
-        with use_backend(spec.backend):   # "" on an unpinned spec
-            ...run trials...
-
-    Unknown names raise :class:`~repro.errors.BackendError` on entry.
-    """
-    if not name:
-        yield current_backend()
-        return
-    backend = get_backend(name)  # fail fast, before entering the block
-    _ACTIVE.append(name)
-    try:
-        yield backend
-    finally:
-        _ACTIVE.pop()
-
-
-register_backend(NumpyBackend())
-register_backend(Gf2BitBackend())
+    eliminator = PackedGf2Eliminator if field.order == 2 else BatchEliminator
+    return eliminator(field, batch, columns, augmented_columns=augmented_columns)

@@ -1,14 +1,14 @@
-"""Bit-packed word-parallel GF(2) kernels (the ``gf2bit`` backend).
+"""Bit-packed word-parallel GF(2) elimination.
 
-Over ``GF(2)`` a row of ``c`` field elements is just ``c`` bits, so this
-backend packs every stored row into ``ceil(c / 64)`` ``uint64`` words
-(column ``j`` is bit ``j % 64`` of word ``j // 64``) and replaces the dense
-field arithmetic of the numpy backend with machine-word operations, in the
-style of the M4RI family of GF(2) libraries:
+Over ``GF(2)`` a row of ``c`` field elements is just ``c`` bits, so
+:class:`PackedGf2Eliminator` packs every stored row into ``ceil(c / 64)``
+``uint64`` words (column ``j`` is bit ``j % 64`` of word ``j // 64``) and
+replaces the dense field arithmetic of
+:class:`~repro.gf.linalg.BatchEliminator` with machine-word operations, in
+the style of the M4RI family of GF(2) libraries:
 
 * **elimination** — subtracting a pivot row is one XOR per word instead of a
-  masked modular multiply-subtract over ``c`` bytes (the numpy
-  :class:`~repro.gf.field.PrimeField` path widens to int64 on top);
+  masked modular multiply-subtract over ``c`` bytes;
 * **pivot normalisation** — a GF(2) pivot is always 1, so the whole
   normalisation step disappears;
 * **pivot search** — the first non-zero column of a reduced row is the
@@ -17,14 +17,12 @@ style of the M4RI family of GF(2) libraries:
 * **encoding** — a random linear combination is the XOR-reduction of the
   packed basis rows selected by the 0/1 coefficients.
 
-Everything is **bit-identical** to the numpy backend by construction: both
-maintain the canonical RREF basis, and the RREF of a subspace is unique.
-``tests/test_backend_conformance.py`` asserts this on seeded random traces,
-whole registry scenarios and hypothesis-generated matrices.
-
-Any field other than ``GF(2)`` is rejected with a typed
-:class:`~repro.errors.BackendError` — never a silent fallback — so a run
-that names this backend either computes with packed words or fails loudly.
+Everything is **bit-identical** to the dense eliminator by construction:
+both maintain the canonical RREF basis, and the RREF of a subspace is
+unique.  ``tests/test_backend_conformance.py`` asserts this on seeded random
+traces and generated GF(2) scenarios.  :func:`repro.backends.make_eliminator`
+builds this eliminator for every ``GF(2)`` run; constructed directly over
+any other field it raises a typed :class:`~repro.errors.BackendError`.
 """
 
 from __future__ import annotations
@@ -35,9 +33,9 @@ import numpy as np
 
 from ..errors import BackendError, FieldError
 from ..gf.field import GaloisField
-from .base import ComputeBackend, EliminatorState
+from .base import EliminatorState
 
-__all__ = ["Gf2BitBackend", "PackedGf2Eliminator"]
+__all__ = ["PackedGf2Eliminator"]
 
 _WORD_BITS = 64
 _BYTE_SHIFTS = (np.arange(8, dtype=np.uint64) * np.uint64(8))
@@ -48,8 +46,8 @@ def _require_gf2(field: GaloisField) -> None:
     """The no-silent-fallback guard: anything but GF(2) is a typed error."""
     if field.order != 2:
         raise BackendError(
-            f"the gf2bit backend only supports GF(2), got GF({field.order}); "
-            "choose the numpy backend for other fields"
+            f"PackedGf2Eliminator only supports GF(2), got GF({field.order}); "
+            "make_eliminator builds the dense BatchEliminator for other fields"
         )
 
 
@@ -350,105 +348,3 @@ class PackedGf2Eliminator(EliminatorState):
             for index in indices.tolist():
                 self._pivot_bits[index] = 0
 
-
-class Gf2BitBackend(ComputeBackend):
-    """Bit-packed GF(2) linear algebra; rejects every other field loudly."""
-
-    name = "gf2bit"
-
-    def supports_field(self, field: GaloisField) -> bool:
-        return field.order == 2
-
-    def row_reduce(
-        self, field: GaloisField, matrix: np.ndarray, *, augmented_columns: int = 0
-    ) -> "tuple[np.ndarray, list[int]]":
-        _require_gf2(field)
-        work = field.validate(matrix).copy()
-        if work.ndim != 2:
-            raise FieldError(f"row_reduce expects a 2-D matrix, got shape {work.shape}")
-        rows, cols = work.shape
-        pivot_limit = cols - augmented_columns
-        if pivot_limit < 0:
-            raise FieldError(
-                f"augmented_columns={augmented_columns} exceeds column count {cols}"
-            )
-        if rows == 0 or cols == 0 or pivot_limit == 0:
-            return work, []
-        words = (cols + _WORD_BITS - 1) // _WORD_BITS
-        packed = _pack_rows(work, words)
-        pivot_columns = self._packed_rref(packed, pivot_limit)
-        return _unpack_rows(packed, cols, field.dtype), pivot_columns
-
-    @staticmethod
-    def _packed_rref(packed: np.ndarray, pivot_limit: int) -> "list[int]":
-        """In-place packed RREF; mirrors the reference sweep swap-for-swap.
-
-        Dependent rows (zero in the pivot-eligible columns) keep exactly the
-        residuals — and the row order — the dense reference produces, so the
-        unpacked output is byte-identical to the numpy backend's.
-        """
-        rows = packed.shape[0]
-        pivot_columns: "list[int]" = []
-        pivot_row = 0
-        for col in range(pivot_limit):
-            if pivot_row >= rows:
-                break
-            word, bit = divmod(col, _WORD_BITS)
-            column_bits = (packed[pivot_row:, word] >> np.uint64(bit)) & _ONE
-            candidates = np.nonzero(column_bits)[0]
-            if candidates.size == 0:
-                continue
-            source = pivot_row + int(candidates[0])
-            if source != pivot_row:
-                packed[[pivot_row, source]] = packed[[source, pivot_row]]
-            # Eliminate the pivot bit from every other row in one XOR pass.
-            has_bit = ((packed[:, word] >> np.uint64(bit)) & _ONE).astype(bool)
-            has_bit[pivot_row] = False
-            sel = np.nonzero(has_bit)[0]
-            if sel.size:
-                packed[sel] ^= packed[pivot_row]
-            pivot_columns.append(col)
-            pivot_row += 1
-        return pivot_columns
-
-    def rank(self, field: GaloisField, matrix: np.ndarray) -> int:
-        _require_gf2(field)
-        matrix = field.validate(matrix)
-        if matrix.size == 0:
-            return 0
-        words = (matrix.shape[1] + _WORD_BITS - 1) // _WORD_BITS
-        packed = _pack_rows(matrix, words)
-        return len(self._packed_rref(packed, matrix.shape[1]))
-
-    def is_in_row_space(
-        self, field: GaloisField, matrix: np.ndarray, vector: np.ndarray
-    ) -> bool:
-        _require_gf2(field)
-        matrix = field.validate(matrix)
-        vector = field.validate(vector)
-        if matrix.size == 0:
-            return not np.any(vector)
-        if vector.ndim != 1 or vector.shape[0] != matrix.shape[1]:
-            raise FieldError(
-                f"vector of length {vector.shape} does not match matrix with "
-                f"{matrix.shape[1]} columns"
-            )
-        eliminator = PackedGf2Eliminator(field, 1, matrix.shape[1])
-        target = np.zeros(1, dtype=np.int64)
-        for row in matrix:
-            eliminator.eliminate(row[np.newaxis, :], target)
-        # Helpful ⇔ the vector increases the rank ⇔ it is NOT in the span.
-        return not bool(eliminator.eliminate(vector[np.newaxis, :], target)[0])
-
-    def make_eliminator(
-        self,
-        field: GaloisField,
-        batch: int,
-        columns: int,
-        *,
-        augmented_columns: int = 0,
-    ) -> EliminatorState:
-        _require_gf2(field)
-        return PackedGf2Eliminator(
-            field, batch, columns, augmented_columns=augmented_columns
-        )

@@ -325,8 +325,8 @@ register_campaign(
 # ----------------------------------------------------------------------
 
 #: Family label → (base scenario name, topology_params policy, scale
-#: divisor).  Both bases run uniform AG through the event engine on the
-#: gf2bit backend.
+#: divisor).  Both bases run uniform AG over GF(2) through the event
+#: engine, on the packed GF(2) eliminator.
 #:
 #: The divisor equalises *event cost* across families rather than node
 #: count: per trial the event engine pays ``T(n)·n`` timeslots, which grows

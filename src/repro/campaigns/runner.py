@@ -243,7 +243,6 @@ def _run_summary_unit(
             scenario.config,
             spec.seed,
             to_compute,
-            spec.backend,
             spec.engine,
         )
         store.put_summaries(spec, dict(zip(to_compute, results)))

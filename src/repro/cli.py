@@ -101,7 +101,6 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .analysis import format_table, table1_rows, table2_rows
-from .backends import all_backends
 from .campaigns import (
     CAMPAIGNS,
     campaign_names,
@@ -254,15 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--backend", choices=sorted(all_backends()), default="",
-        help=(
-            "compute backend for the linear algebra: numpy (dense reference, "
-            "any field) or gf2bit (word-packed XOR kernels, GF(2) only); "
-            "backends are bit-identical, so this changes wall-clock only "
-            "(default: $REPRO_BACKEND or numpy)"
-        ),
-    )
-    run_parser.add_argument(
         "--engine", choices=["scalar", "batch", "event"], default="",
         help=(
             "pin the engine family: scalar (sequential reference), batch "
@@ -326,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Runs the scenario's Monte Carlo plan and prints the "
             "stopping-time statistics.  --trials/--seed override the spec's "
-            "plan; --jobs/--backend/--engine control execution only (results "
-            "are identical for any value)."
+            "plan; --jobs/--engine control execution only (results are "
+            "identical for any value)."
         ),
     )
     scenario_run_parser.add_argument(
@@ -349,13 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run_parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes (default: run in-process)",
-    )
-    scenario_run_parser.add_argument(
-        "--backend", choices=sorted(all_backends()), default="",
-        help=(
-            "override the spec's compute backend (bit-identical results, "
-            "different wall-clock; default: the spec's own choice)"
-        ),
     )
     scenario_run_parser.add_argument(
         "--engine", choices=["scalar", "batch", "event"], default="",
@@ -736,7 +719,6 @@ def _spec_from_run_args(args: argparse.Namespace) -> ScenarioSpec:
         ),
         trials=args.trials,
         seed=args.seed,
-        backend=args.backend,
         engine=args.engine,
     )
 
@@ -883,8 +865,6 @@ def _command_scenario(args: argparse.Namespace) -> int:
                 return 2
         else:
             spec = get_scenario(args.name)
-        if args.backend:
-            spec = spec.replace(backend=args.backend)
         if args.engine:
             spec = spec.replace(engine=args.engine)
         return _run_scenario_spec(

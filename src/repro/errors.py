@@ -62,12 +62,13 @@ class EngineError(ReproError):
 
 
 class BackendError(ReproError):
-    """Raised when a compute backend cannot honour a request.
+    """Raised when an eliminator is handed a field it cannot compute over.
 
-    Examples: asking for an unregistered backend name, or handing the
-    bit-packed ``gf2bit`` backend a field other than ``GF(2)`` — backends
-    never fall back silently, they refuse loudly so that a scenario always
-    runs on exactly the arithmetic it named.
+    Example: constructing the bit-packed
+    :class:`~repro.backends.gf2bit.PackedGf2Eliminator` directly over a
+    field other than ``GF(2)`` — it refuses loudly instead of computing with
+    the wrong arithmetic (:func:`repro.backends.make_eliminator` never asks
+    it to).
     """
 
 

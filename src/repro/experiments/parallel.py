@@ -226,7 +226,6 @@ def _measure_trial_indices(
     config: SimulationConfig,
     seed: int,
     trial_indices: Sequence[int],
-    backend: str = "",
     engine: str = "",
 ) -> list[RunResult]:
     """Run the selected trial streams, batched when possible.
@@ -236,10 +235,6 @@ def _measure_trial_indices(
     scalar decoders in memory.  Only the batch engine — which needs every
     trial's state simultaneously by design — constructs all processes.
 
-    ``backend`` installs a compute backend for the duration of the runs
-    (``""`` keeps the ambient one); since backends are bit-identical by
-    contract, it affects wall-clock only, never the results.
-
     ``engine`` pins the engine family: ``""`` (default) auto-selects as
     described above, ``"scalar"`` forces the sequential engine, ``"batch"``
     requires the batch fast path and ``"event"`` requires the event-driven
@@ -247,18 +242,14 @@ def _measure_trial_indices(
     affects wall-clock only; a pinned engine that cannot run the workload
     raises :class:`~repro.errors.EngineError` — never a silent fallback.
     """
-    from ..backends import use_backend
     from ..errors import EngineError
 
     rngs = [derive_rng(seed, f"trial-{index}") for index in trial_indices]
     if engine == "event":
         from ..gossip.event import build_event_process, run_event_trials
 
-        with use_backend(backend):
-            processes = [
-                build_event_process(graph, protocol_factory, rng) for rng in rngs
-            ]
-            return run_event_trials(graph, processes, config, rngs)
+        processes = [build_event_process(graph, protocol_factory, rng) for rng in rngs]
+        return run_event_trials(graph, processes, config, rngs)
     require_batch = engine == "batch"
     if require_batch and not batch_supports_config(config):
         raise EngineError(
@@ -271,35 +262,32 @@ def _measure_trial_indices(
     batch = engine != "scalar" and batch_supports_config(config)
     results: list[RunResult] = []
     remaining = list(rngs)
-    with use_backend(backend):
-        if batch and remaining:
-            first = protocol_factory(graph, remaining[0])
-            strategy = first.batch_strategy()
-            if strategy is not None:
-                processes = [first] + [
-                    protocol_factory(graph, rng) for rng in remaining[1:]
-                ]
-                return strategy(graph, processes, config, rngs)
-            if require_batch:
-                raise EngineError(
-                    f"{type(first).__name__} declares no batch strategy; "
-                    "drop engine='batch' or pick 'scalar'"
-                )
-            results.append(GossipEngine(graph, first, config, remaining[0]).run())
-            remaining = remaining[1:]
-        for rng in remaining:
-            process = protocol_factory(graph, rng)
-            results.append(GossipEngine(graph, process, config, rng).run())
+    if batch and remaining:
+        first = protocol_factory(graph, remaining[0])
+        strategy = first.batch_strategy()
+        if strategy is not None:
+            processes = [first] + [
+                protocol_factory(graph, rng) for rng in remaining[1:]
+            ]
+            return strategy(graph, processes, config, rngs)
+        if require_batch:
+            raise EngineError(
+                f"{type(first).__name__} declares no batch strategy; "
+                "drop engine='batch' or pick 'scalar'"
+            )
+        results.append(GossipEngine(graph, first, config, remaining[0]).run())
+        remaining = remaining[1:]
+    for rng in remaining:
+        process = protocol_factory(graph, rng)
+        results.append(GossipEngine(graph, process, config, rng).run())
     return results
 
 
 def _run_chunk(payload: bytes) -> list[RunResult]:
     """Worker entry point: unpickle one chunk description and run it."""
-    (
-        graph, protocol_factory, config, seed, indices, backend, engine,
-    ) = pickle.loads(payload)
+    graph, protocol_factory, config, seed, indices, engine = pickle.loads(payload)
     return _measure_trial_indices(
-        graph, protocol_factory, config, seed, indices, backend, engine
+        graph, protocol_factory, config, seed, indices, engine
     )
 
 
@@ -323,28 +311,24 @@ def _measure_indices_chunked(
     seed: int,
     trial_indices: Sequence[int],
     jobs: int,
-    backend: str = "",
     engine: str = "",
 ) -> list[RunResult]:
     """Run the given trial streams over up to ``jobs`` worker processes.
 
-    The backend and engine names travel inside each pickled chunk so worker
-    processes install the same compute backend and run the same engine family
-    the parent would use.
+    The engine name travels inside each pickled chunk so worker processes
+    run the same engine family the parent would use.
     """
     if not trial_indices:
         return []
     jobs = min(jobs, len(trial_indices))
     if jobs == 1:
         return _measure_trial_indices(
-            graph, protocol_factory, config, seed, trial_indices, backend, engine
+            graph, protocol_factory, config, seed, trial_indices, engine
         )
     chunks = _chunks(trial_indices, jobs)
     try:
         payloads = [
-            pickle.dumps(
-                (graph, protocol_factory, config, seed, chunk, backend, engine)
-            )
+            pickle.dumps((graph, protocol_factory, config, seed, chunk, engine))
             for chunk in chunks
         ]
     except Exception:
@@ -352,7 +336,7 @@ def _measure_indices_chunked(
         # process boundary; run them in-process instead — the results are
         # identical, only the wall-clock differs.
         return _measure_trial_indices(
-            graph, protocol_factory, config, seed, trial_indices, backend, engine
+            graph, protocol_factory, config, seed, trial_indices, engine
         )
     if _SHARED_POOL is not None:
         # Inside a shared_process_pool() block: reuse the long-lived workers
@@ -409,7 +393,6 @@ def measure_protocol_parallel(
     graph, protocol_factory, config, trials, seed, spec = _resolve_workload(
         graph, protocol_factory, config, trials, seed, spec
     )
-    backend = getattr(spec, "backend", "") or ""
     engine = getattr(spec, "engine", "") or ""
     if trials < 1:
         raise AnalysisError(f"trials must be positive, got {trials}")
@@ -418,13 +401,12 @@ def measure_protocol_parallel(
         raise AnalysisError(f"jobs must be positive, got {jobs}")
     if store is None:
         return _measure_indices_chunked(
-            graph, protocol_factory, config, seed, range(trials), jobs, backend,
-            engine,
+            graph, protocol_factory, config, seed, range(trials), jobs, engine
         )
     return _run_through_store(
         store, spec, seed, range(trials), fresh,
         lambda missing: _measure_indices_chunked(
-            graph, protocol_factory, config, seed, missing, jobs, backend, engine
+            graph, protocol_factory, config, seed, missing, jobs, engine
         ),
     )
 

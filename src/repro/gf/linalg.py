@@ -11,13 +11,9 @@ All routines operate on integer numpy arrays whose entries are field elements
 in ``[0, q)`` and take the :class:`~repro.gf.field.GaloisField` instance as an
 explicit argument, mirroring how a mathematician would write "over ``F_q``".
 
-Since the compute-backend seam (:mod:`repro.backends`) the public
-:func:`row_reduce` / :func:`rank` / :func:`is_in_row_space` entry points
-dispatch to the *active* backend (default ``numpy``, overridable per run);
-the ``_reference_*`` functions below are the dense numpy implementations the
-default backend wraps, and :class:`BatchEliminator` is its eliminator state.
-Every backend is bit-identical by contract, so callers never observe the
-difference — a non-default backend is purely a speed choice.
+:class:`BatchEliminator` is the dense incremental eliminator the decoders and
+engines run on over every field but ``GF(2)``, where
+:func:`repro.backends.make_eliminator` picks its bit-identical packed twin.
 """
 
 from __future__ import annotations
@@ -85,22 +81,7 @@ def row_reduce(
     -------
     (rref, pivot_columns):
         The reduced matrix and the list of pivot column indices in order.
-
-    Dispatches to the active :mod:`repro.backends` backend (identical results
-    on every backend; a backend that does not support ``field`` raises
-    :class:`~repro.errors.BackendError`).
     """
-    from ..backends import current_backend
-
-    return current_backend().row_reduce(
-        field, matrix, augmented_columns=augmented_columns
-    )
-
-
-def _reference_row_reduce(
-    field: GaloisField, matrix: np.ndarray, *, augmented_columns: int = 0
-) -> tuple[np.ndarray, list[int]]:
-    """Dense-numpy :func:`row_reduce` (the ``numpy`` backend's kernel)."""
     work = field.validate(matrix).copy()
     if work.ndim != 2:
         raise FieldError(f"row_reduce expects a 2-D matrix, got shape {work.shape}")
@@ -143,18 +124,11 @@ def _reference_row_reduce(
 
 
 def rank(field: GaloisField, matrix: np.ndarray) -> int:
-    """Rank of ``matrix`` over ``field`` (computed by the active backend)."""
-    from ..backends import current_backend
-
-    return current_backend().rank(field, matrix)
-
-
-def _reference_rank(field: GaloisField, matrix: np.ndarray) -> int:
-    """Dense-numpy :func:`rank` (the ``numpy`` backend's kernel)."""
+    """Rank of ``matrix`` over ``field``."""
     matrix = field.validate(matrix)
     if matrix.size == 0:
         return 0
-    _, pivots = _reference_row_reduce(field, matrix)
+    _, pivots = row_reduce(field, matrix)
     return len(pivots)
 
 
@@ -164,17 +138,7 @@ def is_in_row_space(field: GaloisField, matrix: np.ndarray, vector: np.ndarray) 
     Used to decide whether a received coded packet is *helpful* (Definition 3
     of the paper): a packet is helpful exactly when its coefficient vector is
     **not** already in the row space of the receiver's coefficient matrix.
-    Computed by the active :mod:`repro.backends` backend.
     """
-    from ..backends import current_backend
-
-    return current_backend().is_in_row_space(field, matrix, vector)
-
-
-def _reference_is_in_row_space(
-    field: GaloisField, matrix: np.ndarray, vector: np.ndarray
-) -> bool:
-    """Dense-numpy :func:`is_in_row_space` (the ``numpy`` backend's kernel)."""
     matrix = field.validate(matrix)
     vector = field.validate(vector)
     if matrix.size == 0:
@@ -184,9 +148,9 @@ def _reference_is_in_row_space(
             f"vector of length {vector.shape} does not match matrix with "
             f"{matrix.shape[1]} columns"
         )
-    base_rank = _reference_rank(field, matrix)
+    base_rank = rank(field, matrix)
     stacked = np.vstack([matrix, vector[np.newaxis, :]])
-    return _reference_rank(field, stacked) == base_rank
+    return rank(field, stacked) == base_rank
 
 
 def solve(field: GaloisField, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -417,10 +381,10 @@ class BatchEliminator:
         """Single-problem encode; the dense payload twin of :meth:`combine`.
 
         Part of the :class:`~repro.backends.base.EliminatorState` hot-path
-        contract (``BatchEliminator`` is a virtual subclass, so the base
-        defaults do not apply).  ``coefficients`` may be a plain sequence;
-        it is converted once, since :meth:`combine` reads its shape.  The
-        payload feeds :meth:`eliminate_one`.
+        contract (``BatchEliminator`` is a virtual subclass of it).
+        ``coefficients`` may be a plain sequence; it is converted once, since
+        :meth:`combine` reads its shape.  The payload feeds
+        :meth:`eliminate_one`.
         """
         return self.combine(index, np.asarray(coefficients, dtype=self.field.dtype))
 
@@ -430,7 +394,7 @@ class BatchEliminator:
         Bit-identical to ``eliminate(payload[np.newaxis], [index])`` with the
         batch-wide machinery (index validation, fancy batch indexing)
         stripped, which keeps the event-driven engine's per-delivery cost on
-        this backend proportional to one problem instead of the whole slab.
+        this eliminator proportional to one problem instead of the whole slab.
         """
         field = self.field
         work = np.array(payload, dtype=field.dtype)

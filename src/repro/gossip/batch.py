@@ -49,10 +49,10 @@ finish", which is the only question the stopping-time experiments ask.
 Protocols that need payload recovery or carry unsupported state must keep
 using the sequential engine (their :meth:`batch_strategy` returns ``None``).
 
-The linear algebra underneath the decoder grid is supplied by the ambient
-:mod:`repro.backends` backend (dense numpy by default, word-packed GF(2)
-kernels under ``gf2bit``); because every backend maintains the same canonical
-RREF state, the bit-identical guarantee above holds across backends too.
+The decoder grid runs on the eliminator :func:`repro.backends.make_eliminator`
+picks from the field (word-packed XOR kernels over GF(2), dense field
+arithmetic otherwise); both keep the same canonical RREF state, so the
+bit-identical guarantee above holds on either.
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ bookkeeping:
   (:class:`~repro.graphs.csr.CSRGraph`, shared across trials); no ``n × n``
   matrix is ever formed.
 * **Rank-only decoder state** — all ``n`` node subspaces live in a single
-  batched :class:`~repro.backends.EliminatorState` built by the ambient
-  compute backend (``gf2bit`` packs GF(2) rows into machine words), and a
-  node's state is touched only when an event actually reaches it — a node
-  that receives nothing does no work.
+  batched :class:`~repro.backends.EliminatorState` (over GF(2) the packed
+  eliminator keeps every row in machine words), and a node's state is
+  touched only when an event actually reaches it — a node that receives
+  nothing does no work.
 * **Early settling** — completion is a counter: a delivery that lifts a
   node's rank to ``k`` increments ``finished`` and records the completion
   round right there, so neither ``finished_nodes()`` nor any per-tick
@@ -184,7 +184,7 @@ class EventGossipEngine:
                 "(AlgebraicGossip with a UniformSelector); run the scalar or "
                 "batch engine instead"
             )
-        from ..backends import resolve_backend
+        from ..backends import make_eliminator
 
         self.graph = graph
         self.process = process
@@ -203,9 +203,7 @@ class EventGossipEngine:
                 f"generation field GF({self._field.order}) does not match "
                 f"config field_size {config.field_size}"
             )
-        self._eliminator = resolve_backend(None).make_eliminator(
-            self._field, self._n, self._k
-        )
+        self._eliminator = make_eliminator(self._field, self._n, self._k)
         self._ranks = self._eliminator.ranks  # live view
         self._one_index = np.zeros(1, dtype=np.int64)
         self._messages_sent = 0
@@ -382,8 +380,8 @@ class EventGossipEngine:
         for a full-rank receiver draws its coefficients but is not built
         (the skip rule): it returns ``False``, which :meth:`_deliver` never
         feeds to the eliminator.  Otherwise the payload is whatever the
-        backend's ``combine_one`` hands back — a packed python int for
-        gf2bit, a dense row elsewhere.
+        eliminator's ``combine_one`` hands back — a packed python int over
+        GF(2), a dense row elsewhere.
         """
         ranks = self._ranks
         rank = ranks.item(sender)

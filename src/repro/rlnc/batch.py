@@ -4,8 +4,8 @@ Stopping-time experiments (Table 1, Table 2, the Theorem 2 reduction) only
 ever ask *when* every node reaches full rank — the decoded payloads are never
 inspected.  :class:`BatchDecoder` exploits that: it tracks the coefficient
 row spaces of many independent decoders (trials x nodes) simultaneously on
-top of a batched :class:`~repro.backends.EliminatorState` supplied by the
-active compute backend, dropping the payload columns entirely.
+top of a batched :class:`~repro.backends.EliminatorState` (packed words over
+``GF(2)``, dense otherwise), dropping the payload columns entirely.
 
 Because the stored state is the canonical RREF basis of each decoder's
 coefficient space, the ranks — and the coefficient vectors of freshly encoded
@@ -36,26 +36,19 @@ class BatchDecoder:
     problems:
         Number of independent decoders tracked (for gossip simulations this
         is ``trials * nodes``; the caller owns the flattening convention).
-    backend:
-        Compute backend (instance or registry name) providing the batched
-        eliminator; default: the ambient backend (see
-        :func:`repro.backends.use_backend`).
     """
 
-    def __init__(
-        self, field: GaloisField, k: int, problems: int, *, backend=None
-    ) -> None:
+    def __init__(self, field: GaloisField, k: int, problems: int) -> None:
         if k < 1:
             raise DecodingError(f"generation size must be positive, got {k}")
         if problems < 1:
             raise DecodingError(f"problem count must be positive, got {problems}")
-        from ..backends import resolve_backend
+        from ..backends import make_eliminator
 
         self.field = field
         self.k = k
         self.problems = problems
-        self.backend = resolve_backend(backend)
-        self._eliminator = self.backend.make_eliminator(field, problems, k)
+        self._eliminator = make_eliminator(field, problems, k)
         self._received = np.zeros(problems, dtype=np.int64)
         self._helpful = np.zeros(problems, dtype=np.int64)
 

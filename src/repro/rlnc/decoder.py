@@ -13,14 +13,13 @@ reduced row-echelon form so that
 The decoder is the ground truth for the stopping-time measurements: a node has
 "finished" exactly when its decoder reports :meth:`is_complete`.
 
-The elimination itself lives behind the :mod:`repro.backends` seam: the
-decoder is a single-problem
+The elimination itself is a single-problem
 :class:`~repro.backends.EliminatorState` over ``[coefficients | payload]``
 rows (``augmented_columns = payload_length``, so payload symbols ride along
-but never become pivots), built by whichever backend is active — dense numpy
-by default, word-packed XOR kernels for ``GF(2)`` under ``gf2bit``.  Every
-backend maintains the same canonical RREF basis, so the decoder's observable
-state is backend-invariant.
+but never become pivots), built by :func:`repro.backends.make_eliminator` —
+word-packed XOR kernels over ``GF(2)``, dense field arithmetic otherwise.
+Both keep the same canonical RREF basis, so the decoder's observable state
+does not depend on which one the field picked.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import numpy as np
 
 from ..errors import DecodingError
 from ..gf.field import GaloisField
+from ..gf.linalg import is_in_row_space
 from .message import Generation
 from .packet import CodedPacket
 
@@ -46,34 +46,22 @@ class RlncDecoder:
         Generation size (number of source messages in the system).
     payload_length:
         Number of payload symbols per message (``r``).
-    backend:
-        Compute backend (instance or registry name) for the elimination
-        state; default: the ambient backend (see
-        :func:`repro.backends.use_backend`).
     """
 
-    def __init__(
-        self,
-        field: GaloisField,
-        k: int,
-        payload_length: int,
-        *,
-        backend=None,
-    ) -> None:
+    def __init__(self, field: GaloisField, k: int, payload_length: int) -> None:
         if k < 1:
             raise DecodingError(f"generation size must be positive, got {k}")
         if payload_length < 1:
             raise DecodingError(f"payload length must be positive, got {payload_length}")
-        from ..backends import resolve_backend
+        from ..backends import make_eliminator
 
         self.field = field
         self.k = k
         self.payload_length = payload_length
-        self.backend = resolve_backend(backend)
         # One elimination problem over [coefficients | payload] rows; the
         # payload columns are augmented: carried through every row operation,
         # never pivoted on, never counted for helpfulness.
-        self._eliminator = self.backend.make_eliminator(
+        self._eliminator = make_eliminator(
             field, 1, k + payload_length, augmented_columns=payload_length
         )
         self._received = 0
@@ -164,7 +152,7 @@ class RlncDecoder:
         coefficients = packet.coefficient_array(self.field)
         # Helpful ⇔ the coefficient vector lies outside the stored row space
         # (Definition 3); the payload never decides helpfulness.
-        return not self.backend.is_in_row_space(
+        return not is_in_row_space(
             self.field, self.coefficient_matrix(), coefficients
         )
 

@@ -331,19 +331,18 @@ register_scenario(
 # --- Large-n sparse workloads (the event-driven engine's home turf) -----
 # Registry entries stay CI-sized (a couple of thousand nodes, seconds per
 # trial); docs/reproducing_results.md shows the same specs scaled to 10^4+
-# via replace(n=...).  GF(2) + gf2bit keeps the rank-only state word-packed.
+# via replace(n=...).  Over GF(2) the rank-only state stays word-packed.
 register_scenario(
     ScenarioSpec(
         name="event/er-logn",
         description=(
             "Uniform AG over GF(2) on connected G(n, 2·log n/n), asynchronous, "
-            "run by the event-driven sparse engine with the gf2bit backend"
+            "run by the event-driven sparse engine"
         ),
         topology="erdos_renyi_logn",
         n=2048,
         k=8,
         engine="event",
-        backend="gf2bit",
         config=default_scenario_config(
             time_model=TimeModel.ASYNCHRONOUS, field_size=2
         ),
@@ -356,13 +355,12 @@ register_scenario(
         description=(
             "Uniform AG over GF(2) on a ring of 8 cliques (dense pockets, "
             "sparse bridges — a conductance-limited, slow-mixing workload), "
-            "asynchronous, event-driven engine + gf2bit"
+            "asynchronous, event-driven engine"
         ),
         topology="ring_of_cliques",
         n=256,
         k=8,
         engine="event",
-        backend="gf2bit",
         topology_params={"cliques": 8},
         config=default_scenario_config(
             time_model=TimeModel.ASYNCHRONOUS, field_size=2

@@ -57,7 +57,7 @@ from ..core.results import RunResult, StoppingTimeStats
 from ..core.rng import derive_rng
 from ..errors import ConfigurationError
 from ..gf import GF
-from ..gossip.engine import GossipEngine, GossipProcess
+from ..gossip.engine import GossipProcess
 from ..graphs.csr import CSRGraph
 from ..graphs.properties import diameter as graph_diameter
 from ..graphs.properties import max_degree as graph_max_degree
@@ -282,13 +282,6 @@ class ScenarioSpec:
         every trial generator derives from.
     name, description:
         Registry identity and one-line purpose (empty for ad-hoc specs).
-    backend:
-        Compute backend the trials run under: a name from
-        :func:`repro.backends.all_backends`, or ``""`` (default) for the
-        ambient backend (``$REPRO_BACKEND`` or ``numpy``).  Backends are
-        bit-identical by contract, so the choice never affects results —
-        it is excluded from :meth:`fingerprint` and the
-        :class:`~repro.store.ResultStore` cache is backend-invariant.
     engine:
         Which engine family runs the trials: ``""`` (default) lets the trial
         runners choose (batch fast path when eligible, sequential otherwise),
@@ -343,7 +336,6 @@ class ScenarioSpec:
     seed: int = 0
     name: str = ""
     description: str = ""
-    backend: str = ""
     engine: str = ""
 
     def __post_init__(self) -> None:
@@ -415,26 +407,6 @@ class ScenarioSpec:
                 f"the event-driven engine runs uniform algebraic gossip only; "
                 f"protocol {self.protocol!r} must use the scalar or batch engines"
             )
-        if self.backend:
-            # Fail at construction, not mid-sweep: the backend must exist and
-            # must support the scenario's field.
-            from ..backends import all_backends, get_backend
-            from ..errors import BackendError
-            from ..gf import GF
-
-            try:
-                resolved = get_backend(self.backend)
-            except BackendError:
-                raise ConfigurationError(
-                    f"unknown backend {self.backend!r}; "
-                    f"known: {sorted(all_backends())}"
-                ) from None
-            if not resolved.supports_field(GF(self.config.field_size)):
-                raise ConfigurationError(
-                    f"backend {self.backend!r} does not support "
-                    f"GF({self.config.field_size}); choose a supporting "
-                    "backend or change field_size"
-                )
 
     # ------------------------------------------------------------------
     # Derived views
@@ -476,12 +448,15 @@ class ScenarioSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_dict` output (extra keys rejected)."""
         known = {spec_field.name for spec_field in fields(cls)}
-        unknown = set(data) - known
+        kwargs = dict(data)
+        # Shard headers and campaign files from before the field picked the
+        # eliminator name a compute backend, which never changed a result.
+        kwargs.pop("backend", None)
+        unknown = set(kwargs) - known
         if unknown:
             raise ConfigurationError(
                 f"unknown ScenarioSpec fields {sorted(unknown)}; known: {sorted(known)}"
             )
-        kwargs = dict(data)
         if "config" in kwargs and isinstance(kwargs["config"], Mapping):
             kwargs["config"] = SimulationConfig.from_dict(dict(kwargs["config"]))
         return cls(**kwargs)
@@ -517,15 +492,13 @@ class ScenarioSpec:
         there the seed genuinely changes the workload, so it is folded back
         in as ``materialize_seed``.
 
-        ``backend`` is likewise excluded: backends are bit-identical by
-        contract (enforced by the conformance suite), so results computed
-        under ``numpy`` and ``gf2bit`` are interchangeable cache entries.
-        So is ``engine``: all engine families produce bit-identical per-seed
-        results (asserted by the equivalence suites), so scalar, batch and
-        event-driven runs are interchangeable cache entries too.
+        ``engine`` is likewise excluded: all engine families produce
+        bit-identical per-seed results (asserted by the equivalence suites),
+        so scalar, batch and event-driven runs are interchangeable cache
+        entries.
         """
         payload = self.to_dict()
-        for excluded in ("trials", "seed", "name", "description", "backend", "engine"):
+        for excluded in ("trials", "seed", "name", "description", "engine"):
             payload.pop(excluded, None)
         if self.placement == "random":
             payload["materialize_seed"] = self.seed
@@ -864,37 +837,21 @@ class MaterializedScenario:
         to) the same ``(fingerprint, seed, trial)`` records the batch runners
         use — engine-invariantly, like the cache itself.
         """
-        from ..backends import use_backend
+        from ..experiments.parallel import _measure_trial_indices
 
         effective_seed = self.spec.seed if seed is None else seed
         if store is not None and not fresh:
             cached = store.get(self.spec, 0, seed=effective_seed)
             if cached is not None:
                 return cached
-        engine = getattr(self.spec, "engine", "") or ""
-        rng = derive_rng(effective_seed, "trial-0")
-        with use_backend(self.spec.backend):
-            if engine == "event":
-                from ..gossip.event import EventGossipEngine, build_event_process
-
-                process = build_event_process(self.graph, self.protocol_factory, rng)
-                result = EventGossipEngine(self.graph, process, self.config, rng).run()
-            elif engine == "batch":
-                from ..errors import EngineError
-                from ..gossip.batch import batch_supports_config
-
-                process = self.build_process(rng)
-                strategy = process.batch_strategy()
-                if strategy is None or not batch_supports_config(self.config):
-                    raise EngineError(
-                        f"the batch engines cannot run scenario "
-                        f"{self.label!r}; drop engine='batch' or pick "
-                        "'scalar'/'event'"
-                    )
-                result = strategy(self.graph, [process], self.config, [rng])[0]
-            else:
-                process = self.build_process(rng)
-                result = GossipEngine(self.graph, process, self.config, rng).run()
+        [result] = _measure_trial_indices(
+            self.graph,
+            self.protocol_factory,
+            self.config,
+            effective_seed,
+            [0],
+            self.spec.engine or "scalar",
+        )
         if store is not None:
             store.put(self.spec, 0, result, seed=effective_seed)
         return result

@@ -6,12 +6,15 @@ couple of minutes; the benchmarks are where larger sweeps live.
 
 from __future__ import annotations
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.backends import all_backends, get_backend, use_backend
 from repro.core import GossipAction, SimulationConfig, TimeModel
 from repro.gf import GF
+from repro.gf.linalg import BatchEliminator
 from repro.graphs import (
     barbell_graph,
     binary_tree_graph,
@@ -34,30 +37,30 @@ def any_field(request):
     return GF(request.param)
 
 
-@pytest.fixture(params=all_backends())
-def compute_backend(request):
-    """Every registered compute backend, installed as the ambient default.
+@pytest.fixture(params=[2, 16], ids=["GF(2)-packed", "GF(16)-dense"])
+def eliminator_field(request):
+    """One field per shipped eliminator: GF(2) runs packed, GF(16) dense.
 
-    Equivalence tests that parametrise over this fixture run once per
-    backend — decoders and batch engines built inside the test body resolve
-    the ambient backend, so the same assertions exercise every
-    implementation.  Tests whose field the backend rejects should clamp the
-    field (``backend_field`` does this) rather than skip, so each backend
-    still proves the full invariant set on a field it supports.
+    The field picks the eliminator (:func:`repro.backends.make_eliminator`),
+    so a test parametrised over this fixture proves its invariants on both
+    implementations.
     """
-    backend = get_backend(request.param)
-    with use_backend(backend.name):
-        yield backend
+    return GF(request.param)
 
 
-@pytest.fixture
-def backend_field(compute_backend):
-    """A field the active ``compute_backend`` supports: GF(16) when it can,
-    else GF(2) (the one field every backend must support)."""
-    preferred = GF(16)
-    if compute_backend.supports_field(preferred):
-        return preferred
-    return GF(2)
+@pytest.fixture(scope="session")
+def force_dense():
+    """``with force_dense(): ...`` builds every eliminator densely, GF(2) too.
+
+    The reference side of the packed-vs-dense checks: ``BatchEliminator``
+    takes exactly ``make_eliminator``'s arguments, so it replaces it as is.
+    The fixture hands out the patch rather than patching per test so
+    hypothesis tests, which cannot use function-scoped ``monkeypatch``, can
+    force it per example.
+    """
+    return functools.partial(
+        mock.patch, "repro.backends.make_eliminator", BatchEliminator
+    )
 
 
 @pytest.fixture

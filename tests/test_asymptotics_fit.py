@@ -205,4 +205,4 @@ class TestDecadeSweepHelpers:
             assert params == log_sized_cliques(spec.n)
             assert spec.trials == 2
             assert spec.name == "" and spec.description == ""
-            assert spec.engine == base.engine and spec.backend == base.backend
+            assert spec.engine == base.engine

@@ -1,220 +1,208 @@
-"""The backend conformance suite: every registered backend, one contract.
+"""The eliminator conformance suite: the packed GF(2) eliminator, one contract.
 
-The :mod:`repro.backends` seam promises that compute backends are
-**bit-identical by contract** — same inputs, same seeds, same observable
-state — which is what lets ``ScenarioSpec.fingerprint()`` ignore the backend
-and the result store treat records from any backend as interchangeable.
-This module is where that promise is enforced, for every backend
-``all_backends()`` reports (a future numba/cupy backend lands in this matrix
-automatically):
+:func:`repro.backends.make_eliminator` lets the field pick the eliminator —
+:class:`~repro.backends.gf2bit.PackedGf2Eliminator` over ``GF(2)``, the dense
+:class:`~repro.gf.linalg.BatchEliminator` over every other field — and the
+two are **bit-identical by contract**, which is what lets results,
+fingerprints and stored records ignore the choice.  This module holds the
+packed eliminator to the dense reference:
 
-* **kernel conformance** — ``row_reduce`` / ``rank`` / ``is_in_row_space``
-  agree with the dense numpy reference on seeded random matrices, including
-  augmented columns, dependent rows and degenerate shapes;
-* **eliminator conformance** — long random incremental traces through
-  ``make_eliminator`` produce identical helpful masks, ranks, pivot masks,
-  bases and ``combine`` outputs, scalar (batch=1) and batched alike;
-* **end-to-end equivalence** — on a matrix of registry scenarios flipped to
-  GF(2), the sequential scalar engine and the vectorised batch engine under
-  every backend reproduce the numpy reference signatures trial-for-trial;
-* **typed refusal** — the ``gf2bit`` backend rejects every ``q != 2`` entry
-  point with :class:`~repro.errors.BackendError` instead of silently
-  falling back;
-* **store invariance** — a scenario measured under one backend is a full
-  cache hit (``puts == 0``) when re-measured under another.
+* **selection** — the field decides, and patching
+  ``repro.backends.make_eliminator`` reaches every decoder and engine;
+* **kernel conformance** — the one-shot ``gf.linalg`` kernels
+  (``row_reduce`` / ``rank`` / ``is_in_row_space``) and the incremental
+  eliminator the field picks describe the same row spaces, over GF(2),
+  GF(3), GF(16) and GF(256);
+* **eliminator conformance** — long random incremental traces produce
+  identical helpful masks, ranks, pivot masks, bases and ``combine``
+  outputs, scalar (batch=1) and batched alike;
+* **end-to-end equivalence** — generated GF(2) scenarios give the same
+  ``RunResult`` on every eligible engine with the packed eliminator as on
+  the scalar engine with the dense one forced;
+* **typed refusal** — the packed eliminator, constructed directly, rejects
+  ``q != 2`` with :class:`~repro.errors.BackendError`;
+* **store invariance** — records computed on the dense eliminator are pure
+  cache hits for a packed run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.backends import (
-    BACKEND_ENV,
-    ComputeBackend,
-    EliminatorState,
-    all_backends,
-    current_backend,
-    default_backend_name,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    use_backend,
-)
-from repro.errors import BackendError, ConfigurationError
+from repro.backends import EliminatorState, PackedGf2Eliminator, make_eliminator
+from repro.core import GossipAction, TimeModel
+from repro.errors import BackendError, ConfigurationError, FieldError
 from repro.gf import GF
-from repro.scenarios import ScenarioSpec, get_scenario
+from repro.gf.linalg import (
+    BatchEliminator,
+    is_in_row_space,
+    matmul,
+    rank,
+    row_reduce,
+)
+from repro.gossip import EventGossipEngine
+from repro.rlnc import BatchDecoder, RlncDecoder
+from repro.scenarios import ScenarioSpec, default_scenario_config, get_scenario
 from repro.store import ResultStore
 
-NUMPY = get_backend("numpy")
+# ----------------------------------------------------------------------
+# Selection: the field picks the eliminator
+# ----------------------------------------------------------------------
 
-#: Field orders each backend is conformance-tested on (the ones it supports).
+
+@pytest.mark.parametrize(
+    "order,expected",
+    [(2, PackedGf2Eliminator), (3, BatchEliminator), (16, BatchEliminator),
+     (256, BatchEliminator)],
+)
+def test_field_picks_the_eliminator(order, expected):
+    eliminator = make_eliminator(GF(order), 3, 10, augmented_columns=2)
+    assert type(eliminator) is expected
+    assert isinstance(eliminator, EliminatorState)
+    assert eliminator.pivot_mask.shape == (3, 8)
+
+
+def test_decoders_and_engines_build_through_make_eliminator(force_dense):
+    """Forcing dense reaches every construction site: each looks it up per call."""
+    gf2 = GF(2)
+    assert type(RlncDecoder(gf2, 3, 1)._eliminator) is PackedGf2Eliminator
+    assert type(BatchDecoder(gf2, 3, 2)._eliminator) is PackedGf2Eliminator
+    scenario = get_scenario("event/er-logn").replace(n=32, trials=1).materialize()
+    rng = np.random.default_rng(0)
+    process = scenario.build_process(rng)
+    event = EventGossipEngine(scenario.graph, process, scenario.config, rng)
+    assert type(event._eliminator) is PackedGf2Eliminator
+    with force_dense():
+        assert type(RlncDecoder(gf2, 3, 1)._eliminator) is BatchEliminator
+        assert type(BatchDecoder(gf2, 3, 2)._eliminator) is BatchEliminator
+        event = EventGossipEngine(scenario.graph, process, scenario.config, rng)
+        assert type(event._eliminator) is BatchEliminator
+
+
+def test_eliminator_state_requires_every_hot_path_method():
+    """The contract has no default bodies: a partial eliminator cannot exist."""
+
+    class Partial(EliminatorState):
+        def eliminate(self, incoming, indices=None):  # pragma: no cover
+            raise NotImplementedError
+
+        def rank_of(self, index):  # pragma: no cover
+            raise NotImplementedError
+
+        def basis(self, index):  # pragma: no cover
+            raise NotImplementedError
+
+        def combine(self, index, coefficients):  # pragma: no cover
+            raise NotImplementedError
+
+    with pytest.raises(TypeError, match="combine_one.*eliminate_one.*reset_problems"):
+        Partial()
+
+
+# ----------------------------------------------------------------------
+# Kernel conformance: the one-shot kernels vs the eliminator
+# ----------------------------------------------------------------------
+
+#: Field orders of the kernel cross-check: GF(2) picks the packed
+#: eliminator, the others the dense one.
 FIELD_ORDERS = (2, 3, 16, 256)
 
-
-def _supported_orders(backend: ComputeBackend) -> list[int]:
-    return [q for q in FIELD_ORDERS if backend.supports_field(GF(q))]
+_PROBLEM_0 = np.zeros(1, np.int64)
 
 
 def _random_matrix(rng: np.random.Generator, field, rows: int, cols: int):
     matrix = rng.integers(0, field.order, size=(rows, cols))
-    # Mix in duplicated and scaled rows so dependent-row handling is hit.
+    # Duplicate a row half the time so dependent-row handling is hit.
     if rows >= 2 and rng.random() < 0.5:
         matrix[rows - 1] = matrix[0]
     return field.validate(matrix)
 
 
-# ----------------------------------------------------------------------
-# Registry behaviour
-# ----------------------------------------------------------------------
+def _absorb(field, matrix, *, augmented_columns: int = 0):
+    """A one-problem eliminator (picked by the field) fed ``matrix`` row by row."""
+    eliminator = make_eliminator(
+        field, 1, matrix.shape[1], augmented_columns=augmented_columns
+    )
+    for row in matrix:
+        eliminator.eliminate(row[np.newaxis, :], _PROBLEM_0)
+    return eliminator
 
 
-class TestRegistry:
-    def test_both_shipped_backends_registered(self):
-        assert {"numpy", "gf2bit"} <= set(all_backends())
-
-    def test_get_backend_unknown_name(self):
-        with pytest.raises(BackendError, match="unknown compute backend"):
-            get_backend("definitely-not-a-backend")
-
-    def test_use_backend_unknown_name_fails_on_entry(self):
-        with pytest.raises(BackendError, match="unknown compute backend"):
-            with use_backend("definitely-not-a-backend"):
-                pragma = "never reached"  # pragma: no cover
-                assert pragma
-
-    def test_use_backend_nests_and_restores(self):
-        before = current_backend().name
-        with use_backend("gf2bit"):
-            assert current_backend().name == "gf2bit"
-            with use_backend("numpy"):
-                assert current_backend().name == "numpy"
-            assert current_backend().name == "gf2bit"
-        assert current_backend().name == before
-
-    def test_use_backend_falsy_name_is_passthrough(self):
-        with use_backend("gf2bit"):
-            with use_backend("") as backend:
-                assert backend.name == "gf2bit"
-            with use_backend(None) as backend:
-                assert backend.name == "gf2bit"
-
-    def test_resolve_backend_accepts_instance_name_and_none(self):
-        assert resolve_backend(NUMPY) is NUMPY
-        assert resolve_backend("gf2bit").name == "gf2bit"
-        with use_backend("gf2bit"):
-            assert resolve_backend(None).name == "gf2bit"
-            assert resolve_backend("").name == "gf2bit"
-
-    def test_env_variable_sets_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "gf2bit")
-        assert default_backend_name() == "gf2bit"
-        assert current_backend().name == "gf2bit"
-        monkeypatch.setenv(BACKEND_ENV, "  ")
-        assert default_backend_name() == "numpy"
-
-    def test_register_backend_requires_name(self):
-        class Anonymous(ComputeBackend):
-            name = ""
-
-            def supports_field(self, field):  # pragma: no cover
-                return False
-
-            def row_reduce(self, field, matrix, *, augmented_columns=0):
-                raise NotImplementedError  # pragma: no cover
-
-            def rank(self, field, matrix):
-                raise NotImplementedError  # pragma: no cover
-
-            def is_in_row_space(self, field, matrix, vector):
-                raise NotImplementedError  # pragma: no cover
-
-            def make_eliminator(self, field, batch, columns, *, augmented_columns=0):
-                raise NotImplementedError  # pragma: no cover
-
-        with pytest.raises(BackendError, match="no registry name"):
-            register_backend(Anonymous())
-
-    def test_every_backend_supports_gf2(self):
-        # GF(2) is the shared floor of the conformance matrix: every backend
-        # must support it so the cross-backend scenarios below always run.
-        for name in all_backends():
-            assert get_backend(name).supports_field(GF(2)), name
-
-
-# ----------------------------------------------------------------------
-# Kernel conformance: row_reduce / rank / is_in_row_space
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend_name", all_backends())
+@pytest.mark.parametrize("order", FIELD_ORDERS)
 class TestKernelConformance:
-    """Seeded random matrices: every kernel agrees with the numpy reference."""
+    """Seeded random matrices: one-shot kernels and eliminator agree."""
 
-    def test_row_reduce_matches_reference(self, backend_name):
-        backend = get_backend(backend_name)
-        rng = np.random.default_rng(2024)
-        for order in _supported_orders(backend):
-            field = GF(order)
-            for rows, cols in [(1, 1), (3, 5), (5, 3), (8, 8), (6, 70), (17, 130)]:
-                matrix = _random_matrix(rng, field, rows, cols)
-                want, want_pivots = NUMPY.row_reduce(field, matrix)
-                got, got_pivots = backend.row_reduce(field, matrix)
-                assert got_pivots == want_pivots, (order, rows, cols)
-                assert np.array_equal(got, want), (order, rows, cols)
+    def test_row_reduce_matches_eliminator_basis(self, order):
+        field = GF(order)
+        rng = np.random.default_rng(2024 + order)
+        for rows, cols in [(1, 1), (3, 5), (5, 3), (8, 8), (6, 70), (17, 130)]:
+            matrix = _random_matrix(rng, field, rows, cols)
+            reduced, pivots = row_reduce(field, matrix)
+            eliminator = _absorb(field, matrix)
+            assert np.nonzero(eliminator.pivot_mask[0])[0].tolist() == pivots
+            assert np.array_equal(eliminator.basis(0), reduced[: len(pivots)])
+            assert not reduced[len(pivots):].any(), (rows, cols)
 
-    def test_row_reduce_augmented_matches_reference(self, backend_name):
-        backend = get_backend(backend_name)
-        rng = np.random.default_rng(77)
-        for order in _supported_orders(backend):
-            field = GF(order)
-            for rows, cols, aug in [(4, 6, 2), (5, 9, 4), (9, 80, 16)]:
-                matrix = _random_matrix(rng, field, rows, cols)
-                want, want_pivots = NUMPY.row_reduce(
-                    field, matrix, augmented_columns=aug
-                )
-                got, got_pivots = backend.row_reduce(
-                    field, matrix, augmented_columns=aug
-                )
-                assert got_pivots == want_pivots
-                assert np.array_equal(got, want)
+    def test_row_reduce_augmented_matches_eliminator_basis(self, order):
+        """Coded packets ``[C | C·X]``: pivots only in ``C``, payloads carried."""
+        field = GF(order)
+        rng = np.random.default_rng(77 + order)
+        for rows, cols, aug in [(4, 6, 2), (5, 9, 4), (9, 80, 16)]:
+            coefficients = _random_matrix(rng, field, rows, cols - aug)
+            messages = field.validate(rng.integers(0, order, size=(cols - aug, aug)))
+            packets = np.hstack([coefficients, matmul(field, coefficients, messages)])
+            reduced, pivots = row_reduce(field, packets, augmented_columns=aug)
+            eliminator = _absorb(field, packets, augmented_columns=aug)
+            assert np.nonzero(eliminator.pivot_mask[0])[0].tolist() == pivots
+            assert np.array_equal(eliminator.basis(0), reduced[: len(pivots)])
+            assert not reduced[len(pivots):].any(), (rows, cols, aug)
 
-    def test_rank_matches_reference(self, backend_name):
-        backend = get_backend(backend_name)
-        rng = np.random.default_rng(11)
-        for order in _supported_orders(backend):
-            field = GF(order)
-            for rows, cols in [(1, 4), (6, 6), (10, 4), (4, 100)]:
-                matrix = _random_matrix(rng, field, rows, cols)
-                assert backend.rank(field, matrix) == NUMPY.rank(field, matrix)
+    def test_rank_matches_eliminator_rank(self, order):
+        field = GF(order)
+        rng = np.random.default_rng(11 + order)
+        for rows, cols in [(1, 4), (6, 6), (10, 4), (4, 100)]:
+            matrix = _random_matrix(rng, field, rows, cols)
+            assert rank(field, matrix) == _absorb(field, matrix).rank_of(0)
 
-    def test_rank_of_empty_matrix(self, backend_name):
-        backend = get_backend(backend_name)
-        for order in _supported_orders(backend):
-            field = GF(order)
-            empty = field.zeros((0, 5))
-            assert backend.rank(field, empty) == 0
+    def test_rank_of_empty_matrix(self, order):
+        field = GF(order)
+        empty = field.zeros((0, 5))
+        unit = field.zeros(5)
+        unit[0] = 1
+        assert rank(field, empty) == 0
+        assert is_in_row_space(field, empty, field.zeros(5))
+        assert not is_in_row_space(field, empty, unit)
+        eliminator = make_eliminator(field, 2, 5)
+        assert eliminator.ranks.tolist() == [0, 0]
+        assert eliminator.eliminate(np.stack([field.zeros(5), unit])).tolist() == [
+            False,
+            True,
+        ]
 
-    def test_is_in_row_space_matches_reference(self, backend_name):
-        backend = get_backend(backend_name)
-        rng = np.random.default_rng(5150)
-        for order in _supported_orders(backend):
-            field = GF(order)
-            matrix = _random_matrix(rng, field, 4, 9)
-            # Mix guaranteed members (random combinations of the rows) with
-            # random probes that are usually outside the span.
-            probes = [field.zeros(9)]
-            for _ in range(6):
-                coefficients = field.validate(rng.integers(0, field.order, size=4))
-                member = field.zeros(9)
-                for coefficient, row in zip(coefficients, matrix):
-                    member = field.add(member, field.scalar_mul(int(coefficient), row))
-                probes.append(member)
-                probes.append(field.validate(rng.integers(0, field.order, size=9)))
-            for probe in probes:
-                assert backend.is_in_row_space(field, matrix, probe) == (
-                    NUMPY.is_in_row_space(field, matrix, probe)
-                )
+    def test_is_in_row_space_matches_eliminator(self, order):
+        """One problem per probe, each holding the matrix: a probe is helpful
+        exactly when it lies outside the row space."""
+        field = GF(order)
+        rng = np.random.default_rng(5150 + order)
+        matrix = _random_matrix(rng, field, 4, 9)
+        # Mix guaranteed members (random combinations of the rows) with
+        # random probes that are usually outside the span.
+        probes = [field.zeros(9)]
+        for _ in range(6):
+            coefficients = field.validate(rng.integers(0, order, size=(1, 4)))
+            probes.append(matmul(field, coefficients, matrix)[0])
+            probes.append(field.validate(rng.integers(0, order, size=9)))
+        problems = np.arange(len(probes))
+        eliminator = make_eliminator(field, len(probes), 9)
+        for row in matrix:
+            eliminator.eliminate(np.tile(row, (len(probes), 1)), problems)
+        helpful = eliminator.eliminate(np.stack(probes), problems)
+        assert helpful.tolist() == [
+            not is_in_row_space(field, matrix, probe) for probe in probes
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -222,9 +210,8 @@ class TestKernelConformance:
 # ----------------------------------------------------------------------
 
 
-def _trace_eliminators(
-    backend: ComputeBackend,
-    field,
+def _trace_eliminator(
+    eliminator_cls,
     *,
     batch: int,
     columns: int,
@@ -232,12 +219,12 @@ def _trace_eliminators(
     sweeps: int,
     seed: int,
 ) -> list[tuple]:
-    """Drive one eliminator through a seeded random trace; log everything."""
+    """Drive one GF(2) eliminator through a seeded random trace; log everything."""
+    field = GF(2)
     rng = np.random.default_rng(seed)
-    eliminator = backend.make_eliminator(
+    eliminator = eliminator_cls(
         field, batch, columns, augmented_columns=augmented_columns
     )
-    assert isinstance(eliminator, EliminatorState)
     log: list[tuple] = []
     for _ in range(sweeps):
         m = int(rng.integers(1, batch + 1))
@@ -261,225 +248,127 @@ def _trace_eliminators(
     return log
 
 
-@pytest.mark.parametrize("backend_name", all_backends())
 @pytest.mark.parametrize(
     "batch,columns,augmented_columns",
     [(1, 12, 0), (1, 18, 6), (4, 20, 0), (4, 20, 4), (3, 130, 64)],
     ids=["scalar", "scalar-augmented", "batched", "batched-augmented", "multiword"],
 )
-def test_eliminator_trace_matches_reference(
-    backend_name, batch, columns, augmented_columns
-):
-    backend = get_backend(backend_name)
-    for order in _supported_orders(backend):
-        field = GF(order)
-        kwargs = dict(
-            batch=batch,
-            columns=columns,
-            augmented_columns=augmented_columns,
-            sweeps=40,
-            seed=1234 + order,
-        )
-        assert _trace_eliminators(backend, field, **kwargs) == (
-            _trace_eliminators(NUMPY, field, **kwargs)
-        ), f"GF({order})"
-
-
-@pytest.mark.parametrize("backend_name", all_backends())
-def test_eliminator_validation_matches_reference(backend_name):
-    """Constructor validation is part of the contract (same typed errors)."""
-    from repro.errors import FieldError
-
-    backend = get_backend(backend_name)
-    field = GF(_supported_orders(backend)[0])
-    with pytest.raises(FieldError, match="batch size must be positive"):
-        backend.make_eliminator(field, 0, 4)
-    with pytest.raises(FieldError, match="column count must be positive"):
-        backend.make_eliminator(field, 2, 0)
-    with pytest.raises(FieldError, match="augmented_columns"):
-        backend.make_eliminator(field, 2, 4, augmented_columns=4)
-
-
-# ----------------------------------------------------------------------
-# gf2bit refuses non-binary fields (no silent fallback)
-# ----------------------------------------------------------------------
-
-
-class TestGf2BitRejectsOtherFields:
-    """Satellite: ``q != 2`` must be a typed, loud :class:`BackendError`."""
-
-    BACKEND = get_backend("gf2bit")
-
-    @pytest.mark.parametrize("order", [3, 16, 256])
-    def test_every_entry_point_refuses(self, order):
-        field = GF(order)
-        matrix = field.zeros((2, 4))
-        with pytest.raises(BackendError, match=r"only supports GF\(2\)"):
-            self.BACKEND.row_reduce(field, matrix)
-        with pytest.raises(BackendError, match=r"only supports GF\(2\)"):
-            self.BACKEND.rank(field, matrix)
-        with pytest.raises(BackendError, match=r"only supports GF\(2\)"):
-            self.BACKEND.is_in_row_space(field, matrix, field.zeros(4))
-        with pytest.raises(BackendError, match=r"only supports GF\(2\)"):
-            self.BACKEND.make_eliminator(field, 1, 4)
-
-    def test_error_names_the_offending_field(self):
-        with pytest.raises(BackendError, match=r"got GF\(16\)"):
-            self.BACKEND.rank(GF(16), GF(16).zeros((1, 1)))
-
-    def test_supports_field_reports_without_raising(self):
-        assert self.BACKEND.supports_field(GF(2))
-        assert not self.BACKEND.supports_field(GF(16))
-
-    def test_scenario_spec_rejects_incompatible_backend_eagerly(self):
-        with pytest.raises(ConfigurationError, match="does not support GF\\(16\\)"):
-            ScenarioSpec(topology="ring", n=8, backend="gf2bit").with_config(
-                field_size=2
-            )  # the base spec (field_size=16) already fails
-
-    def test_scenario_spec_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            ScenarioSpec(topology="ring", n=8, backend="not-a-backend")
-
-
-# ----------------------------------------------------------------------
-# End-to-end: scalar vs batch vs backend on registry scenarios
-# ----------------------------------------------------------------------
-
-#: Registry scenarios for the stopping-time equivalence matrix — a spread of
-#: protocols (uniform AG, TAG over two tree protocols, standalone tree),
-#: topologies, time models, churn and heterogeneous activation.  Each is
-#: flipped to GF(2) so the matrix exercises every backend.
-EQUIVALENCE_SCENARIOS = (
-    "uniform/complete",
-    "uniform/ring",
-    "uniform/barbell",
-    "tag/brr-barbell",
-    "tag/is-barbell",
-    "tree/brr-broadcast-barbell",
-    "churn/ring-crash-restart",
-    "hetero/two-speed-ring",
-)
-
-EQUIVALENCE_TRIALS = 2
-
-
-def _signature(results):
-    return [
-        (
-            result.rounds,
-            result.timeslots,
-            result.completed,
-            result.messages_sent,
-            result.helpful_messages,
-            tuple(sorted(result.completion_rounds.items())),
-            tuple(sorted(result.metadata.items())),
-        )
-        for result in results
-    ]
-
-
-def _gf2_spec(name: str) -> ScenarioSpec:
-    return get_scenario(name).with_config(field_size=2).replace(
-        trials=EQUIVALENCE_TRIALS
+def test_packed_trace_matches_dense(batch, columns, augmented_columns):
+    kwargs = dict(
+        batch=batch,
+        columns=columns,
+        augmented_columns=augmented_columns,
+        sweeps=40,
+        seed=1236,
+    )
+    assert _trace_eliminator(PackedGf2Eliminator, **kwargs) == (
+        _trace_eliminator(BatchEliminator, **kwargs)
     )
 
 
-@pytest.fixture(scope="module")
-def reference_signatures():
-    """Numpy sequential-engine signatures, computed once per scenario."""
-    from repro.analysis.stopping_time import measure_protocol
-
-    signatures = {}
-    for name in EQUIVALENCE_SCENARIOS:
-        scenario = _gf2_spec(name).materialize()
-        with use_backend("numpy"):
-            results = measure_protocol(
-                scenario.graph,
-                scenario.protocol_factory,
-                scenario.config,
-                trials=EQUIVALENCE_TRIALS,
-                seed=scenario.spec.seed,
-            )
-        signatures[name] = _signature(results)
-    return signatures
+def test_eliminator_validation_matches(eliminator_field):
+    """Constructor validation is part of the contract (same typed errors)."""
+    with pytest.raises(FieldError, match="batch size must be positive"):
+        make_eliminator(eliminator_field, 0, 4)
+    with pytest.raises(FieldError, match="column count must be positive"):
+        make_eliminator(eliminator_field, 2, 0)
+    with pytest.raises(FieldError, match="augmented_columns"):
+        make_eliminator(eliminator_field, 2, 4, augmented_columns=4)
 
 
-@pytest.mark.parametrize("backend_name", all_backends())
-@pytest.mark.parametrize("scenario_name", EQUIVALENCE_SCENARIOS)
-class TestScenarioEquivalence:
-    """Scalar and batch engines reproduce the reference under every backend."""
-
-    def test_sequential_scalar_engine_matches(
-        self, backend_name, scenario_name, reference_signatures
-    ):
-        from repro.analysis.stopping_time import measure_protocol
-
-        scenario = _gf2_spec(scenario_name).materialize()
-        with use_backend(backend_name):
-            results = measure_protocol(
-                scenario.graph,
-                scenario.protocol_factory,
-                scenario.config,
-                trials=EQUIVALENCE_TRIALS,
-                seed=scenario.spec.seed,
-            )
-        assert _signature(results) == reference_signatures[scenario_name]
-
-    def test_batch_engine_matches(
-        self, backend_name, scenario_name, reference_signatures
-    ):
-        from repro.experiments.parallel import measure_protocol_parallel
-
-        spec = _gf2_spec(scenario_name).replace(backend=backend_name)
-        results = measure_protocol_parallel(spec, jobs=1)
-        assert _signature(results) == reference_signatures[scenario_name]
+@pytest.mark.parametrize("order", [3, 16, 256])
+def test_packed_eliminator_refuses_other_fields(order):
+    """No silent fallback: ``q != 2`` is a typed, loud error naming the field."""
+    with pytest.raises(BackendError, match=rf"only supports GF\(2\), got GF\({order}\)"):
+        PackedGf2Eliminator(GF(order), 1, 4)
 
 
 # ----------------------------------------------------------------------
-# Store invariance: the cache is backend-blind
+# End-to-end: generated GF(2) scenarios, every eligible engine
+# ----------------------------------------------------------------------
+
+TRIALS = 2
+
+
+@st.composite
+def gf2_specs(draw) -> ScenarioSpec:
+    """A valid GF(2) scenario over the protocol, time and churn axes."""
+    protocol = draw(st.sampled_from(["uniform", "tag", "spanning_tree"]))
+    time_model = draw(st.sampled_from(list(TimeModel)))
+    churn = draw(st.sampled_from(
+        ["none", "pause"] if protocol == "spanning_tree" else ["none", "pause", "reset"]
+    ))
+    schedule = ()
+    if churn != "none":
+        down = draw(st.integers(1, 4))
+        schedule = ((draw(st.integers(0, 3)), down, down + draw(st.integers(1, 6))),)
+    activation = {}
+    if time_model is TimeModel.ASYNCHRONOUS and draw(st.booleans()):
+        activation = {
+            "kind": "two_speed",
+            "ratio": draw(st.sampled_from([2.0, 4.0])),
+            "fast_fraction": draw(st.sampled_from([0.25, 0.5])),
+        }
+    n = draw(st.integers(4, 24))
+    return ScenarioSpec(
+        topology=draw(
+            st.sampled_from(["ring", "grid", "complete", "barbell", "binary_tree"])
+        ),
+        n=n,
+        k=draw(st.integers(1, min(n, 8))),
+        protocol=protocol,
+        spanning_tree=draw(st.sampled_from(["brr", "is", "uniform_broadcast"])),
+        activation=activation,
+        config=default_scenario_config(time_model=time_model, field_size=2).replace(
+            action=draw(st.sampled_from(list(GossipAction))),
+            loss_probability=draw(st.sampled_from([0.0, 0.1])),
+            churn=schedule,
+            churn_reset=churn == "reset",
+        ),
+        trials=TRIALS,
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+def _measure(spec: ScenarioSpec, engine: str):
+    return spec.replace(engine=engine).materialize().measure()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=gf2_specs())
+def test_packed_engines_match_dense_scalar(force_dense, spec):
+    """Every eligible engine on the packed eliminator reproduces the dense
+    scalar reference trial-for-trial; every ineligible one refuses."""
+    with force_dense():
+        reference = _measure(spec, "scalar")
+    eligible = {
+        "scalar": True,
+        "batch": not spec.config.churn_reset,
+        "event": spec.protocol == "uniform",
+    }
+    for engine, runs in eligible.items():
+        if runs:
+            assert _measure(spec, engine) == reference, engine
+        else:
+            with pytest.raises(ConfigurationError):
+                spec.replace(engine=engine)
+
+
+# ----------------------------------------------------------------------
+# Store invariance: the cache is eliminator-blind
 # ----------------------------------------------------------------------
 
 
-class TestStoreBackendInvariance:
-    """Satellite: same fingerprint, same records, zero recomputation."""
-
-    def _spec(self, backend: str) -> ScenarioSpec:
-        return (
-            get_scenario("uniform/complete")
-            .with_config(field_size=2)
-            .replace(trials=3, backend=backend)
-        )
-
-    def test_fingerprint_ignores_backend(self):
-        fingerprints = {self._spec(name).fingerprint() for name in all_backends()}
-        fingerprints.add(self._spec("").fingerprint())
-        assert len(fingerprints) == 1
-
-    def test_backend_excluded_from_fingerprint_payload(self):
-        assert "backend" not in self._spec("gf2bit").fingerprint_payload()
-
-    def test_cross_backend_rerun_is_pure_cache_hit(self, tmp_path):
-        from repro.experiments.parallel import measure_protocol_parallel
-
-        store = ResultStore(tmp_path)
-        first = measure_protocol_parallel(self._spec("numpy"), store=store, jobs=1)
-        assert store.puts == 3 and store.hits == 0
-
-        rerun_store = ResultStore(tmp_path)
-        second = measure_protocol_parallel(
-            self._spec("gf2bit"), store=rerun_store, jobs=1
-        )
-        assert rerun_store.hits == 3
-        assert rerun_store.puts == 0
-        assert _signature(second) == _signature(first)
-
-    def test_records_land_in_the_same_shard(self, tmp_path):
-        from repro.experiments.parallel import measure_protocol_parallel
-
-        store = ResultStore(tmp_path)
-        measure_protocol_parallel(self._spec("gf2bit"), store=store, jobs=1)
-        assert store.fingerprints() == [self._spec("numpy").fingerprint()]
-        assert store.trial_keys(self._spec("numpy").fingerprint()) == [
-            (self._spec("numpy").seed, trial) for trial in range(3)
-        ]
+def test_dense_records_serve_a_packed_run(tmp_path, force_dense):
+    """Same fingerprint, same shard, zero recomputation across eliminators."""
+    spec = get_scenario("uniform/complete").with_config(field_size=2).replace(trials=3)
+    with force_dense():
+        first = spec.materialize().measure(store=ResultStore(tmp_path))
+    store = ResultStore(tmp_path)
+    assert store.fingerprints() == [spec.fingerprint()]
+    assert store.trial_keys(spec.fingerprint()) == [
+        (spec.seed, trial) for trial in range(3)
+    ]
+    second = spec.materialize().measure(store=store)
+    assert store.hits == 3 and store.puts == 0
+    assert second == first

@@ -26,6 +26,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "E99-unknown"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["scenario", "run", "uniform/ring"],
+    ], ids=["run", "scenario-run"])
+    def test_backend_flag_is_refused(self, argv, capsys):
+        # The field picks the eliminator: there is no backend to choose.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--backend", "gf2bit"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_uniform_run_prints_summary(self, capsys):

@@ -31,7 +31,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from nx_topologies import ORACLE_BUILDERS
 
-from repro.backends import use_backend
 from repro.core import GossipAction
 from repro.core.rng import derive_rng
 from repro.errors import TopologyError
@@ -303,11 +302,10 @@ def test_rank_only_process_matches_the_decoder_process(case):
         runs = []
         for build in (factory, factory.rank_only_process):
             rng = derive_rng(spec.seed, f"trial-{trial}")
-            with use_backend(spec.backend):
-                process = build(scenario.graph, rng)
-                result = EventGossipEngine(
-                    scenario.graph, process, scenario.config, rng
-                ).run()
+            process = build(scenario.graph, rng)
+            result = EventGossipEngine(
+                scenario.graph, process, scenario.config, rng
+            ).run()
             runs.append((result, rng.bit_generator.state))
         assert runs[0] == runs[1], trial
 
@@ -343,8 +341,7 @@ def test_build_event_process_calls_factories_without_a_rank_only_path():
     rng = derive_rng(0, "trial-0")
     process = build_event_process(scenario.graph, user_factory, rng)
     assert type(process).__name__ == "AlgebraicGossip"
-    with use_backend(scenario.spec.backend):
-        result = EventGossipEngine(scenario.graph, process, scenario.config, rng).run()
+    result = EventGossipEngine(scenario.graph, process, scenario.config, rng).run()
     expected = scenario.run_single(seed=0)
     assert result == expected
 

@@ -1,9 +1,10 @@
 """Tier-1 doctest lane for the declarative layers.
 
 The docstrings of :class:`~repro.scenarios.ScenarioSpec`,
-:class:`~repro.store.ResultStore` and the campaign classes carry executable
-examples (the API-reference pages in ``docs/api/`` quote the same
-docstrings), so they must stay true.  ``make test`` additionally runs the
+:class:`~repro.store.ResultStore`, the campaign classes and
+:func:`~repro.backends.make_eliminator` carry executable examples (the
+API-reference pages in ``docs/api/`` quote the same docstrings), so they
+must stay true.  ``make test`` additionally runs the
 same modules under ``pytest --doctest-modules``; this file keeps the lane
 inside the plain ``pytest`` tier-1 invocation as well.
 """
@@ -15,6 +16,7 @@ import doctest
 import pytest
 
 import repro.analysis.tables
+import repro.backends
 import repro.campaigns.registry
 import repro.campaigns.report
 import repro.campaigns.runner
@@ -32,6 +34,7 @@ DOCTEST_MODULES = [
     repro.campaigns.registry,
     repro.campaigns.runner,
     repro.campaigns.report,
+    repro.backends,
 ]
 
 

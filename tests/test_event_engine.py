@@ -7,8 +7,8 @@ Three layers of guarantees:
   field, every trial) and leaves its generator in the same state, across
   both time models, PUSH/PULL/EXCHANGE, packet loss, pause- and reset-mode
   churn, heterogeneous activation rates, degree-one leaves, GF(2), GF(3),
-  GF(5) and GF(16), and both compute backends — while never building or eliminating a packet
-  for a full-rank receiver.
+  GF(5) and GF(16) — so on both eliminators the field picks — while never
+  building or eliminating a packet for a full-rank receiver.
 * **Hot-path conformance** — the single-problem ``combine_one`` /
   ``eliminate_one`` fast paths of both shipped eliminators hold state
   identical to the batched ``eliminate`` reference on random traces, and
@@ -28,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_backend, use_backend
+from repro.backends import make_eliminator
 from repro.core import GossipAction, SimulationConfig, TimeModel
 from repro.core.rng import derive_rng
 from repro.errors import ConfigurationError, EngineError, SimulationError
@@ -89,14 +89,12 @@ EQUIVALENCE_CASES = {
         topology="erdos_renyi_logn",
         n=32,
         k=8,
-        backend="gf2bit",
         config=ASYNC.replace(field_size=2),
     ),
     "gf2bit-churn-reset": dict(
         topology="ring",
         n=12,
         k=6,
-        backend="gf2bit",
         config=ASYNC.replace(field_size=2, churn=((4, 3, 9),), churn_reset=True),
     ),
     # Prime fields: coefficient draws go through the rejection path of the
@@ -147,10 +145,15 @@ def test_event_engine_matches_scalar_bit_identically(case):
     assert _measure(spec, "scalar") == _measure(spec, "event")
 
 
-def test_event_engine_matches_scalar_on_every_backend(compute_backend):
-    """The ambient backend never changes the event engine's results."""
+def test_event_engine_matches_scalar_on_both_eliminators(eliminator_field):
+    """Packed (GF(2)) or dense (GF(16)), the event engine matches scalar."""
     spec = _spec(
-        topology="grid", n=16, k=8, trials=2, seed=7, config=ASYNC.replace(field_size=2)
+        topology="grid",
+        n=16,
+        k=8,
+        trials=2,
+        seed=7,
+        config=ASYNC.replace(field_size=eliminator_field.order),
     )
     assert _measure(spec, "scalar") == _measure(spec, "event")
 
@@ -174,9 +177,8 @@ def test_event_engine_stopping_times_match_on_registry_scenarios(name, seed):
 def _direct_run(engine_cls, materialized, seed):
     """One engine-level trial; returns its result and the generator after it."""
     rng = derive_rng(seed, "trial-0")
-    with use_backend(materialized.spec.backend):
-        process = materialized.build_process(rng)
-        result = engine_cls(materialized.graph, process, materialized.config, rng).run()
+    process = materialized.build_process(rng)
+    result = engine_cls(materialized.graph, process, materialized.config, rng).run()
     return result, rng
 
 
@@ -352,14 +354,12 @@ def _random_payload(field, rng, columns):
 
 @pytest.mark.parametrize("columns,augmented", [(8, 0), (12, 4), (70, 0)])
 def test_single_problem_fast_paths_match_bulk_eliminate(
-    compute_backend, backend_field, columns, augmented
+    eliminator_field, columns, augmented
 ):
     """combine_one/eliminate_one hold state identical to eliminate()."""
-    field = backend_field
+    field = eliminator_field
     batch = 4
-    fast = compute_backend.make_eliminator(
-        field, batch, columns, augmented_columns=augmented
-    )
+    fast = make_eliminator(field, batch, columns, augmented_columns=augmented)
     reference = BatchEliminator(field, batch, columns, augmented_columns=augmented)
     rng = np.random.default_rng(99)
     for step in range(120):
@@ -401,11 +401,11 @@ def _as_native(eliminator, row):
     return row
 
 
-def test_reset_problems_restores_fresh_state(compute_backend, backend_field):
+def test_reset_problems_restores_fresh_state(eliminator_field):
     """A reset problem is indistinguishable from a freshly constructed one."""
-    field = backend_field
-    eliminator = compute_backend.make_eliminator(field, 3, 8)
-    fresh = compute_backend.make_eliminator(field, 3, 8)
+    field = eliminator_field
+    eliminator = make_eliminator(field, 3, 8)
+    fresh = make_eliminator(field, 3, 8)
     rng = np.random.default_rng(5)
     for _ in range(6):
         rows = field.random_elements(rng, (3, 8))
@@ -422,24 +422,3 @@ def test_reset_problems_restores_fresh_state(compute_backend, backend_field):
     # A wiped problem accepts the same rows a fresh eliminator would.
     probe = field.random_elements(np.random.default_rng(8), (1, 8))
     assert bool(eliminator.eliminate(probe, np.array([0]))[0])
-
-
-def test_base_eliminator_default_refuses_reset():
-    from repro.backends import EliminatorState
-    from repro.errors import BackendError
-
-    class Stub(EliminatorState):
-        def eliminate(self, incoming, indices=None):  # pragma: no cover
-            raise NotImplementedError
-
-        def rank_of(self, index):  # pragma: no cover
-            raise NotImplementedError
-
-        def basis(self, index):  # pragma: no cover
-            raise NotImplementedError
-
-        def combine(self, index, coefficients):  # pragma: no cover
-            raise NotImplementedError
-
-    with pytest.raises(BackendError, match="does not support resetting"):
-        Stub().reset_problems(np.array([0]))

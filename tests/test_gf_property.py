@@ -2,9 +2,9 @@
 
 These exercise the algebraic invariants RLNC correctness rests on: the field
 axioms (associativity, commutativity, distributivity, inverses) and the
-consistency of rank under row operations.  The final block runs the same
-invariants once per registered compute backend — every backend must uphold
-them, not just the dense numpy reference.
+consistency of rank under row operations.  The final block checks the
+incremental eliminators over GF(2) and GF(16) — the two fields that pick the
+packed and the dense implementation — so both uphold the same contract.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import all_backends, get_backend, use_backend
+from repro.backends import make_eliminator
 from repro.gf import GF, rank, row_reduce
 
 FIELD_ORDERS = [2, 3, 5, 4, 16, 9]
@@ -120,95 +120,91 @@ def test_duplicating_a_row_never_changes_rank(data, row_index):
 
 
 # ----------------------------------------------------------------------
-# Backend-invariant properties: every registered compute backend must
-# uphold the algebraic contract on a field it supports (GF(2) is the one
-# field all backends share).
+# Properties over both eliminator fields: GF(2) picks the packed
+# eliminator, GF(16) the dense one, and both must uphold the contract.
 # ----------------------------------------------------------------------
 
 
-def _backend_matrix(backend_name: str):
-    """A random matrix over a field the named backend supports."""
-    backend = get_backend(backend_name)
-    orders = [q for q in (2, 16) if backend.supports_field(GF(q))]
+#: One field per eliminator, each proving the full contract on its own.
+ELIMINATOR_FIELDS = pytest.mark.parametrize(
+    "order", [2, 16], ids=["GF(2)-packed", "GF(16)-dense"]
+)
 
-    @st.composite
-    def build(draw):
-        order = draw(st.sampled_from(orders))
-        rows = draw(st.integers(min_value=1, max_value=6))
-        cols = draw(st.integers(min_value=1, max_value=7))
-        entries = draw(
-            st.lists(
-                st.lists(elements(order), min_size=cols, max_size=cols),
-                min_size=rows,
-                max_size=rows,
-            )
+_PROBLEM_0 = np.zeros(1, np.int64)
+
+
+@st.composite
+def eliminator_matrices(draw, order: int):
+    """A random matrix over ``GF(order)``."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=7))
+    entries = draw(
+        st.lists(
+            st.lists(elements(order), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
         )
-        return GF(order), np.array(entries, dtype=np.int64)
+    )
+    return GF(order), np.array(entries, dtype=np.int64)
 
-    return build()
+
+def _row(data, field, columns: int) -> np.ndarray:
+    """One drawn row of field elements."""
+    entries = data.draw(
+        st.lists(elements(field.order), min_size=columns, max_size=columns)
+    )
+    return field.validate(np.array(entries, dtype=np.int64))
 
 
-@pytest.mark.parametrize("backend_name", all_backends())
-class TestBackendAlgebraicInvariants:
+def _absorbed(field, matrix):
+    """The eliminator the field picks, fed ``matrix`` row by row."""
+    eliminator = make_eliminator(field, 1, matrix.shape[1])
+    for row in field.validate(matrix):
+        eliminator.eliminate(row[np.newaxis, :], _PROBLEM_0)
+    return eliminator
+
+
+@ELIMINATOR_FIELDS
+class TestEliminatorFieldInvariants:
     """Rank monotonicity, idempotent re-elimination, helpfulness ⇔ rank."""
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_rank_monotone_under_row_append(self, backend_name, data):
-        field, matrix = data.draw(_backend_matrix(backend_name))
-        extra = data.draw(
-            st.lists(
-                elements(field.order),
-                min_size=matrix.shape[1],
-                max_size=matrix.shape[1],
-            )
-        )
-        with use_backend(backend_name):
-            base = rank(field, matrix)
-            grown = rank(
-                field, np.vstack([matrix, np.array(extra, dtype=np.int64)])
-            )
+    def test_rank_monotone_under_row_append(self, order, data):
+        field, matrix = data.draw(eliminator_matrices(order))
+        extra = _row(data, field, matrix.shape[1])
+        eliminator = _absorbed(field, matrix)
+        base = eliminator.rank_of(0)
+        eliminator.eliminate(extra[np.newaxis, :], _PROBLEM_0)
+        grown = eliminator.rank_of(0)
         assert base <= grown <= base + 1
+        assert base == rank(field, matrix)
+        assert grown == rank(field, np.vstack([matrix, extra]))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_row_reduce_is_idempotent(self, backend_name, data):
-        field, matrix = data.draw(_backend_matrix(backend_name))
-        with use_backend(backend_name):
-            reduced, pivots = row_reduce(field, matrix)
-            again, pivots_again = row_reduce(field, reduced)
+    def test_row_reduce_is_idempotent(self, order, data):
+        """Re-reducing a reduced basis changes nothing, one-shot or incremental."""
+        field, matrix = data.draw(eliminator_matrices(order))
+        reduced, pivots = row_reduce(field, matrix)
+        again, pivots_again = row_reduce(field, reduced)
         assert pivots_again == pivots
         assert np.array_equal(again, reduced)
+        eliminator = _absorbed(field, matrix)
+        basis = eliminator.basis(0)
+        for row in basis:
+            assert not eliminator.eliminate(row[np.newaxis, :], _PROBLEM_0)[0]
+        assert np.array_equal(eliminator.basis(0), basis)
+        assert np.array_equal(_absorbed(field, basis).basis(0), basis)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_helpful_iff_rank_increases(self, backend_name, data):
-        field, matrix = data.draw(_backend_matrix(backend_name))
-        candidate = np.array(
-            data.draw(
-                st.lists(
-                    elements(field.order),
-                    min_size=matrix.shape[1],
-                    max_size=matrix.shape[1],
-                )
-            ),
-            dtype=np.int64,
-        )
-        backend = get_backend(backend_name)
-        columns = matrix.shape[1]
-        with use_backend(backend_name):
-            eliminator = backend.make_eliminator(field, 1, columns)
-            for row in matrix:
-                eliminator.eliminate(
-                    field.validate(row)[np.newaxis, :], np.zeros(1, np.int64)
-                )
-            before = eliminator.rank_of(0)
-            helpful = bool(
-                eliminator.eliminate(
-                    field.validate(candidate)[np.newaxis, :],
-                    np.zeros(1, np.int64),
-                )[0]
-            )
-            after = eliminator.rank_of(0)
+    def test_helpful_iff_rank_increases(self, order, data):
+        field, matrix = data.draw(eliminator_matrices(order))
+        candidate = _row(data, field, matrix.shape[1])
+        eliminator = _absorbed(field, matrix)
+        before = eliminator.rank_of(0)
+        helpful = bool(eliminator.eliminate(candidate[np.newaxis, :], _PROBLEM_0)[0])
+        after = eliminator.rank_of(0)
         assert helpful == (after == before + 1)
         assert (not helpful) == (after == before)

@@ -77,19 +77,15 @@ def _tag_factory(config, *, keep_phase1_after_tree=True, tree=RoundRobinBroadcas
 
 
 class TestTagBatchedEqualsSequential:
-    # ``compute_backend`` parametrises the equivalence over every registered
-    # backend (the fixture installs it as the ambient default);
-    # ``backend_field`` clamps the field order to one the backend supports,
-    # so e.g. gf2bit proves the same bit-identity over GF(2).
+    # ``eliminator_field`` runs the equivalence over GF(2) and GF(16), so it
+    # holds on the packed and on the dense eliminator alike.
     @pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("spanning_tree", SPANNING_TREES)
-    def test_bit_identical_results(
-        self, spanning_tree, time_model, compute_backend, backend_field
-    ):
+    def test_bit_identical_results(self, spanning_tree, time_model, eliminator_field):
         case = tag_case(
             "barbell", 8, 4, spanning_tree=spanning_tree,
             config=default_config(
-                time_model=time_model, field_size=backend_field.order
+                time_model=time_model, field_size=eliminator_field.order
             ),
         )
         _assert_batched_equals_sequential(
@@ -97,9 +93,9 @@ class TestTagBatchedEqualsSequential:
         )
 
     @pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
-    def test_keep_phase1_off_matches(self, time_model, compute_backend, backend_field):
+    def test_keep_phase1_off_matches(self, time_model, eliminator_field):
         config = default_config(
-            time_model=time_model, field_size=backend_field.order
+            time_model=time_model, field_size=eliminator_field.order
         )
         graph = barbell_graph(8)
         factory = _tag_factory(config, keep_phase1_after_tree=False)
@@ -152,9 +148,7 @@ class TestSpanningTreeBatchedEqualsSequential:
         ],
         ids=["brr", "uniform_broadcast", "is", "bfs_oracle"],
     )
-    def test_standalone_protocols_match(self, factory, time_model, compute_backend):
-        # Tree protocols carry no decoder state; running the matrix under
-        # every backend proves the tree path never depends on one.
+    def test_standalone_protocols_match(self, factory, time_model):
         graph = barbell_graph(10)
         config = SimulationConfig(time_model=time_model, max_rounds=5_000)
         _assert_batched_equals_sequential(graph, factory, config, trials=3, seed=11)

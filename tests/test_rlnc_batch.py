@@ -15,7 +15,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_backend
 from repro.errors import DecodingError, FieldError
 from repro.gf import GF, BatchEliminator, rank as matrix_rank
 from repro.rlnc import BatchDecoder, RlncDecoder
@@ -97,15 +96,14 @@ class TestBatchDecoderMatchesScalar:
         assert np.array_equal(together.ranks, one_by_one.ranks)
 
 
-class TestBatchDecoderMatchesScalarAcrossBackends:
-    """The scalar/batch agreement of the class above, once per backend.
+class TestBatchDecoderMatchesScalarOnBothEliminators:
+    """The scalar/batch agreement of the class above, once per eliminator.
 
-    ``compute_backend`` installs each registered backend as the ambient
-    default, so both decoders below are built on it; ``backend_field``
-    clamps the field to one the backend supports.  The health check is
-    suppressed because the fixtures are deterministic per parametrisation —
-    hypothesis re-drawing examples against the same fixture value is exactly
-    what we want here.
+    ``eliminator_field`` is GF(2) (packed eliminator) or GF(16) (dense), and
+    both decoders below are built on the eliminator the field picks.  The
+    health check is suppressed because the fixture is deterministic per
+    parametrisation — hypothesis re-drawing examples against the same
+    fixture value is exactly what we want here.
     """
 
     @settings(
@@ -120,14 +118,12 @@ class TestBatchDecoderMatchesScalarAcrossBackends:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_trace_agrees_per_packet(
-        self, compute_backend, backend_field, k, problems, packets, seed
+        self, eliminator_field, k, problems, packets, seed
     ):
-        field = backend_field
+        field = eliminator_field
         rng = np.random.default_rng(seed)
         batch = BatchDecoder(field, k, problems)
         scalars = [RlncDecoder(field, k, payload_length=1) for _ in range(problems)]
-        assert batch.backend is compute_backend
-        assert all(scalar.backend is compute_backend for scalar in scalars)
         for problem, row in _random_trace(field, k, problems, packets, rng):
             packet = CodedPacket.from_arrays(row, field.zeros(1))
             expected = scalars[problem].receive(packet)
@@ -138,15 +134,6 @@ class TestBatchDecoderMatchesScalarAcrossBackends:
             assert np.array_equal(
                 batch.coefficient_matrix(problem), scalar.coefficient_matrix()
             )
-
-    def test_explicit_backend_argument_overrides_ambient(self):
-        gf2 = GF(2)
-        packed = BatchDecoder(gf2, k=3, problems=2, backend="gf2bit")
-        assert packed.backend is get_backend("gf2bit")
-        scalar = RlncDecoder(gf2, k=3, payload_length=1, backend="gf2bit")
-        assert scalar.backend is get_backend("gf2bit")
-        # The ambient default is untouched by the explicit argument.
-        assert BatchDecoder(gf2, k=3, problems=2).backend is get_backend("numpy")
 
 
 class TestBatchEliminator:

@@ -118,6 +118,60 @@ class TestJsonRoundTrip:
         with pytest.raises(ConfigurationError):
             ScenarioSpec.from_json("[1, 2]")
 
+    def test_documents_naming_a_backend_still_load(self, tmp_path):
+        """Shard headers and campaign files written while specs carried a
+        ``backend`` field rebuild to the workload they always addressed."""
+        from repro.campaigns import CampaignSpec
+        from repro.store import ResultStore
+
+        config = {
+            "field_size": 2,
+            "max_rounds": 50000,
+            "payload_length": 2,
+            "time_model": "asynchronous",
+        }
+        header = {
+            "backend": "gf2bit",
+            "config": config,
+            "engine": "event",
+            "k": 8,
+            "n": 2048,
+            "name": "event/er-logn",
+            "topology": "erdos_renyi_logn",
+            "trials": 3,
+        }
+        fingerprint = "9230bf47eac3534655edd4a053020f46c1d83ae36c0693c113de307eb60f4095"
+        shard = tmp_path / "shards" / fingerprint[:2] / f"{fingerprint}.jsonl"
+        shard.parent.mkdir(parents=True)
+        shard.write_text(
+            json.dumps({"fingerprint": fingerprint, "kind": "spec", "spec": header})
+            + "\n"
+        )
+        rebuilt = ResultStore(tmp_path).spec(fingerprint)
+        assert rebuilt.fingerprint() == fingerprint
+        assert rebuilt == get_scenario("event/er-logn").replace(description="")
+
+        unit = {
+            "name": "er-logn-n1000",
+            "record": "summary",
+            "spec": {
+                "backend": "gf2bit",
+                "config": config,
+                "engine": "event",
+                "k": 8,
+                "n": 1000,
+                "topology": "erdos_renyi_logn",
+                "trials": 3,
+            },
+        }
+        campaign = CampaignSpec.from_dict({"name": "old", "units": [unit]})
+        assert campaign.units[0].spec.fingerprint() == (
+            "a7fe64361603372520e72905014c2cddf7e0d1b36388c136c562830c6910abc5"
+        )
+        # Only that one retired key is forgiven.
+        with pytest.raises(ConfigurationError, match=r"fields \['mystery'\]"):
+            ScenarioSpec.from_dict({"backend": "gf2bit", "mystery": 1})
+
 
 class TestValidation:
     def test_unknown_topology(self):
@@ -292,6 +346,24 @@ class TestMaterialize:
             config=_FAST.replace(churn=((2, 3, 5),), churn_reset=True),
         ).materialize()
         assert reset.batch_strategy() is None
+
+    @pytest.mark.parametrize(
+        "engine", ["", "scalar", "batch", "event"],
+        ids=["default", "scalar", "batch", "event"],
+    )
+    def test_run_single_is_trial_zero_on_every_engine(self, engine, tmp_path):
+        """Whichever engine the spec pins, ``run_single`` is trial 0 of the
+        plan, persisted to and then served from the store."""
+        from repro.store import ResultStore
+
+        spec = get_scenario("uniform/ring").replace(trials=2, engine=engine)
+        expected = spec.replace(engine="scalar").materialize().measure()[0]
+        scenario = spec.materialize()
+        store = ResultStore(tmp_path)
+        assert scenario.run_single(store=store) == expected
+        assert (store.hits, store.puts) == (0, 1)
+        assert scenario.run_single(store=store) == expected
+        assert (store.hits, store.puts) == (1, 1)
 
 
 class TestRegistry:

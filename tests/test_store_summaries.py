@@ -44,9 +44,9 @@ def _sweep_spec(trials: int = 3):
 def _measure(spec, engine: str):
     """The spec's trials through one engine family (same fingerprint for all).
 
-    ``engine``/``backend`` are execution hints excluded from the workload
-    fingerprint, so results from different engines land in (and must agree
-    with) the same shard.
+    ``engine`` is an execution hint excluded from the workload fingerprint,
+    so results from different engines land in (and must agree with) the
+    same shard.
     """
     pinned = spec.replace(engine=engine)
     scenario = pinned.materialize()
@@ -56,7 +56,6 @@ def _measure(spec, engine: str):
         scenario.config,
         pinned.seed,
         list(range(pinned.trials)),
-        pinned.backend,
         pinned.engine,
     )
 
