@@ -28,14 +28,26 @@ test-slow:
 ## Scaled-down benchmark pass: proves the harness and both batch fast paths
 ## (uniform AG and TAG) work without paying full benchmark sizes.  The
 ## speedup floors are lowered to match the smoke sizes; the full-size floors
-## are asserted by `make bench-json`.  The full reproduction is
-## `pytest benchmarks/<script> --benchmark-only` per script.
+## are asserted by `make bench-json`.  The last steps run the `bounds`
+## campaign (measured stopping times next to the paper's bounds) at 2 trials
+## into a scratch store, check that an immediate rerun is fully cached, and
+## that the report carries the Theorem 1 ratio column.  The full
+## reproduction is `pytest benchmarks/<script> --benchmark-only` per script.
 bench-smoke:
 	REPRO_BENCH_BATCH_N=32 REPRO_BENCH_BATCH_TRIALS=8 REPRO_BENCH_BATCH_MIN_SPEEDUP=2 \
 		$(PYTHON) -m pytest benchmarks/bench_batch_core.py --benchmark-only -q
 	REPRO_BENCH_TAG_N=32 REPRO_BENCH_TAG_TRIALS=8 REPRO_BENCH_TAG_MIN_SPEEDUP=2 \
 		$(PYTHON) -m pytest benchmarks/bench_batch_tag.py --benchmark-only -q
-	$(PYTHON) -m repro experiment E1-uniform-ag --trials 2
+	rm -rf benchmarks/output/bounds-smoke
+	$(PYTHON) -m repro campaign run bounds --trials 2 \
+		--store benchmarks/output/bounds-smoke/store \
+		--report-dir benchmarks/output/bounds-smoke/report
+	$(PYTHON) -m repro campaign run bounds --trials 2 \
+		--store benchmarks/output/bounds-smoke/store \
+		--report-dir benchmarks/output/bounds-smoke/report \
+		> benchmarks/output/bounds-smoke/rerun.log
+	grep -q "0 newly computed" benchmarks/output/bounds-smoke/rerun.log
+	grep -q "ratio(theorem1)" benchmarks/output/bounds-smoke/report/report.md
 
 ## Full-size perf benchmarks with machine-readable results: asserts the >=5x
 ## speedup floors at n=128 and writes benchmarks/output/BENCH_*.json

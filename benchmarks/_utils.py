@@ -1,24 +1,26 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module reproduces one table or figure of the paper (see the
-per-experiment index in DESIGN.md).  Besides the pytest-benchmark timing, each
-benchmark prints the reproduced table to stdout **and** appends it to
-``benchmarks/output/<experiment>.txt`` so that EXPERIMENTS.md can quote the
-numbers from a file that any reader can regenerate with
+Every benchmark module reproduces one table or figure of the paper, or
+measures one engine (its module docstring names which).  Besides the
+pytest-benchmark timing, each benchmark prints the reproduced table to stdout
+**and** writes it to ``benchmarks/output/<experiment>.txt``, so the docs can
+quote numbers from a file that any reader can regenerate with
 ``pytest benchmarks/ --benchmark-only``.
 
 Simulated trials additionally flow through the shared persistent result store
-(:func:`bench_store` / :func:`cached_sweep` / :func:`cached_run`): re-running
-any table benchmark reuses every previously archived trial bit-identically
-and only simulates what the archive does not yet hold.
+(:func:`bench_store` / :func:`measured_table` / :func:`cached_run`):
+re-running any table benchmark reuses every previously archived trial
+bit-identically and only simulates what the archive does not yet hold.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -73,11 +75,49 @@ def bench_store() -> "ResultStore | None":
     return _BENCH_STORE
 
 
-def cached_sweep(cases, *, trials, seed, jobs=None):
-    """:func:`repro.analysis.run_sweep` reading through the benchmark store."""
-    from repro.analysis import run_sweep
+@contextlib.contextmanager
+def _campaign_store():
+    """The benchmark store, or a throwaway one when caching is disabled."""
+    store = bench_store()
+    if store is not None:
+        yield store
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as root:
+        yield ResultStore(root)
 
-    return run_sweep(cases, trials=trials, seed=seed, jobs=jobs, store=bench_store())
+
+def measured_table(units, *, trials, seed, bounds=()):
+    """Run labelled specs as one inline campaign through the benchmark store.
+
+    ``units`` is a sequence of ``(label, ScenarioSpec)`` pairs; unit ``i``
+    runs ``trials`` trials from root seed ``seed + i * 10_007``, the seeds
+    the tables have always used, so archived records keep matching.  Returns
+    the campaign's ``measured-table`` rows — one ``<bound>`` and
+    ``ratio(<bound>)`` column pair per name in ``bounds``, and without the
+    ``scenario`` column, which is ``(inline)`` on every row — together with
+    the unit outcomes, whose unrounded statistics feed the growth fits.
+    """
+    from repro.campaigns import ArtifactSpec, CampaignSpec, CampaignUnit, run_campaign
+
+    campaign = CampaignSpec(
+        name="benchmark-table",
+        units=tuple(
+            CampaignUnit(
+                name=label, spec=spec, trials=trials, seed=seed + index * 10_007
+            )
+            for index, (label, spec) in enumerate(units)
+        ),
+        artifacts=(
+            ArtifactSpec(kind="measured-table", params={"bounds": list(bounds)}),
+        ),
+    )
+    with _campaign_store() as store:
+        result = run_campaign(campaign, store=store, jobs=BENCH_JOBS)
+    rows = [
+        {key: value for key, value in row.items() if key != "scenario"}
+        for row in result.artifacts[0].rows
+    ]
+    return rows, result.outcomes
 
 
 def cached_measure(workload, *, trials=None, seed=None):

@@ -1,4 +1,4 @@
-"""Ablations of the design choices called out in DESIGN.md.
+"""Ablations of the model's design choices.
 
 Not a table in the paper, but each ablation isolates one modelling decision:
 
@@ -16,16 +16,14 @@ and runs through the scenario layer — no hand-rolled factories.
 
 from __future__ import annotations
 
-from _utils import PEDANTIC, bench_store, cached_run, report
+from _utils import PEDANTIC, cached_run, report
 from repro.core import GossipAction
-from repro.experiments import default_config, tag_case
-from repro.experiments.parallel import run_trials_parallel
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import ScenarioSpec, default_scenario_config
 
 TRIALS = 3
 N = 16
 
-_RING_CONFIG = default_config(max_rounds=500_000)
+_RING_CONFIG = default_scenario_config(max_rounds=500_000)
 
 
 def _action_ablation():
@@ -57,13 +55,12 @@ def _field_size_ablation():
 def _tree_protocol_ablation():
     rows = []
     for stp in ("bfs_oracle", "uniform_broadcast", "brr", "is"):
-        case = tag_case("barbell", N, N, spanning_tree=stp,
-                        config=default_config(max_rounds=500_000))
-        # A materialised case keeps its spec, which is the content address the
-        # store needs alongside the explicit (graph, factory, config) triple.
-        stats = run_trials_parallel(case.graph, case.protocol_factory, case.config,
-                                    trials=TRIALS, seed=911, jobs=1,
-                                    store=bench_store(), spec=case.spec)
+        spec = ScenarioSpec(
+            topology="barbell", n=N, k=N, protocol="tag", spanning_tree=stp,
+            config=default_scenario_config(max_rounds=500_000),
+            trials=TRIALS, seed=911,
+        )
+        stats = cached_run(spec)
         rows.append({"spanning_tree": stp, "mean_rounds": round(stats.mean, 1),
                      "p95_rounds": round(stats.whp, 1)})
     return rows
@@ -76,7 +73,7 @@ def _interleaving_ablation():
         spec = ScenarioSpec(
             topology="barbell", n=N, protocol="tag", spanning_tree="brr",
             keep_phase1_after_tree=keep_phase1,
-            config=default_config(max_rounds=500_000),
+            config=default_scenario_config(max_rounds=500_000),
             trials=TRIALS, seed=912,
         )
         stats = cached_run(spec)

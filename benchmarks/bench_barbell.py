@@ -9,45 +9,40 @@ stopping times, their ratio, and the fitted growth exponents.
 
 from __future__ import annotations
 
-from _utils import PEDANTIC, cached_sweep, report
+from _utils import PEDANTIC, measured_table, report
 from repro.analysis import fit_power_law
-from repro.experiments import default_config, tag_case, uniform_ag_case
+from repro.scenarios import ScenarioSpec, default_scenario_config
 
 TRIALS = 2
 SIZES = [8, 12, 16, 24, 32]
 
 
+def _means(protocol: str, seed: int) -> list[float]:
+    """Mean stopping time per size of one protocol's k = n barbell sweep."""
+    config = default_scenario_config(max_rounds=1_000_000)
+    units = [
+        (f"{protocol} n={n}", ScenarioSpec(topology="barbell", n=n, k=n,
+                                           protocol=protocol, config=config))
+        for n in SIZES
+    ]
+    _, outcomes = measured_table(units, trials=TRIALS, seed=seed)
+    return [outcome.stats.mean for outcome in outcomes]
+
+
 def _run():
-    config = default_config(max_rounds=1_000_000)
-    uniform_points = cached_sweep(
-        [
-            uniform_ag_case("barbell", n, n, config=config, label=f"uniform n={n}", value=n)
-            for n in SIZES
-        ],
-        trials=TRIALS,
-        seed=808,
-    )
-    tag_points = cached_sweep(
-        [
-            tag_case("barbell", n, n, spanning_tree="brr", config=config,
-                     label=f"tag n={n}", value=n)
-            for n in SIZES
-        ],
-        trials=TRIALS,
-        seed=809,
-    )
-    rows = []
-    for uniform, tag in zip(uniform_points, tag_points):
-        rows.append(
-            {
-                "n": int(uniform.value),
-                "uniform_ag_mean": round(uniform.mean, 1),
-                "tag_brr_mean": round(tag.mean, 1),
-                "speedup": round(uniform.mean / tag.mean, 2),
-            }
-        )
-    uniform_fit = fit_power_law(SIZES, [p.mean for p in uniform_points])
-    tag_fit = fit_power_law(SIZES, [p.mean for p in tag_points])
+    uniform_means = _means("uniform", 808)
+    tag_means = _means("tag", 809)
+    rows = [
+        {
+            "n": n,
+            "uniform_ag_mean": round(uniform, 1),
+            "tag_brr_mean": round(tag, 1),
+            "speedup": round(uniform / tag, 2),
+        }
+        for n, uniform, tag in zip(SIZES, uniform_means, tag_means)
+    ]
+    uniform_fit = fit_power_law(SIZES, uniform_means)
+    tag_fit = fit_power_law(SIZES, tag_means)
     return rows, uniform_fit, tag_fit
 
 

@@ -14,34 +14,37 @@ from __future__ import annotations
 
 import pytest
 
-from _utils import BENCH_JOBS, PEDANTIC, cached_sweep, report
-from repro.analysis import fit_power_law, scaling_table
-from repro.experiments import default_config, uniform_ag_case
+from _utils import PEDANTIC, measured_table, report
+from repro.analysis import fit_power_law
+from repro.scenarios import ScenarioSpec, default_scenario_config
 
 TRIALS = 3
+_CONFIG = default_scenario_config(max_rounds=500_000)
 
 
 def _k_sweep():
-    config = default_config(max_rounds=500_000)
     ks = [4, 8, 16, 32]
-    cases = [
-        uniform_ag_case("ring", 32, k, config=config, label=f"k={k}", value=k) for k in ks
+    units = [
+        (f"k={k}", ScenarioSpec(topology="ring", n=32, k=k, config=_CONFIG))
+        for k in ks
     ]
-    points = cached_sweep(cases, trials=TRIALS, seed=202, jobs=BENCH_JOBS)
-    rows = scaling_table(points, bound_names=("theorem3", "lower"), value_header="k")
-    fit = fit_power_law([p.value for p in points], [p.mean for p in points])
+    rows, outcomes = measured_table(
+        units, trials=TRIALS, seed=202, bounds=("theorem3", "lower")
+    )
+    fit = fit_power_law(ks, [outcome.stats.mean for outcome in outcomes])
     return rows, fit
 
 
 def _n_sweep():
-    config = default_config(max_rounds=500_000)
     ns = [8, 16, 24, 32]
-    cases = [
-        uniform_ag_case("ring", n, n, config=config, label=f"n={n}", value=n) for n in ns
+    units = [
+        (f"n={n}", ScenarioSpec(topology="ring", n=n, k=n, config=_CONFIG))
+        for n in ns
     ]
-    points = cached_sweep(cases, trials=TRIALS, seed=203, jobs=BENCH_JOBS)
-    rows = scaling_table(points, bound_names=("theorem3", "lower"), value_header="n")
-    fit = fit_power_law([p.value for p in points], [p.mean for p in points])
+    rows, outcomes = measured_table(
+        units, trials=TRIALS, seed=203, bounds=("theorem3", "lower")
+    )
+    fit = fit_power_law(ns, [outcome.stats.mean for outcome in outcomes])
     return rows, fit
 
 

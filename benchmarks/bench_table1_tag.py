@@ -8,34 +8,35 @@ compares the measured stopping time against the
 
 from __future__ import annotations
 
-from _utils import BENCH_JOBS, PEDANTIC, cached_sweep, report
-from repro.analysis import scaling_table
+from _utils import PEDANTIC, measured_table, report
 from repro.core import TimeModel
-from repro.experiments import default_config, tag_case
+from repro.scenarios import ScenarioSpec, default_scenario_config
 
 TRIALS = 3
 N = 24
 
 
+def _tag(topology: str, spanning_tree: str, time_model: TimeModel) -> ScenarioSpec:
+    return ScenarioSpec(
+        topology=topology, n=N, k=N, protocol="tag", spanning_tree=spanning_tree,
+        config=default_scenario_config(time_model=time_model, max_rounds=500_000),
+    )
+
+
 def _run():
-    config = default_config(max_rounds=500_000)
-    async_config = default_config(time_model=TimeModel.ASYNCHRONOUS, max_rounds=500_000)
-    cases = [
-        tag_case("barbell", N, N, spanning_tree="brr", config=config,
-                 label="barbell / BRR / sync"),
-        tag_case("barbell", N, N, spanning_tree="uniform_broadcast", config=config,
-                 label="barbell / uniform B / sync"),
-        tag_case("barbell", N, N, spanning_tree="bfs_oracle", config=config,
-                 label="barbell / BFS oracle / sync"),
-        tag_case("grid", N, N, spanning_tree="brr", config=config,
-                 label="grid / BRR / sync"),
-        tag_case("line", N, N, spanning_tree="brr", config=config,
-                 label="line / BRR / sync"),
-        tag_case("barbell", N, N, spanning_tree="brr", config=async_config,
-                 label="barbell / BRR / async"),
+    sync, async_ = TimeModel.SYNCHRONOUS, TimeModel.ASYNCHRONOUS
+    units = [
+        ("barbell / BRR / sync", _tag("barbell", "brr", sync)),
+        ("barbell / uniform B / sync", _tag("barbell", "uniform_broadcast", sync)),
+        ("barbell / BFS oracle / sync", _tag("barbell", "bfs_oracle", sync)),
+        ("grid / BRR / sync", _tag("grid", "brr", sync)),
+        ("line / BRR / sync", _tag("line", "brr", sync)),
+        ("barbell / BRR / async", _tag("barbell", "brr", async_)),
     ]
-    points = cached_sweep(cases, trials=TRIALS, seed=303, jobs=BENCH_JOBS)
-    return scaling_table(points, bound_names=("theorem4", "lower"), value_header="n")
+    rows, _ = measured_table(
+        units, trials=TRIALS, seed=303, bounds=("theorem4", "lower")
+    )
+    return rows
 
 
 def test_table1_tag_general_bound(benchmark):

@@ -16,12 +16,11 @@ import math
 import numpy as np
 import pytest
 
-from _utils import BENCH_JOBS, PEDANTIC, cached_measure, cached_sweep, report
-from repro.analysis import fit_linear, scaling_table
+from _utils import PEDANTIC, cached_measure, measured_table, report
+from repro.analysis import fit_linear
 from repro.core import SimulationConfig, TimeModel
-from repro.experiments import default_config, tag_case
 from repro.graphs import weak_conductance
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import ScenarioSpec, default_scenario_config
 
 TRIALS = 3
 N = 24
@@ -58,16 +57,15 @@ def _is_tree_rounds():
 
 
 def _tag_is_k_sweep(time_model: TimeModel):
-    config = default_config(time_model=time_model, max_rounds=500_000)
+    config = default_scenario_config(time_model=time_model, max_rounds=500_000)
     ks = [6, 12, 18, 24]
-    cases = [
-        tag_case("barbell", N, k, spanning_tree="is", config=config,
-                 label=f"k={k}", value=k)
+    units = [
+        (f"k={k}", ScenarioSpec(topology="barbell", n=N, k=k, protocol="tag",
+                                spanning_tree="is", config=config))
         for k in ks
     ]
-    points = cached_sweep(cases, trials=TRIALS, seed=505, jobs=BENCH_JOBS)
-    rows = scaling_table(points, bound_names=("lower",), value_header="k")
-    fit = fit_linear([p.value for p in points], [p.mean for p in points])
+    rows, outcomes = measured_table(units, trials=TRIALS, seed=505, bounds=("lower",))
+    fit = fit_linear(ks, [outcome.stats.mean for outcome in outcomes])
     return rows, fit
 
 

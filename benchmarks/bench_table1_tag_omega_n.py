@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from _utils import BENCH_JOBS, PEDANTIC, cached_sweep, report
-from repro.analysis import fit_power_law, scaling_table
-from repro.experiments import default_config, tag_case
+from _utils import PEDANTIC, measured_table, report
+from repro.analysis import fit_power_law
+from repro.scenarios import ScenarioSpec, default_scenario_config
 
 TRIALS = 3
 SIZES = [8, 16, 24, 32]
@@ -23,15 +23,16 @@ SIZES = [8, 16, 24, 32]
 @pytest.mark.parametrize("topology", ["barbell", "grid"])
 def test_table1_tag_brr_is_linear(benchmark, topology):
     def _run():
-        config = default_config(max_rounds=500_000)
-        cases = [
-            tag_case(topology, n, n, spanning_tree="brr", config=config,
-                     label=f"n={n}", value=n)
+        config = default_scenario_config(max_rounds=500_000)
+        units = [
+            (f"n={n}", ScenarioSpec(topology=topology, n=n, k=n, protocol="tag",
+                                    spanning_tree="brr", config=config))
             for n in SIZES
         ]
-        points = cached_sweep(cases, trials=TRIALS, seed=404, jobs=BENCH_JOBS)
-        rows = scaling_table(points, bound_names=("tag_brr", "lower"), value_header="n")
-        fit = fit_power_law([p.value for p in points], [p.mean for p in points])
+        rows, outcomes = measured_table(
+            units, trials=TRIALS, seed=404, bounds=("tag_brr", "lower")
+        )
+        fit = fit_power_law(SIZES, [outcome.stats.mean for outcome in outcomes])
         return rows, fit
 
     rows, fit = benchmark.pedantic(_run, **PEDANTIC)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from _utils import BENCH_JOBS, PEDANTIC, cached_sweep, report
-from repro.analysis import scaling_table
+from _utils import PEDANTIC, measured_table, report
 from repro.core import TimeModel
-from repro.experiments import default_config, uniform_ag_case
+from repro.scenarios import ScenarioSpec, default_scenario_config
 
 TOPOLOGIES = ["line", "grid", "complete", "binary_tree", "barbell"]
 N = 24
@@ -22,15 +21,14 @@ TRIALS = 3
 
 
 def _run(time_model: TimeModel):
-    config = default_config(time_model=time_model, max_rounds=500_000)
-    cases = [
-        uniform_ag_case(topology, N, K, config=config, label=f"{topology}", value=N)
+    config = default_scenario_config(time_model=time_model, max_rounds=500_000)
+    units = [
+        (topology, ScenarioSpec(topology=topology, n=N, k=K, config=config))
         for topology in TOPOLOGIES
     ]
-    points = cached_sweep(cases, trials=TRIALS, seed=101, jobs=BENCH_JOBS)
-    rows = scaling_table(points, bound_names=("theorem1", "lower"), value_header="n")
-    for row, topology in zip(rows, TOPOLOGIES):
-        row["graph"] = topology
+    rows, _ = measured_table(
+        units, trials=TRIALS, seed=101, bounds=("theorem1", "lower")
+    )
     return rows
 
 

@@ -22,10 +22,9 @@ from repro.analysis import (
     constant_degree_upper_bound,
     fit_power_law,
     k_dissemination_lower_bound,
-    run_trials,
 )
 from repro.core import SimulationConfig
-from repro.experiments import all_to_all_placement
+from repro.experiments import all_to_all_placement, run_trials_parallel
 from repro.gf import GF
 from repro.graphs import binary_tree_graph, diameter, line_graph, ring_graph
 from repro.protocols import AlgebraicGossip
@@ -59,7 +58,9 @@ def main() -> None:
             graph = builder(n)
             actual_n = graph.number_of_nodes()
             d = diameter(graph)
-            stats = run_trials(graph, factory_for(config), config, trials=TRIALS, seed=42)
+            stats = run_trials_parallel(
+                graph, factory_for(config), config, trials=TRIALS, seed=42, jobs=1
+            )
             upper = constant_degree_upper_bound(actual_n, d)
             lower = k_dissemination_lower_bound(actual_n, d, synchronous=True)
             means.append(stats.mean)

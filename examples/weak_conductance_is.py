@@ -25,12 +25,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from repro.analysis import fit_linear, is_protocol_upper_bound, run_sweep, scaling_table
+from repro.analysis import fit_linear, is_protocol_upper_bound
 from repro.core import SimulationConfig
-from repro.experiments import default_config, tag_case
 from repro.gossip import GossipEngine
 from repro.graphs import barbell_graph, clique_chain_graph, graph_conductance, weak_conductance
 from repro.protocols import ISSpanningTree
+from repro.scenarios import ScenarioSpec, default_scenario_config
 
 
 def main() -> None:
@@ -61,16 +61,17 @@ def main() -> None:
 
     print("\n=== TAG + IS on the barbell: stopping time vs k (Theorem 7) ===")
     ks = [6, 12, 18, 24]
-    cases = [
-        tag_case("barbell", n, k, spanning_tree="is",
-                 config=default_config(max_rounds=500_000), label=f"k={k}", value=k)
-        for k in ks
-    ]
-    points = run_sweep(cases, trials=3, seed=5)
-    for row in scaling_table(points, value_header="k"):
-        print(f"  k={row['k']:>3}: mean {row['mean_rounds']:>7} rounds, "
-              f"p95 {row['p95_rounds']:>7}")
-    fit = fit_linear(ks, [p.mean for p in points])
+    means = []
+    for k in ks:
+        spec = ScenarioSpec(
+            topology="barbell", n=n, k=k, protocol="tag", spanning_tree="is",
+            config=default_scenario_config(max_rounds=500_000), trials=3, seed=5,
+        )
+        stats = spec.materialize().run()
+        means.append(stats.mean)
+        print(f"  k={k:>3}: mean {round(stats.mean, 2):>7} rounds, "
+              f"p95 {round(stats.whp, 2):>7}")
+    fit = fit_linear(ks, means)
     print(f"\nLinear fit: rounds ≈ {fit.slope:.2f}·k + {fit.intercept:.1f} "
           f"(Θ(k) with a polylog additive term, as Theorem 7 predicts)")
 

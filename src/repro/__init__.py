@@ -16,20 +16,21 @@ The package is organised bottom-up:
   baselines,
 * :mod:`repro.queueing` — the queueing-network substrate of Theorem 2 and the
   gossip→queueing reduction of Theorem 1,
-* :mod:`repro.analysis` — bound evaluators, stopping-time statistics, sweeps
-  and the Table 1 / Table 2 generators,
+* :mod:`repro.analysis` — bound evaluators, stopping-time statistics and
+  the Table 1 / Table 2 generators,
 * :mod:`repro.scenarios` — the declarative scenario layer: one immutable,
   JSON-round-trippable :class:`ScenarioSpec` (topology + placement +
   protocol + config + trial plan, including churn schedules and
-  heterogeneous activation rates) drives the CLI, the sweep runner and the
+  heterogeneous activation rates) drives the CLI, the campaigns and the
   benchmarks with identical seeded results,
 * :mod:`repro.store` — the persistent content-addressed result store:
   per-trial results keyed by ``(spec fingerprint, seed, trial)`` in
-  append-only JSONL shards; every runner reads through it, making sweeps
+  append-only JSONL shards; every runner reads through it, making campaigns
   resumable and re-runs free,
-* :mod:`repro.experiments` — named experiments, trial runners and reporting,
+* :mod:`repro.experiments` — the batched and multi-process trial runners,
 * :mod:`repro.campaigns` — declarative experiment campaigns: named sets of
-  scenario sweeps (``table1`` ... ``full-paper``) compiled to a DAG,
+  scenario sweeps (``table1`` ... ``full-paper``, and ``bounds`` for the
+  measured-vs-bound tables) compiled to a DAG,
   executed incrementally through the result store, and rendered as
   self-documenting Markdown/HTML reports.
 
@@ -94,7 +95,6 @@ from .scenarios import (
     ScenarioSpec,
     get_scenario,
     register_scenario,
-    scenario_case,
     scenario_names,
 )
 from .store import ResultStore
@@ -139,7 +139,6 @@ __all__ = [
     "ScenarioSpec",
     "get_scenario",
     "register_scenario",
-    "scenario_case",
     "scenario_names",
     "ResultStore",
     "CAMPAIGNS",

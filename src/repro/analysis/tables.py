@@ -13,9 +13,9 @@ The paper's evaluation artefacts are two tables:
   :func:`table2_rows` evaluates both expressions on real graphs (measuring
   ``γ`` and ``λ`` from the graph itself) and reports the ratio.
 
-Both functions return plain lists of dictionaries so benchmarks, tests and the
-EXPERIMENTS.md generator can render them however they like;
-:func:`format_table` renders rows as a fixed-width text table.
+Both functions return plain lists of dictionaries so benchmarks, tests and
+campaign reports can render them however they like; :func:`format_table`
+renders rows as a fixed-width text table.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 Each entry reproduces one coordinated piece of the paper's evidence —
 ``table1`` and ``table2`` for the two tables, ``theorem2`` and ``theorem5``
-for the queueing-reduction and broadcast-tree experiments — and
-``full-paper`` strings them together into the one-command reproduction
-behind ``docs/reproducing_results.md``::
+for the queueing-reduction and broadcast-tree experiments, ``bounds`` for
+the measured-vs-bound tables E1-E5 and E8 — and ``full-paper`` strings the
+first four together into the one-command reproduction behind
+``docs/reproducing_results.md``::
 
     python -m repro campaign list
     python -m repro campaign run table1 --trials 2
+    python -m repro campaign run bounds
     python -m repro campaign run full-paper
 
 The benchmark scripts that render the same tables
@@ -150,6 +152,111 @@ register_campaign(
                 title="Rank evolution on the barbell (uniform vs TAG)",
                 units=("uniform-barbell", "brr-barbell"),
             ),
+        ),
+    )
+)
+
+
+def _variant(scenario: str, **changes) -> ScenarioSpec:
+    """A registered scenario with some axes changed, as an unnamed inline spec."""
+    return get_scenario(scenario).replace(name="", description="", **changes)
+
+
+#: The measured-vs-bound tables: (table id, title, bounds, units).  Each unit
+#: is (name, registered scenario or inline spec); a unit that another table
+#: already declares is referenced by name alone.  Units naming a registered
+#: scenario run its own plan, so they share store records with ``table1``.
+_BOUNDS_TABLES = (
+    (
+        "E1-uniform-ag",
+        "Theorem 1: uniform AG vs O((k + log n + D)Δ) on several topologies",
+        ("theorem1", "lower"),
+        tuple(
+            (f"uniform-{topology}", f"uniform/{topology}")
+            for topology in ("line", "grid", "complete", "binary_tree")
+        ),
+    ),
+    (
+        "E2-constant-degree",
+        "Theorem 3: Θ(k + D) scaling on constant-degree graphs (k sweep)",
+        ("theorem3", "lower"),
+        (
+            ("ring-k2", _variant("uniform/ring", k=2)),
+            ("ring-k4", _variant("uniform/ring", k=4)),
+            ("ring-k8", "uniform/ring"),
+            ("ring-k16", "uniform/ring-all-to-all"),
+        ),
+    ),
+    (
+        "E3-tag",
+        "Theorem 4: TAG with broadcast spanning trees on bottleneck graphs",
+        ("theorem4", "lower"),
+        tuple(
+            (name, f"tag/{name}")
+            for name in ("brr-barbell", "uniform-broadcast-barbell", "brr-grid")
+        ),
+    ),
+    (
+        "E4-tag-omega-n",
+        "Section 5: TAG + B_RR is Θ(n) for k = n on any graph",
+        ("tag_brr", "lower"),
+        (
+            ("brr-barbell-n8", _variant("tag/brr-barbell", n=8)),
+            ("brr-barbell", None),
+            ("brr-barbell-n24", _variant("tag/brr-barbell", n=24)),
+        ),
+    ),
+    (
+        "E5-tag-is",
+        "Theorems 7/8: TAG + IS on large-weak-conductance graphs",
+        ("lower",),
+        tuple((name, f"tag/{name}") for name in ("is-barbell", "is-clique-chain")),
+    ),
+    (
+        "E8-barbell",
+        "Barbell worst case: uniform AG (slow) vs TAG + B_RR (Θ(n))",
+        ("lower",),
+        (
+            ("uniform-barbell-n12", "uniform/barbell-worst-case"),
+            ("brr-barbell-n12", _variant("tag/brr-barbell", n=12)),
+        ),
+    ),
+)
+
+
+def _bounds_unit(
+    name: str, workload: "str | ScenarioSpec", table: str
+) -> CampaignUnit:
+    """One ``bounds`` unit: a registered scenario name or an inline spec."""
+    if isinstance(workload, str):
+        return CampaignUnit(name=name, scenario=workload, group=table)
+    return CampaignUnit(name=name, spec=workload, group=table)
+
+
+register_campaign(
+    CampaignSpec(
+        name="bounds",
+        title="Measured stopping times against the paper's bounds (E1-E5, E8)",
+        description=(
+            "Each table sets one claim's measured p95 stopping times next to "
+            "its analytic bounds, evaluated on the same materialised "
+            "workload; ratio(<bound>) = p95 / bound stays O(1) when the "
+            "bound holds."
+        ),
+        units=tuple(
+            _bounds_unit(name, workload, table)
+            for table, _, _, units in _BOUNDS_TABLES
+            for name, workload in units
+            if workload is not None
+        ),
+        artifacts=tuple(
+            ArtifactSpec(
+                kind="measured-table",
+                title=f"{table} — {title}",
+                units=tuple(name for name, _ in units),
+                params={"bounds": list(bounds)},
+            )
+            for table, title, bounds, units in _BOUNDS_TABLES
         ),
     )
 )

@@ -29,8 +29,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from ..analysis.tables import format_table
-from ..errors import CampaignError
-from ..experiments.reporting import format_markdown_table
+from ..errors import AnalysisError, CampaignError
 from .runner import ArtifactResult, CampaignResult
 from .spec import artifact_slug as _artifact_slug
 
@@ -51,6 +50,23 @@ TIMINGS_MARKER = "<!-- repro-campaign: timings below (non-deterministic) -->"
 def report_body(rendered: str) -> str:
     """The deterministic part of a rendered report (above the timings marker)."""
     return rendered.split(TIMINGS_MARKER, 1)[0]
+
+
+def format_markdown_table(rows: Sequence[Mapping[str, Any]]) -> str:
+    """Render rows (dicts sharing the same keys) as a GitHub-flavoured Markdown table."""
+    if not rows:
+        raise AnalysisError("format_markdown_table requires at least one row")
+    headers = list(rows[0].keys())
+    for row in rows:
+        if list(row.keys()) != headers:
+            raise AnalysisError("all rows must share the same columns, in the same order")
+    lines = [
+        "| " + " | ".join(headers) + " |",
+        "| " + " | ".join("---" for _ in headers) + " |",
+    ]
+    for row in rows:
+        lines.append("| " + " | ".join(str(row[header]) for header in headers) + " |")
+    return "\n".join(lines)
 
 
 def _regenerate_command(result: CampaignResult) -> str:

@@ -279,24 +279,57 @@ def _selected(
     return [by_name[name] for name in artifact.units]
 
 
+def _bound_cells(outcome: UnitOutcome, names: Sequence[str]) -> dict[str, float]:
+    """The ``<bound>`` and ``ratio(<bound>)`` cells of one measured-table row.
+
+    Bounds come from :attr:`~repro.scenarios.MaterializedScenario.bounds` of
+    the very spec the unit measured; the ratio is ``p95 / bound``, which
+    stays O(1) across a table when the bound holds.
+    """
+    bounds = outcome.spec.materialize().bounds
+    missing = [name for name in names if name not in bounds]
+    if missing:
+        raise CampaignError(
+            f"unit {outcome.unit.name!r} defines no bound {missing} for its "
+            f"{outcome.spec.protocol!r} workload; it has {sorted(bounds)}"
+        )
+    cells: dict[str, float] = {}
+    for name in names:
+        cells[name] = round(bounds[name], 2)
+        cells[f"ratio({name})"] = round(outcome.stats.whp / bounds[name], 3)
+    return cells
+
+
 def _measured_table(
     artifact: ArtifactSpec, outcomes: Sequence[UnitOutcome]
 ) -> ArtifactResult:
+    """One row of measured statistics per selected unit.
+
+    ``params={"bounds": [...]}`` appends each named analytic bound and the
+    unit's ratio to it (see :func:`_bound_cells`).
+    """
+    bound_names = dict(artifact.params).get("bounds", ())
+    if isinstance(bound_names, str):
+        raise CampaignError(
+            f"artifact {artifact.label!r}: the bounds param is a list of "
+            f"bound names, got the string {bound_names!r}"
+        )
     rows = []
     for outcome in _selected(artifact, outcomes):
         scenario_label = outcome.unit.scenario or outcome.spec.name or "(inline)"
-        rows.append(
-            {
-                "unit": outcome.unit.name,
-                "scenario": scenario_label,
-                "topology": outcome.spec.topology,
-                "n": outcome.n,
-                "k": outcome.k,
-                "trials": outcome.trials,
-                "mean_rounds": round(outcome.stats.mean, 2),
-                "p95_rounds": round(outcome.stats.whp, 2),
-            }
-        )
+        row = {
+            "unit": outcome.unit.name,
+            "scenario": scenario_label,
+            "topology": outcome.spec.topology,
+            "n": outcome.n,
+            "k": outcome.k,
+            "trials": outcome.trials,
+            "mean_rounds": round(outcome.stats.mean, 2),
+            "p95_rounds": round(outcome.stats.whp, 2),
+        }
+        if bound_names:
+            row.update(_bound_cells(outcome, bound_names))
+        rows.append(row)
     return ArtifactResult(artifact=artifact, rows=tuple(rows))
 
 

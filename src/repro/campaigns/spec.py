@@ -79,7 +79,9 @@ __all__ = [
 #: Artifact kinds a campaign can declare (see :mod:`repro.campaigns.report`):
 #:
 #: ``measured-table``
-#:     One row per named unit with its measured stopping-time statistics.
+#:     One row per named unit with its measured stopping-time statistics;
+#:     ``params={"bounds": ["theorem1", ...]}`` adds each named analytic
+#:     bound and ``ratio(<bound>)`` = p95 / bound.
 #: ``table1-analytic`` / ``table2-analytic``
 #:     The paper's analytic tables, evaluated at the artifact's ``n``/``k``
 #:     params (:func:`repro.analysis.table1_rows` / ``table2_rows``).

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Seven subcommands cover the common workflows (run ``python -m repro <cmd>
+Six subcommands cover the common workflows (run ``python -m repro <cmd>
 --help`` for the full flag reference of each):
 
 ``run``
@@ -28,15 +28,16 @@ Seven subcommands cover the common workflows (run ``python -m repro <cmd>
 
 ``campaign``
     Declarative experiment campaigns: coordinated sets of scenario sweeps
-    (Table 1, Table 2, the Theorem 2/5 experiments, or the whole paper)
-    executed incrementally through the result store and rendered as a
-    self-documenting Markdown + HTML report.  ``list`` the built-in
-    campaigns, ``show`` one, ``run`` one (resumable; a repeated run
-    simulates nothing), or ``report`` from an already-filled store without
-    simulating::
+    (Table 1, Table 2, the Theorem 2/5 experiments, the measured-vs-bound
+    tables, or the whole paper) executed incrementally through the result
+    store and rendered as a self-documenting Markdown + HTML report.
+    ``list`` the built-in campaigns, ``show`` one, ``run`` one (resumable; a
+    repeated run simulates nothing), or ``report`` from an already-filled
+    store without simulating::
 
         python -m repro campaign list
         python -m repro campaign run table1 --trials 2
+        python -m repro campaign run bounds
         python -m repro campaign run full-paper --jobs 4
         python -m repro campaign report table1 --report-dir reports/table1
 
@@ -57,15 +58,9 @@ Seven subcommands cover the common workflows (run ``python -m repro <cmd>
         python -m repro analyze fit 3f1c 9a2e c07d --store .repro-store
         python -m repro analyze fit 3f1c 9a2e --bootstrap 500 --json
 
-``experiment``
-    Execute a registered experiment (E1–E8 or a user-registered one) and
-    print its table::
-
-        python -m repro experiment E2-constant-degree --trials 2
-
 ``store``
-    The persistent content-addressed result store.  ``run``, ``scenario run``
-    and ``experiment`` accept ``--store [PATH]`` (or the ``REPRO_STORE``
+    The persistent content-addressed result store.  ``run`` and
+    ``scenario run`` accept ``--store [PATH]`` (or the ``REPRO_STORE``
     environment variable; ``--no-store`` disables, ``--fresh`` recomputes):
     cached trials of the same workload/seed are read back bit-identically and
     new trials are appended, so interrupted commands resume and repeated
@@ -112,9 +107,14 @@ from .campaigns import (
 )
 from .core import TimeModel
 from .errors import ReproError
-from .experiments import EXPERIMENTS, default_config, run_experiment
 from .graphs import TOPOLOGY_BUILDERS, build_topology
-from .scenarios import SCENARIOS, ScenarioSpec, get_scenario, scenario_names
+from .scenarios import (
+    SCENARIOS,
+    ScenarioSpec,
+    default_scenario_config,
+    get_scenario,
+    scenario_names,
+)
 from .store import ResultStore, diff_snapshots, load_snapshot
 
 __all__ = ["main", "build_parser"]
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
             "declarative, JSON-round-trippable ScenarioSpec (topology, size, "
             "placement, protocol, config — including churn schedules and "
             "heterogeneous activation rates — plus the trial/seed plan).  "
-            "The same spec drives the CLI, run_sweep and the benchmarks "
+            "The same spec drives the CLI, the campaigns and the benchmarks "
             "with identical seeded results."
         ),
     )
@@ -575,33 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"store directory (default: ${_STORE_ENV} or {_DEFAULT_STORE})",
     )
 
-    experiment_parser = subparsers.add_parser(
-        "experiment",
-        help="run a registered experiment and print its table",
-        description=(
-            "Run one of the named experiments (each reproduces a row or "
-            "figure of the paper at CI-friendly sizes) and print its "
-            "measured-vs-bound table."
-        ),
-    )
-    experiment_parser.add_argument(
-        "experiment_id", choices=sorted(EXPERIMENTS),
-        help="registered experiment id",
-    )
-    experiment_parser.add_argument(
-        "--trials", type=int, default=None,
-        help="override the experiment's per-case trial count",
-    )
-    experiment_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="root seed for all randomness (default: %(default)s)",
-    )
-    experiment_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes per sweep case (default: run in-process)",
-    )
-    _add_store_arguments(experiment_parser)
-
     store_parser = subparsers.add_parser(
         "store",
         help="inspect and maintain the persistent result store",
@@ -712,7 +685,7 @@ def _spec_from_run_args(args: argparse.Namespace) -> ScenarioSpec:
         k=args.k,
         protocol=protocol,
         spanning_tree=spanning_tree,
-        config=default_config(
+        config=default_scenario_config(
             time_model=TimeModel(args.time_model),
             field_size=args.field_size,
             max_rounds=200_000,
@@ -1071,22 +1044,6 @@ def _command_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_experiment(args: argparse.Namespace) -> int:
-    store = _open_store(args)
-    result = run_experiment(
-        args.experiment_id,
-        trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-        store=store,
-        fresh=args.fresh,
-    )
-    print(result.experiment.description)
-    print(format_table(result.rows, title=args.experiment_id))
-    _print_store_summary(store)
-    return 0
-
-
 def _command_store(args: argparse.Namespace) -> int:
     if args.action == "diff":
         report = diff_snapshots(load_snapshot(args.left), load_snapshot(args.right))
@@ -1209,7 +1166,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "scenario": _command_scenario,
         "campaign": _command_campaign,
         "analyze": _command_analyze,
-        "experiment": _command_experiment,
         "store": _command_store,
         "tables": _command_tables,
     }

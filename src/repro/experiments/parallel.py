@@ -100,20 +100,19 @@ def _resolve_workload(
     config: SimulationConfig | None,
     trials: int | None,
     seed: int | None,
-    spec: Any = None,
 ) -> tuple[CSRGraph, ProtocolFactory, SimulationConfig, int, int, Any]:
     """Normalise the ``(graph | spec | materialized, ...)`` calling conventions.
 
     The returned sixth element is the :class:`~repro.scenarios.ScenarioSpec`
     identifying the workload for content addressing: the one the scenario
-    argument carried, or the explicit ``spec`` keyword (used by callers like
-    :func:`repro.analysis.sweep.run_sweep` that hold a materialised case's
-    graph/factory/config alongside the spec they came from), or ``None``.
+    argument carried, or ``None`` for a bare ``(graph, protocol_factory,
+    config)`` triple.
     """
     # Imported lazily: the scenario layer imports repro.analysis, which is a
     # sibling of this package in the stack.
     from ..scenarios.spec import MaterializedScenario, ScenarioSpec
 
+    spec = None
     if isinstance(graph, ScenarioSpec):
         graph = graph.materialize()
     if isinstance(graph, MaterializedScenario):
@@ -170,8 +169,8 @@ def _run_through_store(
     if spec is None:
         raise AnalysisError(
             "a result store needs a content address: pass the workload as a "
-            "ScenarioSpec/MaterializedScenario, or supply spec=... alongside "
-            "the explicit (graph, protocol_factory, config) triple"
+            "ScenarioSpec/MaterializedScenario, not as a bare (graph, "
+            "protocol_factory, config) triple"
         )
     cached: dict[int, RunResult] = {}
     if not fresh:
@@ -361,7 +360,6 @@ def measure_protocol_parallel(
     jobs: int | None = None,
     store: Any = None,
     fresh: bool = False,
-    spec: Any = None,
 ) -> list[RunResult]:
     """Run seeded trials across worker processes; results stay in trial order.
 
@@ -383,15 +381,15 @@ def measure_protocol_parallel(
     only the missing indices are chunked over workers, and the freshly
     computed results are persisted (in the parent process — workers never
     touch the store), which is bit-identical to running them all.  Caching
-    needs a content address: when the workload arrives as a bare ``(graph,
-    protocol_factory, config)`` triple, pass the ``spec`` it came from
+    needs a content address, so a store requires the workload as a scenario
+    rather than a bare ``(graph, protocol_factory, config)`` triple
     (``fresh=True`` bypasses cache reads but still persists).
 
     Falls back to in-process execution when only one job is needed or when
     the factory cannot be pickled (e.g. a locally defined closure).
     """
     graph, protocol_factory, config, trials, seed, spec = _resolve_workload(
-        graph, protocol_factory, config, trials, seed, spec
+        graph, protocol_factory, config, trials, seed
     )
     engine = getattr(spec, "engine", "") or ""
     if trials < 1:
@@ -421,7 +419,6 @@ def run_trials_parallel(
     jobs: int | None = None,
     store: Any = None,
     fresh: bool = False,
-    spec: Any = None,
 ) -> StoppingTimeStats:
     """Like :func:`~repro.analysis.stopping_time.run_trials`, multi-process.
 
@@ -434,6 +431,6 @@ def run_trials_parallel(
         measure_protocol_parallel(
             graph, protocol_factory, config,
             trials=trials, seed=seed, jobs=jobs,
-            store=store, fresh=fresh, spec=spec,
+            store=store, fresh=fresh,
         )
     )

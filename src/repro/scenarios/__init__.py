@@ -3,7 +3,7 @@
 One :class:`ScenarioSpec` describes a whole experiment — topology, size,
 message placement, protocol, simulation config (including churn schedules
 and heterogeneous activation rates), trial/seed plan — and drives the same
-workload through the CLI, the sweep runner, the parallel trial
+workload through the CLI, the campaigns, the parallel trial
 runners and the benchmarks with identical seeded results.
 """
 
@@ -28,7 +28,6 @@ from .spec import (
     TagFactory,
     UniformGossipFactory,
     default_scenario_config,
-    scenario_case,
 )
 from .sweeps import decade_ns, decade_sweep, log_sized_cliques
 
@@ -54,7 +53,6 @@ __all__ = [
     "TagFactory",
     "UniformGossipFactory",
     "default_scenario_config",
-    "scenario_case",
     "decade_ns",
     "decade_sweep",
     "log_sized_cliques",

@@ -8,8 +8,8 @@ materialises and runs in seconds.  The names are hierarchical
     python -m repro scenario show tag/brr-barbell --json
     python -m repro scenario run churn/ring-crash-restart --trials 8
 
-The registry is the single source of truth consumed by the experiment
-definitions, the benchmarks and ``make scenarios-check`` (which materialises
+The registry is the single source of truth consumed by the campaign
+units, the benchmarks and ``make scenarios-check`` (which materialises
 and smoke-runs every entry).  Registering is open: library users call
 :func:`register_scenario` with their own spec to make it addressable by name.
 """

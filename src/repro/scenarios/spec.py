@@ -1,7 +1,7 @@
 """The declarative scenario layer: one object from CLI to batch engines.
 
 Every experiment in this repository — the paper's tables, the CLI commands,
-the sweep cases, the benchmark workloads — is an instance of one shape:
+the campaign units, the benchmark workloads — is an instance of one shape:
 
     (topology, size, message placement, protocol, simulation config,
      trial/seed plan)
@@ -12,14 +12,14 @@ object; :meth:`ScenarioSpec.materialize` builds the concrete pieces — the
 graph, the picklable protocol factory (whose processes declare their own
 batch strategy), the analytic bounds, the resolved
 :class:`~repro.core.config.SimulationConfig` — as a
-:class:`MaterializedScenario`, which can then run trials, produce a
-:class:`~repro.analysis.sweep.SweepCase`, or execute a single seeded run.
+:class:`MaterializedScenario`, which can then run its Monte Carlo plan or
+execute a single seeded run.
 
 The same spec therefore drives the same workload through
 
 * the CLI (``python -m repro scenario run <name>`` /
   ``python -m repro run ...``),
-* :func:`repro.analysis.sweep.run_sweep` (specs are accepted directly),
+* the campaigns (:func:`repro.campaigns.run_campaign`, one spec per unit),
 * :func:`repro.experiments.parallel.run_trials_parallel`, and
 * every benchmark script,
 
@@ -51,7 +51,6 @@ from ..analysis.bounds import (
     tag_with_brr_upper_bound,
     uniform_ag_upper_bound,
 )
-from ..analysis.sweep import SweepCase
 from ..core.config import GossipAction, SimulationConfig, TimeModel
 from ..core.results import RunResult, StoppingTimeStats
 from ..core.rng import derive_rng
@@ -91,7 +90,6 @@ __all__ = [
     "TagFactory",
     "SpanningTreeFactory",
     "default_scenario_config",
-    "scenario_case",
 ]
 
 # Kept as a second name for build_topology: the repository benchmark's tracer
@@ -150,7 +148,7 @@ def default_scenario_config(
 # ----------------------------------------------------------------------
 @dataclass
 class UniformGossipFactory:
-    """Picklable protocol factory for uniform algebraic gossip cases.
+    """Picklable protocol factory for uniform algebraic gossip workloads.
 
     A plain dataclass with ``__call__`` (rather than a closure) so
     :func:`repro.experiments.parallel.run_trials_parallel` can ship it to
@@ -202,7 +200,7 @@ class SpanningTreeFactory:
 
 @dataclass
 class TagFactory:
-    """Picklable protocol factory for TAG sweep cases."""
+    """Picklable protocol factory for TAG workloads."""
 
     field_order: int
     k: int
@@ -668,7 +666,7 @@ class ScenarioSpec:
     def _bounds(
         self, graph: CSRGraph, n: int, k: int, config: SimulationConfig
     ) -> dict[str, float]:
-        """The analytic bounds attached to sweep points for this protocol."""
+        """The analytic bounds of this protocol (see :attr:`MaterializedScenario.bounds`)."""
         diameter_value = graph_diameter(graph)
         if self.protocol == "uniform":
             delta = graph_max_degree(graph)
@@ -755,24 +753,6 @@ class MaterializedScenario:
 
         return scenario_batch_strategy(self)
 
-    def sweep_case(
-        self,
-        *,
-        label: str | None = None,
-        value: float | None = None,
-        bounds: Mapping[str, float] | None = None,
-    ) -> SweepCase:
-        """This scenario as one case of a parameter sweep."""
-        return SweepCase(
-            label=label or self.label,
-            value=float(self.n if value is None else value),
-            graph=self.graph,
-            protocol_factory=self.protocol_factory,
-            config=self.config,
-            bounds=dict(self.bounds if bounds is None else bounds),
-            spec=self.spec,
-        )
-
     def measure(
         self,
         *,
@@ -797,15 +777,12 @@ class MaterializedScenario:
         from ..experiments.parallel import measure_protocol_parallel
 
         return measure_protocol_parallel(
-            self.graph,
-            self.protocol_factory,
-            self.config,
-            trials=self.spec.trials if trials is None else trials,
-            seed=self.spec.seed if seed is None else seed,
+            self,
+            trials=trials,
+            seed=seed,
             jobs=1 if jobs is None else jobs,
             store=store,
             fresh=fresh,
-            spec=self.spec,
         )
 
     def run(
@@ -856,25 +833,3 @@ class MaterializedScenario:
             store.put(self.spec, 0, result, seed=effective_seed)
         return result
 
-
-def scenario_case(
-    spec: "ScenarioSpec | str",
-    *,
-    label: str | None = None,
-    value: float | None = None,
-    **overrides: Any,
-) -> SweepCase:
-    """Materialise a spec (or registered scenario name) into a sweep case.
-
-    ``overrides`` are applied with :meth:`ScenarioSpec.replace` first, so a
-    benchmark can take a registered scenario and vary one axis::
-
-        scenario_case("tag/brr-barbell", n=32, k=32, value=32)
-    """
-    if isinstance(spec, str):
-        from .registry import get_scenario
-
-        spec = get_scenario(spec)
-    if overrides:
-        spec = spec.replace(**overrides)
-    return spec.materialize().sweep_case(label=label, value=value)

@@ -7,11 +7,11 @@ values: the workload (a :class:`~repro.scenarios.ScenarioSpec`, addressed by
 streams derive from, and the trial index.  :class:`ResultStore` exploits that
 determinism: it is an append-only, deduplicated archive of
 ``(fingerprint, seed, trial) -> RunResult`` records that the trial runners
-(:mod:`repro.experiments.parallel`), the sweep runner
-(:func:`repro.analysis.sweep.run_sweep`) and the CLI read **through** — only
-the pairs not already present are computed, so an interrupted sweep resumes
-where it stopped and a repeated sweep costs no simulation time at all, with
-bit-identical aggregates either way.
+(:mod:`repro.experiments.parallel`), the campaign runner
+(:func:`repro.campaigns.run_campaign`) and the CLI read **through** — only
+the pairs not already present are computed, so an interrupted campaign
+resumes where it stopped and a repeated one costs no simulation time at all,
+with bit-identical aggregates either way.
 
 Layout
 ------

@@ -1,68 +1,12 @@
-"""Tests for parameter sweeps and the Table 1 / Table 2 generators."""
+"""Tests for the Table 1 / Table 2 generators and the text-table renderer."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
-    SweepCase,
-    format_table,
-    run_sweep,
-    scaling_table,
-    table1_rows,
-    table2_rows,
-)
-from repro.core import SimulationConfig
+from repro.analysis import format_table, table1_rows, table2_rows
 from repro.errors import AnalysisError
-from repro.gf import GF
-from repro.graphs import complete_graph, line_graph, ring_graph
-from repro.protocols import AlgebraicGossip
-from repro.rlnc import Generation
-from repro.experiments import all_to_all_placement
-
-
-def make_case(n, label=None):
-    graph = ring_graph(n)
-    config = SimulationConfig(max_rounds=50_000)
-
-    def factory(g, rng):
-        generation = Generation.random(GF(16), n, 2, rng)
-        return AlgebraicGossip(g, generation, all_to_all_placement(g), config, rng)
-
-    return SweepCase(
-        label=label or f"ring n={n}",
-        value=float(n),
-        graph=graph,
-        protocol_factory=factory,
-        config=config,
-        bounds={"trivial": 100.0 * n},
-    )
-
-
-class TestSweep:
-    def test_run_sweep_produces_point_per_case(self):
-        points = run_sweep([make_case(6), make_case(8)], trials=2, seed=0)
-        assert len(points) == 2
-        assert points[0].value == 6
-        assert points[1].value == 8
-        assert all(point.stats.trials == 2 for point in points)
-        assert all(point.ratio_to("trivial") < 1.0 for point in points)
-
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(AnalysisError):
-            run_sweep([], trials=1)
-
-    def test_unknown_bound_name(self):
-        points = run_sweep([make_case(6)], trials=1, seed=0)
-        with pytest.raises(AnalysisError):
-            points[0].ratio_to("nonexistent")
-
-    def test_scaling_table_columns(self):
-        points = run_sweep([make_case(6)], trials=2, seed=0)
-        rows = scaling_table(points, bound_names=("trivial",), value_header="n")
-        assert rows[0]["n"] == 6
-        assert "mean_rounds" in rows[0]
-        assert "ratio(trivial)" in rows[0]
+from repro.graphs import complete_graph, ring_graph
 
 
 class TestTable1:

@@ -5,7 +5,7 @@ A :class:`~repro.store.ResultStore` files every trial under the workload's
 so ``repro store ls``/``repro analyze fit`` can rebuild the spec later.  A
 change that moved a fingerprint would orphan every archive written before
 it, so this module pins the fingerprint of every registered scenario and of
-every unit of the ``full-paper`` and ``asymptotics`` campaigns.
+every unit of the ``full-paper``, ``bounds`` and ``asymptotics`` campaigns.
 
 Headers written while specs carried a ``backend`` field (every ``event/*``
 and ``asymptotics`` shard, and any run given ``--backend``) must rebuild to
@@ -196,6 +196,44 @@ FULL_PAPER_FINGERPRINTS = {
     ),
 }
 
+#: ``bounds`` campaign unit -> fingerprint.  A unit naming a registered
+#: scenario carries that scenario's pin, so it shares the records ``table1``
+#: and ``full-paper`` archive for it; the five inline variants are new.
+BOUNDS_FINGERPRINTS = {
+    **{
+        unit: SCENARIO_FINGERPRINTS[scenario]
+        for unit, scenario in (
+            ("uniform-line", "uniform/line"),
+            ("uniform-grid", "uniform/grid"),
+            ("uniform-complete", "uniform/complete"),
+            ("uniform-binary_tree", "uniform/binary_tree"),
+            ("ring-k8", "uniform/ring"),
+            ("ring-k16", "uniform/ring-all-to-all"),
+            ("brr-barbell", "tag/brr-barbell"),
+            ("uniform-broadcast-barbell", "tag/uniform-broadcast-barbell"),
+            ("brr-grid", "tag/brr-grid"),
+            ("is-barbell", "tag/is-barbell"),
+            ("is-clique-chain", "tag/is-clique-chain"),
+            ("uniform-barbell-n12", "uniform/barbell-worst-case"),
+        )
+    },
+    "ring-k2": (
+        "42bde56c98301e9ab790e179b2d738729f06f8c2cc669883c0391c1f5be6c236"
+    ),
+    "ring-k4": (
+        "e9c9d1b0a836e88ecd17c9d67d0685346840cd42277ea1133d4bc8fa23314326"
+    ),
+    "brr-barbell-n8": (
+        "89665566db3d1fd6976a33fcecf82d931e1dfbf0cb7284b1d264d79a5d060a04"
+    ),
+    "brr-barbell-n24": (
+        "0096ddaba3821b2452fbd6af210f9bc0ee626775537441d13113394454149afa"
+    ),
+    "brr-barbell-n12": (
+        "2527e460228db196a1573cf2fe22c387d96a2d27e25489257e27680852c45fdf"
+    ),
+}
+
 #: ``asymptotics`` campaign unit -> fingerprint.
 ASYMPTOTICS_FINGERPRINTS = {
     "er-logn-n1000": (
@@ -233,11 +271,13 @@ def test_registered_scenario_keeps_its_fingerprint(name):
 @pytest.mark.parametrize(
     "campaign,unit",
     [("full-paper", unit) for unit in sorted(FULL_PAPER_FINGERPRINTS)]
+    + [("bounds", unit) for unit in sorted(BOUNDS_FINGERPRINTS)]
     + [("asymptotics", unit) for unit in sorted(ASYMPTOTICS_FINGERPRINTS)],
 )
 def test_campaign_unit_keeps_its_fingerprint(campaign, unit):
     pinned = {
         "full-paper": FULL_PAPER_FINGERPRINTS,
+        "bounds": BOUNDS_FINGERPRINTS,
         "asymptotics": ASYMPTOTICS_FINGERPRINTS,
     }[campaign]
     _assert_addressable(get_campaign(campaign).resolved_specs()[unit], pinned[unit])
@@ -248,6 +288,9 @@ def test_every_registered_workload_is_pinned():
     assert sorted(scenario_names()) == sorted(SCENARIO_FINGERPRINTS)
     assert sorted(get_campaign("full-paper").resolved_specs()) == sorted(
         FULL_PAPER_FINGERPRINTS
+    )
+    assert sorted(get_campaign("bounds").resolved_specs()) == sorted(
+        BOUNDS_FINGERPRINTS
     )
     assert sorted(get_campaign("asymptotics").resolved_specs()) == sorted(
         ASYMPTOTICS_FINGERPRINTS

@@ -24,8 +24,8 @@ from repro.campaigns import (
     run_campaign,
     write_report,
 )
-from repro.campaigns.report import TIMINGS_MARKER
-from repro.errors import CampaignError
+from repro.campaigns.report import TIMINGS_MARKER, format_markdown_table
+from repro.errors import AnalysisError, CampaignError
 from repro.scenarios import ScenarioSpec
 from repro.store import ResultStore
 
@@ -66,6 +66,10 @@ class TestCampaignSpec:
             CampaignUnit(name="u")
         with pytest.raises(CampaignError, match="exactly one"):
             CampaignUnit(name="u", scenario="uniform/line", spec=tiny_spec())
+
+    def test_campaign_without_units_rejected(self):
+        with pytest.raises(CampaignError, match="declares no units"):
+            tiny_campaign(units=(), artifacts=())
 
     def test_duplicate_unit_names_rejected(self):
         with pytest.raises(CampaignError, match="duplicate"):
@@ -200,9 +204,9 @@ units = ["registered", "inline"]
 
 class TestRegistry:
     def test_builtins_present(self):
-        assert {"table1", "table2", "theorem2", "theorem5", "full-paper"} <= set(
-            campaign_names()
-        )
+        assert {
+            "table1", "table2", "theorem2", "theorem5", "bounds", "full-paper"
+        } <= set(campaign_names())
 
     def test_unknown_campaign_suggests(self):
         with pytest.raises(CampaignError, match="did you mean 'table1'"):
@@ -244,6 +248,88 @@ class TestRegistry:
             for unit in part.units:
                 combined = full.unit(f"{part_name}/{unit.name}")
                 assert combined.resolve() == unit.resolve()
+
+
+#: Former experiment id -> the bounds its measured-table reports.
+BOUNDS_TABLES = {
+    "E1-uniform-ag": ("theorem1", "lower"),
+    "E2-constant-degree": ("theorem3", "lower"),
+    "E3-tag": ("theorem4", "lower"),
+    "E4-tag-omega-n": ("tag_brr", "lower"),
+    "E5-tag-is": ("lower",),
+    "E8-barbell": ("lower",),
+}
+
+
+class TestBoundsCampaign:
+    @pytest.fixture(scope="class")
+    def result(self, tmp_path_factory):
+        store = ResultStore(tmp_path_factory.mktemp("bounds-store"))
+        return run_campaign(get_campaign("bounds"), store=store, trials=1)
+
+    def test_one_table_per_former_experiment(self):
+        bounds = get_campaign("bounds")
+        assert len(bounds.units) == 17
+        tables = {
+            artifact.label.split(" ", 1)[0]: dict(artifact.params)["bounds"]
+            for artifact in bounds.artifacts
+        }
+        assert tables == BOUNDS_TABLES
+        assert all(artifact.kind == "measured-table" for artifact in bounds.artifacts)
+        # E4's n = 16 point is the E3 unit, not a second copy of it.
+        [e4] = [a for a in bounds.artifacts if a.label.startswith("E4-")]
+        assert e4.units == ("brr-barbell-n8", "brr-barbell", "brr-barbell-n24")
+
+    def test_not_part_of_full_paper(self):
+        prefixes = {unit.name.split("/", 1)[0] for unit in get_campaign("full-paper").units}
+        assert "bounds" not in prefixes
+
+    def test_bound_cells_match_the_materialised_spec(self, result):
+        outcomes = {outcome.unit.name: outcome for outcome in result.outcomes}
+        checked = 0
+        for artifact in result.artifacts:
+            names = dict(artifact.artifact.params)["bounds"]
+            assert len(artifact.rows) == len(artifact.artifact.units)
+            for row in artifact.rows:
+                outcome = outcomes[row["unit"]]
+                bounds = outcome.spec.materialize().bounds
+                for name in names:
+                    assert row[name] == round(bounds[name], 2)
+                    assert row[f"ratio({name})"] == round(
+                        outcome.stats.whp / bounds[name], 3
+                    )
+                    checked += 1
+        assert checked == 2 * (4 + 4 + 3 + 3) + 2 + 2
+
+    def test_unit_without_the_requested_bound_is_refused(self, tmp_path):
+        campaign = CampaignSpec(
+            name="no-theorem3",
+            units=(CampaignUnit(name="complete", scenario="uniform/complete", trials=1),),
+            artifacts=(
+                ArtifactSpec(
+                    kind="measured-table", params={"bounds": ["theorem3"]}
+                ),
+            ),
+        )
+        # Δ = 15 > 8 on the complete graph: Theorem 3 does not apply.
+        with pytest.raises(CampaignError, match=r"'complete'.*theorem3.*theorem1"):
+            run_campaign(campaign, store=ResultStore(tmp_path))
+
+    def test_bounds_param_must_be_a_list(self, tmp_path):
+        campaign = tiny_campaign(
+            artifacts=(
+                ArtifactSpec(kind="measured-table", params={"bounds": "theorem1"}),
+            )
+        )
+        with pytest.raises(CampaignError, match="list of bound names"):
+            run_campaign(campaign, store=ResultStore(tmp_path))
+
+    def test_table_without_bounds_is_unchanged(self, tmp_path):
+        result = run_campaign(tiny_campaign(), store=ResultStore(tmp_path))
+        assert list(result.artifacts[0].rows[0]) == [
+            "unit", "scenario", "topology", "n", "k", "trials",
+            "mean_rounds", "p95_rounds",
+        ]
 
 
 class TestRunner:
@@ -357,6 +443,14 @@ class TestRunner:
 
 
 class TestReport:
+    def test_markdown_table(self):
+        rows = [{"x": 1, "y": 2}, {"x": 3, "y": 4}]
+        text = format_markdown_table(rows)
+        assert text.splitlines()[0] == "| x | y |"
+        assert "| 3 | 4 |" in text
+        with pytest.raises(AnalysisError):
+            format_markdown_table([])
+
     def run_tiny(self, tmp_path) -> tuple:
         store = ResultStore(tmp_path / "store")
         result = run_campaign(tiny_campaign(), store=store)

@@ -22,9 +22,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--topology", "mystery"])
 
-    def test_experiment_requires_known_id(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "E99-unknown"])
+    def test_experiment_subcommand_is_refused(self, capsys):
+        # The named experiments are units of the `bounds` campaign now.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "E1-uniform-ag"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'experiment'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["run"],
@@ -73,9 +76,8 @@ class TestEngineSwitch:
     @pytest.mark.parametrize("argv", [
         ["run"],
         ["scenario", "run", "uniform/ring"],
-        ["experiment", "E2-constant-degree"],
         ["campaign", "run", "table1"],
-    ], ids=["run", "scenario-run", "experiment", "campaign-run"])
+    ], ids=["run", "scenario-run", "campaign-run"])
     def test_batch_flag_is_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--batch"])
@@ -83,9 +85,8 @@ class TestEngineSwitch:
         assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["experiment", "E2-constant-degree"],
         ["campaign", "run", "table1"],
-    ], ids=["experiment", "campaign-run"])
+    ], ids=["campaign-run"])
     def test_engine_flag_is_refused_where_cases_carry_their_engine(
         self, argv, capsys
     ):
@@ -106,13 +107,19 @@ class TestEngineSwitch:
         assert "mean=" in default
 
 
-class TestExperimentCommand:
-    def test_runs_registered_experiment(self, capsys):
-        exit_code = main(["experiment", "E2-constant-degree", "--trials", "1"])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "E2-constant-degree" in captured.out
-        assert "mean_rounds" in captured.out
+class TestBoundsCampaignCommand:
+    def test_writes_bound_columns_and_reruns_from_cache(self, tmp_path, capsys):
+        args = ["campaign", "run", "bounds", "--trials", "1",
+                "--store", str(tmp_path / "store"),
+                "--report-dir", str(tmp_path / "report"), "--format", "md"]
+        assert main(args) == 0
+        assert "17 newly computed" in capsys.readouterr().out
+        report = (tmp_path / "report" / "report.md").read_text(encoding="utf-8")
+        for column in ("ratio(theorem1)", "ratio(theorem3)", "ratio(theorem4)",
+                       "ratio(tag_brr)", "ratio(lower)"):
+            assert column in report
+        assert main(args) == 0
+        assert "0 newly computed" in capsys.readouterr().out
 
 
 class TestTablesCommand:
@@ -180,16 +187,6 @@ class TestStoreIntegration:
         assert "3 newly computed" in capsys.readouterr().out
         assert main(args) == 0
         assert "3 trial(s) read from cache" in capsys.readouterr().out
-
-    def test_experiment_with_store(self, tmp_path, capsys):
-        store_path = str(tmp_path / "store")
-        args = ["experiment", "E2-constant-degree", "--trials", "1",
-                "--store", store_path]
-        assert main(args) == 0
-        assert "newly computed" in capsys.readouterr().out
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "0 newly computed" in out
 
 
 class TestStoreCommands:

@@ -3,8 +3,9 @@
 The README's fenced Python blocks are working code, not prose: this test
 extracts every ```python block and executes it.  If the library's API moves
 — a renamed function, a changed signature, a different default — the README
-breaks here instead of silently rotting.  The quickstart example the README
-mirrors is executed too, so the two cannot drift apart without a failure.
+breaks here instead of silently rotting.  Every script under ``examples/``
+is executed too, including the quickstart the README mirrors, so none of
+them can drift from the library without a failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 README = REPO_ROOT / "README.md"
+EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
 
 _FENCED_PYTHON = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
@@ -44,9 +46,12 @@ def test_readme_python_blocks_execute(index_and_block, capsys):
     exec(compile(block, f"README.md[block {index}]", "exec"), namespace)
 
 
-def test_quickstart_example_runs(capsys):
-    # The README quickstart mirrors examples/quickstart.py; run the original
-    # so a change to either surfaces as a failure somewhere.
-    runpy.run_path(str(REPO_ROOT / "examples" / "quickstart.py"), run_name="__main__")
+@pytest.mark.parametrize("example", EXAMPLES, ids=lambda path: path.stem)
+def test_example_runs(example, capsys):
+    runpy.run_path(str(example), run_name="__main__")
     out = capsys.readouterr().out
-    assert "decoded all messages correctly" in out
+    assert out
+    if example.stem == "quickstart":
+        # The README quickstart mirrors this script; a change to either
+        # surfaces as a failure somewhere.
+        assert "decoded all messages correctly" in out

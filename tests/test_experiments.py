@@ -1,30 +1,21 @@
-"""Tests for the experiments layer: workloads, named experiments and reporting."""
+"""Tests for the workload placements and the per-scenario analytic bounds."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import AnalysisError, SimulationError
+from repro.errors import SimulationError
 from repro.experiments import (
-    EXPERIMENTS,
-    Experiment,
     adversarial_far_placement,
     all_to_all_placement,
-    default_config,
-    format_comparison,
-    format_experiment_report,
-    format_markdown_table,
     random_placement,
-    register_experiment,
-    run_experiment,
     single_source_placement,
     spread_placement,
-    tag_case,
-    uniform_ag_case,
     validate_placement,
 )
 from repro.graphs import line_graph, ring_graph
+from repro.scenarios import ScenarioSpec, default_scenario_config
 
 
 class TestWorkloads:
@@ -75,86 +66,29 @@ class TestWorkloads:
             validate_placement(graph, 2, {0: [0, 7]})
 
 
-class TestCaseBuilders:
-    def test_uniform_ag_case_has_bounds(self):
-        case = uniform_ag_case("ring", 8, 4)
-        assert case.graph.number_of_nodes() == 8
-        assert "theorem1" in case.bounds
-        assert "theorem3" in case.bounds  # ring is constant degree
-        process = case.protocol_factory(case.graph, np.random.default_rng(0))
+class TestScenarioBounds:
+    def test_uniform_scenario_has_bounds(self):
+        scenario = ScenarioSpec(topology="ring", n=8, k=4).materialize()
+        assert scenario.graph.number_of_nodes() == 8
+        assert "theorem1" in scenario.bounds
+        assert "theorem3" in scenario.bounds  # ring is constant degree
+        process = scenario.build_process(np.random.default_rng(0))
         assert process.generation.k == 4
 
-    def test_dense_graph_case_has_no_theorem3_bound(self):
-        case = uniform_ag_case("complete", 16, 4)
-        assert "theorem3" not in case.bounds
+    def test_dense_graph_has_no_theorem3_bound(self):
+        scenario = ScenarioSpec(topology="complete", n=16, k=4).materialize()
+        assert "theorem3" not in scenario.bounds
 
-    def test_tag_case_builders(self):
+    def test_tag_scenarios_with_every_tree(self):
         for stp in ("brr", "uniform_broadcast", "bfs_oracle", "is"):
-            case = tag_case("barbell", 8, 8, spanning_tree=stp)
-            process = case.protocol_factory(case.graph, np.random.default_rng(0))
+            scenario = ScenarioSpec(
+                topology="barbell", n=8, k=8, protocol="tag", spanning_tree=stp
+            ).materialize()
+            process = scenario.build_process(np.random.default_rng(0))
             assert process.metadata()["protocol"] == "TAG"
+            assert {"theorem4", "tag_brr", "lower"} <= set(scenario.bounds)
 
-    def test_tag_case_unknown_protocol(self):
-        with pytest.raises(AnalysisError):
-            tag_case("barbell", 8, 8, spanning_tree="mystery")
-
-    def test_default_config(self):
-        config = default_config()
+    def test_default_scenario_config(self):
+        config = default_scenario_config()
         assert config.is_synchronous
         assert config.field_size == 16
-
-
-class TestExperimentRegistry:
-    def test_builtin_experiments_registered(self):
-        assert "E1-uniform-ag" in EXPERIMENTS
-        assert "E4-tag-omega-n" in EXPERIMENTS
-        assert "E8-barbell" in EXPERIMENTS
-
-    def test_unknown_experiment(self):
-        with pytest.raises(AnalysisError):
-            run_experiment("does-not-exist")
-
-    def test_run_small_experiment(self):
-        result = run_experiment("E2-constant-degree", trials=1, seed=0)
-        assert len(result.points) == 4
-        assert result.rows[0]["k"] == 2
-        assert all(row["p95_rounds"] > 0 for row in result.rows)
-
-    def test_register_custom_experiment(self):
-        experiment = Experiment(
-            experiment_id="custom-test",
-            description="tiny",
-            build_cases=lambda: [uniform_ag_case("ring", 6, 3)],
-            bound_names=("theorem1",),
-            trials=1,
-        )
-        register_experiment(experiment)
-        try:
-            result = run_experiment("custom-test")
-            assert len(result.points) == 1
-            assert "ratio(theorem1)" in result.rows[0]
-        finally:
-            EXPERIMENTS.pop("custom-test", None)
-
-
-class TestReporting:
-    def test_markdown_table(self):
-        rows = [{"x": 1, "y": 2}, {"x": 3, "y": 4}]
-        text = format_markdown_table(rows)
-        assert text.splitlines()[0] == "| x | y |"
-        assert "| 3 | 4 |" in text
-        with pytest.raises(AnalysisError):
-            format_markdown_table([])
-
-    def test_experiment_report_text_and_markdown(self):
-        rows = [{"x": 1}]
-        text = format_experiment_report("Title", rows, notes=["note one"])
-        assert "Title" in text and "note one" in text
-        markdown = format_experiment_report("Title", rows, notes=["note"], markdown=True)
-        assert markdown.startswith("### Title")
-
-    def test_comparison_line(self):
-        line = format_comparison("TAG", 30.0, "Uniform AG", 90.0)
-        assert "3.0x faster" in line
-        with pytest.raises(AnalysisError):
-            format_comparison("a", 0.0, "b", 1.0)

@@ -12,17 +12,38 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.stopping_time import measure_protocol, run_trials
+from repro.campaigns import CampaignSpec, CampaignUnit, run_campaign
 from repro.core import TimeModel
 from repro.errors import AnalysisError, SimulationError
-from repro.experiments import (
-    default_config,
-    measure_protocol_parallel,
-    run_trials_parallel,
-    tag_case,
-    uniform_ag_case,
-)
+from repro.experiments import measure_protocol_parallel, run_trials_parallel
 from repro.experiments.parallel import _chunks
 from repro.gossip.batch import BatchGossipEngine
+from repro.scenarios import ScenarioSpec, default_scenario_config
+from repro.store import ResultStore
+
+
+def uniform_scenario(topology, n, k, *, config=None):
+    """A materialised uniform-AG scenario (its graph, factory and config)."""
+    return ScenarioSpec(
+        topology=topology, n=n, k=k, config=config or default_scenario_config()
+    ).materialize()
+
+
+def tag_scenario(topology, n, k):
+    """A materialised TAG + B_RR scenario."""
+    return ScenarioSpec(
+        topology=topology, n=n, k=k, protocol="tag", config=default_scenario_config()
+    ).materialize()
+
+
+def _campaign(*specs):
+    """An inline campaign with one unit per spec."""
+    return CampaignSpec(
+        name="parallel-wiring",
+        units=tuple(
+            CampaignUnit(name=f"u{index}", spec=spec) for index, spec in enumerate(specs)
+        ),
+    )
 
 
 def _signature(results):
@@ -35,13 +56,15 @@ def _signature(results):
 
 @pytest.fixture(scope="module")
 def uniform_case():
-    return uniform_ag_case("grid", 9, 5)
+    return uniform_scenario("grid", 9, 5)
 
 
 class TestBatchedEqualsSequential:
     @pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
     def test_bit_identical_results(self, time_model):
-        case = uniform_ag_case("ring", 8, 4, config=default_config(time_model=time_model))
+        case = uniform_scenario(
+            "ring", 8, 4, config=default_scenario_config(time_model=time_model)
+        )
         sequential = measure_protocol(
             case.graph, case.protocol_factory, case.config, trials=4, seed=99
         )
@@ -75,7 +98,7 @@ class TestBatchedEqualsSequential:
 
     def test_tag_runs_on_its_own_batch_path(self):
         # TAG declares the BatchTagEngine strategy; results stay bit-identical.
-        case = tag_case("barbell", 10, 10)
+        case = tag_scenario("barbell", 10, 10)
         sequential = measure_protocol(
             case.graph, case.protocol_factory, case.config, trials=2, seed=13
         )
@@ -95,7 +118,7 @@ class TestBatchedEqualsSequential:
         from repro.gf import GF
         from repro.experiments import all_to_all_placement
 
-        config = default_config()
+        config = default_scenario_config()
 
         def factory(graph, rng):
             generation = Generation.random(GF(16), graph.number_of_nodes(), 2, rng)
@@ -118,7 +141,7 @@ class TestBatchedEqualsSequential:
     def test_tag_is_not_rank_only_batchable(self):
         # The rank-only BatchGossipEngine still rejects TAG — TAG's fast path
         # is the dedicated BatchTagEngine, not the uniform-gossip engine.
-        case = tag_case("barbell", 10, 10)
+        case = tag_scenario("barbell", 10, 10)
         import numpy as np
 
         process = case.protocol_factory(case.graph, np.random.default_rng(0))
@@ -175,8 +198,7 @@ class TestParallelEqualsSequential:
             trials=4, seed=19,
         )
         parallel = measure_protocol_parallel(
-            uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
-            trials=4, seed=19, jobs=2, spec=uniform_case.spec.replace(engine="scalar"),
+            uniform_case.spec.replace(engine="scalar"), trials=4, seed=19, jobs=2
         )
         assert _signature(parallel) == _signature(sequential)
 
@@ -196,26 +218,27 @@ class TestParallelEqualsSequential:
                 uniform_case.config, trials=2, seed=0, jobs=0,
             )
 
-    def test_run_sweep_rejects_non_positive_jobs(self, uniform_case):
-        from repro.analysis import run_sweep
-
+    def test_run_campaign_rejects_non_positive_jobs(self, uniform_case, tmp_path):
         with pytest.raises(AnalysisError):
-            run_sweep([uniform_case], trials=2, jobs=0)
+            run_campaign(_campaign(uniform_case.spec), store=ResultStore(tmp_path), jobs=0)
 
 
-class TestSweepWiring:
-    def test_run_sweep_batched_matches_sequential(self):
-        from repro.analysis import run_sweep
-
-        cases = [uniform_ag_case("ring", 8, 4), uniform_ag_case("grid", 9, 4)]
-        fast = run_sweep(cases, trials=3, seed=2)
-        slow = run_sweep(
-            [case.spec.replace(engine="scalar") for case in cases], trials=3, seed=2
+class TestCampaignWiring:
+    def test_campaign_batched_matches_sequential(self, tmp_path):
+        specs = [
+            ScenarioSpec(topology=topology, n=n, k=4, trials=3, seed=2)
+            for topology, n in (("ring", 8), ("grid", 9))
+        ]
+        fast = run_campaign(_campaign(*specs), store=ResultStore(tmp_path / "fast"))
+        slow = run_campaign(
+            _campaign(*(spec.replace(engine="scalar") for spec in specs)),
+            store=ResultStore(tmp_path / "slow"),
         )
-        assert [p.stats.samples for p in fast] == [p.stats.samples for p in slow]
+        assert [o.stats.samples for o in fast.outcomes] == [
+            o.stats.samples for o in slow.outcomes
+        ]
 
-    def test_run_sweep_runs_each_case_on_its_spec_engine(self, monkeypatch):
-        from repro.analysis import run_sweep
+    def test_campaign_runs_each_unit_on_its_spec_engine(self, monkeypatch, tmp_path):
         from repro.gossip.event import EventGossipEngine
         from repro.scenarios import get_scenario
 
@@ -227,12 +250,11 @@ class TestSweepWiring:
             return original_run(engine)
 
         monkeypatch.setattr(EventGossipEngine, "run", spy)
-        spec = get_scenario("event/er-logn").replace(n=64, trials=2)
-        [point] = run_sweep([spec], trials=2, seed=3)
-        # The spec pins engine="event", so both trials run on it even
-        # without a store.
+        spec = get_scenario("event/er-logn").replace(n=64, trials=2, seed=3)
+        [outcome] = run_campaign(_campaign(spec), store=ResultStore(tmp_path)).outcomes
+        # The spec pins engine="event", so both trials run on it.
         assert len(runs) == 2
-        assert point.stats == spec.materialize().run(seed=3)
+        assert outcome.stats == spec.materialize().run()
 
 
 class TestSharedProcessPool:

@@ -18,7 +18,7 @@ import pytest
 from repro.analysis.stopping_time import measure_protocol
 from repro.core import SimulationConfig, TimeModel
 from repro.errors import SimulationError
-from repro.experiments import all_to_all_placement, default_config, tag_case
+from repro.experiments import all_to_all_placement
 from repro.experiments.parallel import measure_protocol_parallel
 from repro.gf import GF
 from repro.gossip import (
@@ -41,6 +41,14 @@ from repro.rlnc import Generation
 from repro.scenarios import ScenarioSpec, default_scenario_config
 
 SPANNING_TREES = ["brr", "uniform_broadcast", "bfs_oracle", "is"]
+
+
+def tag_scenario(topology, n, k, *, spanning_tree, config=None):
+    """A materialised TAG scenario (its graph, factory and config)."""
+    return ScenarioSpec(
+        topology=topology, n=n, k=k, protocol="tag", spanning_tree=spanning_tree,
+        config=config or default_scenario_config(),
+    ).materialize()
 
 
 def _signature(results):
@@ -82,9 +90,9 @@ class TestTagBatchedEqualsSequential:
     @pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("spanning_tree", SPANNING_TREES)
     def test_bit_identical_results(self, spanning_tree, time_model, eliminator_field):
-        case = tag_case(
+        case = tag_scenario(
             "barbell", 8, 4, spanning_tree=spanning_tree,
-            config=default_config(
+            config=default_scenario_config(
                 time_model=time_model, field_size=eliminator_field.order
             ),
         )
@@ -94,7 +102,7 @@ class TestTagBatchedEqualsSequential:
 
     @pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
     def test_keep_phase1_off_matches(self, time_model, eliminator_field):
-        config = default_config(
+        config = default_scenario_config(
             time_model=time_model, field_size=eliminator_field.order
         )
         graph = barbell_graph(8)
@@ -102,7 +110,7 @@ class TestTagBatchedEqualsSequential:
         _assert_batched_equals_sequential(graph, factory, config, trials=3, seed=7)
 
     def test_bit_identical_under_packet_loss(self):
-        case = tag_case("grid", 9, 9, spanning_tree="uniform_broadcast")
+        case = tag_scenario("grid", 9, 9, spanning_tree="uniform_broadcast")
         config = case.config.replace(loss_probability=0.2)
         _assert_batched_equals_sequential(
             case.graph, case.protocol_factory, config, trials=3, seed=5
@@ -113,7 +121,7 @@ class TestTagBatchedEqualsSequential:
     @pytest.mark.parametrize("spanning_tree", SPANNING_TREES)
     @pytest.mark.parametrize("keep_phase1", [True, False])
     def test_large_cross_product(self, spanning_tree, time_model, keep_phase1):
-        config = default_config(time_model=time_model)
+        config = default_scenario_config(time_model=time_model)
         graph = grid_graph(16)
         trees = {
             "brr": RoundRobinBroadcastTree,
@@ -201,12 +209,12 @@ class TestRoundRobinOnOrderSensitiveFamilies:
 
 class TestBatchStrategySelection:
     def test_tag_declares_the_tag_runner(self, rng):
-        case = tag_case("barbell", 8, 4, spanning_tree="brr")
+        case = tag_scenario("barbell", 8, 4, spanning_tree="brr")
         process = case.protocol_factory(case.graph, rng)
         assert process.batch_strategy() is run_tag_batch
 
     def test_tag_subclass_falls_back(self, rng):
-        config = default_config()
+        config = default_scenario_config()
         graph = barbell_graph(8)
 
         class TracingTag(TagProtocol):
@@ -220,7 +228,7 @@ class TestBatchStrategySelection:
         assert process.batch_strategy() is None
 
     def test_tag_with_unsupported_tree_falls_back(self, rng):
-        config = default_config()
+        config = default_scenario_config()
         graph = barbell_graph(8)
 
         class CustomTree(UniformBroadcastTree):

@@ -1,9 +1,10 @@
 """Integration tests: the paper's theorems hold *in shape* at small scale.
 
 These are the executable versions of the claims listed in Table 1, run at
-sizes small enough for CI.  They check bounded ratios against the closed-form
-bounds and the qualitative orderings (who wins on which topology), never the
-asymptotic constants.
+sizes small enough for CI on the fastest engine the protocol declares (the
+batch engines are bit-identical to the sequential one per seed).  They check
+bounded ratios against the closed-form bounds and the qualitative orderings
+(who wins on which topology), never the asymptotic constants.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import pytest
 from repro.analysis import (
     constant_degree_upper_bound,
     fit_power_law,
-    run_trials,
     tag_with_brr_upper_bound,
     uniform_ag_upper_bound,
 )
+from repro.campaigns import get_campaign, run_campaign
 from repro.core import SimulationConfig, TimeModel
 from repro.gf import GF
 from repro.graphs import (
@@ -29,8 +30,8 @@ from repro.graphs import (
 )
 from repro.protocols import AlgebraicGossip, RoundRobinBroadcastTree, TagProtocol
 from repro.rlnc import Generation
-from repro.experiments import all_to_all_placement, spread_placement, tag_case, uniform_ag_case
-from repro.analysis.sweep import run_sweep
+from repro.experiments import all_to_all_placement, run_trials_parallel, spread_placement
+from repro.store import ResultStore
 
 
 def ag_factory(k, config):
@@ -68,7 +69,9 @@ class TestTheorem1Shape:
         graph = builder(n)
         actual_n = graph.number_of_nodes()
         config = SimulationConfig(time_model=time_model, max_rounds=200_000)
-        stats = run_trials(graph, ag_factory(actual_n, config), config, trials=3, seed=11)
+        stats = run_trials_parallel(
+            graph, ag_factory(actual_n, config), config, trials=3, seed=11, jobs=1
+        )
         bound = uniform_ag_upper_bound(
             actual_n, actual_n, diameter(graph), max_degree(graph)
         )
@@ -84,7 +87,9 @@ class TestTheorem3Shape:
         ks = [3, 6, 12]
         means = []
         for k in ks:
-            stats = run_trials(graph, ag_factory(k, config), config, trials=3, seed=13)
+            stats = run_trials_parallel(
+                graph, ag_factory(k, config), config, trials=3, seed=13, jobs=1
+            )
             means.append(stats.mean)
             assert stats.whp <= 6 * constant_degree_upper_bound(k, diameter(graph))
         assert means[0] <= means[1] <= means[2]
@@ -96,7 +101,9 @@ class TestTheorem3Shape:
         means = []
         for n in sizes:
             graph = line_graph(n)
-            stats = run_trials(graph, ag_factory(2, config), config, trials=3, seed=17)
+            stats = run_trials_parallel(
+                graph, ag_factory(2, config), config, trials=3, seed=17, jobs=1
+            )
             means.append(stats.mean)
             assert stats.mean >= diameter(graph) / 2
         assert means[-1] > means[0]
@@ -111,7 +118,9 @@ class TestTheorem4And5Shape:
         means = []
         for n in sizes:
             graph = barbell_graph(n)
-            stats = run_trials(graph, tag_factory(n, config), config, trials=3, seed=19)
+            stats = run_trials_parallel(
+                graph, tag_factory(n, config), config, trials=3, seed=19, jobs=1
+            )
             means.append(stats.mean)
             assert stats.whp <= 3 * tag_with_brr_upper_bound(n, n)
         fit = fit_power_law(sizes, means)
@@ -126,8 +135,12 @@ class TestTheorem4And5Shape:
         gaps = []
         for n in (12, 24):
             graph = barbell_graph(n)
-            uniform = run_trials(graph, ag_factory(n, config), config, trials=2, seed=23)
-            tag = run_trials(graph, tag_factory(n, config), config, trials=2, seed=23)
+            uniform = run_trials_parallel(
+                graph, ag_factory(n, config), config, trials=2, seed=23, jobs=1
+            )
+            tag = run_trials_parallel(
+                graph, tag_factory(n, config), config, trials=2, seed=23, jobs=1
+            )
             gaps.append(uniform.mean / tag.mean)
         assert gaps[-1] > 1.0  # TAG is faster at the larger size
         assert gaps[-1] > gaps[0]  # and the advantage grows with n
@@ -142,19 +155,23 @@ class TestUniformAgBarbellScaling:
         means = []
         for n in sizes:
             graph = barbell_graph(n)
-            stats = run_trials(graph, ag_factory(n, config), config, trials=2, seed=29)
+            stats = run_trials_parallel(
+                graph, ag_factory(n, config), config, trials=2, seed=29, jobs=1
+            )
             means.append(stats.mean)
         fit = fit_power_law(sizes, means)
         assert fit.exponent > 1.2  # clearly super-linear, heading towards 2
 
 
-class TestSweepIntegration:
-    def test_experiment_case_builders_run_end_to_end(self):
-        cases = [
-            uniform_ag_case("ring", 8, 8),
-            tag_case("barbell", 8, 8, spanning_tree="brr"),
+class TestBoundsCampaign:
+    def test_theorem1_ratios_stay_bounded(self, tmp_path):
+        result = run_campaign(
+            get_campaign("bounds"), store=ResultStore(tmp_path), trials=1
+        )
+        assert all(outcome.stats.trials == 1 for outcome in result.outcomes)
+        [e1] = [
+            artifact for artifact in result.artifacts
+            if artifact.artifact.title.startswith("E1-")
         ]
-        points = run_sweep(cases, trials=1, seed=31)
-        assert len(points) == 2
-        assert all(point.stats.trials == 1 for point in points)
-        assert points[0].ratio_to("theorem1") <= 1.5
+        assert len(e1.rows) == 4
+        assert all(row["ratio(theorem1)"] <= 1.5 for row in e1.rows)

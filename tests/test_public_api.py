@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import tomllib
+from pathlib import Path
+
 import pytest
 
 import repro
+import repro.cli
 from repro import EventTrace, SimulationError, TimeModel, quick_run
 
 
@@ -50,3 +55,24 @@ class TestQuickRun:
         assert repro.__version__
         for name in ("GF", "Generation", "RlncDecoder", "AlgebraicGossip", "TagProtocol"):
             assert hasattr(repro, name)
+
+
+class TestPackageMetadata:
+    """``pyproject.toml`` names the package and its console script correctly."""
+
+    @pytest.fixture(scope="class")
+    def project(self):
+        path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        return tomllib.loads(path.read_text(encoding="utf-8"))
+
+    def test_name_and_version_come_from_the_package(self, project):
+        assert project["project"]["name"] == "repro"
+        assert "version" in project["project"]["dynamic"]
+        attr = project["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+        module, _, name = attr.rpartition(".")
+        assert getattr(importlib.import_module(module), name) == repro.__version__
+
+    def test_console_script_resolves_to_the_cli(self, project):
+        target = project["project"]["scripts"]["repro"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is repro.cli.main

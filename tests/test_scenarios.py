@@ -6,11 +6,10 @@ import json
 
 import pytest
 
-from repro.analysis.sweep import SweepCase, run_sweep
+from repro.campaigns import CampaignSpec, CampaignUnit, run_campaign
 from repro.cli import main
 from repro.core import SimulationConfig, TimeModel
 from repro.errors import ConfigurationError
-from repro.experiments import tag_case, uniform_ag_case
 from repro.experiments.parallel import run_trials_parallel
 from repro.scenarios import (
     SCENARIOS,
@@ -19,9 +18,9 @@ from repro.scenarios import (
     default_scenario_config,
     get_scenario,
     register_scenario,
-    scenario_case,
     scenario_names,
 )
+from repro.store import ResultStore
 
 _FAST = default_scenario_config()
 
@@ -400,7 +399,7 @@ class TestRegistry:
 
 
 class TestSingleSpecDrivesEveryConsumer:
-    """One spec → CLI, run_sweep, batched/parallel runners: identical numbers."""
+    """One spec → CLI, campaign, batched/parallel runners: identical numbers."""
 
     SPEC = ScenarioSpec(
         topology="barbell",
@@ -412,12 +411,15 @@ class TestSingleSpecDrivesEveryConsumer:
         seed=41,
     )
 
-    def test_runners_agree(self):
+    def test_runners_agree(self, tmp_path):
         direct = self.SPEC.materialize().run()
         batched = run_trials_parallel(self.SPEC, jobs=1)
         parallel = run_trials_parallel(self.SPEC, jobs=2)
-        swept = run_sweep([self.SPEC], trials=3, seed=41)[0]
-        assert direct == batched == parallel == swept.stats
+        campaign = CampaignSpec(
+            name="one-unit", units=(CampaignUnit(name="only", spec=self.SPEC),)
+        )
+        [unit] = run_campaign(campaign, store=ResultStore(tmp_path)).outcomes
+        assert direct == batched == parallel == unit.stats
 
     def test_cli_matches_library(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -440,47 +442,12 @@ class TestSingleSpecDrivesEveryConsumer:
             run_trials_parallel(scenario, None, scenario.config, jobs=1)
 
 
-class TestSweepCaseRebase:
-    def test_case_builders_attach_specs(self):
-        case = uniform_ag_case("ring", 12, 6, config=_FAST)
-        assert isinstance(case, SweepCase)
-        assert isinstance(case.spec, ScenarioSpec)
-        assert case.spec.topology == "ring" and case.spec.protocol == "uniform"
-        tag = tag_case("barbell", 12, 12, spanning_tree="is", config=_FAST)
-        assert tag.spec.protocol == "tag" and tag.spec.spanning_tree == "is"
-
-    def test_case_builder_equals_spec_route(self):
-        case = uniform_ag_case("ring", 12, 6, config=_FAST)
-        spec_route = scenario_case(
-            ScenarioSpec(topology="ring", n=12, k=6, config=_FAST)
-        )
-        assert run_sweep([case], trials=2, seed=9)[0].stats == (
-            run_sweep([spec_route], trials=2, seed=9)[0].stats
-        )
-
-    def test_scenario_case_by_name_with_overrides(self):
-        case = scenario_case("tag/brr-barbell", n=20, value=20, label="x")
-        assert case.label == "x"
-        assert case.value == 20.0
-        assert case.spec.n == 20
-
-    def test_bare_spec_sweep_labels_use_materialized_sizes(self):
-        # grid rounds 20 down to 16 nodes: the sweep label must name the
-        # graph actually measured.
-        point = run_sweep(
-            [ScenarioSpec(topology="grid", n=20, config=_FAST)], trials=1, seed=3
-        )[0]
-        assert point.label == "grid(n=16, k=16)"
-        assert point.value == 16.0
-
-    def test_run_sweep_accepts_mixed_cases_and_specs(self):
-        points = run_sweep(
-            [uniform_ag_case("ring", 10, 5, config=_FAST),
-             ScenarioSpec(topology="ring", n=10, k=5, config=_FAST)],
-            trials=1,
-            seed=4,
-        )
-        assert len(points) == 2
+class TestMaterializedLabel:
+    def test_label_uses_materialized_sizes(self):
+        # grid rounds 20 down to 16 nodes: the label must name the graph
+        # actually measured.
+        scenario = ScenarioSpec(topology="grid", n=20, config=_FAST).materialize()
+        assert scenario.label == "grid(n=16, k=16)"
 
 
 class TestScenarioCli:

@@ -1,8 +1,8 @@
-"""Resume semantics of store-backed sweeps (the ``make store-check`` contract).
+"""Resume semantics of store-backed campaigns (the ``make store-check`` contract).
 
 The guarantees under test:
 
-* a sweep interrupted part-way (fewer trials completed, or a writer killed
+* a campaign interrupted part-way (fewer trials completed, or a writer killed
   mid-append) and *resumed* against the same store computes only the missing
   trials and produces **bit-identical** per-trial results and aggregates to
   an uninterrupted run — on the batch and the scalar execution paths;
@@ -19,8 +19,7 @@ import time
 
 import pytest
 
-from repro.analysis import run_sweep
-from repro.experiments import run_experiment
+from repro.campaigns import CampaignSpec, CampaignUnit, get_campaign, run_campaign
 from repro.experiments.parallel import measure_protocol_parallel
 from repro.scenarios import ScenarioSpec, default_scenario_config
 from repro.store import ResultStore
@@ -45,11 +44,24 @@ def _table1_specs(topologies=TOPOLOGIES, engine="") -> list[ScenarioSpec]:
     ]
 
 
-def _signature(points) -> list[tuple]:
-    """Everything a sweep aggregate is built from, per case."""
+def _campaign(specs) -> CampaignSpec:
+    """An inline campaign with one unit per spec, named after its topology."""
+    return CampaignSpec(
+        name="store-resume",
+        units=tuple(CampaignUnit(name=spec.topology, spec=spec) for spec in specs),
+    )
+
+
+def _run(specs, store, *, trials=None):
+    """Run the specs as one campaign through ``store``; returns the outcomes."""
+    return run_campaign(_campaign(specs), store=store, trials=trials).outcomes
+
+
+def _signature(outcomes) -> list[tuple]:
+    """Everything a unit's aggregate is built from, per unit."""
     return [
-        (point.label, point.stats.samples, point.stats.incomplete_trials)
-        for point in points
+        (outcome.unit.name, outcome.stats.samples, outcome.stats.incomplete_trials)
+        for outcome in outcomes
     ]
 
 
@@ -67,20 +79,20 @@ def _truncate_final_record(store_root) -> None:
 class TestResumeSemantics:
     # The default engine auto-selects the batch engine for these specs.
     @pytest.mark.parametrize("engine", ["", "scalar"], ids=["batch", "scalar"])
-    def test_interrupted_sweep_resumes_bit_identical(self, tmp_path, engine):
+    def test_interrupted_campaign_resumes_bit_identical(self, tmp_path, engine):
         specs = _table1_specs(engine=engine)
-        cold = run_sweep(specs, trials=TRIALS, seed=SEED)
+        cold = _run(specs, ResultStore(tmp_path / "cold"))
 
-        # Phase 1: the "interrupted" sweep got through half the trials...
+        # Phase 1: the "interrupted" campaign got through half the trials...
         first_half = ResultStore(tmp_path / "store")
-        run_sweep(specs, trials=TRIALS // 2, seed=SEED, store=first_half)
+        _run(specs, first_half, trials=TRIALS // 2)
         assert first_half.puts == len(specs) * (TRIALS // 2)
         # ... and its writer died mid-append on the final record.
         _truncate_final_record(tmp_path / "store")
 
         # Phase 2: resume with the same specs/seed against the same store.
         resumed_store = ResultStore(tmp_path / "store")
-        resumed = run_sweep(specs, trials=TRIALS, seed=SEED, store=resumed_store)
+        resumed = _run(specs, resumed_store)
         assert _signature(resumed) == _signature(cold)
         # Only the remaining trials (plus the one lost to the truncation)
         # were computed.
@@ -103,18 +115,13 @@ class TestResumeSemantics:
     def test_scalar_and_batch_paths_share_cache_records(self, tmp_path):
         topologies = ("line", "complete")
         batch_store = ResultStore(tmp_path)
-        batch_points = run_sweep(
-            _table1_specs(topologies), trials=TRIALS, seed=SEED, store=batch_store
-        )
+        batch_outcomes = _run(_table1_specs(topologies), batch_store)
         scalar_store = ResultStore(tmp_path)
-        scalar_points = run_sweep(
-            _table1_specs(topologies, engine="scalar"),
-            trials=TRIALS, seed=SEED, store=scalar_store,
-        )
+        scalar_outcomes = _run(_table1_specs(topologies, engine="scalar"), scalar_store)
         # The engines are bit-identical, so the scalar pass is served
         # entirely from the batch pass's records.
         assert scalar_store.puts == 0
-        assert _signature(scalar_points) == _signature(batch_points)
+        assert _signature(scalar_outcomes) == _signature(batch_outcomes)
 
 
 class TestCachedRerun:
@@ -122,41 +129,40 @@ class TestCachedRerun:
         specs = _table1_specs()
         cold_store = ResultStore(tmp_path)
         start = time.perf_counter()
-        cold_points = run_sweep(specs, trials=TRIALS, seed=SEED, store=cold_store)
+        cold_outcomes = _run(specs, cold_store)
         cold_seconds = time.perf_counter() - start
         assert cold_store.puts == len(specs) * TRIALS
 
         warm_store = ResultStore(tmp_path)
         start = time.perf_counter()
-        warm_points = run_sweep(specs, trials=TRIALS, seed=SEED, store=warm_store)
+        warm_outcomes = _run(specs, warm_store)
         warm_seconds = time.perf_counter() - start
-        assert warm_store.puts == 0, "a fully cached sweep must compute zero trials"
+        assert warm_store.puts == 0, "a fully cached campaign must compute zero trials"
         assert warm_store.hits == len(specs) * TRIALS
-        assert _signature(warm_points) == _signature(cold_points)
+        assert _signature(warm_outcomes) == _signature(cold_outcomes)
         assert warm_seconds * 10 <= cold_seconds, (
             f"cached rerun took {warm_seconds:.3f}s vs {cold_seconds:.3f}s cold "
             "(expected >= 10x faster)"
         )
 
     def test_extending_a_table_computes_only_the_new_workload(self, tmp_path):
-        store = ResultStore(tmp_path)
-        run_sweep(_table1_specs(), trials=TRIALS, seed=SEED, store=store)
-        extended = _table1_specs(TOPOLOGIES + ("barbell",))
+        _run(_table1_specs(), ResultStore(tmp_path))
+        # Units carry their own seeds, so the new unit may go anywhere.
+        extended = _table1_specs(("barbell",) + TOPOLOGIES)
         rerun_store = ResultStore(tmp_path)
-        run_sweep(extended, trials=TRIALS, seed=SEED, store=rerun_store)
-        # run_sweep derives each case's seed from its *position*, so the new
-        # topology must be appended for the existing cases to stay cached.
+        _run(extended, rerun_store)
         assert rerun_store.puts == TRIALS
         assert rerun_store.hits == len(TOPOLOGIES) * TRIALS
 
-    def test_experiment_reruns_are_fully_cached(self, tmp_path):
+    def test_bounds_campaign_reruns_are_fully_cached(self, tmp_path):
+        campaign = get_campaign("bounds")
         first = ResultStore(tmp_path)
-        cold = run_experiment("E1-uniform-ag", trials=3, store=first)
+        cold = run_campaign(campaign, store=first, trials=2)
         assert first.puts > 0
         second = ResultStore(tmp_path)
-        warm = run_experiment("E1-uniform-ag", trials=3, store=second)
+        warm = run_campaign(campaign, store=second, trials=2)
         assert second.puts == 0
-        assert warm.rows == cold.rows
+        assert [a.rows for a in warm.artifacts] == [a.rows for a in cold.artifacts]
 
     def test_fresh_recomputes_without_duplicating_records(self, tmp_path):
         spec = _table1_specs(("grid",))[0]
