@@ -15,7 +15,7 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest --doctest-modules -q \
-		src/repro/backends/__init__.py \
+		src/repro/backends/__init__.py src/repro/backends/rows.py \
 		src/repro/scenarios/spec.py src/repro/scenarios/registry.py \
 		src/repro/scenarios/sweeps.py \
 		src/repro/store/result_store.py src/repro/analysis/tables.py \

@@ -41,8 +41,9 @@ OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 PEDANTIC = dict(rounds=1, iterations=1, warmup_rounds=0)
 
 #: Worker processes for sweep trials (``REPRO_BENCH_JOBS=4 pytest ...``).
-#: ``None`` runs trials in-process through the vectorised batch engine, which
-#: is already the fast path; the results are bit-identical for any value.
+#: ``None`` runs trials in-process, on the engine auto-selection picks (the
+#: event engine for uniform AG, the batch engines for TAG and spanning
+#: trees); the results are bit-identical for any value.
 #: Empty, non-numeric or non-positive values mean "in-process" rather than
 #: breaking benchmark collection at import time.
 try:

@@ -43,7 +43,9 @@ SCALED_DOWN = (N, TRIALS, MIN_SPEEDUP) != (128, 8, 5.0)
 #: All-to-all algebraic gossip over GF(2): k = n source messages on the
 #: complete graph.  Both runs measure this one spec, so they share its
 #: fingerprint (and therefore the archived trials) — the store-invariance
-#: half of the eliminator contract.
+#: half of the eliminator contract.  Pinned to the batch engine, whose
+#: decoders build their eliminator through ``make_eliminator`` (the event
+#: engine, which auto-selection would pick, has its own).
 SPEC = ScenarioSpec(
     topology="complete",
     n=N,
@@ -51,6 +53,7 @@ SPEC = ScenarioSpec(
     config=default_scenario_config(max_rounds=50_000, field_size=2),
     trials=TRIALS,
     seed=SEED,
+    engine="batch",
 )
 
 

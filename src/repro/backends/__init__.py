@@ -1,20 +1,28 @@
-"""The field picks the eliminator.
+"""The field picks the eliminator; the engine picks its layout.
 
 Every array-touching step of the RLNC decoders and engines — absorbing a
 row, the helpfulness test, encoding a random combination — runs on an
-:class:`EliminatorState`: incremental Gaussian elimination over many
-independent problems.  Two implementations ship, and the field alone
-decides which one runs (:func:`make_eliminator`):
+incremental Gaussian eliminator, in one of two layouts:
 
-* ``GF(2)`` — :class:`~repro.backends.gf2bit.PackedGf2Eliminator`, rows
-  packed into uint64 words with word-parallel XOR elimination;
-* every other field — the dense :class:`~repro.gf.linalg.BatchEliminator`.
+* :class:`EliminatorState` — many independent problems swept at once as
+  numpy slabs, under the scalar decoders and the lockstep batch engines.
+  The field alone decides which implementation :func:`make_eliminator`
+  builds:
 
-Both keep the canonical RREF basis of every problem, so they are
+  * ``GF(2)`` — :class:`~repro.backends.gf2bit.PackedGf2Eliminator`, rows
+    packed into uint64 words with word-parallel XOR elimination;
+  * every other field — the dense :class:`~repro.gf.linalg.BatchEliminator`.
+
+* :class:`~repro.backends.rows.RowEliminator` — one problem at a time, each
+  stored row one python int (a bit per column over ``GF(2)``, a byte per
+  column otherwise): the event-driven engine's only eliminator.
+
+All of them keep the canonical RREF basis of every problem, so they are
 **bit-identical by contract**: the choice changes wall-clock only, never a
 result, a fingerprint or a stored record.
-``tests/test_backend_conformance.py`` holds the packed eliminator to the
-dense one on seeded traces and on generated GF(2) scenarios.
+``tests/test_backend_conformance.py`` holds the packed and the row
+eliminators to the dense one on seeded and generated traces, and on
+generated GF(2) scenarios.
 
 >>> from repro.backends import make_eliminator
 >>> from repro.gf import GF
@@ -30,8 +38,9 @@ from ..gf.field import GaloisField
 from ..gf.linalg import BatchEliminator
 from .base import EliminatorState
 from .gf2bit import PackedGf2Eliminator
+from .rows import RowEliminator
 
-__all__ = ["EliminatorState", "PackedGf2Eliminator", "make_eliminator"]
+__all__ = ["EliminatorState", "PackedGf2Eliminator", "RowEliminator", "make_eliminator"]
 
 
 def make_eliminator(
@@ -40,10 +49,10 @@ def make_eliminator(
     """A fresh eliminator for ``batch`` problems over ``columns``-wide rows.
 
     Packed words over ``GF(2)``, dense field arithmetic over any other
-    field.  The decoders and the event engine look this function up at call
-    time, so patching ``repro.backends.make_eliminator`` swaps the
-    eliminator everywhere (the conformance tests and the E11 benchmark force
-    the dense one on ``GF(2)`` that way).
+    field.  The decoders look this function up at call time, so patching
+    ``repro.backends.make_eliminator`` swaps the eliminator under the scalar
+    and batch engines (the conformance tests and the E11 benchmark force the
+    dense one on ``GF(2)`` that way).
     """
     eliminator = PackedGf2Eliminator if field.order == 2 else BatchEliminator
     return eliminator(field, batch, columns, augmented_columns=augmented_columns)

@@ -3,9 +3,11 @@
 :class:`EliminatorState` is incremental Gaussian elimination over many
 independent problems — the rank updates, pivot search, helpfulness test
 (Definition 3 of the paper) and encode step of the RLNC stack.  The
-simulation layers (:mod:`repro.rlnc`, the batch and event engines) only
-ever talk to this interface; :func:`repro.backends.make_eliminator` picks
-the implementation from the field.
+decoders of :mod:`repro.rlnc` — and through them the scalar and batch
+engines — only ever talk to this interface;
+:func:`repro.backends.make_eliminator` picks the implementation from the
+field.  The event engine, which touches one problem at a time, runs on
+:class:`~repro.backends.rows.RowEliminator` instead.
 
 Every implementation must be **bit-identical** to the dense
 :class:`~repro.gf.linalg.BatchEliminator` on the fields it supports — same
@@ -17,7 +19,6 @@ results and the result store independent of the eliminator, and
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
 
 import numpy as np
 
@@ -85,35 +86,6 @@ class EliminatorState(ABC):
 
         ``coefficients`` must have exactly ``rank_of(index)`` entries; the
         result is a dense ``(columns,)`` row of field elements.
-        """
-
-    @abstractmethod
-    def combine_one(self, index: int, coefficients: "Sequence[int] | np.ndarray"):
-        """Encode step for one problem in the eliminator's *native* payload form.
-
-        Semantically identical to :meth:`combine`, but ``coefficients`` may
-        be a plain sequence and the return value is an opaque payload
-        understood only by :meth:`eliminate_one` on the same eliminator — the
-        packed GF(2) eliminator hands back a python int so the event-driven
-        engine's per-delivery cost stays flat instead of paying dense
-        pack/unpack round-trips on every message.
-        """
-
-    @abstractmethod
-    def eliminate_one(self, index: int, payload) -> bool:
-        """Absorb one :meth:`combine_one` payload into one problem.
-
-        Returns the helpfulness flag.  Must be bit-identical to a single-row
-        :meth:`eliminate` call on the dense equivalent of ``payload`` — the
-        packed fast paths change the representation, never the arithmetic.
-        """
-
-    @abstractmethod
-    def reset_problems(self, indices: np.ndarray) -> None:
-        """Wipe the selected problems back to the empty (rank-zero) state.
-
-        Used by the event-driven engine for reset-mode churn: a crashing
-        node's problem is cleared and re-seeded with its initial knowledge.
         """
 
 

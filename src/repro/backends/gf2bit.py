@@ -27,8 +27,6 @@ any other field it raises a typed :class:`~repro.errors.BackendError`.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import BackendError, FieldError
@@ -139,21 +137,6 @@ class PackedGf2Eliminator(EliminatorState):
             else:
                 pivot_words[word] = (_ONE << np.uint64(count)) - _ONE
         self._pivot_words = pivot_words
-        # Pivot-eligible bits of a whole packed row, as one arbitrary-precision
-        # python int (the single-delivery fast path works in int space).
-        self._eligible_int = (1 << self.pivot_limit) - 1
-        # Lazy per-problem pivot bitmask (int per problem), materialised by the
-        # first combine_one/eliminate_one call and kept in sync by every state
-        # mutation (eliminate, eliminate_one, reset_problems).
-        self._pivot_bits: "list[int] | None" = None
-
-    def _ensure_pivot_bits(self) -> "list[int]":
-        if self._pivot_bits is None:
-            packed_mask = np.packbits(self.pivot_mask, axis=1, bitorder="little")
-            self._pivot_bits = [
-                int.from_bytes(row.tobytes(), "little") for row in packed_mask
-            ]
-        return self._pivot_bits
 
     def eliminate(
         self, incoming: np.ndarray, indices: "np.ndarray | None" = None
@@ -217,9 +200,6 @@ class PackedGf2Eliminator(EliminatorState):
             self.rows[problems, new_pivots] = packed[sel]
             self.pivot_mask[problems, new_pivots] = True
             self.ranks[problems] += 1
-            if self._pivot_bits is not None:
-                for problem, pivot in zip(problems.tolist(), new_pivots.tolist()):
-                    self._pivot_bits[problem] |= 1 << pivot
         return helpful
 
     def rank_of(self, index: int) -> int:
@@ -249,102 +229,11 @@ class PackedGf2Eliminator(EliminatorState):
             np.bitwise_xor.reduce(selected, axis=0), self.columns, self.field.dtype
         )
 
-    def combine_one(self, index: int, coefficients: "Sequence[int] | np.ndarray") -> int:
-        """Encode step for one problem, returned as one packed python int.
+    # Kept for the repository benchmark, whose tracer patches these names.
+    def combine_one(self, *args):
+        """Moved to :class:`~repro.backends.rows.RowEliminator`; raises."""
+        raise BackendError("moved to RowEliminator")
 
-        The packed twin of :meth:`combine`: same coefficient-per-pivot
-        semantics (ascending pivot order), but the XOR-reduction runs on
-        arbitrary-precision ints and the dense unpack is skipped entirely.
-        ``coefficients`` may be a plain sequence, which is iterated as is.
-        The payload is only meaningful to :meth:`eliminate_one` on this
-        eliminator.
-        """
-        index = int(index)
-        rank = self.ranks.item(index)
-        if isinstance(coefficients, np.ndarray):
-            if coefficients.shape != (rank,):
-                raise FieldError(
-                    f"expected {rank} coefficients for problem {index}, "
-                    f"got {coefficients.shape}"
-                )
-            coefficients = coefficients.tolist()
-        elif len(coefficients) != rank:
-            raise FieldError(
-                f"expected {rank} coefficients for problem {index}, "
-                f"got {len(coefficients)}"
-            )
-        bits = self._ensure_pivot_bits()[index]
-        rows = self.rows[index]
-        acc = 0
-        for coefficient in coefficients:
-            col = (bits & -bits).bit_length() - 1
-            if coefficient:
-                acc ^= int.from_bytes(rows[col].tobytes(), "little")
-            bits &= bits - 1
-        return acc
-
-    def eliminate_one(self, index: int, payload: int) -> bool:
-        """Absorb one packed-int payload into one problem.
-
-        Bit-identical to a single-row :meth:`eliminate` call on the unpacked
-        payload, but every sweep is python-int bit arithmetic — no array
-        packing, no per-column numpy dispatch.  This is what keeps the
-        event-driven engine's per-delivery cost in the microsecond range.
-        """
-        index = int(index)
-        pivot_bits = self._ensure_pivot_bits()
-        bits = pivot_bits[index]
-        rows = self.rows[index]
-        eligible = self._eligible_int
-        # Forward sweep in ascending column order.  A stored RREF row's
-        # lowest set bit is its pivot, so XOR-ing it in clears exactly bit
-        # ``col`` and only ever flips higher bits — one left-to-right pass
-        # visits every column once.
-        x = int(payload)
-        new_pivot = -1
-        remaining = x & eligible
-        while remaining:
-            col = (remaining & -remaining).bit_length() - 1
-            if (bits >> col) & 1:
-                x ^= int.from_bytes(rows[col].tobytes(), "little")
-                remaining = x & eligible & (-1 << (col + 1))
-            else:
-                if new_pivot < 0:
-                    new_pivot = col
-                remaining &= remaining - 1
-        if new_pivot < 0:
-            return False
-        # Back-substitute: XOR the reduced row into every stored row holding
-        # the new pivot bit, then store it keyed by its pivot column.
-        nbytes = self.words * 8
-        pivot_bit = 1 << new_pivot
-        scan = bits
-        while scan:
-            col = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            stored = int.from_bytes(rows[col].tobytes(), "little")
-            if stored & pivot_bit:
-                rows[col] = np.frombuffer(
-                    (stored ^ x).to_bytes(nbytes, "little"), dtype=np.uint64
-                )
-        rows[new_pivot] = np.frombuffer(x.to_bytes(nbytes, "little"), dtype=np.uint64)
-        self.pivot_mask[index, new_pivot] = True
-        self.ranks[index] += 1
-        pivot_bits[index] = bits | pivot_bit
-        return True
-
-    def reset_problems(self, indices: np.ndarray) -> None:
-        """Wipe the selected problems back to the empty (rank-zero) state.
-
-        Same contract as
-        :meth:`repro.gf.linalg.BatchEliminator.reset_problems` — the cleared
-        problems behave exactly like freshly constructed ones.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        self.rows[indices] = 0
-        self.pivot_mask[indices] = False
-        self.ranks[indices] = 0
-        if self._pivot_bits is not None:
-            for index in indices.tolist():
-                self._pivot_bits[index] = 0
-
+    def eliminate_one(self, *args):
+        """Moved to :class:`~repro.backends.rows.RowEliminator`; raises."""
+        raise BackendError("moved to RowEliminator")

@@ -6,8 +6,10 @@ Six subcommands cover the common workflows (run ``python -m repro <cmd>
 ``run``
     Gossip dissemination on a named topology with a chosen protocol.  One
     run by default; with ``--trials`` it becomes a Monte Carlo measurement
-    that reports stopping-time statistics, using the vectorised batch engine
-    and (with ``--jobs``) worker processes::
+    that reports stopping-time statistics, on the engine the auto-selection
+    rule picks (uniform AG on the event-driven engine, TAG and spanning
+    trees on the vectorised batch engines) and (with ``--jobs``) worker
+    processes::
 
         python -m repro run --topology barbell --n 24 --protocol tag --seed 3
         python -m repro run --topology complete --n 64 --trials 32 --jobs 4
@@ -18,7 +20,8 @@ Six subcommands cover the common workflows (run ``python -m repro <cmd>
 
 ``scenario``
     The named-scenario registry: ``list`` the built-in scenarios, ``show``
-    one as JSON, ``run`` one by name (or any spec from a JSON file), and
+    one (with the engine it runs on) or its JSON, ``run`` one by name (or any
+    spec from a JSON file), and
     ``check`` that every registered scenario materialises and completes::
 
         python -m repro scenario list
@@ -259,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
             "(lockstep vectorised trials) or event (event-driven sparse "
             "engine for large n); engines are bit-identical, so this changes "
             "wall-clock only — an engine that cannot run the workload "
-            "refuses instead of falling back (default: auto-select)"
+            "refuses instead of falling back (default: auto-select — event "
+            "for uniform AG, batch for TAG and spanning trees, scalar for "
+            "those under reset-mode churn)"
         ),
     )
     run_parser.add_argument(
@@ -821,6 +826,8 @@ def _command_scenario(args: argparse.Namespace) -> int:
             suffix = f" {activation}" if activation else ""
             print(f"  activation: {kind}{suffix}")
         print(f"  plan:      {spec.trials} trial(s), seed {spec.seed}")
+        engine, reason = spec.materialize().select_engine()
+        print(f"  engine:    {engine} ({reason})")
         print("  (use --json for the exact machine-readable spec)")
         return 0
     if args.action == "run":

@@ -7,11 +7,12 @@ estimates over independent seeded trials.  This module provides the
 :class:`~repro.gossip.engine.GossipEngine` per trial, scalar decoders):
 :func:`measure_protocol_parallel` / :func:`run_trials_parallel` split the
 trial set across ``jobs`` worker processes (``jobs=1`` runs in-process), and
-each chunk runs in one vectorised batch engine when the protocol declares
-one through :meth:`~repro.gossip.engine.GossipProcess.batch_strategy`
-(uniform algebraic gossip, TAG with every built-in spanning-tree protocol,
-and standalone spanning-tree broadcasts all do), falling back to the
-sequential engine otherwise.
+each chunk runs on the engine :func:`select_engine` picks: uniform algebraic
+gossip on the event-driven engine, trial by trial; TAG with every built-in
+spanning-tree protocol, and standalone spanning-tree broadcasts, in one
+vectorised batch engine, as their processes declare through
+:meth:`~repro.gossip.engine.GossipProcess.batch_strategy`; the sequential
+engine under reset-mode churn or when no strategy is declared.
 
 Reproducibility is anchored in :mod:`repro.core.rng`: trial ``i`` always uses
 the generator ``derive_rng(seed, f"trial-{i}")`` regardless of which runner
@@ -40,13 +41,13 @@ from ..core.rng import derive_rng
 from ..errors import AnalysisError
 from ..analysis.stopping_time import ProtocolFactory
 from ..gossip.batch import batch_supports_config
-from ..gossip.engine import BatchRunner, GossipEngine
+from ..gossip.engine import GossipEngine
 from ..graphs.csr import CSRGraph
 
 __all__ = [
     "measure_protocol_parallel",
     "run_trials_parallel",
-    "scenario_batch_strategy",
+    "select_engine",
     "shared_process_pool",
     "default_jobs",
 ]
@@ -189,34 +190,40 @@ def _run_through_store(
     ]
 
 
-def scenario_batch_strategy(scenario: Any) -> BatchRunner | None:
-    """The batch executor a materialised scenario's trials would use, or ``None``.
+def select_engine(
+    protocol_factory: Any, config: SimulationConfig, engine: str = ""
+) -> tuple[str, str]:
+    """The engine family that runs a trial plan, and why: ``(name, reason)``.
 
-    Combines the protocol's own declaration
-    (:meth:`~repro.gossip.engine.GossipProcess.batch_strategy`, probed on a
-    throwaway process) with the config support matrix
-    (:func:`~repro.gossip.batch.batch_supports_config`): ``None`` means the
-    trial runners will use the sequential engine.
+    A pinned ``engine`` (``"scalar"``, ``"batch"`` or ``"event"``) is kept.
+    ``""`` applies the auto-selection rule, by protocol:
+
+    * uniform algebraic gossip — a factory with a ``rank_only_process``
+      method, i.e. :class:`~repro.scenarios.spec.UniformGossipFactory` — runs
+      on the event engine under every config: loss, pause and reset churn,
+      activation rates;
+    * any other protocol runs on the scalar engine under reset-mode churn,
+      which the batch engines cannot replay;
+    * otherwise on the batch engines — TAG and standalone spanning trees —
+      or, when a trial's process declares no batch strategy, the scalar
+      engine.
+
+    The trial runners and ``repro scenario show`` both ask this function, so
+    the engine a plan is reported to run on is the one it runs on.
     """
-    if not batch_supports_config(scenario.config):
-        return None
-    from ..gossip.batch import run_rank_only_batch
-    from ..gossip.batch_tag import run_spanning_tree_batch, run_tag_batch
-    from ..scenarios.spec import SpanningTreeFactory, TagFactory, UniformGossipFactory
+    if engine:
+        return engine, "pinned"
+    if hasattr(protocol_factory, "rank_only_process"):
+        return "event", "auto: uniform AG"
+    if not batch_supports_config(config):
+        return "scalar", "auto: reset-mode churn"
+    from ..scenarios.spec import SpanningTreeFactory, TagFactory
 
-    # The scenario factories produce exactly the protocols these runners
-    # support (every TREE_PROTOCOLS entry has a batch tree state), so the
-    # strategy is known from the factory type without building a process.
-    factory = scenario.protocol_factory
-    if isinstance(factory, UniformGossipFactory):
-        return run_rank_only_batch
-    if isinstance(factory, TagFactory):
-        return run_tag_batch
-    if isinstance(factory, SpanningTreeFactory):
-        return run_spanning_tree_batch
-    # Unknown factory (user-supplied): probe a throwaway process.
-    probe = scenario.build_process(derive_rng(scenario.spec.seed, "strategy-probe"))
-    return probe.batch_strategy()
+    if isinstance(protocol_factory, TagFactory):
+        return "batch", "auto: TAG"
+    if isinstance(protocol_factory, SpanningTreeFactory):
+        return "batch", "auto: spanning tree"
+    return "batch", "auto: if the protocol declares a batch strategy"
 
 
 def _measure_trial_indices(
@@ -227,41 +234,39 @@ def _measure_trial_indices(
     trial_indices: Sequence[int],
     engine: str = "",
 ) -> list[RunResult]:
-    """Run the selected trial streams, batched when possible.
+    """Run the selected trial streams on the engine :func:`select_engine` picks.
 
-    The sequential fallback builds each trial's process lazily, one at a
-    time, so a long non-batchable run never holds more than one set of
-    scalar decoders in memory.  Only the batch engine — which needs every
-    trial's state simultaneously by design — constructs all processes.
+    ``engine`` pins the engine family: ``""`` (default) auto-selects,
+    ``"scalar"`` forces the sequential engine, ``"batch"`` requires the
+    batch fast path and ``"event"`` requires the event-driven sparse engine.
+    Engines are bit-identical per trial stream, so the choice affects
+    wall-clock only; a pinned engine that cannot run the workload raises
+    :class:`~repro.errors.EngineError` — never a silent fallback.
 
-    ``engine`` pins the engine family: ``""`` (default) auto-selects as
-    described above, ``"scalar"`` forces the sequential engine, ``"batch"``
-    requires the batch fast path and ``"event"`` requires the event-driven
-    sparse engine.  Engines are bit-identical per trial stream, so pinning
-    affects wall-clock only; a pinned engine that cannot run the workload
-    raises :class:`~repro.errors.EngineError` — never a silent fallback.
+    The sequential engine builds each trial's process lazily, one at a time,
+    so a long run never holds more than one set of scalar decoders in memory.
+    Only the batch engine — which needs every trial's state simultaneously by
+    design — constructs all processes up front.
     """
     from ..errors import EngineError
 
     rngs = [derive_rng(seed, f"trial-{index}") for index in trial_indices]
-    if engine == "event":
+    chosen, _ = select_engine(protocol_factory, config, engine)
+    if chosen == "event":
         from ..gossip.event import build_event_process, run_event_trials
 
         processes = [build_event_process(graph, protocol_factory, rng) for rng in rngs]
         return run_event_trials(graph, processes, config, rngs)
-    require_batch = engine == "batch"
-    if require_batch and not batch_supports_config(config):
+    if chosen == "batch" and not batch_supports_config(config):
+        # Only a pinned engine gets here: the rule never picks batch for it.
         raise EngineError(
             "the batch engines do not support this configuration "
             "(reset-mode churn); drop engine='batch' or pick "
             "'scalar'/'event'"
         )
-    # Reset-mode churn is outside the batch support matrix: fall back to the
-    # scalar engine explicitly rather than letting a strategy fail mid-run.
-    batch = engine != "scalar" and batch_supports_config(config)
     results: list[RunResult] = []
     remaining = list(rngs)
-    if batch and remaining:
+    if chosen == "batch" and remaining:
         first = protocol_factory(graph, remaining[0])
         strategy = first.batch_strategy()
         if strategy is not None:
@@ -269,7 +274,7 @@ def _measure_trial_indices(
                 protocol_factory(graph, rng) for rng in remaining[1:]
             ]
             return strategy(graph, processes, config, rngs)
-        if require_batch:
+        if engine == "batch":
             raise EngineError(
                 f"{type(first).__name__} declares no batch strategy; "
                 "drop engine='batch' or pick 'scalar'"

@@ -441,9 +441,15 @@ class ExtensionField(GaloisField):
 
     # -- raw operations (no validation; see GaloisField.raw_add) --------
     def raw_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.characteristic == 2:
+            # Characteristic 2: addition is XOR of the bit-vector elements.
+            return np.bitwise_xor(a, b)
         return self._add_table[a, b]
 
     def raw_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.characteristic == 2:
+            # Every element is its own negative, so subtracting is adding.
+            return np.bitwise_xor(a, b)
         return self._add_table[a, self._neg_table[b]]
 
     def raw_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,11 +18,9 @@ engines run on over every field but ``GF(2)``, where
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..errors import FieldError
+from ..errors import BackendError, FieldError
 from .field import GaloisField
 
 __all__ = [
@@ -375,64 +373,14 @@ class BatchEliminator:
             np.asarray(coefficients, dtype=self.field.dtype), self.rows[index, pivots]
         )
 
-    def combine_one(
-        self, index: int, coefficients: "Sequence[int] | np.ndarray"
-    ) -> np.ndarray:
-        """Single-problem encode; the dense payload twin of :meth:`combine`.
+    # Kept for the repository benchmark, whose tracer patches these names.
+    def combine_one(self, *args):
+        """Moved to :class:`~repro.backends.rows.RowEliminator`; raises."""
+        raise BackendError("moved to RowEliminator")
 
-        Part of the :class:`~repro.backends.base.EliminatorState` hot-path
-        contract (``BatchEliminator`` is a virtual subclass of it).
-        ``coefficients`` may be a plain sequence; it is converted once, since
-        :meth:`combine` reads its shape.  The payload feeds
-        :meth:`eliminate_one`.
-        """
-        return self.combine(index, np.asarray(coefficients, dtype=self.field.dtype))
-
-    def eliminate_one(self, index: int, payload: np.ndarray) -> bool:
-        """Absorb one dense row into one problem; return the helpfulness flag.
-
-        Bit-identical to ``eliminate(payload[np.newaxis], [index])`` with the
-        batch-wide machinery (index validation, fancy batch indexing)
-        stripped, which keeps the event-driven engine's per-delivery cost on
-        this eliminator proportional to one problem instead of the whole slab.
-        """
-        field = self.field
-        work = np.array(payload, dtype=field.dtype)
-        mask = self.pivot_mask[index]
-        rows = self.rows[index]
-        # Forward sweep over this problem's stored pivots (RREF ⇒ one pass).
-        for col in np.nonzero(mask)[0]:
-            factor = work[col]
-            if factor:
-                work = field.raw_sub(work, field.raw_mul(factor, rows[col]))
-        nonzero = np.nonzero(work[: self.pivot_limit])[0]
-        if nonzero.size == 0:
-            return False
-        new_pivot = int(nonzero[0])
-        work = field.raw_mul(field.raw_inv(work[new_pivot]), work)
-        # Back-substitute: clear the new pivot column from every stored row
-        # (absent rows are all-zero, so their factor is zero too).
-        factors = rows[:, new_pivot]
-        self.rows[index] = field.raw_sub(
-            rows, field.raw_mul(factors[:, np.newaxis], work[np.newaxis, :])
-        )
-        self.rows[index, new_pivot] = work
-        self.pivot_mask[index, new_pivot] = True
-        self.ranks[index] += 1
-        return True
-
-    def reset_problems(self, indices: np.ndarray) -> None:
-        """Wipe the selected problems back to the empty (rank-zero) state.
-
-        Reset-mode churn support for the event-driven engine: the cleared
-        problems are indistinguishable from freshly constructed ones, so
-        re-seeding them with unit rows reproduces a scalar decoder rebuilt
-        from its initial placement.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        self.rows[indices] = 0
-        self.pivot_mask[indices] = False
-        self.ranks[indices] = 0
+    def eliminate_one(self, *args):
+        """Moved to :class:`~repro.backends.rows.RowEliminator`; raises."""
+        raise BackendError("moved to RowEliminator")
 
 
 def invert_matrix(field: GaloisField, matrix: np.ndarray) -> np.ndarray:

@@ -14,11 +14,11 @@ bookkeeping:
 * **Sparse adjacency** — the engine walks the graph's own CSR arrays
   (:class:`~repro.graphs.csr.CSRGraph`, shared across trials); no ``n × n``
   matrix is ever formed.
-* **Rank-only decoder state** — all ``n`` node subspaces live in a single
-  batched :class:`~repro.backends.EliminatorState` (over GF(2) the packed
-  eliminator keeps every row in machine words), and a node's state is
-  touched only when an event actually reaches it — a node that receives
-  nothing does no work.
+* **Rank-only decoder state** — all ``n`` node subspaces live in one
+  :class:`~repro.backends.rows.RowEliminator`, which keeps every stored row
+  as one python int (a bit per column over GF(2), a byte per column
+  otherwise), and a node's state is touched only when an event actually
+  reaches it — a node that receives nothing does no work.
 * **Early settling** — completion is a counter: a delivery that lifts a
   node's rank to ``k`` increments ``finished`` and records the completion
   round right there, so neither ``finished_nodes()`` nor any per-tick
@@ -67,13 +67,14 @@ transmission before the loss draw, consuming no randomness.
   construction.  There is no fallback to per-call numpy draws.
 
 ``tests/test_event_engine.py`` asserts the equivalence per seed — results
-and final generator state — over both time models, GF(2), GF(3), GF(5) and
-GF(16), churn (pause *and* reset), heterogeneous rates and packet loss;
-``tests/test_rng_draws.py`` checks the reader against numpy draw for draw.
+and final generator state — over both time models, GF(2), GF(3), GF(5),
+GF(9), GF(16) and GF(256), churn (pause *and* reset), heterogeneous rates
+and packet loss; ``tests/test_rng_draws.py`` checks the reader against numpy
+draw for draw.
 
 Unlike the lockstep fast path, reset-mode churn **is** supported: each trial
 owns its eliminator, so a crash wipes one problem
-(:meth:`~repro.backends.EliminatorState.reset_problems`) and re-seeds it from
+(:meth:`~repro.backends.rows.RowEliminator.reset`) and re-seeds it from
 the node's initial placement — exactly ``AlgebraicGossip.on_crash``.
 
 The engine refuses anything it cannot replay exactly with a typed
@@ -88,6 +89,7 @@ from typing import List
 
 import numpy as np
 
+from ..backends.rows import RowEliminator
 from ..core.config import GossipAction, SimulationConfig, TimeModel
 from ..core.results import RunResult
 from ..core.rng import BlockDraws
@@ -184,8 +186,6 @@ class EventGossipEngine:
                 "(AlgebraicGossip with a UniformSelector); run the scalar or "
                 "batch engine instead"
             )
-        from ..backends import make_eliminator
-
         self.graph = graph
         self.process = process
         self.config = config
@@ -203,9 +203,8 @@ class EventGossipEngine:
                 f"generation field GF({self._field.order}) does not match "
                 f"config field_size {config.field_size}"
             )
-        self._eliminator = make_eliminator(self._field, self._n, self._k)
-        self._ranks = self._eliminator.ranks  # live view
-        self._one_index = np.zeros(1, dtype=np.int64)
+        self._eliminator = RowEliminator(self._field, self._n, self._k)
+        self._ranks = self._eliminator.ranks  # live list
         self._messages_sent = 0
         self._helpful_messages = 0
         self._dropped_messages = 0
@@ -223,7 +222,7 @@ class EventGossipEngine:
     # Initial state
     # ------------------------------------------------------------------
     def _seed_from_process(self) -> None:
-        """Absorb every node's initial knowledge, grouped into depth waves."""
+        """Absorb every node's initial knowledge, one packed row at a time."""
         initial = getattr(self.process, "initial_coefficient_rows", None)
         if initial is not None:
             # Decoder-less processes (RankOnlyUniformGossip) report their
@@ -234,22 +233,12 @@ class EventGossipEngine:
                 node: decoder.coefficient_matrix()
                 for node, decoder in self.process.decoders.items()
             }
-        initial_rows: dict[int, np.ndarray] = {}
-        max_depth = 0
+        eliminator = self._eliminator
         for node, matrix in node_rows.items():
-            if matrix.shape[0]:
-                initial_rows[node] = matrix
-                max_depth = max(max_depth, matrix.shape[0])
-        for depth in range(max_depth):
-            indices = [
-                problem
-                for problem, matrix in initial_rows.items()
-                if matrix.shape[0] > depth
-            ]
-            rows = np.stack([initial_rows[problem][depth] for problem in indices])
-            self._eliminator.eliminate(rows, np.asarray(indices, dtype=np.int64))
-        for position in np.nonzero(self._ranks == self._k)[0]:
-            self._note_completion(int(position), 0)
+            for row in matrix:
+                eliminator.eliminate_one(node, eliminator.pack(row))
+            if self._ranks[node] == self._k:
+                self._note_completion(node, 0)
 
     # ------------------------------------------------------------------
     # Public API
@@ -267,7 +256,7 @@ class EventGossipEngine:
                 f"protocol did not complete within {self.config.max_rounds} rounds"
             )
         metadata = dict(self.process.metadata())
-        metadata["min_rank"] = int(self._ranks.min())
+        metadata["min_rank"] = min(self._ranks)
         if self._loss_probability > 0:
             metadata.setdefault("dropped_messages", self._dropped_messages)
         if self._dynamics.has_churn:
@@ -379,15 +368,14 @@ class EventGossipEngine:
         ``None`` means the sender knows nothing and sends nothing.  A packet
         for a full-rank receiver draws its coefficients but is not built
         (the skip rule): it returns ``False``, which :meth:`_deliver` never
-        feeds to the eliminator.  Otherwise the payload is whatever the
-        eliminator's ``combine_one`` hands back — a packed python int over
-        GF(2), a dense row elsewhere.
+        feeds to the eliminator.  Otherwise the payload is the packed python
+        int ``combine_one`` hands back.
         """
         ranks = self._ranks
-        rank = ranks.item(sender)
+        rank = ranks[sender]
         if not rank:
             return None
-        if ranks.item(receiver) == self._k:
+        if ranks[receiver] == self._k:
             self._draws.skip_elements(self._order, rank)
             return False
         return self._eliminator.combine_one(
@@ -414,11 +402,11 @@ class EventGossipEngine:
             return
         ranks = self._ranks
         # A full-rank receiver cannot be helped: nothing to eliminate.
-        if ranks.item(receiver_pos) == self._k:
+        if ranks[receiver_pos] == self._k:
             return
         if self._eliminator.eliminate_one(receiver_pos, payload):
             self._helpful_messages += 1
-            if ranks.item(receiver_pos) == self._k and not self._noted[receiver_pos]:
+            if ranks[receiver_pos] == self._k and not self._noted[receiver_pos]:
                 self._note_completion(receiver_pos, round_index)
 
     def _note_completion(self, pos: int, round_index: int) -> None:
@@ -450,12 +438,12 @@ class EventGossipEngine:
             self._noted[pos] = False
             self._finished -= 1
         self._completion_rounds.pop(node, None)
-        self._one_index[0] = pos
-        self._eliminator.reset_problems(self._one_index)
+        eliminator = self._eliminator
+        eliminator.reset(pos)
         for message_index in getattr(self.process, "_placement", {}).get(node, ()):
-            unit = self._field.zeros((1, self._k))
-            unit[0, int(message_index)] = 1
-            self._eliminator.eliminate(unit, self._one_index)
+            unit = self._field.zeros(self._k)
+            unit[message_index] = 1
+            eliminator.eliminate_one(pos, eliminator.pack(unit))
         if self._ranks[pos] == self._k:
             self._note_completion(pos, round_index)
 

@@ -267,7 +267,7 @@ register_scenario(
         name="churn/ring-reset",
         description=(
             "Reset-mode churn: a crashing node loses its decoder state and "
-            "rejoins with only its initial messages (sequential engine — "
+            "rejoins with only its initial messages (event-driven engine — "
             "outside the batch support matrix)"
         ),
         topology="ring",

@@ -282,7 +282,10 @@ class ScenarioSpec:
         Registry identity and one-line purpose (empty for ad-hoc specs).
     engine:
         Which engine family runs the trials: ``""`` (default) lets the trial
-        runners choose (batch fast path when eligible, sequential otherwise),
+        runners choose by protocol (uniform algebraic gossip on the
+        event-driven engine; TAG and spanning trees on the batch engines, or
+        the sequential one under reset-mode churn — see
+        :func:`~repro.experiments.parallel.select_engine`),
         ``"scalar"`` forces the sequential :class:`~repro.gossip.GossipEngine`,
         ``"batch"`` requires the lockstep batch fast path, ``"event"``
         requires the event-driven sparse engine
@@ -701,11 +704,10 @@ class MaterializedScenario:
     the resolved config (activation recipe → per-node rates), the initial
     placement and the picklable protocol factory; the analytic
     :attr:`bounds` are computed lazily (they need graph diameter — an
-    all-pairs BFS that plain trial runs should not pay for).  The batch
-    strategy is *not* chosen here: each trial's process declares its own
-    through :meth:`~repro.gossip.engine.GossipProcess.batch_strategy`, and
-    the trial runners apply the config support matrix
-    (:func:`~repro.gossip.batch.batch_supports_config`) on top.
+    all-pairs BFS that plain trial runs should not pay for).  The engine
+    is *not* chosen here: the trial runners apply
+    :func:`~repro.experiments.parallel.select_engine`, which
+    :meth:`select_engine` reports.
     """
 
     spec: ScenarioSpec
@@ -742,16 +744,15 @@ class MaterializedScenario:
         """One fresh protocol instance drawing its setup from ``rng``."""
         return self.protocol_factory(self.graph, rng)
 
-    def batch_strategy(self):
-        """The batch executor this scenario's trials would use, or ``None``.
+    def select_engine(self) -> tuple[str, str]:
+        """The engine family this scenario's trial plan runs on, and why.
 
-        ``None`` means the sequential engine: either the protocol declares no
-        vectorised executor, or the config uses a knob outside the batch
-        support matrix (reset-mode churn).
+        ``(name, reason)`` from :func:`repro.experiments.parallel.select_engine`:
+        the spec's pinned engine, or the auto-selection rule's pick.
         """
-        from ..experiments.parallel import scenario_batch_strategy
+        from ..experiments.parallel import select_engine
 
-        return scenario_batch_strategy(self)
+        return select_engine(self.protocol_factory, self.config, self.spec.engine)
 
     def measure(
         self,

@@ -1,26 +1,31 @@
-"""The eliminator conformance suite: the packed GF(2) eliminator, one contract.
+"""The eliminator conformance suite: packed and row eliminators, one contract.
 
 :func:`repro.backends.make_eliminator` lets the field pick the eliminator —
 :class:`~repro.backends.gf2bit.PackedGf2Eliminator` over ``GF(2)``, the dense
 :class:`~repro.gf.linalg.BatchEliminator` over every other field — and the
-two are **bit-identical by contract**, which is what lets results,
-fingerprints and stored records ignore the choice.  This module holds the
-packed eliminator to the dense reference:
+event engine runs on :class:`~repro.backends.rows.RowEliminator`.  All three
+are **bit-identical by contract**, which is what lets results, fingerprints
+and stored records ignore the choice.  This module holds the packed and the
+row eliminators to the dense reference:
 
 * **selection** — the field decides, and patching
-  ``repro.backends.make_eliminator`` reaches every decoder and engine;
+  ``repro.backends.make_eliminator`` reaches every decoder, while the event
+  engine always runs on python-int rows;
 * **kernel conformance** — the one-shot ``gf.linalg`` kernels
   (``row_reduce`` / ``rank`` / ``is_in_row_space``) and the incremental
   eliminator the field picks describe the same row spaces, over GF(2),
   GF(3), GF(16) and GF(256);
 * **eliminator conformance** — long random incremental traces produce
   identical helpful masks, ranks, pivot masks, bases and ``combine``
-  outputs, scalar (batch=1) and batched alike;
+  outputs, scalar (batch=1) and batched alike; generated single-problem
+  traces with resets hold ``RowEliminator`` to the dense reference over
+  prime, binary-extension and odd-extension fields;
 * **end-to-end equivalence** — generated GF(2) scenarios give the same
   ``RunResult`` on every eligible engine with the packed eliminator as on
   the scalar engine with the dense one forced;
 * **typed refusal** — the packed eliminator, constructed directly, rejects
-  ``q != 2`` with :class:`~repro.errors.BackendError`;
+  ``q != 2`` with :class:`~repro.errors.BackendError`, and so do the batch
+  eliminators' retired single-problem entry points;
 * **store invariance** — records computed on the dense eliminator are pure
   cache hits for a packed run.
 """
@@ -32,7 +37,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import EliminatorState, PackedGf2Eliminator, make_eliminator
+from repro.backends import (
+    EliminatorState,
+    PackedGf2Eliminator,
+    RowEliminator,
+    make_eliminator,
+)
 from repro.core import GossipAction, TimeModel
 from repro.errors import BackendError, ConfigurationError, FieldError
 from repro.gf import GF
@@ -66,7 +76,8 @@ def test_field_picks_the_eliminator(order, expected):
 
 
 def test_decoders_and_engines_build_through_make_eliminator(force_dense):
-    """Forcing dense reaches every construction site: each looks it up per call."""
+    """Forcing dense reaches every decoder, each looks it up per call; the
+    event engine runs on python-int rows whatever the patch says."""
     gf2 = GF(2)
     assert type(RlncDecoder(gf2, 3, 1)._eliminator) is PackedGf2Eliminator
     assert type(BatchDecoder(gf2, 3, 2)._eliminator) is PackedGf2Eliminator
@@ -74,12 +85,12 @@ def test_decoders_and_engines_build_through_make_eliminator(force_dense):
     rng = np.random.default_rng(0)
     process = scenario.build_process(rng)
     event = EventGossipEngine(scenario.graph, process, scenario.config, rng)
-    assert type(event._eliminator) is PackedGf2Eliminator
+    assert type(event._eliminator) is RowEliminator
     with force_dense():
         assert type(RlncDecoder(gf2, 3, 1)._eliminator) is BatchEliminator
         assert type(BatchDecoder(gf2, 3, 2)._eliminator) is BatchEliminator
         event = EventGossipEngine(scenario.graph, process, scenario.config, rng)
-        assert type(event._eliminator) is BatchEliminator
+        assert type(event._eliminator) is RowEliminator
 
 
 def test_eliminator_state_requires_every_hot_path_method():
@@ -92,14 +103,20 @@ def test_eliminator_state_requires_every_hot_path_method():
         def rank_of(self, index):  # pragma: no cover
             raise NotImplementedError
 
-        def basis(self, index):  # pragma: no cover
-            raise NotImplementedError
-
-        def combine(self, index, coefficients):  # pragma: no cover
-            raise NotImplementedError
-
-    with pytest.raises(TypeError, match="combine_one.*eliminate_one.*reset_problems"):
+    with pytest.raises(TypeError, match="basis.*combine"):
         Partial()
+
+
+@pytest.mark.parametrize("order", [2, 16])
+def test_batch_eliminators_refuse_single_problem_calls(order):
+    """Single-problem elimination moved to RowEliminator: the batch
+    eliminators keep the names (a benchmark tracer patches them), each a
+    typed refusal."""
+    eliminator = make_eliminator(GF(order), 2, 4)
+    with pytest.raises(BackendError, match="moved to RowEliminator"):
+        eliminator.combine_one(0, [])
+    with pytest.raises(BackendError, match="moved to RowEliminator"):
+        eliminator.eliminate_one(0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +301,73 @@ def test_packed_eliminator_refuses_other_fields(order):
 
 
 # ----------------------------------------------------------------------
+# Row eliminator: generated single-problem traces against the dense one
+# ----------------------------------------------------------------------
+
+#: GF(2) bit rows; XOR byte rows (4, 16, 256); table-added byte rows
+#: (the primes 3, 5, 251 and the odd extension field 9).
+ROW_FIELD_ORDERS = (2, 3, 4, 5, 9, 16, 251, 256)
+
+
+@st.composite
+def row_traces(draw):
+    """A field, a width and a trace of rows, encodes and resets on 1–3 problems."""
+    problems = draw(st.integers(1, 3))
+    steps = draw(st.lists(
+        st.tuples(
+            st.integers(0, problems - 1),
+            st.sampled_from(["row", "sparse-row", "combine", "reset"]),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=40,
+    ))
+    return draw(st.sampled_from(ROW_FIELD_ORDERS)), draw(st.integers(1, 70)), problems, steps
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(trace=row_traces())
+def test_row_eliminator_matches_dense(trace):
+    """After every row: same helpfulness flag, ranks, pivots and RREF rows as
+    a dense ``BatchEliminator`` per problem fed the same row; every encode
+    equals ``BatchEliminator.combine``."""
+    order, columns, problems, steps = trace
+    field = GF(order)
+    rows = RowEliminator(field, problems, columns)
+    dense = [BatchEliminator(field, 1, columns) for _ in range(problems)]
+    for index, action, seed in steps:
+        rng = np.random.default_rng(seed)
+        if action == "reset":
+            rows.reset(index)
+            dense[index] = BatchEliminator(field, 1, columns)
+            continue
+        if action == "combine":
+            coefficients = field.random_elements(rng, rows.ranks[index])
+            row = dense[index].combine(0, coefficients)
+            payload = rows.combine_one(index, coefficients.tolist())
+            assert np.array_equal(rows.unpack(payload), row)
+        else:
+            row = field.random_elements(rng, columns)
+            if action == "sparse-row":
+                row[rng.random(columns) < 0.8] = 0
+            payload = rows.pack(row)
+        helpful = rows.eliminate_one(index, payload)
+        assert helpful == bool(dense[index].eliminate(row[np.newaxis, :], _PROBLEM_0)[0])
+        assert rows.ranks == [int(problem.ranks[0]) for problem in dense]
+        for problem, reference in zip(range(problems), dense):
+            basis = rows.basis(problem)
+            assert np.array_equal(basis, reference.basis(0))
+            assert [int(np.flatnonzero(stored)[0]) for stored in basis] == (
+                np.flatnonzero(reference.pivot_mask[0]).tolist()
+            )
+
+
+def test_row_eliminator_refuses_fields_wider_than_a_byte():
+    with pytest.raises(BackendError, match=r"GF\(257\) does not fit"):
+        RowEliminator(GF(257), 1, 4)
+
+
+# ----------------------------------------------------------------------
 # End-to-end: generated GF(2) scenarios, every eligible engine
 # ----------------------------------------------------------------------
 
@@ -361,7 +445,10 @@ def test_packed_engines_match_dense_scalar(force_dense, spec):
 
 def test_dense_records_serve_a_packed_run(tmp_path, force_dense):
     """Same fingerprint, same shard, zero recomputation across eliminators."""
-    spec = get_scenario("uniform/complete").with_config(field_size=2).replace(trials=3)
+    # Pinned to the batch engine: the event engine has its own eliminator.
+    spec = get_scenario("uniform/complete").with_config(field_size=2).replace(
+        trials=3, engine="batch"
+    )
     with force_dense():
         first = spec.materialize().measure(store=ResultStore(tmp_path))
     store = ResultStore(tmp_path)

@@ -107,6 +107,33 @@ class TestEngineSwitch:
         assert "mean=" in default
 
 
+class TestScenarioShowEngine:
+    """`scenario show` names the engine the plan runs on, and why."""
+
+    @pytest.mark.parametrize("name,line", [
+        ("uniform/ring", "engine:    event (auto: uniform AG)"),
+        ("tag/brr-barbell", "engine:    batch (auto: TAG)"),
+        ("event/er-logn", "engine:    event (pinned)"),
+    ])
+    def test_registered_scenarios(self, name, line, capsys):
+        assert main(["scenario", "show", name]) == 0
+        assert f"  {line}\n" in capsys.readouterr().out
+
+    def test_tag_under_reset_churn_runs_on_the_scalar_engine(self, capsys):
+        from repro.scenarios import SCENARIOS, get_scenario, register_scenario
+
+        tag = get_scenario("tag/brr-barbell")
+        spec = register_scenario(tag.replace(
+            name="test/tag-reset",
+            config=tag.config.replace(churn=((3, 2, 6),), churn_reset=True),
+        ))
+        try:
+            assert main(["scenario", "show", spec.name]) == 0
+        finally:
+            SCENARIOS.pop(spec.name)
+        assert "  engine:    scalar (auto: reset-mode churn)\n" in capsys.readouterr().out
+
+
 class TestBoundsCampaignCommand:
     def test_writes_bound_columns_and_reruns_from_cache(self, tmp_path, capsys):
         args = ["campaign", "run", "bounds", "--trials", "1",

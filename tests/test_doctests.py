@@ -1,8 +1,9 @@
 """Tier-1 doctest lane for the declarative layers.
 
 The docstrings of :class:`~repro.scenarios.ScenarioSpec`,
-:class:`~repro.store.ResultStore`, the campaign classes and
-:func:`~repro.backends.make_eliminator` carry executable examples (the
+:class:`~repro.store.ResultStore`, the campaign classes,
+:func:`~repro.backends.make_eliminator` and
+:class:`~repro.backends.rows.RowEliminator` carry executable examples (the
 API-reference pages in ``docs/api/`` quote the same docstrings), so they
 must stay true.  ``make test`` additionally runs the
 same modules under ``pytest --doctest-modules``; this file keeps the lane
@@ -17,6 +18,7 @@ import pytest
 
 import repro.analysis.tables
 import repro.backends
+import repro.backends.rows
 import repro.campaigns.registry
 import repro.campaigns.report
 import repro.campaigns.runner
@@ -35,6 +37,7 @@ DOCTEST_MODULES = [
     repro.campaigns.runner,
     repro.campaigns.report,
     repro.backends,
+    repro.backends.rows,
 ]
 
 

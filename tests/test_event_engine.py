@@ -7,12 +7,14 @@ Three layers of guarantees:
   field, every trial) and leaves its generator in the same state, across
   both time models, PUSH/PULL/EXCHANGE, packet loss, pause- and reset-mode
   churn, heterogeneous activation rates, degree-one leaves, GF(2), GF(3),
-  GF(5) and GF(16) — so on both eliminators the field picks — while never
-  building or eliminating a packet for a full-rank receiver.
-* **Hot-path conformance** — the single-problem ``combine_one`` /
-  ``eliminate_one`` fast paths of both shipped eliminators hold state
-  identical to the batched ``eliminate`` reference on random traces, and
-  ``reset_problems`` returns problems to a freshly-constructed state.
+  GF(5), GF(9), GF(16) and GF(256) — so on the bit rows, the XOR byte rows
+  and the table-added odd-field byte rows of
+  :class:`~repro.backends.rows.RowEliminator` — while never building or
+  eliminating a packet for a full-rank receiver.
+* **Hot-path conformance** — ``RowEliminator``'s ``combine_one`` /
+  ``eliminate_one`` hold state identical to the batched ``eliminate``
+  reference on random traces, and ``reset`` returns a problem to a
+  freshly-constructed state.
 * **Typed refusals and dispatch** — unsupported protocol/engine pairings
   fail eagerly with :class:`~repro.errors.EngineError` /
   :class:`~repro.errors.ConfigurationError` (never a silent fallback), the
@@ -28,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import make_eliminator
+from repro.backends import RowEliminator
 from repro.core import GossipAction, SimulationConfig, TimeModel
 from repro.core.rng import derive_rng
 from repro.errors import ConfigurationError, EngineError, SimulationError
@@ -106,6 +108,20 @@ EQUIVALENCE_CASES = {
         config=ASYNC.replace(field_size=3, loss_probability=0.1),
     ),
     "sync-gf5": dict(topology="ring", n=16, k=8, config=SYNC.replace(field_size=5)),
+    # Odd extension field: byte rows added element by element.
+    "async-gf9-churn-reset": dict(
+        topology="ring",
+        n=12,
+        k=6,
+        config=ASYNC.replace(field_size=9, churn=((4, 3, 9),), churn_reset=True),
+    ),
+    # The widest byte rows: every byte value is a field element.
+    "sync-gf256-loss": dict(
+        topology="complete",
+        n=16,
+        k=8,
+        config=SYNC.replace(field_size=256, loss_probability=0.2),
+    ),
 }
 
 #: Registered scenarios the event engine can run (uniform protocol only).
@@ -146,7 +162,8 @@ def test_event_engine_matches_scalar_bit_identically(case):
 
 
 def test_event_engine_matches_scalar_on_both_eliminators(eliminator_field):
-    """Packed (GF(2)) or dense (GF(16)), the event engine matches scalar."""
+    """Bit rows (GF(2)) or byte rows (GF(16)), the event engine matches the
+    scalar engine on its packed or dense eliminator."""
     spec = _spec(
         topology="grid",
         n=16,
@@ -204,23 +221,20 @@ def test_event_engine_direct_construction_matches_scalar(case):
 def test_event_engine_builds_and_eliminates_only_what_can_help(case, monkeypatch):
     """The skip rule: no elimination into a full-rank problem, fewer encodes
     than messages, and the results unchanged."""
-    from repro.backends.gf2bit import PackedGf2Eliminator
-
     calls = {"combine_one": 0, "eliminate_one": 0, "full_rank_targets": 0}
-    for cls in (BatchEliminator, PackedGf2Eliminator):
-        combine_one, eliminate_one = cls.combine_one, cls.eliminate_one
+    combine_one, eliminate_one = RowEliminator.combine_one, RowEliminator.eliminate_one
 
-        def spy_combine(self, index, coefficients, _original=combine_one):
-            calls["combine_one"] += 1
-            return _original(self, index, coefficients)
+    def spy_combine(self, index, coefficients):
+        calls["combine_one"] += 1
+        return combine_one(self, index, coefficients)
 
-        def spy_eliminate(self, index, payload, _original=eliminate_one):
-            calls["eliminate_one"] += 1
-            calls["full_rank_targets"] += int(self.ranks[index] == self.pivot_limit)
-            return _original(self, index, payload)
+    def spy_eliminate(self, index, payload):
+        calls["eliminate_one"] += 1
+        calls["full_rank_targets"] += int(self.ranks[index] == self.pivot_limit)
+        return eliminate_one(self, index, payload)
 
-        monkeypatch.setattr(cls, "combine_one", spy_combine)
-        monkeypatch.setattr(cls, "eliminate_one", spy_eliminate)
+    monkeypatch.setattr(RowEliminator, "combine_one", spy_combine)
+    monkeypatch.setattr(RowEliminator, "eliminate_one", spy_eliminate)
     spec = _spec(trials=2, seed=20260808, **EQUIVALENCE_CASES[case])
     event = _measure(spec, "event", trials=2)
     sent = sum(result.messages_sent for result in event)
@@ -348,77 +362,58 @@ def test_store_records_are_engine_invariant(tmp_path):
 # ----------------------------------------------------------------------
 # Single-problem hot paths: conformance with the batched reference
 # ----------------------------------------------------------------------
-def _random_payload(field, rng, columns):
-    return field.random_elements(rng, columns)
-
-
-@pytest.mark.parametrize("columns,augmented", [(8, 0), (12, 4), (70, 0)])
-def test_single_problem_fast_paths_match_bulk_eliminate(
-    eliminator_field, columns, augmented
-):
+@pytest.mark.parametrize("columns", [8, 12, 70])
+def test_single_problem_fast_paths_match_bulk_eliminate(eliminator_field, columns):
     """combine_one/eliminate_one hold state identical to eliminate()."""
     field = eliminator_field
     batch = 4
-    fast = make_eliminator(field, batch, columns, augmented_columns=augmented)
-    reference = BatchEliminator(field, batch, columns, augmented_columns=augmented)
+    fast = RowEliminator(field, batch, columns)
+    reference = [BatchEliminator(field, 1, columns) for _ in range(batch)]
+    problem_0 = np.zeros(1, dtype=np.int64)
     rng = np.random.default_rng(99)
     for step in range(120):
         index = int(rng.integers(0, batch))
         draw = np.random.default_rng(1000 + step)
-        if rng.random() < 0.3 and reference.ranks[index] > 0:
-            coefficients = field.random_elements(draw, int(reference.ranks[index]))
-            # combine_one takes an array or a plain list (the event engine's form).
+        rank = fast.ranks[index]
+        if rng.random() < 0.3 and rank > 0:
+            coefficients = field.random_elements(draw, rank)
+            # combine_one takes a plain list (the event engine's form) or an array.
             payload = fast.combine_one(
                 index, coefficients.tolist() if step % 2 else coefficients
             )
-            dense = reference.combine(index, coefficients)
-            helpful = fast.eliminate_one(index, payload)
-            expected = bool(
-                reference.eliminate(dense[np.newaxis, :], np.array([index]))[0]
-            )
+            row = reference[index].combine(0, coefficients)
+            assert np.array_equal(fast.unpack(payload), row)
         else:
-            row = _random_payload(field, draw, columns)
-            helpful = fast.eliminate_one(index, _as_native(fast, row))
-            expected = bool(
-                reference.eliminate(row[np.newaxis, :], np.array([index]))[0]
-            )
-        assert helpful == expected
+            row = field.random_elements(draw, columns)
+            payload = fast.pack(row)
+        helpful = fast.eliminate_one(index, payload)
+        assert helpful == bool(reference[index].eliminate(row[np.newaxis, :], problem_0)[0])
         if rng.random() < 0.08:
-            fast.reset_problems(np.array([index]))
-            reference.reset_problems(np.array([index]))
-        assert np.array_equal(fast.ranks, reference.ranks)
+            fast.reset(index)
+            reference[index] = BatchEliminator(field, 1, columns)
+        assert fast.ranks == [int(problem.ranks[0]) for problem in reference]
         for problem in range(batch):
-            assert np.array_equal(fast.basis(problem), reference.basis(problem))
-
-
-def _as_native(eliminator, row):
-    """A dense row in the payload form ``eliminate_one`` expects."""
-    from repro.backends.gf2bit import PackedGf2Eliminator
-
-    if isinstance(eliminator, PackedGf2Eliminator):
-        packed = np.packbits(row.astype(np.uint8), bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
-    return row
+            assert np.array_equal(fast.basis(problem), reference[problem].basis(0))
 
 
 def test_reset_problems_restores_fresh_state(eliminator_field):
     """A reset problem is indistinguishable from a freshly constructed one."""
     field = eliminator_field
-    eliminator = make_eliminator(field, 3, 8)
-    fresh = make_eliminator(field, 3, 8)
-    rng = np.random.default_rng(5)
-    for _ in range(6):
-        rows = field.random_elements(rng, (3, 8))
-        eliminator.eliminate(rows)
-    eliminator.reset_problems(np.array([0, 2]))
-    replay_rng = np.random.default_rng(5)
-    history = [field.random_elements(replay_rng, (3, 8)) for _ in range(6)]
+    eliminator = RowEliminator(field, 3, 8)
+    fresh = RowEliminator(field, 3, 8)
+    history = field.random_elements(np.random.default_rng(5), (6, 3, 8))
     for rows in history:
-        fresh.eliminate(rows[1:2], np.array([1]))
-    assert eliminator.rank_of(0) == 0 and eliminator.rank_of(2) == 0
-    assert eliminator.basis(0).shape[0] == 0
-    assert eliminator.rank_of(1) == fresh.rank_of(1)
+        for problem, row in enumerate(rows):
+            eliminator.eliminate_one(problem, eliminator.pack(row))
+        fresh.eliminate_one(1, fresh.pack(rows[1]))
+    eliminator.reset(0)
+    eliminator.reset(2)
+    assert eliminator.ranks == [0, fresh.ranks[1], 0]
+    assert eliminator.basis(0).shape == (0, 8)
     assert np.array_equal(eliminator.basis(1), fresh.basis(1))
     # A wiped problem accepts the same rows a fresh eliminator would.
-    probe = field.random_elements(np.random.default_rng(8), (1, 8))
-    assert bool(eliminator.eliminate(probe, np.array([0]))[0])
+    for rows in history:
+        assert eliminator.eliminate_one(0, eliminator.pack(rows[0])) == (
+            fresh.eliminate_one(0, fresh.pack(rows[0]))
+        )
+    assert np.array_equal(eliminator.basis(0), fresh.basis(0))

@@ -152,6 +152,88 @@ class TestBatchedEqualsSequential:
             )
 
 
+def _engine_runs(monkeypatch) -> list[str]:
+    """Spy on every engine family's ``run``: the class names, in call order."""
+    from repro.gossip.batch import BatchEngineCore
+    from repro.gossip.engine import GossipEngine
+    from repro.gossip.event import EventGossipEngine
+
+    ran: list[str] = []
+    for cls in (EventGossipEngine, BatchEngineCore, GossipEngine):
+
+        def spy(engine, _original=cls.run):
+            ran.append(type(engine).__name__)
+            return _original(engine)
+
+        monkeypatch.setattr(cls, "run", spy)
+    return ran
+
+
+_CHURN = ((2, 2, 5),)
+
+
+class TestAutoEngineRule:
+    """``engine=""`` picks by protocol, and the runner runs what it picks."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            default_scenario_config().replace(loss_probability=0.2),
+            default_scenario_config().replace(churn=_CHURN),
+            default_scenario_config().replace(churn=_CHURN, churn_reset=True),
+            default_scenario_config(time_model=TimeModel.ASYNCHRONOUS),
+        ],
+        ids=["loss", "pause-churn", "reset-churn", "async"],
+    )
+    def test_uniform_ag_runs_on_the_event_engine(self, config, monkeypatch):
+        spec = ScenarioSpec(topology="ring", n=8, k=4, config=config, trials=2, seed=4)
+        scenario = spec.materialize()
+        assert scenario.select_engine() == ("event", "auto: uniform AG")
+        ran = _engine_runs(monkeypatch)
+        results = scenario.measure()
+        assert ran == ["EventGossipEngine"] * 2
+        assert results == spec.replace(engine="scalar").materialize().measure()
+
+    @pytest.mark.parametrize(
+        "protocol,engine,reason",
+        [
+            ("tag", "BatchTagEngine", "auto: TAG"),
+            ("spanning_tree", "BatchSpanningTreeEngine", "auto: spanning tree"),
+        ],
+    )
+    def test_tag_and_trees_run_on_the_batch_engines(
+        self, protocol, engine, reason, monkeypatch
+    ):
+        scenario = ScenarioSpec(
+            topology="barbell", n=8, protocol=protocol, trials=2, seed=4
+        ).materialize()
+        assert scenario.select_engine() == ("batch", reason)
+        ran = _engine_runs(monkeypatch)
+        scenario.measure()
+        assert ran == [engine]
+
+    def test_tag_under_reset_churn_runs_on_the_scalar_engine(self, monkeypatch):
+        scenario = ScenarioSpec(
+            topology="barbell", n=8, protocol="tag", trials=2, seed=4,
+            config=default_scenario_config().replace(churn=_CHURN, churn_reset=True),
+        ).materialize()
+        assert scenario.select_engine() == ("scalar", "auto: reset-mode churn")
+        ran = _engine_runs(monkeypatch)
+        scenario.measure()
+        assert ran == ["GossipEngine"] * 2
+
+    def test_run_single_stays_on_the_scalar_engine(self, monkeypatch):
+        scenario = ScenarioSpec(topology="ring", n=8, k=4).materialize()
+        ran = _engine_runs(monkeypatch)
+        scenario.run_single()
+        assert ran == ["GossipEngine"]
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch", "event"])
+    def test_a_pinned_engine_is_kept(self, engine):
+        scenario = ScenarioSpec(topology="ring", n=8, k=4, engine=engine).materialize()
+        assert scenario.select_engine() == (engine, "pinned")
+
+
 class TestParallelEqualsSequential:
     def test_trial_for_trial_determinism(self, uniform_case):
         sequential = measure_protocol(

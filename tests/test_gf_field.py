@@ -177,6 +177,20 @@ class TestRawOperations:
         nonzero = any_field.random_elements(rng, 64, nonzero=True)
         assert np.array_equal(any_field.raw_inv(nonzero), any_field.inv(nonzero))
 
+    @pytest.mark.parametrize("order", [4, 8, 16, 256])
+    def test_characteristic_two_addition_is_xor(self, order):
+        """raw_add/raw_sub are XOR in characteristic 2: check every pair
+        against the addition (and negation) tables they replace."""
+        field = GF(order)
+        a, b = (
+            grid.ravel().astype(field.dtype)
+            for grid in np.meshgrid(np.arange(order), np.arange(order))
+        )
+        added, subtracted = field.raw_add(a, b), field.raw_sub(a, b)
+        assert added.dtype == subtracted.dtype == field.dtype
+        assert np.array_equal(added, field._add_table[a, b])
+        assert np.array_equal(subtracted, field._add_table[a, field._neg_table[b]])
+
     def test_raw_combine_matches_dot(self, any_field):
         rng = np.random.default_rng(13)
         coefficients = any_field.random_elements(rng, 5)

@@ -327,24 +327,33 @@ class TestMaterialize:
         ],
         ids=lambda spec: f"{spec.protocol}-{spec.spanning_tree}",
     )
-    def test_batch_strategy_matches_process_declaration(self, spec):
-        # scenario_batch_strategy dispatches on the factory type for speed;
-        # this pins it to the authoritative per-process declaration so the
-        # two can never drift.
+    def test_engine_rule_matches_process_declaration(self, spec):
+        # select_engine dispatches on the factory type without building a
+        # process; this pins it to what each trial's process declares, so
+        # the two can never drift.
         from repro.core.rng import derive_rng
+        from repro.gossip.event import build_event_process, event_supports_process
 
         scenario = spec.materialize()
-        probe = scenario.build_process(derive_rng(0, "probe"))
-        assert scenario.batch_strategy() is probe.batch_strategy()
+        engine, _ = scenario.select_engine()
+        rng = derive_rng(0, "probe")
+        if engine == "event":
+            process = build_event_process(scenario.graph, scenario.protocol_factory, rng)
+            assert event_supports_process(process)
+        else:
+            assert engine == "batch"
+            assert scenario.build_process(rng).batch_strategy() is not None
 
-    def test_batch_strategy_exposed_and_gated(self):
-        batched = ScenarioSpec(topology="ring", n=8, config=_FAST).materialize()
-        assert batched.batch_strategy() is not None
-        reset = ScenarioSpec(
-            topology="ring", n=8,
-            config=_FAST.replace(churn=((2, 3, 5),), churn_reset=True),
-        ).materialize()
-        assert reset.batch_strategy() is None
+    def test_engine_rule_exposed_and_gated(self):
+        reset = _FAST.replace(churn=((2, 3, 5),), churn_reset=True)
+        uniform = ScenarioSpec(topology="ring", n=8, config=_FAST)
+        tag = ScenarioSpec(topology="barbell", n=8, protocol="tag", config=_FAST)
+        assert uniform.materialize().select_engine()[0] == "event"
+        assert uniform.replace(config=reset).materialize().select_engine()[0] == "event"
+        assert tag.materialize().select_engine()[0] == "batch"
+        assert tag.replace(config=reset).materialize().select_engine() == (
+            "scalar", "auto: reset-mode churn"
+        )
 
     @pytest.mark.parametrize(
         "engine", ["", "scalar", "batch", "event"],
