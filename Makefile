@@ -8,7 +8,7 @@ export PYTHONPATH := src
 .PHONY: test test-slow bench-smoke bench-json bench-check backend-check event-check csr-check scenarios-check store-check docs-check docs-api docs-api-check campaigns-check asymptotics-check
 
 ## Tier-1 test suite (unit + property + integration).  Tests marked `slow`
-## (the large batch-vs-scalar equivalence sweeps) are skipped here.  The
+## (the long-running sweeps) are skipped here.  The
 ## second invocation is the doctest lane: the docstring examples on the
 ## declarative layers (ScenarioSpec, ResultStore, the campaign classes) are
 ## executable documentation and run under --doctest-modules.
@@ -25,10 +25,11 @@ test:
 test-slow:
 	$(PYTHON) -m pytest -x -q --run-slow
 
-## Scaled-down benchmark pass: proves the harness and both batch fast paths
-## (uniform AG and TAG) work without paying full benchmark sizes.  The
-## speedup floors are lowered to match the smoke sizes; the full-size floors
-## are asserted by `make bench-json`.  The last steps run the `bounds`
+## Scaled-down benchmark pass: proves the harness and the event engine's
+## speedup over the scalar engine, for uniform AG (E9) and TAG (E10), without
+## paying full benchmark sizes.  The speedup floors are lowered to match the
+## smoke sizes; the full-size floors are asserted by `make bench-json`.
+## The last steps run the `bounds`
 ## campaign (measured stopping times next to the paper's bounds) at 2 trials
 ## into a scratch store, check that an immediate rerun is fully cached, and
 ## that the report carries the Theorem 1 ratio column.  The full
@@ -50,45 +51,38 @@ bench-smoke:
 	grep -q "ratio(theorem1)" benchmarks/output/bounds-smoke/report/report.md
 
 ## Full-size perf benchmarks with machine-readable results: asserts the >=5x
-## speedup floors at n=128 and writes benchmarks/output/BENCH_*.json
-## (timings, speedup, workload, git rev) for cross-revision tracking.
+## event-over-scalar floors at n=128 (E9 uniform AG, E10 TAG) and writes
+## benchmarks/output/BENCH_*.json (timings, speedup, workload, git rev) for
+## cross-revision tracking.
 bench-json:
 	$(PYTHON) -m pytest benchmarks/bench_batch_core.py benchmarks/bench_batch_tag.py \
-		benchmarks/bench_backend_gf2.py benchmarks/bench_event_engine.py \
 		--benchmark-only -q
 	@ls -l benchmarks/output/BENCH_*.json
 
-## Perf-trajectory guard: fails if any committed BENCH_*.json record's batch
-## speedup sits below its asserted floor (or if no records exist at all).
+## Perf-trajectory guard: fails if any committed speedup record sits below
+## its asserted floor, if any committed repository-benchmark record
+## (BENCH_perf-<workload>.json) exceeds its previous value by more than the
+## BENCHMARK.json bound, or if no records exist at all.
 bench-check:
 	$(PYTHON) benchmarks/check_regression.py
 
 ## Packed GF(2) eliminator vs the dense reference: the conformance suite
 ## (the field picks the eliminator, packed-vs-dense eliminator traces,
-## generated GF(2) scenarios on every eligible engine against the dense
-## scalar run, typed q!=2 refusal, store invariance) plus a scaled-down run
-## of the GF(2) eliminator benchmark proving the packed eliminator is faster
-## *and* bit-identical on the all-to-all workload.  n=64 keeps the 2x smoke
-## floor clear of the fixed per-call cost that dominates smaller n.  The
-## full-size >=5x floor is asserted by `make bench-json` / the committed
-## BENCH record.
+## generated GF(2) scenarios on both engines against the dense scalar run,
+## typed q!=2 refusal, store invariance).
 backend-check:
 	$(PYTHON) -m pytest tests/test_backend_conformance.py -q
-	REPRO_BENCH_GF2_N=64 REPRO_BENCH_GF2_TRIALS=4 REPRO_BENCH_GF2_MIN_SPEEDUP=2 \
-		$(PYTHON) -m pytest benchmarks/bench_backend_gf2.py --benchmark-only -q
 
 ## Event-driven engine contract: the full equivalence/refusal/dispatch suite
-## (event vs scalar bit-identity over both time models, churn, rates, loss;
-## single-problem eliminator fast paths; typed EngineError refusals), the
-## block-draw reader's conformance with numpy's own draws, plus a
-## scaled-down run of the crossover benchmark proving the event engine is
-## faster than the lockstep batch engine *and* bit-identical to it.  The
-## full-size >=1.5x floor at n=4096 is asserted by `make bench-json` / the
-## committed BENCH record.
+## for uniform AG (event vs scalar bit-identity over both time models,
+## churn, rates, loss; single-problem eliminator fast paths; typed
+## EngineError refusals), the generated TAG equivalence over the four
+## spanning trees, and the block-draw reader's conformance with numpy's own
+## draws.  Its absolute speed is the repository benchmark's `sparse-event`
+## record, guarded by `make bench-check`.
 event-check:
-	$(PYTHON) -m pytest tests/test_event_engine.py tests/test_rng_draws.py -q
-	REPRO_BENCH_EVENT_MAX_N=512 REPRO_BENCH_EVENT_TRIALS=2 REPRO_BENCH_EVENT_MIN_SPEEDUP=1.2 \
-		$(PYTHON) -m pytest benchmarks/bench_event_engine.py --benchmark-only -q
+	$(PYTHON) -m pytest tests/test_event_engine.py tests/test_tag_event_engine.py \
+		tests/test_rng_draws.py -q
 
 ## One-graph-type contract: generated builder conformance (every family's
 ## direct CSR build byte-identical to CSRGraph.from_networkx of its networkx

@@ -41,8 +41,8 @@ OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 PEDANTIC = dict(rounds=1, iterations=1, warmup_rounds=0)
 
 #: Worker processes for sweep trials (``REPRO_BENCH_JOBS=4 pytest ...``).
-#: ``None`` runs trials in-process, on the engine auto-selection picks (the
-#: event engine for uniform AG, the batch engines for TAG and spanning
+#: ``None`` runs trials in-process, on the engine the rule picks (the event
+#: engine for uniform AG and TAG, the scalar one for standalone spanning
 #: trees); the results are bit-identical for any value.
 #: Empty, non-numeric or non-positive values mean "in-process" rather than
 #: breaking benchmark collection at import time.
@@ -187,7 +187,7 @@ def report(experiment_id: str, title: str, rows: Sequence[Mapping[str, Any]],
 def trial_signature(results) -> list[tuple]:
     """Everything that must coincide per trial across bit-identical runners.
 
-    The canonical equivalence signature used by the batch-vs-scalar
+    The canonical equivalence signature used by the event-vs-scalar
     benchmarks (``bench_batch_core``, ``bench_batch_tag``): any divergence in
     stopping time, timeslots, completion, message/helpful counts, per-node
     completion rounds or metadata fails the assertion.

@@ -1,4 +1,4 @@
-"""E9 — the batch simulation core: vectorised trials vs scalar decoders.
+"""E9 — the Monte Carlo core: uniform AG on the event engine vs scalar decoders.
 
 Runs the same Table-1-style workload — uniform algebraic gossip, EXCHANGE,
 synchronous rounds, ``k`` messages spread over a complete graph on ``n``
@@ -6,15 +6,16 @@ nodes — through the three trial runners:
 
 * sequential: one :class:`~repro.gossip.engine.GossipEngine` per trial with
   per-node scalar :class:`~repro.rlnc.decoder.RlncDecoder` elimination,
-* batched: all trials in one :class:`~repro.gossip.batch.BatchGossipEngine`
-  backed by the vectorised :class:`~repro.rlnc.batch.BatchDecoder`,
-* parallel: the batched runner sharded over worker processes.
+* event: the engine the rule picks for uniform AG, one
+  :class:`~repro.gossip.event.EventGossipEngine` per trial on python-int
+  rows,
+* parallel: the event runner sharded over worker processes.
 
 The reproduced table reports wall-clock seconds and the speedup over the
 sequential path.  The assertions are the contract of the fast path: the
-batched and parallel runners must be **bit-identical** to the sequential one
+event and parallel runners must be **bit-identical** to the sequential one
 (same seeds → same stopping times, message counts and completion rounds) and
-the batched runner must be at least 5x faster at ``n = 128``.
+the event runner must be at least 5x faster at ``n = 128``.
 
 Scale knobs (for smoke runs): ``REPRO_BENCH_BATCH_N``,
 ``REPRO_BENCH_BATCH_TRIALS`` and ``REPRO_BENCH_BATCH_MIN_SPEEDUP`` shrink
@@ -43,9 +44,7 @@ SCALED_DOWN = (N, TRIALS, MIN_SPEEDUP) != (128, 64, 5.0)
 
 #: The whole workload as one declarative scenario: the spec's trial/seed plan
 #: is what both runners execute, so "same spec → same numbers" is literal.
-#: Pinned to the batch engine, which this benchmark times (auto-selection
-#: would run uniform AG on the event engine); the engine is not part of the
-#: fingerprint, so the archived trials are the same either way.
+#: The engine is left to the rule, which picks the event engine.
 SPEC = ScenarioSpec(
     topology="complete",
     n=N,
@@ -53,12 +52,12 @@ SPEC = ScenarioSpec(
     config=default_scenario_config(max_rounds=50_000),
     trials=TRIALS,
     seed=SEED,
-    engine="batch",
 )
 
 
 def _run():
     scenario = SPEC.materialize()
+    assert scenario.select_engine() == ("event", "auto: uniform AG")
     timings = {}
 
     start = time.perf_counter()
@@ -69,16 +68,16 @@ def _run():
     timings["sequential (scalar decoders)"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = measure_protocol_parallel(scenario, jobs=1)
-    timings["batched (BatchDecoder)"] = time.perf_counter() - start
+    event = measure_protocol_parallel(scenario, jobs=1)
+    timings["event (auto-selected)"] = time.perf_counter() - start
 
     jobs = min(default_jobs(), 8)
     start = time.perf_counter()
     parallel = measure_protocol_parallel(scenario, jobs=jobs)
-    timings[f"parallel (batched, jobs={jobs})"] = time.perf_counter() - start
+    timings[f"parallel (event, jobs={jobs})"] = time.perf_counter() - start
 
-    assert trial_signature(batched) == trial_signature(sequential), (
-        "batched runner diverged from the sequential runner"
+    assert trial_signature(event) == trial_signature(sequential), (
+        "event runner diverged from the sequential runner"
     )
     assert trial_signature(parallel) == trial_signature(sequential), (
         "parallel runner diverged from the sequential runner"
@@ -87,7 +86,7 @@ def _run():
     # The perf benchmark must *time* cold runs (a store read would measure
     # JSON parsing, not the engines), but the computed trials still join the
     # shared archive so other consumers of this workload reuse them.
-    record_trials(SPEC, batched)
+    record_trials(SPEC, event)
 
     base = timings["sequential (scalar decoders)"]
     rounds = [r.rounds for r in sequential]
@@ -107,22 +106,22 @@ def test_batch_core_speedup(benchmark):
     rows = benchmark.pedantic(_run, **PEDANTIC)
     report(
         "E9-batch-core",
-        f"Batch simulation core — uniform AG on complete(n={N}), k={K}, "
+        f"Monte Carlo core — uniform AG on complete(n={N}), k={K}, "
         f"{TRIALS} trials, synchronous EXCHANGE",
         rows,
         notes=[
             "All three runners are bit-identical (asserted): same seeds give "
             "the same per-trial stopping times, message counts and "
             "completion rounds.",
-            f"The batched runner must be at least {MIN_SPEEDUP:.0f}x faster "
+            f"The event runner must be at least {MIN_SPEEDUP:.0f}x faster "
             "than the sequential scalar-decoder path.",
         ],
     )
-    batched_row = next(row for row in rows if row["runner"].startswith("batched"))
+    event_row = next(row for row in rows if row["runner"].startswith("event"))
     report_json(
         "E9-batch-core",
         timings={row["runner"]: row["seconds"] for row in rows},
-        speedup=batched_row["speedup"],
+        speedup=event_row["speedup"],
         n=N,
         trials=TRIALS,
         scaled_down=SCALED_DOWN,
@@ -132,4 +131,4 @@ def test_batch_core_speedup(benchmark):
         protocol="uniform-ag",
         topology="complete",
     )
-    assert batched_row["speedup"] >= MIN_SPEEDUP
+    assert event_row["speedup"] >= MIN_SPEEDUP

@@ -1,4 +1,4 @@
-"""E10 — the TAG batch fast path: lockstep two-phase trials vs scalar engine.
+"""E10 — TAG on the event engine vs the scalar engine.
 
 Runs the paper's headline protocol — TAG with the round-robin broadcast tree
 ``B_RR`` of Theorem 5, ``k`` messages on a complete graph of ``n`` nodes,
@@ -7,11 +7,12 @@ synchronous EXCHANGE — through both trial runners:
 * sequential: one :class:`~repro.gossip.engine.GossipEngine` per trial with
   the scalar :class:`~repro.protocols.tag.TagProtocol` (per-packet Python
   Gaussian elimination, per-delivery ``O(n)`` tree-completeness scans),
-* batched: all trials in one :class:`~repro.gossip.batch_tag.BatchTagEngine`
-  (phase-1 tree state as trials x nodes arrays, phase-2 parent EXCHANGEs
-  through the vectorised :class:`~repro.rlnc.batch.BatchDecoder` grid).
+* event: the engine the rule picks for TAG, one
+  :class:`~repro.gossip.event.EventGossipEngine` per trial (phase 1 on the
+  process's own tree object, phase-2 parent EXCHANGEs on python-int rows,
+  tree completion as a counter).
 
-The assertions are the contract of the fast path: the batched runner must be
+The assertions are the contract of the fast path: the event runner must be
 **bit-identical** to the sequential one (same seeds → same per-trial stopping
 times, message counts, completion rounds and tree shapes) and at least
 ``MIN_SPEEDUP``x faster at ``n = 128``.
@@ -55,6 +56,7 @@ SPEC = ScenarioSpec(
 
 def _run():
     scenario = SPEC.materialize()
+    assert scenario.select_engine() == ("event", "auto: TAG")
     timings = {}
 
     start = time.perf_counter()
@@ -65,17 +67,17 @@ def _run():
     timings["sequential (scalar TagProtocol)"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = measure_protocol_parallel(scenario, jobs=1)
-    timings["batched (BatchTagEngine)"] = time.perf_counter() - start
+    event = measure_protocol_parallel(scenario, jobs=1)
+    timings["event (auto-selected)"] = time.perf_counter() - start
 
-    assert trial_signature(batched) == trial_signature(sequential), (
-        "batched TAG runner diverged from the sequential runner"
+    assert trial_signature(event) == trial_signature(sequential), (
+        "event TAG runner diverged from the sequential runner"
     )
 
     # The perf benchmark must *time* cold runs (a store read would measure
     # JSON parsing, not the engines), but the computed trials still join the
     # shared archive so other consumers of this workload reuse them.
-    record_trials(SPEC, batched)
+    record_trials(SPEC, event)
 
     base = timings["sequential (scalar TagProtocol)"]
     rounds = [r.rounds for r in sequential]
@@ -95,22 +97,22 @@ def test_batch_tag_speedup(benchmark):
     rows = benchmark.pedantic(_run, **PEDANTIC)
     report(
         "E10-batch-tag",
-        f"TAG batch fast path — TAG+B_RR on {TOPOLOGY}(n={N}), k={K}, "
+        f"TAG on the event engine — TAG+B_RR on {TOPOLOGY}(n={N}), k={K}, "
         f"{TRIALS} trials, synchronous EXCHANGE",
         rows,
         notes=[
             "Both runners are bit-identical (asserted): same seeds give the "
             "same per-trial stopping times, message counts, completion "
             "rounds and tree metadata.",
-            f"The batched runner must be at least {MIN_SPEEDUP:.1f}x faster "
+            f"The event runner must be at least {MIN_SPEEDUP:.1f}x faster "
             "than the sequential scalar path.",
         ],
     )
-    batched_row = next(row for row in rows if row["runner"].startswith("batched"))
+    event_row = next(row for row in rows if row["runner"].startswith("event"))
     report_json(
         "E10-batch-tag",
         timings={row["runner"]: row["seconds"] for row in rows},
-        speedup=batched_row["speedup"],
+        speedup=event_row["speedup"],
         n=N,
         trials=TRIALS,
         scaled_down=SCALED_DOWN,
@@ -121,4 +123,4 @@ def test_batch_tag_speedup(benchmark):
         spanning_tree=SPANNING_TREE,
         topology=TOPOLOGY,
     )
-    assert batched_row["speedup"] >= MIN_SPEEDUP
+    assert event_row["speedup"] >= MIN_SPEEDUP

@@ -30,7 +30,7 @@ def _run():
     assert all(spec.trials == TRIALS and spec.n == N for spec in specs)
     # The measured column reads through the persistent result store: adding a
     # topology to the table reuses every previously archived trial (and the
-    # batched runner is bit-identical to the sequential path either way).
+    # event engine is bit-identical to the sequential path either way).
     measured = measured_rows(specs, store=bench_store())
     for row, measurement in zip(rows, measured):
         # Already rounded once by measured_rows; re-rounding would double-round.

@@ -83,8 +83,8 @@ def _reduction_vs_gossip():
             trials=GOSSIP_TRIALS,
             seed=708,
         ).materialize()
-        # The gossip side of the reduction is rank-only, so the batched
-        # runner applies; the measured rounds match the sequential path and
+        # The gossip side of the reduction is uniform AG, so it runs on the
+        # event engine; the measured rounds match the sequential path and
         # are read through the shared result store on re-runs.
         stats = scenario.run(store=bench_store())
         reduction = QueueingReduction(

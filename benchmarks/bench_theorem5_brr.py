@@ -46,9 +46,8 @@ def _broadcast_rows(time_model: TimeModel):
     rows = []
     for spec in specs:
         scenario = spec.materialize()
-        # All trials in one lockstep batch engine — bit-identical to running
-        # GossipEngine per trial with the same generators, just faster — and
-        # read through the shared result store on re-runs.
+        # Standalone trees run on the scalar engine, read through the shared
+        # result store on re-runs.
         results = cached_measure(scenario)
         rounds = [result.rounds for result in results]
         depths = [result.metadata["tree_depth"] for result in results]

@@ -1,11 +1,19 @@
 #!/usr/bin/env python
-"""Fail if the latest committed batch speedups drop below their floors.
+"""Fail if a committed perf record regressed: speedup floors and absolute ceilings.
 
 Reads every machine-readable perf record ``benchmarks/output/BENCH_*.json``
-(written by full-size ``make bench-json`` runs and committed to the
-repository) and checks the recorded ``speedup`` against the record's own
-asserted floor (``min_speedup``, default 5.0).  Run it standalone or via
-``make bench-check``::
+committed to the repository.  Two kinds exist:
+
+* **speedup records** (written by full-size ``make bench-json`` runs): the
+  recorded ``speedup`` must reach the record's own asserted floor
+  (``min_speedup``, default 5.0), and any extra ``floors`` must hold;
+* **repository-benchmark records** ``BENCH_perf-<workload>.json`` (written
+  by ``record_perfbench.py``): every end-to-end metric must stay within
+  ``previous × (1 + bound)`` — the bound ``BENCHMARK.json`` declares for
+  that metric (``previous × (1 - bound)`` for a higher-is-better one).  A
+  record without ``previous`` is the baseline and passes.
+
+Run it standalone or via ``make bench-check``::
 
     python benchmarks/check_regression.py
 
@@ -30,6 +38,7 @@ import sys
 from pathlib import Path
 
 OUTPUT_DIR = Path(__file__).resolve().parent / "output"
+BENCHMARK_JSON = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 DEFAULT_FLOOR = 5.0
 
 
@@ -93,9 +102,14 @@ def main() -> int:
     args = parser.parse_args()
     if args.store is not None:
         return store_aggregates(args.store)
-    records = sorted(OUTPUT_DIR.glob("BENCH_*.json"))
+    return check_records(OUTPUT_DIR, BENCHMARK_JSON)
+
+
+def check_records(output_dir: Path, benchmark_json: Path) -> int:
+    """Check every ``BENCH_*.json`` under ``output_dir``; 0 when all hold."""
+    records = sorted(output_dir.glob("BENCH_*.json"))
     if not records:
-        print(f"error: no BENCH_*.json records under {OUTPUT_DIR}", file=sys.stderr)
+        print(f"error: no BENCH_*.json records under {output_dir}", file=sys.stderr)
         return 1
     failures = 0
     for path in records:
@@ -103,41 +117,74 @@ def main() -> int:
         # checking the remaining records so the output isolates the bad file.
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
-            speedup = float(record["speedup"])
-            floor = float(record.get("min_speedup", DEFAULT_FLOOR))
-            # Optional per-metric floors: {"metric": min_value, ...} checked
-            # against the record's own top-level fields.
-            extra_floors = {
-                str(metric): float(minimum)
-                for metric, minimum in dict(record.get("floors", {})).items()
-            }
-            extra_values = {
-                metric: float(record[metric]) for metric in extra_floors
-            }
+            if path.name.startswith("BENCH_perf-"):
+                failures += _check_ceilings(path.name, record, benchmark_json)
+            else:
+                failures += _check_floors(path.name, record)
         except Exception as error:  # noqa: BLE001
             print(f"{path.name}: unreadable record ({type(error).__name__}: {error}) FAIL")
             failures += 1
-            continue
-        ok = speedup >= floor
-        status = "ok" if ok else "REGRESSION"
-        print(
-            f"{path.name}: speedup {speedup:.2f}x (floor {floor:.1f}x, "
-            f"n={record.get('n')}, trials={record.get('trials')}, "
-            f"rev={str(record.get('git_rev'))[:12]}) {status}"
-        )
-        failures += not ok
-        for metric, minimum in sorted(extra_floors.items()):
-            value = extra_values[metric]
-            metric_ok = value >= minimum
-            print(
-                f"{path.name}: {metric} {value:.2f} (floor {minimum:.1f}) "
-                f"{'ok' if metric_ok else 'REGRESSION'}"
-            )
-            failures += not metric_ok
     if failures:
-        print(f"error: {failures} perf record(s) below their floor", file=sys.stderr)
+        print(f"error: {failures} perf check(s) failed", file=sys.stderr)
         return 1
     return 0
+
+
+def _check_floors(name: str, record: dict) -> int:
+    """Speedup records: the headline speedup and any extra floors."""
+    speedup = float(record["speedup"])
+    floor = float(record.get("min_speedup", DEFAULT_FLOOR))
+    # Optional per-metric floors: {"metric": min_value, ...} checked
+    # against the record's own top-level fields.
+    extra_floors = {
+        str(metric): float(minimum)
+        for metric, minimum in dict(record.get("floors", {})).items()
+    }
+    extra_values = {metric: float(record[metric]) for metric in extra_floors}
+    ok = speedup >= floor
+    print(
+        f"{name}: speedup {speedup:.2f}x (floor {floor:.1f}x, "
+        f"n={record.get('n')}, trials={record.get('trials')}, "
+        f"rev={str(record.get('git_rev'))[:12]}) {'ok' if ok else 'REGRESSION'}"
+    )
+    failures = not ok
+    for metric, minimum in sorted(extra_floors.items()):
+        value = extra_values[metric]
+        metric_ok = value >= minimum
+        print(
+            f"{name}: {metric} {value:.2f} (floor {minimum:.1f}) "
+            f"{'ok' if metric_ok else 'REGRESSION'}"
+        )
+        failures += not metric_ok
+    return failures
+
+
+def _check_ceilings(name: str, record: dict, benchmark_json: Path) -> int:
+    """Repository-benchmark records: each metric against its previous value."""
+    declared = json.loads(benchmark_json.read_text(encoding="utf-8"))["end_to_end"]
+    metrics = {metric: float(entry["value"]) for metric, entry in record["metrics"].items()}
+    if set(metrics) != {entry["name"] for entry in declared}:
+        raise ValueError(f"metrics {sorted(metrics)} do not match BENCHMARK.json")
+    previous = record.get("previous")
+    if previous is None:
+        print(f"{name}: baseline (no previous record), rev={str(record.get('git_rev'))[:12]} ok")
+        return 0
+    failures = 0
+    for entry in declared:
+        metric, bound = entry["name"], float(entry["bound"])
+        value, before = metrics[metric], float(previous["metrics"][metric])
+        if entry["better"] == "lower":
+            relation, limit = "ceiling", before * (1 + bound)
+            ok = value <= limit
+        else:
+            relation, limit = "floor", before * (1 - bound)
+            ok = value >= limit
+        print(
+            f"{name}: {metric} {value:.6g} {entry['unit']} (previous {before:.6g}, "
+            f"{relation} {limit:.6g}) {'ok' if ok else 'REGRESSION'}"
+        )
+        failures += not ok
+    return failures
 
 
 if __name__ == "__main__":

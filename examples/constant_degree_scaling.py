@@ -25,10 +25,8 @@ from repro.analysis import (
 )
 from repro.core import SimulationConfig
 from repro.experiments import all_to_all_placement, run_trials_parallel
-from repro.gf import GF
 from repro.graphs import binary_tree_graph, diameter, line_graph, ring_graph
-from repro.protocols import AlgebraicGossip
-from repro.rlnc import Generation
+from repro.scenarios import UniformGossipFactory
 
 FAMILIES = {
     "line": line_graph,
@@ -39,13 +37,13 @@ SIZES = [8, 16, 24, 32]
 TRIALS = 3
 
 
-def factory_for(config):
-    def factory(graph, rng):
-        n = graph.number_of_nodes()
-        generation = Generation.random(GF(16), n, 2, rng)
-        return AlgebraicGossip(graph, generation, all_to_all_placement(graph), config, rng)
-
-    return factory
+def factory_for(graph, config):
+    """All-to-all uniform AG over GF(16); the factory type picks the event engine."""
+    n = graph.number_of_nodes()
+    return UniformGossipFactory(
+        field_order=16, k=n, payload_length=2,
+        placement=all_to_all_placement(graph), config=config,
+    )
 
 
 def main() -> None:
@@ -59,7 +57,7 @@ def main() -> None:
             actual_n = graph.number_of_nodes()
             d = diameter(graph)
             stats = run_trials_parallel(
-                graph, factory_for(config), config, trials=TRIALS, seed=42, jobs=1
+                graph, factory_for(graph, config), config, trials=TRIALS, seed=42, jobs=1
             )
             upper = constant_degree_upper_bound(actual_n, d)
             lower = k_dissemination_lower_bound(actual_n, d, synchronous=True)

@@ -27,7 +27,7 @@ The package is organised bottom-up:
   per-trial results keyed by ``(spec fingerprint, seed, trial)`` in
   append-only JSONL shards; every runner reads through it, making campaigns
   resumable and re-runs free,
-* :mod:`repro.experiments` — the batched and multi-process trial runners,
+* :mod:`repro.experiments` — the multi-process trial runners and the engine rule,
 * :mod:`repro.campaigns` — declarative experiment campaigns: named sets of
   scenario sweeps (``table1`` ... ``full-paper``, and ``bounds`` for the
   measured-vs-bound tables) compiled to a DAG,
@@ -79,7 +79,7 @@ from .errors import (
     TopologyError,
 )
 from .gf import GF
-from .gossip import BatchGossipEngine, EventTrace, GossipEngine, run_protocol
+from .gossip import EventGossipEngine, EventTrace, GossipEngine, run_protocol
 from .graphs import build_topology
 from .protocols import (
     AlgebraicGossip,
@@ -88,7 +88,7 @@ from .protocols import (
     TagProtocol,
     UniformBroadcastTree,
 )
-from .rlnc import BatchDecoder, CodedPacket, Generation, RlncDecoder, RlncEncoder
+from .rlnc import CodedPacket, Generation, RlncDecoder, RlncEncoder
 from .scenarios import (
     SCENARIOS,
     MaterializedScenario,
@@ -120,7 +120,7 @@ __all__ = [
     "TopologyError",
     "GF",
     "EventTrace",
-    "BatchGossipEngine",
+    "EventGossipEngine",
     "GossipEngine",
     "run_protocol",
     "build_topology",
@@ -129,7 +129,6 @@ __all__ = [
     "RoundRobinBroadcastTree",
     "TagProtocol",
     "UniformBroadcastTree",
-    "BatchDecoder",
     "CodedPacket",
     "Generation",
     "RlncDecoder",

@@ -53,8 +53,8 @@ def measure_protocol(
 
     This is the sequential reference runner.
     :func:`repro.experiments.parallel.measure_protocol_parallel` produces the
-    same results (same seeds → same stopping times) through the vectorised
-    batch engine and worker processes; prefer it for large trial counts.
+    same results (same seeds → same stopping times) through the event-driven
+    engine and worker processes; prefer it for large trial counts.
     """
     if trials < 1:
         raise AnalysisError(f"trials must be positive, got {trials}")

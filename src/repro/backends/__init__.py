@@ -5,7 +5,7 @@ row, the helpfulness test, encoding a random combination — runs on an
 incremental Gaussian eliminator, in one of two layouts:
 
 * :class:`EliminatorState` — many independent problems swept at once as
-  numpy slabs, under the scalar decoders and the lockstep batch engines.
+  numpy slabs, under the scalar decoders.
   The field alone decides which implementation :func:`make_eliminator`
   builds:
 
@@ -51,8 +51,8 @@ def make_eliminator(
     Packed words over ``GF(2)``, dense field arithmetic over any other
     field.  The decoders look this function up at call time, so patching
     ``repro.backends.make_eliminator`` swaps the eliminator under the scalar
-    and batch engines (the conformance tests and the E11 benchmark force the
-    dense one on ``GF(2)`` that way).
+    engine (the conformance tests force the dense one on ``GF(2)`` that
+    way).
     """
     eliminator = PackedGf2Eliminator if field.order == 2 else BatchEliminator
     return eliminator(field, batch, columns, augmented_columns=augmented_columns)

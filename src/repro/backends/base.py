@@ -3,8 +3,8 @@
 :class:`EliminatorState` is incremental Gaussian elimination over many
 independent problems — the rank updates, pivot search, helpfulness test
 (Definition 3 of the paper) and encode step of the RLNC stack.  The
-decoders of :mod:`repro.rlnc` — and through them the scalar and batch
-engines — only ever talk to this interface;
+decoders of :mod:`repro.rlnc` — and through them the scalar engine — only
+ever talk to this interface;
 :func:`repro.backends.make_eliminator` picks the implementation from the
 field.  The event engine, which touches one problem at a time, runs on
 :class:`~repro.backends.rows.RowEliminator` instead.
@@ -40,8 +40,8 @@ class EliminatorState(ABC):
 
     Because the RREF basis of a subspace is unique, any two conforming
     implementations hold identical state after identical inputs; that is the
-    invariant the batch fast paths (and the eliminator-blind result cache)
-    rest on.
+    invariant the engines' bit-identity (and the eliminator-blind result
+    cache) rest on.
 
     Attributes
     ----------

@@ -89,6 +89,9 @@ class UnitOutcome:
     k: int
     seconds: float
     peak_rss_mib: "float | None" = None
+    #: ``(name, reason)`` from :meth:`~repro.scenarios.MaterializedScenario.select_engine`;
+    #: printed in the progress line, never rendered into the report body.
+    engine: tuple[str, str] = ("", "")
 
     @property
     def status(self) -> str:
@@ -197,6 +200,7 @@ def _run_unit(
         k=scenario.k,
         seconds=seconds,
         peak_rss_mib=_peak_rss_mib(),
+        engine=scenario.select_engine(),
     )
 
 
@@ -263,6 +267,7 @@ def _run_summary_unit(
         k=scenario.k,
         seconds=seconds,
         peak_rss_mib=_peak_rss_mib(),
+        engine=scenario.select_engine(),
     )
 
 
@@ -379,7 +384,7 @@ def _rank_evolution(
     """Per-round rank curve of each selected unit's trial 0.
 
     Recomputed sequentially with a :class:`~repro.analysis.ProgressRecorder`
-    (the batch engines do not record per-round snapshots); one trial per
+    (the event engine records no per-round snapshots); one trial per
     unit, derived from the same ``trial-0`` stream as
     :meth:`~repro.scenarios.MaterializedScenario.run_single`, so the curve's
     endpoint matches the stored trial-0 stopping time.
@@ -616,7 +621,8 @@ def run_campaign(
                     f"[{index + 1}/{len(ordered)}] {unit.name}: "
                     f"{outcome.status} ({outcome.cached_trials} cached, "
                     f"{outcome.computed_trials} computed) — "
-                    f"mean {outcome.stats.mean:.1f} rounds"
+                    f"mean {outcome.stats.mean:.1f} rounds — "
+                    f"engine {outcome.engine[0]} ({outcome.engine[1]})"
                 )
     artifacts = tuple(
         _ARTIFACT_BUILDERS[artifact.kind](artifact, outcomes)

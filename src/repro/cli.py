@@ -6,10 +6,10 @@ Six subcommands cover the common workflows (run ``python -m repro <cmd>
 ``run``
     Gossip dissemination on a named topology with a chosen protocol.  One
     run by default; with ``--trials`` it becomes a Monte Carlo measurement
-    that reports stopping-time statistics, on the engine the auto-selection
-    rule picks (uniform AG on the event-driven engine, TAG and spanning
-    trees on the vectorised batch engines) and (with ``--jobs``) worker
-    processes::
+    that reports stopping-time statistics, on the engine the rule picks
+    (uniform AG and TAG on the event-driven engine, standalone spanning
+    trees on the scalar one) and (with ``--jobs``) worker processes.  Both
+    print the engine that ran::
 
         python -m repro run --topology barbell --n 24 --protocol tag --seed 3
         python -m repro run --topology complete --n 64 --trials 32 --jobs 4
@@ -203,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Disseminate k messages over a named topology and report the "
             "stopping time.  With --trials 1 (the default) prints the single "
             "run's summary and protocol metadata; with --trials N runs N "
-            "independently seeded trials — through the vectorised batch "
-            "engine, and across --jobs worker processes if requested — and "
-            "prints the aggregate stopping-time statistics."
+            "independently seeded trials — on the event-driven engine for "
+            "uniform AG and TAG, and across --jobs worker processes if "
+            "requested — and prints the aggregate stopping-time statistics.  "
+            "Either way it prints the engine that ran and why."
         ),
     )
     run_parser.add_argument(
@@ -256,22 +257,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--engine", choices=["scalar", "batch", "event"], default="",
+        "--engine", choices=["scalar", "event"], default="",
         help=(
-            "pin the engine family: scalar (sequential reference), batch "
-            "(lockstep vectorised trials) or event (event-driven sparse "
-            "engine for large n); engines are bit-identical, so this changes "
-            "wall-clock only — an engine that cannot run the workload "
-            "refuses instead of falling back (default: auto-select — event "
-            "for uniform AG, batch for TAG and spanning trees, scalar for "
-            "those under reset-mode churn)"
+            "pin the engine: scalar (sequential reference) or event "
+            "(event-driven engine, uniform AG and TAG); engines are "
+            "bit-identical, so this changes wall-clock only — an engine that "
+            "cannot run the workload refuses instead of falling back "
+            "(default: event for uniform AG and TAG with --trials > 1, "
+            "scalar otherwise)"
         ),
     )
     run_parser.add_argument(
         "--profile", type=Path, nargs="?", const=Path("repro-run.prof"),
         default=None, metavar="PROF",
         help=(
-            "profile the simulation loop with cProfile (any engine family): "
+            "profile the simulation loop with cProfile (either engine): "
             "dump the stats to PROF (default: %(const)s) and print the top "
             "20 functions by cumulative time"
         ),
@@ -346,11 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: run in-process)",
     )
     scenario_run_parser.add_argument(
-        "--engine", choices=["scalar", "batch", "event"], default="",
+        "--engine", choices=["scalar", "event"], default="",
         help=(
-            "override the spec's engine family (scalar / batch / event; "
-            "bit-identical results, different wall-clock; default: the "
-            "spec's own choice)"
+            "override the spec's engine (scalar / event; bit-identical "
+            "results, different wall-clock; default: the spec's own choice)"
         ),
     )
     scenario_run_parser.add_argument(
@@ -761,13 +760,19 @@ def _run_scenario_spec(
         print(f"{title}: {result.summary()}")
         for key, value in sorted(result.metadata.items()):
             print(f"  {key}: {value}")
+        _print_engine(*scenario.single_run_engine())
         _print_store_summary(store)
         return 0 if result.completed else 1
     with _profiled(profile):
         stats = scenario.run(trials=trials, jobs=jobs, store=store, fresh=fresh)
     print(f"{title}: {stats.summary()}")
+    _print_engine(*scenario.select_engine())
     _print_store_summary(store)
     return 0
+
+
+def _print_engine(engine: str, reason: str) -> None:
+    print(f"engine: {engine} ({reason})")
 
 
 def _print_store_summary(store: ResultStore | None) -> None:

@@ -116,9 +116,8 @@ class SimulationConfig:
         state*: the engine calls
         :meth:`~repro.gossip.engine.GossipProcess.on_crash` at the start of
         the crash round, and protocols that support it reset the node to its
-        initial knowledge.  Reset churn always runs on the sequential engine
-        (the batch fast path declines it — see
-        :func:`repro.gossip.batch.batch_supports_config`).
+        initial knowledge.  Both engines replay it: the event engine wipes
+        the node's eliminator problem and re-seeds it from the placement.
     activation_rates:
         Relative activation rates per node for the **asynchronous** time
         model, aligned with ``sorted(graph.nodes())``.  Empty (the default)

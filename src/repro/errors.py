@@ -53,11 +53,10 @@ class ConfigurationError(ReproError):
 class EngineError(ReproError):
     """Raised when an explicitly requested engine cannot run a workload.
 
-    The engine axis (``scalar`` / ``batch`` / ``event``) never falls back
-    silently: asking the batch engines for reset-mode churn, or the
-    event-driven engine for a protocol outside rank-only uniform algebraic
-    gossip, refuses with this error so a run always executes on exactly the
-    engine it named.
+    The engine axis (``scalar`` / ``event``) never falls back silently:
+    asking the event-driven engine for a protocol outside uniform algebraic
+    gossip and TAG with a built-in spanning tree refuses with this error, so
+    a run always executes on exactly the engine it named.
     """
 
 

@@ -1,4 +1,4 @@
-"""Batched and multi-process Monte Carlo trial runners."""
+"""Multi-process Monte Carlo trial runners and the engine rule."""
 
 from .parallel import (
     default_jobs,

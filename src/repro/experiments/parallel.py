@@ -1,4 +1,4 @@
-"""Batched and multi-process Monte Carlo trial runners.
+"""Multi-process Monte Carlo trial runners and the engine rule.
 
 The stopping-time statistics everywhere in this repository are Monte Carlo
 estimates over independent seeded trials.  This module provides the
@@ -8,11 +8,8 @@ estimates over independent seeded trials.  This module provides the
 :func:`measure_protocol_parallel` / :func:`run_trials_parallel` split the
 trial set across ``jobs`` worker processes (``jobs=1`` runs in-process), and
 each chunk runs on the engine :func:`select_engine` picks: uniform algebraic
-gossip on the event-driven engine, trial by trial; TAG with every built-in
-spanning-tree protocol, and standalone spanning-tree broadcasts, in one
-vectorised batch engine, as their processes declare through
-:meth:`~repro.gossip.engine.GossipProcess.batch_strategy`; the sequential
-engine under reset-mode churn or when no strategy is declared.
+gossip and TAG on the event-driven engine, trial by trial; everything else
+(standalone spanning trees, user protocols) on the scalar engine.
 
 Reproducibility is anchored in :mod:`repro.core.rng`: trial ``i`` always uses
 the generator ``derive_rng(seed, f"trial-{i}")`` regardless of which runner
@@ -38,9 +35,8 @@ from typing import Any, Iterator, Sequence
 from ..core.config import SimulationConfig
 from ..core.results import RunResult, StoppingTimeStats, aggregate_results
 from ..core.rng import derive_rng
-from ..errors import AnalysisError
+from ..errors import AnalysisError, EngineError
 from ..analysis.stopping_time import ProtocolFactory
-from ..gossip.batch import batch_supports_config
 from ..gossip.engine import GossipEngine
 from ..graphs.csr import CSRGraph
 
@@ -190,40 +186,36 @@ def _run_through_store(
     ]
 
 
-def select_engine(
-    protocol_factory: Any, config: SimulationConfig, engine: str = ""
-) -> tuple[str, str]:
-    """The engine family that runs a trial plan, and why: ``(name, reason)``.
+def select_engine(protocol_factory: Any, engine: str = "") -> tuple[str, str]:
+    """The engine that runs a trial plan, and why: ``(name, reason)``.
 
-    A pinned ``engine`` (``"scalar"``, ``"batch"`` or ``"event"``) is kept.
-    ``""`` applies the auto-selection rule, by protocol:
+    A pinned ``engine`` (``"scalar"`` or ``"event"``; anything else raises
+    :class:`~repro.errors.EngineError`) is kept.  ``""`` applies the rule,
+    by protocol factory alone — under every config (loss, pause and reset
+    churn, activation rates):
 
     * uniform algebraic gossip — a factory with a ``rank_only_process``
-      method, i.e. :class:`~repro.scenarios.spec.UniformGossipFactory` — runs
-      on the event engine under every config: loss, pause and reset churn,
-      activation rates;
-    * any other protocol runs on the scalar engine under reset-mode churn,
-      which the batch engines cannot replay;
-    * otherwise on the batch engines — TAG and standalone spanning trees —
-      or, when a trial's process declares no batch strategy, the scalar
-      engine.
+      method, i.e. :class:`~repro.scenarios.spec.UniformGossipFactory` — and
+      TAG (:class:`~repro.scenarios.spec.TagFactory`) run on the event
+      engine;
+    * everything else — standalone spanning trees, user protocols — runs on
+      the scalar engine.
 
-    The trial runners and ``repro scenario show`` both ask this function, so
-    the engine a plan is reported to run on is the one it runs on.
+    The trial runners, the CLI and ``repro scenario show`` all ask this
+    function, so the engine a plan is reported to run on is the one it runs
+    on.
     """
     if engine:
+        if engine not in ("scalar", "event"):
+            raise EngineError(f"unknown engine {engine!r}; known: ['event', 'scalar']")
         return engine, "pinned"
     if hasattr(protocol_factory, "rank_only_process"):
         return "event", "auto: uniform AG"
-    if not batch_supports_config(config):
-        return "scalar", "auto: reset-mode churn"
-    from ..scenarios.spec import SpanningTreeFactory, TagFactory
+    from ..scenarios.spec import TagFactory
 
     if isinstance(protocol_factory, TagFactory):
-        return "batch", "auto: TAG"
-    if isinstance(protocol_factory, SpanningTreeFactory):
-        return "batch", "auto: spanning tree"
-    return "batch", "auto: if the protocol declares a batch strategy"
+        return "event", "auto: TAG"
+    return "scalar", "auto: no event-engine support"
 
 
 def _measure_trial_indices(
@@ -236,54 +228,26 @@ def _measure_trial_indices(
 ) -> list[RunResult]:
     """Run the selected trial streams on the engine :func:`select_engine` picks.
 
-    ``engine`` pins the engine family: ``""`` (default) auto-selects,
-    ``"scalar"`` forces the sequential engine, ``"batch"`` requires the
-    batch fast path and ``"event"`` requires the event-driven sparse engine.
-    Engines are bit-identical per trial stream, so the choice affects
-    wall-clock only; a pinned engine that cannot run the workload raises
-    :class:`~repro.errors.EngineError` — never a silent fallback.
-
-    The sequential engine builds each trial's process lazily, one at a time,
-    so a long run never holds more than one set of scalar decoders in memory.
-    Only the batch engine — which needs every trial's state simultaneously by
-    design — constructs all processes up front.
+    ``engine`` pins the engine: ``""`` (default) applies the rule,
+    ``"scalar"`` forces the sequential engine and ``"event"`` requires the
+    event-driven engine.  Engines are bit-identical per trial stream, so the
+    choice affects wall-clock only; a pinned engine that cannot run the
+    workload raises :class:`~repro.errors.EngineError` — never a silent
+    fallback.  Each trial's process is built lazily, one at a time, so a
+    long run never holds more than one trial's state in memory.
     """
-    from ..errors import EngineError
+    from ..gossip.event import EventGossipEngine, build_event_process
 
-    rngs = [derive_rng(seed, f"trial-{index}") for index in trial_indices]
-    chosen, _ = select_engine(protocol_factory, config, engine)
-    if chosen == "event":
-        from ..gossip.event import build_event_process, run_event_trials
-
-        processes = [build_event_process(graph, protocol_factory, rng) for rng in rngs]
-        return run_event_trials(graph, processes, config, rngs)
-    if chosen == "batch" and not batch_supports_config(config):
-        # Only a pinned engine gets here: the rule never picks batch for it.
-        raise EngineError(
-            "the batch engines do not support this configuration "
-            "(reset-mode churn); drop engine='batch' or pick "
-            "'scalar'/'event'"
-        )
+    event = select_engine(protocol_factory, engine)[0] == "event"
     results: list[RunResult] = []
-    remaining = list(rngs)
-    if chosen == "batch" and remaining:
-        first = protocol_factory(graph, remaining[0])
-        strategy = first.batch_strategy()
-        if strategy is not None:
-            processes = [first] + [
-                protocol_factory(graph, rng) for rng in remaining[1:]
-            ]
-            return strategy(graph, processes, config, rngs)
-        if engine == "batch":
-            raise EngineError(
-                f"{type(first).__name__} declares no batch strategy; "
-                "drop engine='batch' or pick 'scalar'"
-            )
-        results.append(GossipEngine(graph, first, config, remaining[0]).run())
-        remaining = remaining[1:]
-    for rng in remaining:
-        process = protocol_factory(graph, rng)
-        results.append(GossipEngine(graph, process, config, rng).run())
+    for index in trial_indices:
+        rng = derive_rng(seed, f"trial-{index}")
+        if event:
+            process = build_event_process(graph, protocol_factory, rng)
+            results.append(EventGossipEngine(graph, process, config, rng).run())
+        else:
+            process = protocol_factory(graph, rng)
+            results.append(GossipEngine(graph, process, config, rng).run())
     return results
 
 
@@ -320,7 +284,7 @@ def _measure_indices_chunked(
     """Run the given trial streams over up to ``jobs`` worker processes.
 
     The engine name travels inside each pickled chunk so worker processes
-    run the same engine family the parent would use.
+    run the same engine the parent would use.
     """
     if not trial_indices:
         return []
@@ -372,9 +336,8 @@ def measure_protocol_parallel(
     :class:`~repro.scenarios.MaterializedScenario`.
 
     The trial set is split into contiguous chunks, one worker process per
-    chunk, and every worker runs its indices through the engine the spec pins
-    (when it pins none: the batch fast path if the protocol declares one, the
-    sequential engine otherwise).
+    chunk, and every worker runs its indices through the engine
+    :func:`select_engine` picks (or the one the spec pins).
     Because trial ``i`` derives its generator from the root seed alone
     (``derive_rng(seed, f"trial-{i}")`` — the spawned-child-seed scheme of
     :mod:`repro.core.rng`), the partitioning has no effect on any trial's

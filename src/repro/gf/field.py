@@ -188,7 +188,7 @@ class GaloisField(ABC):
 
         ``coefficients`` has shape ``(m,)`` and ``rows`` shape ``(m, r)``; the
         result has shape ``(r,)``.  This is the vectorised counterpart of
-        :meth:`dot` used by the batch encoder fast path.
+        :meth:`dot` used by the eliminators' encode step.
         """
         products = self.raw_mul(coefficients[:, np.newaxis], rows)
         result = np.zeros(rows.shape[1], dtype=self.dtype)

@@ -210,9 +210,8 @@ class BatchEliminator:
     reduced row-echelon basis of the absorbed row space, kept keyed by pivot
     column (``rows[b, p]`` is the row whose pivot is column ``p``, if
     ``pivot_mask[b, p]``).  Because the RREF basis of a subspace is unique,
-    this state matches the scalar decoder's stored rows exactly — which is
-    what makes the batched simulation fast path bit-identical to the
-    sequential one.
+    this state matches any other conforming eliminator's stored rows exactly
+    (``tests/test_backend_conformance.py`` checks it against the packed one).
 
     With ``augmented_columns = r > 0`` the trailing ``r`` columns ride along
     through every row operation but are never chosen as pivots and never make

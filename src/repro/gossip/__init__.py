@@ -1,17 +1,5 @@
 """Gossip machinery: communication models, the engines and event traces."""
 
-from .batch import (
-    BatchEngineCore,
-    BatchGossipEngine,
-    batch_supports_config,
-    run_rank_only_batch,
-)
-from .batch_tag import (
-    BatchSpanningTreeEngine,
-    BatchTagEngine,
-    run_spanning_tree_batch,
-    run_tag_batch,
-)
 from .communication import (
     FixedPartnerSelector,
     PartnerSelector,
@@ -19,26 +7,12 @@ from .communication import (
     UniformSelector,
 )
 from .dynamics import NodeDynamics
-from .engine import BatchRunner, GossipEngine, GossipProcess, Transmission, run_protocol
-from .event import (
-    EventGossipEngine,
-    event_supports_config,
-    event_supports_process,
-    run_event_trials,
-)
+from .engine import GossipEngine, GossipProcess, Transmission, run_protocol
+from .event import EventGossipEngine
 from .trace import EventTrace, GossipEvent
 
 __all__ = [
-    "BatchEngineCore",
-    "BatchGossipEngine",
-    "batch_supports_config",
     "NodeDynamics",
-    "BatchSpanningTreeEngine",
-    "BatchTagEngine",
-    "BatchRunner",
-    "run_rank_only_batch",
-    "run_spanning_tree_batch",
-    "run_tag_batch",
     "FixedPartnerSelector",
     "PartnerSelector",
     "RoundRobinSelector",
@@ -48,9 +22,6 @@ __all__ = [
     "Transmission",
     "run_protocol",
     "EventGossipEngine",
-    "event_supports_config",
-    "event_supports_process",
-    "run_event_trials",
     "EventTrace",
     "GossipEvent",
 ]

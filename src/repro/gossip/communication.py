@@ -96,18 +96,6 @@ class RoundRobinSelector(PartnerSelector):
         """Copy of the current per-node cycle positions."""
         return dict(self._position)
 
-    def load_positions(self, positions: dict[int, int]) -> None:
-        """Install per-node cycle positions.
-
-        Used by the batch fast path to write a lockstep run's final selector
-        state back into the scalar selector, so that inspection after a batch
-        run sees exactly what a sequential run would have left behind.
-        """
-        for node, index in positions.items():
-            if node not in self._position:
-                raise SimulationError(f"unknown node {node} in selector positions")
-            self._position[node] = int(index)
-
 
 class FixedPartnerSelector(PartnerSelector):
     """Partner fixed per node (the node's parent in a spanning tree).

@@ -18,8 +18,8 @@ axes relax that:
 
 :class:`NodeDynamics` is the single implementation of both, shared **by
 value** between the sequential :class:`~repro.gossip.engine.GossipEngine`
-and the lockstep batch engines: both call exactly the same methods with
-exactly the same generators, which is what keeps the batch fast path
+and the event-driven engine: both call exactly the same methods with
+exactly the same generators, which is what keeps the event engine
 bit-identical under the new knobs.  The uniform, churn-free case keeps the
 historical ``rng.integers(0, n)`` draw so that existing seeded results are
 unchanged.
@@ -45,8 +45,7 @@ class NodeDynamics:
 
     Positions index ``sorted(graph.nodes())``, matching both engines'
     internal ordering.  Every query is a pure function of the round index
-    (the only internal state is a memo cache), so one instance can serve
-    every trial of a batch engine.
+    (the only internal state is a memo cache).
     """
 
     def __init__(self, config: SimulationConfig, nodes: list[int]) -> None:
@@ -83,8 +82,8 @@ class NodeDynamics:
         self._zero_mask.setflags(write=False)
         # Single-entry memos: engines ask for the same round's mask (and the
         # derived alive set / cumulative weights) once per timeslot — n times
-        # per round, times T lockstep trials — so caching the last round
-        # keeps the per-slot cost O(1) inside churn windows.
+        # per round — so caching the last round keeps the per-slot cost O(1)
+        # inside churn windows.
         self._mask_cache: tuple[int, np.ndarray] | None = None
         self._alive_cache: tuple[int, np.ndarray, np.ndarray | None] | None = None
         self.rates = np.asarray(config.activation_rates, dtype=float)
@@ -153,8 +152,8 @@ class NodeDynamics:
         draw the engine always has, so pre-existing seeded runs reproduce.
         Churn restricts the draw to alive positions; heterogeneous rates turn
         it into one ``rng.random()`` draw against the cumulative alive
-        weights.  Every engine calls this same method per trial, which is what
-        keeps the batch and event paths bit-identical; the event engine
+        weights.  Both engines call this same method per trial, which is what
+        keeps them bit-identical; the event engine
         passes its :class:`~repro.core.rng.BlockDraws` reader as ``rng``,
         which serves these two calls draw for draw.
 

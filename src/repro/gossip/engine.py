@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, List
+from typing import Any
 
 import numpy as np
 
@@ -42,19 +42,7 @@ __all__ = [
     "GossipProcess",
     "GossipEngine",
     "run_protocol",
-    "BatchRunner",
 ]
-
-#: Signature of a vectorised batch executor as returned by
-#: :meth:`GossipProcess.batch_strategy`: it receives the shared graph, one
-#: already-constructed process per trial, the shared configuration and the
-#: per-trial generators, and returns one :class:`~repro.core.results.RunResult`
-#: per trial — bit-identical to running :class:`GossipEngine` once per trial.
-BatchRunner = Callable[
-    [CSRGraph, "List[GossipProcess]", SimulationConfig, List[np.random.Generator]],
-    List[RunResult],
-]
-
 
 @dataclass(frozen=True)
 class Transmission:
@@ -127,42 +115,19 @@ class GossipProcess(ABC):
             f"{type(self).__name__} does not support churn_reset"
         )
 
-    def supports_rank_only_batch(self) -> bool:
-        """Opt in to the vectorised rank-only batch fast path.
+    def supports_event_engine(self) -> bool:
+        """Opt in to :class:`~repro.gossip.event.EventGossipEngine`.
 
-        :class:`~repro.gossip.batch.BatchGossipEngine` runs many trials of a
-        protocol at once but tracks only decoder *ranks* (no payloads), so it
-        is selected automatically — via :meth:`batch_strategy` — only for
-        processes that return ``True`` here.  A protocol may do so only when
-        its entire observable behaviour (transmissions, helpfulness,
-        completion) is a function of coefficient ranks and the random stream;
-        the default is ``False``.
+        The event engine keeps decoder *ranks* only (no payloads) and drives
+        the protocol's draws itself, so a protocol may return ``True`` only
+        when its entire observable behaviour (transmissions, helpfulness,
+        completion) is a function of coefficient ranks, its own tree state
+        and the random stream.  Uniform algebraic gossip and TAG with a
+        built-in spanning tree do; the default is ``False``, and the event
+        engine refuses such a process with
+        :class:`~repro.errors.EngineError`.
         """
         return False
-
-    def batch_strategy(self) -> BatchRunner | None:
-        """Return this protocol's vectorised batch executor, or ``None``.
-
-        The batched trial runners in :mod:`repro.experiments.parallel` build
-        one process per trial, ask the first for its strategy, and — when one
-        is declared — hand the whole trial set to it instead of running
-        :class:`GossipEngine` once per trial.  Every strategy is a *pure
-        optimisation*: same per-trial generators, bit-identical results.
-
-        Protocols declare their own executor: uniform algebraic gossip (via
-        :meth:`supports_rank_only_batch`) uses the rank-only
-        :class:`~repro.gossip.batch.BatchGossipEngine`; TAG returns the
-        two-phase :class:`~repro.gossip.batch_tag.BatchTagEngine`; spanning
-        tree protocols run standalone through
-        :class:`~repro.gossip.batch_tag.BatchSpanningTreeEngine`.  The default
-        covers the rank-only opt-in and returns ``None`` otherwise (sequential
-        fallback).
-        """
-        if self.supports_rank_only_batch():
-            from .batch import run_rank_only_batch
-
-            return run_rank_only_batch
-        return None
 
 
 class GossipEngine:

@@ -1,12 +1,12 @@
-"""The event-driven sparse engine: algebraic gossip at large ``n``.
+"""The event-driven engine: the fast engine for uniform algebraic gossip and TAG.
 
-Both existing engine families are *dense in nodes*: the scalar
-:class:`~repro.gossip.engine.GossipEngine` re-scans every node's decoder to
-answer ``is_complete()`` / ``finished_nodes()`` after every timeslot, and the
-lockstep :class:`~repro.gossip.batch.BatchEngineCore` family sweeps full
-``trials × n`` grids per tick.  Both are excellent at ``n ≤ a few hundred``
-and hopeless at ``n = 10^5`` — which is exactly where the paper's asymptotic
-claims (``Θ(n log n)`` for uniform algebraic gossip, ``O(n)`` for TAG) live.
+The scalar :class:`~repro.gossip.engine.GossipEngine` is the reference: it
+drives any :class:`~repro.gossip.engine.GossipProcess` through per-node
+decoders and re-scans every node to answer ``is_complete()`` /
+``finished_nodes()`` after every timeslot.  That is fine at ``n ≤ a few
+hundred`` and hopeless at ``n = 10^5`` — which is exactly where the paper's
+asymptotic claims (``Θ(n log n)`` for uniform algebraic gossip, ``O(n)`` for
+TAG) live.
 
 :class:`EventGossipEngine` runs **one trial** with per-event O(1)
 bookkeeping:
@@ -30,12 +30,26 @@ bookkeeping:
   is never built or eliminated (see below), and every draw is served by a
   :class:`~repro.core.rng.BlockDraws` reader instead of a numpy call.
 
+TAG
+---
+:class:`~repro.protocols.tag.TagProtocol` with one of the four built-in
+spanning trees runs here too.  Phase 1 (odd wakeups) drives the process's
+own scalar tree object — ``choose_partner`` with the block reader as its
+generator, ``tree_payload`` for both ends at wakeup and
+``handle_tree_payload`` at delivery — so the tree protocols are their own
+reference and nothing is replicated.  Phase 2 (even wakeups) is the parent
+EXCHANGE on the eliminator, with the same encode/deliver steps as uniform
+gossip.  The wakeup and tree-delivery bookkeeping go through
+``TagProtocol.count_wakeup`` / ``count_tree_delivery``, the methods the
+scalar path calls, so the metadata comes from the same code; tree
+completion is a counter of unparented nodes.  The loop is picked once per
+run, so uniform gossip's per-slot code has no TAG branch.
+
 Bit-identical by construction
 -----------------------------
-Like the batch engines, this engine is a *pure optimisation*: given the same
-per-trial generator it emits exactly the
-:class:`~repro.core.results.RunResult` the scalar engine would, and leaves
-the generator in the same state.  The
+The engine is a *pure optimisation*: given the same per-trial generator it
+emits exactly the :class:`~repro.core.results.RunResult` the scalar engine
+would, and leaves the generator in the same state.  The
 asynchronous wakeup draw is delegated to the very same
 :class:`~repro.gossip.dynamics.NodeDynamics` methods (for uniform clocks,
 ``rng.integers(0, n)`` *is* the embedded jump chain of ``n`` i.i.d.
@@ -58,8 +72,8 @@ transmission before the loss draw, consuming no randomness.
   through one :class:`~repro.core.rng.BlockDraws` per run, which serves
   them from blocks of raw 64-bit outputs with numpy's own algorithms and,
   on exit (exceptions included), leaves ``rng.bit_generator.state`` exactly
-  where the numpy calls would have.  ``NodeDynamics.choose_wakeup`` takes
-  the reader as its ``rng``.
+  where the numpy calls would have.  ``NodeDynamics.choose_wakeup`` and the
+  tree protocols' ``choose_partner`` take the reader as their ``rng``.
 * **Bit-generator requirement** — the reader needs a bit generator that
   splits raw outputs into buffered 32-bit halves (PCG64, which
   :mod:`repro.core.rng` always builds, PCG64DXSM, Philox, SFC64); any other
@@ -69,23 +83,24 @@ transmission before the loss draw, consuming no randomness.
 ``tests/test_event_engine.py`` asserts the equivalence per seed — results
 and final generator state — over both time models, GF(2), GF(3), GF(5),
 GF(9), GF(16) and GF(256), churn (pause *and* reset), heterogeneous rates
-and packet loss; ``tests/test_rng_draws.py`` checks the reader against numpy
-draw for draw.
+and packet loss; ``tests/test_tag_event_engine.py`` does the same for TAG
+over a generated spec space; ``tests/test_rng_draws.py`` checks the reader
+against numpy draw for draw.
 
-Unlike the lockstep fast path, reset-mode churn **is** supported: each trial
-owns its eliminator, so a crash wipes one problem
+Reset-mode churn is supported for both protocols: each trial owns its
+eliminator, so a crash wipes one problem
 (:meth:`~repro.backends.rows.RowEliminator.reset`) and re-seeds it from
-the node's initial placement — exactly ``AlgebraicGossip.on_crash``.
+the node's initial placement — exactly ``on_crash`` of
+``AlgebraicGossip`` and ``TagProtocol`` (TAG's tree survives the crash).
 
 The engine refuses anything it cannot replay exactly with a typed
-:class:`~repro.errors.EngineError` (protocols outside rank-only uniform
-algebraic gossip, e.g. TAG or non-uniform selectors) — never a silent
-fallback to another engine.
+:class:`~repro.errors.EngineError` (a process whose
+:meth:`~repro.gossip.engine.GossipProcess.supports_event_engine` is
+``False``: non-uniform selectors, subclasses, TAG with a custom tree,
+standalone spanning trees) — never a silent fallback to another engine.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 
@@ -98,13 +113,7 @@ from ..graphs.csr import CSRGraph
 from .dynamics import NodeDynamics
 from .engine import GossipProcess
 
-__all__ = [
-    "EventGossipEngine",
-    "run_event_trials",
-    "build_event_process",
-    "event_supports_process",
-    "event_supports_config",
-]
+__all__ = ["EventGossipEngine", "build_event_process"]
 
 
 def build_event_process(graph, protocol_factory, rng) -> GossipProcess:
@@ -113,8 +122,8 @@ def build_event_process(graph, protocol_factory, rng) -> GossipProcess:
     A factory with a ``rank_only_process`` method (``UniformGossipFactory``
     has one) builds the decoder-less process from the *same* ``rng`` stream
     position ``protocol_factory(graph, rng)`` would, so the two are
-    result-identical; any other factory is called as is, and the engine
-    refuses a process it cannot replay with a typed
+    result-identical; any other factory (``TagFactory`` among them) is called
+    as is, and the engine refuses a process it cannot replay with a typed
     :class:`~repro.errors.EngineError`.
     """
     rank_only = getattr(protocol_factory, "rank_only_process", None)
@@ -123,33 +132,8 @@ def build_event_process(graph, protocol_factory, rng) -> GossipProcess:
     return protocol_factory(graph, rng)
 
 
-def event_supports_process(process: GossipProcess) -> bool:
-    """Can the event-driven engine replay ``process`` bit-identically?
-
-    The engine tracks rank-only state against the canonical RREF basis, so it
-    covers exactly the protocols whose observable behaviour is a function of
-    ranks and the random stream: uniform algebraic gossip with the uniform
-    selector — the same opt-in
-    :meth:`~repro.gossip.engine.GossipProcess.supports_rank_only_batch`
-    declares.
-    """
-    return bool(process.supports_rank_only_batch())
-
-
-def event_supports_config(config: SimulationConfig) -> bool:
-    """Can the event-driven engine honour every knob of ``config``?
-
-    Always ``True``: packet loss, pause-mode churn, reset-mode churn (each
-    trial owns its eliminator, so single problems can be wiped and re-seeded)
-    and heterogeneous activation rates are all replayed bit-identically.
-    The unsupported axis is the *protocol*, checked by
-    :func:`event_supports_process`.
-    """
-    return True
-
-
 class EventGossipEngine:
-    """Run one trial of rank-only uniform algebraic gossip, event by event.
+    """Run one trial of uniform algebraic gossip or TAG, event by event.
 
     Parameters
     ----------
@@ -157,8 +141,9 @@ class EventGossipEngine:
         The communication graph; the engine walks its CSR arrays directly.
     process:
         The already-constructed protocol of this trial (setup draws consumed
-        exactly as in the sequential path).  Must pass
-        :func:`event_supports_process`, else :class:`EngineError`.
+        exactly as in the sequential path).  Its
+        :meth:`~repro.gossip.engine.GossipProcess.supports_event_engine`
+        must return ``True``, else :class:`EngineError`.
     config:
         The simulation configuration.
     rng:
@@ -179,12 +164,12 @@ class EventGossipEngine:
             raise SimulationError("gossip requires at least two nodes")
         if not graph.is_connected():
             raise SimulationError("gossip requires a connected graph")
-        if not event_supports_process(process):
+        if not process.supports_event_engine():
             raise EngineError(
                 f"{type(process).__name__} is not supported by the event-driven "
-                "engine: it replays rank-only uniform algebraic gossip only "
-                "(AlgebraicGossip with a UniformSelector); run the scalar or "
-                "batch engine instead"
+                "engine: it replays uniform algebraic gossip (AlgebraicGossip "
+                "with a UniformSelector) and TagProtocol with a built-in "
+                "spanning tree only; run the scalar engine instead"
             )
         self.graph = graph
         self.process = process
@@ -216,6 +201,14 @@ class EventGossipEngine:
         self._completion_rounds: dict[int, int] = {}
         self._noted = np.zeros(self._n, dtype=bool)
         self._finished = 0
+        # TAG: the process's own spanning-tree object, driven in phase 1.
+        self._stp = getattr(process, "stp", None)
+        if self._stp is not None:
+            self._unparented = sum(
+                1
+                for node in self._nodes
+                if node != self._stp.root and self._stp.parent_of(node) is None
+            )
         self._seed_from_process()
 
     # ------------------------------------------------------------------
@@ -245,8 +238,15 @@ class EventGossipEngine:
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Run the trial to completion (or to the ``max_rounds`` limit)."""
+        synchronous = self.config.time_model is TimeModel.SYNCHRONOUS
         with self._draws as draws:
-            if self.config.time_model is TimeModel.SYNCHRONOUS:
+            if self._stp is not None:
+                rounds = (
+                    self._run_tag_synchronous(draws)
+                    if synchronous
+                    else self._run_tag_asynchronous(draws)
+                )
+            elif synchronous:
                 rounds = self._run_synchronous(draws)
             else:
                 rounds = self._run_asynchronous(draws)
@@ -256,7 +256,8 @@ class EventGossipEngine:
                 f"protocol did not complete within {self.config.max_rounds} rounds"
             )
         metadata = dict(self.process.metadata())
-        metadata["min_rank"] = min(self._ranks)
+        if self._stp is None:
+            metadata["min_rank"] = min(self._ranks)
         if self._loss_probability > 0:
             metadata.setdefault("dropped_messages", self._dropped_messages)
         if self._dynamics.has_churn:
@@ -360,6 +361,124 @@ class EventGossipEngine:
         return round_index
 
     # ------------------------------------------------------------------
+    # TAG: phase 1 on the process's tree object, phase 2 on the eliminator
+    # ------------------------------------------------------------------
+    def _run_tag_asynchronous(self, draws: BlockDraws) -> int:
+        round_index = 0
+        n = self._n
+        max_timeslots = self.config.max_rounds * n
+        dynamics = self._dynamics
+        choose_wakeup = dynamics.choose_wakeup
+        wakeup = self._tag_wakeup
+        has_churn = dynamics.has_churn
+        reset_on_crash = dynamics.reset_on_crash
+        timeslot = self._timeslot
+        down = None
+        while self._finished < n:
+            if timeslot >= max_timeslots:
+                break
+            round_now = timeslot // n + 1
+            if reset_on_crash:
+                self._process_crashes(round_now)
+            if has_churn:
+                down = dynamics.down_mask(round_now)
+            pos = choose_wakeup(draws, round_now, down)
+            timeslot += 1
+            round_index = round_now
+            if pos is None:
+                continue
+            for deliver, sender, receiver, payload in wakeup(pos, draws):
+                deliver(sender, receiver, payload, round_now, down)
+        self._timeslot = timeslot
+        return round_index
+
+    def _run_tag_synchronous(self, draws: BlockDraws) -> int:
+        round_index = 0
+        n = self._n
+        dynamics = self._dynamics
+        wakeup = self._tag_wakeup
+        has_churn = dynamics.has_churn
+        reset_on_crash = dynamics.reset_on_crash
+        down = None
+        while self._finished < n:
+            if round_index >= self.config.max_rounds:
+                return round_index
+            round_index += 1
+            if reset_on_crash:
+                self._process_crashes(round_index)
+            if has_churn:
+                down = dynamics.down_mask(round_index)
+            # Tree payloads and coded rows share one bucket, delivered at the
+            # round boundary in wakeup order, as the scalar engine does.
+            bucket: list[tuple] = []
+            for pos in range(n):
+                if down is None or not down[pos]:
+                    bucket.extend(wakeup(pos, draws))
+            self._timeslot += n
+            for deliver, sender, receiver, payload in bucket:
+                deliver(sender, receiver, payload, round_index, down)
+        return round_index
+
+    def _tag_wakeup(self, pos: int, draws: BlockDraws) -> list[tuple]:
+        """``TagProtocol.on_wakeup`` as ``(deliver, sender, receiver, payload)``.
+
+        Phase 1 asks the tree object for the partner (with the block reader
+        as its generator) and both payloads at wakeup; phase 2 is an
+        EXCHANGE with the parent, both directions encoded before either is
+        delivered.  TAG always exchanges, whatever ``config.action`` says.
+        """
+        stp = self._stp
+        if self.process.count_wakeup(pos, self._tree_complete):
+            partner = stp.choose_partner(pos, draws)
+            deliver = self._deliver_tree
+            return [
+                (deliver, pos, partner, stp.tree_payload(pos)),
+                (deliver, partner, pos, stp.tree_payload(partner)),
+            ]
+        parent = stp.parent_of(pos)
+        if parent is None:
+            return []
+        push = self._encode(pos, parent)
+        pull = self._encode(parent, pos)
+        deliver = self._deliver
+        entries = []
+        if push is not None:
+            entries.append((deliver, pos, parent, push))
+        if pull is not None:
+            entries.append((deliver, parent, pos, pull))
+        return entries
+
+    def _tree_complete(self) -> bool:
+        return self._unparented == 0
+
+    def _deliver_tree(
+        self,
+        sender_pos: int,
+        receiver_pos: int,
+        payload: object,
+        round_index: int,
+        down: np.ndarray | None,
+    ) -> None:
+        """``TagProtocol.on_deliver`` for a tree payload, under churn and loss."""
+        self._messages_sent += 1
+        if down is not None and (down[sender_pos] or down[receiver_pos]):
+            self._churn_dropped += 1
+            return
+        loss = self._loss_probability
+        if loss > 0 and self._draws.random() < loss:
+            self._dropped_messages += 1
+            return
+        stp = self._stp
+        # Parents are only ever assigned, never moved, and only to the
+        # receiver of a tree payload: one comparison keeps the count exact.
+        unparented = stp.parent_of(receiver_pos) is None
+        if stp.handle_tree_payload(receiver_pos, sender_pos, payload):
+            self._helpful_messages += 1
+        if unparented and stp.parent_of(receiver_pos) is not None:
+            self._unparented -= 1
+        self.process.count_tree_delivery(self._tree_complete)
+
+    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _encode(self, sender: int, receiver: int):
@@ -446,26 +565,3 @@ class EventGossipEngine:
             eliminator.eliminate_one(pos, eliminator.pack(unit))
         if self._ranks[pos] == self._k:
             self._note_completion(pos, round_index)
-
-
-def run_event_trials(
-    graph: CSRGraph,
-    processes: List[GossipProcess],
-    config: SimulationConfig,
-    rngs: List[np.random.Generator],
-) -> List[RunResult]:
-    """Event-driven trial executor matching the ``BatchRunner`` signature.
-
-    Runs each trial through its own :class:`EventGossipEngine` (all of them
-    walk the one graph's CSR arrays).  Raises
-    :class:`~repro.errors.EngineError` if any trial's protocol is outside the
-    engine's support — explicitly, never by falling back.
-    """
-    if len(processes) != len(rngs):
-        raise SimulationError(
-            f"{len(processes)} processes but {len(rngs)} generators"
-        )
-    return [
-        EventGossipEngine(graph, process, config, rng).run()
-        for process, rng in zip(processes, rngs)
-    ]

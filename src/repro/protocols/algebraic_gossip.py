@@ -169,8 +169,8 @@ class AlgebraicGossip(GossipProcess):
             self.generation, self._placement, node, self._rng
         )
 
-    def supports_rank_only_batch(self) -> bool:
-        """Uniform algebraic gossip is rank-only batchable.
+    def supports_event_engine(self) -> bool:
+        """Uniform algebraic gossip runs on the rank-only event engine.
 
         Everything the engine observes — who talks to whom, how many
         coefficients are drawn, whether a packet is helpful, when a node
@@ -218,7 +218,7 @@ class RankOnlyUniformGossip(GossipProcess):
 
     :class:`AlgebraicGossip` builds ``n`` scalar decoders/encoders up front —
     exactly the O(n) object graph the event-driven engine then ignores in
-    favour of its batched rank-only eliminator.  At ``n = 10^6`` that setup is
+    favour of its rank-only eliminator.  At ``n = 10^6`` that setup is
     the dominant cost, so the event engine's trials build this process
     instead: it validates the same placement, stores the same
     :class:`~repro.rlnc.message.Generation` (drawn from the *same* ``rng``
@@ -286,7 +286,7 @@ class RankOnlyUniformGossip(GossipProcess):
             rows[node] = matrix
         return rows
 
-    def supports_rank_only_batch(self) -> bool:
+    def supports_event_engine(self) -> bool:
         """Rank-only by construction (this is all the state there is)."""
         return True
 

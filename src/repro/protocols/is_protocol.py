@@ -132,26 +132,6 @@ class ISSpanningTree(SpanningTreeProtocol):
     def parent_of(self, node: int) -> int | None:
         return self._parent.get(node)
 
-    def load_state(
-        self,
-        bits: dict[int, np.ndarray],
-        parent: dict[int, int],
-        step_count: dict[int, int],
-        round_robin_positions: dict[int, int],
-    ) -> None:
-        """Install protocol state (the batch fast path's restore hook).
-
-        :class:`~repro.gossip.batch_tag.BatchISState` advances many trials of
-        this protocol as stacked arrays and writes each trial's final state
-        back through this method, so metadata (including
-        ``full_spreading_complete``) and inspection helpers read exactly what
-        a sequential run would have produced.
-        """
-        self._bits = {node: np.asarray(b, dtype=bool).copy() for node, b in bits.items()}
-        self._parent = dict(parent)
-        self._step_count = {node: int(count) for node, count in step_count.items()}
-        self._round_robin.load_positions(round_robin_positions)
-
     # ------------------------------------------------------------------
     # Full information spreading (used to measure the IS stopping time itself)
     # ------------------------------------------------------------------

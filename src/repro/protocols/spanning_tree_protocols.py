@@ -145,18 +145,6 @@ class SpanningTreeProtocol(GossipProcess):
             "tree_diameter": tree.tree_diameter if tree is not None else None,
         }
 
-    def batch_strategy(self):
-        """Standalone spanning-tree runs use the lockstep tree batch engine.
-
-        Supported protocol types (exact match — subclasses may carry extra
-        state) run through
-        :class:`~repro.gossip.batch_tag.BatchSpanningTreeEngine`; anything
-        else falls back to the sequential engine.
-        """
-        from ..gossip.batch_tag import spanning_tree_batch_runner
-
-        return spanning_tree_batch_runner(self)
-
 
 class BroadcastSpanningTree(SpanningTreeProtocol):
     """Spanning tree via gossip broadcast: parent = first informer (Section 4.1)."""
@@ -200,24 +188,6 @@ class BroadcastSpanningTree(SpanningTreeProtocol):
     def informed_count(self) -> int:
         """Number of nodes that have received the broadcast so far."""
         return len(self._informed)
-
-    def load_state(
-        self,
-        informed: set[int],
-        parent: dict[int, int],
-        selector_positions: dict[int, int] | None = None,
-    ) -> None:
-        """Install informed/parent state (the batch fast path's restore hook).
-
-        :class:`~repro.gossip.batch_tag.BatchSpanningTreeState` advances many
-        trials of this protocol as stacked arrays and writes each trial's
-        final state back through this method, so metadata and inspection
-        helpers read exactly what a sequential run would have produced.
-        """
-        self._informed = set(informed)
-        self._parent = dict(parent)
-        if selector_positions is not None:
-            self._selector.load_positions(selector_positions)
 
 
 class UniformBroadcastTree(BroadcastSpanningTree):

@@ -30,7 +30,13 @@ from ..graphs.csr import CSRGraph
 from ..rlnc.message import Generation
 from ..rlnc.packet import CodedPacket
 from .algebraic_gossip import build_node_decoders, reset_node_to_initial_knowledge
-from .spanning_tree_protocols import SpanningTreeProtocol
+from .is_protocol import ISSpanningTree
+from .spanning_tree_protocols import (
+    BfsOracleTree,
+    RoundRobinBroadcastTree,
+    SpanningTreeProtocol,
+    UniformBroadcastTree,
+)
 
 __all__ = ["TagProtocol"]
 
@@ -109,15 +115,31 @@ class TagProtocol(GossipProcess):
     # GossipProcess interface
     # ------------------------------------------------------------------
     def on_wakeup(self, node: int, rng: np.random.Generator) -> list[Transmission]:
-        self._wakeups[node] += 1
-        self._total_wakeups += 1
-        wakeup_count = self._wakeups[node]
-        phase1 = wakeup_count % 2 == 1
-        if phase1 and not self.keep_phase1_after_tree and self.stp.tree_complete():
-            phase1 = False
-        if phase1:
+        if self.count_wakeup(node, self.stp.tree_complete):
             return self._phase1_step(node, rng)
         return self._phase2_step(node)
+
+    def count_wakeup(self, node: int, tree_complete: Callable[[], bool]) -> bool:
+        """Count one wakeup of ``node``; return ``True`` if it runs phase 1.
+
+        Odd wakeups run phase 1 and even ones phase 2, except that with
+        ``keep_phase1_after_tree=False`` a complete tree turns phase 1 into
+        phase 2.  ``tree_complete`` is asked only in that case: the scalar
+        path passes ``self.stp.tree_complete``, the event engine its O(1)
+        counter.  Both engines count wakeups here (and tree deliveries in
+        :meth:`count_tree_delivery`), so :meth:`metadata` comes from the same
+        code whichever engine ran.
+        """
+        self._wakeups[node] += 1
+        self._total_wakeups += 1
+        if self._wakeups[node] % 2 == 0:
+            return False
+        return self.keep_phase1_after_tree or not tree_complete()
+
+    def count_tree_delivery(self, tree_complete: Callable[[], bool]) -> None:
+        """Record the wakeup count at the first delivery that finds the tree complete."""
+        if self._tree_complete_at_wakeup is None and tree_complete():
+            self._tree_complete_at_wakeup = self._total_wakeups
 
     def _phase1_step(self, node: int, rng: np.random.Generator) -> list[Transmission]:
         """EXCHANGE of spanning-tree protocol messages with a partner chosen by S."""
@@ -145,8 +167,7 @@ class TagProtocol(GossipProcess):
         if isinstance(payload, CodedPacket):
             return self.decoders[receiver].receive(payload)
         changed = self.stp.handle_tree_payload(receiver, sender, payload)
-        if self._tree_complete_at_wakeup is None and self.stp.tree_complete():
-            self._tree_complete_at_wakeup = self._total_wakeups
+        self.count_tree_delivery(self.stp.tree_complete)
         return changed
 
     def is_complete(self) -> bool:
@@ -166,39 +187,21 @@ class TagProtocol(GossipProcess):
     def finished_nodes(self) -> set[int]:
         return {node for node, decoder in self.decoders.items() if decoder.is_complete}
 
-    def batch_strategy(self):
-        """TAG declares the two-phase lockstep executor of the batch fast path.
+    def supports_event_engine(self) -> bool:
+        """TAG runs on the event engine with each built-in spanning tree.
 
         Eligible when this is exactly :class:`TagProtocol` (a subclass could
-        carry state the batch engine does not replicate) composed with one of
-        the supported spanning-tree protocol types; see
-        :mod:`repro.gossip.batch_tag`.  TAG's observable behaviour —
-        transmissions, helpfulness, completion — depends only on tree state,
-        decoder ranks and the random stream, never on packet payloads, which
-        is what makes the rank-only lockstep replication exact.
+        carry state the engine does not drive) composed with exactly one of
+        the four built-in tree types.  The engine drives this process's own
+        tree object in phase 1, and phase 2 depends only on decoder ranks
+        and the random stream, never on packet payloads.
         """
-        from ..gossip.batch_tag import tag_batch_runner
-
-        return tag_batch_runner(self)
-
-    def load_batch_outcome(
-        self,
-        *,
-        wakeups: Mapping[int, int],
-        total_wakeups: int,
-        tree_complete_at_wakeup: int | None,
-    ) -> None:
-        """Install a batch run's wakeup bookkeeping (the batch restore hook).
-
-        :class:`~repro.gossip.batch_tag.BatchTagEngine` advances the wakeup
-        counters as arrays and writes them back here (after restoring the
-        spanning-tree protocol's own state), so :meth:`metadata` — including
-        ``phase1_rounds`` — is produced by exactly the same code as in a
-        sequential run.
-        """
-        self._wakeups = {node: int(count) for node, count in wakeups.items()}
-        self._total_wakeups = int(total_wakeups)
-        self._tree_complete_at_wakeup = tree_complete_at_wakeup
+        return type(self) is TagProtocol and type(self.stp) in (
+            UniformBroadcastTree,
+            RoundRobinBroadcastTree,
+            BfsOracleTree,
+            ISSpanningTree,
+        )
 
     def metadata(self) -> dict[str, Any]:
         tree = self.stp.current_tree()

@@ -9,7 +9,6 @@ stores, and :mod:`~repro.rlnc.helpful` implements Definition 3 (helpful nodes
 and messages).
 """
 
-from .batch import BatchDecoder
 from .decoder import RlncDecoder
 from .encoder import RlncEncoder, encode_from_decoder
 from .helpful import (
@@ -21,7 +20,6 @@ from .message import Generation, SourceMessage
 from .packet import CodedPacket
 
 __all__ = [
-    "BatchDecoder",
     "RlncDecoder",
     "RlncEncoder",
     "encode_from_decoder",

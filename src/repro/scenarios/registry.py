@@ -267,8 +267,7 @@ register_scenario(
         name="churn/ring-reset",
         description=(
             "Reset-mode churn: a crashing node loses its decoder state and "
-            "rejoins with only its initial messages (event-driven engine — "
-            "outside the batch support matrix)"
+            "rejoins with only its initial messages (event-driven engine)"
         ),
         topology="ring",
         n=12,

@@ -1,4 +1,4 @@
-"""The declarative scenario layer: one object from CLI to batch engines.
+"""The declarative scenario layer: one object from CLI to engines.
 
 Every experiment in this repository — the paper's tables, the CLI commands,
 the campaign units, the benchmark workloads — is an instance of one shape:
@@ -9,8 +9,7 @@ the campaign units, the benchmark workloads — is an instance of one shape:
 :class:`ScenarioSpec` captures that shape as a single immutable,
 JSON-round-trippable value.  A spec does **not** hold a graph or any live
 object; :meth:`ScenarioSpec.materialize` builds the concrete pieces — the
-graph, the picklable protocol factory (whose processes declare their own
-batch strategy), the analytic bounds, the resolved
+graph, the picklable protocol factory, the analytic bounds, the resolved
 :class:`~repro.core.config.SimulationConfig` — as a
 :class:`MaterializedScenario`, which can then run its Monte Carlo plan or
 execute a single seeded run.
@@ -281,22 +280,18 @@ class ScenarioSpec:
     name, description:
         Registry identity and one-line purpose (empty for ad-hoc specs).
     engine:
-        Which engine family runs the trials: ``""`` (default) lets the trial
-        runners choose by protocol (uniform algebraic gossip on the
-        event-driven engine; TAG and spanning trees on the batch engines, or
-        the sequential one under reset-mode churn — see
-        :func:`~repro.experiments.parallel.select_engine`),
-        ``"scalar"`` forces the sequential :class:`~repro.gossip.GossipEngine`,
-        ``"batch"`` requires the lockstep batch fast path, ``"event"``
-        requires the event-driven sparse engine
-        (:class:`~repro.gossip.EventGossipEngine`).  Engines are bit-identical
-        by contract (asserted by ``tests/test_event_engine.py`` and the batch
-        equivalence suite), so the choice never affects results and is
-        excluded from :meth:`fingerprint`; a named engine that cannot run the
-        workload refuses eagerly — ``"batch"`` with reset-mode churn and
-        ``"event"`` with a non-uniform protocol are rejected here, anything
-        discovered later raises :class:`~repro.errors.EngineError` instead of
-        falling back silently.
+        Which engine runs the trials: ``""`` (default) applies the rule of
+        :func:`~repro.experiments.parallel.select_engine` (uniform algebraic
+        gossip and TAG on the event-driven engine, everything else on the
+        scalar one), ``"scalar"`` forces the sequential
+        :class:`~repro.gossip.GossipEngine` and ``"event"`` requires the
+        event-driven :class:`~repro.gossip.EventGossipEngine`.  Engines are
+        bit-identical by contract (asserted by ``tests/test_event_engine.py``
+        and ``tests/test_tag_event_engine.py``), so the choice never affects
+        results and is excluded from :meth:`fingerprint`; ``"event"`` with a
+        standalone spanning tree is rejected here, and anything discovered
+        later raises :class:`~repro.errors.EngineError` instead of falling
+        back silently.
 
     Examples
     --------
@@ -393,20 +388,14 @@ class ScenarioSpec:
                 "spanning-tree protocols do not support churn_reset (they "
                 "have no resettable per-node knowledge); use pause-mode churn"
             )
-        if self.engine not in ("", "scalar", "batch", "event"):
+        if self.engine not in ("", "scalar", "event"):
             raise ConfigurationError(
-                f"unknown engine {self.engine!r}; "
-                "known: ['', 'batch', 'event', 'scalar']"
+                f"unknown engine {self.engine!r}; known: ['', 'event', 'scalar']"
             )
-        if self.engine == "batch" and self.config.churn_reset:
+        if self.engine == "event" and self.protocol == "spanning_tree":
             raise ConfigurationError(
-                "the batch engines do not support reset-mode churn; use "
-                "engine='event' (or the scalar engine) for churn_reset"
-            )
-        if self.engine == "event" and self.protocol != "uniform":
-            raise ConfigurationError(
-                f"the event-driven engine runs uniform algebraic gossip only; "
-                f"protocol {self.protocol!r} must use the scalar or batch engines"
+                "the event-driven engine runs uniform algebraic gossip and TAG "
+                "only; protocol 'spanning_tree' must use the scalar engine"
             )
 
     # ------------------------------------------------------------------
@@ -453,6 +442,10 @@ class ScenarioSpec:
         # Shard headers and campaign files from before the field picked the
         # eliminator name a compute backend, which never changed a result.
         kwargs.pop("backend", None)
+        # ... and from before TAG moved to the event engine could pin the
+        # deleted lockstep engine; the rule now picks the fast engine.
+        if kwargs.get("engine") == "batch":
+            kwargs["engine"] = ""
         unknown = set(kwargs) - known
         if unknown:
             raise ConfigurationError(
@@ -493,10 +486,9 @@ class ScenarioSpec:
         there the seed genuinely changes the workload, so it is folded back
         in as ``materialize_seed``.
 
-        ``engine`` is likewise excluded: all engine families produce
-        bit-identical per-seed results (asserted by the equivalence suites),
-        so scalar, batch and event-driven runs are interchangeable cache
-        entries.
+        ``engine`` is likewise excluded: both engines produce bit-identical
+        per-seed results (asserted by the equivalence suites), so scalar and
+        event-driven runs are interchangeable cache entries.
         """
         payload = self.to_dict()
         for excluded in ("trials", "seed", "name", "description", "engine"):
@@ -745,14 +737,23 @@ class MaterializedScenario:
         return self.protocol_factory(self.graph, rng)
 
     def select_engine(self) -> tuple[str, str]:
-        """The engine family this scenario's trial plan runs on, and why.
+        """The engine this scenario's trial plan runs on, and why.
 
         ``(name, reason)`` from :func:`repro.experiments.parallel.select_engine`:
         the spec's pinned engine, or the auto-selection rule's pick.
         """
         from ..experiments.parallel import select_engine
 
-        return select_engine(self.protocol_factory, self.config, self.spec.engine)
+        return select_engine(self.protocol_factory, self.spec.engine)
+
+    def single_run_engine(self) -> tuple[str, str]:
+        """The engine :meth:`run_single` runs on, and why.
+
+        The spec's pinned engine, else the scalar reference engine.
+        """
+        if self.spec.engine:
+            return self.spec.engine, "pinned"
+        return "scalar", "single run"
 
     def measure(
         self,
@@ -809,11 +810,11 @@ class MaterializedScenario:
     ) -> RunResult:
         """One single-trial run — exactly trial 0 of the Monte Carlo plan.
 
-        Runs the sequential engine unless the spec pins another engine family
-        (all families are bit-identical per seed, so the choice never changes
-        the result).  With a ``store``, trial 0 is served from (and persisted
-        to) the same ``(fingerprint, seed, trial)`` records the batch runners
-        use — engine-invariantly, like the cache itself.
+        Runs the sequential engine unless the spec pins the event engine
+        (both are bit-identical per seed, so the choice never changes the
+        result).  With a ``store``, trial 0 is served from (and persisted
+        to) the same ``(fingerprint, seed, trial)`` records the Monte Carlo
+        runners use — engine-invariantly, like the cache itself.
         """
         from ..experiments.parallel import _measure_trial_indices
 
@@ -828,7 +829,7 @@ class MaterializedScenario:
             self.config,
             effective_seed,
             [0],
-            self.spec.engine or "scalar",
+            self.single_run_engine()[0],
         )
         if store is not None:
             store.put(self.spec, 0, result, seed=effective_seed)

@@ -21,8 +21,8 @@ row eliminators to the dense reference:
   traces with resets hold ``RowEliminator`` to the dense reference over
   prime, binary-extension and odd-extension fields;
 * **end-to-end equivalence** — generated GF(2) scenarios give the same
-  ``RunResult`` on every eligible engine with the packed eliminator as on
-  the scalar engine with the dense one forced;
+  ``RunResult`` on the scalar engine with the packed eliminator and on the
+  event engine as on the scalar engine with the dense one forced;
 * **typed refusal** — the packed eliminator, constructed directly, rejects
   ``q != 2`` with :class:`~repro.errors.BackendError`, and so do the batch
   eliminators' retired single-problem entry points;
@@ -54,7 +54,7 @@ from repro.gf.linalg import (
     row_reduce,
 )
 from repro.gossip import EventGossipEngine
-from repro.rlnc import BatchDecoder, RlncDecoder
+from repro.rlnc import RlncDecoder
 from repro.scenarios import ScenarioSpec, default_scenario_config, get_scenario
 from repro.store import ResultStore
 
@@ -80,7 +80,6 @@ def test_decoders_and_engines_build_through_make_eliminator(force_dense):
     event engine runs on python-int rows whatever the patch says."""
     gf2 = GF(2)
     assert type(RlncDecoder(gf2, 3, 1)._eliminator) is PackedGf2Eliminator
-    assert type(BatchDecoder(gf2, 3, 2)._eliminator) is PackedGf2Eliminator
     scenario = get_scenario("event/er-logn").replace(n=32, trials=1).materialize()
     rng = np.random.default_rng(0)
     process = scenario.build_process(rng)
@@ -88,7 +87,6 @@ def test_decoders_and_engines_build_through_make_eliminator(force_dense):
     assert type(event._eliminator) is RowEliminator
     with force_dense():
         assert type(RlncDecoder(gf2, 3, 1)._eliminator) is BatchEliminator
-        assert type(BatchDecoder(gf2, 3, 2)._eliminator) is BatchEliminator
         event = EventGossipEngine(scenario.graph, process, scenario.config, rng)
         assert type(event._eliminator) is RowEliminator
 
@@ -421,14 +419,14 @@ def _measure(spec: ScenarioSpec, engine: str):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spec=gf2_specs())
 def test_packed_engines_match_dense_scalar(force_dense, spec):
-    """Every eligible engine on the packed eliminator reproduces the dense
-    scalar reference trial-for-trial; every ineligible one refuses."""
+    """The scalar engine on the packed eliminator and the event engine on
+    python-int rows reproduce the dense scalar reference trial-for-trial;
+    an ineligible engine refuses."""
     with force_dense():
         reference = _measure(spec, "scalar")
     eligible = {
         "scalar": True,
-        "batch": not spec.config.churn_reset,
-        "event": spec.protocol == "uniform",
+        "event": spec.protocol != "spanning_tree",
     }
     for engine, runs in eligible.items():
         if runs:
@@ -445,9 +443,9 @@ def test_packed_engines_match_dense_scalar(force_dense, spec):
 
 def test_dense_records_serve_a_packed_run(tmp_path, force_dense):
     """Same fingerprint, same shard, zero recomputation across eliminators."""
-    # Pinned to the batch engine: the event engine has its own eliminator.
+    # Pinned to the scalar engine: the event engine has its own eliminator.
     spec = get_scenario("uniform/complete").with_config(field_size=2).replace(
-        trials=3, engine="batch"
+        trials=3, engine="scalar"
     )
     with force_dense():
         first = spec.materialize().measure(store=ResultStore(tmp_path))

@@ -103,7 +103,11 @@ class TestEngineSwitch:
         assert main([*argv, "--no-store"]) == 0
         default = capsys.readouterr().out
         assert main([*argv, "--no-store", "--engine", "scalar"]) == 0
-        assert capsys.readouterr().out == default
+        scalar = capsys.readouterr().out
+        # Only the engine line may differ: it names the engine that ran.
+        assert default.replace("engine: event (auto: uniform AG)", "") == (
+            scalar.replace("engine: scalar (pinned)", "")
+        )
         assert "mean=" in default
 
 
@@ -112,14 +116,14 @@ class TestScenarioShowEngine:
 
     @pytest.mark.parametrize("name,line", [
         ("uniform/ring", "engine:    event (auto: uniform AG)"),
-        ("tag/brr-barbell", "engine:    batch (auto: TAG)"),
+        ("tag/brr-barbell", "engine:    event (auto: TAG)"),
         ("event/er-logn", "engine:    event (pinned)"),
     ])
     def test_registered_scenarios(self, name, line, capsys):
         assert main(["scenario", "show", name]) == 0
         assert f"  {line}\n" in capsys.readouterr().out
 
-    def test_tag_under_reset_churn_runs_on_the_scalar_engine(self, capsys):
+    def test_tag_under_reset_churn_runs_on_the_event_engine(self, capsys):
         from repro.scenarios import SCENARIOS, get_scenario, register_scenario
 
         tag = get_scenario("tag/brr-barbell")
@@ -131,7 +135,52 @@ class TestScenarioShowEngine:
             assert main(["scenario", "show", spec.name]) == 0
         finally:
             SCENARIOS.pop(spec.name)
-        assert "  engine:    scalar (auto: reset-mode churn)\n" in capsys.readouterr().out
+        assert "  engine:    event (auto: TAG)\n" in capsys.readouterr().out
+
+
+class TestRunPrintsTheEngine:
+    """`run` and `scenario run` print the engine that ran, and why."""
+
+    @pytest.mark.parametrize("argv,line", [
+        (["run", "--topology", "ring", "--n", "8", "--trials", "2"],
+         "engine: event (auto: uniform AG)"),
+        (["run", "--topology", "barbell", "--n", "8", "--protocol", "tag",
+          "--trials", "2"], "engine: event (auto: TAG)"),
+        (["scenario", "run", "tag/brr-barbell", "--trials", "2"],
+         "engine: event (auto: TAG)"),
+        (["scenario", "run", "tree/brr-broadcast-barbell", "--trials", "2"],
+         "engine: scalar (auto: no event-engine support)"),
+        (["run", "--topology", "barbell", "--n", "8", "--protocol", "tag"],
+         "engine: scalar (single run)"),
+        (["run", "--topology", "ring", "--n", "8", "--engine", "event"],
+         "engine: event (pinned)"),
+    ], ids=["uniform", "tag", "scenario-tag", "scenario-tree", "single-run",
+            "single-run-pinned"])
+    def test_engine_line(self, argv, line, capsys):
+        assert main([*argv, "--no-store"]) == 0
+        assert f"\n{line}\n" in capsys.readouterr().out
+
+    def test_campaign_progress_names_the_engine(self, tmp_path, capsys):
+        from repro.campaigns import CampaignSpec, CampaignUnit
+        from repro.scenarios import ScenarioSpec
+
+        campaign = CampaignSpec(name="engines", units=tuple(
+            CampaignUnit(name=protocol, spec=ScenarioSpec(
+                topology="barbell", n=8, protocol=protocol, trials=1,
+            ))
+            for protocol in ("uniform", "tag", "spanning_tree")
+        ))
+        path = tmp_path / "engines.json"
+        path.write_text(campaign.to_json(), encoding="utf-8")
+        assert main(["campaign", "run", "--file", str(path),
+                     "--store", str(tmp_path / "store"),
+                     "--report-dir", str(tmp_path / "report")]) == 0
+        out = capsys.readouterr().out
+        for line in ("uniform: computed (0 cached, 1 computed)",
+                     "engine event (auto: uniform AG)",
+                     "engine event (auto: TAG)",
+                     "engine scalar (auto: no event-engine support)"):
+            assert line in out
 
 
 class TestBoundsCampaignCommand:

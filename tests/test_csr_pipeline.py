@@ -314,7 +314,6 @@ def test_every_engine_runs_on_the_one_graph():
     spec = _er_spec(trials=2)
     event = spec.materialize().measure()
     assert spec.replace(engine="scalar").materialize().measure() == event
-    assert spec.replace(engine="batch").materialize().measure() == event
     assert spec.materialize().run_single() == event[0]
 
 

@@ -30,8 +30,8 @@ def _readme_python_blocks() -> list[str]:
 def test_readme_exists_with_python_blocks():
     assert README.exists(), "top-level README.md is missing"
     assert len(_readme_python_blocks()) >= 2, (
-        "README.md should contain at least the quickstart and the batched "
-        "runner as executable ```python blocks"
+        "README.md should contain at least the quickstart and the Monte "
+        "Carlo runner as executable ```python blocks"
     )
 
 

@@ -12,7 +12,7 @@ Three layers of guarantees:
   :class:`~repro.backends.rows.RowEliminator` — while never building or
   eliminating a packet for a full-rank receiver.
 * **Hot-path conformance** — ``RowEliminator``'s ``combine_one`` /
-  ``eliminate_one`` hold state identical to the batched ``eliminate``
+  ``eliminate_one`` hold state identical to the dense ``eliminate``
   reference on random traces, and ``reset`` returns a problem to a
   freshly-constructed state.
 * **Typed refusals and dispatch** — unsupported protocol/engine pairings
@@ -33,15 +33,10 @@ from hypothesis import strategies as st
 from repro.backends import RowEliminator
 from repro.core import GossipAction, SimulationConfig, TimeModel
 from repro.core.rng import derive_rng
-from repro.errors import ConfigurationError, EngineError, SimulationError
+from repro.errors import ConfigurationError, EngineError
 from repro.gf import GF
 from repro.gf.linalg import BatchEliminator
-from repro.gossip import (
-    EventGossipEngine,
-    event_supports_config,
-    event_supports_process,
-    run_event_trials,
-)
+from repro.gossip import EventGossipEngine
 from repro.scenarios import ScenarioSpec, get_scenario
 from repro.scenarios.spec import default_scenario_config
 
@@ -262,38 +257,35 @@ def test_spec_rejects_unknown_engine():
         _spec(topology="ring", n=8, k=4, engine="warp")
 
 
-def test_spec_rejects_batch_engine_with_reset_churn():
-    with pytest.raises(ConfigurationError, match="reset-mode churn"):
-        _spec(
-            topology="ring",
-            n=12,
-            k=6,
-            engine="batch",
-            config=SYNC.replace(churn=((4, 3, 9),), churn_reset=True),
-        )
+def test_spec_rejects_the_deleted_batch_engine():
+    with pytest.raises(
+        ConfigurationError, match=r"known: \['', 'event', 'scalar'\]"
+    ):
+        _spec(topology="ring", n=12, k=6, engine="batch", config=SYNC)
 
 
-def test_spec_rejects_event_engine_for_tag():
-    with pytest.raises(ConfigurationError, match="uniform algebraic gossip"):
+def test_spec_rejects_event_engine_for_standalone_trees():
+    with pytest.raises(ConfigurationError, match="'spanning_tree' must use the scalar"):
         _spec(
             topology="barbell",
             n=16,
-            protocol="tag",
+            protocol="spanning_tree",
             spanning_tree="brr",
             engine="event",
             config=SYNC,
         )
 
 
-def test_event_engine_rejects_non_rank_only_process():
+def test_event_engine_rejects_a_standalone_tree_process():
     """Direct construction with an unsupported protocol is a typed error."""
     spec = _spec(
-        topology="barbell", n=16, protocol="tag", spanning_tree="brr", config=SYNC
+        topology="barbell", n=16, protocol="spanning_tree", spanning_tree="brr",
+        config=SYNC,
     )
     materialized = spec.materialize()
     rng = derive_rng(0, "trial-0")
     process = materialized.build_process(rng)
-    assert not event_supports_process(process)
+    assert not process.supports_event_engine()
     with pytest.raises(EngineError, match="event-driven"):
         EventGossipEngine(materialized.graph, process, spec.config, rng)
 
@@ -308,26 +300,12 @@ def test_event_engine_refuses_a_bit_generator_without_halves():
         EventGossipEngine(materialized.graph, process, materialized.config, rng)
 
 
-def test_event_supports_config_covers_every_axis():
-    assert event_supports_config(SYNC.replace(churn=((1, 2, 3),), churn_reset=True))
-    assert event_supports_config(ASYNC.replace(loss_probability=0.5))
-
-
-def test_run_event_trials_checks_lengths():
-    spec = _spec(topology="ring", n=8, k=4, trials=1, seed=5, config=SYNC)
-    materialized = spec.materialize()
-    rng = derive_rng(5, "trial-0")
-    process = materialized.build_process(rng)
-    with pytest.raises(SimulationError, match="generators"):
-        run_event_trials(materialized.graph, [process], spec.config, [rng, rng])
-
-
 # ----------------------------------------------------------------------
 # Fingerprint and dispatch plumbing
 # ----------------------------------------------------------------------
 def test_engine_axis_never_enters_the_fingerprint():
     base = _spec(topology="grid", n=16, k=8, config=ASYNC)
-    prints = {base.replace(engine=e).fingerprint() for e in ("", "scalar", "batch", "event")}
+    prints = {base.replace(engine=e).fingerprint() for e in ("", "scalar", "event")}
     assert len(prints) == 1
 
 

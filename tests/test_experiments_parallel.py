@@ -1,9 +1,9 @@
-"""Determinism and equivalence tests for the batched / parallel trial runners.
+"""Determinism and equivalence tests for the parallel trial runners.
 
 The contract under test: for the same root seed, every runner —
-sequential, batched, multi-process — produces the *same* results
-trial-for-trial, because trial ``i`` always draws from
-``derive_rng(seed, f"trial-{i}")`` and the batch engine replicates the
+sequential, in-process on the rule's engine, multi-process — produces the
+*same* results trial-for-trial, because trial ``i`` always draws from
+``derive_rng(seed, f"trial-{i}")`` and the event engine replicates the
 sequential engine's random stream call-for-call.
 """
 
@@ -14,10 +14,9 @@ import pytest
 from repro.analysis.stopping_time import measure_protocol, run_trials
 from repro.campaigns import CampaignSpec, CampaignUnit, run_campaign
 from repro.core import TimeModel
-from repro.errors import AnalysisError, SimulationError
+from repro.errors import AnalysisError
 from repro.experiments import measure_protocol_parallel, run_trials_parallel
 from repro.experiments.parallel import _chunks
-from repro.gossip.batch import BatchGossipEngine
 from repro.scenarios import ScenarioSpec, default_scenario_config
 from repro.store import ResultStore
 
@@ -59,7 +58,7 @@ def uniform_case():
     return uniform_scenario("grid", 9, 5)
 
 
-class TestBatchedEqualsSequential:
+class TestRunnerEqualsSequential:
     @pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
     def test_bit_identical_results(self, time_model):
         case = uniform_scenario(
@@ -68,50 +67,50 @@ class TestBatchedEqualsSequential:
         sequential = measure_protocol(
             case.graph, case.protocol_factory, case.config, trials=4, seed=99
         )
-        batched = measure_protocol_parallel(
+        fast = measure_protocol_parallel(
             case.graph, case.protocol_factory, case.config, trials=4, seed=99,
             jobs=1,
         )
-        assert _signature(batched) == _signature(sequential)
+        assert _signature(fast) == _signature(sequential)
 
     def test_bit_identical_under_packet_loss(self, uniform_case):
         config = uniform_case.config.replace(loss_probability=0.25)
         sequential = measure_protocol(
             uniform_case.graph, uniform_case.protocol_factory, config, trials=3, seed=5
         )
-        batched = measure_protocol_parallel(
+        fast = measure_protocol_parallel(
             uniform_case.graph, uniform_case.protocol_factory, config, trials=3,
             seed=5, jobs=1,
         )
-        assert _signature(batched) == _signature(sequential)
+        assert _signature(fast) == _signature(sequential)
 
     def test_stats_equal_run_trials(self, uniform_case):
         sequential = run_trials(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
             trials=4, seed=21,
         )
-        batched = run_trials_parallel(
+        fast = run_trials_parallel(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
             trials=4, seed=21, jobs=1,
         )
-        assert batched.samples == sequential.samples
+        assert fast.samples == sequential.samples
 
-    def test_tag_runs_on_its_own_batch_path(self):
-        # TAG declares the BatchTagEngine strategy; results stay bit-identical.
+    def test_tag_runs_on_the_event_engine(self):
+        # The rule sends TAG to the event engine; results stay bit-identical.
         case = tag_scenario("barbell", 10, 10)
         sequential = measure_protocol(
             case.graph, case.protocol_factory, case.config, trials=2, seed=13
         )
-        batched = measure_protocol_parallel(
+        fast = measure_protocol_parallel(
             case.graph, case.protocol_factory, case.config, trials=2, seed=13,
             jobs=1,
         )
-        assert _signature(batched) == _signature(sequential)
+        assert _signature(fast) == _signature(sequential)
 
-    def test_non_batchable_protocol_falls_back(self, uniform_case):
-        # A uniform-AG process with a non-uniform selector declares no batch
-        # strategy, so the batched runner must fall back to the sequential
-        # engine — and still match it (trivially, being the same path).
+    def test_unsupported_protocol_runs_on_the_scalar_engine(self, uniform_case):
+        # A uniform-AG process with a non-uniform selector is outside the
+        # event engine, so the rule runs it on the sequential engine — and
+        # still matches it (trivially, being the same path).
         from repro.gossip.communication import RoundRobinSelector
         from repro.protocols import AlgebraicGossip
         from repro.rlnc import Generation
@@ -129,37 +128,23 @@ class TestBatchedEqualsSequential:
 
         import numpy as np
 
-        assert factory(uniform_case.graph, np.random.default_rng(0)).batch_strategy() is None
+        assert not factory(uniform_case.graph, np.random.default_rng(0)).supports_event_engine()
         sequential = measure_protocol(
             uniform_case.graph, factory, config, trials=2, seed=13
         )
-        batched = measure_protocol_parallel(
+        fast = measure_protocol_parallel(
             uniform_case.graph, factory, config, trials=2, seed=13, jobs=1
         )
-        assert _signature(batched) == _signature(sequential)
-
-    def test_tag_is_not_rank_only_batchable(self):
-        # The rank-only BatchGossipEngine still rejects TAG — TAG's fast path
-        # is the dedicated BatchTagEngine, not the uniform-gossip engine.
-        case = tag_scenario("barbell", 10, 10)
-        import numpy as np
-
-        process = case.protocol_factory(case.graph, np.random.default_rng(0))
-        assert not BatchGossipEngine.is_batchable(process)
-        with pytest.raises(SimulationError):
-            BatchGossipEngine(
-                case.graph, [process], case.config, [np.random.default_rng(0)]
-            )
+        assert _signature(fast) == _signature(sequential)
 
 
 def _engine_runs(monkeypatch) -> list[str]:
-    """Spy on every engine family's ``run``: the class names, in call order."""
-    from repro.gossip.batch import BatchEngineCore
+    """Spy on both engines' ``run``: the class names, in call order."""
     from repro.gossip.engine import GossipEngine
     from repro.gossip.event import EventGossipEngine
 
     ran: list[str] = []
-    for cls in (EventGossipEngine, BatchEngineCore, GossipEngine):
+    for cls in (EventGossipEngine, GossipEngine):
 
         def spy(engine, _original=cls.run):
             ran.append(type(engine).__name__)
@@ -197,30 +182,52 @@ class TestAutoEngineRule:
     @pytest.mark.parametrize(
         "protocol,engine,reason",
         [
-            ("tag", "BatchTagEngine", "auto: TAG"),
-            ("spanning_tree", "BatchSpanningTreeEngine", "auto: spanning tree"),
+            ("tag", "EventGossipEngine", ("event", "auto: TAG")),
+            ("spanning_tree", "GossipEngine", ("scalar", "auto: no event-engine support")),
         ],
+        ids=["tag", "spanning_tree"],
     )
-    def test_tag_and_trees_run_on_the_batch_engines(
+    def test_tag_runs_on_the_event_engine_and_trees_on_the_scalar_one(
         self, protocol, engine, reason, monkeypatch
     ):
         scenario = ScenarioSpec(
             topology="barbell", n=8, protocol=protocol, trials=2, seed=4
         ).materialize()
-        assert scenario.select_engine() == ("batch", reason)
+        assert scenario.select_engine() == reason
         ran = _engine_runs(monkeypatch)
         scenario.measure()
-        assert ran == [engine]
+        assert ran == [engine] * 2
 
-    def test_tag_under_reset_churn_runs_on_the_scalar_engine(self, monkeypatch):
+    @pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("spanning_tree", ["brr", "uniform_broadcast", "is", "bfs_oracle"])
+    def test_standalone_trees_run_on_the_scalar_engine(
+        self, spanning_tree, time_model, monkeypatch
+    ):
         scenario = ScenarioSpec(
+            topology="barbell", n=10, protocol="spanning_tree",
+            spanning_tree=spanning_tree, trials=3, seed=11,
+            config=default_scenario_config(time_model=time_model),
+        ).materialize()
+        assert scenario.select_engine() == ("scalar", "auto: no event-engine support")
+        ran = _engine_runs(monkeypatch)
+        results = scenario.measure()
+        assert ran == ["GossipEngine"] * 3
+        assert _signature(results) == _signature(measure_protocol(
+            scenario.graph, scenario.protocol_factory, scenario.config,
+            trials=3, seed=11,
+        ))
+
+    def test_tag_under_reset_churn_runs_on_the_event_engine(self, monkeypatch):
+        spec = ScenarioSpec(
             topology="barbell", n=8, protocol="tag", trials=2, seed=4,
             config=default_scenario_config().replace(churn=_CHURN, churn_reset=True),
-        ).materialize()
-        assert scenario.select_engine() == ("scalar", "auto: reset-mode churn")
+        )
+        scenario = spec.materialize()
+        assert scenario.select_engine() == ("event", "auto: TAG")
         ran = _engine_runs(monkeypatch)
-        scenario.measure()
-        assert ran == ["GossipEngine"] * 2
+        results = scenario.measure()
+        assert ran == ["EventGossipEngine"] * 2
+        assert results == spec.replace(engine="scalar").materialize().measure()
 
     def test_run_single_stays_on_the_scalar_engine(self, monkeypatch):
         scenario = ScenarioSpec(topology="ring", n=8, k=4).materialize()
@@ -228,10 +235,18 @@ class TestAutoEngineRule:
         scenario.run_single()
         assert ran == ["GossipEngine"]
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch", "event"])
+    @pytest.mark.parametrize("engine", ["scalar", "event"])
     def test_a_pinned_engine_is_kept(self, engine):
         scenario = ScenarioSpec(topology="ring", n=8, k=4, engine=engine).materialize()
         assert scenario.select_engine() == (engine, "pinned")
+
+    def test_an_unknown_pinned_engine_is_refused(self):
+        from repro.errors import EngineError
+        from repro.experiments.parallel import select_engine
+
+        factory = ScenarioSpec(topology="ring", n=8, k=4).materialize().protocol_factory
+        with pytest.raises(EngineError, match="unknown engine 'batch'"):
+            select_engine(factory, "batch")
 
 
 class TestParallelEqualsSequential:
@@ -306,7 +321,7 @@ class TestParallelEqualsSequential:
 
 
 class TestCampaignWiring:
-    def test_campaign_batched_matches_sequential(self, tmp_path):
+    def test_campaign_on_the_fast_engine_matches_sequential(self, tmp_path):
         specs = [
             ScenarioSpec(topology=topology, n=n, k=4, trials=3, seed=2)
             for topology, n in (("ring", 8), ("grid", 9))

@@ -1,10 +1,9 @@
 """Tests for node churn and heterogeneous activation (repro.gossip.dynamics).
 
 Covers the semantics of the two new scenario axes and the contract that
-matters most: wherever the batch fast path supports a knob, it is
-**bit-identical** to the sequential engine, and where it does not
-(reset-mode churn) the trial runners fall back to the sequential engine
-explicitly.
+matters most: the event-driven engine the trial runners pick for uniform
+algebraic gossip and TAG is **bit-identical** to the sequential engine under
+every knob, reset-mode churn included.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from repro.core import SimulationConfig, TimeModel
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.parallel import measure_protocol_parallel
 from repro.gf import GF
-from repro.gossip import GossipEngine, NodeDynamics, batch_supports_config
+from repro.gossip import GossipEngine, NodeDynamics
 from repro.gossip.engine import GossipProcess
 from repro.graphs import ring_graph
 from repro.protocols import AlgebraicGossip
@@ -42,8 +41,8 @@ def _measure_both(spec, trials=4, seed=7):
         scenario.graph, scenario.protocol_factory, scenario.config,
         trials=trials, seed=seed,
     )
-    batched = measure_protocol_parallel(scenario, trials=trials, seed=seed, jobs=1)
-    return sequential, batched
+    fast = measure_protocol_parallel(scenario, trials=trials, seed=seed, jobs=1)
+    return sequential, fast
 
 
 class TestConfigValidation:
@@ -182,8 +181,8 @@ class TestChurnSemantics:
         assert result.rounds == 50
 
 
-class TestBatchEquivalence:
-    """Scalar vs batch bit-identity for every supported knob combination."""
+class TestEngineEquivalence:
+    """Scalar vs event bit-identity for the dynamics knob combinations."""
 
     CASES = {
         "sync-churn-uniform": ScenarioSpec(
@@ -215,16 +214,29 @@ class TestBatchEquivalence:
             topology="ring", n=10,
             config=_SYNC.replace(churn=((2, 3, 8),), loss_probability=0.2),
         ),
-        "sync-churn-tree": ScenarioSpec(
-            topology="barbell", n=12, protocol="spanning_tree", spanning_tree="brr",
-            config=SimulationConfig(max_rounds=10_000, churn=((3, 2, 6),)),
+        "sync-churn-loss-tag": ScenarioSpec(
+            topology="grid", n=16, protocol="tag", spanning_tree="uniform_broadcast",
+            config=_SYNC.replace(churn=((2, 3, 8),), loss_probability=0.2),
+        ),
+        "sync-reset-churn-tag": ScenarioSpec(
+            topology="barbell", n=12, protocol="tag", spanning_tree="brr",
+            config=_SYNC.replace(churn=((3, 2, 6), (8, 4, 9)), churn_reset=True),
+        ),
+        "async-reset-churn-tag": ScenarioSpec(
+            topology="barbell", n=12, protocol="tag", spanning_tree="is",
+            config=_ASYNC.replace(churn=((3, 2, 6),), churn_reset=True),
+        ),
+        "async-reset-churn-hetero-tag": ScenarioSpec(
+            topology="barbell", n=12, protocol="tag", spanning_tree="bfs_oracle",
+            activation={"kind": "degree"},
+            config=_ASYNC.replace(churn=((3, 2, 6),), churn_reset=True),
         ),
     }
 
     @pytest.mark.parametrize("key", sorted(CASES))
     def test_bit_identical(self, key):
-        sequential, batched = _measure_both(self.CASES[key])
-        assert _signature(batched) == _signature(sequential)
+        sequential, fast = _measure_both(self.CASES[key])
+        assert _signature(fast) == _signature(sequential)
 
 
 class TestChurnReset:
@@ -233,13 +245,9 @@ class TestChurnReset:
         config=_SYNC.replace(churn=((2, 3, 9),), churn_reset=True),
     )
 
-    def test_outside_batch_support_matrix(self):
-        assert not batch_supports_config(self.SPEC.config)
-        assert batch_supports_config(self.SPEC.with_config(churn_reset=False).config)
-
-    def test_batched_runner_falls_back_to_scalar(self):
-        sequential, batched = _measure_both(self.SPEC, trials=3)
-        assert _signature(batched) == _signature(sequential)
+    def test_event_runner_matches_scalar(self):
+        sequential, fast = _measure_both(self.SPEC, trials=3)
+        assert _signature(fast) == _signature(sequential)
 
     def test_reset_loses_progress(self):
         # Same schedule, pause vs reset: the reset node rejoins with only its

@@ -1,8 +1,8 @@
 """Integration tests: the paper's theorems hold *in shape* at small scale.
 
 These are the executable versions of the claims listed in Table 1, run at
-sizes small enough for CI on the fastest engine the protocol declares (the
-batch engines are bit-identical to the sequential one per seed).  They check
+sizes small enough for CI on the engine the rule picks (the event engine
+is bit-identical to the sequential one per seed).  They check
 bounded ratios against the closed-form bounds and the qualitative orderings
 (who wins on which topology), never the asymptotic constants.
 """
@@ -20,7 +20,6 @@ from repro.analysis import (
 )
 from repro.campaigns import get_campaign, run_campaign
 from repro.core import SimulationConfig, TimeModel
-from repro.gf import GF
 from repro.graphs import (
     barbell_graph,
     diameter,
@@ -28,35 +27,29 @@ from repro.graphs import (
     max_degree,
     ring_graph,
 )
-from repro.protocols import AlgebraicGossip, RoundRobinBroadcastTree, TagProtocol
-from repro.rlnc import Generation
 from repro.experiments import all_to_all_placement, run_trials_parallel, spread_placement
+from repro.scenarios import SpanningTreeFactory, TagFactory, UniformGossipFactory
 from repro.store import ResultStore
 
 
-def ag_factory(k, config):
-    def factory(graph, rng):
-        n = graph.number_of_nodes()
-        kk = min(k, n)
-        generation = Generation.random(GF(config.field_size), kk, 2, rng)
-        placement = all_to_all_placement(graph) if kk >= n else spread_placement(graph, kk)
-        return AlgebraicGossip(graph, generation, placement, config, rng)
-
-    return factory
+def _placement(graph, k):
+    n = graph.number_of_nodes()
+    return all_to_all_placement(graph) if k >= n else spread_placement(graph, k)
 
 
-def tag_factory(k, config):
-    def factory(graph, rng):
-        n = graph.number_of_nodes()
-        kk = min(k, n)
-        generation = Generation.random(GF(config.field_size), kk, 2, rng)
-        placement = all_to_all_placement(graph) if kk >= n else spread_placement(graph, kk)
-        return TagProtocol(
-            graph, generation, placement, config, rng,
-            lambda g, r: RoundRobinBroadcastTree(g, 0, r),
-        )
+def ag_factory(graph, k, config):
+    """Uniform AG with ``min(k, n)`` messages; the factory type picks the event engine."""
+    k = min(k, graph.number_of_nodes())
+    return UniformGossipFactory(config.field_size, k, 2, _placement(graph, k), config)
 
-    return factory
+
+def tag_factory(graph, k, config):
+    """TAG + B_RR rooted at node 0; the factory type picks the event engine."""
+    k = min(k, graph.number_of_nodes())
+    return TagFactory(
+        config.field_size, k, 2, _placement(graph, k), config,
+        SpanningTreeFactory("brr", root=0),
+    )
 
 
 class TestTheorem1Shape:
@@ -70,7 +63,7 @@ class TestTheorem1Shape:
         actual_n = graph.number_of_nodes()
         config = SimulationConfig(time_model=time_model, max_rounds=200_000)
         stats = run_trials_parallel(
-            graph, ag_factory(actual_n, config), config, trials=3, seed=11, jobs=1
+            graph, ag_factory(graph, actual_n, config), config, trials=3, seed=11, jobs=1
         )
         bound = uniform_ag_upper_bound(
             actual_n, actual_n, diameter(graph), max_degree(graph)
@@ -88,7 +81,7 @@ class TestTheorem3Shape:
         means = []
         for k in ks:
             stats = run_trials_parallel(
-                graph, ag_factory(k, config), config, trials=3, seed=13, jobs=1
+                graph, ag_factory(graph, k, config), config, trials=3, seed=13, jobs=1
             )
             means.append(stats.mean)
             assert stats.whp <= 6 * constant_degree_upper_bound(k, diameter(graph))
@@ -102,7 +95,7 @@ class TestTheorem3Shape:
         for n in sizes:
             graph = line_graph(n)
             stats = run_trials_parallel(
-                graph, ag_factory(2, config), config, trials=3, seed=17, jobs=1
+                graph, ag_factory(graph, 2, config), config, trials=3, seed=17, jobs=1
             )
             means.append(stats.mean)
             assert stats.mean >= diameter(graph) / 2
@@ -119,7 +112,7 @@ class TestTheorem4And5Shape:
         for n in sizes:
             graph = barbell_graph(n)
             stats = run_trials_parallel(
-                graph, tag_factory(n, config), config, trials=3, seed=19, jobs=1
+                graph, tag_factory(graph, n, config), config, trials=3, seed=19, jobs=1
             )
             means.append(stats.mean)
             assert stats.whp <= 3 * tag_with_brr_upper_bound(n, n)
@@ -136,10 +129,10 @@ class TestTheorem4And5Shape:
         for n in (12, 24):
             graph = barbell_graph(n)
             uniform = run_trials_parallel(
-                graph, ag_factory(n, config), config, trials=2, seed=23, jobs=1
+                graph, ag_factory(graph, n, config), config, trials=2, seed=23, jobs=1
             )
             tag = run_trials_parallel(
-                graph, tag_factory(n, config), config, trials=2, seed=23, jobs=1
+                graph, tag_factory(graph, n, config), config, trials=2, seed=23, jobs=1
             )
             gaps.append(uniform.mean / tag.mean)
         assert gaps[-1] > 1.0  # TAG is faster at the larger size
@@ -156,7 +149,7 @@ class TestUniformAgBarbellScaling:
         for n in sizes:
             graph = barbell_graph(n)
             stats = run_trials_parallel(
-                graph, ag_factory(n, config), config, trials=2, seed=29, jobs=1
+                graph, ag_factory(graph, n, config), config, trials=2, seed=29, jobs=1
             )
             means.append(stats.mean)
         fit = fit_power_law(sizes, means)

@@ -172,6 +172,40 @@ class TestJsonRoundTrip:
             ScenarioSpec.from_dict({"backend": "gf2bit", "mystery": 1})
 
 
+    def test_documents_pinning_the_batch_engine_still_load(self, tmp_path, capsys):
+        """Shard headers and campaign files written while TAG ran on the
+        lockstep engine could pin ``engine: "batch"``; they load with the
+        engine left to the rule, and a new spec still refuses the name."""
+        spec = get_scenario("uniform/complete").replace(trials=2)
+        store = ResultStore(tmp_path)
+        expected = spec.materialize().measure(store=store)
+        fingerprint = spec.fingerprint()
+        [shard] = (tmp_path / "shards").glob("*/*.jsonl")
+        header, *records = shard.read_text().splitlines()
+        payload = json.loads(header)
+        payload["spec"]["engine"] = "batch"
+        shard.write_text("\n".join([json.dumps(payload), *records]) + "\n")
+
+        rebuilt = ResultStore(tmp_path).spec(fingerprint)
+        assert rebuilt.engine == ""
+        assert rebuilt.fingerprint() == fingerprint
+        assert rebuilt.materialize().measure(store=ResultStore(tmp_path)) == expected
+        assert main(["store", "show", fingerprint[:12], "--store", str(tmp_path)]) == 0
+        shown = capsys.readouterr().out
+        assert '"engine": "batch"' in shown
+        assert "seed 0: 2 trial(s) — mean=" in shown
+        assert main(["store", "ls", "--store", str(tmp_path)]) == 0
+        assert "uniform" in capsys.readouterr().out
+
+        unit = {"name": "u", "spec": {"engine": "batch", "protocol": "tag"}}
+        campaign = CampaignSpec.from_dict({"name": "old", "units": [unit]})
+        assert campaign.units[0].spec == ScenarioSpec(protocol="tag")
+        with pytest.raises(
+            ConfigurationError, match=r"known: \['', 'event', 'scalar'\]"
+        ):
+            ScenarioSpec(engine="batch")
+
+
 class TestValidation:
     def test_unknown_topology(self):
         with pytest.raises(ConfigurationError):
@@ -332,17 +366,13 @@ class TestMaterialize:
         # process; this pins it to what each trial's process declares, so
         # the two can never drift.
         from repro.core.rng import derive_rng
-        from repro.gossip.event import build_event_process, event_supports_process
+        from repro.gossip.event import build_event_process
 
         scenario = spec.materialize()
         engine, _ = scenario.select_engine()
         rng = derive_rng(0, "probe")
-        if engine == "event":
-            process = build_event_process(scenario.graph, scenario.protocol_factory, rng)
-            assert event_supports_process(process)
-        else:
-            assert engine == "batch"
-            assert scenario.build_process(rng).batch_strategy() is not None
+        process = build_event_process(scenario.graph, scenario.protocol_factory, rng)
+        assert process.supports_event_engine() == (engine == "event")
 
     def test_engine_rule_exposed_and_gated(self):
         reset = _FAST.replace(churn=((2, 3, 5),), churn_reset=True)
@@ -350,14 +380,14 @@ class TestMaterialize:
         tag = ScenarioSpec(topology="barbell", n=8, protocol="tag", config=_FAST)
         assert uniform.materialize().select_engine()[0] == "event"
         assert uniform.replace(config=reset).materialize().select_engine()[0] == "event"
-        assert tag.materialize().select_engine()[0] == "batch"
+        assert tag.materialize().select_engine() == ("event", "auto: TAG")
         assert tag.replace(config=reset).materialize().select_engine() == (
-            "scalar", "auto: reset-mode churn"
+            "event", "auto: TAG"
         )
 
     @pytest.mark.parametrize(
-        "engine", ["", "scalar", "batch", "event"],
-        ids=["default", "scalar", "batch", "event"],
+        "engine", ["", "scalar", "event"],
+        ids=["default", "scalar", "event"],
     )
     def test_run_single_is_trial_zero_on_every_engine(self, engine, tmp_path):
         """Whichever engine the spec pins, ``run_single`` is trial 0 of the

@@ -5,7 +5,7 @@ The guarantees under test:
 * a campaign interrupted part-way (fewer trials completed, or a writer killed
   mid-append) and *resumed* against the same store computes only the missing
   trials and produces **bit-identical** per-trial results and aggregates to
-  an uninterrupted run — on the batch and the scalar execution paths;
+  an uninterrupted run — on the event and the scalar execution paths;
 * a second fully-cached invocation executes **zero** new trials (verified by
   the :attr:`~repro.store.ResultStore.puts` counter) and runs at least 10x
   faster than the cold run;
@@ -77,8 +77,8 @@ def _truncate_final_record(store_root) -> None:
 
 
 class TestResumeSemantics:
-    # The default engine auto-selects the batch engine for these specs.
-    @pytest.mark.parametrize("engine", ["", "scalar"], ids=["batch", "scalar"])
+    # The rule picks the event engine for these specs.
+    @pytest.mark.parametrize("engine", ["", "scalar"], ids=["event", "scalar"])
     def test_interrupted_campaign_resumes_bit_identical(self, tmp_path, engine):
         specs = _table1_specs(engine=engine)
         cold = _run(specs, ResultStore(tmp_path / "cold"))
@@ -112,16 +112,16 @@ class TestResumeSemantics:
         replayed = measure_protocol_parallel(spec, store=ResultStore(tmp_path), jobs=1)
         assert replayed == direct
 
-    def test_scalar_and_batch_paths_share_cache_records(self, tmp_path):
+    def test_scalar_and_event_paths_share_cache_records(self, tmp_path):
         topologies = ("line", "complete")
-        batch_store = ResultStore(tmp_path)
-        batch_outcomes = _run(_table1_specs(topologies), batch_store)
+        event_store = ResultStore(tmp_path)
+        event_outcomes = _run(_table1_specs(topologies), event_store)
         scalar_store = ResultStore(tmp_path)
         scalar_outcomes = _run(_table1_specs(topologies, engine="scalar"), scalar_store)
         # The engines are bit-identical, so the scalar pass is served
-        # entirely from the batch pass's records.
+        # entirely from the event pass's records.
         assert scalar_store.puts == 0
-        assert _signature(scalar_outcomes) == _signature(batch_outcomes)
+        assert _signature(scalar_outcomes) == _signature(event_outcomes)
 
 
 class TestCachedRerun:

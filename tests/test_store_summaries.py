@@ -7,7 +7,7 @@ that safe:
 
 * **bit-identity** — the stopping-time aggregates computed through the
   summary path equal the full-record path's exactly, for trials produced by
-  the scalar, batch and event engines alike (the engines themselves are
+  the scalar and event engines alike (the engines themselves are
   seed-equivalent, so all cross-combinations must agree);
 * **streaming** — :meth:`~repro.store.ResultStore.aggregate` never
   materialises :class:`~repro.core.RunResult` objects or populates the
@@ -33,7 +33,7 @@ from repro.store import (
     summarize_result,
 )
 
-ENGINES = ("scalar", "batch", "event")
+ENGINES = ("scalar", "event")
 
 
 def _sweep_spec(trials: int = 3):
@@ -95,7 +95,7 @@ class TestSummaryVsFullBitIdentity:
 
     def test_full_results_serve_summary_queries_transparently(self, tmp_path):
         spec = _sweep_spec()
-        results = _measure(spec, "batch")
+        results = _measure(spec, "scalar")
         store = ResultStore(tmp_path / "store")
         store.put_many(spec, dict(enumerate(results)))
         assert store.missing_summary_trials(spec) == []
