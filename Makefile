@@ -76,13 +76,18 @@ backend-check:
 ## Event-driven engine contract: the full equivalence/refusal/dispatch suite
 ## for uniform AG (event vs scalar bit-identity over both time models,
 ## churn, rates, loss; single-problem eliminator fast paths; typed
-## EngineError refusals), the generated TAG equivalence over the four
-## spanning trees, and the block-draw reader's conformance with numpy's own
-## draws.  Its absolute speed is the repository benchmark's `sparse-event`
-## record, guarded by `make bench-check`.
+## EngineError refusals), the generated equivalence for TAG over the four
+## spanning trees and for those trees run standalone, the round-end hook
+## against ProgressRecorder on the scalar engine, the engine rule
+## (`select_engine`, single runs included), a `full-paper` campaign that
+## never calls the scalar engine, and the block-draw reader's conformance
+## with numpy's own draws.  Its absolute speed is the repository
+## benchmark's `sparse-event` record, guarded by `make bench-check`.
 event-check:
 	$(PYTHON) -m pytest tests/test_event_engine.py tests/test_tag_event_engine.py \
-		tests/test_rng_draws.py -q
+		tests/test_rng_draws.py \
+		tests/test_experiments_parallel.py::TestAutoEngineRule \
+		tests/test_campaigns.py::TestFullPaperRunsOnlyOnTheEventEngine -q
 
 ## One-graph-type contract: generated builder conformance (every family's
 ## direct CSR build byte-identical to CSRGraph.from_networkx of its networkx

@@ -233,7 +233,7 @@ def report_json(
     experiment_id: str,
     *,
     timings: Mapping[str, float],
-    speedup: float,
+    speedup: "float | None" = None,
     n: int,
     trials: int,
     scaled_down: bool = False,
@@ -249,7 +249,9 @@ def report_json(
     scraping text reports.  The payload records the workload size, wall-clock
     timings per runner, the headline speedup, the benchmark process's peak
     RSS, the git revision the numbers were produced at, and any
-    benchmark-specific extras.
+    benchmark-specific extras.  A record whose headline is not a speedup
+    (E14's ``bytes_ratio`` with its ``min_bytes_ratio`` floor) passes
+    ``speedup=None`` and names its headline in the extras.
 
     ``materialize_seconds`` / ``simulate_seconds`` split each runner's
     wall-clock into graph-construction and simulation time, so a record shows
@@ -274,8 +276,9 @@ def report_json(
         "n": int(n),
         "trials": int(trials),
         "timings_seconds": {name: round(float(secs), 4) for name, secs in timings.items()},
-        "speedup": round(float(speedup), 3),
     }
+    if speedup is not None:
+        payload["speedup"] = round(float(speedup), 3)
     rss = peak_rss_mib()
     if rss is not None:
         payload["peak_rss_mib"] = round(rss, 1)

@@ -12,7 +12,8 @@ decade scale and asserts the two properties the campaign's design rests on:
   the stopping-time projection (:func:`repro.store.summarize_result`)
   instead of the full :class:`~repro.core.results.RunResult` (per-node
   completion rounds included) shrinks the serialized trial record by the
-  recorded ``speedup`` factor, floor-gated by ``check_regression.py``;
+  recorded ``bytes_ratio`` (full / summary bytes), floor-gated at
+  ``min_bytes_ratio`` by ``check_regression.py``;
   and the summary-backed aggregate is **bit-identical** to aggregating
   the re-simulated full results;
 * **the fit is tight** — the ring-of-cliques family's log-log fit reaches
@@ -135,11 +136,11 @@ def test_asymptotics_campaign(benchmark):
     report_json(
         "E14-asymptotics",
         timings=timings,
-        speedup=bytes_ratio,
+        bytes_ratio=round(bytes_ratio, 3),
         n=MAX_N,
         trials=TRIALS,
         scaled_down=SCALED_DOWN,
-        min_speedup=MIN_BYTES_RATIO,
+        min_bytes_ratio=MIN_BYTES_RATIO,
         floors={"fit_r_squared": MIN_R2},
         fit_r_squared=ring_r2,
         exponents={

@@ -4,9 +4,11 @@
 Reads every machine-readable perf record ``benchmarks/output/BENCH_*.json``
 committed to the repository.  Two kinds exist:
 
-* **speedup records** (written by full-size ``make bench-json`` runs): the
-  recorded ``speedup`` must reach the record's own asserted floor
-  (``min_speedup``, default 5.0), and any extra ``floors`` must hold;
+* **ratio records** (written by full-size benchmark runs): the recorded
+  headline ratio must reach the record's own asserted floor — ``speedup``
+  against ``min_speedup`` (default 5.0), or E14's ``bytes_ratio`` (full
+  over summary record bytes) against ``min_bytes_ratio`` — and any extra
+  ``floors`` must hold;
 * **repository-benchmark records** ``BENCH_perf-<workload>.json`` (written
   by ``record_perfbench.py``): every end-to-end metric must stay within
   ``previous × (1 + bound)`` — the bound ``BENCHMARK.json`` declares for
@@ -40,6 +42,8 @@ from pathlib import Path
 OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 BENCHMARK_JSON = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 DEFAULT_FLOOR = 5.0
+#: The headline ratio a ratio record may carry, each with its floor field.
+HEADLINES = (("speedup", "min_speedup"), ("bytes_ratio", "min_bytes_ratio"))
 
 
 def store_aggregates(path: Path) -> int:
@@ -131,9 +135,13 @@ def check_records(output_dir: Path, benchmark_json: Path) -> int:
 
 
 def _check_floors(name: str, record: dict) -> int:
-    """Speedup records: the headline speedup and any extra floors."""
-    speedup = float(record["speedup"])
-    floor = float(record.get("min_speedup", DEFAULT_FLOOR))
+    """Ratio records: the headline ratio and any extra floors."""
+    headline = [pair for pair in HEADLINES if pair[0] in record]
+    if len(headline) != 1:
+        raise KeyError(f"want exactly one headline of {[h for h, _ in HEADLINES]}")
+    [(metric_name, floor_name)] = headline
+    ratio = float(record[metric_name])
+    floor = float(record.get(floor_name, DEFAULT_FLOOR))
     # Optional per-metric floors: {"metric": min_value, ...} checked
     # against the record's own top-level fields.
     extra_floors = {
@@ -141,9 +149,9 @@ def _check_floors(name: str, record: dict) -> int:
         for metric, minimum in dict(record.get("floors", {})).items()
     }
     extra_values = {metric: float(record[metric]) for metric in extra_floors}
-    ok = speedup >= floor
+    ok = ratio >= floor
     print(
-        f"{name}: speedup {speedup:.2f}x (floor {floor:.1f}x, "
+        f"{name}: {metric_name} {ratio:.2f}x (floor {floor:.1f}x, "
         f"n={record.get('n')}, trials={record.get('trials')}, "
         f"rev={str(record.get('git_rev'))[:12]}) {'ok' if ok else 'REGRESSION'}"
     )

@@ -8,14 +8,17 @@ phase (distance-limited, the ``D`` term) followed by a linear draining phase
 (one helpful packet per node per constant number of rounds, the ``k`` term).
 
 :class:`ProgressRecorder` wraps any rank-reporting protocol (uniform AG or
-TAG) and samples the per-round statistics through the engine's
+TAG) and samples the per-round statistics through the scalar engine's
 ``on_round_end`` hook, without changing the wrapped protocol's behaviour.
+The event engine takes an ``on_round_end(round_index, ranks)`` callback
+instead; both build their snapshots with :meth:`RoundSnapshot.from_ranks`,
+so the two curves of one trial are equal round for round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -35,6 +38,19 @@ class RoundSnapshot:
     max_rank: int
     completed_nodes: int
 
+    @classmethod
+    def from_ranks(cls, round_index: int, ranks: Sequence[int], k: int) -> "RoundSnapshot":
+        """The statistics of one round end, from every node's rank out of ``k``."""
+        ordered = sorted(ranks)
+        count = len(ordered)
+        return cls(
+            round_index=round_index,
+            min_rank=int(ordered[0]),
+            median_rank=float((ordered[(count - 1) // 2] + ordered[count // 2]) / 2),
+            max_rank=int(ordered[-1]),
+            completed_nodes=ordered.count(k),
+        )
+
     def as_dict(self) -> dict[str, Any]:
         return {
             "round": self.round_index,
@@ -48,16 +64,17 @@ class RoundSnapshot:
 class ProgressRecorder(GossipProcess):
     """Transparent wrapper recording a :class:`RoundSnapshot` per round.
 
-    The wrapped protocol must expose ``rank_of(node)`` and iterate its nodes
-    via its ``graph`` attribute — both :class:`~repro.protocols.AlgebraicGossip`
-    and :class:`~repro.protocols.TagProtocol` do.
+    The wrapped protocol must expose ``rank_of(node)``, iterate its nodes
+    via its ``graph`` attribute and carry its ``generation`` (for ``k``) —
+    both :class:`~repro.protocols.AlgebraicGossip` and
+    :class:`~repro.protocols.TagProtocol` do.
     """
 
     def __init__(self, inner: GossipProcess) -> None:
-        if not hasattr(inner, "rank_of") or not hasattr(inner, "graph"):
+        if not all(hasattr(inner, name) for name in ("rank_of", "graph", "generation")):
             raise AnalysisError(
-                "ProgressRecorder requires a protocol exposing rank_of() and graph "
-                f"(got {type(inner).__name__})"
+                "ProgressRecorder requires a protocol exposing rank_of(), graph "
+                f"and generation (got {type(inner).__name__})"
             )
         self.inner = inner
         self.snapshots: list[RoundSnapshot] = []
@@ -75,6 +92,9 @@ class ProgressRecorder(GossipProcess):
     def finished_nodes(self) -> set[int]:
         return self.inner.finished_nodes()
 
+    def on_crash(self, node: int) -> None:
+        self.inner.on_crash(node)
+
     def metadata(self) -> dict[str, Any]:
         data = dict(self.inner.metadata())
         data["progress_snapshots"] = len(self.snapshots)
@@ -82,19 +102,12 @@ class ProgressRecorder(GossipProcess):
 
     # -- recording --------------------------------------------------------
     def on_round_end(self, round_index: int) -> None:
-        ranks = np.array(
-            [self.inner.rank_of(node) for node in self.inner.graph.nodes()], dtype=float
-        )
+        inner = self.inner
+        ranks = [inner.rank_of(node) for node in inner.graph.nodes()]
         self.snapshots.append(
-            RoundSnapshot(
-                round_index=round_index,
-                min_rank=int(ranks.min()),
-                median_rank=float(np.median(ranks)),
-                max_rank=int(ranks.max()),
-                completed_nodes=len(self.inner.finished_nodes()),
-            )
+            RoundSnapshot.from_ranks(round_index, ranks, inner.generation.k)
         )
-        self.inner.on_round_end(round_index)
+        inner.on_round_end(round_index)
 
     # -- analysis helpers -------------------------------------------------
     def rank_curve(self, statistic: str = "min") -> list[tuple[int, float]]:

@@ -383,14 +383,15 @@ def _rank_evolution(
 ) -> ArtifactResult:
     """Per-round rank curve of each selected unit's trial 0.
 
-    Recomputed sequentially with a :class:`~repro.analysis.ProgressRecorder`
-    (the event engine records no per-round snapshots); one trial per
-    unit, derived from the same ``trial-0`` stream as
+    Replayed on the event engine with a round-end hook that records one
+    :class:`~repro.analysis.RoundSnapshot` per round (the store archives
+    stopping times, not per-round ranks); one trial per unit, derived from
+    the same ``trial-0`` stream as
     :meth:`~repro.scenarios.MaterializedScenario.run_single`, so the curve's
     endpoint matches the stored trial-0 stopping time.
     """
-    from ..analysis.progress import ProgressRecorder
-    from ..gossip.engine import GossipEngine
+    from ..analysis.progress import RoundSnapshot
+    from ..gossip.event import EventGossipEngine, build_event_process
 
     curves = []
     for outcome in _selected(artifact, outcomes):
@@ -403,8 +404,15 @@ def _rank_evolution(
             )
         scenario = outcome.spec.materialize()
         rng = derive_rng(outcome.seed, "trial-0")
-        recorder = ProgressRecorder(scenario.build_process(rng))
-        GossipEngine(scenario.graph, recorder, scenario.config, rng).run()
+        snapshots: list[RoundSnapshot] = []
+
+        def record(round_index: int, ranks: list[int]) -> None:
+            snapshots.append(RoundSnapshot.from_ranks(round_index, ranks, scenario.k))
+
+        process = build_event_process(scenario.graph, scenario.protocol_factory, rng)
+        EventGossipEngine(
+            scenario.graph, process, scenario.config, rng, on_round_end=record
+        ).run()
         points = tuple(
             (
                 float(snap.round_index),
@@ -412,7 +420,7 @@ def _rank_evolution(
                 float(snap.median_rank),
                 float(snap.max_rank),
             )
-            for snap in recorder.snapshots
+            for snap in snapshots
         )
         curves.append((outcome.unit.name, points))
     rows = [
@@ -583,9 +591,10 @@ def run_campaign(
         of simulating when any unit has missing Monte Carlo trials.
         ``python -m repro campaign report`` uses this to render reports
         without executing any unit's trial plan.  Rank-evolution artifacts
-        are the one exception in either mode: they replay one trial per
-        named unit sequentially (the store archives stopping times, not
-        per-round rank snapshots).
+        are the one exception in either mode: they replay trial 0 of each
+        named unit on the event engine (the store archives stopping times,
+        not per-round rank snapshots) — a few hundredths of a second for
+        ``full-paper``'s two barbell units.
     progress:
         Optional callback receiving one human-readable line per unit as it
         completes (the CLI passes ``print``).

@@ -6,10 +6,10 @@ Six subcommands cover the common workflows (run ``python -m repro <cmd>
 ``run``
     Gossip dissemination on a named topology with a chosen protocol.  One
     run by default; with ``--trials`` it becomes a Monte Carlo measurement
-    that reports stopping-time statistics, on the engine the rule picks
-    (uniform AG and TAG on the event-driven engine, standalone spanning
-    trees on the scalar one) and (with ``--jobs``) worker processes.  Both
-    print the engine that ran::
+    that reports stopping-time statistics (with ``--jobs``, over worker
+    processes).  Both run on the engine the rule picks — the event-driven
+    engine for uniform AG, TAG and standalone spanning trees — and print
+    the engine that ran::
 
         python -m repro run --topology barbell --n 24 --protocol tag --seed 3
         python -m repro run --topology complete --n 64 --trials 32 --jobs 4
@@ -260,11 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=["scalar", "event"], default="",
         help=(
             "pin the engine: scalar (sequential reference) or event "
-            "(event-driven engine, uniform AG and TAG); engines are "
-            "bit-identical, so this changes wall-clock only — an engine that "
-            "cannot run the workload refuses instead of falling back "
-            "(default: event for uniform AG and TAG with --trials > 1, "
-            "scalar otherwise)"
+            "(event-driven engine); engines are bit-identical, so this "
+            "changes wall-clock only — an engine that cannot run the "
+            "workload refuses instead of falling back (default: the rule's "
+            "pick, event for every --protocol)"
         ),
     )
     run_parser.add_argument(
@@ -515,9 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
             "the store and renders the Markdown/HTML report without "
             "simulating any of them.  Fails (exit 2) naming the missing "
             "units when the store is incomplete — run the campaign first.  "
-            "(Exception: a rank-evolution artifact replays one trial per "
-            "named unit to record per-round rank curves, which the store "
-            "does not hold.)"
+            "(Exception: a rank-evolution artifact replays trial 0 of each "
+            "named unit on the event engine to record its per-round rank "
+            "curve, which the store does not hold.)"
         ),
     )
     _campaign_run_arguments(campaign_report_parser)
@@ -760,7 +759,7 @@ def _run_scenario_spec(
         print(f"{title}: {result.summary()}")
         for key, value in sorted(result.metadata.items()):
             print(f"  {key}: {value}")
-        _print_engine(*scenario.single_run_engine())
+        _print_engine(*scenario.select_engine())
         _print_store_summary(store)
         return 0 if result.completed else 1
     with _profiled(profile):

@@ -8,8 +8,8 @@ estimates over independent seeded trials.  This module provides the
 :func:`measure_protocol_parallel` / :func:`run_trials_parallel` split the
 trial set across ``jobs`` worker processes (``jobs=1`` runs in-process), and
 each chunk runs on the engine :func:`select_engine` picks: uniform algebraic
-gossip and TAG on the event-driven engine, trial by trial; everything else
-(standalone spanning trees, user protocols) on the scalar engine.
+gossip, TAG and the standalone spanning trees on the event-driven engine,
+trial by trial; user protocols on the scalar engine.
 
 Reproducibility is anchored in :mod:`repro.core.rng`: trial ``i`` always uses
 the generator ``derive_rng(seed, f"trial-{i}")`` regardless of which runner
@@ -194,16 +194,16 @@ def select_engine(protocol_factory: Any, engine: str = "") -> tuple[str, str]:
     by protocol factory alone — under every config (loss, pause and reset
     churn, activation rates):
 
-    * uniform algebraic gossip — a factory with a ``rank_only_process``
-      method, i.e. :class:`~repro.scenarios.spec.UniformGossipFactory` — and
-      TAG (:class:`~repro.scenarios.spec.TagFactory`) run on the event
-      engine;
-    * everything else — standalone spanning trees, user protocols — runs on
-      the scalar engine.
+    * uniform algebraic gossip (a factory with a ``rank_only_process``
+      method, i.e. :class:`~repro.scenarios.spec.UniformGossipFactory`),
+      TAG (:class:`~repro.scenarios.spec.TagFactory`) and the standalone
+      spanning trees (:class:`~repro.scenarios.spec.SpanningTreeFactory`)
+      run on the event engine;
+    * everything else — user protocols — runs on the scalar engine.
 
-    The trial runners, the CLI and ``repro scenario show`` all ask this
-    function, so the engine a plan is reported to run on is the one it runs
-    on.
+    The trial runners, ``run_single``, the CLI and ``repro scenario show``
+    all ask this function, so the engine a plan is reported to run on is
+    the one it runs on.
     """
     if engine:
         if engine not in ("scalar", "event"):
@@ -211,10 +211,12 @@ def select_engine(protocol_factory: Any, engine: str = "") -> tuple[str, str]:
         return engine, "pinned"
     if hasattr(protocol_factory, "rank_only_process"):
         return "event", "auto: uniform AG"
-    from ..scenarios.spec import TagFactory
+    from ..scenarios.spec import SpanningTreeFactory, TagFactory
 
     if isinstance(protocol_factory, TagFactory):
         return "event", "auto: TAG"
+    if isinstance(protocol_factory, SpanningTreeFactory):
+        return "event", "auto: spanning tree"
     return "scalar", "auto: no event-engine support"
 
 

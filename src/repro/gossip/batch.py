@@ -1,8 +1,8 @@
 """Placeholders for the deleted lockstep batch engine.
 
 The event-driven engine (:mod:`repro.gossip.event`) runs uniform algebraic
-gossip and TAG; everything else runs on the scalar
-:class:`~repro.gossip.engine.GossipEngine`.  The repository benchmark's
+gossip, TAG and the standalone spanning trees; everything else runs on the
+scalar :class:`~repro.gossip.engine.GossipEngine`.  The repository benchmark's
 tracer (``perfbench/tracer.py``) still imports and patches these two names,
 so they stay as classes that refuse to be used.
 """
@@ -23,8 +23,9 @@ class BatchEngineCore:
     def run(self):
         """Raises :class:`~repro.errors.EngineError`."""
         raise EngineError(
-            f"{type(self).__name__} was deleted: uniform algebraic gossip and "
-            "TAG run on EventGossipEngine, everything else on GossipEngine"
+            f"{type(self).__name__} was deleted: uniform algebraic gossip, "
+            "TAG and spanning trees run on EventGossipEngine, everything else "
+            "on GossipEngine"
         )
 
 

@@ -1,7 +1,7 @@
 """Placeholders for the deleted lockstep TAG and spanning-tree engines.
 
-TAG runs on the event-driven engine (:mod:`repro.gossip.event`); standalone
-spanning trees run on the scalar :class:`~repro.gossip.engine.GossipEngine`.
+TAG and the standalone spanning trees run on the event-driven engine
+(:mod:`repro.gossip.event`).
 The repository benchmark's tracer (``perfbench/tracer.py``) still imports
 and patches these two names, so they stay as classes that refuse to be used.
 """

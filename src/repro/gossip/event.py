@@ -30,8 +30,8 @@ bookkeeping:
   is never built or eliminated (see below), and every draw is served by a
   :class:`~repro.core.rng.BlockDraws` reader instead of a numpy call.
 
-TAG
----
+TAG and standalone spanning trees
+---------------------------------
 :class:`~repro.protocols.tag.TagProtocol` with one of the four built-in
 spanning trees runs here too.  Phase 1 (odd wakeups) drives the process's
 own scalar tree object — ``choose_partner`` with the block reader as its
@@ -44,6 +44,25 @@ gossip.  The wakeup and tree-delivery bookkeeping go through
 scalar path calls, so the metadata comes from the same code; tree
 completion is a counter of unparented nodes.  The loop is picked once per
 run, so uniform gossip's per-slot code has no TAG branch.
+
+The same four tree types also run *standalone* (the Theorem 5 stopping
+time ``t(S)``): every wakeup is TAG's phase-1 step, a node completes when
+it gets its parent (the root, and every node of the BFS oracle, at round
+0), and the metadata comes from the tree object.  There is no eliminator;
+a reset-churn crash goes to the tree's own ``on_crash``, which refuses
+with the scalar engine's :class:`~repro.errors.SimulationError`.
+
+Round-end hook
+--------------
+``on_round_end(round_index, ranks)`` fires exactly where the scalar engine
+calls ``GossipProcess.on_round_end``: after each synchronous round's
+deliveries, and after an asynchronous slot that completes a round (so a
+final partial round gets no call).  ``ranks`` is the engine's live list of
+per-node decoder ranks — read it, do not keep or change it.  The hook
+consumes no randomness, and a run without one does no per-slot work for
+it: the asynchronous loops step round by round and play the slots of a
+round in an inner loop.  Standalone trees have no decoder ranks, so the
+engine refuses a hook there with :class:`~repro.errors.EngineError`.
 
 Bit-identical by construction
 -----------------------------
@@ -84,7 +103,9 @@ transmission before the loss draw, consuming no randomness.
 and final generator state — over both time models, GF(2), GF(3), GF(5),
 GF(9), GF(16) and GF(256), churn (pause *and* reset), heterogeneous rates
 and packet loss; ``tests/test_tag_event_engine.py`` does the same for TAG
-over a generated spec space; ``tests/test_rng_draws.py`` checks the reader
+and the standalone trees over a generated spec space, and checks the
+round-end hook against :class:`~repro.analysis.progress.ProgressRecorder`
+on the scalar engine; ``tests/test_rng_draws.py`` checks the reader
 against numpy draw for draw.
 
 Reset-mode churn is supported for both protocols: each trial owns its
@@ -96,11 +117,13 @@ the node's initial placement — exactly ``on_crash`` of
 The engine refuses anything it cannot replay exactly with a typed
 :class:`~repro.errors.EngineError` (a process whose
 :meth:`~repro.gossip.engine.GossipProcess.supports_event_engine` is
-``False``: non-uniform selectors, subclasses, TAG with a custom tree,
-standalone spanning trees) — never a silent fallback to another engine.
+``False``: non-uniform selectors, subclasses, TAG or a standalone run with
+a custom tree) — never a silent fallback to another engine.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -110,6 +133,7 @@ from ..core.results import RunResult
 from ..core.rng import BlockDraws
 from ..errors import EngineError, SimulationError
 from ..graphs.csr import CSRGraph
+from ..protocols.spanning_tree_protocols import SpanningTreeProtocol
 from .dynamics import NodeDynamics
 from .engine import GossipProcess
 
@@ -133,7 +157,7 @@ def build_event_process(graph, protocol_factory, rng) -> GossipProcess:
 
 
 class EventGossipEngine:
-    """Run one trial of uniform algebraic gossip or TAG, event by event.
+    """Run one trial of uniform AG, TAG or a spanning tree, event by event.
 
     Parameters
     ----------
@@ -151,6 +175,10 @@ class EventGossipEngine:
         exact order.  Its bit generator must split raw outputs into buffered
         32-bit halves (see :class:`~repro.core.rng.BlockDraws`), else
         :class:`EngineError`.
+    on_round_end:
+        Optional ``(round_index, ranks)`` callback, called where the scalar
+        engine calls ``GossipProcess.on_round_end`` (see the module
+        docstring); refused for a standalone spanning tree.
     """
 
     def __init__(
@@ -159,6 +187,8 @@ class EventGossipEngine:
         process: GossipProcess,
         config: SimulationConfig,
         rng: np.random.Generator,
+        *,
+        on_round_end: Callable[[int, list[int]], None] | None = None,
     ) -> None:
         if graph.number_of_nodes() < 2:
             raise SimulationError("gossip requires at least two nodes")
@@ -168,8 +198,9 @@ class EventGossipEngine:
             raise EngineError(
                 f"{type(process).__name__} is not supported by the event-driven "
                 "engine: it replays uniform algebraic gossip (AlgebraicGossip "
-                "with a UniformSelector) and TagProtocol with a built-in "
-                "spanning tree only; run the scalar engine instead"
+                "with a UniformSelector), TagProtocol with a built-in spanning "
+                "tree and the built-in spanning trees standalone only; run the "
+                "scalar engine instead"
             )
         self.graph = graph
         self.process = process
@@ -180,16 +211,6 @@ class EventGossipEngine:
         self._nodes = graph.nodes()
         self._n = len(self._nodes)
         self._indptr, self._indices = graph.indptr, graph.indices
-        self._field = process.generation.field
-        self._order = self._field.order
-        self._k = process.generation.k
-        if self._field.order != config.field_size:
-            raise SimulationError(
-                f"generation field GF({self._field.order}) does not match "
-                f"config field_size {config.field_size}"
-            )
-        self._eliminator = RowEliminator(self._field, self._n, self._k)
-        self._ranks = self._eliminator.ranks  # live list
         self._messages_sent = 0
         self._helpful_messages = 0
         self._dropped_messages = 0
@@ -201,14 +222,37 @@ class EventGossipEngine:
         self._completion_rounds: dict[int, int] = {}
         self._noted = np.zeros(self._n, dtype=bool)
         self._finished = 0
-        # TAG: the process's own spanning-tree object, driven in phase 1.
-        self._stp = getattr(process, "stp", None)
+        self._on_round_end = on_round_end
+        # The spanning-tree object phase 1 drives: TAG's, or the process
+        # itself when a tree runs standalone.
+        self._standalone = isinstance(process, SpanningTreeProtocol)
+        self._stp = process if self._standalone else getattr(process, "stp", None)
         if self._stp is not None:
             self._unparented = sum(
                 1
                 for node in self._nodes
                 if node != self._stp.root and self._stp.parent_of(node) is None
             )
+        if self._standalone:
+            if on_round_end is not None:
+                raise EngineError(
+                    "a standalone spanning tree has no decoder ranks to report "
+                    "at the round end"
+                )
+            for node in self._nodes:
+                if node == self._stp.root or self._stp.parent_of(node) is not None:
+                    self._note_completion(node, 0)
+            return
+        self._field = process.generation.field
+        self._order = self._field.order
+        self._k = process.generation.k
+        if self._field.order != config.field_size:
+            raise SimulationError(
+                f"generation field GF({self._field.order}) does not match "
+                f"config field_size {config.field_size}"
+            )
+        self._eliminator = RowEliminator(self._field, self._n, self._k)
+        self._ranks = self._eliminator.ranks  # live list
         self._seed_from_process()
 
     # ------------------------------------------------------------------
@@ -242,9 +286,9 @@ class EventGossipEngine:
         with self._draws as draws:
             if self._stp is not None:
                 rounds = (
-                    self._run_tag_synchronous(draws)
+                    self._run_tree_synchronous(draws)
                     if synchronous
-                    else self._run_tag_asynchronous(draws)
+                    else self._run_tree_asynchronous(draws)
                 )
             elif synchronous:
                 rounds = self._run_synchronous(draws)
@@ -291,31 +335,34 @@ class EventGossipEngine:
         do_pull = action in (GossipAction.PULL, GossipAction.EXCHANGE)
         has_churn = dynamics.has_churn
         reset_on_crash = dynamics.reset_on_crash
+        on_round_end = self._on_round_end
         timeslot = self._timeslot
         down = None
-        while self._finished < n:
-            if timeslot >= max_timeslots:
-                break
-            round_now = timeslot // n + 1
+        # One pass per round; the inner loop plays the round's slots.
+        while self._finished < n and timeslot < max_timeslots:
+            round_index = timeslot // n + 1
+            round_end = round_index * n
             if reset_on_crash:
-                self._process_crashes(round_now)
+                self._process_crashes(round_index)
             if has_churn:
-                down = dynamics.down_mask(round_now)
-            pos = choose_wakeup(draws, round_now, down)
-            timeslot += 1
-            round_index = round_now
-            if pos is None:
-                continue
-            start = start_of(pos)
-            partner = neighbour(start + integers(0, start_of(pos + 1) - start))
-            # Both packets are encoded before either is delivered, matching
-            # the scalar on_wakeup (PUSH draws first, then PULL).
-            push = encode(pos, partner) if do_push else None
-            pull = encode(partner, pos) if do_pull else None
-            if push is not None:
-                deliver(pos, partner, push, round_now, down)
-            if pull is not None:
-                deliver(partner, pos, pull, round_now, down)
+                down = dynamics.down_mask(round_index)
+            while timeslot < round_end and self._finished < n:
+                pos = choose_wakeup(draws, round_index, down)
+                timeslot += 1
+                if pos is None:
+                    continue
+                start = start_of(pos)
+                partner = neighbour(start + integers(0, start_of(pos + 1) - start))
+                # Both packets are encoded before either is delivered, matching
+                # the scalar on_wakeup (PUSH draws first, then PULL).
+                push = encode(pos, partner) if do_push else None
+                pull = encode(partner, pos) if do_pull else None
+                if push is not None:
+                    deliver(pos, partner, push, round_index, down)
+                if pull is not None:
+                    deliver(partner, pos, pull, round_index, down)
+            if on_round_end is not None and timeslot == round_end:
+                on_round_end(round_index, self._ranks)
         self._timeslot = timeslot
         return round_index
 
@@ -331,6 +378,7 @@ class EventGossipEngine:
         do_pull = action in (GossipAction.PULL, GossipAction.EXCHANGE)
         has_churn = dynamics.has_churn
         reset_on_crash = dynamics.reset_on_crash
+        on_round_end = self._on_round_end
         down = None
         while self._finished < n:
             if round_index >= self.config.max_rounds:
@@ -358,47 +406,53 @@ class EventGossipEngine:
             # Deliveries become visible only now: end of the round.
             for sender, receiver, payload in bucket:
                 deliver(sender, receiver, payload, round_index, down)
+            if on_round_end is not None:
+                on_round_end(round_index, self._ranks)
         return round_index
 
     # ------------------------------------------------------------------
-    # TAG: phase 1 on the process's tree object, phase 2 on the eliminator
+    # Spanning trees: phase 1 on the tree object (TAG and standalone),
+    # TAG's phase 2 on the eliminator
     # ------------------------------------------------------------------
-    def _run_tag_asynchronous(self, draws: BlockDraws) -> int:
+    def _run_tree_asynchronous(self, draws: BlockDraws) -> int:
         round_index = 0
         n = self._n
         max_timeslots = self.config.max_rounds * n
         dynamics = self._dynamics
         choose_wakeup = dynamics.choose_wakeup
-        wakeup = self._tag_wakeup
+        wakeup = self._tree_wakeup if self._standalone else self._tag_wakeup
         has_churn = dynamics.has_churn
         reset_on_crash = dynamics.reset_on_crash
+        on_round_end = self._on_round_end
         timeslot = self._timeslot
         down = None
-        while self._finished < n:
-            if timeslot >= max_timeslots:
-                break
-            round_now = timeslot // n + 1
+        while self._finished < n and timeslot < max_timeslots:
+            round_index = timeslot // n + 1
+            round_end = round_index * n
             if reset_on_crash:
-                self._process_crashes(round_now)
+                self._process_crashes(round_index)
             if has_churn:
-                down = dynamics.down_mask(round_now)
-            pos = choose_wakeup(draws, round_now, down)
-            timeslot += 1
-            round_index = round_now
-            if pos is None:
-                continue
-            for deliver, sender, receiver, payload in wakeup(pos, draws):
-                deliver(sender, receiver, payload, round_now, down)
+                down = dynamics.down_mask(round_index)
+            while timeslot < round_end and self._finished < n:
+                pos = choose_wakeup(draws, round_index, down)
+                timeslot += 1
+                if pos is None:
+                    continue
+                for deliver, sender, receiver, payload in wakeup(pos, draws):
+                    deliver(sender, receiver, payload, round_index, down)
+            if on_round_end is not None and timeslot == round_end:
+                on_round_end(round_index, self._ranks)
         self._timeslot = timeslot
         return round_index
 
-    def _run_tag_synchronous(self, draws: BlockDraws) -> int:
+    def _run_tree_synchronous(self, draws: BlockDraws) -> int:
         round_index = 0
         n = self._n
         dynamics = self._dynamics
-        wakeup = self._tag_wakeup
+        wakeup = self._tree_wakeup if self._standalone else self._tag_wakeup
         has_churn = dynamics.has_churn
         reset_on_crash = dynamics.reset_on_crash
+        on_round_end = self._on_round_end
         down = None
         while self._finished < n:
             if round_index >= self.config.max_rounds:
@@ -417,25 +471,35 @@ class EventGossipEngine:
             self._timeslot += n
             for deliver, sender, receiver, payload in bucket:
                 deliver(sender, receiver, payload, round_index, down)
+            if on_round_end is not None:
+                on_round_end(round_index, self._ranks)
         return round_index
+
+    def _tree_wakeup(self, pos: int, draws: BlockDraws) -> list[tuple]:
+        """One phase-1 step as ``(deliver, sender, receiver, payload)`` entries.
+
+        The tree object picks the partner (with the block reader as its
+        generator) and both payloads are taken at wakeup: the scalar
+        ``SpanningTreeProtocol.on_wakeup`` and TAG's ``_phase1_step``.
+        """
+        stp = self._stp
+        partner = stp.choose_partner(pos, draws)
+        deliver = self._deliver_tree
+        return [
+            (deliver, pos, partner, stp.tree_payload(pos)),
+            (deliver, partner, pos, stp.tree_payload(partner)),
+        ]
 
     def _tag_wakeup(self, pos: int, draws: BlockDraws) -> list[tuple]:
         """``TagProtocol.on_wakeup`` as ``(deliver, sender, receiver, payload)``.
 
-        Phase 1 asks the tree object for the partner (with the block reader
-        as its generator) and both payloads at wakeup; phase 2 is an
-        EXCHANGE with the parent, both directions encoded before either is
-        delivered.  TAG always exchanges, whatever ``config.action`` says.
+        Phase 1 is :meth:`_tree_wakeup`; phase 2 is an EXCHANGE with the
+        parent, both directions encoded before either is delivered.  TAG
+        always exchanges, whatever ``config.action`` says.
         """
-        stp = self._stp
         if self.process.count_wakeup(pos, self._tree_complete):
-            partner = stp.choose_partner(pos, draws)
-            deliver = self._deliver_tree
-            return [
-                (deliver, pos, partner, stp.tree_payload(pos)),
-                (deliver, partner, pos, stp.tree_payload(partner)),
-            ]
-        parent = stp.parent_of(pos)
+            return self._tree_wakeup(pos, draws)
+        parent = self._stp.parent_of(pos)
         if parent is None:
             return []
         push = self._encode(pos, parent)
@@ -459,7 +523,7 @@ class EventGossipEngine:
         round_index: int,
         down: np.ndarray | None,
     ) -> None:
-        """``TagProtocol.on_deliver`` for a tree payload, under churn and loss."""
+        """A tree payload's ``on_deliver`` (TAG's or the tree's), under churn and loss."""
         self._messages_sent += 1
         if down is not None and (down[sender_pos] or down[receiver_pos]):
             self._churn_dropped += 1
@@ -476,7 +540,11 @@ class EventGossipEngine:
             self._helpful_messages += 1
         if unparented and stp.parent_of(receiver_pos) is not None:
             self._unparented -= 1
-        self.process.count_tree_delivery(self._tree_complete)
+            if self._standalone:
+                # A standalone tree's node is done once it has its parent.
+                self._note_completion(receiver_pos, round_index)
+        if not self._standalone:
+            self.process.count_tree_delivery(self._tree_complete)
 
     # ------------------------------------------------------------------
     # Internals
@@ -536,7 +604,7 @@ class EventGossipEngine:
     def _process_crashes(self, round_index: int) -> None:
         """Reset-mode churn: wipe crashing nodes back to initial knowledge.
 
-        Both loops call this only when ``dynamics.reset_on_crash`` is set.
+        The loops call this only when ``dynamics.reset_on_crash`` is set.
         """
         while self._last_crash_round < round_index:
             self._last_crash_round += 1
@@ -553,6 +621,11 @@ class EventGossipEngine:
         end of the crash round, as we do here.
         """
         node = self._nodes[pos]
+        if self._standalone:
+            # No knowledge to wipe: the tree's own on_crash decides, and the
+            # built-in trees refuse exactly as on the scalar engine.
+            self.process.on_crash(node)
+            return
         if self._noted[pos]:
             self._noted[pos] = False
             self._finished -= 1

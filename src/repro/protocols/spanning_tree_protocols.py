@@ -23,7 +23,8 @@ Every protocol implements two interfaces at once:
   / :meth:`parent_of`), and
 * the generic :class:`~repro.gossip.engine.GossipProcess` interface, so the
   same object can be run standalone to measure ``t(S)`` and ``d(S)`` (this is
-  what the Theorem 5 benchmark does).
+  what the Theorem 5 benchmark does) — on the scalar engine or, for the
+  four built-in trees, on the event engine.
 """
 
 from __future__ import annotations
@@ -134,6 +135,24 @@ class SpanningTreeProtocol(GossipProcess):
             for node in self.graph.nodes()
             if node == self.root or self.parent_of(node) is not None
         }
+
+    def supports_event_engine(self) -> bool:
+        """The four built-in trees run on the event engine, standalone or in TAG.
+
+        Exact types only (a subclass could carry state the engine does not
+        drive): :class:`UniformBroadcastTree`, :class:`RoundRobinBroadcastTree`,
+        :class:`BfsOracleTree` and
+        :class:`~repro.protocols.is_protocol.ISSpanningTree`.  The engine
+        calls the tree hooks above, with its block reader as the generator.
+        """
+        from .is_protocol import ISSpanningTree
+
+        return type(self) in (
+            UniformBroadcastTree,
+            RoundRobinBroadcastTree,
+            BfsOracleTree,
+            ISSpanningTree,
+        )
 
     def metadata(self) -> dict[str, Any]:
         tree = self.current_tree()

@@ -30,13 +30,7 @@ from ..graphs.csr import CSRGraph
 from ..rlnc.message import Generation
 from ..rlnc.packet import CodedPacket
 from .algebraic_gossip import build_node_decoders, reset_node_to_initial_knowledge
-from .is_protocol import ISSpanningTree
-from .spanning_tree_protocols import (
-    BfsOracleTree,
-    RoundRobinBroadcastTree,
-    SpanningTreeProtocol,
-    UniformBroadcastTree,
-)
+from .spanning_tree_protocols import SpanningTreeProtocol
 
 __all__ = ["TagProtocol"]
 
@@ -191,17 +185,14 @@ class TagProtocol(GossipProcess):
         """TAG runs on the event engine with each built-in spanning tree.
 
         Eligible when this is exactly :class:`TagProtocol` (a subclass could
-        carry state the engine does not drive) composed with exactly one of
-        the four built-in tree types.  The engine drives this process's own
-        tree object in phase 1, and phase 2 depends only on decoder ranks
-        and the random stream, never on packet payloads.
+        carry state the engine does not drive) composed with a tree that
+        runs there itself — exactly one of the four built-in tree types
+        (:meth:`SpanningTreeProtocol.supports_event_engine`).  The engine
+        drives this process's own tree object in phase 1, and phase 2
+        depends only on decoder ranks and the random stream, never on
+        packet payloads.
         """
-        return type(self) is TagProtocol and type(self.stp) in (
-            UniformBroadcastTree,
-            RoundRobinBroadcastTree,
-            BfsOracleTree,
-            ISSpanningTree,
-        )
+        return type(self) is TagProtocol and self.stp.supports_event_engine()
 
     def metadata(self) -> dict[str, Any]:
         tree = self.stp.current_tree()

@@ -281,17 +281,16 @@ class ScenarioSpec:
         Registry identity and one-line purpose (empty for ad-hoc specs).
     engine:
         Which engine runs the trials: ``""`` (default) applies the rule of
-        :func:`~repro.experiments.parallel.select_engine` (uniform algebraic
-        gossip and TAG on the event-driven engine, everything else on the
-        scalar one), ``"scalar"`` forces the sequential
-        :class:`~repro.gossip.GossipEngine` and ``"event"`` requires the
-        event-driven :class:`~repro.gossip.EventGossipEngine`.  Engines are
-        bit-identical by contract (asserted by ``tests/test_event_engine.py``
-        and ``tests/test_tag_event_engine.py``), so the choice never affects
-        results and is excluded from :meth:`fingerprint`; ``"event"`` with a
-        standalone spanning tree is rejected here, and anything discovered
-        later raises :class:`~repro.errors.EngineError` instead of falling
-        back silently.
+        :func:`~repro.experiments.parallel.select_engine` (every protocol a
+        spec can name runs on the event-driven engine), ``"scalar"`` forces
+        the sequential :class:`~repro.gossip.GossipEngine` and ``"event"``
+        requires the event-driven :class:`~repro.gossip.EventGossipEngine`.
+        Engines are bit-identical by contract (asserted by
+        ``tests/test_event_engine.py`` and ``tests/test_tag_event_engine.py``),
+        so the choice never affects results and is excluded from
+        :meth:`fingerprint`; a pinned engine that cannot run the workload
+        raises :class:`~repro.errors.EngineError` instead of falling back
+        silently.
 
     Examples
     --------
@@ -391,11 +390,6 @@ class ScenarioSpec:
         if self.engine not in ("", "scalar", "event"):
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; known: ['', 'event', 'scalar']"
-            )
-        if self.engine == "event" and self.protocol == "spanning_tree":
-            raise ConfigurationError(
-                "the event-driven engine runs uniform algebraic gossip and TAG "
-                "only; protocol 'spanning_tree' must use the scalar engine"
             )
 
     # ------------------------------------------------------------------
@@ -746,15 +740,6 @@ class MaterializedScenario:
 
         return select_engine(self.protocol_factory, self.spec.engine)
 
-    def single_run_engine(self) -> tuple[str, str]:
-        """The engine :meth:`run_single` runs on, and why.
-
-        The spec's pinned engine, else the scalar reference engine.
-        """
-        if self.spec.engine:
-            return self.spec.engine, "pinned"
-        return "scalar", "single run"
-
     def measure(
         self,
         *,
@@ -810,11 +795,11 @@ class MaterializedScenario:
     ) -> RunResult:
         """One single-trial run — exactly trial 0 of the Monte Carlo plan.
 
-        Runs the sequential engine unless the spec pins the event engine
-        (both are bit-identical per seed, so the choice never changes the
-        result).  With a ``store``, trial 0 is served from (and persisted
-        to) the same ``(fingerprint, seed, trial)`` records the Monte Carlo
-        runners use — engine-invariantly, like the cache itself.
+        Runs on the engine :meth:`select_engine` reports, as the Monte Carlo
+        runners do (engines are bit-identical per seed, so the choice never
+        changes the result).  With a ``store``, trial 0 is served from (and
+        persisted to) the same ``(fingerprint, seed, trial)`` records the
+        Monte Carlo runners use — engine-invariantly, like the cache itself.
         """
         from ..experiments.parallel import _measure_trial_indices
 
@@ -829,7 +814,7 @@ class MaterializedScenario:
             self.config,
             effective_seed,
             [0],
-            self.single_run_engine()[0],
+            self.spec.engine,
         )
         if store is not None:
             store.put(self.spec, 0, result, seed=effective_seed)

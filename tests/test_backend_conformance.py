@@ -44,7 +44,7 @@ from repro.backends import (
     make_eliminator,
 )
 from repro.core import GossipAction, TimeModel
-from repro.errors import BackendError, ConfigurationError, FieldError
+from repro.errors import BackendError, FieldError
 from repro.gf import GF
 from repro.gf.linalg import (
     BatchEliminator,
@@ -420,20 +420,12 @@ def _measure(spec: ScenarioSpec, engine: str):
 @given(spec=gf2_specs())
 def test_packed_engines_match_dense_scalar(force_dense, spec):
     """The scalar engine on the packed eliminator and the event engine on
-    python-int rows reproduce the dense scalar reference trial-for-trial;
-    an ineligible engine refuses."""
+    python-int rows (or, for a standalone tree, on the tree object alone)
+    reproduce the dense scalar reference trial-for-trial."""
     with force_dense():
         reference = _measure(spec, "scalar")
-    eligible = {
-        "scalar": True,
-        "event": spec.protocol != "spanning_tree",
-    }
-    for engine, runs in eligible.items():
-        if runs:
-            assert _measure(spec, engine) == reference, engine
-        else:
-            with pytest.raises(ConfigurationError):
-                spec.replace(engine=engine)
+    for engine in ("scalar", "event"):
+        assert _measure(spec, engine) == reference, engine
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -440,6 +441,37 @@ class TestRunner:
         # The curve ends with every node at full rank k.
         assert points[-1][1] == tiny_spec().k
         assert artifact.csv.startswith("unit,round,min_rank")
+
+
+class TestFullPaperRunsOnlyOnTheEventEngine:
+    def test_cold_and_cached_runs_never_call_the_scalar_engine(self, tmp_path, monkeypatch):
+        """``full-paper`` at one trial per unit, cold and then cached, with
+        ``GossipEngine.run`` patched to raise: both report bodies equal an
+        unpatched run's (the trials and the rank-evolution replays all run
+        on the event engine)."""
+        from repro.gossip import GossipEngine
+
+        campaign = get_campaign("full-paper")
+        store_path = tmp_path / "store"
+
+        def cold_and_cached_bodies() -> list[tuple[str, str]]:
+            bodies = []
+            for _ in ("cold", "cached"):
+                result = run_campaign(campaign, store=ResultStore(store_path), trials=1)
+                bodies.append((
+                    report_body(render_markdown(result)),
+                    report_body(render_html(result)),
+                ))
+            return bodies
+
+        reference = cold_and_cached_bodies()
+
+        def refuse(engine):
+            raise AssertionError("the scalar engine ran")
+
+        monkeypatch.setattr(GossipEngine, "run", refuse)
+        shutil.rmtree(store_path)
+        assert cold_and_cached_bodies() == reference
 
 
 class TestReport:

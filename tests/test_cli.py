@@ -149,9 +149,9 @@ class TestRunPrintsTheEngine:
         (["scenario", "run", "tag/brr-barbell", "--trials", "2"],
          "engine: event (auto: TAG)"),
         (["scenario", "run", "tree/brr-broadcast-barbell", "--trials", "2"],
-         "engine: scalar (auto: no event-engine support)"),
+         "engine: event (auto: spanning tree)"),
         (["run", "--topology", "barbell", "--n", "8", "--protocol", "tag"],
-         "engine: scalar (single run)"),
+         "engine: event (auto: TAG)"),
         (["run", "--topology", "ring", "--n", "8", "--engine", "event"],
          "engine: event (pinned)"),
     ], ids=["uniform", "tag", "scenario-tag", "scenario-tree", "single-run",
@@ -179,7 +179,7 @@ class TestRunPrintsTheEngine:
         for line in ("uniform: computed (0 cached, 1 computed)",
                      "engine event (auto: uniform AG)",
                      "engine event (auto: TAG)",
-                     "engine scalar (auto: no event-engine support)"):
+                     "engine event (auto: spanning tree)"):
             assert line in out
 
 

@@ -37,6 +37,7 @@ from repro.errors import ConfigurationError, EngineError
 from repro.gf import GF
 from repro.gf.linalg import BatchEliminator
 from repro.gossip import EventGossipEngine
+from repro.protocols import RoundRobinBroadcastTree
 from repro.scenarios import ScenarioSpec, get_scenario
 from repro.scenarios.spec import default_scenario_config
 
@@ -264,30 +265,36 @@ def test_spec_rejects_the_deleted_batch_engine():
         _spec(topology="ring", n=12, k=6, engine="batch", config=SYNC)
 
 
-def test_spec_rejects_event_engine_for_standalone_trees():
-    with pytest.raises(ConfigurationError, match="'spanning_tree' must use the scalar"):
-        _spec(
-            topology="barbell",
-            n=16,
-            protocol="spanning_tree",
-            spanning_tree="brr",
-            engine="event",
-            config=SYNC,
-        )
-
-
-def test_event_engine_rejects_a_standalone_tree_process():
-    """Direct construction with an unsupported protocol is a typed error."""
+def test_spec_accepts_event_engine_for_standalone_trees():
+    """A standalone tree may pin the event engine; it replays the scalar one."""
     spec = _spec(
-        topology="barbell", n=16, protocol="spanning_tree", spanning_tree="brr",
+        topology="barbell",
+        n=16,
+        protocol="spanning_tree",
+        spanning_tree="brr",
+        engine="event",
+        trials=2,
         config=SYNC,
     )
-    materialized = spec.materialize()
+    assert spec.materialize().select_engine() == ("event", "pinned")
+    assert _measure(spec, "event", trials=2) == _measure(spec, "scalar", trials=2)
+
+
+def test_event_engine_rejects_a_custom_standalone_tree():
+    """Direct construction with a tree subclass is a typed error: only the
+    four built-in tree types run on the event engine."""
+    class CustomTree(RoundRobinBroadcastTree):
+        pass
+
+    materialized = _spec(
+        topology="barbell", n=16, protocol="spanning_tree", spanning_tree="brr",
+        config=SYNC,
+    ).materialize()
     rng = derive_rng(0, "trial-0")
-    process = materialized.build_process(rng)
+    process = CustomTree(materialized.graph, 0, rng)
     assert not process.supports_event_engine()
     with pytest.raises(EngineError, match="event-driven"):
-        EventGossipEngine(materialized.graph, process, spec.config, rng)
+        EventGossipEngine(materialized.graph, process, SYNC, rng)
 
 
 def test_event_engine_refuses_a_bit_generator_without_halves():

@@ -180,27 +180,25 @@ class TestAutoEngineRule:
         assert results == spec.replace(engine="scalar").materialize().measure()
 
     @pytest.mark.parametrize(
-        "protocol,engine,reason",
+        "protocol,reason",
         [
-            ("tag", "EventGossipEngine", ("event", "auto: TAG")),
-            ("spanning_tree", "GossipEngine", ("scalar", "auto: no event-engine support")),
+            ("tag", ("event", "auto: TAG")),
+            ("spanning_tree", ("event", "auto: spanning tree")),
         ],
         ids=["tag", "spanning_tree"],
     )
-    def test_tag_runs_on_the_event_engine_and_trees_on_the_scalar_one(
-        self, protocol, engine, reason, monkeypatch
-    ):
+    def test_tag_and_trees_run_on_the_event_engine(self, protocol, reason, monkeypatch):
         scenario = ScenarioSpec(
             topology="barbell", n=8, protocol=protocol, trials=2, seed=4
         ).materialize()
         assert scenario.select_engine() == reason
         ran = _engine_runs(monkeypatch)
         scenario.measure()
-        assert ran == [engine] * 2
+        assert ran == ["EventGossipEngine"] * 2
 
     @pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("spanning_tree", ["brr", "uniform_broadcast", "is", "bfs_oracle"])
-    def test_standalone_trees_run_on_the_scalar_engine(
+    def test_standalone_trees_run_on_the_event_engine(
         self, spanning_tree, time_model, monkeypatch
     ):
         scenario = ScenarioSpec(
@@ -208,14 +206,15 @@ class TestAutoEngineRule:
             spanning_tree=spanning_tree, trials=3, seed=11,
             config=default_scenario_config(time_model=time_model),
         ).materialize()
-        assert scenario.select_engine() == ("scalar", "auto: no event-engine support")
+        assert scenario.select_engine() == ("event", "auto: spanning tree")
         ran = _engine_runs(monkeypatch)
         results = scenario.measure()
-        assert ran == ["GossipEngine"] * 3
-        assert _signature(results) == _signature(measure_protocol(
+        assert ran == ["EventGossipEngine"] * 3
+        monkeypatch.undo()
+        assert results == measure_protocol(
             scenario.graph, scenario.protocol_factory, scenario.config,
             trials=3, seed=11,
-        ))
+        )
 
     def test_tag_under_reset_churn_runs_on_the_event_engine(self, monkeypatch):
         spec = ScenarioSpec(
@@ -229,11 +228,13 @@ class TestAutoEngineRule:
         assert ran == ["EventGossipEngine"] * 2
         assert results == spec.replace(engine="scalar").materialize().measure()
 
-    def test_run_single_stays_on_the_scalar_engine(self, monkeypatch):
-        scenario = ScenarioSpec(topology="ring", n=8, k=4).materialize()
+    @pytest.mark.parametrize("protocol", ["uniform", "tag", "spanning_tree"])
+    def test_run_single_follows_the_rule(self, protocol, monkeypatch):
+        scenario = ScenarioSpec(topology="barbell", n=8, protocol=protocol).materialize()
         ran = _engine_runs(monkeypatch)
         scenario.run_single()
-        assert ran == ["GossipEngine"]
+        assert ran == ["EventGossipEngine"]
+        assert scenario.select_engine()[0] == "event"
 
     @pytest.mark.parametrize("engine", ["scalar", "event"])
     def test_a_pinned_engine_is_kept(self, engine):

@@ -121,3 +121,23 @@ def test_speedup_records_keep_their_floor_check(tmp_path):
     assert _check(tmp_path) == 1
     (output / "BENCH_E9-demo.json").write_text(json.dumps({"speedup": 6.0, "min_speedup": 5.0}))
     assert _check(tmp_path) == 0
+
+
+def test_the_bytes_ratio_record_keeps_its_floor_check(tmp_path, capsys):
+    output = tmp_path / "output"
+    output.mkdir()
+    record = output / "BENCH_E14-demo.json"
+    record.write_text(json.dumps({"bytes_ratio": 40.0, "min_bytes_ratio": 50.0}))
+    assert _check(tmp_path) == 1
+    assert "bytes_ratio 40.00x (floor 50.0x" in capsys.readouterr().out
+    record.write_text(json.dumps({"bytes_ratio": 1525.077, "min_bytes_ratio": 50.0}))
+    assert _check(tmp_path) == 0
+
+
+def test_a_ratio_record_without_a_headline_fails(tmp_path, capsys):
+    output = tmp_path / "output"
+    output.mkdir()
+    # The pre-rename field name alone is not read as a bytes ratio.
+    (output / "BENCH_E14-demo.json").write_text(json.dumps({"min_bytes_ratio": 50.0}))
+    assert _check(tmp_path) == 1
+    assert "unreadable record" in capsys.readouterr().out

@@ -1,17 +1,25 @@
-"""TAG on the event-driven engine: bit-identical to the scalar engine.
+"""TAG and the standalone spanning trees on the event-driven engine.
 
 The contract under test (see ``repro/gossip/event.py``): for the same
 per-trial generator, :class:`~repro.gossip.event.EventGossipEngine` running
-:class:`~repro.protocols.tag.TagProtocol` returns exactly the
+:class:`~repro.protocols.tag.TagProtocol`, or one of the four built-in
+spanning trees on its own, returns exactly the
 :class:`~repro.core.results.RunResult` of
 :class:`~repro.gossip.engine.GossipEngine` — stopping time, timeslots,
 message/helpful counts, per-node completion rounds, tree shape and
 metadata — and leaves the generator in the same state.
 
 * **Generated equivalence** — one hypothesis test over the spec space:
-  topology, n ≤ 32, k, q ∈ {2, 3, 4, 16}, time model, the four built-in
-  spanning trees, ``keep_phase1_after_tree``, packet loss, pause- and
-  reset-mode churn and heterogeneous activation rates.
+  TAG and standalone trees, topology, n ≤ 32, k, q ∈ {2, 3, 4, 16}, time
+  model, action, the four built-in spanning trees,
+  ``keep_phase1_after_tree``, packet loss, pause- and reset-mode churn and
+  heterogeneous activation rates.  A standalone tree under reset churn
+  raises the scalar engine's :class:`~repro.errors.SimulationError` (or
+  finishes identically when no crash fires first).
+* **Generated round-end hook** — uniform AG and TAG with an
+  ``on_round_end`` callback: its snapshots equal
+  :class:`~repro.analysis.ProgressRecorder` on the scalar engine round for
+  round, and the hook changes neither the result nor the generator state.
 * **Runner against the sequential path** — ``measure_protocol_parallel``,
   which runs TAG on the event engine, returns ``measure_protocol``'s scalar
   results trial for trial: every tree in both time models over GF(2) and
@@ -22,23 +30,28 @@ metadata — and leaves the generator in the same state.
 * **Order-sensitive families** — B_RR and IS draw their round-robin offsets
   in ascending node order on the two families whose nodes were once listed
   out of order.
-* **Typed refusals** — a ``TagProtocol`` subclass and a custom spanning tree
-  raise :class:`~repro.errors.EngineError`; there is no fallback.
+* **Typed refusals** — a ``TagProtocol`` subclass, a custom spanning tree
+  and a round-end hook on a standalone tree raise
+  :class:`~repro.errors.EngineError`; there is no fallback.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import ProgressRecorder, RoundSnapshot
 from repro.analysis.stopping_time import measure_protocol
-from repro.core import TimeModel
+from repro.core import GossipAction, TimeModel
 from repro.core.rng import derive_rng
-from repro.errors import EngineError
+from repro.errors import EngineError, SimulationError
 from repro.experiments import all_to_all_placement, measure_protocol_parallel
 from repro.gf import GF
 from repro.gossip import EventGossipEngine, GossipEngine
+from repro.gossip.event import build_event_process
 from repro.graphs import barbell_graph, build_topology, grid_graph
 from repro.protocols import (
     BfsOracleTree,
@@ -59,18 +72,31 @@ TREES = ["brr", "uniform_broadcast", "bfs_oracle", "is"]
 TOPOLOGIES = ["ring", "line", "grid", "complete", "barbell", "binary_tree", "star"]
 
 
-def _assert_engines_match(graph, factory, config, *, trials: int, seed: int) -> None:
-    """Per trial: equal results and equal final generator state."""
+def _engine_outcome(engine_class, graph, factory, config, seed, trial, may_raise):
+    """One trial's ``(result, generator state)``, or the error it raised."""
+    rng = derive_rng(seed, f"trial-{trial}")
+    process = factory(graph, rng)
+    try:
+        result = engine_class(graph, process, config, rng).run()
+    except SimulationError as error:
+        if not may_raise:
+            raise
+        return type(error), str(error)
+    assert "min_rank" not in result.metadata
+    return result, rng.bit_generator.state
+
+
+def _assert_engines_match(
+    graph, factory, config, *, trials: int, seed: int, may_raise: bool = False
+) -> None:
+    """Per trial: equal results and equal final generator state (or, with
+    ``may_raise``, the same ``SimulationError`` on both engines)."""
     for trial in range(trials):
-        runs = []
-        for engine_class in (GossipEngine, EventGossipEngine):
-            rng = derive_rng(seed, f"trial-{trial}")
-            result = engine_class(graph, factory(graph, rng), config, rng).run()
-            runs.append((result, rng.bit_generator.state))
-        (scalar, scalar_state), (event, event_state) = runs
+        scalar, event = (
+            _engine_outcome(engine_class, graph, factory, config, seed, trial, may_raise)
+            for engine_class in (GossipEngine, EventGossipEngine)
+        )
         assert event == scalar, trial
-        assert event_state == scalar_state, trial
-        assert "min_rank" not in event.metadata
 
 
 def _assert_event_matches_scalar(spec: ScenarioSpec, trials: int = 1) -> None:
@@ -82,8 +108,14 @@ def _assert_event_matches_scalar(spec: ScenarioSpec, trials: int = 1) -> None:
 
 
 @st.composite
-def tag_specs(draw) -> ScenarioSpec:
-    """A valid TAG scenario over every axis the event engine replays."""
+def event_specs(draw, protocols=("tag", "spanning_tree")) -> ScenarioSpec:
+    """A valid scenario over every axis the event engine replays.
+
+    A standalone tree cannot be *specified* with reset churn (its spec is
+    refused); :func:`test_event_engine_matches_scalar` runs that case on a
+    hand-edited config instead.
+    """
+    protocol = draw(st.sampled_from(protocols))
     topology = draw(st.sampled_from(TOPOLOGIES))
     n = draw(st.integers(4, 32))
     # Churn names materialised nodes: some families round n (grids).
@@ -112,7 +144,7 @@ def tag_specs(draw) -> ScenarioSpec:
         topology=topology,
         n=n,
         k=draw(st.integers(1, 10)),
-        protocol="tag",
+        protocol=protocol,
         spanning_tree=draw(st.sampled_from(TREES)),
         keep_phase1_after_tree=draw(st.booleans()),
         activation=activation,
@@ -120,9 +152,10 @@ def tag_specs(draw) -> ScenarioSpec:
             time_model=time_model,
             field_size=draw(st.sampled_from([2, 3, 4, 16])),
         ).replace(
+            action=draw(st.sampled_from(list(GossipAction))),
             loss_probability=draw(st.sampled_from([0.0, 0.0, 0.15])),
             churn=schedule,
-            churn_reset=churn == "reset",
+            churn_reset=churn == "reset" and protocol != "spanning_tree",
         ),
         seed=draw(st.integers(0, 2**31 - 1)),
     )
@@ -133,8 +166,8 @@ _RESET = default_scenario_config(field_size=2).replace(
 )
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(spec=tag_specs())
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=event_specs())
 # The BFS oracle over GF(2), with and without phase 1 after the tree.
 @example(spec=ScenarioSpec(
     topology="barbell", n=12, k=12, protocol="tag", spanning_tree="bfs_oracle",
@@ -158,8 +191,100 @@ _RESET = default_scenario_config(field_size=2).replace(
     topology="ring", n=12, protocol="tag", spanning_tree="uniform_broadcast",
     config=_RESET,
 ))
+# Standalone trees: the BFS oracle is complete at round 0; async IS under
+# pause churn and rates; sync B_RR under loss (and, hand-edited, reset
+# churn that fires in round 1).
+@example(spec=ScenarioSpec(
+    topology="barbell", n=12, protocol="spanning_tree", spanning_tree="bfs_oracle",
+))
+@example(spec=ScenarioSpec(
+    topology="grid", n=16, protocol="spanning_tree", spanning_tree="is",
+    activation={"kind": "degree"},
+    config=default_scenario_config(time_model=TimeModel.ASYNCHRONOUS).replace(
+        churn=((5, 2, 6), (15, 1, 3)),
+    ),
+))
+@example(spec=ScenarioSpec(
+    topology="barbell", n=16, protocol="spanning_tree", spanning_tree="brr",
+    config=default_scenario_config().replace(
+        loss_probability=0.15, churn=((3, 1, 4),),
+    ),
+))
 def test_event_engine_matches_scalar(spec):
     _assert_event_matches_scalar(spec)
+    if spec.protocol == "spanning_tree" and spec.config.churn:
+        # The same schedule in reset mode: a crash reaches the tree's own
+        # on_crash, which refuses on both engines with the same error.
+        scenario = spec.materialize()
+        _assert_engines_match(
+            scenario.graph, scenario.protocol_factory,
+            scenario.config.replace(churn_reset=True),
+            trials=1, seed=spec.seed, may_raise=True,
+        )
+
+
+@pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("spanning_tree", TREES)
+def test_standalone_tree_under_reset_churn_raises_the_scalar_error(
+    spanning_tree, time_model
+):
+    """A crash in round 1 reaches the tree's ``on_crash`` on both engines."""
+    scenario = ScenarioSpec(
+        topology="barbell", n=10, protocol="spanning_tree", spanning_tree=spanning_tree,
+        config=default_scenario_config(time_model=time_model),
+    ).materialize()
+    config = scenario.config.replace(churn=((4, 1, 3),), churn_reset=True)
+    for engine_class in (GossipEngine, EventGossipEngine):
+        rng = derive_rng(0, "trial-0")
+        process = scenario.build_process(rng)
+        engine = engine_class(scenario.graph, process, config, rng)
+        if spanning_tree == "bfs_oracle":
+            # Complete before round 1: no crash ever fires.
+            assert engine.run().rounds == 0
+            continue
+        with pytest.raises(SimulationError, match="does not support churn_reset"):
+            engine.run()
+
+
+# ----------------------------------------------------------------------
+# The round-end hook against ProgressRecorder on the scalar engine
+# ----------------------------------------------------------------------
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=event_specs(protocols=("uniform", "tag")))
+@example(spec=ScenarioSpec(
+    topology="barbell", n=12, k=12, config=default_scenario_config(
+        time_model=TimeModel.ASYNCHRONOUS
+    ).replace(churn=((3, 2, 7),), churn_reset=True),
+))
+@example(spec=ScenarioSpec(topology="barbell", n=12, k=12, protocol="tag"))
+def test_round_end_hook_matches_the_progress_recorder(spec):
+    scenario = spec.materialize()
+    graph, factory, config = scenario.graph, scenario.protocol_factory, scenario.config
+
+    rng = derive_rng(spec.seed, "trial-0")
+    recorder = ProgressRecorder(factory(graph, rng))
+    scalar = GossipEngine(graph, recorder, config, rng).run()
+    scalar_state = rng.bit_generator.state
+
+    snapshots = []
+
+    def record(round_index, ranks):
+        snapshots.append(RoundSnapshot.from_ranks(round_index, ranks, scenario.k))
+
+    runs = []
+    for hook in (record, None):
+        rng = derive_rng(spec.seed, "trial-0")
+        process = build_event_process(graph, factory, rng)
+        result = EventGossipEngine(graph, process, config, rng, on_round_end=hook).run()
+        runs.append((result, rng.bit_generator.state))
+    (hooked, hooked_state), (plain, plain_state) = runs
+
+    assert snapshots == recorder.snapshots
+    assert (hooked, hooked_state) == (plain, plain_state)
+    assert hooked_state == scalar_state
+    metadata = dict(scalar.metadata)
+    assert metadata.pop("progress_snapshots") == len(snapshots)
+    assert hooked == dataclasses.replace(scalar, metadata=metadata)
 
 
 #: Families whose former networkx builders listed their nodes out of
@@ -336,3 +461,14 @@ def test_tag_with_a_built_in_tree_is_accepted(rng):
     graph, process, config = _tag_process(rng)
     assert process.supports_event_engine()
     assert EventGossipEngine(graph, process, config, rng).run().completed
+
+
+def test_a_round_end_hook_on_a_standalone_tree_is_refused(rng):
+    graph = barbell_graph(8)
+    process = RoundRobinBroadcastTree(graph, 0, rng)
+    assert process.supports_event_engine()
+    with pytest.raises(EngineError, match="no decoder ranks"):
+        EventGossipEngine(
+            graph, process, default_scenario_config(), rng,
+            on_round_end=lambda round_index, ranks: None,
+        )
