@@ -15,7 +15,7 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest --doctest-modules -q \
-		src/repro/backends/__init__.py src/repro/backends/rows.py \
+		src/repro/backends/rows.py \
 		src/repro/scenarios/spec.py src/repro/scenarios/registry.py \
 		src/repro/scenarios/sweeps.py \
 		src/repro/store/result_store.py src/repro/analysis/tables.py \
@@ -66,18 +66,21 @@ bench-json:
 bench-check:
 	$(PYTHON) benchmarks/check_regression.py
 
-## Packed GF(2) eliminator vs the dense reference: the conformance suite
-## (the field picks the eliminator, packed-vs-dense eliminator traces,
-## generated GF(2) scenarios on both engines against the dense scalar run,
-## typed q!=2 refusal, store invariance).
+## RowEliminator and the one-shot kernels vs the dense BatchEliminator: the
+## conformance suite (generated RowEliminator traces with resets and encodes
+## over prime, binary-extension and odd-extension fields; row_reduce / rank /
+## is_in_row_space against the incremental dense eliminator; typed
+## BackendError / FieldError refusals).  Whole runs on the two engines are
+## held to each other by event-check.
 backend-check:
 	$(PYTHON) -m pytest tests/test_backend_conformance.py -q
 
 ## Event-driven engine contract: the full equivalence/refusal/dispatch suite
 ## for uniform AG (event vs scalar bit-identity over both time models,
 ## churn, rates, loss; single-problem eliminator fast paths; typed
-## EngineError refusals), the generated equivalence for TAG over the four
-## spanning trees and for those trees run standalone, the round-end hook
+## EngineError refusals), the generated equivalence for uniform AG, for TAG
+## over the four spanning trees and for those trees run standalone, TAG
+## seeded from its placement alone, the round-end hook
 ## against ProgressRecorder on the scalar engine, the engine rule
 ## (`select_engine`, single runs included), a `full-paper` campaign that
 ## never calls the scalar engine, and the block-draw reader's conformance

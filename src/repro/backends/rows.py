@@ -1,8 +1,8 @@
 """Single-problem elimination on python-int rows: the event engine's eliminator.
 
 The event-driven engine absorbs one packet into one node's subspace at a
-time.  The batched eliminators pay numpy dispatch (or a uint64 → int round
-trip) on every one of those tiny rows; :class:`RowEliminator` instead keeps
+time.  The dense :class:`~repro.gf.linalg.BatchEliminator` pays numpy
+dispatch on every one of those tiny rows; :class:`RowEliminator` instead keeps
 each stored row as **one python int** and does the row arithmetic with int
 and ``bytes`` operations that run in C:
 

@@ -61,13 +61,14 @@ class EngineError(ReproError):
 
 
 class BackendError(ReproError):
-    """Raised when an eliminator is handed a field it cannot compute over.
+    """Raised when an eliminator is asked for something it cannot do.
 
-    Example: constructing the bit-packed
-    :class:`~repro.backends.gf2bit.PackedGf2Eliminator` directly over a
-    field other than ``GF(2)`` — it refuses loudly instead of computing with
-    the wrong arithmetic (:func:`repro.backends.make_eliminator` never asks
-    it to).
+    Examples: a :class:`~repro.backends.rows.RowEliminator` over a field
+    wider than a byte, which refuses loudly instead of computing with the
+    wrong arithmetic; the single-problem entry points of the dense
+    :class:`~repro.gf.linalg.BatchEliminator`, which moved to
+    ``RowEliminator``; and the deleted
+    :class:`~repro.backends.gf2bit.PackedGf2Eliminator` placeholder.
     """
 
 

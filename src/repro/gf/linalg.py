@@ -11,9 +11,9 @@ All routines operate on integer numpy arrays whose entries are field elements
 in ``[0, q)`` and take the :class:`~repro.gf.field.GaloisField` instance as an
 explicit argument, mirroring how a mathematician would write "over ``F_q``".
 
-:class:`BatchEliminator` is the dense incremental eliminator the decoders and
-engines run on over every field but ``GF(2)``, where
-:func:`repro.backends.make_eliminator` picks its bit-identical packed twin.
+:class:`BatchEliminator` is the dense incremental eliminator the scalar
+decoder runs on over every field; the event engine's
+:class:`~repro.backends.rows.RowEliminator` is held to it.
 """
 
 from __future__ import annotations
@@ -211,7 +211,8 @@ class BatchEliminator:
     column (``rows[b, p]`` is the row whose pivot is column ``p``, if
     ``pivot_mask[b, p]``).  Because the RREF basis of a subspace is unique,
     this state matches any other conforming eliminator's stored rows exactly
-    (``tests/test_backend_conformance.py`` checks it against the packed one).
+    (``tests/test_backend_conformance.py`` checks
+    :class:`~repro.backends.rows.RowEliminator` against it).
 
     With ``augmented_columns = r > 0`` the trailing ``r`` columns ride along
     through every row operation but are never chosen as pivots and never make

@@ -253,29 +253,27 @@ class EventGossipEngine:
             )
         self._eliminator = RowEliminator(self._field, self._n, self._k)
         self._ranks = self._eliminator.ranks  # live list
-        self._seed_from_process()
+        for pos in process.placement:
+            self._seed_node(pos, 0)
 
     # ------------------------------------------------------------------
     # Initial state
     # ------------------------------------------------------------------
-    def _seed_from_process(self) -> None:
-        """Absorb every node's initial knowledge, one packed row at a time."""
-        initial = getattr(self.process, "initial_coefficient_rows", None)
-        if initial is not None:
-            # Decoder-less processes (RankOnlyUniformGossip) report their
-            # initial RREF rows directly; nothing per-node is built.
-            node_rows = initial()
-        else:
-            node_rows = {
-                node: decoder.coefficient_matrix()
-                for node, decoder in self.process.decoders.items()
-            }
+    def _seed_node(self, pos: int, round_index: int) -> None:
+        """Absorb the unit rows of the messages the placement puts at ``pos``.
+
+        Every coded process the engine runs carries its validated
+        ``placement``; the resulting RREF state is what a freshly seeded
+        :class:`~repro.rlnc.decoder.RlncDecoder` holds.  A node those rows
+        alone bring to rank ``k`` completes at ``round_index``.
+        """
         eliminator = self._eliminator
-        for node, matrix in node_rows.items():
-            for row in matrix:
-                eliminator.eliminate_one(node, eliminator.pack(row))
-            if self._ranks[node] == self._k:
-                self._note_completion(node, 0)
+        for message_index in self.process.placement.get(self._nodes[pos], ()):
+            unit = self._field.zeros(self._k)
+            unit[message_index] = 1
+            eliminator.eliminate_one(pos, eliminator.pack(unit))
+        if self._ranks[pos] == self._k:
+            self._note_completion(pos, round_index)
 
     # ------------------------------------------------------------------
     # Public API
@@ -630,11 +628,5 @@ class EventGossipEngine:
             self._noted[pos] = False
             self._finished -= 1
         self._completion_rounds.pop(node, None)
-        eliminator = self._eliminator
-        eliminator.reset(pos)
-        for message_index in getattr(self.process, "_placement", {}).get(node, ()):
-            unit = self._field.zeros(self._k)
-            unit[message_index] = 1
-            eliminator.eliminate_one(pos, eliminator.pack(unit))
-        if self._ranks[pos] == self._k:
-            self._note_completion(pos, round_index)
+        self._eliminator.reset(pos)
+        self._seed_node(pos, round_index)

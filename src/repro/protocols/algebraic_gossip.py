@@ -34,7 +34,36 @@ __all__ = [
     "RankOnlyUniformGossip",
     "build_node_decoders",
     "reset_node_to_initial_knowledge",
+    "validate_placement",
 ]
+
+
+def validate_placement(
+    graph: CSRGraph, k: int, placement: Mapping[int, Sequence[int]]
+) -> dict[int, tuple[int, ...]]:
+    """Check a placement and return it as node → tuple of message indices.
+
+    ``placement`` maps node id → indices of the source messages initially
+    stored there.  A node may hold several messages or none, but every node
+    must exist, every index must lie in ``0..k-1``, and every message must be
+    placed at least once, otherwise no protocol could ever disseminate it.
+    Anything else raises :class:`~repro.errors.SimulationError`.
+    """
+    normalised: dict[int, tuple[int, ...]] = {}
+    for node, indices in placement.items():
+        if node not in graph:
+            raise SimulationError(f"placement references unknown node {node}")
+        indices = tuple(int(index) for index in indices)
+        for index in indices:
+            if not 0 <= index < k:
+                raise SimulationError(f"message index {index} out of range for k={k}")
+        normalised[int(node)] = indices
+    missing = set(range(k)).difference(*normalised.values())
+    if missing:
+        raise SimulationError(
+            f"source messages {sorted(missing)} are not placed at any node"
+        )
+    return normalised
 
 
 def build_node_decoders(
@@ -45,30 +74,15 @@ def build_node_decoders(
 ) -> tuple[dict[int, RlncDecoder], dict[int, RlncEncoder]]:
     """Create one decoder + encoder per node, seeded with the initial placement.
 
-    ``placement`` maps node id → indices of the source messages initially
-    stored there.  A node may hold several messages or none; every message
-    index must be placed at least once, otherwise no protocol could ever
-    disseminate it.
+    The placement is checked by :func:`validate_placement` first.
     """
-    nodes = set(graph.nodes())
-    placed: set[int] = set()
-    for node, indices in placement.items():
-        if node not in nodes:
-            raise SimulationError(f"placement references unknown node {node}")
-        placed.update(int(i) for i in indices)
-    missing = set(range(generation.k)) - placed
-    if missing:
-        raise SimulationError(
-            f"source messages {sorted(missing)} are not placed at any node"
-        )
+    placement = validate_placement(graph, generation.k, placement)
     decoders: dict[int, RlncDecoder] = {}
     encoders: dict[int, RlncEncoder] = {}
-    for node in sorted(nodes):
-        decoder = RlncDecoder(generation.field, generation.k, generation.payload_length)
-        for index in placement.get(node, ()):  # seed initial knowledge
-            decoder.add_source_message(int(index), generation.payload_matrix[int(index)])
-        decoders[node] = decoder
-        encoders[node] = RlncEncoder(decoder, rng)
+    for node in graph.nodes():
+        decoders[node], encoders[node] = reset_node_to_initial_knowledge(
+            generation, placement, node, rng
+        )
     return decoders, encoders
 
 
@@ -80,11 +94,11 @@ def reset_node_to_initial_knowledge(
 ) -> tuple[RlncDecoder, RlncEncoder]:
     """Fresh decoder/encoder for ``node`` holding only its initial messages.
 
-    This is the reset-churn crash semantics shared by
-    :meth:`AlgebraicGossip.on_crash` and
-    :meth:`~repro.protocols.tag.TagProtocol.on_crash`: the node loses every
-    coded row it accumulated and rejoins with exactly the source messages the
-    placement originally stored at it.
+    This seeds every node in :func:`build_node_decoders`, and it is the
+    reset-churn crash semantics shared by :meth:`AlgebraicGossip.on_crash`
+    and :meth:`~repro.protocols.tag.TagProtocol.on_crash`: the node loses
+    every coded row it accumulated and rejoins with exactly the source
+    messages the placement originally stored at it.
     """
     decoder = RlncDecoder(generation.field, generation.k, generation.payload_length)
     for index in placement.get(node, ()):
@@ -130,9 +144,12 @@ class AlgebraicGossip(GossipProcess):
         self.config = config
         self.action = config.action
         self.selector = selector if selector is not None else UniformSelector(graph)
-        self.decoders, self.encoders = build_node_decoders(graph, generation, placement, rng)
-        # Kept for reset-churn crashes (on_crash rebuilds a node from these).
-        self._placement = {n: tuple(int(i) for i in idx) for n, idx in placement.items()}
+        #: Node → initial message indices: reset-churn crashes rebuild a node
+        #: from it, and the event engine seeds its rows from it.
+        self.placement = validate_placement(graph, generation.k, placement)
+        self.decoders, self.encoders = build_node_decoders(
+            graph, generation, self.placement, rng
+        )
         self._rng = rng
 
     # ------------------------------------------------------------------
@@ -166,7 +183,7 @@ class AlgebraicGossip(GossipProcess):
     def on_crash(self, node: int) -> None:
         """Reset-churn crash: the node falls back to its initial messages."""
         self.decoders[node], self.encoders[node] = reset_node_to_initial_knowledge(
-            self.generation, self._placement, node, self._rng
+            self.generation, self.placement, node, self._rng
         )
 
     def supports_event_engine(self) -> bool:
@@ -220,13 +237,11 @@ class RankOnlyUniformGossip(GossipProcess):
     exactly the O(n) object graph the event-driven engine then ignores in
     favour of its rank-only eliminator.  At ``n = 10^6`` that setup is
     the dominant cost, so the event engine's trials build this process
-    instead: it validates the same placement, stores the same
+    instead: it validates the same placement and stores the same
     :class:`~repro.rlnc.message.Generation` (drawn from the *same* ``rng``
-    stream position, so per-seed results are bit-identical), and hands the
-    engine the initial coefficient rows directly through
-    :meth:`initial_coefficient_rows` — the unit rows a fresh
-    :class:`~repro.rlnc.decoder.RlncDecoder` would report after
-    ``add_source_message``.
+    stream position, so per-seed results are bit-identical).  The engine
+    seeds each node from :attr:`placement`, as it does for the
+    decoder-built processes.
 
     Only the event-driven engine can run it: the scalar entry points
     (``on_wakeup`` etc.) raise, because this process has no payload state to
@@ -246,45 +261,13 @@ class RankOnlyUniformGossip(GossipProcess):
                 f"generation field GF({generation.field.order}) does not match "
                 f"config field_size {config.field_size}"
             )
-        # Same placement validation as build_node_decoders, without building
-        # decoders (node membership is O(1) on a CSRGraph).
-        placed: set[int] = set()
-        for node, indices in placement.items():
-            if node not in graph:
-                raise SimulationError(f"placement references unknown node {node}")
-            placed.update(int(i) for i in indices)
-        missing = set(range(generation.k)) - placed
-        if missing:
-            raise SimulationError(
-                f"source messages {sorted(missing)} are not placed at any node"
-            )
         self.graph = graph
         self.generation = generation
         self.config = config
         self.action = config.action
-        self._placement = {n: tuple(int(i) for i in idx) for n, idx in placement.items()}
+        #: Node → initial message indices, as on :class:`AlgebraicGossip`.
+        self.placement = validate_placement(graph, generation.k, placement)
         self._rng = rng
-
-    def initial_coefficient_rows(self) -> dict[int, np.ndarray]:
-        """Node → initial RREF coefficient rows (unit rows at placed indices).
-
-        Exactly what ``RlncDecoder.coefficient_matrix()`` reports right after
-        seeding: one unit row per *distinct* placed message index, pivots
-        ascending.  The event engine eliminates these verbatim, so its state
-        after seeding matches the decoder-built path bit for bit.
-        """
-        field = self.generation.field
-        k = self.generation.k
-        rows: dict[int, np.ndarray] = {}
-        for node, indices in self._placement.items():
-            distinct = sorted(set(indices))
-            if not distinct:
-                continue
-            matrix = field.zeros((len(distinct), k))
-            for row, message_index in enumerate(distinct):
-                matrix[row, message_index] = 1
-            rows[node] = matrix
-        return rows
 
     def supports_event_engine(self) -> bool:
         """Rank-only by construction (this is all the state there is)."""

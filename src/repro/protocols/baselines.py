@@ -29,6 +29,7 @@ from ..errors import SimulationError
 from ..gossip.communication import PartnerSelector, UniformSelector
 from ..gossip.engine import GossipProcess, Transmission
 from ..graphs.csr import CSRGraph
+from .algebraic_gossip import validate_placement
 
 __all__ = ["UncodedRandomGossip", "FloodingDissemination"]
 
@@ -53,20 +54,8 @@ class UncodedRandomGossip(GossipProcess):
         self.selector = selector if selector is not None else UniformSelector(graph)
         self._rng = rng
         self._known: dict[int, set[int]] = {node: set() for node in graph.nodes()}
-        placed: set[int] = set()
-        for node, indices in placement.items():
-            if node not in self._known:
-                raise SimulationError(f"placement references unknown node {node}")
-            for index in indices:
-                if not 0 <= int(index) < k:
-                    raise SimulationError(f"message index {index} out of range for k={k}")
-                self._known[node].add(int(index))
-                placed.add(int(index))
-        missing = set(range(k)) - placed
-        if missing:
-            raise SimulationError(
-                f"source messages {sorted(missing)} are not placed at any node"
-            )
+        for node, indices in validate_placement(graph, k, placement).items():
+            self._known[node].update(indices)
 
     # -- helpers -----------------------------------------------------------
     def _random_known_message(self, node: int) -> int | None:
@@ -137,10 +126,8 @@ class FloodingDissemination(GossipProcess):
         self.graph = graph
         self.k = k
         self._known: dict[int, set[int]] = {node: set() for node in graph.nodes()}
-        for node, indices in placement.items():
-            if node not in self._known:
-                raise SimulationError(f"placement references unknown node {node}")
-            self._known[node].update(int(i) for i in indices)
+        for node, indices in validate_placement(graph, k, placement).items():
+            self._known[node].update(indices)
 
     def on_wakeup(self, node: int, rng: np.random.Generator) -> list[Transmission]:
         known = frozenset(self._known[node])

@@ -29,7 +29,11 @@ from ..gossip.engine import GossipProcess, Transmission
 from ..graphs.csr import CSRGraph
 from ..rlnc.message import Generation
 from ..rlnc.packet import CodedPacket
-from .algebraic_gossip import build_node_decoders, reset_node_to_initial_knowledge
+from .algebraic_gossip import (
+    build_node_decoders,
+    reset_node_to_initial_knowledge,
+    validate_placement,
+)
 from .spanning_tree_protocols import SpanningTreeProtocol
 
 __all__ = ["TagProtocol"]
@@ -96,9 +100,12 @@ class TagProtocol(GossipProcess):
             raise SimulationError(
                 "spanning_tree must be a SpanningTreeProtocol or a factory returning one"
             )
-        self.decoders, self.encoders = build_node_decoders(graph, generation, placement, rng)
-        # Kept for reset-churn crashes (on_crash rebuilds a node from these).
-        self._placement = {n: tuple(int(i) for i in idx) for n, idx in placement.items()}
+        #: Node → initial message indices: reset-churn crashes rebuild a node
+        #: from it, and the event engine seeds its rows from it.
+        self.placement = validate_placement(graph, generation.k, placement)
+        self.decoders, self.encoders = build_node_decoders(
+            graph, generation, self.placement, rng
+        )
         self._rng = rng
         self._wakeups: dict[int, int] = {node: 0 for node in graph.nodes()}
         self._total_wakeups = 0
@@ -175,7 +182,7 @@ class TagProtocol(GossipProcess):
         keep using, whereas its coded knowledge is lost with its memory.
         """
         self.decoders[node], self.encoders[node] = reset_node_to_initial_knowledge(
-            self.generation, self._placement, node, self._rng
+            self.generation, self.placement, node, self._rng
         )
 
     def finished_nodes(self) -> set[int]:

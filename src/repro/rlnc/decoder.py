@@ -13,13 +13,12 @@ reduced row-echelon form so that
 The decoder is the ground truth for the stopping-time measurements: a node has
 "finished" exactly when its decoder reports :meth:`is_complete`.
 
-The elimination itself is a single-problem
-:class:`~repro.backends.EliminatorState` over ``[coefficients | payload]``
+The elimination itself is a single-problem dense
+:class:`~repro.gf.linalg.BatchEliminator` over ``[coefficients | payload]``
 rows (``augmented_columns = payload_length``, so payload symbols ride along
-but never become pivots), built by :func:`repro.backends.make_eliminator` —
-word-packed XOR kernels over ``GF(2)``, dense field arithmetic otherwise.
-Both keep the same canonical RREF basis, so the decoder's observable state
-does not depend on which one the field picked.
+but never become pivots), on every field.  It keeps the canonical RREF
+basis, the state the event engine's rank-only
+:class:`~repro.backends.rows.RowEliminator` holds for the coefficient part.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from ..errors import DecodingError
 from ..gf.field import GaloisField
-from ..gf.linalg import is_in_row_space
+from ..gf.linalg import BatchEliminator, is_in_row_space
 from .message import Generation
 from .packet import CodedPacket
 
@@ -53,15 +52,13 @@ class RlncDecoder:
             raise DecodingError(f"generation size must be positive, got {k}")
         if payload_length < 1:
             raise DecodingError(f"payload length must be positive, got {payload_length}")
-        from ..backends import make_eliminator
-
         self.field = field
         self.k = k
         self.payload_length = payload_length
         # One elimination problem over [coefficients | payload] rows; the
         # payload columns are augmented: carried through every row operation,
         # never pivoted on, never counted for helpfulness.
-        self._eliminator = make_eliminator(
+        self._eliminator = BatchEliminator(
             field, 1, k + payload_length, augmented_columns=payload_length
         )
         self._received = 0

@@ -17,6 +17,9 @@ message").  The placements below cover the cases the evaluation needs:
   (nodes may hold several messages);
 * :func:`adversarial_far_placement` — all messages as far as possible from a
   target node, the worst case the queueing reduction of Theorem 1 allows.
+
+:func:`validate_placement` is re-exported from :mod:`repro.protocols`, whose
+coded processes run it on every placement they are given.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..graphs.csr import CSRGraph
+# The one placement check, shared with the coded processes that enforce it.
+from ..protocols.algebraic_gossip import validate_placement
 
 __all__ = [
     "Placement",
@@ -38,21 +43,6 @@ __all__ = [
 
 #: Node id → list of source message indices initially stored there.
 Placement = dict[int, list[int]]
-
-
-def validate_placement(graph: CSRGraph, k: int, placement: Placement) -> None:
-    """Check that every message index ``0..k-1`` is placed at an existing node."""
-    seen: set[int] = set()
-    for node, indices in placement.items():
-        if node not in graph:
-            raise SimulationError(f"placement references unknown node {node}")
-        for index in indices:
-            if not 0 <= int(index) < k:
-                raise SimulationError(f"message index {index} out of range for k={k}")
-            seen.add(int(index))
-    missing = set(range(k)) - seen
-    if missing:
-        raise SimulationError(f"messages {sorted(missing)} are not placed anywhere")
 
 
 def all_to_all_placement(graph: CSRGraph) -> Placement:

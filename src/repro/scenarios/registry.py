@@ -330,7 +330,7 @@ register_scenario(
 # --- Large-n sparse workloads (the event-driven engine's home turf) -----
 # Registry entries stay CI-sized (a couple of thousand nodes, seconds per
 # trial); docs/reproducing_results.md shows the same specs scaled to 10^4+
-# via replace(n=...).  Over GF(2) the rank-only state stays word-packed.
+# via replace(n=...).  Over GF(2) each stored rank-only row is one k-bit int.
 register_scenario(
     ScenarioSpec(
         name="event/er-logn",

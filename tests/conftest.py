@@ -6,15 +6,11 @@ couple of minutes; the benchmarks are where larger sweeps live.
 
 from __future__ import annotations
 
-import functools
-from unittest import mock
-
 import numpy as np
 import pytest
 
 from repro.core import GossipAction, SimulationConfig, TimeModel
 from repro.gf import GF
-from repro.gf.linalg import BatchEliminator
 from repro.graphs import (
     barbell_graph,
     binary_tree_graph,
@@ -37,30 +33,12 @@ def any_field(request):
     return GF(request.param)
 
 
-@pytest.fixture(params=[2, 16], ids=["GF(2)-packed", "GF(16)-dense"])
+@pytest.fixture(params=[2, 16], ids=["GF(2)-bit-rows", "GF(16)-byte-rows"])
 def eliminator_field(request):
-    """One field per shipped eliminator: GF(2) runs packed, GF(16) dense.
-
-    The field picks the eliminator (:func:`repro.backends.make_eliminator`),
-    so a test parametrised over this fixture proves its invariants on both
-    implementations.
+    """One field per row layout of the event engine's ``RowEliminator``:
+    GF(2) stores a bit per column, GF(16) a byte per column.
     """
     return GF(request.param)
-
-
-@pytest.fixture(scope="session")
-def force_dense():
-    """``with force_dense(): ...`` builds every eliminator densely, GF(2) too.
-
-    The reference side of the packed-vs-dense checks: ``BatchEliminator``
-    takes exactly ``make_eliminator``'s arguments, so it replaces it as is.
-    The fixture hands out the patch rather than patching per test so
-    hypothesis tests, which cannot use function-scoped ``monkeypatch``, can
-    force it per example.
-    """
-    return functools.partial(
-        mock.patch, "repro.backends.make_eliminator", BatchEliminator
-    )
 
 
 @pytest.fixture

@@ -1,33 +1,24 @@
-"""The eliminator conformance suite: packed and row eliminators, one contract.
+"""The eliminator conformance suite: the row eliminator against the dense one.
 
-:func:`repro.backends.make_eliminator` lets the field pick the eliminator —
-:class:`~repro.backends.gf2bit.PackedGf2Eliminator` over ``GF(2)``, the dense
-:class:`~repro.gf.linalg.BatchEliminator` over every other field — and the
-event engine runs on :class:`~repro.backends.rows.RowEliminator`.  All three
-are **bit-identical by contract**, which is what lets results, fingerprints
-and stored records ignore the choice.  This module holds the packed and the
-row eliminators to the dense reference:
+Each engine has one eliminator: the scalar decoder runs on the dense
+:class:`~repro.gf.linalg.BatchEliminator` over every field, the event engine
+on :class:`~repro.backends.rows.RowEliminator`.  Both are **bit-identical by
+contract**, which is what lets results, fingerprints and stored records
+ignore the engine.  This module holds them to it:
 
-* **selection** — the field decides, and patching
-  ``repro.backends.make_eliminator`` reaches every decoder, while the event
-  engine always runs on python-int rows;
 * **kernel conformance** — the one-shot ``gf.linalg`` kernels
-  (``row_reduce`` / ``rank`` / ``is_in_row_space``) and the incremental
-  eliminator the field picks describe the same row spaces, over GF(2),
-  GF(3), GF(16) and GF(256);
-* **eliminator conformance** — long random incremental traces produce
-  identical helpful masks, ranks, pivot masks, bases and ``combine``
-  outputs, scalar (batch=1) and batched alike; generated single-problem
-  traces with resets hold ``RowEliminator`` to the dense reference over
-  prime, binary-extension and odd-extension fields;
-* **end-to-end equivalence** — generated GF(2) scenarios give the same
-  ``RunResult`` on the scalar engine with the packed eliminator and on the
-  event engine as on the scalar engine with the dense one forced;
-* **typed refusal** — the packed eliminator, constructed directly, rejects
-  ``q != 2`` with :class:`~repro.errors.BackendError`, and so do the batch
-  eliminators' retired single-problem entry points;
-* **store invariance** — records computed on the dense eliminator are pure
-  cache hits for a packed run.
+  (``row_reduce`` / ``rank`` / ``is_in_row_space``) and the dense
+  incremental eliminator describe the same row spaces, over GF(2), GF(3),
+  GF(16) and GF(256);
+* **eliminator conformance** — generated single-problem traces with resets
+  and encodes hold ``RowEliminator`` to the dense reference over prime,
+  binary-extension and odd-extension fields;
+* **typed refusal** — ``RowEliminator`` rejects fields wider than a byte,
+  the dense eliminator's retired single-problem entry points raise, and
+  so does its constructor on invalid shapes, each with a typed error.
+
+The engines themselves are held to each other end to end in
+``tests/test_event_engine.py`` and ``tests/test_tag_event_engine.py``.
 """
 
 from __future__ import annotations
@@ -37,13 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import (
-    EliminatorState,
-    PackedGf2Eliminator,
-    RowEliminator,
-    make_eliminator,
-)
-from repro.core import GossipAction, TimeModel
+from repro.backends import RowEliminator
 from repro.errors import BackendError, FieldError
 from repro.gf import GF
 from repro.gf.linalg import (
@@ -53,76 +38,35 @@ from repro.gf.linalg import (
     rank,
     row_reduce,
 )
-from repro.gossip import EventGossipEngine
-from repro.rlnc import RlncDecoder
-from repro.scenarios import ScenarioSpec, default_scenario_config, get_scenario
-from repro.store import ResultStore
-
-# ----------------------------------------------------------------------
-# Selection: the field picks the eliminator
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "order,expected",
-    [(2, PackedGf2Eliminator), (3, BatchEliminator), (16, BatchEliminator),
-     (256, BatchEliminator)],
-)
-def test_field_picks_the_eliminator(order, expected):
-    eliminator = make_eliminator(GF(order), 3, 10, augmented_columns=2)
-    assert type(eliminator) is expected
-    assert isinstance(eliminator, EliminatorState)
-    assert eliminator.pivot_mask.shape == (3, 8)
-
-
-def test_decoders_and_engines_build_through_make_eliminator(force_dense):
-    """Forcing dense reaches every decoder, each looks it up per call; the
-    event engine runs on python-int rows whatever the patch says."""
-    gf2 = GF(2)
-    assert type(RlncDecoder(gf2, 3, 1)._eliminator) is PackedGf2Eliminator
-    scenario = get_scenario("event/er-logn").replace(n=32, trials=1).materialize()
-    rng = np.random.default_rng(0)
-    process = scenario.build_process(rng)
-    event = EventGossipEngine(scenario.graph, process, scenario.config, rng)
-    assert type(event._eliminator) is RowEliminator
-    with force_dense():
-        assert type(RlncDecoder(gf2, 3, 1)._eliminator) is BatchEliminator
-        event = EventGossipEngine(scenario.graph, process, scenario.config, rng)
-        assert type(event._eliminator) is RowEliminator
-
-
-def test_eliminator_state_requires_every_hot_path_method():
-    """The contract has no default bodies: a partial eliminator cannot exist."""
-
-    class Partial(EliminatorState):
-        def eliminate(self, incoming, indices=None):  # pragma: no cover
-            raise NotImplementedError
-
-        def rank_of(self, index):  # pragma: no cover
-            raise NotImplementedError
-
-    with pytest.raises(TypeError, match="basis.*combine"):
-        Partial()
 
 
 @pytest.mark.parametrize("order", [2, 16])
 def test_batch_eliminators_refuse_single_problem_calls(order):
-    """Single-problem elimination moved to RowEliminator: the batch
-    eliminators keep the names (a benchmark tracer patches them), each a
+    """Single-problem elimination moved to RowEliminator: the dense
+    eliminator keeps the names (a benchmark tracer patches them), each a
     typed refusal."""
-    eliminator = make_eliminator(GF(order), 2, 4)
+    eliminator = BatchEliminator(GF(order), 2, 4)
     with pytest.raises(BackendError, match="moved to RowEliminator"):
         eliminator.combine_one(0, [])
     with pytest.raises(BackendError, match="moved to RowEliminator"):
         eliminator.eliminate_one(0, 0)
 
 
+def test_eliminator_validation_matches(eliminator_field):
+    """Constructor validation is part of the contract (typed errors)."""
+    with pytest.raises(FieldError, match="batch size must be positive"):
+        BatchEliminator(eliminator_field, 0, 4)
+    with pytest.raises(FieldError, match="column count must be positive"):
+        BatchEliminator(eliminator_field, 2, 0)
+    with pytest.raises(FieldError, match="augmented_columns"):
+        BatchEliminator(eliminator_field, 2, 4, augmented_columns=4)
+
+
 # ----------------------------------------------------------------------
 # Kernel conformance: the one-shot kernels vs the eliminator
 # ----------------------------------------------------------------------
 
-#: Field orders of the kernel cross-check: GF(2) picks the packed
-#: eliminator, the others the dense one.
+#: Field orders of the kernel cross-check.
 FIELD_ORDERS = (2, 3, 16, 256)
 
 _PROBLEM_0 = np.zeros(1, np.int64)
@@ -137,8 +81,8 @@ def _random_matrix(rng: np.random.Generator, field, rows: int, cols: int):
 
 
 def _absorb(field, matrix, *, augmented_columns: int = 0):
-    """A one-problem eliminator (picked by the field) fed ``matrix`` row by row."""
-    eliminator = make_eliminator(
+    """A one-problem dense eliminator fed ``matrix`` row by row."""
+    eliminator = BatchEliminator(
         field, 1, matrix.shape[1], augmented_columns=augmented_columns
     )
     for row in matrix:
@@ -190,7 +134,7 @@ class TestKernelConformance:
         assert rank(field, empty) == 0
         assert is_in_row_space(field, empty, field.zeros(5))
         assert not is_in_row_space(field, empty, unit)
-        eliminator = make_eliminator(field, 2, 5)
+        eliminator = BatchEliminator(field, 2, 5)
         assert eliminator.ranks.tolist() == [0, 0]
         assert eliminator.eliminate(np.stack([field.zeros(5), unit])).tolist() == [
             False,
@@ -211,91 +155,13 @@ class TestKernelConformance:
             probes.append(matmul(field, coefficients, matrix)[0])
             probes.append(field.validate(rng.integers(0, order, size=9)))
         problems = np.arange(len(probes))
-        eliminator = make_eliminator(field, len(probes), 9)
+        eliminator = BatchEliminator(field, len(probes), 9)
         for row in matrix:
             eliminator.eliminate(np.tile(row, (len(probes), 1)), problems)
         helpful = eliminator.eliminate(np.stack(probes), problems)
         assert helpful.tolist() == [
             not is_in_row_space(field, matrix, probe) for probe in probes
         ]
-
-
-# ----------------------------------------------------------------------
-# Eliminator conformance: incremental traces, scalar and batched
-# ----------------------------------------------------------------------
-
-
-def _trace_eliminator(
-    eliminator_cls,
-    *,
-    batch: int,
-    columns: int,
-    augmented_columns: int,
-    sweeps: int,
-    seed: int,
-) -> list[tuple]:
-    """Drive one GF(2) eliminator through a seeded random trace; log everything."""
-    field = GF(2)
-    rng = np.random.default_rng(seed)
-    eliminator = eliminator_cls(
-        field, batch, columns, augmented_columns=augmented_columns
-    )
-    log: list[tuple] = []
-    for _ in range(sweeps):
-        m = int(rng.integers(1, batch + 1))
-        indices = rng.choice(batch, size=m, replace=False).astype(np.int64)
-        rows = field.validate(rng.integers(0, field.order, size=(m, columns)))
-        helpful = eliminator.eliminate(rows, indices)
-        probe = int(rng.integers(0, batch))
-        basis = eliminator.basis(probe)
-        coefficients = field.validate(
-            rng.integers(0, field.order, size=basis.shape[0])
-        )
-        log.append(
-            (
-                helpful.tolist(),
-                eliminator.ranks.tolist(),
-                eliminator.pivot_mask.tolist(),
-                basis.tolist(),
-                eliminator.combine(probe, coefficients).tolist(),
-            )
-        )
-    return log
-
-
-@pytest.mark.parametrize(
-    "batch,columns,augmented_columns",
-    [(1, 12, 0), (1, 18, 6), (4, 20, 0), (4, 20, 4), (3, 130, 64)],
-    ids=["scalar", "scalar-augmented", "batched", "batched-augmented", "multiword"],
-)
-def test_packed_trace_matches_dense(batch, columns, augmented_columns):
-    kwargs = dict(
-        batch=batch,
-        columns=columns,
-        augmented_columns=augmented_columns,
-        sweeps=40,
-        seed=1236,
-    )
-    assert _trace_eliminator(PackedGf2Eliminator, **kwargs) == (
-        _trace_eliminator(BatchEliminator, **kwargs)
-    )
-
-
-def test_eliminator_validation_matches(eliminator_field):
-    """Constructor validation is part of the contract (same typed errors)."""
-    with pytest.raises(FieldError, match="batch size must be positive"):
-        make_eliminator(eliminator_field, 0, 4)
-    with pytest.raises(FieldError, match="column count must be positive"):
-        make_eliminator(eliminator_field, 2, 0)
-    with pytest.raises(FieldError, match="augmented_columns"):
-        make_eliminator(eliminator_field, 2, 4, augmented_columns=4)
-
-
-@pytest.mark.parametrize("order", [3, 16, 256])
-def test_packed_eliminator_refuses_other_fields(order):
-    """No silent fallback: ``q != 2`` is a typed, loud error naming the field."""
-    with pytest.raises(BackendError, match=rf"only supports GF\(2\), got GF\({order}\)"):
-        PackedGf2Eliminator(GF(order), 1, 4)
 
 
 # ----------------------------------------------------------------------
@@ -363,89 +229,3 @@ def test_row_eliminator_matches_dense(trace):
 def test_row_eliminator_refuses_fields_wider_than_a_byte():
     with pytest.raises(BackendError, match=r"GF\(257\) does not fit"):
         RowEliminator(GF(257), 1, 4)
-
-
-# ----------------------------------------------------------------------
-# End-to-end: generated GF(2) scenarios, every eligible engine
-# ----------------------------------------------------------------------
-
-TRIALS = 2
-
-
-@st.composite
-def gf2_specs(draw) -> ScenarioSpec:
-    """A valid GF(2) scenario over the protocol, time and churn axes."""
-    protocol = draw(st.sampled_from(["uniform", "tag", "spanning_tree"]))
-    time_model = draw(st.sampled_from(list(TimeModel)))
-    churn = draw(st.sampled_from(
-        ["none", "pause"] if protocol == "spanning_tree" else ["none", "pause", "reset"]
-    ))
-    schedule = ()
-    if churn != "none":
-        down = draw(st.integers(1, 4))
-        schedule = ((draw(st.integers(0, 3)), down, down + draw(st.integers(1, 6))),)
-    activation = {}
-    if time_model is TimeModel.ASYNCHRONOUS and draw(st.booleans()):
-        activation = {
-            "kind": "two_speed",
-            "ratio": draw(st.sampled_from([2.0, 4.0])),
-            "fast_fraction": draw(st.sampled_from([0.25, 0.5])),
-        }
-    n = draw(st.integers(4, 24))
-    return ScenarioSpec(
-        topology=draw(
-            st.sampled_from(["ring", "grid", "complete", "barbell", "binary_tree"])
-        ),
-        n=n,
-        k=draw(st.integers(1, min(n, 8))),
-        protocol=protocol,
-        spanning_tree=draw(st.sampled_from(["brr", "is", "uniform_broadcast"])),
-        activation=activation,
-        config=default_scenario_config(time_model=time_model, field_size=2).replace(
-            action=draw(st.sampled_from(list(GossipAction))),
-            loss_probability=draw(st.sampled_from([0.0, 0.1])),
-            churn=schedule,
-            churn_reset=churn == "reset",
-        ),
-        trials=TRIALS,
-        seed=draw(st.integers(0, 2**31 - 1)),
-    )
-
-
-def _measure(spec: ScenarioSpec, engine: str):
-    return spec.replace(engine=engine).materialize().measure()
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(spec=gf2_specs())
-def test_packed_engines_match_dense_scalar(force_dense, spec):
-    """The scalar engine on the packed eliminator and the event engine on
-    python-int rows (or, for a standalone tree, on the tree object alone)
-    reproduce the dense scalar reference trial-for-trial."""
-    with force_dense():
-        reference = _measure(spec, "scalar")
-    for engine in ("scalar", "event"):
-        assert _measure(spec, engine) == reference, engine
-
-
-# ----------------------------------------------------------------------
-# Store invariance: the cache is eliminator-blind
-# ----------------------------------------------------------------------
-
-
-def test_dense_records_serve_a_packed_run(tmp_path, force_dense):
-    """Same fingerprint, same shard, zero recomputation across eliminators."""
-    # Pinned to the scalar engine: the event engine has its own eliminator.
-    spec = get_scenario("uniform/complete").with_config(field_size=2).replace(
-        trials=3, engine="scalar"
-    )
-    with force_dense():
-        first = spec.materialize().measure(store=ResultStore(tmp_path))
-    store = ResultStore(tmp_path)
-    assert store.fingerprints() == [spec.fingerprint()]
-    assert store.trial_keys(spec.fingerprint()) == [
-        (spec.seed, trial) for trial in range(3)
-    ]
-    second = spec.materialize().measure(store=store)
-    assert store.hits == 3 and store.puts == 0
-    assert second == first

@@ -34,7 +34,7 @@ class TestParser:
         ["scenario", "run", "uniform/ring"],
     ], ids=["run", "scenario-run"])
     def test_backend_flag_is_refused(self, argv, capsys):
-        # The field picks the eliminator: there is no backend to choose.
+        # Each engine has one eliminator: there is no backend to choose.
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--backend", "gf2bit"])
         assert excinfo.value.code == 2

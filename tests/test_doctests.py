@@ -1,8 +1,7 @@
 """Tier-1 doctest lane for the declarative layers.
 
 The docstrings of :class:`~repro.scenarios.ScenarioSpec`,
-:class:`~repro.store.ResultStore`, the campaign classes,
-:func:`~repro.backends.make_eliminator` and
+:class:`~repro.store.ResultStore`, the campaign classes and
 :class:`~repro.backends.rows.RowEliminator` carry executable examples (the
 API-reference pages in ``docs/api/`` quote the same docstrings), so they
 must stay true.  ``make test`` additionally runs the
@@ -17,7 +16,6 @@ import doctest
 import pytest
 
 import repro.analysis.tables
-import repro.backends
 import repro.backends.rows
 import repro.campaigns.registry
 import repro.campaigns.report
@@ -36,7 +34,6 @@ DOCTEST_MODULES = [
     repro.campaigns.registry,
     repro.campaigns.runner,
     repro.campaigns.report,
-    repro.backends,
     repro.backends.rows,
 ]
 

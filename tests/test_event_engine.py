@@ -159,7 +159,7 @@ def test_event_engine_matches_scalar_bit_identically(case):
 
 def test_event_engine_matches_scalar_on_both_eliminators(eliminator_field):
     """Bit rows (GF(2)) or byte rows (GF(16)), the event engine matches the
-    scalar engine on its packed or dense eliminator."""
+    scalar engine on its dense eliminator."""
     spec = _spec(
         topology="grid",
         n=16,

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import EngineError
+from repro.backends.gf2bit import PackedGf2Eliminator
+from repro.errors import BackendError, EngineError
 from repro.gossip.batch import BatchEngineCore, BatchGossipEngine
 from repro.gossip.batch_tag import BatchSpanningTreeEngine, BatchTagEngine
 
@@ -63,3 +64,18 @@ def test_deleted_engine_placeholders_refuse(placeholder):
 def test_deleted_engine_core_run_refuses():
     with pytest.raises(EngineError, match="deleted"):
         BatchEngineCore.run(object.__new__(BatchEngineCore))
+
+
+def test_deleted_packed_eliminator_refuses():
+    with pytest.raises(BackendError, match="PackedGf2Eliminator was deleted"):
+        PackedGf2Eliminator()
+
+
+@pytest.mark.parametrize(
+    "method", ["combine", "combine_one", "eliminate", "eliminate_one"]
+)
+def test_deleted_packed_eliminator_methods_refuse(method):
+    """The four names the tracer wraps stay bound, each a typed refusal."""
+    placeholder = object.__new__(PackedGf2Eliminator)
+    with pytest.raises(BackendError, match="PackedGf2Eliminator was deleted"):
+        getattr(placeholder, method)(0, [])

@@ -5,14 +5,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.experiments
+import repro.scenarios
+from repro.analysis.stopping_time import measure_protocol
 from repro.core import GossipAction, SimulationConfig, TimeModel
 from repro.errors import SimulationError
 from repro.gf import GF
 from repro.gossip import GossipEngine, RoundRobinSelector
 from repro.graphs import complete_graph, line_graph, ring_graph
-from repro.protocols import AlgebraicGossip, build_node_decoders
+from repro.protocols import (
+    AlgebraicGossip,
+    RoundRobinBroadcastTree,
+    TagProtocol,
+    build_node_decoders,
+    validate_placement,
+)
+from repro.protocols.algebraic_gossip import RankOnlyUniformGossip
 from repro.rlnc import Generation
-from repro.experiments import all_to_all_placement, spread_placement
+from repro.experiments import (
+    all_to_all_placement,
+    measure_protocol_parallel,
+    spread_placement,
+)
+from repro.scenarios import (
+    SpanningTreeFactory,
+    TagFactory,
+    UniformGossipFactory,
+    default_scenario_config,
+)
 
 
 def make_protocol(graph, k, config, seed=0, selector=None, placement=None):
@@ -65,6 +85,83 @@ class TestConstruction:
         generation = Generation.random(GF(256), 2, 2, rng)
         with pytest.raises(SimulationError):
             AlgebraicGossip(graph, generation, {0: [0], 1: [1]}, sync_config, rng)
+
+
+#: Invalid placements for k = 2 on ``ring_graph(6)``, with the error each
+#: must raise.  A negative index once wrapped through numpy indexing on the
+#: event engine, and an index of k raised a bare IndexError.
+INVALID_PLACEMENTS = {
+    "negative-index": ({0: [0, 1], 3: [-1]}, "message index -1 out of range for k=2"),
+    "index-k": ({0: [0, 1], 3: [2]}, "message index 2 out of range for k=2"),
+    "unplaced-message": ({0: [0]}, r"source messages \[1\] are not placed"),
+    "unknown-node": ({0: [0, 1], 6: [1]}, "unknown node 6"),
+}
+
+CODED_PROCESSES = {
+    "AlgebraicGossip": AlgebraicGossip,
+    "RankOnlyUniformGossip": RankOnlyUniformGossip,
+    "TagProtocol": lambda *args: TagProtocol(
+        *args, lambda graph, rng: RoundRobinBroadcastTree(graph, 0, rng)
+    ),
+}
+
+#: Placement → picklable factory of each coded protocol the runners ship.
+FACTORIES = {
+    "uniform": lambda placement: UniformGossipFactory(
+        16, 2, 2, placement, default_scenario_config()
+    ),
+    "tag": lambda placement: TagFactory(
+        16, 2, 2, placement, default_scenario_config(), SpanningTreeFactory("brr", 0)
+    ),
+}
+
+#: The sequential runner is the scalar engine; the parallel one picks the
+#: event engine for both factories.
+RUNNERS = {
+    "scalar": lambda graph, factory: measure_protocol(
+        graph, factory, factory.config, trials=1
+    ),
+    "event": lambda graph, factory: measure_protocol_parallel(
+        graph, factory, factory.config, trials=1, jobs=1
+    ),
+}
+
+
+class TestPlacementValidation:
+    """One validator, run by every coded process, typed errors on both engines."""
+
+    def test_one_validator_for_every_layer(self):
+        assert repro.scenarios.validate_placement is validate_placement
+        assert repro.experiments.validate_placement is validate_placement
+
+    @pytest.mark.parametrize("process", sorted(CODED_PROCESSES))
+    def test_process_keeps_the_normalised_placement(self, process):
+        rng = np.random.default_rng(0)
+        generation = Generation.random(GF(16), 3, 2, rng)
+        built = CODED_PROCESSES[process](
+            ring_graph(6), generation, {np.int64(0): [2, 0], 4: np.array([1, 1])},
+            default_scenario_config(), rng,
+        )
+        assert built.placement == {0: (2, 0), 4: (1, 1)}
+
+    @pytest.mark.parametrize("case", sorted(INVALID_PLACEMENTS))
+    @pytest.mark.parametrize("process", sorted(CODED_PROCESSES))
+    def test_every_coded_process_refuses(self, process, case):
+        placement, message = INVALID_PLACEMENTS[case]
+        rng = np.random.default_rng(0)
+        generation = Generation.random(GF(16), 2, 2, rng)
+        with pytest.raises(SimulationError, match=message):
+            CODED_PROCESSES[process](
+                ring_graph(6), generation, placement, default_scenario_config(), rng
+            )
+
+    @pytest.mark.parametrize("case", sorted(INVALID_PLACEMENTS))
+    @pytest.mark.parametrize("engine", sorted(RUNNERS))
+    @pytest.mark.parametrize("protocol", sorted(FACTORIES))
+    def test_both_engines_refuse(self, protocol, engine, case):
+        placement, message = INVALID_PLACEMENTS[case]
+        with pytest.raises(SimulationError, match=message):
+            RUNNERS[engine](ring_graph(6), FACTORIES[protocol](placement))
 
 
 class TestDissemination:

@@ -151,7 +151,7 @@ class TestDecode:
         assert np.array_equal(sink.decode(), generation.payload_matrix)
 
     def test_round_trip_on_both_eliminators(self, eliminator_field, rng):
-        """Full encode → gossip → decode payload recovery, packed and dense."""
+        """Full encode → gossip → decode payload recovery over GF(2) and GF(16)."""
         field = eliminator_field
         generation = Generation.random(field, k=5, payload_length=3, rng=rng)
         source = RlncDecoder(field, 5, 3)

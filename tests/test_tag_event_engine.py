@@ -1,21 +1,25 @@
-"""TAG and the standalone spanning trees on the event-driven engine.
+"""Uniform AG, TAG and the standalone spanning trees on the event engine.
 
 The contract under test (see ``repro/gossip/event.py``): for the same
 per-trial generator, :class:`~repro.gossip.event.EventGossipEngine` running
-:class:`~repro.protocols.tag.TagProtocol`, or one of the four built-in
-spanning trees on its own, returns exactly the
+uniform algebraic gossip, :class:`~repro.protocols.tag.TagProtocol`, or one
+of the four built-in spanning trees on its own, returns exactly the
 :class:`~repro.core.results.RunResult` of
 :class:`~repro.gossip.engine.GossipEngine` — stopping time, timeslots,
 message/helpful counts, per-node completion rounds, tree shape and
 metadata — and leaves the generator in the same state.
 
 * **Generated equivalence** — one hypothesis test over the spec space:
-  TAG and standalone trees, topology, n ≤ 32, k, q ∈ {2, 3, 4, 16}, time
+  uniform AG (on the decoder-less process the trial runner builds), TAG
+  and standalone trees, topology, n ≤ 32, k, q ∈ {2, 3, 4, 16}, time
   model, action, the four built-in spanning trees,
   ``keep_phase1_after_tree``, packet loss, pause- and reset-mode churn and
   heterogeneous activation rates.  A standalone tree under reset churn
   raises the scalar engine's :class:`~repro.errors.SimulationError` (or
   finishes identically when no crash fires first).
+* **Seeding from the placement** — a TAG process stripped of its decoders
+  still replays the scalar engine: the event engine reads only
+  ``placement``.
 * **Generated round-end hook** — uniform AG and TAG with an
   ``on_round_end`` callback: its snapshots equal
   :class:`~repro.analysis.ProgressRecorder` on the scalar engine round for
@@ -63,6 +67,7 @@ from repro.protocols import (
 from repro.rlnc import Generation
 from repro.scenarios import (
     ScenarioSpec,
+    UniformGossipFactory,
     default_scenario_config,
     get_scenario,
     scenario_names,
@@ -73,16 +78,24 @@ TOPOLOGIES = ["ring", "line", "grid", "complete", "barbell", "binary_tree", "sta
 
 
 def _engine_outcome(engine_class, graph, factory, config, seed, trial, may_raise):
-    """One trial's ``(result, generator state)``, or the error it raised."""
+    """One trial's ``(result, generator state)``, or the error it raised.
+
+    The event engine gets the process the trial runner builds for it
+    (decoder-less for uniform AG).
+    """
     rng = derive_rng(seed, f"trial-{trial}")
-    process = factory(graph, rng)
+    if engine_class is EventGossipEngine:
+        process = build_event_process(graph, factory, rng)
+    else:
+        process = factory(graph, rng)
     try:
         result = engine_class(graph, process, config, rng).run()
     except SimulationError as error:
         if not may_raise:
             raise
         return type(error), str(error)
-    assert "min_rank" not in result.metadata
+    # Only uniform AG reports a minimum rank; TAG and the trees never do.
+    assert ("min_rank" in result.metadata) == isinstance(factory, UniformGossipFactory)
     return result, rng.bit_generator.state
 
 
@@ -108,7 +121,7 @@ def _assert_event_matches_scalar(spec: ScenarioSpec, trials: int = 1) -> None:
 
 
 @st.composite
-def event_specs(draw, protocols=("tag", "spanning_tree")) -> ScenarioSpec:
+def event_specs(draw, protocols=("uniform", "tag", "spanning_tree")) -> ScenarioSpec:
     """A valid scenario over every axis the event engine replays.
 
     A standalone tree cannot be *specified* with reset churn (its spec is
@@ -166,8 +179,17 @@ _RESET = default_scenario_config(field_size=2).replace(
 )
 
 
-@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=75, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spec=event_specs())
+# Uniform AG over GF(2): async reset churn under two-speed rates and loss.
+@example(spec=ScenarioSpec(
+    topology="barbell", n=12, k=6, activation={
+        "kind": "two_speed", "ratio": 4.0, "fast_fraction": 0.25,
+    },
+    config=default_scenario_config(
+        time_model=TimeModel.ASYNCHRONOUS, field_size=2,
+    ).replace(churn=((3, 2, 7), (9, 4, 6)), churn_reset=True, loss_probability=0.15),
+))
 # The BFS oracle over GF(2), with and without phase 1 after the tree.
 @example(spec=ScenarioSpec(
     topology="barbell", n=12, k=12, protocol="tag", spanning_tree="bfs_oracle",
@@ -244,6 +266,38 @@ def test_standalone_tree_under_reset_churn_raises_the_scalar_error(
             continue
         with pytest.raises(SimulationError, match="does not support churn_reset"):
             engine.run()
+
+
+@pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
+def test_tag_seeds_from_the_placement_not_the_decoders(time_model):
+    """The event engine seeds (and, under reset churn, re-seeds) every node
+    from ``TagProtocol.placement``: with the decoders deleted before the
+    engine is built, result and generator state still match the scalar
+    engine's."""
+    spec = ScenarioSpec(
+        topology="barbell", n=12, k=6, protocol="tag", placement="random",
+        config=default_scenario_config(time_model=time_model, field_size=2).replace(
+            churn=((3, 2, 7), (7, 3, 6)), churn_reset=True
+        ),
+        seed=41,
+    )
+    scenario = spec.materialize()
+    graph, factory, config = scenario.graph, scenario.protocol_factory, scenario.config
+
+    def without_decoders(graph, rng):
+        process = factory(graph, rng)
+        del process.decoders, process.encoders
+        return process
+
+    for trial in range(3):
+        outcomes = []
+        for engine_class, build in (
+            (GossipEngine, factory), (EventGossipEngine, without_decoders)
+        ):
+            rng = derive_rng(spec.seed, f"trial-{trial}")
+            result = engine_class(graph, build(graph, rng), config, rng).run()
+            outcomes.append((result, rng.bit_generator.state))
+        assert outcomes[1] == outcomes[0], trial
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +381,7 @@ def _assert_runner_matches_sequential(spec: ScenarioSpec, *, trials: int, seed: 
 
 class TestRunnerMatchesSequential:
     # ``eliminator_field`` runs the equivalence over GF(2) and GF(16), so it
-    # holds on the packed and on the dense eliminator alike.
+    # holds on the bit rows and on the byte rows of RowEliminator alike.
     @pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("spanning_tree", TREES)
     def test_bit_identical_results(self, spanning_tree, time_model, eliminator_field):
