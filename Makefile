@@ -79,9 +79,9 @@ backend-check:
 ## for uniform AG (event vs scalar bit-identity over both time models,
 ## churn, rates, loss; single-problem eliminator fast paths; typed
 ## EngineError refusals), the generated equivalence for uniform AG, for TAG
-## over the four spanning trees and for those trees run standalone, TAG
-## seeded from its placement alone, the round-end hook
-## against ProgressRecorder on the scalar engine, the engine rule
+## over the four spanning trees and for those trees run standalone, uniform
+## AG and TAG trials that build no decoder on the event engine, the
+## round-end hook against ProgressRecorder on the scalar engine, the engine rule
 ## (`select_engine`, single runs included), a `full-paper` campaign that
 ## never calls the scalar engine, and the block-draw reader's conformance
 ## with numpy's own draws.  Its absolute speed is the repository
@@ -95,12 +95,13 @@ event-check:
 ## One-graph-type contract: generated builder conformance (every family's
 ## direct CSR build byte-identical to CSRGraph.from_networkx of its networkx
 ## oracle in tests/nx_topologies.py, same TopologyError text on invalid
-## input), the CSRGraph container, the rank-only event process replaying the
-## decoder-built one, plus a scaled-down run of the direct-build vs
-## networkx-built benchmark.  At smoke sizes the RSS ratio tends to 1 (the
-## interpreter baseline dominates), so both floors are lowered; the >=5x /
-## >=2x full-size floors live in the committed BENCH_E13 record, guarded by
-## `make bench-check`.
+## input), the CSRGraph container, the event engine replaying the scalar one
+## on the process the same factory builds (loss, actions, placements, a user
+## factory pinned to the event engine), plus a scaled-down run of the
+## direct-build vs networkx-built benchmark.  At smoke sizes the RSS ratio
+## tends to 1 (the interpreter baseline dominates), so both floors are
+## lowered; the >=5x / >=2x full-size floors live in the committed BENCH_E13
+## record, guarded by `make bench-check`.
 csr-check:
 	$(PYTHON) -m pytest tests/test_csr_pipeline.py -q
 	REPRO_BENCH_CSR_N=2048 REPRO_BENCH_CSR_TRIALS=2 \

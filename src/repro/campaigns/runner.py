@@ -391,7 +391,7 @@ def _rank_evolution(
     endpoint matches the stored trial-0 stopping time.
     """
     from ..analysis.progress import RoundSnapshot
-    from ..gossip.event import EventGossipEngine, build_event_process
+    from ..gossip.event import EventGossipEngine
 
     curves = []
     for outcome in _selected(artifact, outcomes):
@@ -409,7 +409,7 @@ def _rank_evolution(
         def record(round_index: int, ranks: list[int]) -> None:
             snapshots.append(RoundSnapshot.from_ranks(round_index, ranks, scenario.k))
 
-        process = build_event_process(scenario.graph, scenario.protocol_factory, rng)
+        process = scenario.protocol_factory(scenario.graph, rng)
         EventGossipEngine(
             scenario.graph, process, scenario.config, rng, on_round_end=record
         ).run()

@@ -1181,10 +1181,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         "tables": _command_tables,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # Flush here, so a reader that closed the pipe early (``| grep -q``)
+        # raises below rather than at interpreter shutdown.
+        sys.stdout.flush()
+        return code
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; pointing it at devnull keeps
+        # that flush from raising a second time (the recipe of the signal
+        # module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -194,9 +194,9 @@ def select_engine(protocol_factory: Any, engine: str = "") -> tuple[str, str]:
     by protocol factory alone — under every config (loss, pause and reset
     churn, activation rates):
 
-    * uniform algebraic gossip (a factory with a ``rank_only_process``
-      method, i.e. :class:`~repro.scenarios.spec.UniformGossipFactory`),
-      TAG (:class:`~repro.scenarios.spec.TagFactory`) and the standalone
+    * uniform algebraic gossip
+      (:class:`~repro.scenarios.spec.UniformGossipFactory`), TAG
+      (:class:`~repro.scenarios.spec.TagFactory`) and the standalone
       spanning trees (:class:`~repro.scenarios.spec.SpanningTreeFactory`)
       run on the event engine;
     * everything else — user protocols — runs on the scalar engine.
@@ -209,10 +209,10 @@ def select_engine(protocol_factory: Any, engine: str = "") -> tuple[str, str]:
         if engine not in ("scalar", "event"):
             raise EngineError(f"unknown engine {engine!r}; known: ['event', 'scalar']")
         return engine, "pinned"
-    if hasattr(protocol_factory, "rank_only_process"):
-        return "event", "auto: uniform AG"
-    from ..scenarios.spec import SpanningTreeFactory, TagFactory
+    from ..scenarios.spec import SpanningTreeFactory, TagFactory, UniformGossipFactory
 
+    if isinstance(protocol_factory, UniformGossipFactory):
+        return "event", "auto: uniform AG"
     if isinstance(protocol_factory, TagFactory):
         return "event", "auto: TAG"
     if isinstance(protocol_factory, SpanningTreeFactory):
@@ -235,21 +235,21 @@ def _measure_trial_indices(
     event-driven engine.  Engines are bit-identical per trial stream, so the
     choice affects wall-clock only; a pinned engine that cannot run the
     workload raises :class:`~repro.errors.EngineError` — never a silent
-    fallback.  Each trial's process is built lazily, one at a time, so a
-    long run never holds more than one trial's state in memory.
+    fallback.  Each trial's process is built by ``protocol_factory`` whichever
+    engine runs, one trial at a time, so a long run never holds more than
+    one trial's state in memory.
     """
-    from ..gossip.event import EventGossipEngine, build_event_process
+    from ..gossip.event import EventGossipEngine
 
-    event = select_engine(protocol_factory, engine)[0] == "event"
+    if select_engine(protocol_factory, engine)[0] == "event":
+        engine_class = EventGossipEngine
+    else:
+        engine_class = GossipEngine
     results: list[RunResult] = []
     for index in trial_indices:
         rng = derive_rng(seed, f"trial-{index}")
-        if event:
-            process = build_event_process(graph, protocol_factory, rng)
-            results.append(EventGossipEngine(graph, process, config, rng).run())
-        else:
-            process = protocol_factory(graph, rng)
-            results.append(GossipEngine(graph, process, config, rng).run())
+        process = protocol_factory(graph, rng)
+        results.append(engine_class(graph, process, config, rng).run())
     return results
 
 

@@ -48,9 +48,8 @@ class UniformSelector(PartnerSelector):
     """Definition 1: partner chosen uniformly at random among the neighbours."""
 
     def __init__(self, graph: CSRGraph) -> None:
-        # Memoized per graph instance: trial runners reuse one graph across
-        # all trials of a sweep, so adjacency is built once, not per trial.
-        self._neighbors = graph.neighbor_tuples()
+        # The graph's own CSR arrays: nothing is built per node or per trial.
+        self._indptr, self._indices = graph.indptr, graph.indices
         isolated = np.flatnonzero(graph.degrees() == 0)
         if isolated.size:
             raise SimulationError(
@@ -58,8 +57,8 @@ class UniformSelector(PartnerSelector):
             )
 
     def partner(self, node: int, rng: np.random.Generator) -> int:
-        neighbors = self._neighbors[node]
-        return neighbors[int(rng.integers(0, len(neighbors)))]
+        start, stop = self._indptr.item(node), self._indptr.item(node + 1)
+        return self._indices.item(start + int(rng.integers(0, stop - start)))
 
 
 class RoundRobinSelector(PartnerSelector):

@@ -18,7 +18,11 @@ bookkeeping:
   :class:`~repro.backends.rows.RowEliminator`, which keeps every stored row
   as one python int (a bit per column over GF(2), a byte per column
   otherwise), and a node's state is touched only when an event actually
-  reaches it — a node that receives nothing does no work.
+  reaches it — a node that receives nothing does no work.  The process is
+  the one the scalar engine runs (``AlgebraicGossip`` or ``TagProtocol``,
+  from the same factory call); it builds a node's decoder only on first
+  use, and the engine reads its placement, never a decoder, so a trial here
+  builds none.
 * **Early settling** — completion is a counter: a delivery that lifts a
   node's rank to ``k`` increments ``finished`` and records the completion
   round right there, so neither ``finished_nodes()`` nor any per-tick
@@ -137,23 +141,7 @@ from ..protocols.spanning_tree_protocols import SpanningTreeProtocol
 from .dynamics import NodeDynamics
 from .engine import GossipProcess
 
-__all__ = ["EventGossipEngine", "build_event_process"]
-
-
-def build_event_process(graph, protocol_factory, rng) -> GossipProcess:
-    """Build one trial's process for the event engine.
-
-    A factory with a ``rank_only_process`` method (``UniformGossipFactory``
-    has one) builds the decoder-less process from the *same* ``rng`` stream
-    position ``protocol_factory(graph, rng)`` would, so the two are
-    result-identical; any other factory (``TagFactory`` among them) is called
-    as is, and the engine refuses a process it cannot replay with a typed
-    :class:`~repro.errors.EngineError`.
-    """
-    rank_only = getattr(protocol_factory, "rank_only_process", None)
-    if rank_only is not None:
-        return rank_only(graph, rng)
-    return protocol_factory(graph, rng)
+__all__ = ["EventGossipEngine"]
 
 
 class EventGossipEngine:
@@ -612,7 +600,7 @@ class EventGossipEngine:
     def _reset_node(self, pos: int, round_index: int) -> None:
         """One problem's ``on_crash``: wipe, re-seed placement, re-note.
 
-        Mirrors ``reset_node_to_initial_knowledge`` (which consumes no
+        Mirrors ``CodedGossipProcess.on_crash`` (which consumes no
         randomness); the completion round must be re-earned, not inherited
         from before the crash — unless the initial placement alone is already
         full rank, in which case the scalar engine re-notes the node at the

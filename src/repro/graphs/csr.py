@@ -210,8 +210,8 @@ class CSRGraph:
     def neighbor_tuples(self) -> tuple[tuple[int, ...], ...]:
         """Each node's ascending neighbour tuple, indexed by node (memoized).
 
-        The neighbour ordering every partner selector draws against; trial
-        runners reuse one graph across trials, so this is built once.
+        The cyclic lists :class:`~repro.gossip.RoundRobinSelector` walks;
+        trial runners reuse one graph across trials, so this is built once.
         """
         if self._neighbor_tuples is None:
             flat = self.indices.tolist()

@@ -1,6 +1,6 @@
 """Gossip protocols: the paper's contributions and the baselines they are compared to."""
 
-from .algebraic_gossip import AlgebraicGossip, build_node_decoders, validate_placement
+from .algebraic_gossip import AlgebraicGossip, validate_placement
 from .baselines import FloodingDissemination, UncodedRandomGossip
 from .is_protocol import BitStringMessage, ISSpanningTree
 from .spanning_tree_protocols import (
@@ -15,7 +15,6 @@ from .tag import TagProtocol
 
 __all__ = [
     "AlgebraicGossip",
-    "build_node_decoders",
     "FloodingDissemination",
     "UncodedRandomGossip",
     "BitStringMessage",

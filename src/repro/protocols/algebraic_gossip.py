@@ -1,9 +1,11 @@
 """Uniform (and round-robin) algebraic gossip — the protocol of Theorem 1.
 
 Every node owns an :class:`~repro.rlnc.decoder.RlncDecoder` seeded with the
-source messages initially placed at it.  On every wakeup the node selects a
-communication partner according to the configured communication model
-(uniform by default) and the configured action:
+source messages initially placed at it, built the first time the node sends
+or receives a coded packet (:class:`CodedGossipProcess`, which TAG shares).
+On every wakeup the node selects a communication partner according to the
+configured communication model (uniform by default) and the configured
+action:
 
 * ``PUSH``  — the waking node sends one freshly coded packet to the partner;
 * ``PULL``  — the partner sends one packet to the waking node;
@@ -25,17 +27,11 @@ from ..gossip.communication import PartnerSelector, UniformSelector
 from ..gossip.engine import GossipProcess, Transmission
 from ..graphs.csr import CSRGraph
 from ..rlnc.decoder import RlncDecoder
-from ..rlnc.encoder import RlncEncoder
+from ..rlnc.encoder import encode_from_decoder
 from ..rlnc.message import Generation
 from ..rlnc.packet import CodedPacket
 
-__all__ = [
-    "AlgebraicGossip",
-    "RankOnlyUniformGossip",
-    "build_node_decoders",
-    "reset_node_to_initial_knowledge",
-    "validate_placement",
-]
+__all__ = ["AlgebraicGossip", "CodedGossipProcess", "validate_placement"]
 
 
 def validate_placement(
@@ -66,47 +62,102 @@ def validate_placement(
     return normalised
 
 
-def build_node_decoders(
-    graph: CSRGraph,
-    generation: Generation,
-    placement: Mapping[int, Sequence[int]],
-    rng: np.random.Generator,
-) -> tuple[dict[int, RlncDecoder], dict[int, RlncEncoder]]:
-    """Create one decoder + encoder per node, seeded with the initial placement.
+class CodedGossipProcess(GossipProcess):
+    """Per-node RLNC knowledge, shared by :class:`AlgebraicGossip` and TAG.
 
-    The placement is checked by :func:`validate_placement` first.
+    Construction checks the field and the placement and builds nothing per
+    node: a node's :class:`~repro.rlnc.decoder.RlncDecoder` is built, and
+    seeded with the messages the placement puts there, the first time the
+    node sends or receives a coded packet.  Ranks of nodes not yet built come
+    from the placement, so :meth:`rank_of`, :meth:`is_complete` and
+    :meth:`metadata` build nothing either.  The event engine replays these
+    processes from ranks alone, so a trial there builds no decoder at all.
     """
-    placement = validate_placement(graph, generation.k, placement)
-    decoders: dict[int, RlncDecoder] = {}
-    encoders: dict[int, RlncEncoder] = {}
-    for node in graph.nodes():
-        decoders[node], encoders[node] = reset_node_to_initial_knowledge(
-            generation, placement, node, rng
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        generation: Generation,
+        placement: Mapping[int, Sequence[int]],
+        config: SimulationConfig,
+        rng: np.random.Generator,
+    ) -> None:
+        if generation.field.order != config.field_size:
+            raise SimulationError(
+                f"generation field GF({generation.field.order}) does not match "
+                f"config field_size {config.field_size}"
+            )
+        self.graph = graph
+        self.generation = generation
+        self.config = config
+        #: Node → initial message indices: each decoder is seeded from it
+        #: (again after a reset-churn crash), and the event engine seeds its
+        #: rows from it.
+        self.placement = validate_placement(graph, generation.k, placement)
+        self._rng = rng
+        self._decoders: dict[int, RlncDecoder] = {}
+
+    def decoder(self, node: int) -> RlncDecoder:
+        """``node``'s decoder, built and seeded from the placement on first use."""
+        decoder = self._decoders.get(node)
+        if decoder is None:
+            generation = self.generation
+            decoder = RlncDecoder(generation.field, generation.k, generation.payload_length)
+            for index in self.placement.get(node, ()):
+                decoder.add_source_message(index, generation.payload_matrix[index])
+            self._decoders[node] = decoder
+        return decoder
+
+    def _coded_packet(self, node: int) -> CodedPacket | None:
+        """A fresh random combination of ``node``'s knowledge, or ``None``.
+
+        Every node draws its coefficients from the process's one stream.
+        """
+        return encode_from_decoder(self.decoder(node), self._rng)
+
+    def on_deliver(self, receiver: int, sender: int, payload: Any) -> bool:
+        if not isinstance(payload, CodedPacket):
+            raise SimulationError(
+                f"{type(self).__name__} received unexpected payload type {type(payload)!r}"
+            )
+        return self.decoder(receiver).receive(payload)
+
+    def is_complete(self) -> bool:
+        k, rank_of = self.generation.k, self.rank_of
+        return all(rank_of(node) == k for node in self.graph.nodes())
+
+    def finished_nodes(self) -> set[int]:
+        k, rank_of = self.generation.k, self.rank_of
+        return {node for node in self.graph.nodes() if rank_of(node) == k}
+
+    def on_crash(self, node: int) -> None:
+        """Reset-churn crash: the node loses every coded row it accumulated.
+
+        Its decoder is dropped, so the node rejoins with exactly the source
+        messages the placement originally stored at it.
+        """
+        self._decoders.pop(node, None)
+
+    def rank_of(self, node: int) -> int:
+        """Current rank of ``node``; asking builds no decoder.
+
+        A node whose decoder is not built yet holds the distinct messages
+        placed there.
+        """
+        decoder = self._decoders.get(node)
+        if decoder is None:
+            return len(set(self.placement.get(node, ())))
+        return decoder.rank
+
+    def all_nodes_decoded_correctly(self) -> bool:
+        """Check every node's decoded payloads against the generation's ground truth."""
+        return all(
+            self.decoder(node).matches_generation(self.generation)
+            for node in self.graph.nodes()
         )
-    return decoders, encoders
 
 
-def reset_node_to_initial_knowledge(
-    generation: Generation,
-    placement: Mapping[int, Sequence[int]],
-    node: int,
-    rng: np.random.Generator,
-) -> tuple[RlncDecoder, RlncEncoder]:
-    """Fresh decoder/encoder for ``node`` holding only its initial messages.
-
-    This seeds every node in :func:`build_node_decoders`, and it is the
-    reset-churn crash semantics shared by :meth:`AlgebraicGossip.on_crash`
-    and :meth:`~repro.protocols.tag.TagProtocol.on_crash`: the node loses
-    every coded row it accumulated and rejoins with exactly the source
-    messages the placement originally stored at it.
-    """
-    decoder = RlncDecoder(generation.field, generation.k, generation.payload_length)
-    for index in placement.get(node, ()):
-        decoder.add_source_message(int(index), generation.payload_matrix[int(index)])
-    return decoder, RlncEncoder(decoder, rng)
-
-
-class AlgebraicGossip(GossipProcess):
+class AlgebraicGossip(CodedGossipProcess):
     """Gossip process running RLNC dissemination with a pluggable partner selector.
 
     Parameters
@@ -134,23 +185,9 @@ class AlgebraicGossip(GossipProcess):
         rng: np.random.Generator,
         selector: PartnerSelector | None = None,
     ) -> None:
-        if generation.field.order != config.field_size:
-            raise SimulationError(
-                f"generation field GF({generation.field.order}) does not match "
-                f"config field_size {config.field_size}"
-            )
-        self.graph = graph
-        self.generation = generation
-        self.config = config
+        super().__init__(graph, generation, placement, config, rng)
         self.action = config.action
         self.selector = selector if selector is not None else UniformSelector(graph)
-        #: Node → initial message indices: reset-churn crashes rebuild a node
-        #: from it, and the event engine seeds its rows from it.
-        self.placement = validate_placement(graph, generation.k, placement)
-        self.decoders, self.encoders = build_node_decoders(
-            graph, generation, self.placement, rng
-        )
-        self._rng = rng
 
     # ------------------------------------------------------------------
     # GossipProcess interface
@@ -161,30 +198,14 @@ class AlgebraicGossip(GossipProcess):
             return []
         transmissions: list[Transmission] = []
         if self.action in (GossipAction.PUSH, GossipAction.EXCHANGE):
-            packet = self.encoders[node].next_packet()
+            packet = self._coded_packet(node)
             if packet is not None:
                 transmissions.append(Transmission(node, partner, packet, kind="rlnc"))
         if self.action in (GossipAction.PULL, GossipAction.EXCHANGE):
-            packet = self.encoders[partner].next_packet()
+            packet = self._coded_packet(partner)
             if packet is not None:
                 transmissions.append(Transmission(partner, node, packet, kind="rlnc"))
         return transmissions
-
-    def on_deliver(self, receiver: int, sender: int, payload: Any) -> bool:
-        if not isinstance(payload, CodedPacket):
-            raise SimulationError(
-                f"AlgebraicGossip received unexpected payload type {type(payload)!r}"
-            )
-        return self.decoders[receiver].receive(payload)
-
-    def is_complete(self) -> bool:
-        return all(decoder.is_complete for decoder in self.decoders.values())
-
-    def on_crash(self, node: int) -> None:
-        """Reset-churn crash: the node falls back to its initial messages."""
-        self.decoders[node], self.encoders[node] = reset_node_to_initial_knowledge(
-            self.generation, self.placement, node, self._rng
-        )
 
     def supports_event_engine(self) -> bool:
         """Uniform algebraic gossip runs on the rank-only event engine.
@@ -197,108 +218,15 @@ class AlgebraicGossip(GossipProcess):
         """
         return type(self) is AlgebraicGossip and type(self.selector) is UniformSelector
 
-    def finished_nodes(self) -> set[int]:
-        return {node for node, decoder in self.decoders.items() if decoder.is_complete}
-
     def metadata(self) -> dict[str, Any]:
-        ranks = {node: decoder.rank for node, decoder in self.decoders.items()}
         return {
             "k": self.generation.k,
             "protocol": "algebraic-gossip",
             "action": self.action.value,
-            "min_rank": min(ranks.values()),
+            "min_rank": min(self.rank_of(node) for node in self.graph.nodes()),
             "selector": type(self.selector).__name__,
         }
 
-    # ------------------------------------------------------------------
-    # Convenience inspection helpers (used by tests and examples)
-    # ------------------------------------------------------------------
-    def rank_of(self, node: int) -> int:
-        """Current decoder rank of ``node``."""
-        return self.decoders[node].rank
-
     def decoded_messages(self, node: int) -> np.ndarray:
         """Decoded payload matrix at ``node`` (raises if the node is not done)."""
-        return self.decoders[node].decode()
-
-    def all_nodes_decoded_correctly(self) -> bool:
-        """Check every finished node against the generation's ground truth."""
-        return all(
-            decoder.matches_generation(self.generation)
-            for decoder in self.decoders.values()
-        )
-
-
-class RankOnlyUniformGossip(GossipProcess):
-    """Uniform algebraic gossip without per-node decoders: the event engine's
-    process.
-
-    :class:`AlgebraicGossip` builds ``n`` scalar decoders/encoders up front —
-    exactly the O(n) object graph the event-driven engine then ignores in
-    favour of its rank-only eliminator.  At ``n = 10^6`` that setup is
-    the dominant cost, so the event engine's trials build this process
-    instead: it validates the same placement and stores the same
-    :class:`~repro.rlnc.message.Generation` (drawn from the *same* ``rng``
-    stream position, so per-seed results are bit-identical).  The engine
-    seeds each node from :attr:`placement`, as it does for the
-    decoder-built processes.
-
-    Only the event-driven engine can run it: the scalar entry points
-    (``on_wakeup`` etc.) raise, because this process has no payload state to
-    gossip scalar packets from.
-    """
-
-    def __init__(
-        self,
-        graph: Any,
-        generation: Generation,
-        placement: Mapping[int, Sequence[int]],
-        config: SimulationConfig,
-        rng: np.random.Generator,
-    ) -> None:
-        if generation.field.order != config.field_size:
-            raise SimulationError(
-                f"generation field GF({generation.field.order}) does not match "
-                f"config field_size {config.field_size}"
-            )
-        self.graph = graph
-        self.generation = generation
-        self.config = config
-        self.action = config.action
-        #: Node → initial message indices, as on :class:`AlgebraicGossip`.
-        self.placement = validate_placement(graph, generation.k, placement)
-        self._rng = rng
-
-    def supports_event_engine(self) -> bool:
-        """Rank-only by construction (this is all the state there is)."""
-        return True
-
-    def metadata(self) -> dict[str, Any]:
-        # Same shape as AlgebraicGossip.metadata(); min_rank is a placeholder
-        # the event engine overwrites with the true post-run minimum.
-        return {
-            "k": self.generation.k,
-            "protocol": "algebraic-gossip",
-            "action": self.action.value,
-            "min_rank": 0,
-            "selector": "UniformSelector",
-        }
-
-    # -- scalar-engine entry points: unsupported by design ----------------
-    def _refuse(self) -> SimulationError:
-        return SimulationError(
-            "RankOnlyUniformGossip has no per-node decoders; it runs on the "
-            "event-driven engine only"
-        )
-
-    def on_wakeup(self, node: int, rng: np.random.Generator) -> list[Transmission]:
-        raise self._refuse()
-
-    def on_deliver(self, receiver: int, sender: int, payload: Any) -> bool:
-        raise self._refuse()
-
-    def is_complete(self) -> bool:
-        raise self._refuse()
-
-    def finished_nodes(self) -> set[int]:
-        raise self._refuse()
+        return self.decoder(node).decode()

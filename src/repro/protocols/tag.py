@@ -25,15 +25,11 @@ import numpy as np
 
 from ..core.config import SimulationConfig
 from ..errors import SimulationError
-from ..gossip.engine import GossipProcess, Transmission
+from ..gossip.engine import Transmission
 from ..graphs.csr import CSRGraph
 from ..rlnc.message import Generation
 from ..rlnc.packet import CodedPacket
-from .algebraic_gossip import (
-    build_node_decoders,
-    reset_node_to_initial_knowledge,
-    validate_placement,
-)
+from .algebraic_gossip import CodedGossipProcess
 from .spanning_tree_protocols import SpanningTreeProtocol
 
 __all__ = ["TagProtocol"]
@@ -44,8 +40,13 @@ __all__ = ["TagProtocol"]
 SpanningTreeFactory = Callable[[CSRGraph, np.random.Generator], SpanningTreeProtocol]
 
 
-class TagProtocol(GossipProcess):
+class TagProtocol(CodedGossipProcess):
     """The TAG k-dissemination protocol.
+
+    A reset-churn crash wipes the node's coded knowledge
+    (:meth:`~repro.protocols.algebraic_gossip.CodedGossipProcess.on_crash`)
+    but not the spanning-tree state: the tree is shared infrastructure
+    (parents, informed bits) that the restarted node can keep using.
 
     Parameters
     ----------
@@ -83,14 +84,7 @@ class TagProtocol(GossipProcess):
         *,
         keep_phase1_after_tree: bool = True,
     ) -> None:
-        if generation.field.order != config.field_size:
-            raise SimulationError(
-                f"generation field GF({generation.field.order}) does not match "
-                f"config field_size {config.field_size}"
-            )
-        self.graph = graph
-        self.generation = generation
-        self.config = config
+        super().__init__(graph, generation, placement, config, rng)
         self.keep_phase1_after_tree = keep_phase1_after_tree
         if callable(spanning_tree) and not isinstance(spanning_tree, SpanningTreeProtocol):
             self.stp: SpanningTreeProtocol = spanning_tree(graph, rng)
@@ -100,17 +94,10 @@ class TagProtocol(GossipProcess):
             raise SimulationError(
                 "spanning_tree must be a SpanningTreeProtocol or a factory returning one"
             )
-        #: Node → initial message indices: reset-churn crashes rebuild a node
-        #: from it, and the event engine seeds its rows from it.
-        self.placement = validate_placement(graph, generation.k, placement)
-        self.decoders, self.encoders = build_node_decoders(
-            graph, generation, self.placement, rng
-        )
-        self._rng = rng
-        self._wakeups: dict[int, int] = {node: 0 for node in graph.nodes()}
+        self._n = graph.number_of_nodes()
+        self._wakeups = [0] * self._n
         self._total_wakeups = 0
         self._tree_complete_at_wakeup: int | None = None
-        self._n = graph.number_of_nodes()
 
     # ------------------------------------------------------------------
     # GossipProcess interface
@@ -156,37 +143,20 @@ class TagProtocol(GossipProcess):
         if parent is None:
             return []
         transmissions: list[Transmission] = []
-        packet_out = self.encoders[node].next_packet()
+        packet_out = self._coded_packet(node)
         if packet_out is not None:
             transmissions.append(Transmission(node, parent, packet_out, kind="rlnc"))
-        packet_back = self.encoders[parent].next_packet()
+        packet_back = self._coded_packet(parent)
         if packet_back is not None:
             transmissions.append(Transmission(parent, node, packet_back, kind="rlnc"))
         return transmissions
 
     def on_deliver(self, receiver: int, sender: int, payload: Any) -> bool:
         if isinstance(payload, CodedPacket):
-            return self.decoders[receiver].receive(payload)
+            return super().on_deliver(receiver, sender, payload)
         changed = self.stp.handle_tree_payload(receiver, sender, payload)
         self.count_tree_delivery(self.stp.tree_complete)
         return changed
-
-    def is_complete(self) -> bool:
-        return all(decoder.is_complete for decoder in self.decoders.values())
-
-    def on_crash(self, node: int) -> None:
-        """Reset-churn crash: the node's decoder falls back to its initial messages.
-
-        The spanning-tree state survives the crash — the tree is shared
-        infrastructure (parents, informed bits) that the restarted node can
-        keep using, whereas its coded knowledge is lost with its memory.
-        """
-        self.decoders[node], self.encoders[node] = reset_node_to_initial_knowledge(
-            self.generation, self.placement, node, self._rng
-        )
-
-    def finished_nodes(self) -> set[int]:
-        return {node for node, decoder in self.decoders.items() if decoder.is_complete}
 
     def supports_event_engine(self) -> bool:
         """TAG runs on the event engine with each built-in spanning tree.
@@ -217,17 +187,3 @@ class TagProtocol(GossipProcess):
             "tree_diameter": tree.tree_diameter if tree is not None else None,
             "phase1_rounds": phase1_rounds,
         }
-
-    # ------------------------------------------------------------------
-    # Convenience inspection helpers
-    # ------------------------------------------------------------------
-    def rank_of(self, node: int) -> int:
-        """Current decoder rank of ``node``."""
-        return self.decoders[node].rank
-
-    def all_nodes_decoded_correctly(self) -> bool:
-        """Check every finished node against the generation's ground truth."""
-        return all(
-            decoder.matches_generation(self.generation)
-            for decoder in self.decoders.values()
-        )

@@ -60,7 +60,7 @@ from ..graphs.csr import CSRGraph
 from ..graphs.properties import diameter as graph_diameter
 from ..graphs.properties import max_degree as graph_max_degree
 from ..graphs.topologies import TOPOLOGY_BUILDERS, build_topology
-from ..protocols.algebraic_gossip import AlgebraicGossip, RankOnlyUniformGossip
+from ..protocols.algebraic_gossip import AlgebraicGossip
 from ..protocols.is_protocol import ISSpanningTree
 from ..protocols.spanning_tree_protocols import (
     BfsOracleTree,
@@ -153,7 +153,9 @@ class UniformGossipFactory:
     :func:`repro.experiments.parallel.run_trials_parallel` can ship it to
     worker processes.  The field object itself is not stored — only its
     order — so pickles stay small and each worker reuses its own cached
-    :func:`~repro.gf.GF` tables.
+    :func:`~repro.gf.GF` tables.  Both engines run the process ``__call__``
+    builds, which builds a node's decoder only when the scalar engine first
+    uses it.
     """
 
     field_order: int
@@ -167,21 +169,6 @@ class UniformGossipFactory:
             GF(self.field_order), self.k, self.payload_length, rng
         )
         return AlgebraicGossip(graph, generation, self.placement, self.config, rng)
-
-    def rank_only_process(
-        self, graph: CSRGraph, rng: np.random.Generator
-    ) -> RankOnlyUniformGossip:
-        """Decoder-less process for the event engine.
-
-        Draws the :class:`~repro.rlnc.message.Generation` from the exact
-        ``rng`` position ``__call__`` would, and construction consumes no
-        further draws on either path — so a trial built this way is
-        stream-identical (hence result-identical) to the decoder-built one.
-        """
-        generation = Generation.random(
-            GF(self.field_order), self.k, self.payload_length, rng
-        )
-        return RankOnlyUniformGossip(graph, generation, self.placement, self.config, rng)
 
 
 @dataclass
@@ -199,7 +186,11 @@ class SpanningTreeFactory:
 
 @dataclass
 class TagFactory:
-    """Picklable protocol factory for TAG workloads."""
+    """Picklable protocol factory for TAG workloads.
+
+    Both engines run the process ``__call__`` builds, as for
+    :class:`UniformGossipFactory`.
+    """
 
     field_order: int
     k: int

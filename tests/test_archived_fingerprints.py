@@ -9,8 +9,8 @@ every unit of the ``full-paper``, ``bounds`` and ``asymptotics`` campaigns.
 
 Headers written while specs carried a ``backend`` field (every ``event/*``
 and ``asymptotics`` shard, and any run given ``--backend``) must rebuild to
-the same fingerprint: the field picks the eliminator now, and the backend
-never changed a result.
+the same fingerprint: the key is ignored on load, because each engine has
+one eliminator on every field and the backend never changed a result.
 """
 
 from __future__ import annotations

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -300,3 +305,23 @@ class TestStoreCommands:
     def test_missing_store_is_a_clear_error(self, tmp_path, capsys):
         assert main(["store", "ls", "--store", str(tmp_path / "nope")]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+
+def test_a_closed_stdout_pipe_exits_without_a_traceback():
+    """A reader that closes the pipe early (``| grep -q``) ends the command
+    with exit code 1 and no ``BrokenPipeError`` traceback on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "campaign", "list"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "BrokenPipeError" not in completed.stderr.decode()
+    assert completed.returncode == 1

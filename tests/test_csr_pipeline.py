@@ -12,14 +12,15 @@ Three layers of guarantees:
 * **The container** — :class:`~repro.graphs.CSRGraph`'s networkx-compatible
   surface, its checked node ids, the value-keyed graph cache and the
   networkx round trip the analysis layer relies on.
-* **One materialisation** — the event engine's decoder-less process replays
-  the decoder-built one exactly (results and generator state) across loss,
-  actions and placements; every engine, the analytic bounds and parallel
-  worker dispatch run on the same graph.
+* **One materialisation** — the event engine replays the scalar engine
+  exactly (results and generator state) on the process the same factory
+  builds, across loss, actions and placements; every engine, the analytic
+  bounds and parallel worker dispatch run on the same graph.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 import re
@@ -34,8 +35,7 @@ from nx_topologies import ORACLE_BUILDERS
 from repro.core import GossipAction
 from repro.core.rng import derive_rng
 from repro.errors import TopologyError
-from repro.gossip import EventGossipEngine
-from repro.gossip.event import build_event_process
+from repro.gossip import EventGossipEngine, GossipEngine
 from repro.graphs import (
     CSRGraph,
     TOPOLOGY_BUILDERS,
@@ -264,7 +264,7 @@ class TestCSRGraph:
 
 
 # ----------------------------------------------------------------------
-# One materialisation: the rank-only process replays the decoder-built one
+# One materialisation: the event engine replays the scalar one
 # ----------------------------------------------------------------------
 def _er_spec(**overrides) -> ScenarioSpec:
     settings = dict(n=64, trials=3, seed=20260808)
@@ -272,8 +272,8 @@ def _er_spec(**overrides) -> ScenarioSpec:
     return get_scenario("event/er-logn").replace(**settings)
 
 
-#: name → spec factory: one entry per behavioural axis the event engine's
-#: decoder-less process claims to replay bit-identically.
+#: name → spec factory: one entry per behavioural axis the event engine
+#: claims to replay bit-identically.
 PIPELINE_CASES = {
     "er-logn": lambda: _er_spec(),
     "ring-of-cliques": lambda: get_scenario("event/ring-of-cliques").replace(
@@ -293,19 +293,17 @@ PIPELINE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(PIPELINE_CASES), ids=str)
-def test_rank_only_process_matches_the_decoder_process(case):
-    """Same results *and* generator state, trial for trial."""
+def test_event_engine_matches_the_scalar_engine(case):
+    """Same results *and* generator state, trial for trial, on the process
+    the factory builds for both engines."""
     spec = PIPELINE_CASES[case]()
     scenario = spec.materialize()
-    factory = scenario.protocol_factory
     for trial in range(spec.trials):
         runs = []
-        for build in (factory, factory.rank_only_process):
+        for engine_class in (GossipEngine, EventGossipEngine):
             rng = derive_rng(spec.seed, f"trial-{trial}")
-            process = build(scenario.graph, rng)
-            result = EventGossipEngine(
-                scenario.graph, process, scenario.config, rng
-            ).run()
+            process = scenario.build_process(rng)
+            result = engine_class(scenario.graph, process, scenario.config, rng).run()
             runs.append((result, rng.bit_generator.state))
         assert runs[0] == runs[1], trial
 
@@ -329,20 +327,24 @@ def test_bounds_work_for_every_scenario():
     assert all(value > 0 for value in bounds.values())
 
 
-def test_build_event_process_calls_factories_without_a_rank_only_path():
-    """A user factory with no ``rank_only_process`` still feeds the event engine."""
-    scenario = _er_spec(trials=1).materialize()
+def test_a_user_factory_pinned_to_the_event_engine_gives_the_scalar_result():
+    """Any factory feeds the event engine the process it builds: a plain
+    closure around the uniform factory, pinned to ``engine="event"``."""
+    scenario = _er_spec(trials=2).materialize()
     factory = scenario.protocol_factory
 
     def user_factory(graph, rng):
         return factory(graph, rng)
 
-    rng = derive_rng(0, "trial-0")
-    process = build_event_process(scenario.graph, user_factory, rng)
-    assert type(process).__name__ == "AlgebraicGossip"
-    result = EventGossipEngine(scenario.graph, process, scenario.config, rng).run()
-    expected = scenario.run_single(seed=0)
-    assert result == expected
+    def pinned(engine):
+        return dataclasses.replace(
+            scenario,
+            spec=scenario.spec.replace(engine=engine),
+            protocol_factory=user_factory,
+        )
+
+    assert pinned("event").select_engine() == ("event", "pinned")
+    assert pinned("event").measure() == pinned("scalar").measure()
 
 
 def test_names_the_repository_benchmark_uses_stay_bound():

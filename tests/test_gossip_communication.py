@@ -36,6 +36,22 @@ class TestUniformSelector:
         for leaf in range(1, 5):
             assert 800 <= counts[leaf] <= 1200
 
+    @pytest.mark.parametrize(
+        "graph",
+        [star_graph(6), star_of_cliques_graph(13, cliques=3), dumbbell_graph(12, path_length=3)],
+        ids=["star", "star-of-cliques", "dumbbell"],
+    )
+    def test_partner_draws_match_the_neighbour_tuples(self, graph):
+        """Indexing the CSR arrays picks what indexing each node's ascending
+        neighbour tuple would, draw for draw on the same stream."""
+        selector = UniformSelector(graph)
+        neighbours = graph.neighbor_tuples()
+        draws, reference = np.random.default_rng(5), np.random.default_rng(5)
+        for node in list(graph.nodes()) * 3:
+            row = neighbours[node]
+            assert selector.partner(node, draws) == row[int(reference.integers(0, len(row)))]
+        assert draws.bit_generator.state == reference.bit_generator.state
+
     def test_isolated_node_rejected(self, rng):
         reference = nx.Graph()
         reference.add_nodes_from([0, 1])

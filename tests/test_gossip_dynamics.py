@@ -20,7 +20,7 @@ from repro.gossip import GossipEngine, NodeDynamics
 from repro.gossip.engine import GossipProcess
 from repro.graphs import ring_graph
 from repro.protocols import AlgebraicGossip
-from repro.rlnc import Generation
+from repro.rlnc import Generation, encode_from_decoder
 from repro.scenarios import ScenarioSpec, default_scenario_config
 
 _SYNC = default_scenario_config()
@@ -276,7 +276,7 @@ class TestChurnReset:
         placement = {node: [node] for node in graph.nodes()}
         process = AlgebraicGossip(graph, generation, placement, _SYNC, rng)
         # Feed node 0 a foreign packet so its rank exceeds its initial one.
-        packet = process.encoders[1].next_packet()
+        packet = encode_from_decoder(process.decoder(1), rng)
         process.on_deliver(0, 1, packet)
         assert process.rank_of(0) == 2
         process.on_crash(0)

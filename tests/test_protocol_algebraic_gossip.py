@@ -17,10 +17,8 @@ from repro.protocols import (
     AlgebraicGossip,
     RoundRobinBroadcastTree,
     TagProtocol,
-    build_node_decoders,
     validate_placement,
 )
-from repro.protocols.algebraic_gossip import RankOnlyUniformGossip
 from repro.rlnc import Generation
 from repro.experiments import (
     all_to_all_placement,
@@ -51,17 +49,22 @@ def make_protocol(graph, k, config, seed=0, selector=None, placement=None):
 
 class TestConstruction:
     def test_decoders_seeded_with_placement(self, sync_config):
+        """Decoders are built on first use, seeded from the placement; a
+        node's rank reads the same before and after its decoder exists."""
         graph = line_graph(6)
         rng = np.random.default_rng(0)
         field = GF(sync_config.field_size)
         generation = Generation.random(field, 3, 2, rng)
-        placement = {0: [0, 1], 5: [2]}
-        decoders, encoders = build_node_decoders(graph, generation, placement, rng)
-        assert decoders[0].rank == 2
-        assert decoders[5].rank == 1
-        assert decoders[3].rank == 0
-        assert set(decoders) == set(graph.nodes())
-        assert set(encoders) == set(graph.nodes())
+        placement = {0: [0, 1], 4: [2, 2], 5: [2]}
+        process = AlgebraicGossip(graph, generation, placement, sync_config, rng)
+        expected = {0: 2, 1: 0, 2: 0, 3: 0, 4: 1, 5: 1}
+        assert {node: process.rank_of(node) for node in graph.nodes()} == expected
+        assert process.metadata()["min_rank"] == 0
+        assert not process.is_complete() and not process.finished_nodes()
+        assert {node: process.decoder(node).rank for node in graph.nodes()} == expected
+        assert {node: process.rank_of(node) for node in graph.nodes()} == expected
+        assert process.decoder(0) is process.decoder(0)
+        assert process.decoder(0).coefficient_matrix().tolist() == [[1, 0, 0], [0, 1, 0]]
 
     def test_missing_message_rejected(self, sync_config):
         graph = line_graph(4)
@@ -69,7 +72,7 @@ class TestConstruction:
         field = GF(sync_config.field_size)
         generation = Generation.random(field, 3, 2, rng)
         with pytest.raises(SimulationError):
-            build_node_decoders(graph, generation, {0: [0, 1]}, rng)
+            AlgebraicGossip(graph, generation, {0: [0, 1]}, sync_config, rng)
 
     def test_unknown_node_rejected(self, sync_config):
         graph = line_graph(4)
@@ -77,7 +80,7 @@ class TestConstruction:
         field = GF(sync_config.field_size)
         generation = Generation.random(field, 1, 2, rng)
         with pytest.raises(SimulationError):
-            build_node_decoders(graph, generation, {99: [0]}, rng)
+            AlgebraicGossip(graph, generation, {99: [0]}, sync_config, rng)
 
     def test_field_mismatch_rejected(self, sync_config):
         graph = line_graph(4)
@@ -99,7 +102,6 @@ INVALID_PLACEMENTS = {
 
 CODED_PROCESSES = {
     "AlgebraicGossip": AlgebraicGossip,
-    "RankOnlyUniformGossip": RankOnlyUniformGossip,
     "TagProtocol": lambda *args: TagProtocol(
         *args, lambda graph, rng: RoundRobinBroadcastTree(graph, 0, rng)
     ),

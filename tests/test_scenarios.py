@@ -364,14 +364,13 @@ class TestMaterialize:
     def test_engine_rule_matches_process_declaration(self, spec):
         # select_engine dispatches on the factory type without building a
         # process; this pins it to what each trial's process declares, so
-        # the two can never drift.
+        # the two can never drift.  Both engines run the process the
+        # factory builds.
         from repro.core.rng import derive_rng
-        from repro.gossip.event import build_event_process
 
         scenario = spec.materialize()
         engine, _ = scenario.select_engine()
-        rng = derive_rng(0, "probe")
-        process = build_event_process(scenario.graph, scenario.protocol_factory, rng)
+        process = scenario.protocol_factory(scenario.graph, derive_rng(0, "probe"))
         assert process.supports_event_engine() == (engine == "event")
 
     def test_engine_rule_exposed_and_gated(self):

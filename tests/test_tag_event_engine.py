@@ -10,16 +10,17 @@ message/helpful counts, per-node completion rounds, tree shape and
 metadata — and leaves the generator in the same state.
 
 * **Generated equivalence** — one hypothesis test over the spec space:
-  uniform AG (on the decoder-less process the trial runner builds), TAG
-  and standalone trees, topology, n ≤ 32, k, q ∈ {2, 3, 4, 16}, time
+  uniform AG, TAG and standalone trees (both engines on the process the
+  factory builds), topology, n ≤ 32, k, q ∈ {2, 3, 4, 16}, time
   model, action, the four built-in spanning trees,
   ``keep_phase1_after_tree``, packet loss, pause- and reset-mode churn and
   heterogeneous activation rates.  A standalone tree under reset churn
   raises the scalar engine's :class:`~repro.errors.SimulationError` (or
   finishes identically when no crash fires first).
-* **Seeding from the placement** — a TAG process stripped of its decoders
-  still replays the scalar engine: the event engine reads only
-  ``placement``.
+* **No decoder on the event engine** — uniform AG and TAG under reset
+  churn replay the scalar engine while building no
+  :class:`~repro.rlnc.decoder.RlncDecoder`: the event engine seeds and
+  re-seeds every node from ``placement`` alone.
 * **Generated round-end hook** — uniform AG and TAG with an
   ``on_round_end`` callback: its snapshots equal
   :class:`~repro.analysis.ProgressRecorder` on the scalar engine round for
@@ -55,7 +56,6 @@ from repro.errors import EngineError, SimulationError
 from repro.experiments import all_to_all_placement, measure_protocol_parallel
 from repro.gf import GF
 from repro.gossip import EventGossipEngine, GossipEngine
-from repro.gossip.event import build_event_process
 from repro.graphs import barbell_graph, build_topology, grid_graph
 from repro.protocols import (
     BfsOracleTree,
@@ -64,7 +64,7 @@ from repro.protocols import (
     TagProtocol,
     UniformBroadcastTree,
 )
-from repro.rlnc import Generation
+from repro.rlnc import Generation, RlncDecoder
 from repro.scenarios import (
     ScenarioSpec,
     UniformGossipFactory,
@@ -80,14 +80,10 @@ TOPOLOGIES = ["ring", "line", "grid", "complete", "barbell", "binary_tree", "sta
 def _engine_outcome(engine_class, graph, factory, config, seed, trial, may_raise):
     """One trial's ``(result, generator state)``, or the error it raised.
 
-    The event engine gets the process the trial runner builds for it
-    (decoder-less for uniform AG).
+    Both engines run the process the factory builds, as the trial runners do.
     """
     rng = derive_rng(seed, f"trial-{trial}")
-    if engine_class is EventGossipEngine:
-        process = build_event_process(graph, factory, rng)
-    else:
-        process = factory(graph, rng)
+    process = factory(graph, rng)
     try:
         result = engine_class(graph, process, config, rng).run()
     except SimulationError as error:
@@ -269,35 +265,44 @@ def test_standalone_tree_under_reset_churn_raises_the_scalar_error(
 
 
 @pytest.mark.parametrize("time_model", list(TimeModel), ids=lambda m: m.value)
-def test_tag_seeds_from_the_placement_not_the_decoders(time_model):
+@pytest.mark.parametrize("protocol", ["uniform", "tag"])
+def test_an_event_trial_builds_no_decoder(protocol, time_model, monkeypatch):
     """The event engine seeds (and, under reset churn, re-seeds) every node
-    from ``TagProtocol.placement``: with the decoders deleted before the
-    engine is built, result and generator state still match the scalar
-    engine's."""
+    from the process's ``placement`` and never asks it for a decoder: an
+    event trial builds no :class:`RlncDecoder`, on the engine or through the
+    trial runner, yet its result and generator state equal the scalar
+    engine's, which builds every node's decoder on first use."""
     spec = ScenarioSpec(
-        topology="barbell", n=12, k=6, protocol="tag", placement="random",
+        topology="barbell", n=12, k=6, protocol=protocol, placement="random",
         config=default_scenario_config(time_model=time_model, field_size=2).replace(
             churn=((3, 2, 7), (7, 3, 6)), churn_reset=True
         ),
         seed=41,
     )
     scenario = spec.materialize()
-    graph, factory, config = scenario.graph, scenario.protocol_factory, scenario.config
+    built = []
+    build_decoder = RlncDecoder.__init__
 
-    def without_decoders(graph, rng):
-        process = factory(graph, rng)
-        del process.decoders, process.encoders
-        return process
+    def counting_init(decoder, *args, **kwargs):
+        built.append(decoder)
+        build_decoder(decoder, *args, **kwargs)
 
+    monkeypatch.setattr(RlncDecoder, "__init__", counting_init)
     for trial in range(3):
         outcomes = []
-        for engine_class, build in (
-            (GossipEngine, factory), (EventGossipEngine, without_decoders)
-        ):
+        for engine_class in (GossipEngine, EventGossipEngine):
+            built.clear()
             rng = derive_rng(spec.seed, f"trial-{trial}")
-            result = engine_class(graph, build(graph, rng), config, rng).run()
-            outcomes.append((result, rng.bit_generator.state))
-        assert outcomes[1] == outcomes[0], trial
+            process = scenario.build_process(rng)
+            result = engine_class(scenario.graph, process, scenario.config, rng).run()
+            outcomes.append((result, rng.bit_generator.state, len(built)))
+        (scalar, scalar_state, scalar_built), (event, event_state, event_built) = outcomes
+        assert (event, event_state) == (scalar, scalar_state), trial
+        assert scalar_built >= scenario.n and event_built == 0, trial
+    built.clear()
+    assert scenario.select_engine()[0] == "event"
+    scenario.measure()
+    assert not built
 
 
 # ----------------------------------------------------------------------
@@ -328,8 +333,9 @@ def test_round_end_hook_matches_the_progress_recorder(spec):
     runs = []
     for hook in (record, None):
         rng = derive_rng(spec.seed, "trial-0")
-        process = build_event_process(graph, factory, rng)
-        result = EventGossipEngine(graph, process, config, rng, on_round_end=hook).run()
+        result = EventGossipEngine(
+            graph, factory(graph, rng), config, rng, on_round_end=hook
+        ).run()
         runs.append((result, rng.bit_generator.state))
     (hooked, hooked_state), (plain, plain_state) = runs
 
