@@ -113,12 +113,16 @@ csr-check:
 scenarios-check:
 	$(PYTHON) -m repro scenario check
 
-## Result-store guarantees: shard integrity / concurrency semantics and the
-## resume contract (a sweep interrupted mid-way and resumed from its store is
-## bit-identical to an uninterrupted run; a fully cached rerun computes
+## Result-store guarantees: shard integrity / concurrency semantics, the one
+## admission rule for full and summary records (same-kind and summary-vs-full
+## conflicts raise for put_many, put_summaries and import_file, conflicts
+## inside one import file included; a full record serves summary reads), and
+## the resume contract (a sweep interrupted mid-way and resumed from its store
+## is bit-identical to an uninterrupted run; a fully cached rerun computes
 ## nothing and is >= 10x faster than the cold run).
 store-check:
-	$(PYTHON) -m pytest tests/test_store.py tests/test_store_resume.py -q
+	$(PYTHON) -m pytest tests/test_store.py tests/test_store_summaries.py \
+		tests/test_store_resume.py -q
 
 ## Documentation drift check: executes every fenced Python block in
 ## README.md and the quickstart example they mirror.

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -199,6 +200,41 @@ def trial_signature(results) -> list[tuple]:
     ]
 
 
+#: Event-side runs behind a perf record's absolute metrics: this host's speed
+#: drifts by up to ~50% between back-to-back runs, so one run is not enough.
+EVENT_REPEATS = 3
+
+
+def timed_event_runs(run):
+    """Time back-to-back calls of ``run``; ``(median seconds, last result)``.
+
+    Every call returns the same trial results (the runners are
+    deterministic), so the last call's results stand for all of them.
+    """
+    seconds = []
+    for _ in range(EVENT_REPEATS):
+        start = time.perf_counter()
+        results = run()
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds), results
+
+
+def event_metrics(seconds: float, results) -> dict[str, tuple[float, str]]:
+    """A perf record's absolute event-side metrics: ``name -> (value, unit)``.
+
+    ``trial_s`` is seconds per trial and ``timeslot_us`` microseconds per
+    simulated timeslot, the units of the ``BENCHMARK.json`` metrics of the
+    same names, so ``check_regression.py`` gates them with those bounds.
+    They are wall-clock times of the recording host, not perfbench's
+    calibrated reference seconds.
+    """
+    timeslots = sum(result.timeslots for result in results)
+    return {
+        "trial_s": (round(seconds / len(results), 6), "s"),
+        "timeslot_us": (round(seconds / timeslots * 1e6, 4), "us"),
+    }
+
+
 def _git_revision() -> str | None:
     """The current git revision, or ``None`` outside a checkout."""
     try:
@@ -239,6 +275,7 @@ def report_json(
     scaled_down: bool = False,
     materialize_seconds: "Mapping[str, float] | None" = None,
     simulate_seconds: "Mapping[str, float] | None" = None,
+    metrics: "Mapping[str, tuple[float, str]] | None" = None,
     **extra: Any,
 ) -> Path | None:
     """Persist machine-readable perf results as ``BENCH_<experiment_id>.json``.
@@ -258,6 +295,13 @@ def report_json(
     *where* a speedup lives.  Records may also carry a ``floors`` mapping
     (metric name → minimum value) that ``check_regression.py`` enforces
     alongside the headline ``min_speedup``.
+
+    ``metrics`` (name → ``(value, unit)``, see :func:`event_metrics`)
+    adds absolute numbers next to the ratio headline.  Once the committed
+    record carries ``metrics``, its values and ``git_rev`` move to
+    ``previous`` (as ``record_perfbench.build_record`` does), and
+    ``check_regression.py`` fails any metric above
+    ``previous × (1 + bound)`` with the ``BENCHMARK.json`` bound.
 
     ``scaled_down=True`` (a smoke run: the effective workload/floor values
     deviate from the full-size defaults) skips the write and returns ``None``
@@ -290,6 +334,20 @@ def report_json(
         payload["simulate_seconds"] = {
             name: round(float(secs), 4) for name, secs in simulate_seconds.items()
         }
+    if metrics is not None:
+        payload["metrics"] = {
+            name: {"value": value, "unit": unit}
+            for name, (value, unit) in sorted(metrics.items())
+        }
+        committed = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        if "metrics" in committed:
+            payload["previous"] = {
+                "metrics": {
+                    name: entry["value"]
+                    for name, entry in sorted(committed["metrics"].items())
+                },
+                "git_rev": committed.get("git_rev"),
+            }
     payload.update(extra)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

@@ -17,6 +17,11 @@ event and parallel runners must be **bit-identical** to the sequential one
 (same seeds → same stopping times, message counts and completion rounds) and
 the event runner must be at least 5x faster at ``n = 128``.
 
+A ratio cannot see a slowdown that hits both sides, so the record also
+carries the event side's absolute ``trial_s`` and ``timeslot_us`` (the median
+of three back-to-back event runs), which ``check_regression.py`` gates
+against the previous record's values.
+
 Scale knobs (for smoke runs): ``REPRO_BENCH_BATCH_N``,
 ``REPRO_BENCH_BATCH_TRIALS`` and ``REPRO_BENCH_BATCH_MIN_SPEEDUP`` shrink
 the workload / floor without changing the equivalence checks.
@@ -27,7 +32,16 @@ from __future__ import annotations
 import os
 import time
 
-from _utils import PEDANTIC, record_trials, report, report_json, trial_signature
+from _utils import (
+    EVENT_REPEATS,
+    PEDANTIC,
+    event_metrics,
+    record_trials,
+    report,
+    report_json,
+    timed_event_runs,
+    trial_signature,
+)
 from repro.analysis.stopping_time import measure_protocol
 from repro.experiments.parallel import (
     default_jobs,
@@ -67,9 +81,10 @@ def _run():
     )
     timings["sequential (scalar decoders)"] = time.perf_counter() - start
 
-    start = time.perf_counter()
-    event = measure_protocol_parallel(scenario, jobs=1)
-    timings["event (auto-selected)"] = time.perf_counter() - start
+    event_seconds, event = timed_event_runs(
+        lambda: measure_protocol_parallel(scenario, jobs=1)
+    )
+    timings["event (auto-selected)"] = event_seconds
 
     jobs = min(default_jobs(), 8)
     start = time.perf_counter()
@@ -99,11 +114,11 @@ def _run():
         }
         for runner, seconds in timings.items()
     ]
-    return rows
+    return rows, event_metrics(event_seconds, event)
 
 
 def test_batch_core_speedup(benchmark):
-    rows = benchmark.pedantic(_run, **PEDANTIC)
+    rows, metrics = benchmark.pedantic(_run, **PEDANTIC)
     report(
         "E9-batch-core",
         f"Monte Carlo core — uniform AG on complete(n={N}), k={K}, "
@@ -115,6 +130,9 @@ def test_batch_core_speedup(benchmark):
             "completion rounds.",
             f"The event runner must be at least {MIN_SPEEDUP:.0f}x faster "
             "than the sequential scalar-decoder path.",
+            f"Event side, median of {EVENT_REPEATS} back-to-back runs: "
+            f"{metrics['trial_s'][0]:.4f} s per trial, "
+            f"{metrics['timeslot_us'][0]:.2f} us per timeslot.",
         ],
     )
     event_row = next(row for row in rows if row["runner"].startswith("event"))
@@ -128,6 +146,7 @@ def test_batch_core_speedup(benchmark):
         k=K,
         seed=SEED,
         min_speedup=MIN_SPEEDUP,
+        metrics=metrics,
         protocol="uniform-ag",
         topology="complete",
     )

@@ -15,7 +15,8 @@ synchronous EXCHANGE — through both trial runners:
 The assertions are the contract of the fast path: the event runner must be
 **bit-identical** to the sequential one (same seeds → same per-trial stopping
 times, message counts, completion rounds and tree shapes) and at least
-``MIN_SPEEDUP``x faster at ``n = 128``.
+``MIN_SPEEDUP``x faster at ``n = 128``.  The record also carries the event
+side's absolute ``trial_s`` and ``timeslot_us`` (see ``bench_batch_core``).
 
 Scale knobs (for smoke runs): ``REPRO_BENCH_TAG_N``,
 ``REPRO_BENCH_TAG_TRIALS`` and ``REPRO_BENCH_TAG_MIN_SPEEDUP`` shrink the
@@ -27,7 +28,16 @@ from __future__ import annotations
 import os
 import time
 
-from _utils import PEDANTIC, record_trials, report, report_json, trial_signature
+from _utils import (
+    EVENT_REPEATS,
+    PEDANTIC,
+    event_metrics,
+    record_trials,
+    report,
+    report_json,
+    timed_event_runs,
+    trial_signature,
+)
 from repro.analysis.stopping_time import measure_protocol
 from repro.experiments.parallel import measure_protocol_parallel
 from repro.scenarios import ScenarioSpec, default_scenario_config
@@ -66,9 +76,10 @@ def _run():
     )
     timings["sequential (scalar TagProtocol)"] = time.perf_counter() - start
 
-    start = time.perf_counter()
-    event = measure_protocol_parallel(scenario, jobs=1)
-    timings["event (auto-selected)"] = time.perf_counter() - start
+    event_seconds, event = timed_event_runs(
+        lambda: measure_protocol_parallel(scenario, jobs=1)
+    )
+    timings["event (auto-selected)"] = event_seconds
 
     assert trial_signature(event) == trial_signature(sequential), (
         "event TAG runner diverged from the sequential runner"
@@ -90,11 +101,11 @@ def _run():
         }
         for runner, seconds in timings.items()
     ]
-    return rows
+    return rows, event_metrics(event_seconds, event)
 
 
 def test_batch_tag_speedup(benchmark):
-    rows = benchmark.pedantic(_run, **PEDANTIC)
+    rows, metrics = benchmark.pedantic(_run, **PEDANTIC)
     report(
         "E10-batch-tag",
         f"TAG on the event engine — TAG+B_RR on {TOPOLOGY}(n={N}), k={K}, "
@@ -106,6 +117,9 @@ def test_batch_tag_speedup(benchmark):
             "rounds and tree metadata.",
             f"The event runner must be at least {MIN_SPEEDUP:.1f}x faster "
             "than the sequential scalar path.",
+            f"Event side, median of {EVENT_REPEATS} back-to-back runs: "
+            f"{metrics['trial_s'][0]:.4f} s per trial, "
+            f"{metrics['timeslot_us'][0]:.2f} us per timeslot.",
         ],
     )
     event_row = next(row for row in rows if row["runner"].startswith("event"))
@@ -119,6 +133,7 @@ def test_batch_tag_speedup(benchmark):
         k=K,
         seed=SEED,
         min_speedup=MIN_SPEEDUP,
+        metrics=metrics,
         protocol="tag",
         spanning_tree=SPANNING_TREE,
         topology=TOPOLOGY,

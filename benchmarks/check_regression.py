@@ -10,10 +10,15 @@ committed to the repository.  Two kinds exist:
   over summary record bytes) against ``min_bytes_ratio`` — and any extra
   ``floors`` must hold;
 * **repository-benchmark records** ``BENCH_perf-<workload>.json`` (written
-  by ``record_perfbench.py``): every end-to-end metric must stay within
-  ``previous × (1 + bound)`` — the bound ``BENCHMARK.json`` declares for
-  that metric (``previous × (1 - bound)`` for a higher-is-better one).  A
-  record without ``previous`` is the baseline and passes.
+  by ``record_perfbench.py``), which carry every end-to-end metric
+  ``BENCHMARK.json`` declares.
+
+Any record with a ``metrics`` block — every ``BENCH_perf-*`` record, and
+the E9/E10 ratio records with their absolute event-side ``trial_s`` and
+``timeslot_us`` — also gets the ceiling rule: each metric must stay within
+``previous × (1 + bound)``, the bound ``BENCHMARK.json`` declares for that
+metric (``previous × (1 - bound)`` for a higher-is-better one).  A record
+without ``previous`` is the baseline and passes.
 
 Run it standalone or via ``make bench-check``::
 
@@ -25,8 +30,9 @@ exist (an empty perf trajectory is itself a regression).
 With ``--store`` the script instead reads a persistent result store — an
 export file written by ``python -m repro store export``, or a store
 directory — and prints the stopping-time aggregate of every archived
-workload, so a CI artifact or a colleague's exported snapshot can be
-inspected without re-running any simulation::
+workload, from full ``result`` and streaming ``summary`` records alike, so
+a CI artifact or a colleague's exported snapshot can be inspected without
+re-running any simulation::
 
     python benchmarks/check_regression.py --store snapshot.jsonl
 """
@@ -60,11 +66,20 @@ def store_aggregates(path: Path) -> int:
     except StoreError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    if not snapshot.results:
-        print(f"error: no result records in {path}", file=sys.stderr)
+    # Full results and summaries both carry ``rounds`` and ``completed``; a
+    # key holding both reads its full record (the summary is its projection).
+    buckets = {
+        fingerprint: {
+            **snapshot.summaries.get(fingerprint, {}),
+            **snapshot.results.get(fingerprint, {}),
+        }
+        for fingerprint in set(snapshot.results) | set(snapshot.summaries)
+    }
+    buckets = {fingerprint: bucket for fingerprint, bucket in buckets.items() if bucket}
+    if not buckets:
+        print(f"error: no trial records in {path}", file=sys.stderr)
         return 1
-    for fingerprint in sorted(snapshot.results):
-        bucket = snapshot.results[fingerprint]
+    for fingerprint, bucket in sorted(buckets.items()):
         # Rebuild the spec so defaulted (omitted) fields print their real
         # values; headers from an incompatible schema get a placeholder.
         try:
@@ -90,7 +105,8 @@ def store_aggregates(path: Path) -> int:
             f"{fingerprint[:12]}  {label}: {len(bucket)} trial record(s), {summary}"
             + (f" ({incomplete} incomplete)" if incomplete else "")
         )
-    print(f"{snapshot.trial_count} trial record(s) across {len(snapshot.results)} workload(s)")
+    trials = sum(len(bucket) for bucket in buckets.values())
+    print(f"{trials} trial record(s) across {len(buckets)} workload(s)")
     return 0
 
 
@@ -121,10 +137,13 @@ def check_records(output_dir: Path, benchmark_json: Path) -> int:
         # checking the remaining records so the output isolates the bad file.
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
-            if path.name.startswith("BENCH_perf-"):
-                failures += _check_ceilings(path.name, record, benchmark_json)
-            else:
+            repository = path.name.startswith("BENCH_perf-")
+            if not repository:
                 failures += _check_floors(path.name, record)
+            if repository or "metrics" in record:
+                failures += _check_ceilings(
+                    path.name, record, benchmark_json, complete=repository
+                )
         except Exception as error:  # noqa: BLE001
             print(f"{path.name}: unreadable record ({type(error).__name__}: {error}) FAIL")
             failures += 1
@@ -167,11 +186,14 @@ def _check_floors(name: str, record: dict) -> int:
     return failures
 
 
-def _check_ceilings(name: str, record: dict, benchmark_json: Path) -> int:
-    """Repository-benchmark records: each metric against its previous value."""
+def _check_ceilings(
+    name: str, record: dict, benchmark_json: Path, *, complete: bool
+) -> int:
+    """Each metric against its previous value; ``complete``: all declared ones."""
     declared = json.loads(benchmark_json.read_text(encoding="utf-8"))["end_to_end"]
     metrics = {metric: float(entry["value"]) for metric, entry in record["metrics"].items()}
-    if set(metrics) != {entry["name"] for entry in declared}:
+    names = {entry["name"] for entry in declared}
+    if (complete and set(metrics) != names) or not set(metrics) <= names:
         raise ValueError(f"metrics {sorted(metrics)} do not match BENCHMARK.json")
     previous = record.get("previous")
     if previous is None:
@@ -179,6 +201,8 @@ def _check_ceilings(name: str, record: dict, benchmark_json: Path) -> int:
         return 0
     failures = 0
     for entry in declared:
+        if entry["name"] not in metrics:
+            continue
         metric, bound = entry["name"], float(entry["bound"])
         value, before = metrics[metric], float(previous["metrics"][metric])
         if entry["better"] == "lower":

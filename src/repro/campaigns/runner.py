@@ -34,7 +34,7 @@ from ..core.results import RunResult, StoppingTimeStats, aggregate_results
 from ..core.rng import derive_rng
 from ..errors import AnalysisError, CampaignError
 from ..experiments.parallel import (
-    _measure_trial_indices,
+    _measure_indices_chunked,
     measure_protocol_parallel,
     shared_process_pool,
 )
@@ -162,74 +162,25 @@ def _run_unit(
     fresh: bool,
     offline: bool,
 ) -> UnitOutcome:
-    """Execute one unit's Monte Carlo plan through the store."""
-    if unit.record == "summary":
-        return _run_summary_unit(unit, spec, store=store, fresh=fresh, offline=offline)
-    scenario = spec.materialize()
-    missing_before = store.missing_trials(spec)
-    if offline and missing_before:
-        raise CampaignError(
-            f"unit {unit.name!r} is not fully cached in {store.root}: "
-            f"{len(missing_before)}/{spec.trials} trial(s) missing "
-            f"(indices {missing_before[:8]}"
-            f"{'...' if len(missing_before) > 8 else ''}) — execute it first "
-            "('campaign run'), then render the report"
-        )
-    started = time.perf_counter()
-    results = measure_protocol_parallel(
-        scenario,
-        trials=spec.trials,
-        seed=spec.seed,
-        jobs=1 if jobs is None else jobs,
-        store=store,
-        fresh=fresh,
-    )
-    seconds = time.perf_counter() - started
-    computed = spec.trials if fresh else len(missing_before)
-    return UnitOutcome(
-        unit=unit,
-        spec=spec,
-        fingerprint=spec.fingerprint(),
-        trials=spec.trials,
-        seed=spec.seed,
-        cached_trials=spec.trials - computed,
-        computed_trials=computed,
-        stats=aggregate_results(results),
-        results=tuple(results),
-        n=scenario.n,
-        k=scenario.k,
-        seconds=seconds,
-        peak_rss_mib=_peak_rss_mib(),
-        engine=scenario.select_engine(),
-    )
+    """Execute one unit's Monte Carlo plan through the store.
 
-
-def _run_summary_unit(
-    unit: CampaignUnit,
-    spec: ScenarioSpec,
-    *,
-    store: Any,
-    fresh: bool,
-    offline: bool,
-) -> UnitOutcome:
-    """Execute one unit through the streaming-summary store path.
-
-    The asymptotic campaigns run decades up to ``n = 10^6``, where archiving
-    full :class:`~repro.core.results.RunResult` payloads (per-node completion
-    rounds included) would dwarf the statistics they exist to support.  This
-    path differs from :func:`_run_unit` in two deliberate ways:
-
-    * missing trials are computed **in-process** with
-      :func:`~repro.experiments.parallel._measure_trial_indices` — the trial
-      results stream straight into :meth:`~repro.store.ResultStore.put_summaries`
-      without the parallel runner's full-record archival; and
-    * statistics come from :meth:`~repro.store.ResultStore.aggregate`, which
-      consumes summary and full records interchangeably — so a summary unit
-      over a store already holding full records is served from cache,
-      bit-identically.
+    A full-record unit reads and writes whole
+    :class:`~repro.core.results.RunResult` records through
+    :func:`~repro.experiments.parallel.measure_protocol_parallel`.  A
+    summary unit (``record == "summary"``, the asymptotic decades up to
+    ``n = 10^6``, where full records with their per-node completion rounds
+    would dwarf the statistics) sends its missing trials through the same
+    ``jobs``-way chunked runner, archives their
+    :meth:`~repro.store.ResultStore.put_summaries` projections, and takes
+    its statistics from :meth:`~repro.store.ResultStore.aggregate`, which
+    reads summary and full records alike — so a summary unit over a store
+    that already holds full records is served from cache, bit-identically.
     """
+    summary = unit.record == "summary"
     scenario = spec.materialize()
-    missing_before = store.missing_summary_trials(spec)
+    missing_before = (
+        store.missing_summary_trials(spec) if summary else store.missing_trials(spec)
+    )
     if offline and missing_before:
         raise CampaignError(
             f"unit {unit.name!r} is not fully cached in {store.root}: "
@@ -238,31 +189,35 @@ def _run_summary_unit(
             f"{'...' if len(missing_before) > 8 else ''}) — execute it first "
             "('campaign run'), then render the report"
         )
+    jobs = 1 if jobs is None else jobs
+    to_compute = list(range(spec.trials)) if fresh else missing_before
     started = time.perf_counter()
-    to_compute = list(range(spec.trials)) if fresh else list(missing_before)
-    if to_compute:
-        results = _measure_trial_indices(
-            scenario.graph,
-            scenario.protocol_factory,
-            scenario.config,
-            spec.seed,
-            to_compute,
-            spec.engine,
-        )
-        store.put_summaries(spec, dict(zip(to_compute, results)))
-    stats = store.aggregate(spec)
+    if summary:
+        if to_compute:
+            computed = _measure_indices_chunked(
+                scenario.graph, scenario.protocol_factory, scenario.config,
+                spec.seed, to_compute, jobs, spec.engine,
+            )
+            store.put_summaries(spec, dict(zip(to_compute, computed)))
+        results: tuple[RunResult, ...] = ()
+        stats = store.aggregate(spec)
+    else:
+        results = tuple(measure_protocol_parallel(
+            scenario, trials=spec.trials, seed=spec.seed,
+            jobs=jobs, store=store, fresh=fresh,
+        ))
+        stats = aggregate_results(results)
     seconds = time.perf_counter() - started
-    computed = len(to_compute)
     return UnitOutcome(
         unit=unit,
         spec=spec,
         fingerprint=spec.fingerprint(),
         trials=spec.trials,
         seed=spec.seed,
-        cached_trials=spec.trials - computed,
-        computed_trials=computed,
+        cached_trials=spec.trials - len(to_compute),
+        computed_trials=len(to_compute),
         stats=stats,
-        results=(),
+        results=results,
         n=scenario.n,
         k=scenario.k,
         seconds=seconds,

@@ -32,7 +32,12 @@ are **append-only**: a record is one ``os.write`` to a file opened with
 filling the same store interleave whole lines, never torn ones.  Duplicate
 records (two writers racing on the same trial, whose results are identical by
 determinism) are collapsed on read, first record wins; :meth:`ResultStore.gc`
-compacts them away.
+compacts them away.  Writers do not lean on that read rule: ``put_many``,
+``put_summaries`` and ``import_file`` admit records under one rule — a key
+always holds the same result, and a summary is its full record's
+projection — and a record that contradicts what its key holds, in the store
+or earlier in the same call, raises :class:`~repro.errors.StoreError`
+before anything is written.
 
 Integrity
 ---------
@@ -116,15 +121,25 @@ class StoreRecord:
     payload: Mapping[str, Any] = field(default_factory=dict)
 
 
+#: The two trial-record kinds; a record of either kind keeps its payload
+#: under a field named after the kind.
+TRIAL_KINDS = ("result", "summary")
+
+
 @dataclass
 class _Shard:
     """In-memory image of one fingerprint's shard."""
 
+    fingerprint: str
     spec: dict[str, Any] | None = None
     results: dict[tuple[int, int], dict[str, Any]] = field(default_factory=dict)
     summaries: dict[tuple[int, int], dict[str, Any]] = field(default_factory=dict)
     raw_records: int = 0
     dropped_partial: bool = False
+
+    def bucket(self, kind: str) -> dict[tuple[int, int], dict[str, Any]]:
+        """The ``(seed, trial) -> payload`` map of one trial-record kind."""
+        return self.results if kind == "result" else self.summaries
 
 
 def _parse_record(line: str, *, source: str, line_number: int) -> StoreRecord:
@@ -157,41 +172,23 @@ def _parse_record(line: str, *, source: str, line_number: int) -> StoreRecord:
                 "(needs string 'fingerprint' and object 'spec')"
             )
         return StoreRecord(kind="spec", fingerprint=fingerprint, payload=spec)
-    if kind == "result":
+    if kind in TRIAL_KINDS:
         fingerprint = data.get("fingerprint")
         seed = data.get("seed")
         trial = data.get("trial")
-        result = data.get("result")
+        payload = data.get(kind)
         if (
             not isinstance(fingerprint, str)
             or not isinstance(seed, int)
             or not isinstance(trial, int)
-            or not isinstance(result, dict)
+            or not isinstance(payload, dict)
         ):
             raise StoreError(
-                f"{source}:{line_number}: corrupt result record (needs string "
-                "'fingerprint', integer 'seed' and 'trial', object 'result')"
+                f"{source}:{line_number}: corrupt {kind} record (needs string "
+                f"'fingerprint', integer 'seed' and 'trial', object '{kind}')"
             )
         return StoreRecord(
-            kind="result", fingerprint=fingerprint, seed=seed, trial=trial, payload=result
-        )
-    if kind == "summary":
-        fingerprint = data.get("fingerprint")
-        seed = data.get("seed")
-        trial = data.get("trial")
-        summary = data.get("summary")
-        if (
-            not isinstance(fingerprint, str)
-            or not isinstance(seed, int)
-            or not isinstance(trial, int)
-            or not isinstance(summary, dict)
-        ):
-            raise StoreError(
-                f"{source}:{line_number}: corrupt summary record (needs string "
-                "'fingerprint', integer 'seed' and 'trial', object 'summary')"
-            )
-        return StoreRecord(
-            kind="summary", fingerprint=fingerprint, seed=seed, trial=trial, payload=summary
+            kind=kind, fingerprint=fingerprint, seed=seed, trial=trial, payload=payload
         )
     raise StoreError(
         f"{source}:{line_number}: corrupt store record (unknown kind {kind!r})"
@@ -250,11 +247,9 @@ class StoreSnapshot:
     def add(self, record: StoreRecord) -> None:
         if record.kind == "spec":
             self.specs.setdefault(record.fingerprint, dict(record.payload))
-        elif record.kind == "result":
-            bucket = self.results.setdefault(record.fingerprint, {})
-            bucket.setdefault((record.seed, record.trial), dict(record.payload))
-        elif record.kind == "summary":
-            bucket = self.summaries.setdefault(record.fingerprint, {})
+        elif record.kind in TRIAL_KINDS:
+            buckets = self.results if record.kind == "result" else self.summaries
+            bucket = buckets.setdefault(record.fingerprint, {})
             bucket.setdefault((record.seed, record.trial), dict(record.payload))
 
     @property
@@ -316,14 +311,11 @@ def diff_snapshots(left: StoreSnapshot, right: StoreSnapshot) -> dict[str, Any]:
     # as spurious payload divergence.
     def _records(snapshot: StoreSnapshot) -> dict[str, dict[tuple[str, int, int], dict[str, Any]]]:
         merged: dict[str, dict[tuple[str, int, int], dict[str, Any]]] = {}
-        for fp, bucket in snapshot.results.items():
-            view = merged.setdefault(fp, {})
-            for (seed, trial), payload in bucket.items():
-                view[("result", seed, trial)] = payload
-        for fp, bucket in snapshot.summaries.items():
-            view = merged.setdefault(fp, {})
-            for (seed, trial), payload in bucket.items():
-                view[("summary", seed, trial)] = payload
+        for kind, buckets in zip(TRIAL_KINDS, (snapshot.results, snapshot.summaries)):
+            for fp, bucket in buckets.items():
+                view = merged.setdefault(fp, {})
+                for (seed, trial), payload in bucket.items():
+                    view[(kind, seed, trial)] = payload
         return merged
 
     left_records = _records(left)
@@ -534,7 +526,7 @@ class ResultStore:
         shard = self._cache.get(fingerprint)
         if shard is not None:
             return shard
-        shard = _Shard()
+        shard = _Shard(fingerprint)
         path = self._shard_path(fingerprint)
         if path.exists():
             raw = path.read_bytes()
@@ -564,10 +556,10 @@ class ResultStore:
                 if record.kind == "spec":
                     if shard.spec is None:
                         shard.spec = dict(record.payload)
-                elif record.kind == "result":
-                    shard.results.setdefault((record.seed, record.trial), dict(record.payload))
-                elif record.kind == "summary":
-                    shard.summaries.setdefault((record.seed, record.trial), dict(record.payload))
+                elif record.kind in TRIAL_KINDS:
+                    shard.bucket(record.kind).setdefault(
+                        (record.seed, record.trial), dict(record.payload)
+                    )
         self._cache[fingerprint] = shard
         return shard
 
@@ -860,7 +852,7 @@ class ResultStore:
                         )
         else:
             for record in self._iter_shard_records(fingerprint):
-                if record.kind not in ("result", "summary"):
+                if record.kind not in TRIAL_KINDS:
                     continue
                 if record.seed != effective_seed or not 0 <= record.trial < trials:
                     continue
@@ -907,32 +899,22 @@ class ResultStore:
         )
 
     @classmethod
-    def _result_line(
-        cls, fingerprint: str, seed: int, trial: int, payload: Mapping[str, Any]
+    def _trial_line(
+        cls,
+        kind: str,
+        fingerprint: str,
+        seed: int,
+        trial: int,
+        payload: Mapping[str, Any],
     ) -> str:
-        """The encoded trial record (one schema, shared by every writer)."""
+        """The encoded ``result`` or ``summary`` record (one schema, every writer)."""
         return cls._encode(
             {
-                "kind": "result",
+                "kind": kind,
                 "fingerprint": fingerprint,
                 "seed": int(seed),
                 "trial": int(trial),
-                "result": dict(payload),
-            }
-        )
-
-    @classmethod
-    def _summary_line(
-        cls, fingerprint: str, seed: int, trial: int, payload: Mapping[str, Any]
-    ) -> str:
-        """The encoded streaming-summary record (one schema, every writer)."""
-        return cls._encode(
-            {
-                "kind": "summary",
-                "fingerprint": fingerprint,
-                "seed": int(seed),
-                "trial": int(trial),
-                "summary": dict(payload),
+                kind: dict(payload),
             }
         )
 
@@ -984,72 +966,17 @@ class ResultStore:
     ) -> int:
         """Persist several trial results in one append; returns how many were new.
 
-        Keys already present with an **identical** payload are skipped (the
-        store is deduplicated by construction where possible; concurrent
-        writers may still race, which the first-record-wins read rule
-        absorbs).  A key already present with a *different* payload raises
-        :class:`StoreError`: same-keyed trials are deterministic, so a
+        Admission follows the store's one rule (shared with
+        :meth:`put_summaries` and :meth:`import_file`): a key already holding
+        an **identical** result is skipped, and a key holding a *different*
+        result, or a summary that is not this result's projection, raises
+        :class:`StoreError`.  Same-keyed trials are deterministic, so a
         conflict means the simulation code changed underneath the archive.
+        Concurrent writers may still race to append the same record; the
+        first-record-wins read rule absorbs that.
         """
-        fingerprint, resolved = self._key(spec)
-        if resolved is None:
-            raise StoreError(
-                "put requires the full ScenarioSpec (shards are self-describing); "
-                "got a bare fingerprint"
-            )
-        effective_seed = self._seed_for(resolved, seed)
-        shard = self._load(fingerprint)
-        lines: list[str] = []
-        new_spec: "dict[str, Any] | None" = None
-        if shard.spec is None:
-            new_spec = resolved.to_dict()
-            lines.append(self._spec_line(fingerprint, new_spec))
-        staged: list[tuple[tuple[int, int], dict[str, Any]]] = []
-        for trial, result in sorted(results_by_trial.items()):
-            key = (effective_seed, int(trial))
-            payload = result.to_dict()
-            stored = shard.results.get(key)
-            if stored is not None:
-                if stored != payload:
-                    # Identical (workload, seed, trial) keys must produce
-                    # identical results — a conflict means the simulation
-                    # code changed since the record was written (or the
-                    # store was tampered with).  Failing loudly here is what
-                    # makes a ``fresh`` run an actual re-verification and
-                    # keeps stale archives from silently serving old numbers.
-                    raise StoreError(
-                        f"store {self.root} already holds a different result "
-                        f"for {fingerprint[:12]}... seed={effective_seed} "
-                        f"trial={trial}; the workload's behaviour has changed "
-                        "since it was archived — gc the shard (or point at a "
-                        "new store) to re-archive"
-                    )
-                continue
-            summary = shard.summaries.get(key)
-            if summary is not None and summary != _project_summary(payload):
-                # A summary archived for this key is the same trial's
-                # projection by determinism; a full result that disagrees
-                # with it is the same divergence put_many refuses above.
-                raise StoreError(
-                    f"store {self.root} already holds a summary that "
-                    f"contradicts this result for {fingerprint[:12]}... "
-                    f"seed={effective_seed} trial={trial}; the workload's "
-                    "behaviour has changed since it was archived — gc the "
-                    "shard (or point at a new store) to re-archive"
-                )
-            staged.append((key, payload))
-            lines.append(self._result_line(fingerprint, effective_seed, trial, payload))
-        if lines:
-            # Disk first, memory second: a failed append (read-only / full
-            # store) must not leave the cache claiming unpersisted records.
-            self._append(fingerprint, lines)
-            shard.raw_records += len(lines)
-            if new_spec is not None:
-                shard.spec = new_spec
-            for key, payload in staged:
-                shard.results[key] = payload
-        self.puts += len(staged)
-        return len(staged)
+        payloads = {trial: result.to_dict() for trial, result in results_by_trial.items()}
+        return self._put(spec, "result", payloads, seed)
 
     def put_summaries(
         self,
@@ -1062,13 +989,35 @@ class ResultStore:
 
         Values may be full :class:`~repro.core.results.RunResult` objects
         (projected via :func:`summarize_result`) or ready-made summary
-        payloads carrying exactly the :data:`SUMMARY_KEYS`.  The conflict
-        rules mirror :meth:`put_many`: a key already covered — by an
+        payloads carrying exactly the :data:`SUMMARY_KEYS`.  Admission is the
+        rule :meth:`put_many` follows: a key already covered — by an
         identical summary, *or* by a full result whose projection matches —
         is skipped without writing, and any divergence raises
         :class:`StoreError`, so a ``fresh`` rerun through the summary path
         re-verifies the archive exactly like the full-record path does.
         """
+        payloads: dict[int, dict[str, Any]] = {}
+        for trial, value in sorted(summaries_by_trial.items()):
+            if isinstance(value, RunResult):
+                payloads[trial] = summarize_result(value)
+                continue
+            payload = {k: value[k] for k in sorted(value)}
+            if tuple(payload) != SUMMARY_KEYS:
+                raise StoreError(
+                    f"a summary payload carries exactly {list(SUMMARY_KEYS)}; "
+                    f"got keys {sorted(payload)} for trial {trial}"
+                )
+            payloads[trial] = payload
+        return self._put(spec, "summary", payloads, seed)
+
+    def _put(
+        self,
+        spec: Any,
+        kind: str,
+        payloads: Mapping[int, dict[str, Any]],
+        seed: "int | None",
+    ) -> int:
+        """Admit one kind of trial record for one workload, then commit them."""
         fingerprint, resolved = self._key(spec)
         if resolved is None:
             raise StoreError(
@@ -1077,57 +1026,96 @@ class ResultStore:
             )
         effective_seed = self._seed_for(resolved, seed)
         shard = self._load(fingerprint)
-        lines: list[str] = []
-        new_spec: "dict[str, Any] | None" = None
-        if shard.spec is None:
-            new_spec = resolved.to_dict()
-            lines.append(self._spec_line(fingerprint, new_spec))
-        staged: list[tuple[tuple[int, int], dict[str, Any]]] = []
-        for trial, value in sorted(summaries_by_trial.items()):
+        admitted: dict[tuple[str, tuple[int, int]], dict[str, Any]] = {}
+        for trial, payload in sorted(payloads.items()):
             key = (effective_seed, int(trial))
-            if isinstance(value, RunResult):
-                payload = summarize_result(value)
+            if self._admit(shard, admitted, kind, key, payload) == "new":
+                admitted[kind, key] = payload
+        spec_payload = resolved.to_dict() if shard.spec is None else None
+        return self._commit(shard, admitted, spec_payload)
+
+    def _admit(
+        self,
+        shard: _Shard,
+        admitted: Mapping[tuple[str, tuple[int, int]], dict[str, Any]],
+        kind: str,
+        key: tuple[int, int],
+        payload: Mapping[str, Any],
+        *,
+        origin: str = "put",
+    ) -> str:
+        """The store's one admission rule for an incoming trial record.
+
+        ``admitted`` maps ``(kind, key)`` to the records the current call
+        has already admitted to ``shard`` and not yet written.  A key may
+        hold a full result and a summary, and the summary is the result's
+        projection.  So the incoming record must equal a held record of its
+        own kind, and agree with one of the other kind through that
+        projection — whether the shard holds it or the call admitted it
+        earlier.  Any disagreement raises :class:`StoreError`: refusing is
+        what makes a ``fresh`` run a re-verification and keeps a stale
+        archive from silently serving old numbers.  Otherwise the record is
+        ``"covered"`` when the key already holds its kind or a full result,
+        and ``"new"`` when it must be written.
+        """
+        covered = False
+        for held_kind in TRIAL_KINDS:
+            held = shard.bucket(held_kind).get(key)
+            archived = held is not None
+            if not archived:
+                held = admitted.get((held_kind, key))
+                if held is None:
+                    continue
+            if held_kind == kind:
+                agrees = held == payload
+            elif kind == "result":
+                agrees = _project_summary(payload) == held
             else:
-                payload = {k: value[k] for k in sorted(value)}
-                if tuple(sorted(payload)) != SUMMARY_KEYS:
-                    raise StoreError(
-                        f"a summary payload carries exactly {list(SUMMARY_KEYS)}; "
-                        f"got keys {sorted(payload)} for trial {trial}"
-                    )
-            full = shard.results.get(key)
-            if full is not None:
-                if _project_summary(full) != payload:
-                    raise StoreError(
-                        f"store {self.root} already holds a full result that "
-                        f"contradicts this summary for {fingerprint[:12]}... "
-                        f"seed={effective_seed} trial={trial}; the workload's "
-                        "behaviour has changed since it was archived — gc the "
-                        "shard (or point at a new store) to re-archive"
-                    )
-                continue  # the full record already covers this trial
-            stored = shard.summaries.get(key)
-            if stored is not None:
-                if stored != payload:
-                    raise StoreError(
-                        f"store {self.root} already holds a different summary "
-                        f"for {fingerprint[:12]}... seed={effective_seed} "
-                        f"trial={trial}; the workload's behaviour has changed "
-                        "since it was archived — gc the shard (or point at a "
-                        "new store) to re-archive"
-                    )
-                continue
-            staged.append((key, payload))
-            lines.append(self._summary_line(fingerprint, effective_seed, trial, payload))
+                agrees = _project_summary(held) == payload
+            if not agrees:
+                seed, trial = key
+                where = "the store holds" if archived else "earlier in the same input"
+                raise StoreError(
+                    f"{origin} conflicts with store {self.root}: its {kind} for "
+                    f"{shard.fingerprint[:12]}... seed={seed} trial={trial} "
+                    f"differs from the {held_kind} {where}; same-keyed trials "
+                    "are deterministic, so the workload's behaviour has changed "
+                    "since it was archived, or the two records were written by "
+                    "diverging simulation code — gc the shard (or point at a "
+                    "new store) to re-archive"
+                )
+            covered = covered or held_kind in (kind, "result")
+        return "covered" if covered else "new"
+
+    def _commit(
+        self,
+        shard: _Shard,
+        admitted: Mapping[tuple[str, tuple[int, int]], dict[str, Any]],
+        spec_payload: "dict[str, Any] | None",
+    ) -> int:
+        """Write one call's admitted records to their shard; returns how many.
+
+        One append carries the spec header (when ``spec_payload`` is given)
+        and every admitted record, in admission order.  Disk first, memory
+        second: a failed append (read-only or full store) must not leave the
+        cache claiming unpersisted records.
+        """
+        lines = [] if spec_payload is None else [
+            self._spec_line(shard.fingerprint, spec_payload)
+        ]
+        lines += [
+            self._trial_line(kind, shard.fingerprint, *key, payload)
+            for (kind, key), payload in admitted.items()
+        ]
         if lines:
-            # Disk first, memory second (see put_many).
-            self._append(fingerprint, lines)
+            self._append(shard.fingerprint, lines)
             shard.raw_records += len(lines)
-            if new_spec is not None:
-                shard.spec = new_spec
-            for key, payload in staged:
-                shard.summaries[key] = payload
-        self.puts += len(staged)
-        return len(staged)
+            if spec_payload is not None:
+                shard.spec = spec_payload
+            for (kind, key), payload in admitted.items():
+                shard.bucket(kind)[key] = payload
+        self.puts += len(admitted)
+        return len(admitted)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -1179,7 +1167,8 @@ class ResultStore:
         """Compact the store; optionally drop every workload not in ``keep``.
 
         With ``keep=None`` every shard is kept but rewritten without
-        duplicate records and interrupted partial lines.  With ``keep`` (an
+        duplicate records, summaries that a full record shadows and
+        interrupted partial lines.  With ``keep`` (an
         iterable of specs, or fingerprint strings — unambiguous prefixes
         accepted, and an entry matching **no** shard raises rather than
         silently keeping nothing) the shards of all other workloads are
@@ -1226,21 +1215,11 @@ class ResultStore:
                     stats["dropped_records"] += shard.raw_records
                     path.unlink()
                     continue
-                lines: list[str] = []
-                if shard.spec is not None:
-                    lines.append(self._spec_line(fingerprint, shard.spec))
-                for (record_seed, trial), payload in sorted(shard.results.items()):
-                    lines.append(
-                        self._result_line(fingerprint, record_seed, trial, payload)
-                    )
-                for (record_seed, trial), payload in sorted(shard.summaries.items()):
-                    if (record_seed, trial) in shard.results:
-                        # Shadowed by the richer full record (identical by the
-                        # conflict invariant): compacting drops the duplicate.
-                        continue
-                    lines.append(
-                        self._summary_line(fingerprint, record_seed, trial, payload)
-                    )
+                # Each summary a full record shadows (identical by the
+                # admission rule) is a duplicate: compacting drops it.
+                for key in shard.results.keys() & shard.summaries.keys():
+                    del shard.summaries[key]
+                lines = self._shard_lines(shard)
                 temp_path = path.with_suffix(".jsonl.tmp")
                 temp_path.write_text(
                     "".join(f"{line}\n" for line in lines), encoding="utf-8"
@@ -1251,6 +1230,18 @@ class ResultStore:
                 stats["dropped_records"] += max(0, shard.raw_records - len(lines))
         self.refresh()
         return stats
+
+    def _shard_lines(self, shard: _Shard) -> list[str]:
+        """A shard's compact record stream: spec, results, then summaries, by key."""
+        lines = [] if shard.spec is None else [
+            self._spec_line(shard.fingerprint, shard.spec)
+        ]
+        for kind in TRIAL_KINDS:
+            lines += [
+                self._trial_line(kind, shard.fingerprint, *key, payload)
+                for key, payload in sorted(shard.bucket(kind).items())
+            ]
+        return lines
 
     # ------------------------------------------------------------------
     # Export / import
@@ -1263,7 +1254,7 @@ class ResultStore:
         The file carries the same record stream as the shards plus a format
         header; :meth:`import_file` (or :func:`load_snapshot`, or
         ``benchmarks/check_regression.py --store``) reads it back.  Returns
-        the number of result records exported.
+        the number of trial records (results and summaries) exported.
         """
         path = Path(path)
         selected = (
@@ -1275,14 +1266,8 @@ class ResultStore:
         exported = 0
         for fingerprint in selected:
             shard = self._load(fingerprint)
-            if shard.spec is not None:
-                lines.append(self._spec_line(fingerprint, shard.spec))
-            for (record_seed, trial), payload in sorted(shard.results.items()):
-                lines.append(self._result_line(fingerprint, record_seed, trial, payload))
-                exported += 1
-            for (record_seed, trial), payload in sorted(shard.summaries.items()):
-                lines.append(self._summary_line(fingerprint, record_seed, trial, payload))
-                exported += 1
+            lines += self._shard_lines(shard)
+            exported += len(shard.results) + len(shard.summaries)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
         return exported
@@ -1290,101 +1275,36 @@ class ResultStore:
     def import_file(self, path: "str | Path") -> int:
         """Merge an export file into this store; returns how many records were new.
 
-        New records are grouped by fingerprint and written with one append
-        per shard (the same batching :meth:`put_many` uses), not one write
-        per record.  An imported record that *diverges* from the locally
-        stored payload for the same ``(fingerprint, seed, trial)`` raises
-        :class:`StoreError`, exactly as :meth:`put_many` does — identical
-        seeded trials must never differ, and a merge is not allowed to paper
-        over two archives that disagree.
+        Every record of the file passes the admission rule :meth:`put_many`
+        and :meth:`put_summaries` apply, checked against the local store
+        *and* against the records admitted earlier from the same file.  So a
+        record that diverges from the local payload for its
+        ``(fingerprint, seed, trial)``, or from another record for that key
+        in the file itself, raises :class:`StoreError` before anything is
+        written — identical seeded trials must never differ, and a merge is
+        not allowed to paper over two archives that disagree.  New records
+        are then written with one append per shard, led by the file's spec
+        header when the shard has none.
         """
-        pending_specs: dict[str, dict[str, Any]] = {}
-        pending_lines: dict[str, list[str]] = {}
-        staged: dict[str, dict[tuple[int, int], dict[str, Any]]] = {}
-        staged_summaries: dict[str, dict[tuple[int, int], dict[str, Any]]] = {}
-        staged_specs: dict[str, dict[str, Any]] = {}
-
-        def _conflict(record: StoreRecord) -> StoreError:
-            return StoreError(
-                f"import of {path} conflicts with store {self.root}: "
-                f"different {record.kind} for {record.fingerprint[:12]}... "
-                f"seed={record.seed} trial={record.trial} (the two "
-                "archives were written by diverging simulation code)"
-            )
-
-        def _stage_spec(record: StoreRecord, shard: _Shard, lines: list[str]) -> None:
-            if shard.spec is None and record.fingerprint not in staged_specs:
-                spec_payload = pending_specs.get(record.fingerprint)
-                if spec_payload is not None:
-                    staged_specs[record.fingerprint] = spec_payload
-                    lines.append(self._spec_line(record.fingerprint, spec_payload))
-
+        origin = f"import of {path}"
+        specs: dict[str, dict[str, Any]] = {}
+        batches: dict[str, dict[tuple[str, tuple[int, int]], dict[str, Any]]] = {}
         for record in iter_records(path):
             if record.kind == "spec":
-                pending_specs[record.fingerprint] = dict(record.payload)
+                specs.setdefault(record.fingerprint, dict(record.payload))
                 continue
             shard = self._load(record.fingerprint)
+            admitted = batches.setdefault(record.fingerprint, {})
             key = (record.seed, record.trial)
             payload = dict(record.payload)
-            if record.kind == "summary":
-                full = shard.results.get(key)
-                if full is None:
-                    full = staged.get(record.fingerprint, {}).get(key)
-                if full is not None:
-                    # A local (or just-imported) full result covers this
-                    # trial; the incoming summary must be its projection.
-                    if _project_summary(full) != payload:
-                        raise _conflict(record)
-                    continue
-                stored = shard.summaries.get(key)
-                if stored is not None:
-                    if stored != payload:
-                        raise _conflict(record)
-                    continue
-                shard_staged = staged_summaries.setdefault(record.fingerprint, {})
-                if key in shard_staged:
-                    if shard_staged[key] != payload:
-                        raise _conflict(record)
-                    continue
-                lines = pending_lines.setdefault(record.fingerprint, [])
-                _stage_spec(record, shard, lines)
-                shard_staged[key] = payload
-                lines.append(
-                    self._summary_line(record.fingerprint, record.seed, record.trial, payload)
-                )
-                continue
-            stored = shard.results.get(key)
-            if stored is not None:
-                if stored != payload:
-                    raise _conflict(record)
-                continue
-            summary = shard.summaries.get(key)
-            if summary is None:
-                summary = staged_summaries.get(record.fingerprint, {}).get(key)
-            if summary is not None and summary != _project_summary(payload):
-                raise _conflict(record)
-            shard_staged = staged.setdefault(record.fingerprint, {})
-            if key in shard_staged:
-                continue
-            lines = pending_lines.setdefault(record.fingerprint, [])
-            _stage_spec(record, shard, lines)
-            shard_staged[key] = payload
-            lines.append(
-                self._result_line(record.fingerprint, record.seed, record.trial, payload)
+            verdict = self._admit(
+                shard, admitted, record.kind, key, payload, origin=origin
             )
-        imported = sum(len(entries) for entries in staged.values()) + sum(
-            len(entries) for entries in staged_summaries.values()
-        )
-        for fingerprint, lines in pending_lines.items():
-            if not lines:
-                continue
-            # Disk first, memory second (see put_many).
-            self._append(fingerprint, lines)
-            shard = self._cache[fingerprint]
-            shard.raw_records += len(lines)
-            if fingerprint in staged_specs:
-                shard.spec = staged_specs[fingerprint]
-            shard.results.update(staged.get(fingerprint, {}))
-            shard.summaries.update(staged_summaries.get(fingerprint, {}))
-        self.puts += imported
+            if verdict == "new":
+                admitted[record.kind, key] = payload
+        imported = 0
+        for fingerprint, admitted in batches.items():
+            shard = self._load(fingerprint)
+            spec_payload = specs.get(fingerprint) if admitted and shard.spec is None else None
+            imported += self._commit(shard, admitted, spec_payload)
         return imported

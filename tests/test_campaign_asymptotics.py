@@ -137,6 +137,28 @@ class TestStreamingUnits:
             assert outcome.results == ()
             assert outcome.stats.samples  # the aggregate still has every trial
 
+    def test_summary_units_honour_jobs(self, tmp_path, monkeypatch):
+        real = campaign_runner._measure_indices_chunked
+        seen_jobs = []
+
+        def spy(graph, factory, config, seed, indices, jobs, engine=""):
+            seen_jobs.append(jobs)
+            return real(graph, factory, config, seed, indices, jobs, engine)
+
+        monkeypatch.setattr(campaign_runner, "_measure_indices_chunked", spy)
+        shards = {}
+        for jobs in (2, 1):
+            root = tmp_path / f"jobs{jobs}"
+            run_campaign(small_campaign(trials=2), store=ResultStore(root), jobs=jobs)
+            shards[jobs] = {
+                path.relative_to(root): path.read_bytes()
+                for path in sorted((root / "shards").rglob("*.jsonl"))
+            }
+        units = len(small_campaign().units)
+        assert seen_jobs == [2] * units + [1] * units
+        assert len(shards[1]) == units
+        assert shards[2] == shards[1]
+
     def test_offline_run_over_an_empty_store_names_missing_trials(self, tmp_path):
         with pytest.raises(CampaignError, match="not fully cached"):
             run_campaign(

@@ -3,7 +3,9 @@
 ``benchmarks/record_perfbench.py`` turns ``.perfbench/results`` runs into
 ``BENCH_perf-<workload>.json`` records, moving the committed record's values
 to ``previous``; ``benchmarks/check_regression.py`` fails a metric above
-``previous × (1 + bound)`` with the bound from ``BENCHMARK.json``.
+``previous × (1 + bound)`` with the bound from ``BENCHMARK.json``.  The
+E9/E10 ratio records written through ``benchmarks/_utils.report_json``
+carry absolute event-side metrics under the same rule.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ def _script(name: str):
 
 record_perfbench = _script("record_perfbench")
 check_regression = _script("check_regression")
+bench_utils = _script("_utils")
 
 END_TO_END = {
     "trial_s": ("s", 1.0),
@@ -141,3 +144,67 @@ def test_a_ratio_record_without_a_headline_fails(tmp_path, capsys):
     (output / "BENCH_E14-demo.json").write_text(json.dumps({"min_bytes_ratio": 50.0}))
     assert _check(tmp_path) == 1
     assert "unreadable record" in capsys.readouterr().out
+
+
+def _ratio_record(tmp_path: Path, monkeypatch, trial_s: float) -> dict:
+    """Write an E9-style speedup record with event-side metrics, as E9 does."""
+    monkeypatch.setattr(bench_utils, "OUTPUT_DIR", tmp_path / "output")
+    path = bench_utils.report_json(
+        "E9-demo",
+        timings={"event": 1.0},
+        speedup=40.0,
+        n=128,
+        trials=64,
+        min_speedup=5.0,
+        metrics={"trial_s": (trial_s, "s"), "timeslot_us": (2.0, "us")},
+    )
+    return json.loads(path.read_text())
+
+
+def test_a_ratio_record_without_previous_is_the_baseline(tmp_path, monkeypatch, capsys):
+    record = _ratio_record(tmp_path, monkeypatch, 1.0)
+    assert record["metrics"]["trial_s"] == {"unit": "s", "value": 1.0}
+    assert "previous" not in record
+    assert _check(tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "speedup 40.00x (floor 5.0x" in out and "baseline" in out
+
+
+def test_a_ratio_record_within_its_ceilings_passes(tmp_path, monkeypatch, capsys):
+    _ratio_record(tmp_path, monkeypatch, 1.0)
+    record = _ratio_record(tmp_path, monkeypatch, 1.2)
+    assert record["previous"]["metrics"] == {"timeslot_us": 2.0, "trial_s": 1.0}
+    assert _check(tmp_path) == 0
+    assert "trial_s 1.2 s (previous 1, ceiling 1.25) ok" in capsys.readouterr().out
+
+
+def test_a_ratio_record_over_its_ceiling_fails(tmp_path, monkeypatch, capsys):
+    _ratio_record(tmp_path, monkeypatch, 1.0)
+    _ratio_record(tmp_path, monkeypatch, 1.3)
+    assert _check(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "trial_s 1.3 s (previous 1, ceiling 1.25) REGRESSION" in out
+    # The ratio headline is still checked, and still holds.
+    assert "speedup 40.00x (floor 5.0x" in out
+
+
+def test_store_aggregates_read_summary_records_once_per_trial(tmp_path, capsys):
+    from repro.core import RunResult
+    from repro.scenarios import ScenarioSpec
+    from repro.store import ResultStore
+
+    spec = ScenarioSpec(topology="ring", n=8, k=2, trials=2, seed=1)
+    summary = {"completed": True, "k": 2, "n": 8, "rounds": 7, "timeslots": 7}
+    full = RunResult(
+        rounds=7, timeslots=7, completed=True, n=8, k=2,
+        completion_rounds={0: 3, 1: 7}, messages_sent=4, helpful_messages=2,
+    )
+    store = ResultStore(tmp_path / "store")
+    store.put_summaries(spec, {0: summary, 1: {**summary, "rounds": 9}})
+    store.put_many(spec, {0: full})  # trial 0 now holds both kinds
+    store.export(tmp_path / "export.jsonl")
+    for source in (tmp_path / "export.jsonl", tmp_path / "store"):
+        assert check_regression.store_aggregates(source) == 0
+        out = capsys.readouterr().out
+        assert "2 trial record(s), mean=8.0, max=9" in out
+        assert "2 trial record(s) across 1 workload(s)" in out

@@ -414,6 +414,39 @@ class TestGcExportImport:
         # The local record survives.
         assert ResultStore(tmp_path / "a").get(spec, 0) == _result(5)
 
+    def test_import_refuses_a_conflict_within_the_file(self, tmp_path):
+        spec = _spec(trials=1)
+        first, second = ResultStore(tmp_path / "a"), ResultStore(tmp_path / "b")
+        first.put(spec, 0, _result(5))
+        second.put(spec, 0, _result(6))
+        first.export(tmp_path / "first.jsonl")
+        second.export(tmp_path / "second.jsonl")
+        # One export file carrying two different results for one key.
+        result_line = next(
+            line
+            for line in (tmp_path / "second.jsonl").read_text().splitlines()
+            if json.loads(line)["kind"] == "result"
+        )
+        both = tmp_path / "both.jsonl"
+        both.write_text((tmp_path / "first.jsonl").read_text() + result_line + "\n")
+
+        target = ResultStore(tmp_path / "target")
+        target.put(_spec(topology="grid", n=9), 0, _result(4))
+        before = {
+            path: path.read_bytes()
+            for path in (tmp_path / "target").rglob("*")
+            if path.is_file()
+        }
+        with pytest.raises(StoreError, match="earlier in the same input"):
+            target.import_file(both)
+        after = {
+            path: path.read_bytes()
+            for path in (tmp_path / "target").rglob("*")
+            if path.is_file()
+        }
+        assert after == before, "a refused import must write nothing"
+        assert ResultStore(tmp_path / "target").missing_trials(spec) == [0]
+
     def test_diff_detects_divergent_records(self, tmp_path):
         spec = _spec(trials=1)
         left = ResultStore(tmp_path / "a")

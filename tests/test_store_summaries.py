@@ -19,6 +19,8 @@ that safe:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core import RunResult
@@ -171,6 +173,26 @@ class TestSummaryStoreMaintenance:
         report = diff_snapshots(load_snapshot(store.root), load_snapshot(export))
         assert report["identical"] == spec.trials
         assert not report["differing"]
+
+    def test_gc_drops_a_shadowed_summary_and_export_keeps_it(self, tmp_path):
+        spec = _sweep_spec(trials=1)
+        (result,) = _measure(spec, "event")
+        store = ResultStore(tmp_path / "store")
+        store.put_summaries(spec, {0: result})
+        store.put_many(spec, {0: result})  # the full record shadows the summary
+
+        def kinds(path):
+            return [json.loads(line)["kind"] for line in path.read_text().splitlines()]
+
+        export = tmp_path / "snapshot.jsonl"
+        assert store.export(export) == 2
+        assert kinds(export) == ["header", "spec", "result", "summary"]
+        assert store.gc()["dropped_records"] == 1
+        (shard,) = (tmp_path / "store" / "shards").rglob("*.jsonl")
+        assert kinds(shard) == ["spec", "result"]
+        assert ResultStore(tmp_path / "store").aggregate(spec) == aggregate_results(
+            [result]
+        )
 
     def test_import_rejects_contradictory_summary(self, tmp_path):
         spec = _sweep_spec()
