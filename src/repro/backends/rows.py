@@ -9,10 +9,26 @@ and ``bytes`` operations that run in C:
 * ``GF(2)`` — one bit per column (column ``j`` is bit ``j``); adding rows is
   XOR and a pivot is always 1.
 * every other field — one byte per column (column ``j`` is byte ``j``,
-  little-endian).  Scaling a row by ``c`` is one ``bytes.translate`` through
-  ``c``'s row of the multiplication table.  Adding rows is XOR in
-  characteristic 2; an odd-characteristic field, which no registered
-  workload uses, adds element by element through its addition table.
+  little-endian).  Adding rows is XOR in characteristic 2; an
+  odd-characteristic field, which no registered workload uses, adds element
+  by element through its addition table.
+
+Over ``GF(2^m)`` a linear combination ``sum(c_i * row_i)`` is computed **by
+bit planes**, with no per-coefficient ``translate``.  An element ``c`` is a
+polynomial ``sum(c_b x^b)`` over ``GF(2)``, so the combination is
+``sum(x^b * P_b)``, where plane ``P_b`` is the XOR of the rows whose
+coefficient has bit ``b`` set: each row is XORed into the planes of its
+coefficient's set bits (one tuple of bit positions per field element), and
+the ``m`` planes are folded by Horner's rule.  Multiplying a whole packed
+row by ``x`` takes a few int operations: clear the top bit of every byte,
+shift left by one, and XOR in ``x^m`` (``field.mul(2^(m-1), 2)``) wherever
+a top bit was set.  So the encode step and the forward sweep of an
+elimination cost about ``m/2`` XORs per row plus ``m - 1`` such
+multiplications.  Scaling by one element (normalising a new pivot,
+back-substitution) stays one ``bytes.translate`` through that element's row
+of the multiplication table; odd characteristic combines rows that way too,
+one ``translate`` per distinct coefficient.  These tables are built once per
+field order and shared by every eliminator over that field.
 
 The pivot columns of a problem are kept as one mask int (bit ``j``, or byte
 ``j`` set to ``0xFF``), so the forward sweep visits only the pivots the
@@ -39,7 +55,8 @@ prime, binary-extension and odd-extension fields.
 from __future__ import annotations
 
 import operator
-from typing import Sequence
+from itertools import compress
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +70,54 @@ __all__ = ["RowEliminator"]
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
+class _ByteTables(NamedTuple):
+    """The lookup tables of byte rows over one field (see :func:`_byte_tables`)."""
+
+    #: ``scale[c]``: translate table multiplying every byte by ``c``.
+    scale: tuple[bytes, ...]
+    #: ``inverse[c]``: the multiplicative inverse of ``c`` (``inverse[0] == 0``).
+    inverse: tuple[int, ...]
+    #: Translate table negating every byte: subtracting ``c·row`` is adding
+    #: ``(-c)·row``.  The identity in characteristic 2.
+    negate: bytes
+    #: Characteristic 2: ``planes[c]``, the positions of ``c``'s set bits.
+    #: ``None`` in odd characteristic.
+    planes: tuple[tuple[int, ...], ...] | None
+    #: Odd characteristic: ``sums[a][b] == a + b``.  ``None`` in
+    #: characteristic 2, where adding is XOR.
+    sums: tuple[bytes, ...] | None
+
+
+#: Byte-row tables by field order, built once and shared by every
+#: eliminator over that field, as ``gf.field`` shares its extension tables.
+_BYTE_TABLES: dict[int, _ByteTables] = {}
+
+
+def _byte_tables(field: GaloisField) -> _ByteTables:
+    """The shared byte-row tables of ``field`` (any field but GF(2))."""
+    tables = _BYTE_TABLES.get(field.order)
+    if tables is not None:
+        return tables
+    q = field.order
+    elements = np.arange(q)
+    products = np.zeros((256, 256), dtype=np.uint8)
+    products[:q, :q] = field.mul(elements[:, np.newaxis], elements[np.newaxis, :])
+    inverse = (0, *field.inv(elements[1:]).tolist())
+    negate = bytes(field.neg(elements).tolist() + list(range(q, 256)))
+    planes = sums = None
+    if field.characteristic == 2:
+        planes = tuple(
+            tuple(bit for bit in range(field.degree) if element >> bit & 1)
+            for element in range(q)
+        )
+    else:
+        sums = tuple(bytes(row) for row in field.add(elements[:, np.newaxis], elements))
+    scale = tuple(bytes(row) for row in products)
+    tables = _ByteTables(scale, inverse, negate, planes, sums)
+    _BYTE_TABLES[q] = tables
+    return tables
+
+
 class RowEliminator:
     """Canonical RREF bases of ``problems`` subspaces of ``GF(q)^columns``.
 
@@ -64,6 +129,10 @@ class RowEliminator:
     ----------
     ranks:
         Python list: the current rank of every problem (live).
+    pivots:
+        Python list: per problem, the mask of its pivot columns — bit ``col``
+        over GF(2), byte ``col`` set to 0xFF otherwise (live).  Equal masks
+        mean equal ranks; see :meth:`same_subspace`.
     pivot_limit:
         The rank of a full problem (every column is a pivot column).
     """
@@ -87,35 +156,32 @@ class RowEliminator:
         #: in every column of a full-rank problem.
         self._rows = [0] * (problems * columns)
         self._no_rows = (0,) * columns
-        #: Per problem, the mask of its pivot columns: bit ``col`` over GF(2),
-        #: byte ``col`` set to 0xFF otherwise.
-        self._pivots = [0] * problems
+        self.pivots = [0] * problems
         self._bits = field.order == 2
         if self._bits:
             return
-        q = field.order
-        elements = np.arange(q)
-        products = np.zeros((256, 256), dtype=np.uint8)
-        products[:q, :q] = field.mul(elements[:, np.newaxis], elements[np.newaxis, :])
-        #: ``_scale[c]``: translate table multiplying every byte by ``c``.
-        self._scale = [bytes(row) for row in products]
-        inverse = [0] * q
-        inverse[1:] = field.inv(elements[1:]).tolist()
-        self._inverse = inverse
-        #: Additive inverses: subtracting ``c·row`` is adding ``(-c)·row``.
-        self._negate = field.neg(elements).tolist()
+        tables = _byte_tables(field)
+        self._scale, self._inverse = tables.scale, tables.inverse
+        self._negate, self._planes = tables.negate, tables.planes
+        if tables.sums is not None:
+            self._add = self._odd_adder(tables.sums)
+            return
         #: Row addition on packed ints: XOR in characteristic 2.
-        self._add = operator.xor if field.characteristic == 2 else self._odd_adder(field)
+        self._add = operator.xor
+        #: Multiplying a packed row by ``x`` (see the module docstring): the
+        #: top bit of every byte, its shift down to bit 0, and ``x^m``.
+        top = 1 << (field.degree - 1)
+        self._top_bits = int.from_bytes(bytes([top]) * columns, "little")
+        self._top_shift = field.degree - 1
+        self._x_to_the_m = int(field.mul(top, 2))
 
-    def _odd_adder(self, field: GaloisField):
+    def _odd_adder(self, sums: "tuple[bytes, ...]"):
         """Row addition in odd characteristic: element by element, by table."""
         nbytes, to_int = self.columns, int.from_bytes
-        elements = np.arange(field.order)
-        table = [bytes(row) for row in field.add(elements[:, np.newaxis], elements)]
 
         def add(a: int, b: int) -> int:
             pairs = zip(a.to_bytes(nbytes, "little"), b.to_bytes(nbytes, "little"))
-            return to_int(bytes([table[x][y] for x, y in pairs]), "little")
+            return to_int(bytes([sums[x][y] for x, y in pairs]), "little")
 
         return add
 
@@ -174,10 +240,11 @@ class RowEliminator:
         rows = self._rows
         base = index * self.columns
         if not self._bits:
-            stored = rows[base : base + self.columns]
             # Empty slots hold 0, so the rest are the basis in pivot order.
-            return self._combination(coefficients, [row for row in stored if row])
-        pivots = self._pivots[index]
+            return self._combination(
+                coefficients, filter(None, rows[base : base + self.columns])
+            )
+        pivots = self.pivots[index]
         combined = 0
         for coefficient in coefficients:
             low = pivots & -pivots
@@ -186,12 +253,35 @@ class RowEliminator:
                 combined ^= rows[base + low.bit_length() - 1]
         return combined
 
-    def _combination(self, coefficients: "Sequence[int]", rows: "Sequence[int]") -> int:
+    def _combination(self, coefficients: "Sequence[int]", rows: "Iterable[int]") -> int:
         """``sum(c * row)`` over byte rows.
 
-        Rows that share a coefficient are added up first, so each distinct
-        coefficient costs one ``translate`` however many rows carry it.
+        Characteristic 2 goes by bit planes (see the module docstring).  Odd
+        characteristic adds up the rows that share a coefficient first, so
+        each distinct coefficient costs one ``translate``.
         """
+        planes_of = self._planes
+        if planes_of is None:
+            return self._table_combination(coefficients, rows)
+        planes = [0] * self.field.degree
+        for coefficient, row in zip(coefficients, rows):
+            for plane in planes_of[coefficient]:
+                planes[plane] ^= row
+        # Horner: total = (...(P_{m-1}·x + P_{m-2})·x + ...)·x + P_0.
+        top_bits, top_shift = self._top_bits, self._top_shift
+        x_to_the_m = self._x_to_the_m
+        total = 0
+        for plane in reversed(planes):
+            if total:
+                top = total & top_bits
+                total = ((total ^ top) << 1) ^ (top >> top_shift) * x_to_the_m
+            total ^= plane
+        return total
+
+    def _table_combination(
+        self, coefficients: "Sequence[int]", rows: "Iterable[int]"
+    ) -> int:
+        """:meth:`_combination` in odd characteristic, through the tables."""
         add, groups = self._add, {}
         for coefficient, row in zip(coefficients, rows):
             if coefficient:
@@ -204,6 +294,28 @@ class RowEliminator:
                 group = to_int(group, "little")
             total = add(total, group)
         return total
+
+    def same_subspace(self, a: int, b: int) -> bool:
+        """Whether problems ``a`` and ``b`` span the same subspace.
+
+        Each problem holds the canonical RREF basis of its subspace, so two
+        subspaces are equal exactly when their pivot masks and stored rows
+        are.  The masks are compared first, then the stored rows at the
+        lowest pivot, and only then every slot.
+        """
+        pivots = self.pivots[a]
+        if pivots != self.pivots[b]:
+            return False
+        if not pivots:
+            return True
+        rows, columns = self._rows, self.columns
+        base_a, base_b = a * columns, b * columns
+        lowest = (pivots & -pivots).bit_length() - 1
+        if not self._bits:
+            lowest >>= 3
+        if rows[base_a + lowest] != rows[base_b + lowest]:
+            return False
+        return rows[base_a : base_a + columns] == rows[base_b : base_b + columns]
 
     def eliminate_one(self, index: int, payload: int) -> bool:
         """Absorb one packed row into one problem; return the helpfulness flag.
@@ -218,7 +330,7 @@ class RowEliminator:
             return self._eliminate_bytes(index, payload)
         rows = self._rows
         base = index * self.columns
-        pivots = self._pivots[index]
+        pivots = self.pivots[index]
         # Forward sweep: a stored row is zero in every *other* pivot column,
         # so clearing one hit pivot never changes whether another is hit.
         hit = payload & pivots
@@ -246,15 +358,18 @@ class RowEliminator:
         rows = self._rows
         nbytes = self.columns
         base = index * nbytes
-        pivots = self._pivots[index]
+        pivots = self.pivots[index]
         scale, negate, add, to_int = self._scale, self._negate, self._add, int.from_bytes
         hit = payload & pivots
         if hit:
             # Subtract entry·row for every pivot the payload hits.  A stored
             # row is zero in every other pivot column, so all the factors
             # can be read off the payload up front.
-            factors = [negate[entry] for entry in hit.to_bytes(nbytes, "little")]
-            payload = add(payload, self._combination(factors, rows[base : base + nbytes]))
+            factors = hit.to_bytes(nbytes, "little").translate(negate)
+            # Only the stored rows whose pivot the payload hits take part.
+            hit_rows = compress(rows[base : base + nbytes], factors)
+            hit_factors = factors.replace(b"\0", b"")
+            payload = add(payload, self._combination(hit_factors, hit_rows))
         if not payload:
             return False
         shift = (payload & -payload).bit_length() - 1 & -8
@@ -263,11 +378,12 @@ class RowEliminator:
         if lead != 1:
             packed = packed.translate(scale[self._inverse[lead]])
             payload = to_int(packed, "little")
-        # Back-substitute into the stored rows left of the new pivot (empty
-        # slots are 0); rows sharing a factor share one scaled payload.
+        # Back-substitute into the stored rows left of the new pivot (the
+        # pivot slots); rows sharing a factor share one scaled payload.
         column = shift >> 3
         scaled = {1: payload}
-        for slot in range(base, base + column):
+        left = compress(range(base, base + column), pivots.to_bytes(nbytes, "little"))
+        for slot in left:
             factor = rows[slot] >> shift & 0xFF
             if factor:
                 factor = negate[factor]
@@ -281,7 +397,7 @@ class RowEliminator:
         """Add ``row`` (pivot ``column``) to a reduced basis; one rank up."""
         rank = self.ranks[index] + 1
         self.ranks[index] = rank
-        self._pivots[index] = pivots
+        self.pivots[index] = pivots
         base = index * self.columns
         if rank == self.columns:
             # A full-rank RREF basis is the identity: no rows need keeping.
@@ -293,5 +409,5 @@ class RowEliminator:
         """Wipe one problem back to the empty (rank-zero) state."""
         base = index * self.columns
         self._rows[base : base + self.columns] = self._no_rows
-        self._pivots[index] = 0
+        self.pivots[index] = 0
         self.ranks[index] = 0

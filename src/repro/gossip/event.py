@@ -30,7 +30,7 @@ bookkeeping:
   two O(k) encode/eliminate steps per timeslot; the synchronous loop buckets
   one round's transmissions into a queue and drains it at the round boundary,
   as the paper's synchronous semantics require.
-* **Only state-changing work** — a packet addressed to a full-rank receiver
+* **Only state-changing work** — a packet that cannot help its receiver
   is never built or eliminated (see below), and every draw is served by a
   :class:`~repro.core.rng.BlockDraws` reader instead of a numpy call.
 
@@ -83,14 +83,20 @@ against the canonical RREF basis, whose uniqueness makes every encoded packet
 and helpfulness flag coincide with the scalar decoder's; churn kills a
 transmission before the loss draw, consuming no randomness.
 
-* **Skip rule** — when the receiver's rank is already ``k`` as a packet is
-  encoded, its coefficients are still drawn (the stream must advance), but
-  no payload is built; at delivery the packet still counts in
-  ``messages_sent`` and still meets the churn check and the loss coin, and
-  ``eliminate_one`` is never called on a full-rank receiver (it could not
-  help).  Ranks only grow between encode and delivery, because crashes are
-  processed at the start of the slot (asynchronous) or round (synchronous),
-  so a receiver full at encode is still full at delivery.
+* **Skip rule** — a packet helps only if it raises its receiver's rank
+  (Definition 3 of the paper), and a coded packet lies in its sender's
+  subspace.  So when, as a packet is encoded, its receiver's rank is
+  already ``k``, or its receiver spans the same subspace as its sender
+  (equal ranks, equal pivot masks, then
+  :meth:`~repro.backends.rows.RowEliminator.same_subspace`), the packet
+  cannot help.  Its coefficients are still drawn (the stream must
+  advance), but no payload is built; at delivery the packet still counts
+  in ``messages_sent`` and still meets the churn check and the loss coin,
+  and ``eliminate_one`` is never called on it, nor on any packet for a
+  full-rank receiver.  A receiver's subspace only grows between encode and
+  delivery, because crashes are processed at the start of the slot
+  (asynchronous) or round (synchronous), so a packet that could not help
+  at encode cannot help at delivery.
 * **Block reader** — the wakeup, partner, coefficient and loss draws go
   through one :class:`~repro.core.rng.BlockDraws` per run, which serves
   them from blocks of raw 64-bit outputs with numpy's own algorithms and,
@@ -240,7 +246,9 @@ class EventGossipEngine:
                 f"config field_size {config.field_size}"
             )
         self._eliminator = RowEliminator(self._field, self._n, self._k)
-        self._ranks = self._eliminator.ranks  # live list
+        # Live lists: the eliminator updates them in place.
+        self._ranks = self._eliminator.ranks
+        self._pivots = self._eliminator.pivots
         for pos in process.placement:
             self._seed_node(pos, 0)
 
@@ -285,9 +293,10 @@ class EventGossipEngine:
             raise SimulationError(
                 f"protocol did not complete within {self.config.max_rounds} rounds"
             )
-        metadata = dict(self.process.metadata())
         if self._stp is None:
-            metadata["min_rank"] = min(self._ranks)
+            metadata = dict(self.process.metadata(min_rank=min(self._ranks)))
+        else:
+            metadata = dict(self.process.metadata())
         if self._loss_probability > 0:
             metadata.setdefault("dropped_messages", self._dropped_messages)
         if self._dynamics.has_churn:
@@ -539,8 +548,11 @@ class EventGossipEngine:
         """One coded packet from ``sender`` to ``receiver``, or ``None``.
 
         ``None`` means the sender knows nothing and sends nothing.  A packet
-        for a full-rank receiver draws its coefficients but is not built
-        (the skip rule): it returns ``False``, which :meth:`_deliver` never
+        that cannot help draws its coefficients but is not built (the skip
+        rule): its receiver is full rank, or spans the sender's subspace
+        (equal ranks, equal pivot masks, then
+        :meth:`~repro.backends.rows.RowEliminator.same_subspace`), which the
+        packet lies in.  It returns ``False``, which :meth:`_deliver` never
         feeds to the eliminator.  Otherwise the payload is the packed python
         int ``combine_one`` hands back.
         """
@@ -548,7 +560,12 @@ class EventGossipEngine:
         rank = ranks[sender]
         if not rank:
             return None
-        if ranks[receiver] == self._k:
+        receiver_rank = ranks[receiver]
+        if receiver_rank == self._k or (
+            receiver_rank == rank
+            and self._pivots[sender] == self._pivots[receiver]
+            and self._eliminator.same_subspace(sender, receiver)
+        ):
             self._draws.skip_elements(self._order, rank)
             return False
         return self._eliminator.combine_one(
@@ -573,9 +590,10 @@ class EventGossipEngine:
         if loss > 0 and self._draws.random() < loss:
             self._dropped_messages += 1
             return
+        # A packet skipped at encode cannot help, and neither can a packet
+        # for a receiver that is full rank by now: nothing to eliminate.
         ranks = self._ranks
-        # A full-rank receiver cannot be helped: nothing to eliminate.
-        if ranks[receiver_pos] == self._k:
+        if payload is False or ranks[receiver_pos] == self._k:
             return
         if self._eliminator.eliminate_one(receiver_pos, payload):
             self._helpful_messages += 1

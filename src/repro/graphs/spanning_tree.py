@@ -45,22 +45,36 @@ class SpanningTree:
 
     def validate(self) -> None:
         """Check that the parent map is acyclic and reaches the root from every node."""
-        if self.root in self.parent:
-            raise TopologyError(f"root {self.root} must not have a parent")
-        for node in self.parent:
-            seen = {node}
+        self._depths()
+
+    def _depths(self) -> dict[int, int]:
+        """Every node's depth, in one pass over the parent map; validates it.
+
+        Nodes are walked towards the root in parent-map order, each walk
+        stopping at the first node whose depth is known, so every node is
+        visited once.  A walk that fails never meets a known node, so it is
+        the walk a node-by-node check would fail on first, with the same
+        :class:`~repro.errors.TopologyError`.
+        """
+        parent, root = self.parent, self.root
+        if root in parent:
+            raise TopologyError(f"root {root} must not have a parent")
+        depths = {root: 0}
+        for node in parent:
+            walk: dict[int, None] = {}  # this walk's nodes, in order
             current = node
-            steps = 0
-            while current != self.root:
-                if current not in self.parent:
+            while current not in depths:
+                if current not in parent:
                     raise TopologyError(f"node {current} has no path to the root")
-                current = self.parent[current]
-                if current in seen:
+                walk[current] = None
+                current = parent[current]
+                if current in walk:
                     raise TopologyError(f"cycle detected through node {current}")
-                seen.add(current)
-                steps += 1
-                if steps > len(self.parent) + 1:
-                    raise TopologyError("parent map does not terminate at the root")
+            depth = depths[current]
+            for vertex in reversed(walk):
+                depth += 1
+                depths[vertex] = depth
+        return depths
 
     # -- basic accessors ---------------------------------------------------
     @property
@@ -97,14 +111,22 @@ class SpanningTree:
     @property
     def depth(self) -> int:
         """Maximum depth over all nodes (``l_max`` in the paper)."""
-        return max((self.depth_of(node) for node in self.parent), default=0)
+        return max(self._depths().values())
 
     @property
     def tree_diameter(self) -> int:
-        """Diameter of the tree viewed as an undirected graph (``d(S)``)."""
-        if self.size == 1:
-            return 0
-        return int(nx.diameter(self.as_graph()))
+        """Diameter of the tree viewed as an undirected graph (``d(S)``).
+
+        Two breadth-first passes, exact on a tree: the node farthest from
+        the root ends a longest path, and the farthest distance from it is
+        the diameter.
+        """
+        neighbours: dict[int, list[int]] = {node: [] for node in self.nodes}
+        for child, parent in self.parent.items():
+            neighbours[child].append(parent)
+            neighbours[parent].append(child)
+        farthest, _ = _farthest(neighbours, self.root)
+        return _farthest(neighbours, farthest)[1]
 
     def path_to_root(self, node: int) -> list[int]:
         """The node sequence from ``node`` up to (and including) the root."""
@@ -128,6 +150,21 @@ class SpanningTree:
 
     def __repr__(self) -> str:
         return f"SpanningTree(root={self.root}, size={self.size}, depth={self.depth})"
+
+
+def _farthest(neighbours: dict[int, list[int]], source: int) -> tuple[int, int]:
+    """A node farthest from ``source`` in a tree, and its distance."""
+    distance = {source: 0}
+    queue = deque([source])
+    node = source
+    while queue:
+        node = queue.popleft()
+        for neighbour in neighbours[node]:
+            if neighbour not in distance:
+                distance[neighbour] = distance[node] + 1
+                queue.append(neighbour)
+    # Breadth-first order: the last node dequeued is a farthest one.
+    return node, distance[node]
 
 
 def bfs_spanning_tree(graph: CSRGraph, root: int) -> SpanningTree:

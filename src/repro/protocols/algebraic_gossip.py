@@ -218,12 +218,20 @@ class AlgebraicGossip(CodedGossipProcess):
         """
         return type(self) is AlgebraicGossip and type(self.selector) is UniformSelector
 
-    def metadata(self) -> dict[str, Any]:
+    def metadata(self, *, min_rank: int | None = None) -> dict[str, Any]:
+        """The run's protocol metadata.
+
+        ``min_rank`` is the lowest rank over all nodes.  The event engine
+        passes it from its own rank list; without it the process asks every
+        node (:meth:`rank_of`).
+        """
+        if min_rank is None:
+            min_rank = min(self.rank_of(node) for node in self.graph.nodes())
         return {
             "k": self.generation.k,
             "protocol": "algebraic-gossip",
             "action": self.action.value,
-            "min_rank": min(self.rank_of(node) for node in self.graph.nodes()),
+            "min_rank": min_rank,
             "selector": type(self.selector).__name__,
         }
 

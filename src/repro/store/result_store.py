@@ -254,9 +254,16 @@ class StoreSnapshot:
 
     @property
     def trial_count(self) -> int:
-        return sum(len(bucket) for bucket in self.results.values()) + sum(
-            len(bucket) for bucket in self.summaries.values()
-        )
+        """Distinct ``(fingerprint, seed, trial)`` keys with a record of either kind.
+
+        A key holding both a full record and its summary counts once.
+        """
+        return len({
+            (fingerprint, key)
+            for buckets in (self.results, self.summaries)
+            for fingerprint, bucket in buckets.items()
+            for key in bucket
+        })
 
 
 def load_snapshot(path: "str | Path") -> StoreSnapshot:

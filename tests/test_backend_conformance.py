@@ -10,9 +10,11 @@ ignore the engine.  This module holds them to it:
   (``row_reduce`` / ``rank`` / ``is_in_row_space``) and the dense
   incremental eliminator describe the same row spaces, over GF(2), GF(3),
   GF(16) and GF(256);
-* **eliminator conformance** — generated single-problem traces with resets
-  and encodes hold ``RowEliminator`` to the dense reference over prime,
-  binary-extension and odd-extension fields;
+* **eliminator conformance** — generated traces with resets, encodes and
+  one problem's basis fed into another hold ``RowEliminator`` to the dense
+  reference over prime, binary-extension and odd-extension fields, and
+  ``same_subspace`` to the rank of the two stacked bases;
+* **shared tables** — eliminators over one field share its lookup tables;
 * **typed refusal** — ``RowEliminator`` rejects fields wider than a byte,
   the dense eliminator's retired single-problem entry points raise, and
   so does its constructor on invalid shapes, each with a typed error.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import RowEliminator
@@ -175,27 +177,42 @@ ROW_FIELD_ORDERS = (2, 3, 4, 5, 9, 16, 251, 256)
 
 @st.composite
 def row_traces(draw):
-    """A field, a width and a trace of rows, encodes and resets on 1–3 problems."""
+    """A width and a trace of rows, encodes, feeds and resets on 1–3 problems.
+
+    A ``feed`` step absorbs one problem's basis rows into the problem its
+    seed names, so problems often come to span equal subspaces.
+    """
     problems = draw(st.integers(1, 3))
     steps = draw(st.lists(
         st.tuples(
             st.integers(0, problems - 1),
-            st.sampled_from(["row", "sparse-row", "combine", "reset"]),
+            st.sampled_from(["row", "sparse-row", "combine", "feed", "reset"]),
             st.integers(0, 2**32 - 1),
         ),
         min_size=1,
         max_size=40,
     ))
-    return draw(st.sampled_from(ROW_FIELD_ORDERS)), draw(st.integers(1, 70)), problems, steps
+    return draw(st.integers(1, 70)), problems, steps
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def _absorb_row(rows, dense, index, payload, row):
+    """One packed row into ``rows`` and its dense twin into ``dense[index]``."""
+    helpful = rows.eliminate_one(index, payload)
+    assert helpful == bool(dense[index].eliminate(row[np.newaxis, :], _PROBLEM_0)[0])
+
+
+@pytest.mark.parametrize("order", ROW_FIELD_ORDERS)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(trace=row_traces())
-def test_row_eliminator_matches_dense(trace):
-    """After every row: same helpfulness flag, ranks, pivots and RREF rows as
-    a dense ``BatchEliminator`` per problem fed the same row; every encode
-    equals ``BatchEliminator.combine``."""
-    order, columns, problems, steps = trace
+# On every field, seeds 0 and 2 draw width-2 rows with equal pivot masks but
+# different subspaces; the feed then makes the two subspaces equal.
+@example(trace=(2, 2, [(0, "row", 0), (1, "row", 2), (1, "reset", 0), (0, "feed", 1)]))
+def test_row_eliminator_matches_dense(order, trace):
+    """After every step: same helpfulness flags, ranks, pivots and RREF rows
+    as a dense ``BatchEliminator`` per problem fed the same rows; every
+    encode equals ``BatchEliminator.combine``; and ``same_subspace(a, b)``
+    holds exactly when stacking the two dense bases adds no rank."""
+    columns, problems, steps = trace
     field = GF(order)
     rows = RowEliminator(field, problems, columns)
     dense = [BatchEliminator(field, 1, columns) for _ in range(problems)]
@@ -204,19 +221,21 @@ def test_row_eliminator_matches_dense(trace):
         if action == "reset":
             rows.reset(index)
             dense[index] = BatchEliminator(field, 1, columns)
-            continue
-        if action == "combine":
+        elif action == "feed":
+            target = seed % problems
+            for row in dense[index].basis(0):
+                _absorb_row(rows, dense, target, rows.pack(row), row)
+        elif action == "combine":
             coefficients = field.random_elements(rng, rows.ranks[index])
             row = dense[index].combine(0, coefficients)
             payload = rows.combine_one(index, coefficients.tolist())
             assert np.array_equal(rows.unpack(payload), row)
+            _absorb_row(rows, dense, index, payload, row)
         else:
             row = field.random_elements(rng, columns)
             if action == "sparse-row":
                 row[rng.random(columns) < 0.8] = 0
-            payload = rows.pack(row)
-        helpful = rows.eliminate_one(index, payload)
-        assert helpful == bool(dense[index].eliminate(row[np.newaxis, :], _PROBLEM_0)[0])
+            _absorb_row(rows, dense, index, rows.pack(row), row)
         assert rows.ranks == [int(problem.ranks[0]) for problem in dense]
         for problem, reference in zip(range(problems), dense):
             basis = rows.basis(problem)
@@ -224,6 +243,19 @@ def test_row_eliminator_matches_dense(trace):
             assert [int(np.flatnonzero(stored)[0]) for stored in basis] == (
                 np.flatnonzero(reference.pivot_mask[0]).tolist()
             )
+        for a in range(problems):
+            for b in range(problems):
+                stacked = np.vstack([dense[a].basis(0), dense[b].basis(0)])
+                ranks = {int(dense[a].ranks[0]), int(dense[b].ranks[0])}
+                assert rows.same_subspace(a, b) == (ranks == {rank(field, stacked)})
+
+
+def test_eliminators_share_their_field_tables():
+    """The byte-row tables are built once per field order, not per instance."""
+    first, second = RowEliminator(GF(16), 2, 8), RowEliminator(GF(16), 5, 3)
+    for name in ("_scale", "_inverse", "_negate", "_planes"):
+        assert getattr(first, name) is getattr(second, name), name
+    assert RowEliminator(GF(4), 1, 8)._scale is not first._scale
 
 
 def test_row_eliminator_refuses_fields_wider_than_a_byte():

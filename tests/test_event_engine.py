@@ -10,7 +10,8 @@ Three layers of guarantees:
   GF(5), GF(9), GF(16) and GF(256) — so on the bit rows, the XOR byte rows
   and the table-added odd-field byte rows of
   :class:`~repro.backends.rows.RowEliminator` — while never building or
-  eliminating a packet for a full-rank receiver.
+  eliminating a packet that cannot help: one for a full-rank receiver, or
+  between two nodes that span the same subspace.
 * **Hot-path conformance** — ``RowEliminator``'s ``combine_one`` /
   ``eliminate_one`` hold state identical to the dense ``eliminate``
   reference on random traces, and ``reset`` returns a problem to a
@@ -111,6 +112,9 @@ EQUIVALENCE_CASES = {
         k=6,
         config=ASYNC.replace(field_size=9, churn=((4, 3, 9),), churn_reset=True),
     ),
+    # k = n on the barbell (the Ω(n²) regime): neighbours in a clique often
+    # span equal subspaces, and their packets are skipped.
+    "sync-barbell-k-n": dict(topology="barbell", n=16, k=16, config=SYNC),
     # The widest byte rows: every byte value is a field element.
     "sync-gf256-loss": dict(
         topology="complete",
@@ -213,23 +217,45 @@ def test_event_engine_direct_construction_matches_scalar(case):
         assert scalar_rng.bit_generator.state == event_rng.bit_generator.state, seed
 
 
-@pytest.mark.parametrize("case", ["gf2bit-er-logn", "sync-ring"])
+@pytest.mark.parametrize("case", ["gf2bit-er-logn", "sync-ring", "sync-barbell-k-n"])
 def test_event_engine_builds_and_eliminates_only_what_can_help(case, monkeypatch):
-    """The skip rule: no elimination into a full-rank problem, fewer encodes
-    than messages, and the results unchanged."""
-    calls = {"combine_one": 0, "eliminate_one": 0, "full_rank_targets": 0}
+    """The skip rule: every encode from a sender that knows something is
+    built, or skipped for a full-rank receiver, or skipped because the two
+    nodes span the same subspace; no elimination into a full-rank problem;
+    and the results unchanged."""
+    calls = dict.fromkeys(
+        ["encodes", "combine_one", "full_rank_skips", "equal_subspace_skips",
+         "eliminate_one", "full_rank_targets"],
+        0,
+    )
+    encode = EventGossipEngine._encode
     combine_one, eliminate_one = RowEliminator.combine_one, RowEliminator.eliminate_one
+    same_subspace = RowEliminator.same_subspace
+
+    def spy_encode(self, sender, receiver):
+        ranks = self._eliminator.ranks
+        if ranks[sender]:
+            calls["encodes"] += 1
+            calls["full_rank_skips"] += ranks[receiver] == self._eliminator.pivot_limit
+        return encode(self, sender, receiver)
 
     def spy_combine(self, index, coefficients):
         calls["combine_one"] += 1
         return combine_one(self, index, coefficients)
+
+    def spy_same_subspace(self, a, b):
+        same = same_subspace(self, a, b)
+        calls["equal_subspace_skips"] += same
+        return same
 
     def spy_eliminate(self, index, payload):
         calls["eliminate_one"] += 1
         calls["full_rank_targets"] += int(self.ranks[index] == self.pivot_limit)
         return eliminate_one(self, index, payload)
 
+    monkeypatch.setattr(EventGossipEngine, "_encode", spy_encode)
     monkeypatch.setattr(RowEliminator, "combine_one", spy_combine)
+    monkeypatch.setattr(RowEliminator, "same_subspace", spy_same_subspace)
     monkeypatch.setattr(RowEliminator, "eliminate_one", spy_eliminate)
     spec = _spec(trials=2, seed=20260808, **EQUIVALENCE_CASES[case])
     event = _measure(spec, "event", trials=2)
@@ -237,8 +263,36 @@ def test_event_engine_builds_and_eliminates_only_what_can_help(case, monkeypatch
     assert calls["eliminate_one"] > 0
     assert calls["full_rank_targets"] == 0
     assert calls["combine_one"] < sent
+    assert calls["encodes"] == (
+        calls["combine_one"] + calls["full_rank_skips"] + calls["equal_subspace_skips"]
+    )
+    if case == "sync-barbell-k-n":
+        assert calls["equal_subspace_skips"] > 0
     monkeypatch.undo()
     assert event == _measure(spec, "scalar", trials=2)
+
+
+def test_only_the_scalar_path_asks_every_node_its_rank(monkeypatch):
+    """Uniform AG reports ``min_rank`` on both engines; the event engine
+    passes its own rank list's minimum and never calls ``rank_of``."""
+    from repro.gossip import GossipEngine
+    from repro.protocols import AlgebraicGossip
+
+    asked = []
+    rank_of = AlgebraicGossip.rank_of
+
+    def spy_rank_of(self, node):
+        asked.append(node)
+        return rank_of(self, node)
+
+    monkeypatch.setattr(AlgebraicGossip, "rank_of", spy_rank_of)
+    materialized = _spec(trials=1, **EQUIVALENCE_CASES["async-grid"]).materialize()
+    event, _ = _direct_run(EventGossipEngine, materialized, 5)
+    assert asked == []
+    scalar, _ = _direct_run(GossipEngine, materialized, 5)
+    assert asked
+    assert event == scalar
+    assert event.metadata["min_rank"] == 8
 
 
 def test_event_engine_timeout_matches_scalar():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.graphs import (
@@ -116,3 +120,74 @@ class TestRandomSpanningTree:
         rng = np.random.default_rng(2)
         with pytest.raises(TopologyError):
             random_spanning_tree(ring_graph(6), 42, rng)
+
+
+# ----------------------------------------------------------------------
+# Generated trees: the O(n) measures against networkx and the walk-by-walk
+# validation
+# ----------------------------------------------------------------------
+def _walk_by_walk_error(root: int, parent: dict[int, int]) -> str | None:
+    """The message of a node-by-node validation (one full walk per node)."""
+    if root in parent:
+        return f"root {root} must not have a parent"
+    for node in parent:
+        seen, current = {node}, node
+        while current != root:
+            if current not in parent:
+                return f"node {current} has no path to the root"
+            current = parent[current]
+            if current in seen:
+                return f"cycle detected through node {current}"
+            seen.add(current)
+    return None
+
+
+@st.composite
+def parent_maps(draw):
+    """A random recursive tree, a path or a star on shuffled labels, maybe
+    broken by a parented root, an orphan or a cycle."""
+    n = draw(st.integers(1, 200))
+    shape = draw(st.sampled_from(["recursive", "path", "star"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    labels = list(range(n))
+    rng.shuffle(labels)
+    # Node i (in attachment order) hangs below an earlier node.
+    below = {"recursive": lambda i: rng.randrange(i), "path": lambda i: i - 1,
+             "star": lambda i: 0}[shape]
+    parent = {labels[i]: labels[below(i)] for i in range(1, n)}
+    flaw = draw(st.sampled_from(["none", "none", "parented-root", "orphan", "cycle"]))
+    if flaw != "none" and n >= 2:
+        node = labels[rng.randrange(1, n)]
+        if flaw == "parented-root":
+            parent[labels[0]] = node
+        elif flaw == "orphan":
+            parent[node] = n  # a label that is not in the tree
+        else:
+            descendants = [child for child in parent if node in _ancestors(parent, child)]
+            parent[node] = rng.choice([node, *descendants])
+    return labels[0], parent
+
+
+def _ancestors(parent: dict[int, int], node: int) -> set[int]:
+    """``node`` and the nodes above it (the map must be a tree)."""
+    chain = {node}
+    while node in parent:
+        node = parent[node]
+        chain.add(node)
+    return chain
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=parent_maps())
+def test_tree_measures_and_validation_on_generated_trees(tree):
+    root, parent = tree
+    expected = _walk_by_walk_error(root, parent)
+    if expected is not None:
+        with pytest.raises(TopologyError) as error:
+            SpanningTree.from_parent_map(root, parent)
+        assert str(error.value) == expected
+        return
+    tree = SpanningTree.from_parent_map(root, parent)
+    assert tree.depth == max((tree.depth_of(node) for node in parent), default=0)
+    expected_diameter = nx.diameter(tree.as_graph()) if parent else 0
+    assert tree.tree_diameter == expected_diameter

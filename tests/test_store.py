@@ -26,7 +26,7 @@ import pytest
 from repro.core import RunResult, json_ready
 from repro.errors import AnalysisError, StoreError
 from repro.scenarios import ScenarioSpec, default_scenario_config
-from repro.store import ResultStore, diff_snapshots, load_snapshot
+from repro.store import ResultStore, StoreSnapshot, diff_snapshots, load_snapshot
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -465,6 +465,14 @@ class TestGcExportImport:
         from_file = load_snapshot(tmp_path / "snapshot.jsonl")
         assert from_dir.results == from_file.results
         assert from_dir.specs == from_file.specs
+
+    def test_snapshot_counts_a_key_with_both_kinds_once(self):
+        """Trial 0 has a full record, trial 1 a summary, trial 2 both."""
+        snapshot = StoreSnapshot(
+            results={"f" * 64: {(7, 0): {"rounds": 3}, (7, 2): {"rounds": 5}}},
+            summaries={"f" * 64: {(7, 1): {"rounds": 4}, (7, 2): {"rounds": 5}}},
+        )
+        assert snapshot.trial_count == 3
 
 
 class TestInspectionIsReadOnly:
