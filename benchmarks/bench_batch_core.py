@@ -14,17 +14,17 @@ nodes — through the three trial runners:
 The reproduced table reports wall-clock seconds and the speedup over the
 sequential path.  The assertions are the contract of the fast path: the
 event and parallel runners must be **bit-identical** to the sequential one
-(same seeds → same stopping times, message counts and completion rounds) and
-the event runner must be at least 5x faster at ``n = 128``.
+(same seeds → same stopping times, message counts and completion rounds).
 
-A ratio cannot see a slowdown that hits both sides, so the record also
-carries the event side's absolute ``trial_s`` and ``timeslot_us`` (the median
-of three back-to-back event runs), which ``check_regression.py`` gates
-against the previous record's values.
+The speed contract is absolute: the record carries the event side's
+``trial_s`` and ``timeslot_us`` (the median of three back-to-back event
+runs), which ``check_regression.py`` gates against the previous record's
+values.  The speedup is not gated: a ratio cannot see a slowdown that hits
+both sides, and it falls whenever the scalar reference gets faster.
 
-Scale knobs (for smoke runs): ``REPRO_BENCH_BATCH_N``,
-``REPRO_BENCH_BATCH_TRIALS`` and ``REPRO_BENCH_BATCH_MIN_SPEEDUP`` shrink
-the workload / floor without changing the equivalence checks.
+Scale knobs (for smoke runs): ``REPRO_BENCH_BATCH_N`` and
+``REPRO_BENCH_BATCH_TRIALS`` shrink the workload without changing the
+equivalence checks.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ N = int(os.environ.get("REPRO_BENCH_BATCH_N", "128"))
 K = 16
 TRIALS = int(os.environ.get("REPRO_BENCH_BATCH_TRIALS", "64"))
 SEED = 909
-MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_BATCH_MIN_SPEEDUP", "5.0"))
-SCALED_DOWN = (N, TRIALS, MIN_SPEEDUP) != (128, 64, 5.0)
+SCALED_DOWN = (N, TRIALS) != (128, 64)
 
 #: The whole workload as one declarative scenario: the spec's trial/seed plan
 #: is what both runners execute, so "same spec → same numbers" is literal.
@@ -128,26 +127,20 @@ def test_batch_core_speedup(benchmark):
             "All three runners are bit-identical (asserted): same seeds give "
             "the same per-trial stopping times, message counts and "
             "completion rounds.",
-            f"The event runner must be at least {MIN_SPEEDUP:.0f}x faster "
-            "than the sequential scalar-decoder path.",
             f"Event side, median of {EVENT_REPEATS} back-to-back runs: "
             f"{metrics['trial_s'][0]:.4f} s per trial, "
             f"{metrics['timeslot_us'][0]:.2f} us per timeslot.",
         ],
     )
-    event_row = next(row for row in rows if row["runner"].startswith("event"))
     report_json(
         "E9-batch-core",
         timings={row["runner"]: row["seconds"] for row in rows},
-        speedup=event_row["speedup"],
         n=N,
         trials=TRIALS,
         scaled_down=SCALED_DOWN,
         k=K,
         seed=SEED,
-        min_speedup=MIN_SPEEDUP,
         metrics=metrics,
         protocol="uniform-ag",
         topology="complete",
     )
-    assert event_row["speedup"] >= MIN_SPEEDUP

@@ -14,13 +14,14 @@ synchronous EXCHANGE — through both trial runners:
 
 The assertions are the contract of the fast path: the event runner must be
 **bit-identical** to the sequential one (same seeds → same per-trial stopping
-times, message counts, completion rounds and tree shapes) and at least
-``MIN_SPEEDUP``x faster at ``n = 128``.  The record also carries the event
-side's absolute ``trial_s`` and ``timeslot_us`` (see ``bench_batch_core``).
+times, message counts, completion rounds and tree shapes).  The speed
+contract is the event side's absolute ``trial_s`` and ``timeslot_us`` in the
+record, gated against the previous record (see ``bench_batch_core``); the
+speedup is reported, not gated.
 
-Scale knobs (for smoke runs): ``REPRO_BENCH_TAG_N``,
-``REPRO_BENCH_TAG_TRIALS`` and ``REPRO_BENCH_TAG_MIN_SPEEDUP`` shrink the
-workload / floor without changing the equivalence checks.
+Scale knobs (for smoke runs): ``REPRO_BENCH_TAG_N`` and
+``REPRO_BENCH_TAG_TRIALS`` shrink the workload without changing the
+equivalence checks.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ N = int(os.environ.get("REPRO_BENCH_TAG_N", "128"))
 K = 16
 TRIALS = int(os.environ.get("REPRO_BENCH_TAG_TRIALS", "16"))
 SEED = 1107
-MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_TAG_MIN_SPEEDUP", "5.0"))
 TOPOLOGY = "complete"
 SPANNING_TREE = "brr"
-SCALED_DOWN = (N, TRIALS, MIN_SPEEDUP) != (128, 16, 5.0)
+SCALED_DOWN = (N, TRIALS) != (128, 16)
 
 #: The whole workload as one declarative scenario (see bench_batch_core).
 SPEC = ScenarioSpec(
@@ -115,27 +115,21 @@ def test_batch_tag_speedup(benchmark):
             "Both runners are bit-identical (asserted): same seeds give the "
             "same per-trial stopping times, message counts, completion "
             "rounds and tree metadata.",
-            f"The event runner must be at least {MIN_SPEEDUP:.1f}x faster "
-            "than the sequential scalar path.",
             f"Event side, median of {EVENT_REPEATS} back-to-back runs: "
             f"{metrics['trial_s'][0]:.4f} s per trial, "
             f"{metrics['timeslot_us'][0]:.2f} us per timeslot.",
         ],
     )
-    event_row = next(row for row in rows if row["runner"].startswith("event"))
     report_json(
         "E10-batch-tag",
         timings={row["runner"]: row["seconds"] for row in rows},
-        speedup=event_row["speedup"],
         n=N,
         trials=TRIALS,
         scaled_down=SCALED_DOWN,
         k=K,
         seed=SEED,
-        min_speedup=MIN_SPEEDUP,
         metrics=metrics,
         protocol="tag",
         spanning_tree=SPANNING_TREE,
         topology=TOPOLOGY,
     )
-    assert event_row["speedup"] >= MIN_SPEEDUP

@@ -1,24 +1,25 @@
 #!/usr/bin/env python
-"""Fail if a committed perf record regressed: speedup floors and absolute ceilings.
+"""Fail if a committed perf record regressed: ratio floors and absolute ceilings.
 
 Reads every machine-readable perf record ``benchmarks/output/BENCH_*.json``
-committed to the repository.  Two kinds exist:
+committed to the repository.  Three kinds exist:
 
 * **ratio records** (written by full-size benchmark runs): the recorded
-  headline ratio must reach the record's own asserted floor — ``speedup``
-  against ``min_speedup`` (default 5.0), or E14's ``bytes_ratio`` (full
-  over summary record bytes) against ``min_bytes_ratio`` — and any extra
-  ``floors`` must hold;
+  headline ratio must reach the record's own asserted floor — E13's
+  ``speedup`` against ``min_speedup`` (default 5.0), or E14's
+  ``bytes_ratio`` (full over summary record bytes) against
+  ``min_bytes_ratio`` — and any extra ``floors`` must hold;
+* **absolute records** (E9/E10): no headline ratio, only a ``metrics``
+  block with the event side's ``trial_s`` and ``timeslot_us``;
 * **repository-benchmark records** ``BENCH_perf-<workload>.json`` (written
   by ``record_perfbench.py``), which carry every end-to-end metric
   ``BENCHMARK.json`` declares.
 
-Any record with a ``metrics`` block — every ``BENCH_perf-*`` record, and
-the E9/E10 ratio records with their absolute event-side ``trial_s`` and
-``timeslot_us`` — also gets the ceiling rule: each metric must stay within
-``previous × (1 + bound)``, the bound ``BENCHMARK.json`` declares for that
-metric (``previous × (1 - bound)`` for a higher-is-better one).  A record
-without ``previous`` is the baseline and passes.
+Any record with a ``metrics`` block gets the ceiling rule: each metric must
+stay within ``previous × (1 + bound)``, the bound ``BENCHMARK.json``
+declares for that metric (``previous × (1 - bound)`` for a higher-is-better
+one).  A record without ``previous`` is the baseline and passes.  A record
+with neither a headline nor ``metrics`` is unreadable, and fails.
 
 Run it standalone or via ``make bench-check``::
 
@@ -156,6 +157,8 @@ def check_records(output_dir: Path, benchmark_json: Path) -> int:
 def _check_floors(name: str, record: dict) -> int:
     """Ratio records: the headline ratio and any extra floors."""
     headline = [pair for pair in HEADLINES if pair[0] in record]
+    if not headline and "metrics" in record:
+        return 0  # an absolute record: its ceilings alone gate it
     if len(headline) != 1:
         raise KeyError(f"want exactly one headline of {[h for h, _ in HEADLINES]}")
     [(metric_name, floor_name)] = headline

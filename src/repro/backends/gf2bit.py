@@ -1,11 +1,11 @@
 """Placeholder for the deleted bit-packed GF(2) eliminator.
 
-The scalar decoder runs on the dense :class:`~repro.gf.linalg.BatchEliminator`
-over every field, the event engine on
-:class:`~repro.backends.rows.RowEliminator`.  The repository benchmark's
-tracer (``perfbench/tracer.py``) still imports this name and patches its
+Both engines run on :class:`~repro.backends.rows.RowEliminator`, which keeps
+GF(2) rows one bit per column.  The repository benchmark's tracer
+(``perfbench/tracer.py``) still imports this name and patches its
 ``combine``, ``combine_one``, ``eliminate`` and ``eliminate_one``, so it
-stays as a class that refuses to be used.
+stays as a class that refuses to be used, as does
+:class:`~repro.gf.linalg.BatchEliminator`.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ class PackedGf2Eliminator:
     def eliminate(self, *args, **kwargs):
         """Raises :class:`~repro.errors.BackendError`."""
         raise BackendError(
-            "PackedGf2Eliminator was deleted: the scalar decoder runs on the "
-            "dense BatchEliminator over every field, the event engine on "
-            "RowEliminator"
+            "PackedGf2Eliminator was deleted: both engines run on RowEliminator"
         )
 
     combine = combine_one = eliminate_one = eliminate

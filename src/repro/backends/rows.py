@@ -1,10 +1,12 @@
-"""Single-problem elimination on python-int rows: the event engine's eliminator.
+"""Single-problem elimination on python-int rows: the one incremental eliminator.
 
-The event-driven engine absorbs one packet into one node's subspace at a
-time.  The dense :class:`~repro.gf.linalg.BatchEliminator` pays numpy
-dispatch on every one of those tiny rows; :class:`RowEliminator` instead keeps
-each stored row as **one python int** and does the row arithmetic with int
-and ``bytes`` operations that run in C:
+Both engines absorb one packet into one node's subspace at a time: the
+event-driven engine keeps one problem per node, the scalar engine's
+:class:`~repro.rlnc.decoder.RlncDecoder` one problem over
+``[coefficients | payload]`` rows.  Numpy would pay dispatch on every one of
+those tiny rows, so :class:`RowEliminator` keeps each stored row as **one
+python int** and does the row arithmetic with int and ``bytes`` operations
+that run in C:
 
 * ``GF(2)`` — one bit per column (column ``j`` is bit ``j``); adding rows is
   XOR and a pivot is always 1.
@@ -37,12 +39,17 @@ rows left of the new pivot.  A full-rank problem's basis is the identity, so
 it keeps no rows: it encodes by packing the coefficient vector and absorbs
 nothing.
 
-Like :class:`~repro.gf.linalg.BatchEliminator`, every problem holds the
-canonical RREF basis of its row space — stored rows keyed by pivot column,
-each normalised to a leading 1 — and that basis is unique, so every encoded
-row and helpfulness flag is **bit-identical** to the dense reference.
-``tests/test_backend_conformance.py`` checks this on generated traces over
-prime, binary-extension and odd-extension fields.
+With ``augmented_columns = r > 0`` the trailing ``r`` columns (the decoder's
+payload) go through every row operation but never become pivots: a row
+whose coefficient part reduces to zero is not helpful, whatever its payload
+holds, and the identity shortcut never fires, so the payload rows are kept.
+
+Every problem holds the canonical RREF basis of its row space — stored rows
+keyed by pivot column, each normalised to a leading 1 — and that basis is
+unique, so both engines build the same packets and helpfulness flags.
+``tests/test_backend_conformance.py`` holds it to ``gf.linalg.row_reduce``
+of the absorbed rows on generated traces over prime, binary-extension and
+odd-extension fields.
 
 >>> from repro.gf import GF
 >>> rows = RowEliminator(GF(16), 2, 3)
@@ -50,6 +57,9 @@ prime, binary-extension and odd-extension fields.
 (True, [1, 0])
 >>> rows.basis(0).tolist()
 [[0, 1, 11]]
+>>> decoder = RowEliminator(GF(2), 1, 3, augmented_columns=1)
+>>> [decoder.eliminate_one(0, decoder.pack(row)) for row in ([1, 1, 1], [1, 1, 0])]
+[True, False]
 """
 
 from __future__ import annotations
@@ -121,9 +131,11 @@ def _byte_tables(field: GaloisField) -> _ByteTables:
 class RowEliminator:
     """Canonical RREF bases of ``problems`` subspaces of ``GF(q)^columns``.
 
-    One problem per event-engine node.  Rows come in and go out as packed
-    python ints (:meth:`pack` turns a dense row into one), and the state is
-    only ever touched one problem at a time.
+    One problem per event-engine node, or one per scalar decoder.  Rows come
+    in and go out as packed python ints (:meth:`pack` turns a dense row into
+    one), and the state is only ever touched one problem at a time.  The
+    last ``augmented_columns`` columns never become pivots (see the module
+    docstring).
 
     Attributes
     ----------
@@ -134,10 +146,17 @@ class RowEliminator:
         over GF(2), byte ``col`` set to 0xFF otherwise (live).  Equal masks
         mean equal ranks; see :meth:`same_subspace`.
     pivot_limit:
-        The rank of a full problem (every column is a pivot column).
+        The number of pivot-eligible columns, ``columns - augmented_columns``:
+        the rank of a full problem.
     """
 
-    def __init__(self, field: GaloisField, problems: int, columns: int) -> None:
+    def __init__(
+        self,
+        field: GaloisField,
+        problems: int,
+        columns: int,
+        augmented_columns: int = 0,
+    ) -> None:
         if field.order > 256:
             raise BackendError(
                 f"RowEliminator keeps one byte per element; GF({field.order}) "
@@ -147,17 +166,24 @@ class RowEliminator:
             raise FieldError(f"problem count must be positive, got {problems}")
         if columns < 1:
             raise FieldError(f"column count must be positive, got {columns}")
+        if not 0 <= augmented_columns < columns:
+            raise FieldError(
+                f"augmented_columns must lie in [0, {columns}), got {augmented_columns}"
+            )
         self.field = field
         self.columns = columns
-        self.pivot_limit = columns
+        self.pivot_limit = pivot_limit = columns - augmented_columns
         self.ranks = [0] * problems
-        #: ``_rows[index * columns + col]``: the stored row of problem
+        #: ``_rows[index * pivot_limit + col]``: the stored row of problem
         #: ``index`` whose pivot is ``col`` — 0 when that pivot is absent, and
-        #: in every column of a full-rank problem.
-        self._rows = [0] * (problems * columns)
-        self._no_rows = (0,) * columns
+        #: in every column of a full-rank problem without augmented columns.
+        self._rows = [0] * (problems * pivot_limit)
+        self._no_rows = (0,) * pivot_limit
         self.pivots = [0] * problems
         self._bits = field.order == 2
+        #: The coefficient part of a packed row: its first ``pivot_limit``
+        #: columns (the whole row without augmented columns).
+        self._coefficient_mask = (1 << (pivot_limit if self._bits else 8 * pivot_limit)) - 1
         if self._bits:
             return
         tables = _byte_tables(field)
@@ -210,8 +236,9 @@ class RowEliminator:
         """Stored RREF rows of one problem in pivot order, unpacked."""
         if self.ranks[index] == self.columns:
             return np.eye(self.columns, dtype=self.field.dtype)
-        base = index * self.columns
-        rows = [self.unpack(row) for row in self._rows[base : base + self.columns] if row]
+        slots = self.pivot_limit
+        base = index * slots
+        rows = [self.unpack(row) for row in self._rows[base : base + slots] if row]
         if not rows:
             return self.field.zeros((0, self.columns))
         return np.stack(rows)
@@ -238,12 +265,11 @@ class RowEliminator:
                 return int(bytes(reversed(coefficients)).translate(_BINARY_DIGITS), 2)
             return int.from_bytes(bytes(coefficients), "little")
         rows = self._rows
-        base = index * self.columns
+        slots = self.pivot_limit
+        base = index * slots
         if not self._bits:
             # Empty slots hold 0, so the rest are the basis in pivot order.
-            return self._combination(
-                coefficients, filter(None, rows[base : base + self.columns])
-            )
+            return self._combination(coefficients, filter(None, rows[base : base + slots]))
         pivots = self.pivots[index]
         combined = 0
         for coefficient in coefficients:
@@ -308,28 +334,29 @@ class RowEliminator:
             return False
         if not pivots:
             return True
-        rows, columns = self._rows, self.columns
-        base_a, base_b = a * columns, b * columns
+        rows, slots = self._rows, self.pivot_limit
+        base_a, base_b = a * slots, b * slots
         lowest = (pivots & -pivots).bit_length() - 1
         if not self._bits:
             lowest >>= 3
         if rows[base_a + lowest] != rows[base_b + lowest]:
             return False
-        return rows[base_a : base_a + columns] == rows[base_b : base_b + columns]
+        return rows[base_a : base_a + slots] == rows[base_b : base_b + slots]
 
     def eliminate_one(self, index: int, payload: int) -> bool:
         """Absorb one packed row into one problem; return the helpfulness flag.
 
         ``True`` when the row was independent of the stored basis (the rank
         grew by one) — the reduced row then joins the basis as its new RREF
-        row, and every stored row is cleared in its pivot column.
+        row, and every stored row is cleared in its pivot column.  A row
+        whose coefficient part reduces to zero is never helpful.
         """
-        if self.ranks[index] == self.columns:
+        if self.ranks[index] == self.pivot_limit:
             return False
         if not self._bits:
             return self._eliminate_bytes(index, payload)
         rows = self._rows
-        base = index * self.columns
+        base = index * self.pivot_limit
         pivots = self.pivots[index]
         # Forward sweep: a stored row is zero in every *other* pivot column,
         # so clearing one hit pivot never changes whether another is hit.
@@ -338,7 +365,7 @@ class RowEliminator:
             low = hit & -hit
             hit ^= low
             payload ^= rows[base + low.bit_length() - 1]
-        if not payload:
+        if not payload & self._coefficient_mask:
             return False
         low = payload & -payload
         # Back-substitute into the stored rows whose pivot lies left of the
@@ -356,8 +383,8 @@ class RowEliminator:
     def _eliminate_bytes(self, index: int, payload: int) -> bool:
         """:meth:`eliminate_one` on byte rows (every field but GF(2))."""
         rows = self._rows
-        nbytes = self.columns
-        base = index * nbytes
+        slots = self.pivot_limit
+        base = index * slots
         pivots = self.pivots[index]
         scale, negate, add, to_int = self._scale, self._negate, self._add, int.from_bytes
         hit = payload & pivots
@@ -365,15 +392,15 @@ class RowEliminator:
             # Subtract entry·row for every pivot the payload hits.  A stored
             # row is zero in every other pivot column, so all the factors
             # can be read off the payload up front.
-            factors = hit.to_bytes(nbytes, "little").translate(negate)
+            factors = hit.to_bytes(slots, "little").translate(negate)
             # Only the stored rows whose pivot the payload hits take part.
-            hit_rows = compress(rows[base : base + nbytes], factors)
+            hit_rows = compress(rows[base : base + slots], factors)
             hit_factors = factors.replace(b"\0", b"")
             payload = add(payload, self._combination(hit_factors, hit_rows))
-        if not payload:
+        if not payload & self._coefficient_mask:
             return False
         shift = (payload & -payload).bit_length() - 1 & -8
-        packed = payload.to_bytes(nbytes, "little")
+        packed = payload.to_bytes(self.columns, "little")
         lead = payload >> shift & 0xFF
         if lead != 1:
             packed = packed.translate(scale[self._inverse[lead]])
@@ -382,7 +409,7 @@ class RowEliminator:
         # pivot slots); rows sharing a factor share one scaled payload.
         column = shift >> 3
         scaled = {1: payload}
-        left = compress(range(base, base + column), pivots.to_bytes(nbytes, "little"))
+        left = compress(range(base, base + column), pivots.to_bytes(slots, "little"))
         for slot in left:
             factor = rows[slot] >> shift & 0xFF
             if factor:
@@ -398,16 +425,18 @@ class RowEliminator:
         rank = self.ranks[index] + 1
         self.ranks[index] = rank
         self.pivots[index] = pivots
-        base = index * self.columns
+        slots = self.pivot_limit
+        base = index * slots
         if rank == self.columns:
             # A full-rank RREF basis is the identity: no rows need keeping.
-            self._rows[base : base + self.columns] = self._no_rows
+            self._rows[base : base + slots] = self._no_rows
         else:
             self._rows[base + column] = row
 
     def reset(self, index: int) -> None:
         """Wipe one problem back to the empty (rank-zero) state."""
-        base = index * self.columns
-        self._rows[base : base + self.columns] = self._no_rows
+        slots = self.pivot_limit
+        base = index * slots
+        self._rows[base : base + slots] = self._no_rows
         self.pivots[index] = 0
         self.ranks[index] = 0

@@ -63,12 +63,12 @@ class EngineError(ReproError):
 class BackendError(ReproError):
     """Raised when an eliminator is asked for something it cannot do.
 
-    Examples: a :class:`~repro.backends.rows.RowEliminator` over a field
-    wider than a byte, which refuses loudly instead of computing with the
-    wrong arithmetic; the single-problem entry points of the dense
-    :class:`~repro.gf.linalg.BatchEliminator`, which moved to
-    ``RowEliminator``; and the deleted
-    :class:`~repro.backends.gf2bit.PackedGf2Eliminator` placeholder.
+    Examples: a :class:`~repro.backends.rows.RowEliminator` (and so an
+    :class:`~repro.rlnc.decoder.RlncDecoder`) over a field wider than a byte,
+    which refuses loudly instead of computing with the wrong arithmetic; and
+    the placeholders of the deleted eliminators,
+    :class:`~repro.gf.linalg.BatchEliminator` and
+    :class:`~repro.backends.gf2bit.PackedGf2Eliminator`.
     """
 
 

@@ -18,7 +18,6 @@ from functools import lru_cache
 
 from .field import ExtensionField, GaloisField, PrimeField
 from .linalg import (
-    BatchEliminator,
     identity,
     invert_matrix,
     is_in_row_space,
@@ -34,7 +33,6 @@ __all__ = [
     "GaloisField",
     "PrimeField",
     "ExtensionField",
-    "BatchEliminator",
     "identity",
     "invert_matrix",
     "is_in_row_space",

@@ -133,8 +133,9 @@ class GaloisField(ABC):
         """Linear combination ``sum_i coefficients[i] * vectors[i]`` over the field.
 
         ``coefficients`` has shape ``(m,)`` and ``vectors`` shape ``(m, r)``;
-        the result has shape ``(r,)``.  This is the core operation of RLNC
-        encoding.
+        the result has shape ``(r,)``.  The engines encode on
+        :class:`~repro.backends.rows.RowEliminator`; this checked form serves
+        :func:`~repro.gf.linalg.matmul` and the systematic encoder.
         """
         coefficients = self.validate(coefficients)
         vectors = self.validate(vectors)
@@ -157,44 +158,6 @@ class GaloisField(ABC):
         vector = self.validate(vector)
         scalars = np.full(vector.shape, scalar, dtype=self.dtype)
         return self.mul(scalars, vector)
-
-    # -- raw (unchecked) vectorised operations --------------------------
-    #
-    # The ``raw_*`` family skips validation and dtype conversion entirely:
-    # inputs must already be arrays of this field's dtype with in-range
-    # entries, and broadcasting follows plain numpy rules.  These exist for
-    # hot loops — the batched eliminator sweeps millions of elements per call
-    # and cannot afford a min/max range check per operation.  Everything else
-    # should use the checked ``add``/``mul``/... methods above.
-
-    @abstractmethod
-    def raw_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Unchecked element-wise addition of in-range arrays of :attr:`dtype`."""
-
-    @abstractmethod
-    def raw_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Unchecked element-wise subtraction ``a - b``."""
-
-    @abstractmethod
-    def raw_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Unchecked element-wise multiplication."""
-
-    @abstractmethod
-    def raw_inv(self, a: np.ndarray) -> np.ndarray:
-        """Unchecked element-wise inverse; behaviour on zeros is undefined."""
-
-    def raw_combine(self, coefficients: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Unchecked linear combination ``sum_i coefficients[i] * rows[i]``.
-
-        ``coefficients`` has shape ``(m,)`` and ``rows`` shape ``(m, r)``; the
-        result has shape ``(r,)``.  This is the vectorised counterpart of
-        :meth:`dot` used by the eliminators' encode step.
-        """
-        products = self.raw_mul(coefficients[:, np.newaxis], rows)
-        result = np.zeros(rows.shape[1], dtype=self.dtype)
-        for row in products:
-            result = self.raw_add(result, row)
-        return result
 
     # -- utilities ------------------------------------------------------
     def validate(self, values) -> np.ndarray:
@@ -271,25 +234,6 @@ class PrimeField(GaloisField):
         if np.any(np.asarray(a) == 0):
             raise FieldError("cannot invert the zero element")
         return self._inverse_table[np.asarray(a, dtype=np.int64)]
-
-    # -- raw operations (no validation; see GaloisField.raw_add) --------
-    def raw_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return ((a.astype(np.int64) + b) % self.order).astype(self.dtype)
-
-    def raw_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return ((a.astype(np.int64) - b) % self.order).astype(self.dtype)
-
-    def raw_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return ((a.astype(np.int64) * b) % self.order).astype(self.dtype)
-
-    def raw_inv(self, a: np.ndarray) -> np.ndarray:
-        return self._inverse_table[np.asarray(a, dtype=np.int64)]
-
-    def raw_combine(self, coefficients: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # Modular arithmetic sums exactly in int64 (m * (p-1)^2 stays far
-        # below 2^63 for every supported field), so one matvec suffices.
-        total = coefficients.astype(np.int64) @ rows.astype(np.int64)
-        return (total % self.order).astype(self.dtype)
 
 
 class ExtensionField(GaloisField):
@@ -438,32 +382,3 @@ class ExtensionField(GaloisField):
         if np.any(a == 0):
             raise FieldError("cannot invert the zero element")
         return self._inverse_table[a]
-
-    # -- raw operations (no validation; see GaloisField.raw_add) --------
-    def raw_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.characteristic == 2:
-            # Characteristic 2: addition is XOR of the bit-vector elements.
-            return np.bitwise_xor(a, b)
-        return self._add_table[a, b]
-
-    def raw_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.characteristic == 2:
-            # Every element is its own negative, so subtracting is adding.
-            return np.bitwise_xor(a, b)
-        return self._add_table[a, self._neg_table[b]]
-
-    def raw_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._mul_table[a, b]
-
-    def raw_inv(self, a: np.ndarray) -> np.ndarray:
-        return self._inverse_table[a]
-
-    def raw_combine(self, coefficients: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        products = self._mul_table[coefficients[:, np.newaxis], rows]
-        if self.characteristic == 2:
-            # Characteristic 2: addition is XOR of the bit-vector elements.
-            return np.bitwise_xor.reduce(products, axis=0).astype(self.dtype)
-        result = np.zeros(rows.shape[1], dtype=self.dtype)
-        for row in products:
-            result = self._add_table[result, row]
-        return result

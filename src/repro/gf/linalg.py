@@ -11,9 +11,10 @@ All routines operate on integer numpy arrays whose entries are field elements
 in ``[0, q)`` and take the :class:`~repro.gf.field.GaloisField` instance as an
 explicit argument, mirroring how a mathematician would write "over ``F_q``".
 
-:class:`BatchEliminator` is the dense incremental eliminator the scalar
-decoder runs on over every field; the event engine's
-:class:`~repro.backends.rows.RowEliminator` is held to it.
+These are one-shot, textbook numpy kernels.  Incremental elimination, the
+per-packet step of both engines, runs on
+:class:`~repro.backends.rows.RowEliminator`, and the conformance tests hold
+it to :func:`row_reduce`, which shares no code with it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "invert_matrix",
     "identity",
     "matmul",
-    "BatchEliminator",
 ]
 
 
@@ -194,195 +194,6 @@ def solve(field: GaloisField, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray
     return solution[:, 0] if squeeze else solution
 
 
-class BatchEliminator:
-    """Incremental Gaussian elimination over many independent problems at once.
-
-    The scalar :class:`~repro.rlnc.decoder.RlncDecoder` reduces one incoming
-    row against one node's stored pivots, which makes a Monte Carlo sweep of
-    ``T`` trials pay ``T`` separate Python-level elimination loops per event.
-    ``BatchEliminator`` instead carries the row-reduction state of ``batch``
-    independent problems (for gossip: trials x nodes) as stacked numpy arrays
-    and absorbs one new row *per problem* in a single vectorised ``GF(q)``
-    sweep — the add/mul/inverse lookup tables are applied to whole
-    ``(batch, columns)`` slabs instead of one short row at a time.
-
-    Representation: for every problem the stored rows form the *canonical*
-    reduced row-echelon basis of the absorbed row space, kept keyed by pivot
-    column (``rows[b, p]`` is the row whose pivot is column ``p``, if
-    ``pivot_mask[b, p]``).  Because the RREF basis of a subspace is unique,
-    this state matches any other conforming eliminator's stored rows exactly
-    (``tests/test_backend_conformance.py`` checks
-    :class:`~repro.backends.rows.RowEliminator` against it).
-
-    With ``augmented_columns = r > 0`` the trailing ``r`` columns ride along
-    through every row operation but are never chosen as pivots and never make
-    a row helpful — the ``[coefficients | payload]`` layout of the scalar
-    :class:`~repro.rlnc.decoder.RlncDecoder`, which runs on one of these with
-    ``batch=1``.
-    """
-
-    def __init__(
-        self,
-        field: GaloisField,
-        batch: int,
-        columns: int,
-        *,
-        augmented_columns: int = 0,
-    ) -> None:
-        if batch < 1:
-            raise FieldError(f"batch size must be positive, got {batch}")
-        if columns < 1:
-            raise FieldError(f"column count must be positive, got {columns}")
-        if not 0 <= augmented_columns < columns:
-            raise FieldError(
-                f"augmented_columns must lie in [0, {columns}), "
-                f"got {augmented_columns}"
-            )
-        self.field = field
-        self.batch = batch
-        self.columns = columns
-        #: Pivots (and helpfulness) live in the first ``pivot_limit`` columns.
-        self.pivot_limit = columns - augmented_columns
-        #: ``rows[b, p]`` is the stored row of problem ``b`` with pivot column
-        #: ``p`` (all-zero when that pivot is absent).
-        self.rows = field.zeros((batch, self.pivot_limit, columns))
-        #: ``pivot_mask[b, p]`` — does problem ``b`` have a pivot in column ``p``?
-        self.pivot_mask = np.zeros((batch, self.pivot_limit), dtype=bool)
-        #: Current rank of every problem.
-        self.ranks = np.zeros(batch, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Absorbing rows
-    # ------------------------------------------------------------------
-    def eliminate(
-        self, incoming: np.ndarray, indices: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Absorb one row per selected problem; return the per-row rank gains.
-
-        Parameters
-        ----------
-        incoming:
-            ``(m, columns)`` array of field elements — row ``j`` is reduced
-            into problem ``indices[j]``.
-        indices:
-            ``(m,)`` array of **distinct** problem indices (default:
-            ``0 .. m-1``).  Distinctness is required because every selected
-            problem absorbs exactly one row in this sweep.
-
-        Returns
-        -------
-        numpy.ndarray
-            Boolean ``(m,)`` mask: ``True`` where the row was linearly
-            independent of its problem's stored rows (rank increased).
-        """
-        field = self.field
-        work = np.ascontiguousarray(incoming, dtype=field.dtype).copy()
-        if work.ndim != 2 or work.shape[1] != self.columns:
-            raise FieldError(
-                f"expected incoming rows of shape (m, {self.columns}), got {work.shape}"
-            )
-        if indices is None:
-            indices = np.arange(work.shape[0])
-        else:
-            indices = np.asarray(indices, dtype=np.int64)
-            if indices.shape != (work.shape[0],):
-                raise FieldError(
-                    f"indices shape {indices.shape} does not match {work.shape[0]} rows"
-                )
-            if indices.size > 1 and np.unique(indices).size != indices.size:
-                # A duplicated problem would silently lose one of its rows in
-                # the fancy-indexed writes below; feed such rows in separate
-                # sweeps instead.
-                raise FieldError(
-                    "eliminate requires distinct problem indices "
-                    "(one row per problem per sweep)"
-                )
-        # Forward sweep: one pass over the stored pivot columns eliminates
-        # every stored pivot from every incoming row (RREF ⇒ a pivot row is
-        # zero in all *other* pivot columns, so earlier columns are never
-        # re-polluted).  Only columns some selected problem actually pivots
-        # on are visited, which keeps a nearly-empty eliminator (the scalar
-        # decoder's early life) cheap.
-        selected_mask = self.pivot_mask[indices]
-        for col in np.nonzero(selected_mask.any(axis=0))[0]:
-            factor = work[:, col]
-            live = selected_mask[:, col] & (factor != 0)
-            if not live.any():
-                continue
-            sel = np.nonzero(live)[0]
-            pivot_rows = self.rows[indices[sel], col]
-            work[sel] = field.raw_sub(
-                work[sel], field.raw_mul(factor[sel, np.newaxis], pivot_rows)
-            )
-        # Helpfulness and the new pivot are decided on the pivot-eligible
-        # columns only: a row whose coefficient part cancels is dependent and
-        # is dropped, whatever its augmented part holds.
-        nonzero = work[:, : self.pivot_limit] != 0
-        helpful = nonzero.any(axis=1)
-        sel = np.nonzero(helpful)[0]
-        if sel.size:
-            # After a full reduction the first non-zero entry sits in a
-            # non-pivot column: that column becomes the new pivot.
-            new_pivots = np.argmax(nonzero[sel], axis=1)
-            problems = indices[sel]
-            pivot_values = work[sel, new_pivots]
-            work[sel] = field.raw_mul(
-                field.raw_inv(pivot_values)[:, np.newaxis], work[sel]
-            )
-            # Back-substitute: clear the new pivot column from every stored
-            # row (absent rows are all-zero, so their factor is zero too).
-            stored = self.rows[problems]
-            factors = np.take_along_axis(
-                stored, new_pivots[:, np.newaxis, np.newaxis], axis=2
-            )[:, :, 0]
-            self.rows[problems] = field.raw_sub(
-                stored,
-                field.raw_mul(factors[:, :, np.newaxis], work[sel][:, np.newaxis, :]),
-            )
-            self.rows[problems, new_pivots] = work[sel]
-            self.pivot_mask[problems, new_pivots] = True
-            self.ranks[problems] += 1
-        return helpful
-
-    # ------------------------------------------------------------------
-    # State inspection
-    # ------------------------------------------------------------------
-    def rank_of(self, index: int) -> int:
-        """Current rank of one problem."""
-        return int(self.ranks[index])
-
-    def basis(self, index: int) -> np.ndarray:
-        """Stored RREF rows of one problem, ordered by pivot column (a copy).
-
-        This ordering matches the scalar decoder's row order, so random
-        linear combinations drawn against it coincide coefficient-for-
-        coefficient with the scalar encoder's packets.
-        """
-        pivots = np.nonzero(self.pivot_mask[index])[0]
-        return self.rows[index, pivots].copy()
-
-    def combine(self, index: int, coefficients: np.ndarray) -> np.ndarray:
-        """Linear combination of one problem's stored rows (the encode step)."""
-        pivots = np.nonzero(self.pivot_mask[index])[0]
-        if coefficients.shape != pivots.shape:
-            raise FieldError(
-                f"expected {pivots.size} coefficients for problem {index}, "
-                f"got {coefficients.shape}"
-            )
-        return self.field.raw_combine(
-            np.asarray(coefficients, dtype=self.field.dtype), self.rows[index, pivots]
-        )
-
-    # Kept for the repository benchmark, whose tracer patches these names.
-    def combine_one(self, *args):
-        """Moved to :class:`~repro.backends.rows.RowEliminator`; raises."""
-        raise BackendError("moved to RowEliminator")
-
-    def eliminate_one(self, *args):
-        """Moved to :class:`~repro.backends.rows.RowEliminator`; raises."""
-        raise BackendError("moved to RowEliminator")
-
-
 def invert_matrix(field: GaloisField, matrix: np.ndarray) -> np.ndarray:
     """Inverse of a square, full-rank matrix over the field."""
     matrix = field.validate(matrix)
@@ -390,3 +201,22 @@ def invert_matrix(field: GaloisField, matrix: np.ndarray) -> np.ndarray:
         raise FieldError(f"invert_matrix expects a square matrix, got {matrix.shape}")
     size = matrix.shape[0]
     return solve(field, matrix, identity(field, size))
+
+
+class BatchEliminator:
+    """Kept for perfbench, whose tracer patches it by name; raises ``BackendError``.
+
+    The dense incremental eliminator was deleted: the scalar decoder runs on
+    :class:`~repro.backends.rows.RowEliminator`, as the event engine does.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.eliminate()
+
+    def eliminate(self, *args, **kwargs):
+        """Raises :class:`~repro.errors.BackendError`."""
+        raise BackendError(
+            "BatchEliminator was deleted: both engines run on RowEliminator"
+        )
+
+    combine = combine_one = eliminate_one = eliminate

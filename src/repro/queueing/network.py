@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import SimulationError
+from ..errors import SimulationError, TopologyError
 from ..graphs.spanning_tree import SpanningTree
 from .mm1 import departure_times, exponential_service_times
 
@@ -179,10 +179,13 @@ def single_level_scheduling_stopping_time(
     as a line of ``depth + 1`` queues whose initial content is the per-level
     customer count is therefore faithful, and is how we implement it.
     """
-    depth = tree.depth
+    depths = tree._depths()
+    depth = max(depths.values())
     per_level: dict[int, int] = {level: 0 for level in range(depth + 1)}
     for node, count in initial_customers.items():
-        per_level[tree.depth_of(node)] += int(count)
+        if node not in depths:
+            raise TopologyError(f"node {node} is not part of the tree")
+        per_level[depths[node]] += int(count)
     line = line_tree(depth + 1)
     network = TreeQueueNetwork(
         line,

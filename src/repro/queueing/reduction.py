@@ -139,17 +139,22 @@ class QueueingReduction:
         "initially distributed arbitrarily").
         """
         if message_nodes is not None:
+            nodes = tree.nodes
+            known = set(nodes)
             placement: dict[int, int] = {}
             for node, count in message_nodes.items():
-                if node not in set(tree.nodes):
+                if node not in known:
                     raise SimulationError(f"message placed at unknown node {node}")
                 if node == tree.root:
                     continue  # messages already at the target need no transport
                 placement[node] = placement.get(node, 0) + int(count)
             if not placement:
-                placement = {tree.nodes[-1]: 1}
+                placement = {nodes[-1]: 1}
             return placement
-        ordered = sorted(tree.parent.keys(), key=tree.depth_of, reverse=True)
+        # One pass for every depth: walking each node to the root is
+        # quadratic on deep trees.
+        depths = tree._depths()
+        ordered = sorted(tree.parent.keys(), key=depths.__getitem__, reverse=True)
         placement = {}
         remaining = self.k
         for node in ordered:

@@ -13,21 +13,25 @@ reduced row-echelon form so that
 The decoder is the ground truth for the stopping-time measurements: a node has
 "finished" exactly when its decoder reports :meth:`is_complete`.
 
-The elimination itself is a single-problem dense
-:class:`~repro.gf.linalg.BatchEliminator` over ``[coefficients | payload]``
-rows (``augmented_columns = payload_length``, so payload symbols ride along
-but never become pivots), on every field.  It keeps the canonical RREF
-basis, the state the event engine's rank-only
-:class:`~repro.backends.rows.RowEliminator` holds for the coefficient part.
+The elimination itself is one problem of the
+:class:`~repro.backends.rows.RowEliminator` the event engine runs on, over
+``[coefficients | payload]`` rows (``augmented_columns = payload_length``, so
+payload symbols ride along but never become pivots).  It keeps the canonical
+RREF basis, the state the event engine holds for the coefficient part.  Like
+the event engine, it keeps one byte per element: a field wider than
+``GF(256)`` raises :class:`~repro.errors.BackendError`.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from ..backends.rows import RowEliminator
 from ..errors import DecodingError
 from ..gf.field import GaloisField
-from ..gf.linalg import BatchEliminator, is_in_row_space
+from ..gf.linalg import is_in_row_space
 from .message import Generation
 from .packet import CodedPacket
 
@@ -58,7 +62,7 @@ class RlncDecoder:
         # One elimination problem over [coefficients | payload] rows; the
         # payload columns are augmented: carried through every row operation,
         # never pivoted on, never counted for helpfulness.
-        self._eliminator = BatchEliminator(
+        self._rows = RowEliminator(
             field, 1, k + payload_length, augmented_columns=payload_length
         )
         self._received = 0
@@ -70,7 +74,7 @@ class RlncDecoder:
     @property
     def rank(self) -> int:
         """Current rank: number of linearly independent equations stored."""
-        return self._eliminator.rank_of(0)
+        return self._rows.ranks[0]
 
     @property
     def is_complete(self) -> bool:
@@ -90,15 +94,21 @@ class RlncDecoder:
     @property
     def pivot_columns(self) -> tuple[int, ...]:
         """Pivot columns of the stored coefficient matrix, in row order."""
-        return tuple(int(p) for p in np.nonzero(self._eliminator.pivot_mask[0])[0])
+        # Every stored RREF row starts with its pivot's leading 1.
+        return tuple(int(p) for p in np.argmax(self.coefficient_matrix() != 0, axis=1))
 
     def coefficient_matrix(self) -> np.ndarray:
         """The stored coefficient matrix (``rank x k``), a copy."""
-        return self._eliminator.basis(0)[:, : self.k]
+        return self._rows.basis(0)[:, : self.k]
 
     def augmented_matrix(self) -> np.ndarray:
         """The stored ``[coefficients | payload]`` matrix (``rank x (k + r)``), a copy."""
-        return self._eliminator.basis(0)
+        return self._rows.basis(0)
+
+    def combine(self, coefficients: Sequence[int]) -> np.ndarray:
+        """``sum(c_i * row_i)`` over the stored ``[coefficients | payload]``
+        rows, one coefficient per row in pivot order (the encode step)."""
+        return self._rows.unpack(self._rows.combine_one(0, coefficients))
 
     # ------------------------------------------------------------------
     # Seeding with source messages
@@ -132,12 +142,8 @@ class RlncDecoder:
                 f"decoder payload length {self.payload_length}"
             )
         self._received += 1
-        row = np.concatenate(
-            [packet.coefficient_array(self.field), packet.payload_array(self.field)]
-        ).astype(self.field.dtype)
-        helpful = bool(
-            self._eliminator.eliminate(row[np.newaxis, :], np.zeros(1, np.int64))[0]
-        )
+        row = self.field.validate(packet.coefficients + packet.payload)
+        helpful = self._rows.eliminate_one(0, self._rows.pack(row))
         if helpful:
             self._helpful += 1
         return helpful
@@ -170,7 +176,7 @@ class RlncDecoder:
             )
         # At full rank the RREF coefficient part is the identity (row i has
         # pivot column i), so the payload columns are the decoded messages.
-        return self._eliminator.basis(0)[:, self.k :]
+        return self._rows.basis(0)[:, self.k :]
 
     def matches_generation(self, generation: Generation) -> bool:
         """Convenience check used by tests: decoded payloads equal the ground truth."""

@@ -5,7 +5,8 @@ messages stored by the node and the coefficients are drawn uniformly at random
 from F_q" (Section 2).  Since every node stores its knowledge in an
 :class:`~repro.rlnc.decoder.RlncDecoder` (whose rows span exactly the node's
 subspace), encoding draws one uniform coefficient per stored row and combines
-rows — coefficient parts and payload parts alike.
+rows — coefficient parts and payload parts alike — on the decoder's
+:class:`~repro.backends.rows.RowEliminator` (:meth:`RlncDecoder.combine`).
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ def encode_from_decoder(
     """
     if decoder.rank == 0:
         return None
-    field = decoder.field
-    stored = decoder.augmented_matrix()
-    coefficients = field.random_elements(rng, decoder.rank)
-    combined = field.dot(coefficients, stored)
+    coefficients = decoder.field.random_elements(rng, decoder.rank)
+    combined = decoder.combine(coefficients.tolist())
     return CodedPacket.from_arrays(combined[: decoder.k], combined[decoder.k :])
 
 

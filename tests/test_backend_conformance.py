@@ -1,23 +1,28 @@
-"""The eliminator conformance suite: the row eliminator against the dense one.
+"""The eliminator conformance suite: ``RowEliminator`` against ``row_reduce``.
 
-Each engine has one eliminator: the scalar decoder runs on the dense
-:class:`~repro.gf.linalg.BatchEliminator` over every field, the event engine
-on :class:`~repro.backends.rows.RowEliminator`.  Both are **bit-identical by
-contract**, which is what lets results, fingerprints and stored records
-ignore the engine.  This module holds them to it:
+Both engines run on :class:`~repro.backends.rows.RowEliminator`: the event
+engine with one problem per node, the scalar decoder with one problem over
+``[coefficients | payload]`` rows whose payload columns are augmented.  Its
+oracle is :func:`~repro.gf.linalg.row_reduce`, textbook numpy code that
+shares nothing with it.  The canonical RREF basis of a row space is unique,
+so after any rows the eliminator's stored basis must equal the pivot rows
+``row_reduce`` makes of the rows it absorbed.  This module holds it to that:
 
-* **kernel conformance** — the one-shot ``gf.linalg`` kernels
-  (``row_reduce`` / ``rank`` / ``is_in_row_space``) and the dense
-  incremental eliminator describe the same row spaces, over GF(2), GF(3),
-  GF(16) and GF(256);
+* **kernel conformance** — seeded random matrices, coded packets ``[C | C·X]``
+  among them: the eliminator fed them row by row and the one-shot kernels
+  (``row_reduce`` / ``rank`` / ``is_in_row_space``) describe the same row
+  spaces, over GF(2), GF(3), GF(16) and GF(256);
 * **eliminator conformance** — generated traces with resets, encodes and
-  one problem's basis fed into another hold ``RowEliminator`` to the dense
-  reference over prime, binary-extension and odd-extension fields, and
-  ``same_subspace`` to the rank of the two stacked bases;
+  one problem's basis fed into another, with and without augmented columns:
+  after every step the ranks, pivots, bases and helpfulness flags match
+  ``row_reduce``, every encode matches ``field.dot`` of the basis, and
+  ``same_subspace`` holds exactly when the two canonical bases are equal,
+  over prime, binary-extension and odd-extension fields;
+* **augmented rows** — a row whose coefficient part reduces to zero is not
+  helpful, whatever its payload holds;
 * **shared tables** — eliminators over one field share its lookup tables;
-* **typed refusal** — ``RowEliminator`` rejects fields wider than a byte,
-  the dense eliminator's retired single-problem entry points raise, and
-  so does its constructor on invalid shapes, each with a typed error.
+* **typed refusal** — fields wider than a byte and invalid shapes raise
+  typed errors.
 
 The engines themselves are held to each other end to end in
 ``tests/test_event_engine.py`` and ``tests/test_tag_event_engine.py``.
@@ -33,35 +38,36 @@ from hypothesis import strategies as st
 from repro.backends import RowEliminator
 from repro.errors import BackendError, FieldError
 from repro.gf import GF
-from repro.gf.linalg import (
-    BatchEliminator,
-    is_in_row_space,
-    matmul,
-    rank,
-    row_reduce,
-)
+from repro.gf.linalg import is_in_row_space, matmul, rank, row_reduce
 
 
-@pytest.mark.parametrize("order", [2, 16])
-def test_batch_eliminators_refuse_single_problem_calls(order):
-    """Single-problem elimination moved to RowEliminator: the dense
-    eliminator keeps the names (a benchmark tracer patches them), each a
-    typed refusal."""
-    eliminator = BatchEliminator(GF(order), 2, 4)
-    with pytest.raises(BackendError, match="moved to RowEliminator"):
-        eliminator.combine_one(0, [])
-    with pytest.raises(BackendError, match="moved to RowEliminator"):
-        eliminator.eliminate_one(0, 0)
+def _pivots_of(basis: np.ndarray) -> list[int]:
+    """The leading column of every row of an RREF basis."""
+    return [int(np.flatnonzero(row)[0]) for row in basis]
 
 
-def test_eliminator_validation_matches(eliminator_field):
+def _mask_columns(rows: RowEliminator, index: int) -> list[int]:
+    """The columns set in one problem's pivot mask (a bit, or a byte, each)."""
+    step = 1 if rows.field.order == 2 else 8
+    return [col for col in range(rows.columns) if rows.pivots[index] >> col * step & 1]
+
+
+def test_eliminator_validation(eliminator_field):
     """Constructor validation is part of the contract (typed errors)."""
-    with pytest.raises(FieldError, match="batch size must be positive"):
-        BatchEliminator(eliminator_field, 0, 4)
+    with pytest.raises(FieldError, match="problem count must be positive"):
+        RowEliminator(eliminator_field, 0, 4)
     with pytest.raises(FieldError, match="column count must be positive"):
-        BatchEliminator(eliminator_field, 2, 0)
-    with pytest.raises(FieldError, match="augmented_columns"):
-        BatchEliminator(eliminator_field, 2, 4, augmented_columns=4)
+        RowEliminator(eliminator_field, 2, 0)
+    for augmented in (-1, 4, 5):
+        with pytest.raises(FieldError, match=r"augmented_columns must lie in \[0, 4\)"):
+            RowEliminator(eliminator_field, 2, 4, augmented_columns=augmented)
+    with pytest.raises(FieldError, match="expected a row of 4 elements"):
+        RowEliminator(eliminator_field, 2, 4).pack([1, 0, 1])
+
+
+def test_row_eliminator_refuses_fields_wider_than_a_byte():
+    with pytest.raises(BackendError, match=r"GF\(257\) does not fit"):
+        RowEliminator(GF(257), 1, 4)
 
 
 # ----------------------------------------------------------------------
@@ -70,8 +76,6 @@ def test_eliminator_validation_matches(eliminator_field):
 
 #: Field orders of the kernel cross-check.
 FIELD_ORDERS = (2, 3, 16, 256)
-
-_PROBLEM_0 = np.zeros(1, np.int64)
 
 
 def _random_matrix(rng: np.random.Generator, field, rows: int, cols: int):
@@ -82,13 +86,13 @@ def _random_matrix(rng: np.random.Generator, field, rows: int, cols: int):
     return field.validate(matrix)
 
 
-def _absorb(field, matrix, *, augmented_columns: int = 0):
-    """A one-problem dense eliminator fed ``matrix`` row by row."""
-    eliminator = BatchEliminator(
+def _absorb(field, matrix, *, augmented_columns: int = 0) -> RowEliminator:
+    """A one-problem eliminator fed ``matrix`` row by row."""
+    eliminator = RowEliminator(
         field, 1, matrix.shape[1], augmented_columns=augmented_columns
     )
     for row in matrix:
-        eliminator.eliminate(row[np.newaxis, :], _PROBLEM_0)
+        eliminator.eliminate_one(0, eliminator.pack(row))
     return eliminator
 
 
@@ -102,23 +106,25 @@ class TestKernelConformance:
         for rows, cols in [(1, 1), (3, 5), (5, 3), (8, 8), (6, 70), (17, 130)]:
             matrix = _random_matrix(rng, field, rows, cols)
             reduced, pivots = row_reduce(field, matrix)
-            eliminator = _absorb(field, matrix)
-            assert np.nonzero(eliminator.pivot_mask[0])[0].tolist() == pivots
-            assert np.array_equal(eliminator.basis(0), reduced[: len(pivots)])
+            basis = _absorb(field, matrix).basis(0)
+            assert _pivots_of(basis) == pivots
+            assert np.array_equal(basis, reduced[: len(pivots)])
             assert not reduced[len(pivots):].any(), (rows, cols)
 
     def test_row_reduce_augmented_matches_eliminator_basis(self, order):
         """Coded packets ``[C | C·X]``: pivots only in ``C``, payloads carried."""
         field = GF(order)
         rng = np.random.default_rng(77 + order)
-        for rows, cols, aug in [(4, 6, 2), (5, 9, 4), (9, 80, 16)]:
+        for rows, cols, aug in [(4, 6, 2), (5, 9, 4), (9, 80, 16), (12, 10, 2)]:
             coefficients = _random_matrix(rng, field, rows, cols - aug)
             messages = field.validate(rng.integers(0, order, size=(cols - aug, aug)))
             packets = np.hstack([coefficients, matmul(field, coefficients, messages)])
             reduced, pivots = row_reduce(field, packets, augmented_columns=aug)
             eliminator = _absorb(field, packets, augmented_columns=aug)
-            assert np.nonzero(eliminator.pivot_mask[0])[0].tolist() == pivots
-            assert np.array_equal(eliminator.basis(0), reduced[: len(pivots)])
+            basis = eliminator.basis(0)
+            assert eliminator.ranks == [len(pivots)]
+            assert _pivots_of(basis) == pivots
+            assert np.array_equal(basis, reduced[: len(pivots)])
             assert not reduced[len(pivots):].any(), (rows, cols, aug)
 
     def test_rank_matches_eliminator_rank(self, order):
@@ -126,7 +132,7 @@ class TestKernelConformance:
         rng = np.random.default_rng(11 + order)
         for rows, cols in [(1, 4), (6, 6), (10, 4), (4, 100)]:
             matrix = _random_matrix(rng, field, rows, cols)
-            assert rank(field, matrix) == _absorb(field, matrix).rank_of(0)
+            assert _absorb(field, matrix).ranks == [rank(field, matrix)]
 
     def test_rank_of_empty_matrix(self, order):
         field = GF(order)
@@ -136,12 +142,12 @@ class TestKernelConformance:
         assert rank(field, empty) == 0
         assert is_in_row_space(field, empty, field.zeros(5))
         assert not is_in_row_space(field, empty, unit)
-        eliminator = BatchEliminator(field, 2, 5)
-        assert eliminator.ranks.tolist() == [0, 0]
-        assert eliminator.eliminate(np.stack([field.zeros(5), unit])).tolist() == [
-            False,
-            True,
-        ]
+        eliminator = RowEliminator(field, 2, 5)
+        assert eliminator.ranks == [0, 0]
+        assert eliminator.basis(0).shape == (0, 5)
+        assert not eliminator.eliminate_one(0, eliminator.pack(field.zeros(5)))
+        assert eliminator.eliminate_one(1, eliminator.pack(unit))
+        assert eliminator.ranks == [0, 1]
 
     def test_is_in_row_space_matches_eliminator(self, order):
         """One problem per probe, each holding the matrix: a probe is helpful
@@ -156,18 +162,19 @@ class TestKernelConformance:
             coefficients = field.validate(rng.integers(0, order, size=(1, 4)))
             probes.append(matmul(field, coefficients, matrix)[0])
             probes.append(field.validate(rng.integers(0, order, size=9)))
-        problems = np.arange(len(probes))
-        eliminator = BatchEliminator(field, len(probes), 9)
-        for row in matrix:
-            eliminator.eliminate(np.tile(row, (len(probes), 1)), problems)
-        helpful = eliminator.eliminate(np.stack(probes), problems)
-        assert helpful.tolist() == [
-            not is_in_row_space(field, matrix, probe) for probe in probes
+        eliminator = RowEliminator(field, len(probes), 9)
+        for problem in range(len(probes)):
+            for row in matrix:
+                eliminator.eliminate_one(problem, eliminator.pack(row))
+        helpful = [
+            eliminator.eliminate_one(problem, eliminator.pack(probe))
+            for problem, probe in enumerate(probes)
         ]
+        assert helpful == [not is_in_row_space(field, matrix, probe) for probe in probes]
 
 
 # ----------------------------------------------------------------------
-# Row eliminator: generated single-problem traces against the dense one
+# Row eliminator: generated traces against row_reduce
 # ----------------------------------------------------------------------
 
 #: GF(2) bit rows; XOR byte rows (4, 16, 256); table-added byte rows
@@ -177,11 +184,15 @@ ROW_FIELD_ORDERS = (2, 3, 4, 5, 9, 16, 251, 256)
 
 @st.composite
 def row_traces(draw):
-    """A width and a trace of rows, encodes, feeds and resets on 1–3 problems.
+    """A width, an augmented-column count, and a trace on 1–3 problems.
 
-    A ``feed`` step absorbs one problem's basis rows into the problem its
-    seed names, so problems often come to span equal subspaces.
+    Steps absorb rows, encodes, another problem's basis (``feed``, into the
+    problem its seed names, so problems often come to span equal subspaces)
+    or reset.  With augmented columns every row is a consistent coded
+    packet ``[c | c·X]`` for one message matrix ``X`` per trace.
     """
+    columns = draw(st.integers(1, 70))
+    augmented = min(draw(st.one_of(st.just(0), st.integers(1, 8))), columns - 1)
     problems = draw(st.integers(1, 3))
     steps = draw(st.lists(
         st.tuples(
@@ -192,13 +203,7 @@ def row_traces(draw):
         min_size=1,
         max_size=40,
     ))
-    return draw(st.integers(1, 70)), problems, steps
-
-
-def _absorb_row(rows, dense, index, payload, row):
-    """One packed row into ``rows`` and its dense twin into ``dense[index]``."""
-    helpful = rows.eliminate_one(index, payload)
-    assert helpful == bool(dense[index].eliminate(row[np.newaxis, :], _PROBLEM_0)[0])
+    return columns, augmented, problems, steps
 
 
 @pytest.mark.parametrize("order", ROW_FIELD_ORDERS)
@@ -206,48 +211,86 @@ def _absorb_row(rows, dense, index, payload, row):
 @given(trace=row_traces())
 # On every field, seeds 0 and 2 draw width-2 rows with equal pivot masks but
 # different subspaces; the feed then makes the two subspaces equal.
-@example(trace=(2, 2, [(0, "row", 0), (1, "row", 2), (1, "reset", 0), (0, "feed", 1)]))
-def test_row_eliminator_matches_dense(order, trace):
-    """After every step: same helpfulness flags, ranks, pivots and RREF rows
-    as a dense ``BatchEliminator`` per problem fed the same rows; every
-    encode equals ``BatchEliminator.combine``; and ``same_subspace(a, b)``
-    holds exactly when stacking the two dense bases adds no rank."""
-    columns, problems, steps = trace
+@example(trace=(2, 0, 2, [(0, "row", 0), (1, "row", 2), (1, "reset", 0), (0, "feed", 1)]))
+# Coded packets up to full rank, then more: the decoder's shape.
+@example(trace=(5, 2, 1, [(0, "row", seed) for seed in range(8)] + [(0, "combine", 1)]))
+def test_row_eliminator_matches_row_reduce(order, trace):
+    """After every step: the helpfulness flag is whether ``row_reduce`` of
+    the problem's rows gains rank, and the ranks, pivots and stored rows are
+    ``row_reduce``'s canonical basis; every encode (coefficients as a list
+    or an array) equals ``field.dot`` of that basis; and
+    ``same_subspace(a, b)`` holds exactly when the two bases are equal."""
+    columns, augmented, problems, steps = trace
     field = GF(order)
-    rows = RowEliminator(field, problems, columns)
-    dense = [BatchEliminator(field, 1, columns) for _ in range(problems)]
+    width = columns - augmented
+    messages = field.random_elements(
+        np.random.default_rng([columns, augmented]), (width, augmented)
+    )
+    rows = RowEliminator(field, problems, columns, augmented_columns=augmented)
+    # Per problem, row_reduce's canonical basis of everything it absorbed.
+    oracle = [field.zeros((0, columns)) for _ in range(problems)]
+
+    def absorb(index: int, row: np.ndarray) -> None:
+        reduced, pivots = row_reduce(
+            field, np.vstack([oracle[index], row]), augmented_columns=augmented
+        )
+        helpful = len(pivots) > len(oracle[index])
+        assert rows.eliminate_one(index, rows.pack(row)) == helpful
+        oracle[index] = reduced[: len(pivots)]
+
     for index, action, seed in steps:
         rng = np.random.default_rng(seed)
         if action == "reset":
             rows.reset(index)
-            dense[index] = BatchEliminator(field, 1, columns)
+            oracle[index] = field.zeros((0, columns))
         elif action == "feed":
-            target = seed % problems
-            for row in dense[index].basis(0):
-                _absorb_row(rows, dense, target, rows.pack(row), row)
+            for row in oracle[index].copy():
+                absorb(seed % problems, row)
         elif action == "combine":
             coefficients = field.random_elements(rng, rows.ranks[index])
-            row = dense[index].combine(0, coefficients)
-            payload = rows.combine_one(index, coefficients.tolist())
-            assert np.array_equal(rows.unpack(payload), row)
-            _absorb_row(rows, dense, index, payload, row)
-        else:
-            row = field.random_elements(rng, columns)
-            if action == "sparse-row":
-                row[rng.random(columns) < 0.8] = 0
-            _absorb_row(rows, dense, index, rows.pack(row), row)
-        assert rows.ranks == [int(problem.ranks[0]) for problem in dense]
-        for problem, reference in zip(range(problems), dense):
-            basis = rows.basis(problem)
-            assert np.array_equal(basis, reference.basis(0))
-            assert [int(np.flatnonzero(stored)[0]) for stored in basis] == (
-                np.flatnonzero(reference.pivot_mask[0]).tolist()
+            # combine_one takes a plain list (the event engine's form) or an array.
+            packed = rows.combine_one(
+                index, coefficients.tolist() if seed % 2 else coefficients
             )
+            row = field.dot(coefficients, oracle[index])
+            assert np.array_equal(rows.unpack(packed), row)
+            absorb(index, row)
+        else:
+            coefficients = field.random_elements(rng, width)
+            if action == "sparse-row":
+                coefficients[rng.random(width) < 0.8] = 0
+            absorb(index, np.concatenate([coefficients, field.dot(coefficients, messages)]))
+        assert rows.ranks == [len(basis) for basis in oracle]
+        for problem, basis in enumerate(oracle):
+            assert np.array_equal(rows.basis(problem), basis)
+            assert _mask_columns(rows, problem) == _pivots_of(basis)
         for a in range(problems):
             for b in range(problems):
-                stacked = np.vstack([dense[a].basis(0), dense[b].basis(0)])
-                ranks = {int(dense[a].ranks[0]), int(dense[b].ranks[0])}
-                assert rows.same_subspace(a, b) == (ranks == {rank(field, stacked)})
+                equal = oracle[a].shape == oracle[b].shape and np.array_equal(
+                    oracle[a], oracle[b]
+                )
+                assert rows.same_subspace(a, b) == equal
+
+
+@pytest.mark.parametrize("order", [2, 3, 16])
+def test_augmented_row_with_zero_coefficient_part_is_not_helpful(order):
+    """Helpfulness is decided on the coefficient part only (Definition 3):
+    a row that reduces to ``[0 | p]`` with ``p != 0`` leaves the problem
+    untouched, at any rank and at full rank."""
+    field = GF(order)
+    rows = RowEliminator(field, 1, 5, augmented_columns=2)
+    assert not rows.eliminate_one(0, rows.pack([0, 0, 0, 1, 1]))
+    assert rows.eliminate_one(0, rows.pack([1, 1, 0, 1, 0]))
+    # Same coefficient part, different payload: reduces to [0 0 0 | 0 1].
+    assert not rows.eliminate_one(0, rows.pack([1, 1, 0, 1, 1]))
+    assert rows.ranks == [1]
+    assert rows.basis(0).tolist() == [[1, 1, 0, 1, 0]]
+    for row in ([0, 1, 0, 0, 0], [0, 0, 1, 1, 1]):
+        assert rows.eliminate_one(0, rows.pack(row))
+    # Full rank: the payload rows are kept (no identity shortcut).
+    assert rows.ranks == [3]
+    assert not rows.eliminate_one(0, rows.pack([1, 0, 0, 1, 1]))
+    assert rows.basis(0).tolist() == [[1, 0, 0, 1, 0], [0, 1, 0, 0, 0], [0, 0, 1, 1, 1]]
 
 
 def test_eliminators_share_their_field_tables():
@@ -256,8 +299,3 @@ def test_eliminators_share_their_field_tables():
     for name in ("_scale", "_inverse", "_negate", "_planes"):
         assert getattr(first, name) is getattr(second, name), name
     assert RowEliminator(GF(4), 1, 8)._scale is not first._scale
-
-
-def test_row_eliminator_refuses_fields_wider_than_a_byte():
-    with pytest.raises(BackendError, match=r"GF\(257\) does not fit"):
-        RowEliminator(GF(257), 1, 4)

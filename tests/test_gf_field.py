@@ -65,6 +65,19 @@ class TestBasicArithmetic:
         b = any_field.random_elements(rng, 32)
         assert np.array_equal(any_field.sub(a, b), any_field.add(a, any_field.neg(b)))
 
+    @pytest.mark.parametrize("order", [4, 8, 16, 256])
+    def test_characteristic_two_addition_is_xor(self, order):
+        """Adding and subtracting are XOR in characteristic 2 (the row
+        eliminator adds byte rows that way): check every pair."""
+        field = GF(order)
+        a, b = (
+            grid.ravel() for grid in np.meshgrid(np.arange(order), np.arange(order))
+        )
+        added, subtracted = field.add(a, b), field.sub(a, b)
+        assert added.dtype == subtracted.dtype == field.dtype
+        assert np.array_equal(added, a ^ b)
+        assert np.array_equal(subtracted, a ^ b)
+
     def test_div_by_zero_raises(self, any_field):
         with pytest.raises(FieldError):
             any_field.div(1, 0)
@@ -162,51 +175,6 @@ class TestExtensionFieldConstruction:
     def test_extension_field_rejects_prime(self):
         with pytest.raises(FieldError):
             ExtensionField(7)
-
-
-class TestRawOperations:
-    """The unchecked ``raw_*`` fast path must agree with the checked ops."""
-
-    def test_raw_ops_match_checked_ops(self, any_field):
-        rng = np.random.default_rng(11)
-        a = any_field.random_elements(rng, 64)
-        b = any_field.random_elements(rng, 64)
-        assert np.array_equal(any_field.raw_add(a, b), any_field.add(a, b))
-        assert np.array_equal(any_field.raw_sub(a, b), any_field.sub(a, b))
-        assert np.array_equal(any_field.raw_mul(a, b), any_field.mul(a, b))
-        nonzero = any_field.random_elements(rng, 64, nonzero=True)
-        assert np.array_equal(any_field.raw_inv(nonzero), any_field.inv(nonzero))
-
-    @pytest.mark.parametrize("order", [4, 8, 16, 256])
-    def test_characteristic_two_addition_is_xor(self, order):
-        """raw_add/raw_sub are XOR in characteristic 2: check every pair
-        against the addition (and negation) tables they replace."""
-        field = GF(order)
-        a, b = (
-            grid.ravel().astype(field.dtype)
-            for grid in np.meshgrid(np.arange(order), np.arange(order))
-        )
-        added, subtracted = field.raw_add(a, b), field.raw_sub(a, b)
-        assert added.dtype == subtracted.dtype == field.dtype
-        assert np.array_equal(added, field._add_table[a, b])
-        assert np.array_equal(subtracted, field._add_table[a, field._neg_table[b]])
-
-    def test_raw_combine_matches_dot(self, any_field):
-        rng = np.random.default_rng(13)
-        coefficients = any_field.random_elements(rng, 5)
-        rows = any_field.random_elements(rng, (5, 7))
-        assert np.array_equal(
-            any_field.raw_combine(coefficients, rows),
-            any_field.dot(coefficients, rows),
-        )
-
-    def test_raw_ops_broadcast(self, gf16):
-        rng = np.random.default_rng(7)
-        factor = gf16.random_elements(rng, 4)
-        rows = gf16.random_elements(rng, (4, 6))
-        broadcast = gf16.raw_mul(factor[:, np.newaxis], rows)
-        for i in range(4):
-            assert np.array_equal(broadcast[i], gf16.mul(factor[i], rows[i]))
 
 
 class TestExtensionTableCache:

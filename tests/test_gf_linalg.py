@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import RowEliminator
 from repro.errors import FieldError
 from repro.gf import GF
 from repro.gf.linalg import (
-    BatchEliminator,
     identity,
     invert_matrix,
     is_in_row_space,
@@ -149,26 +149,28 @@ class TestSolveAndInvert:
             matmul(gf16, np.array([[1, 2]]), np.array([[1, 2]]))
 
 
-class TestBatchEliminator:
+class TestRowEliminator:
+    """The incremental eliminator both engines run on, against ``rank``."""
+
     def test_rank_agrees_with_dense_rank(self, any_field):
         rng = np.random.default_rng(17)
         k = 5
-        eliminator = BatchEliminator(any_field, batch=3, columns=k)
+        eliminator = RowEliminator(any_field, 3, k)
         stacked = [[] for _ in range(3)]
         for _ in range(8):
             rows = any_field.random_elements(rng, (3, k))
-            eliminator.eliminate(rows)
             for b in range(3):
+                eliminator.eliminate_one(b, eliminator.pack(rows[b]))
                 stacked[b].append(rows[b])
         for b in range(3):
             dense = np.vstack(stacked[b])
-            assert eliminator.rank_of(b) == rank(any_field, dense)
+            assert eliminator.ranks[b] == rank(any_field, dense)
 
     def test_basis_is_rref_with_unit_pivots(self, gf16):
         rng = np.random.default_rng(3)
-        eliminator = BatchEliminator(gf16, batch=1, columns=5)
+        eliminator = RowEliminator(gf16, 1, 5)
         for _ in range(4):
-            eliminator.eliminate(gf16.random_elements(rng, (1, 5)))
+            eliminator.eliminate_one(0, eliminator.pack(gf16.random_elements(rng, 5)))
         basis = eliminator.basis(0)
         pivots = [int(np.nonzero(row)[0][0]) for row in basis]
         assert pivots == sorted(pivots)
@@ -179,18 +181,10 @@ class TestBatchEliminator:
                     assert int(other[pivots[i]]) == 0
 
     def test_shape_validation(self, gf16):
-        eliminator = BatchEliminator(gf16, batch=2, columns=3)
+        eliminator = RowEliminator(gf16, 2, 3)
         with pytest.raises(FieldError):
-            eliminator.eliminate(gf16.zeros((2, 4)))
+            eliminator.pack(gf16.zeros(4))
         with pytest.raises(FieldError):
-            eliminator.eliminate(gf16.zeros((2, 3)), np.array([0]))
+            eliminator.combine_one(0, [1])
         with pytest.raises(FieldError):
-            BatchEliminator(gf16, batch=0, columns=3)
-
-    def test_duplicate_indices_rejected(self, gf16):
-        # Regression: two rows for the same problem in one sweep would
-        # silently drop one of them via fancy-indexed writes; it must raise.
-        eliminator = BatchEliminator(gf16, batch=2, columns=3)
-        rows = gf16.random_elements(np.random.default_rng(1), (2, 3))
-        with pytest.raises(FieldError, match="distinct"):
-            eliminator.eliminate(rows, np.array([0, 0]))
+            RowEliminator(gf16, 0, 3)

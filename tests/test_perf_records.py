@@ -4,8 +4,9 @@
 ``BENCH_perf-<workload>.json`` records, moving the committed record's values
 to ``previous``; ``benchmarks/check_regression.py`` fails a metric above
 ``previous × (1 + bound)`` with the bound from ``BENCHMARK.json``.  The
-E9/E10 ratio records written through ``benchmarks/_utils.report_json``
-carry absolute event-side metrics under the same rule.
+records written through ``benchmarks/_utils.report_json`` fall under the
+same rule when they carry metrics: E9/E10 carry only those (their event
+side's absolute times), ratio records keep their floors too.
 """
 
 from __future__ import annotations
@@ -186,6 +187,36 @@ def test_a_ratio_record_over_its_ceiling_fails(tmp_path, monkeypatch, capsys):
     assert "trial_s 1.3 s (previous 1, ceiling 1.25) REGRESSION" in out
     # The ratio headline is still checked, and still holds.
     assert "speedup 40.00x (floor 5.0x" in out
+
+
+def _absolute_record(tmp_path: Path, monkeypatch, trial_s: float) -> dict:
+    """Write an E9/E10-style record: event-side metrics, no ratio headline."""
+    monkeypatch.setattr(bench_utils, "OUTPUT_DIR", tmp_path / "output")
+    path = bench_utils.report_json(
+        "E9-demo",
+        timings={"event": 1.0, "sequential": 4.0},
+        n=128,
+        trials=64,
+        metrics={"trial_s": (trial_s, "s"), "timeslot_us": (2.0, "us")},
+    )
+    return json.loads(path.read_text())
+
+
+def test_a_metrics_only_record_is_gated_by_its_ceilings_alone(
+    tmp_path, monkeypatch, capsys
+):
+    record = _absolute_record(tmp_path, monkeypatch, 1.0)
+    assert "speedup" not in record and "min_speedup" not in record
+    assert _check(tmp_path) == 0
+    assert "baseline" in capsys.readouterr().out
+    _absolute_record(tmp_path, monkeypatch, 1.2)
+    assert _check(tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "trial_s 1.2 s (previous 1, ceiling 1.25) ok" in out
+    assert "speedup" not in out and "unreadable" not in out
+    _absolute_record(tmp_path, monkeypatch, 1.6)
+    assert _check(tmp_path) == 1
+    assert "trial_s 1.6 s (previous 1.2, ceiling 1.5) REGRESSION" in capsys.readouterr().out
 
 
 def test_store_aggregates_read_summary_records_once_per_trial(tmp_path, capsys):

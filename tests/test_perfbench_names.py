@@ -16,6 +16,7 @@ import pytest
 
 from repro.backends.gf2bit import PackedGf2Eliminator
 from repro.errors import BackendError, EngineError
+from repro.gf.linalg import BatchEliminator
 from repro.gossip.batch import BatchEngineCore, BatchGossipEngine
 from repro.gossip.batch_tag import BatchSpanningTreeEngine, BatchTagEngine
 
@@ -66,16 +67,24 @@ def test_deleted_engine_core_run_refuses():
         BatchEngineCore.run(object.__new__(BatchEngineCore))
 
 
-def test_deleted_packed_eliminator_refuses():
-    with pytest.raises(BackendError, match="PackedGf2Eliminator was deleted"):
-        PackedGf2Eliminator()
+#: The deleted eliminators, each bound to a placeholder the tracer patches.
+DELETED_ELIMINATORS = pytest.mark.parametrize(
+    "placeholder", [PackedGf2Eliminator, BatchEliminator], ids=lambda cls: cls.__name__
+)
 
 
+@DELETED_ELIMINATORS
+def test_deleted_eliminator_refuses(placeholder):
+    with pytest.raises(BackendError, match=f"{placeholder.__name__} was deleted"):
+        placeholder()
+
+
+@DELETED_ELIMINATORS
 @pytest.mark.parametrize(
     "method", ["combine", "combine_one", "eliminate", "eliminate_one"]
 )
-def test_deleted_packed_eliminator_methods_refuse(method):
+def test_deleted_eliminator_methods_refuse(placeholder, method):
     """The four names the tracer wraps stay bound, each a typed refusal."""
-    placeholder = object.__new__(PackedGf2Eliminator)
-    with pytest.raises(BackendError, match="PackedGf2Eliminator was deleted"):
-        getattr(placeholder, method)(0, [])
+    instance = object.__new__(placeholder)
+    with pytest.raises(BackendError, match=f"{placeholder.__name__} was deleted"):
+        getattr(instance, method)(0, [])

@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SimulationConfig, TimeModel
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TopologyError
 from repro.gf import GF
 from repro.gossip import GossipEngine
-from repro.graphs import diameter, grid_graph, line_graph, ring_graph
+from repro.graphs import SpanningTree, diameter, grid_graph, line_graph, ring_graph
 from repro.protocols import AlgebraicGossip
 from repro.queueing import (
     QueueingReduction,
+    TreeQueueNetwork,
+    line_tree,
     service_probability,
+    single_level_scheduling_stopping_time,
     worst_case_service_probability,
 )
 from repro.rlnc import Generation
@@ -69,6 +74,16 @@ class TestReductionConstruction:
         with pytest.raises(SimulationError):
             reduction.customer_placement(tree, {99: 1})
 
+    def test_unknown_nodes_refused(self):
+        tree = SpanningTree(root=0, parent={1: 0, 2: 1})
+        reduction = QueueingReduction(line_graph(3), k=2)
+        with pytest.raises(SimulationError, match="message placed at unknown node 7"):
+            reduction.customer_placement(tree, {1: 1, 7: 1})
+        with pytest.raises(TopologyError, match="node 7 is not part of the tree"):
+            single_level_scheduling_stopping_time(
+                tree, 1.0, {2: 1, 7: 1}, np.random.default_rng(0)
+            )
+
     def test_describe_mentions_bound(self):
         graph = ring_graph(8)
         reduction = QueueingReduction(graph, k=4)
@@ -119,3 +134,62 @@ class TestReductionPredictions:
         ).predicted_rounds_upper_bound()
         # After dividing timeslots by n, both bounds are the same expression.
         assert async_bound == pytest.approx(sync_bound)
+
+
+# ----------------------------------------------------------------------
+# Depths in one pass: the same placements and levels as walking each node
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def shuffled_trees(draw) -> SpanningTree:
+    """A random recursive tree or a path on 1–60 nodes, labels shuffled."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        parents = [i - 1 for i in range(1, n)]
+    else:
+        parents = [int(rng.integers(0, i)) for i in range(1, n)]
+    labels = rng.permutation(n).tolist()
+    parent = {labels[i]: labels[p] for i, p in enumerate(parents, start=1)}
+    return SpanningTree(root=labels[0], parent=parent)
+
+
+def _walked_placement(tree: SpanningTree, k: int) -> dict[int, int]:
+    """The default placement, each node's depth walked to the root."""
+    ordered = sorted(tree.parent, key=tree.depth_of, reverse=True)
+    placement = dict.fromkeys(ordered[:k], 1)
+    if k > len(ordered) and ordered:
+        placement[ordered[0]] += k - len(ordered)
+    return placement
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tree=shuffled_trees(),
+    k=st.integers(1, 70),
+    placed=st.lists(
+        st.tuples(st.integers(0, 59), st.integers(1, 3)), min_size=1, max_size=8
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_depth_pass_matches_walking_every_node(tree, k, placed, seed):
+    """Both placements and the per-level line of the single-level scheduling
+    equal the walk-by-walk versions, on deep paths and bushy trees alike."""
+    reduction = QueueingReduction(line_graph(2), k=k)
+    assert reduction.customer_placement(tree) == _walked_placement(tree, k)
+    customers = {node % tree.size: count for node, count in placed}
+    explicit = {
+        node: count for node, count in customers.items() if node != tree.root
+    } or {tree.nodes[-1]: 1}
+    assert reduction.customer_placement(tree, customers) == explicit
+    per_level = {}
+    for node, count in customers.items():
+        level = tree.depth_of(node)
+        per_level[level] = per_level.get(level, 0) + count
+    walked = TreeQueueNetwork(line_tree(tree.depth + 1), 0.5, per_level).simulate(
+        np.random.default_rng(seed)
+    )
+    assert single_level_scheduling_stopping_time(
+        tree, 0.5, customers, np.random.default_rng(seed)
+    ) == walked

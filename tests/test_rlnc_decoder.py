@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import DecodingError
+from repro.errors import BackendError, DecodingError
 from repro.gf import GF
 from repro.rlnc import CodedPacket, Generation, RlncDecoder, encode_from_decoder
 
@@ -27,6 +27,11 @@ class TestConstruction:
             RlncDecoder(gf16, 0, 2)
         with pytest.raises(DecodingError):
             RlncDecoder(gf16, 4, 0)
+
+    def test_fields_wider_than_a_byte_refused(self):
+        """The decoder keeps one byte per element, as the event engine does."""
+        with pytest.raises(BackendError, match=r"GF\(257\) does not fit"):
+            RlncDecoder(GF(257), 4, 2)
 
 
 class TestReceive:
@@ -70,6 +75,17 @@ class TestReceive:
         assert not decoder.receive(packet)
         assert decoder.rank == 2
 
+    def test_payload_never_makes_a_packet_helpful(self, any_field, rng):
+        """Helpfulness is the coefficient part's alone (Definition 3): a
+        stored coefficient vector with another payload changes nothing."""
+        decoder = make_decoder(any_field)
+        payload = any_field.random_elements(rng, 2)
+        decoder.add_source_message(0, payload)
+        before = decoder.augmented_matrix()
+        other = any_field.add(payload, any_field.ones(2))
+        assert not decoder.receive(CodedPacket.unit(any_field, 4, 0, other))
+        assert np.array_equal(decoder.augmented_matrix(), before)
+
     def test_would_be_helpful_does_not_mutate(self, gf16, small_generation):
         decoder = make_decoder(gf16)
         packet = CodedPacket.unit(gf16, 4, 2, small_generation.payload_matrix[2])
@@ -102,6 +118,22 @@ class TestReceive:
             assert matrix[row_index, pivot] == 1
             assert int(np.count_nonzero(matrix[:, pivot])) == 1
             assert np.all(matrix[row_index, :pivot] == 0)
+
+
+class TestEncode:
+    def test_packet_is_the_dot_of_the_stored_rows(self, any_field, rng):
+        """One coefficient draw per stored row, combined in pivot order: the
+        packet ``field.dot`` builds from the same draws."""
+        generation = Generation.random(any_field, k=5, payload_length=3, rng=rng)
+        decoder = RlncDecoder(any_field, 5, 3)
+        for index in (0, 2, 3):
+            decoder.add_source_message(index, generation.payload_matrix[index])
+        for seed in range(5):
+            packet = encode_from_decoder(decoder, np.random.default_rng(seed))
+            draws = any_field.random_elements(np.random.default_rng(seed), decoder.rank)
+            expected = any_field.dot(draws, decoder.augmented_matrix())
+            assert packet == CodedPacket.from_arrays(expected[:5], expected[5:])
+            decoder.receive(packet)
 
 
 class TestDecode:
