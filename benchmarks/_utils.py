@@ -5,7 +5,8 @@ measures one engine (its module docstring names which).  Besides the
 pytest-benchmark timing, each benchmark prints the reproduced table to stdout
 **and** writes it to ``benchmarks/output/<experiment>.txt``, so the docs can
 quote numbers from a file that any reader can regenerate with
-``pytest benchmarks/ --benchmark-only``.
+``pytest benchmarks/ --benchmark-only``.  Scaled-down (smoke) runs only
+print, so they never overwrite a committed full-size table.
 
 Simulated trials additionally flow through the shared persistent result store
 (:func:`bench_store` / :func:`measured_table` / :func:`cached_run`):
@@ -123,12 +124,13 @@ def measured_table(units, *, trials, seed, bounds=()):
 
 
 def cached_measure(workload, *, trials=None, seed=None):
-    """Per-trial results of a scenario, read through the benchmark store."""
-    from repro.experiments.parallel import measure_protocol_parallel
+    """Per-trial results of a scenario (spec or materialised), read through
+    the benchmark store."""
+    from repro.scenarios import ScenarioSpec
 
-    return measure_protocol_parallel(
-        workload, trials=trials, seed=seed, store=bench_store(), jobs=1
-    )
+    if isinstance(workload, ScenarioSpec):
+        workload = workload.materialize()
+    return workload.measure(trials=trials, seed=seed, store=bench_store())
 
 
 def cached_run(workload, *, trials=None, seed=None):
@@ -173,12 +175,19 @@ def record_trials(spec, results, *, seed=None) -> int:
 
 
 def report(experiment_id: str, title: str, rows: Sequence[Mapping[str, Any]],
-           notes: Sequence[str] = ()) -> str:
-    """Print the reproduced table and persist it under ``benchmarks/output``."""
+           notes: Sequence[str] = (), *, scaled_down: bool = False) -> str:
+    """Print the reproduced table and persist it under ``benchmarks/output``.
+
+    ``scaled_down=True`` (a smoke run, as for :func:`report_json`) only
+    prints: the committed tables hold full-size numbers.
+    """
     text = format_table(list(rows), title=title)
     if notes:
         text += "\n" + "\n".join(f"* {note}" for note in notes)
     print("\n" + text + "\n")
+    if scaled_down:
+        print(f"[{experiment_id}] scaled-down run; table not written")
+        return text
     OUTPUT_DIR.mkdir(exist_ok=True)
     path = OUTPUT_DIR / f"{experiment_id}.txt"
     path.write_text(text + "\n", encoding="utf-8")

@@ -132,6 +132,7 @@ def test_asymptotics_campaign(benchmark):
             f"(measured {ring_r2:.4f}); the near-flat expander fit is "
             "reported unfloored.",
         ],
+        scaled_down=SCALED_DOWN,
     )
     report_json(
         "E14-asymptotics",

@@ -43,10 +43,7 @@ from _utils import (
     trial_signature,
 )
 from repro.analysis.stopping_time import measure_protocol
-from repro.experiments.parallel import (
-    default_jobs,
-    measure_protocol_parallel,
-)
+from repro.experiments.parallel import default_jobs
 from repro.scenarios import ScenarioSpec, default_scenario_config
 
 N = int(os.environ.get("REPRO_BENCH_BATCH_N", "128"))
@@ -80,14 +77,12 @@ def _run():
     )
     timings["sequential (scalar decoders)"] = time.perf_counter() - start
 
-    event_seconds, event = timed_event_runs(
-        lambda: measure_protocol_parallel(scenario, jobs=1)
-    )
+    event_seconds, event = timed_event_runs(scenario.measure)
     timings["event (auto-selected)"] = event_seconds
 
     jobs = min(default_jobs(), 8)
     start = time.perf_counter()
-    parallel = measure_protocol_parallel(scenario, jobs=jobs)
+    parallel = scenario.measure(jobs=jobs)
     timings[f"parallel (event, jobs={jobs})"] = time.perf_counter() - start
 
     assert trial_signature(event) == trial_signature(sequential), (
@@ -131,6 +126,7 @@ def test_batch_core_speedup(benchmark):
             f"{metrics['trial_s'][0]:.4f} s per trial, "
             f"{metrics['timeslot_us'][0]:.2f} us per timeslot.",
         ],
+        scaled_down=SCALED_DOWN,
     )
     report_json(
         "E9-batch-core",

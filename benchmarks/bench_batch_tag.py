@@ -40,7 +40,6 @@ from _utils import (
     trial_signature,
 )
 from repro.analysis.stopping_time import measure_protocol
-from repro.experiments.parallel import measure_protocol_parallel
 from repro.scenarios import ScenarioSpec, default_scenario_config
 
 N = int(os.environ.get("REPRO_BENCH_TAG_N", "128"))
@@ -76,9 +75,7 @@ def _run():
     )
     timings["sequential (scalar TagProtocol)"] = time.perf_counter() - start
 
-    event_seconds, event = timed_event_runs(
-        lambda: measure_protocol_parallel(scenario, jobs=1)
-    )
+    event_seconds, event = timed_event_runs(scenario.measure)
     timings["event (auto-selected)"] = event_seconds
 
     assert trial_signature(event) == trial_signature(sequential), (
@@ -119,6 +116,7 @@ def test_batch_tag_speedup(benchmark):
             f"{metrics['trial_s'][0]:.4f} s per trial, "
             f"{metrics['timeslot_us'][0]:.2f} us per timeslot.",
         ],
+        scaled_down=SCALED_DOWN,
     )
     report_json(
         "E10-batch-tag",

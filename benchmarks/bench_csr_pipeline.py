@@ -162,6 +162,7 @@ def test_csr_pipeline_crossover(benchmark):
             f"(measured {speedup:.1f}x) and peak at ≤1/{MIN_RSS_REDUCTION:.1f} "
             f"of the RSS (measured 1/{rss_reduction:.1f}).",
         ],
+        scaled_down=SCALED_DOWN,
     )
     report_json(
         "E13-csr-pipeline",

@@ -14,8 +14,8 @@ campaign all run — and cache — the same seeded trials.
 
 from __future__ import annotations
 
-from _utils import PEDANTIC, bench_store, campaign_unit_specs, report
-from repro.analysis import measured_rows, table2_rows
+from _utils import PEDANTIC, cached_run, campaign_unit_specs, report
+from repro.analysis import table2_rows
 
 N = 32
 TRIALS = 3
@@ -31,10 +31,8 @@ def _run():
     # The measured column reads through the persistent result store: adding a
     # topology to the table reuses every previously archived trial (and the
     # event engine is bit-identical to the sequential path either way).
-    measured = measured_rows(specs, store=bench_store())
-    for row, measurement in zip(rows, measured):
-        # Already rounded once by measured_rows; re-rounding would double-round.
-        row["measured_rounds"] = measurement["mean_rounds"]
+    for row, spec in zip(rows, specs):
+        row["measured_rounds"] = round(cached_run(spec).mean, 2)
     return rows
 
 

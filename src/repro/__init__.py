@@ -44,8 +44,6 @@ True
 
 from __future__ import annotations
 
-import numpy as np
-
 from .campaigns import (
     CAMPAIGNS,
     ArtifactSpec,
@@ -169,6 +167,11 @@ def quick_run(
 ) -> RunResult:
     """Run one gossip dissemination on a named topology with sensible defaults.
 
+    The result is trial 0 of the scenario ``repro run`` builds from the same
+    arguments, run through :meth:`MaterializedScenario.run_single`:
+    ``quick_run("ring", n=12, k=6, seed=1)`` is the run
+    ``python -m repro run --topology ring --n 12 --k 6 --seed 1`` prints.
+
     Parameters
     ----------
     topology:
@@ -185,57 +188,35 @@ def quick_run(
     time_model, field_size, seed:
         Standard knobs; see :class:`~repro.core.SimulationConfig`.
     trace:
-        Optional :class:`EventTrace` to record every delivered message.
+        Optional :class:`EventTrace` to record every delivered message.  The
+        trial then runs on the scalar engine, the one that records traces;
+        the result is the same.
 
     Returns
     -------
     RunResult
         Stopping time (rounds / timeslots), completion data and counters.
     """
-    from .scenarios.placements import all_to_all_placement, spread_placement
+    from .core.rng import derive_rng
+    from .scenarios.spec import RUN_PROTOCOLS, run_command_spec
 
-    graph = build_topology(topology, n, **topology_kwargs)
-    actual_n = graph.number_of_nodes()
-    actual_k = actual_n if k is None else min(k, actual_n)
-    config = SimulationConfig(
-        field_size=field_size,
-        payload_length=2,
-        time_model=time_model,
-        action=GossipAction.EXCHANGE,
-        max_rounds=200_000,
-        seed=seed,
-    )
-    rng = np.random.default_rng(seed)
-    field = GF(field_size)
-    generation = Generation.random(field, actual_k, config.payload_length, rng)
-    placement = (
-        all_to_all_placement(graph)
-        if actual_k >= actual_n
-        else spread_placement(graph, actual_k)
-    )
-    if protocol == "uniform":
-        process = AlgebraicGossip(graph, generation, placement, config, rng)
-    elif protocol == "tag":
-        root = 0
-        process = TagProtocol(
-            graph,
-            generation,
-            placement,
-            config,
-            rng,
-            lambda g, r: RoundRobinBroadcastTree(g, root, r),
-        )
-    elif protocol == "tag-is":
-        process = TagProtocol(
-            graph,
-            generation,
-            placement,
-            config,
-            rng,
-            lambda g, r: ISSpanningTree(g, r),
-        )
-    else:
+    if protocol not in RUN_PROTOCOLS:
         raise SimulationError(
             f"unknown protocol {protocol!r}; expected 'uniform', 'tag' or 'tag-is'"
         )
-    return run_protocol(graph, process, config, rng, trace)
+    scenario = run_command_spec(
+        topology,
+        n=n,
+        k=k,
+        protocol=protocol,
+        time_model=time_model,
+        field_size=field_size,
+        seed=seed,
+        topology_params=topology_kwargs,
+    ).materialize()
+    if trace is None:
+        return scenario.run_single()
+    rng = derive_rng(seed, "trial-0")
+    return run_protocol(
+        scenario.graph, scenario.build_process(rng), scenario.config, rng, trace
+    )

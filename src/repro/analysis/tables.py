@@ -5,8 +5,9 @@ The paper's evaluation artefacts are two tables:
 * **Table 1** — the overview of the main results: for each (protocol, graph
   family, time model) the proven bound, with the order-optimal entries marked.
   :func:`table1_rows` reproduces the table's *analytic* content for concrete
-  ``(n, k)`` values, and the benchmark harness augments each row with the
-  measured stopping time of the corresponding simulation.
+  ``(n, k)`` values; the measured stopping times that sit next to it come
+  from the campaigns' ``measured-table`` artifact
+  (:mod:`repro.campaigns.runner`).
 * **Table 2** — the comparison against Haeupler's bound
   ``O(k/γ + log²n / λ)`` on the line, the grid and the binary tree, with the
   improvement factor of this paper's bound ``O((k + log n + D) Δ)``.
@@ -46,50 +47,7 @@ from .bounds import (
     uniform_ag_upper_bound,
 )
 
-__all__ = ["table1_rows", "table2_rows", "measured_rows", "format_table", "rows_to_csv"]
-
-
-def measured_rows(
-    specs: Sequence[Any],
-    *,
-    trials: int | None = None,
-    seed: int | None = None,
-    jobs: int | None = None,
-    store: Any = None,
-    fresh: bool = False,
-) -> list[dict[str, Any]]:
-    """Measured stopping-time rows for a set of scenarios, read through the store.
-
-    The companion of the analytic :func:`table1_rows` / :func:`table2_rows`:
-    each entry of ``specs`` (a :class:`~repro.scenarios.ScenarioSpec` or a
-    registered scenario name) is simulated for its Monte Carlo plan — or for
-    the overriding ``trials``/``seed`` — and reported as one row with the
-    mean/p95 stopping time.  With a :class:`~repro.store.ResultStore`, every
-    already-cached ``(fingerprint, seed, trial)`` record is reused, so adding
-    one new topology to a table re-simulates only that topology's trials.
-    """
-    # Imported lazily: the scenario layer sits above repro.analysis in the
-    # dependency stack, so a top-level import would be circular.
-    from ..scenarios.registry import get_scenario
-
-    rows: list[dict[str, Any]] = []
-    for entry in specs:
-        spec = get_scenario(entry) if isinstance(entry, str) else entry
-        scenario = spec.materialize()
-        stats = scenario.run(
-            trials=trials, seed=seed, jobs=jobs, store=store, fresh=fresh
-        )
-        rows.append(
-            {
-                "label": scenario.label,
-                "n": scenario.n,
-                "k": scenario.k,
-                "trials": stats.trials,
-                "mean_rounds": round(stats.mean, 2),
-                "p95_rounds": round(stats.whp, 2),
-            }
-        )
-    return rows
+__all__ = ["table1_rows", "table2_rows", "format_table", "rows_to_csv"]
 
 
 def table1_rows(

@@ -33,11 +33,7 @@ from ..analysis.tables import table1_rows, table2_rows
 from ..core.results import RunResult, StoppingTimeStats, aggregate_results
 from ..core.rng import derive_rng
 from ..errors import AnalysisError, CampaignError
-from ..experiments.parallel import (
-    _measure_indices_chunked,
-    measure_protocol_parallel,
-    shared_process_pool,
-)
+from ..experiments.parallel import _measure_indices_chunked, shared_process_pool
 from ..graphs.topologies import build_topology
 from ..scenarios.spec import ScenarioSpec
 from .spec import ArtifactSpec, CampaignSpec, CampaignUnit
@@ -166,7 +162,7 @@ def _run_unit(
 
     A full-record unit reads and writes whole
     :class:`~repro.core.results.RunResult` records through
-    :func:`~repro.experiments.parallel.measure_protocol_parallel`.  A
+    :meth:`~repro.scenarios.MaterializedScenario.measure`.  A
     summary unit (``record == "summary"``, the asymptotic decades up to
     ``n = 10^6``, where full records with their per-node completion rounds
     would dwarf the statistics) sends its missing trials through the same
@@ -202,10 +198,7 @@ def _run_unit(
         results: tuple[RunResult, ...] = ()
         stats = store.aggregate(spec)
     else:
-        results = tuple(measure_protocol_parallel(
-            scenario, trials=spec.trials, seed=spec.seed,
-            jobs=jobs, store=store, fresh=fresh,
-        ))
+        results = tuple(scenario.measure(jobs=jobs, store=store, fresh=fresh))
         stats = aggregate_results(results)
     seconds = time.perf_counter() - started
     return UnitOutcome(

@@ -65,7 +65,7 @@ from typing import Any, Mapping
 
 from ..errors import CampaignError
 from ..scenarios.registry import get_scenario
-from ..scenarios.spec import ScenarioSpec
+from ..scenarios.spec import ScenarioSpec, _as_params
 
 __all__ = [
     "ARTIFACT_KINDS",
@@ -119,20 +119,6 @@ def artifact_slug(label: str) -> str:
     while "--" in cleaned:
         cleaned = cleaned.replace("--", "-")
     return cleaned.strip("-") or "artifact"
-
-
-def _as_params(value: Any) -> tuple[tuple[str, Any], ...]:
-    """Normalise a params mapping/sequence to a sorted hashable tuple."""
-    if isinstance(value, Mapping):
-        items = value.items()
-    else:
-        items = [tuple(pair) for pair in value]
-    normalised = []
-    for key, item in sorted(items):
-        if isinstance(item, list):
-            item = tuple(item)
-        normalised.append((str(key), item))
-    return tuple(normalised)
 
 
 @dataclass(frozen=True)

@@ -114,20 +114,13 @@ from .graphs import TOPOLOGY_BUILDERS, build_topology
 from .scenarios import (
     SCENARIOS,
     ScenarioSpec,
-    default_scenario_config,
     get_scenario,
     scenario_names,
 )
+from .scenarios.spec import RUN_PROTOCOLS, run_command_spec
 from .store import ResultStore, diff_snapshots, load_snapshot
 
 __all__ = ["main", "build_parser"]
-
-#: CLI protocol choice → (spec protocol, spanning tree).
-_PROTOCOL_CHOICES = {
-    "uniform": ("uniform", "brr"),
-    "tag": ("tag", "brr"),
-    "tag-is": ("tag", "is"),
-}
 
 #: Environment override and fallback location for the persistent result store.
 _STORE_ENV = "REPRO_STORE"
@@ -222,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of source messages (default: n, i.e. all-to-all)",
     )
     run_parser.add_argument(
-        "--protocol", choices=sorted(_PROTOCOL_CHOICES), default="uniform",
+        "--protocol", choices=sorted(RUN_PROTOCOLS), default="uniform",
         help=(
             "uniform = uniform algebraic gossip (Theorem 1); tag = TAG with "
             "the round-robin broadcast tree (Theorem 4); tag-is = TAG with "
@@ -681,20 +674,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_run_args(args: argparse.Namespace) -> ScenarioSpec:
     """Assemble the declarative scenario the ``run`` flags describe."""
-    protocol, spanning_tree = _PROTOCOL_CHOICES[args.protocol]
-    return ScenarioSpec(
-        topology=args.topology,
+    return run_command_spec(
+        args.topology,
         n=args.n,
         k=args.k,
-        protocol=protocol,
-        spanning_tree=spanning_tree,
-        config=default_scenario_config(
-            time_model=TimeModel(args.time_model),
-            field_size=args.field_size,
-            max_rounds=200_000,
-        ),
-        trials=args.trials,
+        protocol=args.protocol,
+        time_model=TimeModel(args.time_model),
+        field_size=args.field_size,
         seed=args.seed,
+        trials=args.trials,
         engine=args.engine,
     )
 

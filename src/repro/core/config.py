@@ -25,7 +25,7 @@ round-trips through :meth:`~SimulationConfig.to_dict` /
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Any
 
@@ -103,8 +103,6 @@ class SimulationConfig:
         delivery (independent per packet).  The paper assumes reliable links;
         this knob exists for robustness experiments — gossip protocols only
         slow down under loss, they never deliver wrong data.
-    seed:
-        Root seed; all randomness in the run derives from it.
     churn:
         Crash/restart schedule: a tuple of :data:`ChurnEvent` triples
         ``(node, down_round, up_round)``.  While down, a node never wakes up
@@ -126,10 +124,6 @@ class SimulationConfig:
         ``activation_rates[i]`` (restricted to currently-alive nodes under
         churn).  Rejected under the synchronous model, where every node
         wakes exactly once per round by definition.
-    extra:
-        Free-form protocol-specific options (e.g. the spanning-tree protocol
-        to plug into TAG).  Stored as a tuple of key/value pairs to keep the
-        dataclass hashable.
     """
 
     field_size: int = 16
@@ -139,11 +133,9 @@ class SimulationConfig:
     max_rounds: int = 100_000
     allow_incomplete: bool = False
     loss_probability: float = 0.0
-    seed: int = 0
     churn: tuple[ChurnEvent, ...] = ()
     churn_reset: bool = False
     activation_rates: tuple[float, ...] = ()
-    extra: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.field_size < 2:
@@ -192,20 +184,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"activation_rates must be a sequence of numbers: {error}"
             ) from None
-        # Key-sorted, deduplicated, and with JSON-decoded lists restored to
-        # tuples, exactly as with_options / from_dict produce it — so
-        # construction order and a JSON round trip can break neither config
-        # equality nor hashability.
-        object.__setattr__(
-            self,
-            "extra",
-            tuple(
-                sorted(
-                    (key, tuple(value) if isinstance(value, list) else value)
-                    for key, value in dict(self.extra).items()
-                )
-            ),
-        )
         for node, down_round, up_round in self.churn:
             if node < 0:
                 raise ConfigurationError(f"churn node must be non-negative, got {node}")
@@ -239,27 +217,6 @@ class SimulationConfig:
         """``True`` when the run uses synchronous rounds."""
         return self.time_model is TimeModel.SYNCHRONOUS
 
-    @property
-    def has_churn(self) -> bool:
-        """``True`` when a crash/restart schedule is configured."""
-        return bool(self.churn)
-
-    @property
-    def has_heterogeneous_rates(self) -> bool:
-        """``True`` when non-uniform asynchronous activation rates are set."""
-        return bool(self.activation_rates)
-
-    @property
-    def options(self) -> dict[str, Any]:
-        """Protocol-specific options as a plain dictionary."""
-        return dict(self.extra)
-
-    def with_options(self, **options: Any) -> "SimulationConfig":
-        """Return a copy with ``options`` merged into :attr:`extra`."""
-        merged = dict(self.extra)
-        merged.update(options)
-        return replace(self, extra=tuple(sorted(merged.items())))
-
     def replace(self, **changes: Any) -> "SimulationConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
@@ -285,8 +242,6 @@ class SimulationConfig:
                 value = [list(event) for event in value]
             elif spec_field.name == "activation_rates":
                 value = list(value)
-            elif spec_field.name == "extra":
-                value = dict(value)
             data[spec_field.name] = value
         return data
 
@@ -304,6 +259,4 @@ class SimulationConfig:
             kwargs["churn"] = tuple(tuple(event) for event in kwargs["churn"])
         if "activation_rates" in kwargs:
             kwargs["activation_rates"] = tuple(kwargs["activation_rates"])
-        if "extra" in kwargs:
-            kwargs["extra"] = tuple(sorted(dict(kwargs["extra"]).items()))
         return cls(**kwargs)

@@ -16,12 +16,13 @@ the generator ``derive_rng(seed, f"trial-{i}")`` regardless of which runner
 executes it, which worker process it lands on, or how trials are chunked — so
 every runner returns the same results trial-for-trial.
 
-Every runner also accepts a :class:`~repro.scenarios.ScenarioSpec` (or an
-already-materialised :class:`~repro.scenarios.MaterializedScenario`) in place
-of the ``(graph, protocol_factory, config)`` triple; the spec's trial/seed
-plan fills in ``trials``/``seed`` when those are not given explicitly::
+The two take a bare ``(graph, protocol_factory, config)`` triple, for user
+factories.  A :class:`~repro.scenarios.ScenarioSpec`'s trial plan runs
+through :meth:`~repro.scenarios.MaterializedScenario.measure` instead — the
+one runner that reads and writes a result store — which calls this module's
+chunked runner too::
 
-    run_trials_parallel(get_scenario("tag/brr-barbell"), jobs=1)
+    get_scenario("tag/brr-barbell").materialize().run(jobs=2)
 """
 
 from __future__ import annotations
@@ -62,15 +63,15 @@ _SHARED_POOL: "ProcessPoolExecutor | None" = None
 def shared_process_pool(jobs: int | None = None) -> Iterator[ProcessPoolExecutor]:
     """Share one worker pool across every parallel runner call in the block.
 
-    By default each :func:`measure_protocol_parallel` call creates (and tears
-    down) its own ``ProcessPoolExecutor`` — fine for a single sweep, wasteful
-    for a campaign of many sweeps, where worker startup (process fork plus
+    By default each chunked run creates (and tears down) its own
+    ``ProcessPoolExecutor`` — fine for a single sweep, wasteful for a
+    campaign of many sweeps, where worker startup (process fork plus
     per-worker GF table priming) would be paid once per unit.  Inside this
     context every chunked run reuses the same executor::
 
         with shared_process_pool(jobs=4):
             for spec in specs:
-                run_trials_parallel(spec, jobs=4, store=store)
+                spec.materialize().run(jobs=4, store=store)
 
     Results are unchanged — trial generators depend only on the root seed and
     trial index, never on the executing process.  The pool is process-wide
@@ -91,54 +92,12 @@ def shared_process_pool(jobs: int | None = None) -> Iterator[ProcessPoolExecutor
         pool.shutdown()
 
 
-def _resolve_workload(
-    graph: Any,
-    protocol_factory: ProtocolFactory | None,
-    config: SimulationConfig | None,
-    trials: int | None,
-    seed: int | None,
-) -> tuple[CSRGraph, ProtocolFactory, SimulationConfig, int, int, Any]:
-    """Normalise the ``(graph | spec | materialized, ...)`` calling conventions.
-
-    The returned sixth element is the :class:`~repro.scenarios.ScenarioSpec`
-    identifying the workload for content addressing: the one the scenario
-    argument carried, or ``None`` for a bare ``(graph, protocol_factory,
-    config)`` triple.
-    """
-    # Imported lazily: the scenario layer imports repro.analysis, which is a
-    # sibling of this package in the stack.
-    from ..scenarios.spec import MaterializedScenario, ScenarioSpec
-
-    spec = None
-    if isinstance(graph, ScenarioSpec):
-        graph = graph.materialize()
-    if isinstance(graph, MaterializedScenario):
-        if protocol_factory is not None or config is not None:
-            raise AnalysisError(
-                "pass either a scenario or an explicit "
-                "(graph, protocol_factory, config) triple, not both — a "
-                "scenario always runs its own factory and config"
-            )
-        scenario = graph
-        graph = scenario.graph
-        protocol_factory = scenario.protocol_factory
-        config = scenario.config
-        trials = scenario.spec.trials if trials is None else trials
-        seed = scenario.spec.seed if seed is None else seed
-        spec = scenario.spec
-    if protocol_factory is None or config is None:
-        raise AnalysisError(
-            "protocol_factory and config are required unless a ScenarioSpec "
-            "(or MaterializedScenario) is passed in place of the graph"
-        )
-    return (
-        graph,
-        protocol_factory,
-        config,
-        5 if trials is None else trials,
-        0 if seed is None else seed,
-        spec,
-    )
+def _check_plan(trials: int, jobs: int) -> None:
+    """Refuse a trial plan with no trials or no workers."""
+    if trials < 1:
+        raise AnalysisError(f"trials must be positive, got {trials}")
+    if jobs < 1:
+        raise AnalysisError(f"jobs must be positive, got {jobs}")
 
 
 def _run_through_store(
@@ -151,11 +110,11 @@ def _run_through_store(
 ) -> list[RunResult]:
     """Serve trials from the store, compute the rest, persist, merge in order.
 
-    The parallel runner's cache-aware code path: ``compute(missing_indices)`` runs only the trial streams the
-    store does not hold, the fresh results are persisted, and the merged
-    list comes back in ``trial_indices`` order — bit-identical to computing
-    everything, because trial ``i`` derives its generator from the root seed
-    alone.
+    The cache-aware path of :meth:`~repro.scenarios.MaterializedScenario.measure`:
+    ``compute(missing_indices)`` runs only the trial streams the store does
+    not hold, the fresh results are persisted, and the merged list comes back
+    in ``trial_indices`` order — bit-identical to computing everything,
+    because trial ``i`` derives its generator from the root seed alone.
 
     ``fresh`` bypasses the read side (every trial recomputes) without
     touching the write side: :meth:`~repro.store.ResultStore.put_many` skips
@@ -163,12 +122,6 @@ def _run_through_store(
     ``StoreError`` on divergence, so a fresh run is an actual
     re-verification of the stored records.
     """
-    if spec is None:
-        raise AnalysisError(
-            "a result store needs a content address: pass the workload as a "
-            "ScenarioSpec/MaterializedScenario, not as a bare (graph, "
-            "protocol_factory, config) triple"
-        )
     cached: dict[int, RunResult] = {}
     if not fresh:
         for index in trial_indices:
@@ -322,85 +275,49 @@ def _measure_indices_chunked(
 
 
 def measure_protocol_parallel(
-    graph: "CSRGraph | Any",
-    protocol_factory: ProtocolFactory | None = None,
-    config: SimulationConfig | None = None,
+    graph: CSRGraph,
+    protocol_factory: ProtocolFactory,
+    config: SimulationConfig,
     *,
-    trials: int | None = None,
-    seed: int | None = None,
+    trials: int = 5,
+    seed: int = 0,
     jobs: int | None = None,
-    store: Any = None,
-    fresh: bool = False,
 ) -> list[RunResult]:
     """Run seeded trials across worker processes; results stay in trial order.
 
-    ``graph`` may also be a :class:`~repro.scenarios.ScenarioSpec` or
-    :class:`~repro.scenarios.MaterializedScenario`.
-
     The trial set is split into contiguous chunks, one worker process per
     chunk, and every worker runs its indices through the engine
-    :func:`select_engine` picks (or the one the spec pins).
+    :func:`select_engine` picks.
     Because trial ``i`` derives its generator from the root seed alone
     (``derive_rng(seed, f"trial-{i}")`` — the spawned-child-seed scheme of
     :mod:`repro.core.rng`), the partitioning has no effect on any trial's
     randomness and the concatenated results equal the sequential runner's
     trial-for-trial.
 
-    ``store`` (a :class:`~repro.store.ResultStore`) makes the call
-    cache-aware: cached ``(fingerprint, seed, trial)`` records are read back,
-    only the missing indices are chunked over workers, and the freshly
-    computed results are persisted (in the parent process — workers never
-    touch the store), which is bit-identical to running them all.  Caching
-    needs a content address, so a store requires the workload as a scenario
-    rather than a bare ``(graph, protocol_factory, config)`` triple
-    (``fresh=True`` bypasses cache reads but still persists).
-
     Falls back to in-process execution when only one job is needed or when
-    the factory cannot be pickled (e.g. a locally defined closure).
+    the factory cannot be pickled (e.g. a locally defined closure).  A
+    scenario's plan, read through a result store, runs through
+    :meth:`~repro.scenarios.MaterializedScenario.measure` instead.
     """
-    graph, protocol_factory, config, trials, seed, spec = _resolve_workload(
-        graph, protocol_factory, config, trials, seed
-    )
-    engine = getattr(spec, "engine", "") or ""
-    if trials < 1:
-        raise AnalysisError(f"trials must be positive, got {trials}")
     jobs = default_jobs() if jobs is None else jobs
-    if jobs < 1:
-        raise AnalysisError(f"jobs must be positive, got {jobs}")
-    if store is None:
-        return _measure_indices_chunked(
-            graph, protocol_factory, config, seed, range(trials), jobs, engine
-        )
-    return _run_through_store(
-        store, spec, seed, range(trials), fresh,
-        lambda missing: _measure_indices_chunked(
-            graph, protocol_factory, config, seed, missing, jobs, engine
-        ),
+    _check_plan(trials, jobs)
+    return _measure_indices_chunked(
+        graph, protocol_factory, config, seed, range(trials), jobs
     )
 
 
 def run_trials_parallel(
-    graph: "CSRGraph | Any",
-    protocol_factory: ProtocolFactory | None = None,
-    config: SimulationConfig | None = None,
+    graph: CSRGraph,
+    protocol_factory: ProtocolFactory,
+    config: SimulationConfig,
     *,
-    trials: int | None = None,
-    seed: int | None = None,
+    trials: int = 5,
+    seed: int = 0,
     jobs: int | None = None,
-    store: Any = None,
-    fresh: bool = False,
 ) -> StoppingTimeStats:
-    """Like :func:`~repro.analysis.stopping_time.run_trials`, multi-process.
-
-    Also accepts a :class:`~repro.scenarios.ScenarioSpec` in place of the
-    ``(graph, protocol_factory, config)`` triple, and a
-    :class:`~repro.store.ResultStore` through which cached trials are reused
-    (see :func:`measure_protocol_parallel`).
-    """
+    """Like :func:`~repro.analysis.stopping_time.run_trials`, multi-process."""
     return aggregate_results(
         measure_protocol_parallel(
-            graph, protocol_factory, config,
-            trials=trials, seed=seed, jobs=jobs,
-            store=store, fresh=fresh,
+            graph, protocol_factory, config, trials=trials, seed=seed, jobs=jobs
         )
     )

@@ -14,12 +14,15 @@ graph, the picklable protocol factory, the analytic bounds, the resolved
 :class:`MaterializedScenario`, which can then run its Monte Carlo plan or
 execute a single seeded run.
 
-The same spec therefore drives the same workload through
+:meth:`MaterializedScenario.measure` is the one runner of a spec's trial
+plan: it reads cached trials back from a :class:`~repro.store.ResultStore`,
+computes the rest over ``jobs`` worker processes, and persists them.
+Everything that runs a spec goes through it —
 
 * the CLI (``python -m repro scenario run <name>`` /
-  ``python -m repro run ...``),
+  ``python -m repro run ...``) and :func:`repro.quick_run`, through
+  :meth:`MaterializedScenario.run_single` (trial 0 of the plan),
 * the campaigns (:func:`repro.campaigns.run_campaign`, one spec per unit),
-* :func:`repro.experiments.parallel.run_trials_parallel`, and
 * every benchmark script,
 
 with identical seeded results everywhere — see
@@ -107,6 +110,14 @@ TREE_PROTOCOLS: dict[str, type] = {
 #: Protocols a scenario can name.
 PROTOCOLS = ("uniform", "tag", "spanning_tree")
 
+#: The protocol names of ``repro run --protocol`` and :func:`repro.quick_run`
+#: → the ``(protocol, spanning_tree)`` of the spec they build.
+RUN_PROTOCOLS = {
+    "uniform": ("uniform", "brr"),
+    "tag": ("tag", "brr"),
+    "tag-is": ("tag", "is"),
+}
+
 #: Placement strategies a scenario can name.  ``auto`` resolves to
 #: ``all_to_all`` when ``k >= n`` and ``spread`` otherwise — the default the
 #: experiments have always used.
@@ -141,6 +152,41 @@ def default_scenario_config(
     )
 
 
+def run_command_spec(
+    topology: str,
+    *,
+    n: int,
+    k: int | None,
+    protocol: str,
+    time_model: TimeModel,
+    field_size: int,
+    seed: int,
+    trials: int = 1,
+    engine: str = "",
+    topology_params: Mapping[str, Any] | None = None,
+) -> "ScenarioSpec":
+    """The spec ``repro run`` and :func:`repro.quick_run` build from their arguments.
+
+    ``protocol`` is a :data:`RUN_PROTOCOLS` name.  Both run the spec's trial
+    0, so the same arguments print and return the same result.
+    """
+    spec_protocol, spanning_tree = RUN_PROTOCOLS[protocol]
+    return ScenarioSpec(
+        topology=topology,
+        n=n,
+        k=k,
+        protocol=spec_protocol,
+        spanning_tree=spanning_tree,
+        topology_params=topology_params or (),
+        config=default_scenario_config(
+            time_model=time_model, field_size=field_size, max_rounds=200_000
+        ),
+        trials=trials,
+        seed=seed,
+        engine=engine,
+    )
+
+
 # ----------------------------------------------------------------------
 # Picklable protocol factories (shipped to worker processes by the
 # parallel trial runner; formerly defined in repro.experiments.runner).
@@ -149,13 +195,12 @@ def default_scenario_config(
 class UniformGossipFactory:
     """Picklable protocol factory for uniform algebraic gossip workloads.
 
-    A plain dataclass with ``__call__`` (rather than a closure) so
-    :func:`repro.experiments.parallel.run_trials_parallel` can ship it to
-    worker processes.  The field object itself is not stored — only its
-    order — so pickles stay small and each worker reuses its own cached
-    :func:`~repro.gf.GF` tables.  Both engines run the process ``__call__``
-    builds, which builds a node's decoder only when the scalar engine first
-    uses it.
+    A plain dataclass with ``__call__`` (rather than a closure) so the
+    chunked trial runner can ship it to worker processes.  The field object
+    itself is not stored — only its order — so pickles stay small and each
+    worker reuses its own cached :func:`~repro.gf.GF` tables.  Both engines
+    run the process ``__call__`` builds, which builds a node's decoder only
+    when the scalar engine first uses it.
     """
 
     field_order: int
@@ -742,6 +787,11 @@ class MaterializedScenario:
     ) -> list[RunResult]:
         """Run the Monte Carlo plan and return every per-trial result.
 
+        The one runner of a spec's trial plan: trial ``i`` draws from
+        ``derive_rng(seed, f"trial-{i}")`` on the engine :meth:`select_engine`
+        reports, and ``jobs`` worker processes (default 1: in-process) split
+        the trials without changing any result.
+
         ``seed`` overrides the trial streams only: materialisation-time
         ingredients (a ``random`` placement, activation rates) were already
         fixed from the spec's seed.  To re-derive those too, materialise
@@ -749,19 +799,29 @@ class MaterializedScenario:
 
         ``store`` (a :class:`~repro.store.ResultStore`) reads cached
         ``(fingerprint, seed, trial)`` records back instead of recomputing
-        them and persists whatever had to be computed; ``fresh=True``
-        bypasses the reads.
+        them and persists whatever had to be computed (in this process —
+        workers never touch the store); ``fresh=True`` bypasses the reads.
         """
-        from ..experiments.parallel import measure_protocol_parallel
-
-        return measure_protocol_parallel(
-            self,
-            trials=trials,
-            seed=seed,
-            jobs=1 if jobs is None else jobs,
-            store=store,
-            fresh=fresh,
+        from ..experiments.parallel import (
+            _check_plan,
+            _measure_indices_chunked,
+            _run_through_store,
         )
+
+        trials = self.spec.trials if trials is None else trials
+        seed = self.spec.seed if seed is None else seed
+        jobs = 1 if jobs is None else jobs
+        _check_plan(trials, jobs)
+
+        def compute(indices: Any) -> list[RunResult]:
+            return _measure_indices_chunked(
+                self.graph, self.protocol_factory, self.config, seed, indices,
+                jobs, self.spec.engine,
+            )
+
+        if store is None:
+            return compute(range(trials))
+        return _run_through_store(store, self.spec, seed, range(trials), fresh, compute)
 
     def run(
         self,
@@ -786,28 +846,7 @@ class MaterializedScenario:
     ) -> RunResult:
         """One single-trial run — exactly trial 0 of the Monte Carlo plan.
 
-        Runs on the engine :meth:`select_engine` reports, as the Monte Carlo
-        runners do (engines are bit-identical per seed, so the choice never
-        changes the result).  With a ``store``, trial 0 is served from (and
-        persisted to) the same ``(fingerprint, seed, trial)`` records the
-        Monte Carlo runners use — engine-invariantly, like the cache itself.
+        It is ``measure(trials=1, ...)[0]``: the same engine, and the same
+        ``(fingerprint, seed, trial)`` store records, as the plan's trial 0.
         """
-        from ..experiments.parallel import _measure_trial_indices
-
-        effective_seed = self.spec.seed if seed is None else seed
-        if store is not None and not fresh:
-            cached = store.get(self.spec, 0, seed=effective_seed)
-            if cached is not None:
-                return cached
-        [result] = _measure_trial_indices(
-            self.graph,
-            self.protocol_factory,
-            self.config,
-            effective_seed,
-            [0],
-            self.spec.engine,
-        )
-        if store is not None:
-            store.put(self.spec, 0, result, seed=effective_seed)
-        return result
-
+        return self.measure(trials=1, seed=seed, jobs=1, store=store, fresh=fresh)[0]

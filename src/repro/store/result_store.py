@@ -6,9 +6,10 @@ values: the workload (a :class:`~repro.scenarios.ScenarioSpec`, addressed by
 :meth:`~repro.scenarios.ScenarioSpec.fingerprint`), the root seed the trial
 streams derive from, and the trial index.  :class:`ResultStore` exploits that
 determinism: it is an append-only, deduplicated archive of
-``(fingerprint, seed, trial) -> RunResult`` records that the trial runners
-(:mod:`repro.experiments.parallel`), the campaign runner
-(:func:`repro.campaigns.run_campaign`) and the CLI read **through** — only
+``(fingerprint, seed, trial) -> RunResult`` records that the trial runner
+(:meth:`~repro.scenarios.MaterializedScenario.measure`), and through it the
+campaign runner (:func:`repro.campaigns.run_campaign`) and the CLI, read
+**through** — only
 the pairs not already present are computed, so an interrupted campaign
 resumes where it stopped and a repeated one costs no simulation time at all,
 with bit-identical aggregates either way.
@@ -659,14 +660,6 @@ class ResultStore:
         self.hits += 1
         return self._decode_result(fingerprint, key, payload)
 
-    def contains(
-        self, spec_or_fingerprint: Any, trial: int, *, seed: "int | None" = None
-    ) -> bool:
-        """Presence check that does not touch the hit/miss counters."""
-        fingerprint, spec = self._key(spec_or_fingerprint)
-        key = (self._seed_for(spec, seed), int(trial))
-        return key in self._load(fingerprint).results
-
     def missing_trials(
         self,
         spec: Any,
@@ -706,36 +699,6 @@ class ResultStore:
             if trials is not None and not 0 <= trial < trials:
                 continue
             out[trial] = self._decode_result(fingerprint, (record_seed, trial), payload)
-        return out
-
-    def summaries(
-        self,
-        spec_or_fingerprint: Any,
-        trials: "int | None" = None,
-        *,
-        seed: "int | None" = None,
-    ) -> dict[int, dict[str, Any]]:
-        """Every cached summary payload (full results project down transparently).
-
-        A trial archived as a full ``result`` record is returned as its
-        :func:`summarize_result` projection, so callers that only need
-        stopping times see one uniform shape regardless of how the trials
-        were archived.
-        """
-        fingerprint, spec = self._key(spec_or_fingerprint)
-        if trials is None and spec is not None:
-            trials = spec.trials
-        effective_seed = self._seed_for(spec, seed)
-        shard = self._load(fingerprint)
-        out: dict[int, dict[str, Any]] = {}
-        for bucket, project in ((shard.results, True), (shard.summaries, False)):
-            for (record_seed, trial), payload in bucket.items():
-                if record_seed != effective_seed:
-                    continue
-                if trials is not None and not 0 <= trial < trials:
-                    continue
-                if trial not in out:
-                    out[trial] = _project_summary(payload) if project else dict(payload)
         return out
 
     def missing_summary_trials(

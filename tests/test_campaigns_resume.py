@@ -88,9 +88,7 @@ class TestInterruptedCampaignResumes:
         # (the batch append was cut short).
         spec = campaign.unit("ring").resolve()
         seed_store = ResultStore(store_path)
-        (result,) = campaign_runner.measure_protocol_parallel(
-            spec, trials=1, store=seed_store
-        )
+        (result,) = spec.materialize().measure(trials=1, store=seed_store)
         assert seed_store.puts == 1
 
         store = ResultStore(store_path)

@@ -43,18 +43,16 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError):
             SimulationConfig(**kwargs)
 
-    def test_with_options_and_replace(self):
+    def test_replace(self):
         config = SimulationConfig()
-        with_opts = config.with_options(tree_protocol="brr")
-        assert with_opts.options == {"tree_protocol": "brr"}
-        assert config.options == {}
         replaced = config.replace(field_size=2)
         assert replaced.field_size == 2
         assert config.field_size == 16
 
     def test_config_is_hashable(self):
-        a = SimulationConfig().with_options(x=1)
-        b = SimulationConfig().with_options(x=1)
+        a = SimulationConfig(churn=[[1, 2, 3]])
+        b = SimulationConfig(churn=((1, 2, 3),))
+        assert a == b
         assert hash(a) == hash(b)
 
 

@@ -295,16 +295,15 @@ class TestParallelEqualsSequential:
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
             trials=4, seed=19,
         )
-        parallel = measure_protocol_parallel(
-            uniform_case.spec.replace(engine="scalar"), trials=4, seed=19, jobs=2
-        )
+        scenario = uniform_case.spec.replace(engine="scalar").materialize()
+        parallel = scenario.measure(trials=4, seed=19, jobs=2)
         assert _signature(parallel) == _signature(sequential)
 
     def test_chunking_is_balanced_and_ordered(self):
         assert _chunks(range(7), 3) == [[0, 1, 2], [3, 4], [5, 6]]
         assert _chunks(range(2), 5) == [[0], [1]]
 
-    def test_invalid_arguments_rejected(self, uniform_case):
+    def test_invalid_arguments_rejected(self, uniform_case, tmp_path):
         with pytest.raises(AnalysisError):
             measure_protocol_parallel(
                 uniform_case.graph, uniform_case.protocol_factory,
@@ -315,6 +314,12 @@ class TestParallelEqualsSequential:
                 uniform_case.graph, uniform_case.protocol_factory,
                 uniform_case.config, trials=2, seed=0, jobs=0,
             )
+        # The scenario runner refuses the same plans, with or without a store.
+        for store in (None, ResultStore(tmp_path)):
+            for plan in (dict(trials=0), dict(jobs=0)):
+                with pytest.raises(AnalysisError):
+                    uniform_case.measure(store=store, **plan)
+        assert ResultStore(tmp_path).fingerprints() == []
 
     def test_run_campaign_rejects_non_positive_jobs(self, uniform_case, tmp_path):
         with pytest.raises(AnalysisError):

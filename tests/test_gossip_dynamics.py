@@ -14,7 +14,6 @@ import pytest
 from repro.analysis.stopping_time import measure_protocol
 from repro.core import SimulationConfig, TimeModel
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.parallel import measure_protocol_parallel
 from repro.gf import GF
 from repro.gossip import GossipEngine, NodeDynamics
 from repro.gossip.engine import GossipProcess
@@ -41,7 +40,7 @@ def _measure_both(spec, trials=4, seed=7):
         scenario.graph, scenario.protocol_factory, scenario.config,
         trials=trials, seed=seed,
     )
-    fast = measure_protocol_parallel(scenario, trials=trials, seed=seed, jobs=1)
+    fast = scenario.measure(trials=trials, seed=seed)
     return sequential, fast
 
 

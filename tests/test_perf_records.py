@@ -189,6 +189,19 @@ def test_a_ratio_record_over_its_ceiling_fails(tmp_path, monkeypatch, capsys):
     assert "speedup 40.00x (floor 5.0x" in out
 
 
+def test_a_scaled_down_table_is_printed_but_not_written(tmp_path, monkeypatch, capsys):
+    """Smoke runs print their table; only a full-size run writes it, so a
+    smoke run never overwrites a committed full-size table."""
+    output = tmp_path / "output"
+    monkeypatch.setattr(bench_utils, "OUTPUT_DIR", output)
+    rows = [{"n": 32, "mean_rounds": 12.5}]
+    text = bench_utils.report("E9-demo", "Demo", rows, scaled_down=True)
+    assert text in capsys.readouterr().out
+    assert not (output / "E9-demo.txt").exists()
+    assert bench_utils.report("E9-demo", "Demo", rows) == text
+    assert (output / "E9-demo.txt").read_text(encoding="utf-8") == text + "\n"
+
+
 def _absolute_record(tmp_path: Path, monkeypatch, trial_s: float) -> dict:
     """Write an E9/E10-style record: event-side metrics, no ratio headline."""
     monkeypatch.setattr(bench_utils, "OUTPUT_DIR", tmp_path / "output")

@@ -10,7 +10,8 @@ import pytest
 
 import repro
 import repro.cli
-from repro import EventTrace, SimulationError, TimeModel, quick_run
+from repro import EventTrace, ScenarioSpec, SimulationError, TimeModel, quick_run
+from repro.scenarios import default_scenario_config
 
 
 class TestQuickRun:
@@ -55,6 +56,74 @@ class TestQuickRun:
         assert repro.__version__
         for name in ("GF", "Generation", "RlncDecoder", "AlgebraicGossip", "TagProtocol"):
             assert hasattr(repro, name)
+
+
+#: quick_run's protocol names → the spec's (protocol, spanning tree).
+QUICK_PROTOCOLS = {
+    "uniform": ("uniform", "brr"),
+    "tag": ("tag", "brr"),
+    "tag-is": ("tag", "is"),
+}
+
+
+def _trial_zero(protocol: str, time_model: TimeModel):
+    """Trial 0 of the spec ``repro run --topology barbell --n 12 --k 6 --seed 1``
+    builds for ``--protocol`` and ``--time-model``."""
+    spec_protocol, spanning_tree = QUICK_PROTOCOLS[protocol]
+    return ScenarioSpec(
+        topology="barbell", n=12, k=6, protocol=spec_protocol,
+        spanning_tree=spanning_tree,
+        config=default_scenario_config(time_model=time_model, max_rounds=200_000),
+        trials=1, seed=1,
+    ).materialize().run_single()
+
+
+_QUICK_CASES = pytest.mark.parametrize(
+    "protocol,time_model",
+    [(protocol, model) for protocol in QUICK_PROTOCOLS for model in TimeModel],
+    ids=lambda value: getattr(value, "value", value),
+)
+
+
+class TestQuickRunIsTrialZeroOfRun:
+    """``quick_run`` returns trial 0 of the spec ``repro run`` builds from the
+    same arguments, through ``run_single``; only a trace adds a scalar run."""
+
+    @_QUICK_CASES
+    def test_quick_run_is_the_run_commands_trial_zero(self, protocol, time_model, capsys):
+        result = quick_run(
+            "barbell", n=12, k=6, protocol=protocol, time_model=time_model, seed=1
+        )
+        assert result == _trial_zero(protocol, time_model)
+        assert repro.cli.main([
+            "run", "--topology", "barbell", "--n", "12", "--k", "6",
+            "--protocol", protocol, "--time-model", time_model.value,
+            "--seed", "1", "--no-store",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert f"{protocol} on barbell(n=12, k=6): {result.summary()}\n" in out
+
+    @pytest.mark.parametrize("protocol", sorted(QUICK_PROTOCOLS))
+    def test_quick_run_never_runs_the_scalar_engine(self, protocol, monkeypatch):
+        from repro.gossip import GossipEngine
+
+        expected = _trial_zero(protocol, TimeModel.SYNCHRONOUS)
+
+        def refuse(engine):
+            raise AssertionError("the scalar engine ran")
+
+        monkeypatch.setattr(GossipEngine, "run", refuse)
+        assert quick_run("barbell", n=12, k=6, protocol=protocol, seed=1) == expected
+
+    @_QUICK_CASES
+    def test_a_traced_quick_run_returns_the_same_result(self, protocol, time_model):
+        trace = EventTrace()
+        traced = quick_run(
+            "barbell", n=12, k=6, protocol=protocol, time_model=time_model, seed=1,
+            trace=trace,
+        )
+        assert traced == _trial_zero(protocol, time_model)
+        assert len(trace) == traced.messages_sent
 
 
 class TestPackageMetadata:

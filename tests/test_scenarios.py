@@ -10,7 +10,6 @@ from repro.campaigns import CampaignSpec, CampaignUnit, run_campaign
 from repro.cli import main
 from repro.core import SimulationConfig, TimeModel
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import run_trials_parallel
 from repro.scenarios import (
     SCENARIOS,
     MaterializedScenario,
@@ -87,22 +86,17 @@ class TestJsonRoundTrip:
         with pytest.raises(ConfigurationError):
             SimulationConfig.from_dict({"mystery": 1})
 
-    def test_extra_tuple_values_survive_json(self):
-        config = SimulationConfig(extra=(("levels", (1, 2)),))
-        rebuilt = SimulationConfig.from_dict(
-            json.loads(json.dumps(config.to_dict()))
-        )
-        assert rebuilt == config
-        hash(rebuilt)  # must stay hashable after a JSON round trip
-
-    def test_extra_order_normalised_at_construction(self):
-        # Construction order of extra pairs must not break equality or the
-        # round trip: __post_init__ key-sorts exactly like from_dict does.
-        config = SimulationConfig(extra=(("b", 1), ("a", 2)))
-        assert config.extra == (("a", 2), ("b", 1))
-        assert SimulationConfig.from_dict(config.to_dict()) == config
-        spec = ScenarioSpec(config=SimulationConfig(extra=(("z", 0), ("a", 1))))
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
+    @pytest.mark.parametrize("key,value", [("seed", 99), ("extra", {"tree": "brr"})])
+    def test_config_seed_and_extra_are_refused(self, key, value):
+        # Neither knob reached a result, yet either moved the fingerprint
+        # (and so the store shard); trials derive from the plan's seed.
+        message = f"unknown SimulationConfig fields \\['{key}'\\]"
+        with pytest.raises(ConfigurationError, match=message):
+            SimulationConfig.from_dict({key: value})
+        with pytest.raises(ConfigurationError):
+            ScenarioSpec.from_dict({"config": {key: value}})
+        with pytest.raises(TypeError):
+            SimulationConfig(**{key: value})
 
     def test_config_round_trip(self):
         config = _FAST.replace(
@@ -110,7 +104,7 @@ class TestJsonRoundTrip:
             time_model=TimeModel.ASYNCHRONOUS,
             activation_rates=(1.0, 2.0),
             loss_probability=0.1,
-        ).with_options(tree="brr")
+        )
         assert SimulationConfig.from_dict(config.to_dict()) == config
 
     def test_non_object_json_rejected(self):
@@ -437,7 +431,7 @@ class TestRegistry:
 
 
 class TestSingleSpecDrivesEveryConsumer:
-    """One spec → CLI, campaign, batched/parallel runners: identical numbers."""
+    """One spec → CLI, campaign, parallel and store-backed runs: identical numbers."""
 
     SPEC = ScenarioSpec(
         topology="barbell",
@@ -450,14 +444,16 @@ class TestSingleSpecDrivesEveryConsumer:
     )
 
     def test_runners_agree(self, tmp_path):
-        direct = self.SPEC.materialize().run()
-        batched = run_trials_parallel(self.SPEC, jobs=1)
-        parallel = run_trials_parallel(self.SPEC, jobs=2)
+        scenario = self.SPEC.materialize()
+        direct = scenario.run()
+        parallel = scenario.run(jobs=2)
+        stored = scenario.run(store=ResultStore(tmp_path / "store"))
         campaign = CampaignSpec(
             name="one-unit", units=(CampaignUnit(name="only", spec=self.SPEC),)
         )
         [unit] = run_campaign(campaign, store=ResultStore(tmp_path)).outcomes
-        assert direct == batched == parallel == unit.stats
+        assert direct == parallel == stored == unit.stats
+        assert scenario.run_single() == scenario.measure()[0]
 
     def test_cli_matches_library(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -470,14 +466,6 @@ class TestSingleSpecDrivesEveryConsumer:
         scalar = self.SPEC.replace(engine="scalar").materialize()
         assert self.SPEC.materialize().run() == scalar.run()
 
-    def test_scenario_with_explicit_factory_or_config_rejected(self):
-        from repro.errors import AnalysisError
-
-        scenario = self.SPEC.materialize()
-        with pytest.raises(AnalysisError):
-            run_trials_parallel(self.SPEC, scenario.protocol_factory, jobs=1)
-        with pytest.raises(AnalysisError):
-            run_trials_parallel(scenario, None, scenario.config, jobs=1)
 
 
 class TestMaterializedLabel:

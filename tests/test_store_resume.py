@@ -20,7 +20,6 @@ import time
 import pytest
 
 from repro.campaigns import CampaignSpec, CampaignUnit, get_campaign, run_campaign
-from repro.experiments.parallel import measure_protocol_parallel
 from repro.scenarios import ScenarioSpec, default_scenario_config
 from repro.store import ResultStore
 
@@ -101,15 +100,15 @@ class TestResumeSemantics:
         assert resumed_store.hits == len(specs) * TRIALS - expected_remaining
 
     def test_per_trial_results_identical_through_the_store(self, tmp_path):
-        spec = _table1_specs(("grid",))[0]
-        direct = measure_protocol_parallel(spec, jobs=1)
+        scenario = _table1_specs(("grid",))[0].materialize()
+        direct = scenario.measure()
         store = ResultStore(tmp_path)
         # Warm the store with a prefix of the trial range only.
-        measure_protocol_parallel(spec, trials=4, store=store, jobs=1)
-        mixed = measure_protocol_parallel(spec, store=store, jobs=1)
+        scenario.measure(trials=4, store=store)
+        mixed = scenario.measure(store=store)
         assert mixed == direct
         # And a pure read-back run returns the same objects' worth of data.
-        replayed = measure_protocol_parallel(spec, store=ResultStore(tmp_path), jobs=1)
+        replayed = scenario.measure(store=ResultStore(tmp_path))
         assert replayed == direct
 
     def test_scalar_and_event_paths_share_cache_records(self, tmp_path):
@@ -165,13 +164,11 @@ class TestCachedRerun:
         assert [a.rows for a in warm.artifacts] == [a.rows for a in cold.artifacts]
 
     def test_fresh_recomputes_without_duplicating_records(self, tmp_path):
-        spec = _table1_specs(("grid",))[0]
+        scenario = _table1_specs(("grid",))[0].materialize()
         store = ResultStore(tmp_path)
-        baseline = measure_protocol_parallel(spec, store=store, jobs=1)
+        baseline = scenario.measure(store=store)
         fresh_store = ResultStore(tmp_path)
-        recomputed = measure_protocol_parallel(
-            spec, store=fresh_store, fresh=True, jobs=1
-        )
+        recomputed = scenario.measure(store=fresh_store, fresh=True)
         assert recomputed == baseline
         assert fresh_store.hits == 0, "fresh must not read the cache"
         assert fresh_store.puts == 0, "identical records must not be re-appended"

@@ -25,7 +25,7 @@ metadata — and leaves the generator in the same state.
   ``on_round_end`` callback: its snapshots equal
   :class:`~repro.analysis.ProgressRecorder` on the scalar engine round for
   round, and the hook changes neither the result nor the generator state.
-* **Runner against the sequential path** — ``measure_protocol_parallel``,
+* **Runner against the sequential path** — ``MaterializedScenario.measure``,
   which runs TAG on the event engine, returns ``measure_protocol``'s scalar
   results trial for trial: every tree in both time models over GF(2) and
   GF(16), under packet loss, and on every registered TAG scenario.
@@ -53,7 +53,7 @@ from repro.analysis.stopping_time import measure_protocol
 from repro.core import GossipAction, TimeModel
 from repro.core.rng import derive_rng
 from repro.errors import EngineError, SimulationError
-from repro.experiments import all_to_all_placement, measure_protocol_parallel
+from repro.experiments import all_to_all_placement
 from repro.gf import GF
 from repro.gossip import EventGossipEngine, GossipEngine
 from repro.graphs import barbell_graph, build_topology, grid_graph
@@ -387,15 +387,16 @@ def test_round_robin_on_order_sensitive_families(family, spanning_tree, time_mod
 # The trial runner against the sequential path
 # ----------------------------------------------------------------------
 def _assert_runner_matches_sequential(spec: ScenarioSpec, *, trials: int, seed: int):
-    """``measure_protocol_parallel`` picks the event engine for TAG and
-    returns ``measure_protocol``'s scalar results, trial for trial."""
+    """The trial runner (``MaterializedScenario.measure``) picks the event
+    engine for TAG and returns ``measure_protocol``'s scalar results, trial
+    for trial."""
     scenario = spec.materialize()
     assert scenario.select_engine() == ("event", "auto: TAG")
     sequential = measure_protocol(
         scenario.graph, scenario.protocol_factory, scenario.config,
         trials=trials, seed=seed,
     )
-    assert measure_protocol_parallel(scenario, trials=trials, seed=seed, jobs=1) == sequential
+    assert scenario.measure(trials=trials, seed=seed) == sequential
 
 
 class TestRunnerMatchesSequential:
