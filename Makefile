@@ -79,18 +79,24 @@ backend-check:
 
 ## Event-driven engine contract: the full equivalence/refusal/dispatch suite
 ## for uniform AG (event vs scalar bit-identity over both time models,
-## churn, rates, loss; eliminator reset; typed EngineError refusals), the generated equivalence for uniform AG, for TAG
-## over the four spanning trees and for those trees run standalone, uniform
-## AG and TAG trials that build no decoder on the event engine, the
-## round-end hook against ProgressRecorder on the scalar engine, the engine rule
-## (`select_engine`, single runs included), a `full-paper` campaign that
-## never calls the scalar engine, and the block-draw reader's conformance
-## with numpy's own draws.  Its absolute speed is the repository
-## benchmark's `sparse-event` record, guarded by `make bench-check`.
+## churn, rates, loss; eliminator reset; typed EngineError refusals), the
+## generated equivalence for uniform AG, for TAG over the four spanning trees
+## and for those trees run standalone, uniform AG and TAG trials that build
+## no decoder on the event engine, the round-end hook against ProgressRecorder
+## on the scalar engine, the engine rule (`select_engine`, single runs
+## included), the triple runner (`measure_protocol` / `run_trials`) on the
+## rule's engine and over worker processes against `engine="scalar"`, the
+## synchronous model's one-hop-per-round rule on both engines, a
+## `full-paper` campaign that never calls the scalar engine, and the
+## block-draw reader's conformance with numpy's own draws.  Its absolute
+## speed is the repository benchmark's `sparse-event` record, guarded by
+## `make bench-check`.
 event-check:
 	$(PYTHON) -m pytest tests/test_event_engine.py tests/test_tag_event_engine.py \
-		tests/test_rng_draws.py \
+		tests/test_rng_draws.py tests/test_synchronous_causality.py \
 		tests/test_experiments_parallel.py::TestAutoEngineRule \
+		tests/test_experiments_parallel.py::TestRunnerEqualsSequential \
+		tests/test_experiments_parallel.py::TestParallelEqualsSequential \
 		tests/test_campaigns.py::TestFullPaperRunsOnlyOnTheEventEngine -q
 
 ## One-graph-type contract: generated builder conformance (every family's

@@ -6,7 +6,9 @@ rings of log-sized cliques, the latter one decade lower to equalise
 per-decade event cost — through the event-driven CSR pipeline, then fits
 ``T(n) = c·n^a`` by least squares on the log-log means with bootstrap
 confidence intervals.  This benchmark runs the campaign at its committed
-decade scale and asserts the two properties the campaign's design rests on:
+decade scale, cold, into a throwaway store (so ``timings_seconds.campaign``
+times the engine, never a warm cache), and asserts the two properties the
+campaign's design rests on:
 
 * **summary records pay for themselves** — at the largest decade, archiving
   the stopping-time projection (:func:`repro.store.summarize_result`)
@@ -35,7 +37,7 @@ import os
 import tempfile
 import time
 
-from _utils import PEDANTIC, bench_store, peak_rss_mib, report, report_json
+from _utils import PEDANTIC, peak_rss_mib, report, report_json
 
 from repro.campaigns import asymptotics_campaign, run_campaign
 from repro.core import aggregate_results
@@ -62,12 +64,8 @@ def _record_bytes(payload) -> int:
 
 def _run():
     campaign = asymptotics_campaign(min_n=MIN_N, max_n=MAX_N, trials=TRIALS)
-    store = bench_store()
-    scratch = None
-    if store is None:  # caching disabled: run against a throwaway store
-        scratch = tempfile.TemporaryDirectory(prefix="bench-asymptotics-")
-        store = ResultStore(scratch.name)
-    try:
+    with tempfile.TemporaryDirectory(prefix="bench-asymptotics-") as root:
+        store = ResultStore(root)
         start = time.perf_counter()
         result = run_campaign(campaign, store=store)
         campaign_seconds = time.perf_counter() - start
@@ -89,9 +87,6 @@ def _run():
         full_bytes = sum(_record_bytes(r.to_dict()) for r in full_results)
         summary_bytes = sum(_record_bytes(summarize_result(r)) for r in full_results)
         bytes_ratio = full_bytes / summary_bytes
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
 
     fit_artifact = next(
         a for a in result.artifacts if a.artifact.kind == "asymptotic-fit"

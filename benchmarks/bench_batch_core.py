@@ -42,8 +42,7 @@ from _utils import (
     timed_event_runs,
     trial_signature,
 )
-from repro.analysis.stopping_time import measure_protocol
-from repro.experiments.parallel import default_jobs
+from repro.experiments import default_jobs, measure_protocol
 from repro.scenarios import ScenarioSpec, default_scenario_config
 
 N = int(os.environ.get("REPRO_BENCH_BATCH_N", "128"))
@@ -73,7 +72,7 @@ def _run():
     start = time.perf_counter()
     sequential = measure_protocol(
         scenario.graph, scenario.protocol_factory, scenario.config,
-        trials=TRIALS, seed=SEED,
+        trials=TRIALS, seed=SEED, engine="scalar",
     )
     timings["sequential (scalar decoders)"] = time.perf_counter() - start
 

@@ -39,7 +39,7 @@ from _utils import (
     timed_event_runs,
     trial_signature,
 )
-from repro.analysis.stopping_time import measure_protocol
+from repro.experiments import measure_protocol
 from repro.scenarios import ScenarioSpec, default_scenario_config
 
 N = int(os.environ.get("REPRO_BENCH_TAG_N", "128"))
@@ -71,7 +71,7 @@ def _run():
     start = time.perf_counter()
     sequential = measure_protocol(
         scenario.graph, scenario.protocol_factory, scenario.config,
-        trials=TRIALS, seed=SEED,
+        trials=TRIALS, seed=SEED, engine="scalar",
     )
     timings["sequential (scalar TagProtocol)"] = time.perf_counter() - start
 

@@ -24,7 +24,7 @@ from repro.analysis import (
     k_dissemination_lower_bound,
 )
 from repro.core import SimulationConfig
-from repro.experiments import all_to_all_placement, run_trials_parallel
+from repro.experiments import all_to_all_placement, run_trials
 from repro.graphs import binary_tree_graph, diameter, line_graph, ring_graph
 from repro.scenarios import UniformGossipFactory
 
@@ -56,8 +56,8 @@ def main() -> None:
             graph = builder(n)
             actual_n = graph.number_of_nodes()
             d = diameter(graph)
-            stats = run_trials_parallel(
-                graph, factory_for(graph, config), config, trials=TRIALS, seed=42, jobs=1
+            stats = run_trials(
+                graph, factory_for(graph, config), config, trials=TRIALS, seed=42
             )
             upper = constant_degree_upper_bound(actual_n, d)
             lower = k_dissemination_lower_bound(actual_n, d, synchronous=True)

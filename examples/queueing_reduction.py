@@ -23,9 +23,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro import GF, AlgebraicGossip, Generation, SimulationConfig
-from repro.analysis import run_trials
 from repro.core import TimeModel
-from repro.experiments import all_to_all_placement
+from repro.experiments import all_to_all_placement, run_trials
 from repro.graphs import grid_graph, profile_graph
 from repro.queueing import QueueingReduction
 

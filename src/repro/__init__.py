@@ -11,13 +11,12 @@ The package is organised bottom-up:
 * :mod:`repro.gossip` — time models, communication models and the
   discrete-event engine,
 * :mod:`repro.protocols` — uniform algebraic gossip (Theorem 1), TAG
-  (Theorem 4), the spanning-tree protocols it composes with (round-robin
-  broadcast of Theorem 5, the simulated IS protocol of Section 6) and uncoded
-  baselines,
+  (Theorem 4) and the spanning-tree protocols it composes with (round-robin
+  broadcast of Theorem 5, the simulated IS protocol of Section 6),
 * :mod:`repro.queueing` — the queueing-network substrate of Theorem 2 and the
   gossip→queueing reduction of Theorem 1,
-* :mod:`repro.analysis` — bound evaluators, stopping-time statistics and
-  the Table 1 / Table 2 generators,
+* :mod:`repro.analysis` — bound evaluators, scaling fits, progress curves
+  and the Table 1 / Table 2 generators,
 * :mod:`repro.scenarios` — the declarative scenario layer: one immutable,
   JSON-round-trippable :class:`ScenarioSpec` (topology + placement +
   protocol + config + trial plan, including churn schedules and
@@ -27,7 +26,10 @@ The package is organised bottom-up:
   per-trial results keyed by ``(spec fingerprint, seed, trial)`` in
   append-only JSONL shards; every runner reads through it, making campaigns
   resumable and re-runs free,
-* :mod:`repro.experiments` — the multi-process trial runners and the engine rule,
+* :mod:`repro.experiments` — the trial runner for a bare ``(graph, factory,
+  config)`` triple (:func:`~repro.experiments.measure_protocol` /
+  :func:`~repro.experiments.run_trials`, in-process or over worker
+  processes) and the engine rule,
 * :mod:`repro.campaigns` — declarative experiment campaigns: named sets of
   scenario sweeps (``table1`` ... ``full-paper``, and ``bounds`` for the
   measured-vs-bound tables) compiled to a DAG,
@@ -86,7 +88,7 @@ from .protocols import (
     TagProtocol,
     UniformBroadcastTree,
 )
-from .rlnc import CodedPacket, Generation, RlncDecoder, RlncEncoder
+from .rlnc import CodedPacket, Generation, RlncDecoder
 from .scenarios import (
     SCENARIOS,
     MaterializedScenario,
@@ -130,7 +132,6 @@ __all__ = [
     "CodedPacket",
     "Generation",
     "RlncDecoder",
-    "RlncEncoder",
     "SCENARIOS",
     "MaterializedScenario",
     "ScenarioSpec",

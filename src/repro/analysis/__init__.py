@@ -1,4 +1,4 @@
-"""Analysis layer: bound evaluators, stopping-time statistics and tables."""
+"""Analysis layer: bound evaluators, scaling fits, progress metrics and tables."""
 
 from .asymptotics import ExponentFit, fit_decades
 from .bounds import (
@@ -26,16 +26,7 @@ from .message_complexity import (
     packet_size_bits,
 )
 from .progress import ProgressRecorder, RoundSnapshot, rounds_to_fraction_complete
-from .stopping_time import (
-    LinearFit,
-    PowerLawFit,
-    ProtocolFactory,
-    fit_linear,
-    fit_power_law,
-    measure_protocol,
-    ratio_is_bounded,
-    run_trials,
-)
+from .stopping_time import LinearFit, PowerLawFit, fit_linear, fit_power_law
 from .tables import format_table, rows_to_csv, table1_rows, table2_rows
 
 __all__ = [
@@ -66,12 +57,8 @@ __all__ = [
     "rounds_to_fraction_complete",
     "LinearFit",
     "PowerLawFit",
-    "ProtocolFactory",
     "fit_linear",
     "fit_power_law",
-    "measure_protocol",
-    "ratio_is_bounded",
-    "run_trials",
     "format_table",
     "rows_to_csv",
     "table1_rows",

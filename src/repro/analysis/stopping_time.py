@@ -1,84 +1,29 @@
-"""Empirical stopping-time measurement and scaling fits.
+"""Scaling fits for measured stopping times.
 
 The theorems are asymptotic statements; validating them empirically means
-
-1. running a protocol many times with independent seeds and summarising the
-   stopping-time distribution (:func:`run_trials`), and
-2. sweeping a parameter (``n`` or ``k``) and fitting how the stopping time
-   scales with it (:func:`fit_power_law`, :func:`fit_linear`), so that e.g.
-   "Θ(k + D)" can be checked as "the measured time grows linearly in k with
-   slope O(1)".
+sweeping a parameter (``n`` or ``k``), measuring the stopping time at each
+point (:func:`repro.experiments.run_trials` over seeded trials, or a
+scenario's :meth:`~repro.scenarios.MaterializedScenario.run`), and fitting
+how it scales (:func:`fit_power_law`, :func:`fit_linear`), so that e.g.
+"Θ(k + D)" can be checked as "the measured time grows linearly in k with
+slope O(1)".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..core.config import SimulationConfig
-from ..core.results import RunResult, StoppingTimeStats, aggregate_results
-from ..core.rng import derive_rng
 from ..errors import AnalysisError
-from ..gossip.engine import GossipEngine, GossipProcess
-from ..graphs.csr import CSRGraph
 
 __all__ = [
-    "ProtocolFactory",
-    "run_trials",
-    "measure_protocol",
     "PowerLawFit",
     "LinearFit",
     "fit_power_law",
     "fit_linear",
-    "ratio_is_bounded",
 ]
-
-#: A factory building a fresh protocol instance for one trial.  It receives
-#: the trial's random generator so that message contents, coding coefficients
-#: and any protocol-internal randomness are independent across trials.
-ProtocolFactory = Callable[[CSRGraph, np.random.Generator], GossipProcess]
-
-
-def measure_protocol(
-    graph: CSRGraph,
-    protocol_factory: ProtocolFactory,
-    config: SimulationConfig,
-    *,
-    trials: int = 5,
-    seed: int = 0,
-) -> list[RunResult]:
-    """Run ``trials`` independent simulations and return every :class:`RunResult`.
-
-    This is the sequential reference runner.
-    :func:`repro.experiments.parallel.measure_protocol_parallel` produces the
-    same results (same seeds → same stopping times) through the event-driven
-    engine and worker processes; prefer it for large trial counts.
-    """
-    if trials < 1:
-        raise AnalysisError(f"trials must be positive, got {trials}")
-    results: list[RunResult] = []
-    for trial in range(trials):
-        rng = derive_rng(seed, f"trial-{trial}")
-        process = protocol_factory(graph, rng)
-        engine = GossipEngine(graph, process, config, rng)
-        results.append(engine.run())
-    return results
-
-
-def run_trials(
-    graph: CSRGraph,
-    protocol_factory: ProtocolFactory,
-    config: SimulationConfig,
-    *,
-    trials: int = 5,
-    seed: int = 0,
-) -> StoppingTimeStats:
-    """Like :func:`measure_protocol` but collapse the results into statistics."""
-    return aggregate_results(
-        measure_protocol(graph, protocol_factory, config, trials=trials, seed=seed)
-    )
 
 
 @dataclass(frozen=True)
@@ -148,20 +93,3 @@ def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
         intercept=float(intercept),
         r_squared=_r_squared(ys, predicted),
     )
-
-
-def ratio_is_bounded(
-    measured: Sequence[float], bounds: Sequence[float], *, max_ratio: float
-) -> bool:
-    """Check ``measured[i] <= max_ratio * bounds[i]`` for every point.
-
-    This is how "the measured stopping time is O(bound)" is validated: the
-    ratio must stay below a fixed constant across the entire sweep.
-    """
-    measured = np.asarray(measured, dtype=float)
-    bounds = np.asarray(bounds, dtype=float)
-    if measured.shape != bounds.shape:
-        raise AnalysisError("measured and bounds must have the same length")
-    if np.any(bounds <= 0):
-        raise AnalysisError("bounds must be strictly positive")
-    return bool(np.all(measured <= max_ratio * bounds))

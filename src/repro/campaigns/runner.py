@@ -33,7 +33,11 @@ from ..analysis.tables import table1_rows, table2_rows
 from ..core.results import RunResult, StoppingTimeStats, aggregate_results
 from ..core.rng import derive_rng
 from ..errors import AnalysisError, CampaignError
-from ..experiments.parallel import _measure_indices_chunked, shared_process_pool
+from ..experiments.parallel import (
+    _check_jobs,
+    _measure_indices_chunked,
+    shared_process_pool,
+)
 from ..graphs.topologies import build_topology
 from ..scenarios.spec import ScenarioSpec
 from .spec import ArtifactSpec, CampaignSpec, CampaignUnit
@@ -154,7 +158,7 @@ def _run_unit(
     spec: ScenarioSpec,
     *,
     store: Any,
-    jobs: "int | None",
+    jobs: int,
     fresh: bool,
     offline: bool,
 ) -> UnitOutcome:
@@ -185,7 +189,6 @@ def _run_unit(
             f"{'...' if len(missing_before) > 8 else ''}) — execute it first "
             "('campaign run'), then render the report"
         )
-    jobs = 1 if jobs is None else jobs
     to_compute = list(range(spec.trials)) if fresh else missing_before
     started = time.perf_counter()
     if summary:
@@ -527,9 +530,11 @@ def run_campaign(
         Campaign-wide plan overrides applied to every unit (e.g. the CLI's
         smoke-scale ``--trials 2``); ``None`` keeps each unit's own plan.
     jobs:
-        Worker processes.  With ``jobs > 1`` one process pool is shared by
-        every unit (:func:`~repro.experiments.parallel.shared_process_pool`)
-        rather than forked per sweep.
+        Worker processes (``None``: 1, in-process; ``jobs < 1`` raises
+        :class:`~repro.errors.AnalysisError` before any unit runs).  With
+        ``jobs > 1`` one process pool is shared by every unit
+        (:func:`~repro.experiments.parallel.shared_process_pool`) rather
+        than forked per sweep.
     fresh:
         Recompute every trial, bypassing cache reads; recomputed results are
         verified against the archive (see
@@ -553,14 +558,14 @@ def run_campaign(
             "execution is the campaign contract (point it at a fresh "
             "directory for a cold run)"
         )
+    workers = 1 if jobs is None else jobs
+    _check_jobs(workers)
     ordered = campaign.execution_order()
     specs = campaign.resolved_specs(trials=trials, seed=seed)
     started = time.perf_counter()
     outcomes: list[UnitOutcome] = []
     pool_context = (
-        shared_process_pool(jobs)
-        if jobs is not None and jobs > 1
-        else contextlib.nullcontext()
+        shared_process_pool(workers) if workers > 1 else contextlib.nullcontext()
     )
     with pool_context:
         for index, unit in enumerate(ordered):
@@ -568,7 +573,7 @@ def run_campaign(
                 unit,
                 specs[unit.name],
                 store=store,
-                jobs=jobs,
+                jobs=workers,
                 fresh=fresh,
                 offline=offline,
             )

@@ -2,7 +2,7 @@
 
 from .config import GossipAction, SimulationConfig, TimeModel
 from .results import RunResult, StoppingTimeStats, aggregate_results, json_ready
-from .rng import DEFAULT_SEED, RngStreams, derive_rng, derive_seed, make_rng, spawn_rngs
+from .rng import DEFAULT_SEED, derive_rng, derive_seed
 
 __all__ = [
     "GossipAction",
@@ -13,9 +13,6 @@ __all__ = [
     "aggregate_results",
     "json_ready",
     "DEFAULT_SEED",
-    "RngStreams",
     "derive_rng",
     "derive_seed",
-    "make_rng",
-    "spawn_rngs",
 ]

@@ -74,7 +74,7 @@ class RunResult:
         Number of source messages disseminated.
     completion_rounds:
         Mapping from node id to the round at which that node first reached
-        full rank (or first held all messages, for uncoded baselines).  Nodes
+        full rank (joined the tree, for a standalone spanning tree).  Nodes
         that never finished are absent.
     messages_sent:
         Total packets transmitted over the run (both directions of an

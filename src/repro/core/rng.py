@@ -16,7 +16,6 @@ changing one component does not perturb the randomness of another.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
 
 import numpy as np
 
@@ -24,32 +23,14 @@ from ..errors import EngineError
 
 __all__ = [
     "DEFAULT_SEED",
-    "make_rng",
     "derive_seed",
     "derive_rng",
-    "spawn_rngs",
-    "RngStreams",
     "BlockDraws",
 ]
 
 #: Seed used when the caller does not supply one.  Chosen arbitrarily but
 #: fixed so that "no seed" still means "reproducible".
 DEFAULT_SEED = 20110123  # the arXiv submission date of the paper (2011-01-23)
-
-
-def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
-    """Return a :class:`numpy.random.Generator` for ``seed``.
-
-    ``seed`` may be ``None`` (use :data:`DEFAULT_SEED`), an integer, or an
-    existing generator (returned unchanged).  Accepting an existing generator
-    makes it convenient for helpers to take ``seed`` parameters that are
-    either raw seeds or already-constructed generators.
-    """
-    if seed is None:
-        return np.random.default_rng(DEFAULT_SEED)
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(int(seed))
 
 
 def derive_seed(root_seed: int, stream: str) -> int:
@@ -66,50 +47,6 @@ def derive_seed(root_seed: int, stream: str) -> int:
 def derive_rng(root_seed: int, stream: str) -> np.random.Generator:
     """Return an independent generator for the named ``stream``."""
     return np.random.default_rng(derive_seed(root_seed, stream))
-
-
-def spawn_rngs(root_seed: int, count: int, prefix: str = "trial") -> Iterator[np.random.Generator]:
-    """Yield ``count`` independent generators, one per repeated trial.
-
-    The ``i``-th generator is derived from the stream ``f"{prefix}-{i}"`` so
-    trials can run in any order (or in parallel) and still be reproducible.
-    """
-    for index in range(count):
-        yield derive_rng(root_seed, f"{prefix}-{index}")
-
-
-class RngStreams:
-    """Bundle of named random streams sharing a single root seed.
-
-    A simulation typically needs several independent sources of randomness.
-    ``RngStreams`` hands out one generator per name, lazily, and caches it so
-    repeated lookups return the same generator object (and hence continue the
-    same sequence).
-
-    Example
-    -------
-    >>> streams = RngStreams(seed=7)
-    >>> activation = streams["activation"]
-    >>> coding = streams["coding"]
-    >>> activation is streams["activation"]
-    True
-    """
-
-    def __init__(self, seed: int | None = None) -> None:
-        self.seed = DEFAULT_SEED if seed is None else int(seed)
-        self._cache: dict[str, np.random.Generator] = {}
-
-    def __getitem__(self, stream: str) -> np.random.Generator:
-        if stream not in self._cache:
-            self._cache[stream] = derive_rng(self.seed, stream)
-        return self._cache[stream]
-
-    def reset(self) -> None:
-        """Forget all cached generators so streams restart from scratch."""
-        self._cache.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"RngStreams(seed={self.seed}, streams={sorted(self._cache)})"
 
 
 _MASK32 = 0xFFFF_FFFF

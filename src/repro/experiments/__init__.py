@@ -1,9 +1,10 @@
-"""Multi-process Monte Carlo trial runners and the engine rule."""
+"""The Monte Carlo trial runners and the engine rule."""
 
 from .parallel import (
+    ProtocolFactory,
     default_jobs,
-    measure_protocol_parallel,
-    run_trials_parallel,
+    measure_protocol,
+    run_trials,
     shared_process_pool,
 )
 # Re-exported from the scenario layer, where the placements live.
@@ -18,9 +19,10 @@ from ..scenarios.placements import (
 )
 
 __all__ = [
+    "ProtocolFactory",
     "default_jobs",
-    "measure_protocol_parallel",
-    "run_trials_parallel",
+    "measure_protocol",
+    "run_trials",
     "shared_process_pool",
     "Placement",
     "adversarial_far_placement",

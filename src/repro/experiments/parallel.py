@@ -1,25 +1,24 @@
-"""Multi-process Monte Carlo trial runners and the engine rule.
+"""The Monte Carlo trial runners and the engine rule.
 
 The stopping-time statistics everywhere in this repository are Monte Carlo
-estimates over independent seeded trials.  This module provides the
-**bit-identical** fast way of running them next to the sequential
-:func:`~repro.analysis.stopping_time.measure_protocol` (one
-:class:`~repro.gossip.engine.GossipEngine` per trial, scalar decoders):
-:func:`measure_protocol_parallel` / :func:`run_trials_parallel` split the
-trial set across ``jobs`` worker processes (``jobs=1`` runs in-process), and
-each chunk runs on the engine :func:`select_engine` picks: uniform algebraic
-gossip, TAG and the standalone spanning trees on the event-driven engine,
-trial by trial; user protocols on the scalar engine.
+estimates over independent seeded trials.  :func:`measure_protocol` runs a
+bare ``(graph, protocol_factory, config)`` triple's trials and returns every
+result; :func:`run_trials` aggregates them.  ``jobs`` worker processes split
+the trial set (``jobs=1``, the default, runs in-process), and each chunk runs
+on the engine :func:`select_engine` picks: uniform algebraic gossip, TAG and
+the standalone spanning trees on the event-driven engine, trial by trial;
+user protocols on the scalar engine.  ``engine="scalar"`` pins the
+sequential reference engine (one :class:`~repro.gossip.engine.GossipEngine`
+per trial, scalar decoders).
 
 Reproducibility is anchored in :mod:`repro.core.rng`: trial ``i`` always uses
-the generator ``derive_rng(seed, f"trial-{i}")`` regardless of which runner
-executes it, which worker process it lands on, or how trials are chunked — so
-every runner returns the same results trial-for-trial.
+the generator ``derive_rng(seed, f"trial-{i}")`` regardless of which engine
+runs it, which worker process it lands on, or how trials are chunked — so
+every engine and every ``jobs`` returns the same results trial-for-trial.
 
-The two take a bare ``(graph, protocol_factory, config)`` triple, for user
-factories.  A :class:`~repro.scenarios.ScenarioSpec`'s trial plan runs
-through :meth:`~repro.scenarios.MaterializedScenario.measure` instead — the
-one runner that reads and writes a result store — which calls this module's
+A :class:`~repro.scenarios.ScenarioSpec`'s trial plan runs through
+:meth:`~repro.scenarios.MaterializedScenario.measure` instead — the one
+runner that reads and writes a result store — which calls this module's
 chunked runner too::
 
     get_scenario("tag/brr-barbell").materialize().run(jobs=2)
@@ -31,27 +30,35 @@ import contextlib
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
 
 from ..core.config import SimulationConfig
 from ..core.results import RunResult, StoppingTimeStats, aggregate_results
 from ..core.rng import derive_rng
 from ..errors import AnalysisError, EngineError
-from ..analysis.stopping_time import ProtocolFactory
-from ..gossip.engine import GossipEngine
+from ..gossip.engine import GossipEngine, GossipProcess
 from ..graphs.csr import CSRGraph
 
 __all__ = [
-    "measure_protocol_parallel",
-    "run_trials_parallel",
+    "ProtocolFactory",
+    "measure_protocol",
+    "run_trials",
     "select_engine",
     "shared_process_pool",
     "default_jobs",
 ]
 
+#: A factory building a fresh protocol instance for one trial.  It receives
+#: the trial's random generator so that message contents, coding coefficients
+#: and any protocol-internal randomness are independent across trials.
+ProtocolFactory = Callable[[CSRGraph, np.random.Generator], GossipProcess]
+
 
 def default_jobs() -> int:
-    """Worker-process count used when ``jobs`` is not given: the CPU count."""
+    """The CPU count: the worker pool size of a :func:`shared_process_pool`
+    opened without ``jobs``."""
     return max(1, os.cpu_count() or 1)
 
 
@@ -81,8 +88,7 @@ def shared_process_pool(jobs: int | None = None) -> Iterator[ProcessPoolExecutor
     if _SHARED_POOL is not None:
         raise AnalysisError("shared_process_pool does not nest")
     jobs = default_jobs() if jobs is None else jobs
-    if jobs < 1:
-        raise AnalysisError(f"jobs must be positive, got {jobs}")
+    _check_jobs(jobs)
     pool = ProcessPoolExecutor(max_workers=jobs)
     _SHARED_POOL = pool
     try:
@@ -92,12 +98,17 @@ def shared_process_pool(jobs: int | None = None) -> Iterator[ProcessPoolExecutor
         pool.shutdown()
 
 
+def _check_jobs(jobs: int) -> None:
+    """Refuse a run with no workers."""
+    if jobs < 1:
+        raise AnalysisError(f"jobs must be positive, got {jobs}")
+
+
 def _check_plan(trials: int, jobs: int) -> None:
     """Refuse a trial plan with no trials or no workers."""
     if trials < 1:
         raise AnalysisError(f"trials must be positive, got {trials}")
-    if jobs < 1:
-        raise AnalysisError(f"jobs must be positive, got {jobs}")
+    _check_jobs(jobs)
 
 
 def _run_through_store(
@@ -238,9 +249,11 @@ def _measure_indices_chunked(
 ) -> list[RunResult]:
     """Run the given trial streams over up to ``jobs`` worker processes.
 
-    The engine name travels inside each pickled chunk so worker processes
-    run the same engine the parent would use.
+    The engine is picked here, once (an unknown name raises
+    :class:`~repro.errors.EngineError` before any trial runs), and its name
+    travels inside each pickled chunk so worker processes run that engine.
     """
+    engine = select_engine(protocol_factory, engine)[0]
     if not trial_indices:
         return []
     jobs = min(jobs, len(trial_indices))
@@ -274,50 +287,48 @@ def _measure_indices_chunked(
     return results
 
 
-def measure_protocol_parallel(
+def measure_protocol(
     graph: CSRGraph,
     protocol_factory: ProtocolFactory,
     config: SimulationConfig,
     *,
     trials: int = 5,
     seed: int = 0,
-    jobs: int | None = None,
+    jobs: int = 1,
+    engine: str = "",
 ) -> list[RunResult]:
-    """Run seeded trials across worker processes; results stay in trial order.
+    """Run ``trials`` seeded simulations and return every :class:`RunResult`.
 
-    The trial set is split into contiguous chunks, one worker process per
-    chunk, and every worker runs its indices through the engine
-    :func:`select_engine` picks.
-    Because trial ``i`` derives its generator from the root seed alone
-    (``derive_rng(seed, f"trial-{i}")`` — the spawned-child-seed scheme of
-    :mod:`repro.core.rng`), the partitioning has no effect on any trial's
-    randomness and the concatenated results equal the sequential runner's
-    trial-for-trial.
-
-    Falls back to in-process execution when only one job is needed or when
-    the factory cannot be pickled (e.g. a locally defined closure).  A
-    scenario's plan, read through a result store, runs through
+    Trial ``i`` draws from ``derive_rng(seed, f"trial-{i}")`` on the engine
+    :func:`select_engine` picks for ``engine`` (``""`` applies the rule,
+    ``"scalar"`` pins the sequential reference, ``"event"`` the event-driven
+    engine).  ``jobs`` worker processes split the trials into contiguous
+    chunks; the results come back in trial order and do not depend on
+    ``jobs`` or on the engine.  The run stays in-process when one job is
+    needed or when the factory cannot be pickled (e.g. a locally defined
+    closure).  A scenario's plan, read through a result store, runs through
     :meth:`~repro.scenarios.MaterializedScenario.measure` instead.
     """
-    jobs = default_jobs() if jobs is None else jobs
     _check_plan(trials, jobs)
     return _measure_indices_chunked(
-        graph, protocol_factory, config, seed, range(trials), jobs
+        graph, protocol_factory, config, seed, range(trials), jobs, engine
     )
 
 
-def run_trials_parallel(
+def run_trials(
     graph: CSRGraph,
     protocol_factory: ProtocolFactory,
     config: SimulationConfig,
     *,
     trials: int = 5,
     seed: int = 0,
-    jobs: int | None = None,
+    jobs: int = 1,
+    engine: str = "",
 ) -> StoppingTimeStats:
-    """Like :func:`~repro.analysis.stopping_time.run_trials`, multi-process."""
+    """Like :func:`measure_protocol` but collapse the results into statistics."""
     return aggregate_results(
-        measure_protocol_parallel(
-            graph, protocol_factory, config, trials=trials, seed=seed, jobs=jobs
+        measure_protocol(
+            graph, protocol_factory, config,
+            trials=trials, seed=seed, jobs=jobs, engine=engine,
         )
     )

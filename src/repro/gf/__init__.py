@@ -17,15 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .field import ExtensionField, GaloisField, PrimeField
-from .linalg import (
-    identity,
-    invert_matrix,
-    is_in_row_space,
-    matmul,
-    rank,
-    row_reduce,
-    solve,
-)
+from .linalg import identity, is_in_row_space, matmul, rank, row_reduce
 from .polynomial import factor_prime_power, find_binary_irreducible, is_prime
 
 __all__ = [
@@ -34,12 +26,10 @@ __all__ = [
     "PrimeField",
     "ExtensionField",
     "identity",
-    "invert_matrix",
     "is_in_row_space",
     "matmul",
     "rank",
     "row_reduce",
-    "solve",
     "factor_prime_power",
     "find_binary_irreducible",
     "is_prime",

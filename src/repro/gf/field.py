@@ -135,7 +135,7 @@ class GaloisField(ABC):
         ``coefficients`` has shape ``(m,)`` and ``vectors`` shape ``(m, r)``;
         the result has shape ``(r,)``.  The engines encode on
         :class:`~repro.backends.rows.RowEliminator`; this checked form serves
-        :func:`~repro.gf.linalg.matmul` and the systematic encoder.
+        :func:`~repro.gf.linalg.matmul`.
         """
         coefficients = self.validate(coefficients)
         vectors = self.validate(vectors)

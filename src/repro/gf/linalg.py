@@ -1,11 +1,11 @@
 """Linear algebra over finite fields.
 
-The RLNC decoder needs exactly four operations on matrices over ``GF(q)``:
+Three one-shot operations on matrices over ``GF(q)``, plus ``identity`` and
+``matmul``:
 
 * reduced row-echelon form (Gaussian elimination),
-* rank computation,
-* membership of a vector in a row space, and
-* solving a full-rank linear system (to recover the original messages).
+* rank computation, and
+* membership of a vector in a row space.
 
 All routines operate on integer numpy arrays whose entries are field elements
 in ``[0, q)`` and take the :class:`~repro.gf.field.GaloisField` instance as an
@@ -28,8 +28,6 @@ __all__ = [
     "row_reduce",
     "rank",
     "is_in_row_space",
-    "solve",
-    "invert_matrix",
     "identity",
     "matmul",
 ]
@@ -149,58 +147,6 @@ def is_in_row_space(field: GaloisField, matrix: np.ndarray, vector: np.ndarray) 
     base_rank = rank(field, matrix)
     stacked = np.vstack([matrix, vector[np.newaxis, :]])
     return rank(field, stacked) == base_rank
-
-
-def solve(field: GaloisField, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` over the field for a full-column-rank matrix.
-
-    ``rhs`` may be a vector or a matrix of stacked right-hand sides (one per
-    column... here: one per *row* of the solution, matching the decoder's
-    ``[coefficients | payloads]`` layout: we solve ``C X = P`` where ``C`` is
-    ``(m, k)``, ``P`` is ``(m, r)`` and the result ``X`` is ``(k, r)``).
-
-    Raises
-    ------
-    FieldError:
-        If the system is inconsistent or the coefficient matrix does not have
-        full column rank (the decoder checks rank before calling this).
-    """
-    matrix = field.validate(matrix)
-    rhs = field.validate(rhs)
-    if rhs.ndim == 1:
-        rhs = rhs[:, np.newaxis]
-        squeeze = True
-    else:
-        squeeze = False
-    if matrix.shape[0] != rhs.shape[0]:
-        raise FieldError(
-            f"matrix has {matrix.shape[0]} rows but rhs has {rhs.shape[0]}"
-        )
-    k = matrix.shape[1]
-    augmented = np.hstack([matrix, rhs])
-    reduced, pivots = row_reduce(field, augmented, augmented_columns=rhs.shape[1])
-    if len(pivots) < k:
-        raise FieldError(
-            f"system is under-determined: rank {len(pivots)} < {k} unknowns"
-        )
-    # Check consistency: any row that is zero in the coefficient part must be
-    # zero in the augmented part as well.
-    for row_index in range(len(pivots), reduced.shape[0]):
-        if np.any(reduced[row_index, k:]):
-            raise FieldError("system is inconsistent")
-    solution = field.zeros((k, rhs.shape[1]))
-    for row_index, col in enumerate(pivots):
-        solution[col] = reduced[row_index, k:]
-    return solution[:, 0] if squeeze else solution
-
-
-def invert_matrix(field: GaloisField, matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a square, full-rank matrix over the field."""
-    matrix = field.validate(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise FieldError(f"invert_matrix expects a square matrix, got {matrix.shape}")
-    size = matrix.shape[0]
-    return solve(field, matrix, identity(field, size))
 
 
 class BatchEliminator:

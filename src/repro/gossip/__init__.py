@@ -1,7 +1,6 @@
 """Gossip machinery: communication models, the engines and event traces."""
 
 from .communication import (
-    FixedPartnerSelector,
     PartnerSelector,
     RoundRobinSelector,
     UniformSelector,
@@ -13,7 +12,6 @@ from .trace import EventTrace, GossipEvent
 
 __all__ = [
     "NodeDynamics",
-    "FixedPartnerSelector",
     "PartnerSelector",
     "RoundRobinSelector",
     "UniformSelector",

@@ -2,15 +2,16 @@
 
 Section 2 of the paper defines the *gossip communication model* as the rule a
 waking node uses to select the single neighbour it will contact, independent
-of what is then sent.  Three models appear in the paper:
+of what is then sent.  Two models appear in the paper:
 
 * **Uniform gossip** (Definition 1) — the partner is chosen uniformly at
   random among all neighbours.
 * **Round-robin gossip** (Definition 2) — the partner is chosen according to a
   fixed cyclic list of neighbours; with a random starting point this is the
   quasirandom rumor-spreading model.
-* **Fixed partner** — the partner is always the node's parent in a spanning
-  tree; this is how phase 2 of TAG communicates.
+
+(Phase 2 of TAG always contacts the node's spanning-tree parent;
+:class:`~repro.protocols.tag.TagProtocol` reads it from the tree protocol.)
 
 Each selector exposes ``partner(node, rng) -> int | None`` and is constructed
 from the graph so that the neighbour lists are fixed up front.
@@ -29,7 +30,6 @@ __all__ = [
     "PartnerSelector",
     "UniformSelector",
     "RoundRobinSelector",
-    "FixedPartnerSelector",
 ]
 
 
@@ -94,26 +94,3 @@ class RoundRobinSelector(PartnerSelector):
     def positions(self) -> dict[int, int]:
         """Copy of the current per-node cycle positions."""
         return dict(self._position)
-
-
-class FixedPartnerSelector(PartnerSelector):
-    """Partner fixed per node (the node's parent in a spanning tree).
-
-    Nodes without an assigned partner (the tree root, or nodes that have not
-    yet joined the tree) return ``None``, meaning "stay idle this wakeup" —
-    exactly the behaviour of phase 2 of TAG before a node obtains a parent.
-    """
-
-    def __init__(self, partner_map: dict[int, int] | None = None) -> None:
-        self._partner: dict[int, int] = dict(partner_map or {})
-
-    def set_partner(self, node: int, partner: int) -> None:
-        """Assign (or overwrite) the fixed partner of ``node``."""
-        self._partner[node] = partner
-
-    def partner_map(self) -> dict[int, int]:
-        """Copy of the current node → partner assignment."""
-        return dict(self._partner)
-
-    def partner(self, node: int, rng: np.random.Generator) -> int | None:
-        return self._partner.get(node)

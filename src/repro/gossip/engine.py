@@ -2,8 +2,8 @@
 
 The engine is protocol-agnostic: it owns only the *time model* of Section 2
 (synchronous rounds versus asynchronous timeslots) while the protocol object —
-uniform algebraic gossip, TAG, a broadcast, the IS protocol, an uncoded
-baseline — decides what a waking node does by implementing
+uniform algebraic gossip, TAG, a broadcast, the IS protocol, a user
+protocol — decides what a waking node does by implementing
 :class:`GossipProcess`.
 
 Time-model semantics

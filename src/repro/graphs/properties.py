@@ -31,7 +31,6 @@ __all__ = [
     "diameter",
     "max_degree",
     "min_degree",
-    "is_constant_degree_family",
     "shortest_path_degree_sum",
     "max_shortest_path_degree_sum",
     "cut_conductance",
@@ -74,16 +73,6 @@ def min_degree(graph: CSRGraph) -> int:
     if graph.number_of_nodes() == 0:
         raise TopologyError("graph has no nodes")
     return int(min(degree for _, degree in graph.degree))
-
-
-def is_constant_degree_family(max_degree_value: int, threshold: int = 8) -> bool:
-    """Heuristic check used by experiment selection: ``Δ`` below a fixed constant.
-
-    "Constant maximum degree" is a property of a graph *family*, not a single
-    graph; when sweeping a family we treat any Δ bounded by ``threshold``
-    (independent of n) as constant-degree.
-    """
-    return max_degree_value <= threshold
 
 
 def shortest_path_degree_sum(graph: CSRGraph, source: int, target: int) -> int:

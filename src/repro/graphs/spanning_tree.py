@@ -17,7 +17,7 @@ import networkx as nx
 from ..errors import TopologyError
 from .csr import CSRGraph
 
-__all__ = ["SpanningTree", "bfs_spanning_tree", "random_spanning_tree"]
+__all__ = ["SpanningTree", "bfs_spanning_tree"]
 
 
 @dataclass(frozen=True)
@@ -188,31 +188,4 @@ def bfs_spanning_tree(graph: CSRGraph, root: int) -> SpanningTree:
             visited.add(neighbor)
             parent[neighbor] = node
             queue.append(neighbor)
-    return SpanningTree(root=root, parent=parent)
-
-
-def random_spanning_tree(graph: CSRGraph, root: int, rng) -> SpanningTree:
-    """A uniformly random-ish spanning tree built by a randomised BFS/DFS hybrid.
-
-    Used by tests and ablations to exercise TAG with trees that are *not*
-    shortest-path trees (their depth can exceed the graph diameter).
-    """
-    if root not in graph:
-        raise TopologyError(f"root {root} is not a node of the graph")
-    if not graph.is_connected():
-        raise TopologyError("cannot build a spanning tree of a disconnected graph")
-    parent: dict[int, int] = {}
-    visited = {root}
-    frontier = [root]
-    while frontier:
-        index = int(rng.integers(0, len(frontier)))
-        node = frontier[index]
-        unvisited = [v for v in graph.neighbors(node) if v not in visited]
-        if not unvisited:
-            frontier.pop(index)
-            continue
-        chosen = unvisited[int(rng.integers(0, len(unvisited)))]
-        visited.add(chosen)
-        parent[chosen] = node
-        frontier.append(chosen)
     return SpanningTree(root=root, parent=parent)

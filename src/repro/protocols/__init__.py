@@ -1,7 +1,6 @@
-"""Gossip protocols: the paper's contributions and the baselines they are compared to."""
+"""Gossip protocols: uniform algebraic gossip, TAG and the spanning-tree protocols TAG composes with."""
 
 from .algebraic_gossip import AlgebraicGossip, validate_placement
-from .baselines import FloodingDissemination, UncodedRandomGossip
 from .is_protocol import BitStringMessage, ISSpanningTree
 from .spanning_tree_protocols import (
     BfsOracleTree,
@@ -15,8 +14,6 @@ from .tag import TagProtocol
 
 __all__ = [
     "AlgebraicGossip",
-    "FloodingDissemination",
-    "UncodedRandomGossip",
     "BitStringMessage",
     "ISSpanningTree",
     "BfsOracleTree",

@@ -11,7 +11,7 @@ from repro.errors import AnalysisError
 from repro.gf import GF
 from repro.gossip import GossipEngine
 from repro.graphs import line_graph, ring_graph
-from repro.protocols import AlgebraicGossip, RoundRobinBroadcastTree, TagProtocol, UncodedRandomGossip
+from repro.protocols import AlgebraicGossip, RoundRobinBroadcastTree, TagProtocol
 from repro.rlnc import Generation
 from repro.experiments import all_to_all_placement
 
@@ -31,11 +31,11 @@ def make_recorded_run(graph, k, config, seed=0, protocol="uniform"):
 
 
 class TestProgressRecorder:
-    def test_requires_rank_reporting_protocol(self, sync_config, rng):
-        graph = ring_graph(6)
-        uncoded = UncodedRandomGossip(graph, 6, all_to_all_placement(graph), sync_config, rng)
+    def test_requires_rank_reporting_protocol(self, rng):
+        # A standalone spanning tree reports no rank (it has no rank_of).
+        tree = RoundRobinBroadcastTree(ring_graph(6), 0, rng)
         with pytest.raises(AnalysisError):
-            ProgressRecorder(uncoded)
+            ProgressRecorder(tree)
 
     def test_snapshot_per_round_synchronous(self, sync_config):
         graph = ring_graph(8)

@@ -1,24 +1,18 @@
-"""Tests for stopping-time measurement, fits and ratio checks."""
+"""Tests for the trial runner pair on a bare triple, and the scaling fits."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    fit_linear,
-    fit_power_law,
-    measure_protocol,
-    ratio_is_bounded,
-    run_trials,
-)
+from repro.analysis import fit_linear, fit_power_law
 from repro.core import SimulationConfig
 from repro.errors import AnalysisError
+from repro.experiments import all_to_all_placement, measure_protocol, run_trials
 from repro.gf import GF
 from repro.graphs import ring_graph
 from repro.protocols import AlgebraicGossip
 from repro.rlnc import Generation
-from repro.experiments import all_to_all_placement
 
 
 def ag_factory(k=None):
@@ -95,17 +89,3 @@ class TestFits:
             fit_linear([1], [2])
         with pytest.raises(AnalysisError):
             fit_linear([1, 2], [2])
-
-
-class TestRatioCheck:
-    def test_bounded_ratio(self):
-        measured = [10, 20, 30]
-        bounds = [15, 25, 40]
-        assert ratio_is_bounded(measured, bounds, max_ratio=1.0)
-        assert not ratio_is_bounded([100, 20, 30], bounds, max_ratio=1.0)
-
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            ratio_is_bounded([1, 2], [1], max_ratio=1.0)
-        with pytest.raises(AnalysisError):
-            ratio_is_bounded([1], [0], max_ratio=1.0)

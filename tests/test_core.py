@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    DEFAULT_SEED,
     GossipAction,
-    RngStreams,
     RunResult,
     SimulationConfig,
     StoppingTimeStats,
@@ -16,8 +14,6 @@ from repro.core import (
     aggregate_results,
     derive_rng,
     derive_seed,
-    make_rng,
-    spawn_rngs,
 )
 from repro.errors import AnalysisError, ConfigurationError
 
@@ -131,17 +127,6 @@ class TestStoppingTimeStats:
 
 
 class TestRng:
-    def test_make_rng_accepts_none_int_and_generator(self):
-        default = make_rng(None)
-        seeded = make_rng(3)
-        existing = np.random.default_rng(5)
-        assert make_rng(existing) is existing
-        assert isinstance(default, np.random.Generator)
-        assert isinstance(seeded, np.random.Generator)
-
-    def test_default_seed_is_deterministic(self):
-        assert make_rng(None).integers(0, 100) == make_rng(DEFAULT_SEED).integers(0, 100)
-
     def test_derive_seed_is_stable_and_stream_sensitive(self):
         assert derive_seed(1, "a") == derive_seed(1, "a")
         assert derive_seed(1, "a") != derive_seed(1, "b")
@@ -152,17 +137,3 @@ class TestRng:
         b = derive_rng(7, "y").integers(0, 1_000_000, size=5)
         assert not np.array_equal(a, b)
 
-    def test_spawn_rngs_count_and_determinism(self):
-        first = [rng.integers(0, 1000) for rng in spawn_rngs(3, 4)]
-        second = [rng.integers(0, 1000) for rng in spawn_rngs(3, 4)]
-        assert len(first) == 4
-        assert first == second
-
-    def test_rng_streams_cache(self):
-        streams = RngStreams(seed=9)
-        assert streams["a"] is streams["a"]
-        value = streams["a"].integers(0, 100)
-        streams.reset()
-        assert streams["a"].integers(0, 100) == RngStreams(seed=9)["a"].integers(0, 100) or True
-        # After reset the stream restarts from the beginning.
-        assert RngStreams(seed=9)["a"].integers(0, 100) == value

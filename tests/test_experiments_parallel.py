@@ -1,21 +1,26 @@
-"""Determinism and equivalence tests for the parallel trial runners.
+"""Determinism and equivalence tests for the trial runners.
 
-The contract under test: for the same root seed, every runner —
-sequential, in-process on the rule's engine, multi-process — produces the
-*same* results trial-for-trial, because trial ``i`` always draws from
-``derive_rng(seed, f"trial-{i}")`` and the event engine replicates the
-sequential engine's random stream call-for-call.
+The contract under test: for the same root seed, every way of running a
+trial plan — on the pinned scalar engine, in-process on the rule's engine,
+over worker processes — produces the *same* results trial-for-trial,
+because trial ``i`` always draws from ``derive_rng(seed, f"trial-{i}")`` and
+the event engine replicates the scalar engine's random stream
+call-for-call.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.stopping_time import measure_protocol, run_trials
-from repro.campaigns import CampaignSpec, CampaignUnit, run_campaign
+from repro.campaigns import (
+    CampaignSpec,
+    CampaignUnit,
+    asymptotics_campaign,
+    run_campaign,
+)
 from repro.core import TimeModel
-from repro.errors import AnalysisError
-from repro.experiments import measure_protocol_parallel, run_trials_parallel
+from repro.errors import AnalysisError, EngineError
+from repro.experiments import measure_protocol, run_trials
 from repro.experiments.parallel import _chunks
 from repro.scenarios import ScenarioSpec, default_scenario_config
 from repro.store import ResultStore
@@ -65,33 +70,33 @@ class TestRunnerEqualsSequential:
             "ring", 8, 4, config=default_scenario_config(time_model=time_model)
         )
         sequential = measure_protocol(
-            case.graph, case.protocol_factory, case.config, trials=4, seed=99
-        )
-        fast = measure_protocol_parallel(
             case.graph, case.protocol_factory, case.config, trials=4, seed=99,
-            jobs=1,
+            engine="scalar",
+        )
+        fast = measure_protocol(
+            case.graph, case.protocol_factory, case.config, trials=4, seed=99
         )
         assert _signature(fast) == _signature(sequential)
 
     def test_bit_identical_under_packet_loss(self, uniform_case):
         config = uniform_case.config.replace(loss_probability=0.25)
         sequential = measure_protocol(
-            uniform_case.graph, uniform_case.protocol_factory, config, trials=3, seed=5
-        )
-        fast = measure_protocol_parallel(
             uniform_case.graph, uniform_case.protocol_factory, config, trials=3,
-            seed=5, jobs=1,
+            seed=5, engine="scalar",
+        )
+        fast = measure_protocol(
+            uniform_case.graph, uniform_case.protocol_factory, config, trials=3, seed=5
         )
         assert _signature(fast) == _signature(sequential)
 
     def test_stats_equal_run_trials(self, uniform_case):
         sequential = run_trials(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
-            trials=4, seed=21,
+            trials=4, seed=21, engine="scalar",
         )
-        fast = run_trials_parallel(
+        fast = run_trials(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
-            trials=4, seed=21, jobs=1,
+            trials=4, seed=21,
         )
         assert fast.samples == sequential.samples
 
@@ -99,18 +104,18 @@ class TestRunnerEqualsSequential:
         # The rule sends TAG to the event engine; results stay bit-identical.
         case = tag_scenario("barbell", 10, 10)
         sequential = measure_protocol(
-            case.graph, case.protocol_factory, case.config, trials=2, seed=13
-        )
-        fast = measure_protocol_parallel(
             case.graph, case.protocol_factory, case.config, trials=2, seed=13,
-            jobs=1,
+            engine="scalar",
+        )
+        fast = measure_protocol(
+            case.graph, case.protocol_factory, case.config, trials=2, seed=13
         )
         assert _signature(fast) == _signature(sequential)
 
     def test_unsupported_protocol_runs_on_the_scalar_engine(self, uniform_case):
         # A uniform-AG process with a non-uniform selector is outside the
-        # event engine, so the rule runs it on the sequential engine — and
-        # still matches it (trivially, being the same path).
+        # event engine, so the rule runs it on the scalar engine — and
+        # still matches the pinned run (trivially, being the same path).
         from repro.gossip.communication import RoundRobinSelector
         from repro.protocols import AlgebraicGossip
         from repro.rlnc import Generation
@@ -130,11 +135,9 @@ class TestRunnerEqualsSequential:
 
         assert not factory(uniform_case.graph, np.random.default_rng(0)).supports_event_engine()
         sequential = measure_protocol(
-            uniform_case.graph, factory, config, trials=2, seed=13
+            uniform_case.graph, factory, config, trials=2, seed=13, engine="scalar"
         )
-        fast = measure_protocol_parallel(
-            uniform_case.graph, factory, config, trials=2, seed=13, jobs=1
-        )
+        fast = measure_protocol(uniform_case.graph, factory, config, trials=2, seed=13)
         assert _signature(fast) == _signature(sequential)
 
 
@@ -213,7 +216,7 @@ class TestAutoEngineRule:
         monkeypatch.undo()
         assert results == measure_protocol(
             scenario.graph, scenario.protocol_factory, scenario.config,
-            trials=3, seed=11,
+            trials=3, seed=11, engine="scalar",
         )
 
     def test_tag_under_reset_churn_runs_on_the_event_engine(self, monkeypatch):
@@ -254,20 +257,20 @@ class TestParallelEqualsSequential:
     def test_trial_for_trial_determinism(self, uniform_case):
         sequential = measure_protocol(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
-            trials=5, seed=77,
+            trials=5, seed=77, engine="scalar",
         )
-        parallel = measure_protocol_parallel(
+        parallel = measure_protocol(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
             trials=5, seed=77, jobs=3,
         )
         assert _signature(parallel) == _signature(sequential)
 
-    def test_run_trials_parallel_stats(self, uniform_case):
+    def test_run_trials_stats_over_workers(self, uniform_case):
         sequential = run_trials(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
-            trials=4, seed=31,
+            trials=4, seed=31, engine="scalar",
         )
-        parallel = run_trials_parallel(
+        parallel = run_trials(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
             trials=4, seed=31, jobs=2,
         )
@@ -275,7 +278,7 @@ class TestParallelEqualsSequential:
 
     def test_unpicklable_factory_falls_back_in_process(self, uniform_case):
         delegate = uniform_case.protocol_factory
-        parallel = measure_protocol_parallel(
+        parallel = measure_protocol(
             uniform_case.graph,
             lambda graph, rng: delegate(graph, rng),  # lambdas cannot be pickled
             uniform_case.config,
@@ -283,7 +286,7 @@ class TestParallelEqualsSequential:
         )
         sequential = measure_protocol(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
-            trials=3, seed=8,
+            trials=3, seed=8, engine="scalar",
         )
         assert _signature(parallel) == _signature(sequential)
 
@@ -293,7 +296,7 @@ class TestParallelEqualsSequential:
         # the results still equal the reference runner's.
         sequential = measure_protocol(
             uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
-            trials=4, seed=19,
+            trials=4, seed=19, engine="scalar",
         )
         scenario = uniform_case.spec.replace(engine="scalar").materialize()
         parallel = scenario.measure(trials=4, seed=19, jobs=2)
@@ -303,17 +306,30 @@ class TestParallelEqualsSequential:
         assert _chunks(range(7), 3) == [[0, 1, 2], [3, 4], [5, 6]]
         assert _chunks(range(2), 5) == [[0], [1]]
 
+    def test_default_runs_in_process(self, uniform_case, monkeypatch):
+        from repro.experiments import parallel
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the default plan started a worker pool")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        results = measure_protocol(
+            uniform_case.graph, uniform_case.protocol_factory, uniform_case.config,
+            trials=3, seed=8,
+        )
+        assert len(results) == 3
+
     def test_invalid_arguments_rejected(self, uniform_case, tmp_path):
-        with pytest.raises(AnalysisError):
-            measure_protocol_parallel(
-                uniform_case.graph, uniform_case.protocol_factory,
-                uniform_case.config, trials=0, seed=0,
-            )
-        with pytest.raises(AnalysisError):
-            measure_protocol_parallel(
-                uniform_case.graph, uniform_case.protocol_factory,
-                uniform_case.config, trials=2, seed=0, jobs=0,
-            )
+        case = (uniform_case.graph, uniform_case.protocol_factory, uniform_case.config)
+        for runner in (measure_protocol, run_trials):
+            with pytest.raises(AnalysisError, match="trials must be positive"):
+                runner(*case, trials=0, seed=0)
+            for jobs in (0, -1):
+                with pytest.raises(AnalysisError, match="jobs must be positive"):
+                    runner(*case, trials=2, seed=0, jobs=jobs)
+            for jobs in (1, 2):
+                with pytest.raises(EngineError, match="unknown engine 'bogus'"):
+                    runner(*case, trials=2, seed=0, jobs=jobs, engine="bogus")
         # The scenario runner refuses the same plans, with or without a store.
         for store in (None, ResultStore(tmp_path)):
             for plan in (dict(trials=0), dict(jobs=0)):
@@ -322,8 +338,15 @@ class TestParallelEqualsSequential:
         assert ResultStore(tmp_path).fingerprints() == []
 
     def test_run_campaign_rejects_non_positive_jobs(self, uniform_case, tmp_path):
-        with pytest.raises(AnalysisError):
-            run_campaign(_campaign(uniform_case.spec), store=ResultStore(tmp_path), jobs=0)
+        # Full-record and summary-record units alike: the campaign refuses
+        # the plan before any unit runs, so nothing reaches the store.
+        summary = asymptotics_campaign(min_n=160, max_n=1600, trials=1)
+        for campaign in (_campaign(uniform_case.spec), summary):
+            for jobs in (0, -1):
+                store = ResultStore(tmp_path / f"{campaign.name}-{jobs}")
+                with pytest.raises(AnalysisError, match="jobs must be positive"):
+                    run_campaign(campaign, store=store, jobs=jobs)
+                assert store.fingerprints() == []
 
 
 class TestCampaignWiring:
@@ -364,17 +387,17 @@ class TestSharedProcessPool:
     def test_pooled_runs_match_per_call_pools(self, uniform_case):
         from repro.experiments import shared_process_pool
 
-        direct = measure_protocol_parallel(
+        direct = measure_protocol(
             uniform_case.graph, uniform_case.protocol_factory,
             uniform_case.config, trials=4, seed=9, jobs=2,
         )
         with shared_process_pool(2):
-            pooled_one = measure_protocol_parallel(
+            pooled_one = measure_protocol(
                 uniform_case.graph, uniform_case.protocol_factory,
                 uniform_case.config, trials=4, seed=9, jobs=2,
             )
             # Second call inside the same block reuses the same workers.
-            pooled_two = measure_protocol_parallel(
+            pooled_two = measure_protocol(
                 uniform_case.graph, uniform_case.protocol_factory,
                 uniform_case.config, trials=4, seed=9, jobs=2,
             )

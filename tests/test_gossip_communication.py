@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.gossip import FixedPartnerSelector, RoundRobinSelector, UniformSelector
+from repro.gossip import RoundRobinSelector, UniformSelector
 from repro.graphs import (
     CSRGraph,
     dumbbell_graph,
@@ -105,22 +105,3 @@ class TestRoundRobinSelector:
         expected = {node: int(draws.integers(0, graph.degree[node])) for node in graph}
         assert selector.positions() == expected
         assert list(selector.positions()) == list(range(graph.number_of_nodes()))
-
-
-class TestFixedPartnerSelector:
-    def test_unassigned_nodes_get_none(self, rng):
-        selector = FixedPartnerSelector()
-        assert selector.partner(3, rng) is None
-
-    def test_assignment_and_partner_map(self, rng):
-        selector = FixedPartnerSelector({1: 0})
-        selector.set_partner(2, 0)
-        assert selector.partner(1, rng) == 0
-        assert selector.partner(2, rng) == 0
-        assert selector.partner_map() == {1: 0, 2: 0}
-
-    def test_partner_map_is_a_copy(self, rng):
-        selector = FixedPartnerSelector({1: 0})
-        mapping = selector.partner_map()
-        mapping[5] = 9
-        assert selector.partner(5, rng) is None

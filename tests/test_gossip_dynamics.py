@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.stopping_time import measure_protocol
 from repro.core import SimulationConfig, TimeModel
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments import measure_protocol
 from repro.gf import GF
 from repro.gossip import GossipEngine, NodeDynamics
 from repro.gossip.engine import GossipProcess
@@ -38,7 +38,7 @@ def _measure_both(spec, trials=4, seed=7):
     scenario = spec.materialize()
     sequential = measure_protocol(
         scenario.graph, scenario.protocol_factory, scenario.config,
-        trials=trials, seed=seed,
+        trials=trials, seed=seed, engine="scalar",
     )
     fast = scenario.measure(trials=trials, seed=seed)
     return sequential, fast

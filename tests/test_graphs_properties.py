@@ -16,7 +16,6 @@ from repro.graphs import (
     diameter,
     graph_conductance,
     grid_graph,
-    is_constant_degree_family,
     line_graph,
     max_degree,
     max_shortest_path_degree_sum,
@@ -47,10 +46,6 @@ class TestBasicProperties:
     def test_empty_graph_rejected(self):
         with pytest.raises(TopologyError):
             max_degree(nx.Graph())
-
-    def test_constant_degree_heuristic(self):
-        assert is_constant_degree_family(3)
-        assert not is_constant_degree_family(100)
 
     def test_profile_graph_summary(self):
         profile = profile_graph(ring_graph(8))

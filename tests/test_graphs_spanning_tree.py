@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +19,6 @@ from repro.graphs import (
     diameter,
     grid_graph,
     line_graph,
-    random_spanning_tree,
     ring_graph,
 )
 
@@ -99,27 +97,6 @@ class TestBfsSpanningTree:
         graph = CSRGraph.from_networkx(nx.Graph([(0, 1), (2, 3)]))
         with pytest.raises(TopologyError):
             bfs_spanning_tree(graph, 0)
-
-
-class TestRandomSpanningTree:
-    def test_random_tree_spans_graph(self):
-        rng = np.random.default_rng(0)
-        graph = grid_graph(16)
-        tree = random_spanning_tree(graph, 0, rng)
-        assert tree.spans(graph)
-
-    def test_random_tree_depth_can_exceed_bfs_depth(self):
-        """On the ring a randomised tree is usually deeper than the BFS tree."""
-        rng = np.random.default_rng(1)
-        graph = ring_graph(20)
-        bfs_depth = bfs_spanning_tree(graph, 0).depth
-        depths = [random_spanning_tree(graph, 0, rng).depth for _ in range(10)]
-        assert max(depths) >= bfs_depth
-
-    def test_random_tree_requires_known_root(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(TopologyError):
-            random_spanning_tree(ring_graph(6), 42, rng)
 
 
 # ----------------------------------------------------------------------

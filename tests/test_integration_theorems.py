@@ -27,7 +27,7 @@ from repro.graphs import (
     max_degree,
     ring_graph,
 )
-from repro.experiments import all_to_all_placement, run_trials_parallel, spread_placement
+from repro.experiments import all_to_all_placement, run_trials, spread_placement
 from repro.scenarios import SpanningTreeFactory, TagFactory, UniformGossipFactory
 from repro.store import ResultStore
 
@@ -62,8 +62,8 @@ class TestTheorem1Shape:
         graph = builder(n)
         actual_n = graph.number_of_nodes()
         config = SimulationConfig(time_model=time_model, max_rounds=200_000)
-        stats = run_trials_parallel(
-            graph, ag_factory(graph, actual_n, config), config, trials=3, seed=11, jobs=1
+        stats = run_trials(
+            graph, ag_factory(graph, actual_n, config), config, trials=3, seed=11
         )
         bound = uniform_ag_upper_bound(
             actual_n, actual_n, diameter(graph), max_degree(graph)
@@ -80,8 +80,8 @@ class TestTheorem3Shape:
         ks = [3, 6, 12]
         means = []
         for k in ks:
-            stats = run_trials_parallel(
-                graph, ag_factory(graph, k, config), config, trials=3, seed=13, jobs=1
+            stats = run_trials(
+                graph, ag_factory(graph, k, config), config, trials=3, seed=13
             )
             means.append(stats.mean)
             assert stats.whp <= 6 * constant_degree_upper_bound(k, diameter(graph))
@@ -94,8 +94,8 @@ class TestTheorem3Shape:
         means = []
         for n in sizes:
             graph = line_graph(n)
-            stats = run_trials_parallel(
-                graph, ag_factory(graph, 2, config), config, trials=3, seed=17, jobs=1
+            stats = run_trials(
+                graph, ag_factory(graph, 2, config), config, trials=3, seed=17
             )
             means.append(stats.mean)
             assert stats.mean >= diameter(graph) / 2
@@ -111,8 +111,8 @@ class TestTheorem4And5Shape:
         means = []
         for n in sizes:
             graph = barbell_graph(n)
-            stats = run_trials_parallel(
-                graph, tag_factory(graph, n, config), config, trials=3, seed=19, jobs=1
+            stats = run_trials(
+                graph, tag_factory(graph, n, config), config, trials=3, seed=19
             )
             means.append(stats.mean)
             assert stats.whp <= 3 * tag_with_brr_upper_bound(n, n)
@@ -128,11 +128,11 @@ class TestTheorem4And5Shape:
         gaps = []
         for n in (12, 24):
             graph = barbell_graph(n)
-            uniform = run_trials_parallel(
-                graph, ag_factory(graph, n, config), config, trials=2, seed=23, jobs=1
+            uniform = run_trials(
+                graph, ag_factory(graph, n, config), config, trials=2, seed=23
             )
-            tag = run_trials_parallel(
-                graph, tag_factory(graph, n, config), config, trials=2, seed=23, jobs=1
+            tag = run_trials(
+                graph, tag_factory(graph, n, config), config, trials=2, seed=23
             )
             gaps.append(uniform.mean / tag.mean)
         assert gaps[-1] > 1.0  # TAG is faster at the larger size
@@ -148,8 +148,8 @@ class TestUniformAgBarbellScaling:
         means = []
         for n in sizes:
             graph = barbell_graph(n)
-            stats = run_trials_parallel(
-                graph, ag_factory(graph, n, config), config, trials=2, seed=29, jobs=1
+            stats = run_trials(
+                graph, ag_factory(graph, n, config), config, trials=2, seed=29
             )
             means.append(stats.mean)
         fit = fit_power_law(sizes, means)

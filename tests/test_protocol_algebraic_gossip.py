@@ -7,7 +7,6 @@ import pytest
 
 import repro.experiments
 import repro.scenarios
-from repro.analysis.stopping_time import measure_protocol
 from repro.core import GossipAction, SimulationConfig, TimeModel
 from repro.errors import SimulationError
 from repro.gf import GF
@@ -22,7 +21,7 @@ from repro.protocols import (
 from repro.rlnc import Generation
 from repro.experiments import (
     all_to_all_placement,
-    measure_protocol_parallel,
+    measure_protocol,
     spread_placement,
 )
 from repro.scenarios import (
@@ -117,14 +116,14 @@ FACTORIES = {
     ),
 }
 
-#: The sequential runner is the scalar engine; the parallel one picks the
-#: event engine for both factories.
+#: The runner on the pinned scalar engine, and on the engine the rule picks
+#: (the event engine, for both factories).
 RUNNERS = {
     "scalar": lambda graph, factory: measure_protocol(
-        graph, factory, factory.config, trials=1
+        graph, factory, factory.config, trials=1, engine="scalar"
     ),
-    "event": lambda graph, factory: measure_protocol_parallel(
-        graph, factory, factory.config, trials=1, jobs=1
+    "event": lambda graph, factory: measure_protocol(
+        graph, factory, factory.config, trials=1
     ),
 }
 

@@ -5,12 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import DecodingError
 from repro.gf import GF
 from repro.rlnc import (
     Generation,
     RlncDecoder,
-    RlncEncoder,
     encode_from_decoder,
     helpful_message_probability_lower_bound,
     is_helpful_node,
@@ -29,9 +27,6 @@ class TestEncoder:
     def test_empty_decoder_emits_nothing(self, gf16, rng):
         decoder = RlncDecoder(gf16, 4, 2)
         assert encode_from_decoder(decoder, rng) is None
-        encoder = RlncEncoder(decoder, rng)
-        assert encoder.next_packet() is None
-        assert encoder.packets_emitted == 0
 
     def test_emitted_packet_lies_in_senders_span(self, gf16, small_generation, rng):
         decoder = seeded_decoder(gf16, small_generation, [0, 2])
@@ -49,29 +44,6 @@ class TestEncoder:
             coeffs = packet.coefficient_array(gf16)
             expected = gf16.dot(coeffs, small_generation.payload_matrix)
             assert np.array_equal(packet.payload_array(gf16), expected)
-
-    def test_encoder_counts_packets(self, gf16, small_generation, rng):
-        decoder = seeded_decoder(gf16, small_generation, [0])
-        encoder = RlncEncoder(decoder, rng)
-        for _ in range(3):
-            assert encoder.next_packet() is not None
-        assert encoder.packets_emitted == 3
-        assert encoder.field is gf16
-
-    def test_systematic_packet_known_message(self, gf16, small_generation, rng):
-        decoder = seeded_decoder(gf16, small_generation, [0, 1])
-        encoder = RlncEncoder(decoder, rng)
-        packet = encoder.systematic_packet(1)
-        assert packet.coefficients == (0, 1, 0, 0)
-        assert np.array_equal(
-            packet.payload_array(gf16), small_generation.payload_matrix[1]
-        )
-
-    def test_systematic_packet_unknown_message_raises(self, gf16, small_generation, rng):
-        decoder = seeded_decoder(gf16, small_generation, [0])
-        encoder = RlncEncoder(decoder, rng)
-        with pytest.raises(DecodingError):
-            encoder.systematic_packet(3)
 
 
 class TestHelpfulness:

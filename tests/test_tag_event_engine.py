@@ -26,9 +26,10 @@ metadata — and leaves the generator in the same state.
   :class:`~repro.analysis.ProgressRecorder` on the scalar engine round for
   round, and the hook changes neither the result nor the generator state.
 * **Runner against the sequential path** — ``MaterializedScenario.measure``,
-  which runs TAG on the event engine, returns ``measure_protocol``'s scalar
-  results trial for trial: every tree in both time models over GF(2) and
-  GF(16), under packet loss, and on every registered TAG scenario.
+  which runs TAG on the event engine, returns
+  ``measure_protocol(..., engine="scalar")``'s results trial for trial:
+  every tree in both time models over GF(2) and GF(16), under packet loss,
+  and on every registered TAG scenario.
 * **Hand-built TAG** — ``TagProtocol`` constructed directly (not through a
   ``ScenarioSpec``): ``keep_phase1_after_tree=False``, the tree × time model
   × phase-1 cross product on a grid, and the final tree left on the process.
@@ -49,11 +50,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ProgressRecorder, RoundSnapshot
-from repro.analysis.stopping_time import measure_protocol
 from repro.core import GossipAction, TimeModel
 from repro.core.rng import derive_rng
 from repro.errors import EngineError, SimulationError
-from repro.experiments import all_to_all_placement
+from repro.experiments import all_to_all_placement, measure_protocol
 from repro.gf import GF
 from repro.gossip import EventGossipEngine, GossipEngine
 from repro.graphs import barbell_graph, build_topology, grid_graph
@@ -388,13 +388,13 @@ def test_round_robin_on_order_sensitive_families(family, spanning_tree, time_mod
 # ----------------------------------------------------------------------
 def _assert_runner_matches_sequential(spec: ScenarioSpec, *, trials: int, seed: int):
     """The trial runner (``MaterializedScenario.measure``) picks the event
-    engine for TAG and returns ``measure_protocol``'s scalar results, trial
-    for trial."""
+    engine for TAG and returns the scalar engine's results, trial for
+    trial."""
     scenario = spec.materialize()
     assert scenario.select_engine() == ("event", "auto: TAG")
     sequential = measure_protocol(
         scenario.graph, scenario.protocol_factory, scenario.config,
-        trials=trials, seed=seed,
+        trials=trials, seed=seed, engine="scalar",
     )
     assert scenario.measure(trials=trials, seed=seed) == sequential
 
