@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow bench-smoke bench-json bench-check backend-check event-check csr-check scenarios-check store-check docs-check docs-api docs-api-check campaigns-check asymptotics-check
+.PHONY: test test-slow bench-smoke perfbench-smoke bench-json bench-check backend-check event-check csr-check scenarios-check store-check docs-check docs-api docs-api-check campaigns-check asymptotics-check
 
 ## Tier-1 test suite (unit + property + integration).  Tests marked `slow`
 ## (the long-running sweeps) are skipped here.  The
@@ -48,6 +48,22 @@ bench-smoke:
 		> benchmarks/output/bounds-smoke/rerun.log
 	grep -q "0 newly computed" benchmarks/output/bounds-smoke/rerun.log
 	grep -q "ratio(theorem1)" benchmarks/output/bounds-smoke/report/report.md
+
+## The repository benchmark (perfbench/) at smoke length: every workload for
+## 2 s, untraced and then traced (the traced run patches the engine through
+## perfbench/tracer.py).  perfbench/run.py exits 0 even when its correctness
+## oracle fails, so each run's last stdout line must hold "correct": true and
+## "failed": 0.  The runs write only under the gitignored .perfbench/.
+PERFBENCH_VERDICT = import json, sys; r = json.loads(sys.stdin.readlines()[-1]); \
+	sys.exit(0 if r["correct"] is True and r["failed"] == 0 else f"not correct: {r}")
+perfbench-smoke:
+	@for trace in 0 1; do \
+		for workload in sparse-event dense-batch paper-campaign; do \
+			echo "perfbench $$workload --trace $$trace"; \
+			python3 perfbench/run.py --workload $$workload --seconds 2 --trace $$trace \
+				| $(PYTHON) -c '$(PERFBENCH_VERDICT)' || exit 1; \
+		done; \
+	done
 
 ## Full-size perf benchmarks with machine-readable results: asserts event vs
 ## scalar bit-identity at n=128 (E9 uniform AG, E10 TAG) and writes

@@ -44,8 +44,8 @@ PEDANTIC = dict(rounds=1, iterations=1, warmup_rounds=0)
 
 #: Worker processes for sweep trials (``REPRO_BENCH_JOBS=4 pytest ...``).
 #: ``None`` runs trials in-process, on the engine the rule picks (the event
-#: engine for uniform AG and TAG, the scalar one for standalone spanning
-#: trees); the results are bit-identical for any value.
+#: engine for uniform AG, TAG and standalone spanning trees, the scalar one
+#: for user factories); the results are bit-identical for any value.
 #: Empty, non-numeric or non-positive values mean "in-process" rather than
 #: breaking benchmark collection at import time.
 try:
@@ -244,13 +244,17 @@ def event_metrics(seconds: float, results) -> dict[str, tuple[float, str]]:
     }
 
 
-def _git_revision() -> str | None:
-    """The current git revision, or ``None`` outside a checkout."""
+def _git_revision(checkout: Path = Path(__file__).resolve().parent) -> str | None:
+    """The full commit hash of ``checkout``, with ``-dirty`` appended when a
+    tracked file differs from that commit; ``None`` outside a checkout.
+
+    A record measured before its change is committed then says so, instead
+    of naming the parent commit it did not measure.
+    """
     try:
         return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, timeout=10, check=True,
+            ["git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"],
+            cwd=checkout, capture_output=True, text=True, timeout=10, check=True,
         ).stdout.strip()
     except Exception:
         return None
@@ -294,8 +298,8 @@ def report_json(
     can be tracked across revisions by diffing small JSON files instead of
     scraping text reports.  The payload records the workload size, wall-clock
     timings per runner, the headline speedup, the benchmark process's peak
-    RSS, the git revision the numbers were produced at, and any
-    benchmark-specific extras.  A record whose headline is not a speedup
+    RSS, the git revision the numbers were produced at (suffixed ``-dirty``
+    when a tracked file differs from it), and any benchmark-specific extras.  A record whose headline is not a speedup
     (E14's ``bytes_ratio`` with its ``min_bytes_ratio`` floor) passes
     ``speedup=None`` and names its headline in the extras.
 

@@ -79,7 +79,7 @@ from .errors import (
     TopologyError,
 )
 from .gf import GF
-from .gossip import EventGossipEngine, EventTrace, GossipEngine, run_protocol
+from .gossip import EventGossipEngine, EventTrace, GossipEngine
 from .graphs import build_topology
 from .protocols import (
     AlgebraicGossip,
@@ -122,7 +122,6 @@ __all__ = [
     "EventTrace",
     "EventGossipEngine",
     "GossipEngine",
-    "run_protocol",
     "build_topology",
     "AlgebraicGossip",
     "ISSpanningTree",
@@ -218,6 +217,6 @@ def quick_run(
     if trace is None:
         return scenario.run_single()
     rng = derive_rng(seed, "trial-0")
-    return run_protocol(
+    return GossipEngine(
         scenario.graph, scenario.build_process(rng), scenario.config, rng, trace
-    )
+    ).run()

@@ -6,7 +6,7 @@ from .communication import (
     UniformSelector,
 )
 from .dynamics import NodeDynamics
-from .engine import GossipEngine, GossipProcess, Transmission, run_protocol
+from .engine import GossipEngine, GossipProcess, Transmission
 from .event import EventGossipEngine
 from .trace import EventTrace, GossipEvent
 
@@ -18,7 +18,6 @@ __all__ = [
     "GossipEngine",
     "GossipProcess",
     "Transmission",
-    "run_protocol",
     "EventGossipEngine",
     "EventTrace",
     "GossipEvent",

@@ -41,7 +41,6 @@ __all__ = [
     "Transmission",
     "GossipProcess",
     "GossipEngine",
-    "run_protocol",
 ]
 
 @dataclass(frozen=True)
@@ -298,14 +297,3 @@ class GossipEngine:
     def _note_completions(self, round_index: int) -> None:
         for node in self.process.finished_nodes():
             self._completion_rounds.setdefault(node, round_index)
-
-
-def run_protocol(
-    graph: CSRGraph,
-    process: GossipProcess,
-    config: SimulationConfig,
-    rng: np.random.Generator,
-    trace: EventTrace | None = None,
-) -> RunResult:
-    """Convenience wrapper: construct a :class:`GossipEngine` and run it."""
-    return GossipEngine(graph, process, config, rng, trace).run()

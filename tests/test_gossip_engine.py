@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import GossipAction, SimulationConfig, TimeModel
 from repro.errors import SimulationError
-from repro.gossip import EventTrace, GossipEngine, GossipProcess, Transmission, run_protocol
+from repro.gossip import EventTrace, GossipEngine, GossipProcess, Transmission
 from repro.graphs import CSRGraph, line_graph, ring_graph
 
 
@@ -145,7 +145,9 @@ class TestTracing:
         graph = line_graph(5)
         trace = EventTrace()
         config = SimulationConfig(time_model=TimeModel.SYNCHRONOUS)
-        result = run_protocol(graph, TokenSpread(graph), config, np.random.default_rng(0), trace)
+        result = GossipEngine(
+            graph, TokenSpread(graph), config, np.random.default_rng(0), trace
+        ).run()
         assert len(trace) == result.messages_sent
         helpful = trace.helpful_events()
         assert len(helpful) == result.helpful_messages
@@ -159,7 +161,7 @@ class TestTracing:
         trace = EventTrace()
         config = SimulationConfig(time_model=TimeModel.SYNCHRONOUS, max_rounds=50,
                                   allow_incomplete=True)
-        run_protocol(graph, TokenSpread(graph), config, np.random.default_rng(0), trace)
+        GossipEngine(graph, TokenSpread(graph), config, np.random.default_rng(0), trace).run()
         contacts = trace.contacts_of(0)
         assert all(event.sender == 0 or event.receiver == 0 for event in contacts)
         assert trace.events_in_round(1)
@@ -168,5 +170,5 @@ class TestTracing:
         graph = line_graph(4)
         trace = EventTrace(enabled=False)
         config = SimulationConfig(time_model=TimeModel.SYNCHRONOUS)
-        run_protocol(graph, TokenSpread(graph), config, np.random.default_rng(0), trace)
+        GossipEngine(graph, TokenSpread(graph), config, np.random.default_rng(0), trace).run()
         assert len(trace) == 0

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -230,6 +232,30 @@ def test_a_metrics_only_record_is_gated_by_its_ceilings_alone(
     _absolute_record(tmp_path, monkeypatch, 1.6)
     assert _check(tmp_path) == 1
     assert "trial_s 1.6 s (previous 1.2, ceiling 1.5) REGRESSION" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not on PATH")
+def test_the_git_revision_marks_a_dirty_checkout(tmp_path):
+    """A record names the full commit hash, ``-dirty`` when a tracked file
+    differs from it (an untracked file does not count)."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    tracked = tmp_path / "tracked.txt"
+    git("init", "-q")
+    tracked.write_text("measured\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "measured")
+    head = git("rev-parse", "HEAD")
+    (tmp_path / "untracked.txt").write_text("notes\n")
+    assert bench_utils._git_revision(tmp_path) == head
+    tracked.write_text("edited\n")
+    assert bench_utils._git_revision(tmp_path) == f"{head}-dirty"
 
 
 def test_store_aggregates_read_summary_records_once_per_trial(tmp_path, capsys):

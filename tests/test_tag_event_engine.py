@@ -11,12 +11,14 @@ metadata — and leaves the generator in the same state.
 
 * **Generated equivalence** — one hypothesis test over the spec space:
   uniform AG, TAG and standalone trees (both engines on the process the
-  factory builds), topology, n ≤ 32, k, q ∈ {2, 3, 4, 16}, time
-  model, action, the four built-in spanning trees,
-  ``keep_phase1_after_tree``, packet loss, pause- and reset-mode churn and
-  heterogeneous activation rates.  A standalone tree under reset churn
-  raises the scalar engine's :class:`~repro.errors.SimulationError` (or
-  finishes identically when no crash fires first).
+  factory builds), topology (G(n, 2 log n / n) included), n ≤ 32, k,
+  q ∈ {2, 3, 4, 5, 9, 16, 256} (bit rows, XOR byte rows and the
+  table-added byte rows of odd fields), time model, action, the four
+  built-in spanning trees, ``keep_phase1_after_tree``, packet loss, pause-
+  and reset-mode churn, heterogeneous activation rates and root seeds on
+  both sides of 2³¹.  A standalone tree under reset churn raises the scalar
+  engine's :class:`~repro.errors.SimulationError` (or finishes identically
+  when no crash fires first).
 * **No decoder on the event engine** — uniform AG and TAG under reset
   churn replay the scalar engine while building no
   :class:`~repro.rlnc.decoder.RlncDecoder`: the event engine seeds and
@@ -74,7 +76,10 @@ from repro.scenarios import (
 )
 
 TREES = ["brr", "uniform_broadcast", "bfs_oracle", "is"]
-TOPOLOGIES = ["ring", "line", "grid", "complete", "barbell", "binary_tree", "star"]
+TOPOLOGIES = [
+    "ring", "line", "grid", "complete", "barbell", "binary_tree", "star",
+    "erdos_renyi_logn",
+]
 
 
 def _engine_outcome(engine_class, graph, factory, config, seed, trial, may_raise):
@@ -164,24 +169,71 @@ def event_specs(draw, protocols=("uniform", "tag", "spanning_tree")) -> Scenario
         activation=activation,
         config=default_scenario_config(
             time_model=time_model,
-            field_size=draw(st.sampled_from([2, 3, 4, 16])),
+            field_size=draw(st.sampled_from([2, 3, 4, 5, 9, 16, 256])),
         ).replace(
             action=draw(st.sampled_from(list(GossipAction))),
             loss_probability=draw(st.sampled_from([0.0, 0.0, 0.15])),
             churn=schedule,
             churn_reset=churn == "reset" and protocol != "spanning_tree",
         ),
-        seed=draw(st.integers(0, 2**31 - 1)),
+        seed=draw(st.integers(0, 2**64 - 1)),
     )
 
 
 _RESET = default_scenario_config(field_size=2).replace(
     churn=((3, 2, 7), (9, 4, 6)), churn_reset=True, loss_probability=0.15
 )
+_SYNC = default_scenario_config()
+_ASYNC = default_scenario_config(time_model=TimeModel.ASYNCHRONOUS)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spec=event_specs())
+# Uniform AG on the widest byte rows (every byte a field element) under
+# loss, on GF(5) (prime: coefficients through the rejection path of the
+# bounded-integer rule), on GF(9) (odd extension: byte rows added element
+# by element) under reset churn, and over GF(2) on G(n, 2 log n / n) with a
+# root seed beyond 2³¹.
+@example(spec=ScenarioSpec(
+    topology="complete", n=16, k=8, seed=20260808,
+    config=_SYNC.replace(field_size=256, loss_probability=0.2),
+))
+@example(spec=ScenarioSpec(
+    topology="ring", n=16, k=8, seed=20260808, config=_SYNC.replace(field_size=5),
+))
+@example(spec=ScenarioSpec(
+    topology="ring", n=12, k=6, seed=20260808,
+    config=_ASYNC.replace(field_size=9, churn=((4, 3, 9),), churn_reset=True),
+))
+@example(spec=ScenarioSpec(
+    topology="erdos_renyi_logn", n=32, k=8, seed=2**40 + 1,
+    config=_ASYNC.replace(field_size=2),
+))
+# Uniform AG under pause churn: async on a binary tree (degree-one leaves
+# draw their partner from a range of one, which consumes no randomness)
+# over GF(3) with loss and degree rates; sync on a ring with loss.
+@example(spec=ScenarioSpec(
+    topology="binary_tree", n=16, k=8, seed=20260808, activation={"kind": "degree"},
+    config=_ASYNC.replace(
+        field_size=3, loss_probability=0.1, churn=((3, 2, 10), (11, 6, 14))
+    ),
+))
+@example(spec=ScenarioSpec(
+    topology="ring", n=16, k=8, seed=20260808,
+    config=_SYNC.replace(churn=((3, 2, 10), (11, 6, 14)), loss_probability=0.2),
+))
+# Async TAG under churn and rates: IS with pause churn, the BFS oracle
+# with reset churn.
+@example(spec=ScenarioSpec(
+    topology="barbell", n=12, protocol="tag", spanning_tree="is", seed=7,
+    activation={"kind": "two_speed", "ratio": 3.0, "fast_fraction": 0.25},
+    config=_ASYNC.replace(churn=((3, 2, 6),)),
+))
+@example(spec=ScenarioSpec(
+    topology="barbell", n=12, protocol="tag", spanning_tree="bfs_oracle", seed=7,
+    activation={"kind": "degree"},
+    config=_ASYNC.replace(churn=((3, 2, 6),), churn_reset=True),
+))
 # Uniform AG at k = n on the barbell over GF(2) and GF(16): most packets
 # pass between nodes that span the same subspace, and are skipped.
 @example(spec=ScenarioSpec(
