@@ -136,16 +136,21 @@ csr-check:
 scenarios-check:
 	$(PYTHON) -m repro scenario check
 
-## Result-store guarantees: shard integrity / concurrency semantics, the one
-## admission rule for full and summary records (same-kind and summary-vs-full
-## conflicts raise for put_many, put_summaries and import_file, conflicts
-## inside one import file included; a full record serves summary reads), and
-## the resume contract (a sweep interrupted mid-way and resumed from its store
-## is bit-identical to an uninterrupted run; a fully cached rerun computes
-## nothing and is >= 10x faster than the cold run).
+## Result-store guarantees: shard integrity / concurrency semantics (reading
+## never writes: every reader, the CLI's included, leaves a shard that ends in
+## a half-written line byte-identical, and only the next append truncates
+## it), the one admission rule for full and summary records (same-kind and
+## summary-vs-full conflicts raise for put_many, put_summaries and
+## import_file, conflicts inside one import file included; a full record
+## serves summary reads), the resume contract (a sweep interrupted mid-way
+## and resumed from its store is bit-identical to an uninterrupted run; a
+## fully cached rerun computes nothing and is >= 10x faster than the cold
+## run), and the store's consumers that read snapshots (`repro store`
+## commands, `check_regression.py --store`).
 store-check:
 	$(PYTHON) -m pytest tests/test_store.py tests/test_store_summaries.py \
-		tests/test_store_resume.py -q
+		tests/test_store_resume.py tests/test_cli.py::TestStoreCommands \
+		tests/test_perf_records.py::test_store_aggregates_read_summary_records_once_per_trial -q
 
 ## Documentation drift check: executes every fenced Python block in
 ## README.md and the quickstart example they mirror.

@@ -63,30 +63,28 @@ def store_aggregates(path: Path) -> int:
     from repro.store import load_snapshot
 
     try:
-        snapshot = load_snapshot(path)
+        shards = load_snapshot(path)
     except StoreError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     # Full results and summaries both carry ``rounds`` and ``completed``; a
     # key holding both reads its full record (the summary is its projection).
     buckets = {
-        fingerprint: {
-            **snapshot.summaries.get(fingerprint, {}),
-            **snapshot.results.get(fingerprint, {}),
-        }
-        for fingerprint in set(snapshot.results) | set(snapshot.summaries)
+        fingerprint: {**shard.summaries, **shard.results}
+        for fingerprint, shard in shards.items()
+        if shard.results or shard.summaries
     }
-    buckets = {fingerprint: bucket for fingerprint, bucket in buckets.items() if bucket}
     if not buckets:
         print(f"error: no trial records in {path}", file=sys.stderr)
         return 1
     for fingerprint, bucket in sorted(buckets.items()):
         # Rebuild the spec so defaulted (omitted) fields print their real
-        # values; headers from an incompatible schema get a placeholder.
+        # values; a missing header (``None``) or one from an incompatible
+        # schema gets a placeholder.
         try:
-            spec = ScenarioSpec.from_dict(snapshot.specs[fingerprint])
+            spec = ScenarioSpec.from_dict(shards[fingerprint].spec)
             label = spec.name or f"{spec.protocol} on {spec.topology}(n={spec.n})"
-        except (KeyError, ReproError):
+        except (TypeError, ReproError):
             label = "(unknown workload)"
         # Tolerate schema-divergent payloads (e.g. exports from another
         # version): records without the expected fields count as incomplete

@@ -166,12 +166,12 @@ def _open_store(args: argparse.Namespace) -> ResultStore | None:
 def _existing_store(path: "str | None") -> ResultStore:
     """Open a store for the management commands (missing directory is an error).
 
-    Opened without load-time repair: ``ls``/``show``/``export`` must not
-    modify the files they read, and ``gc``'s atomic rewrite drops interrupted
-    fragments anyway.
+    ``ls``/``show``/``export`` leave the files they read as they are (no
+    store read modifies a file), and ``gc``'s atomic rewrite drops
+    interrupted fragments.
     """
     resolved = path or os.environ.get(_STORE_ENV) or _DEFAULT_STORE
-    return ResultStore(resolved, create=False, repair=False)
+    return ResultStore(resolved, create=False)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,7 @@ analysis, Theorem 5).  Claim 1 states that constant-degree graphs have
 conductance, spectral gap and *weak conductance* ``Φ_c``.
 
 This module computes all of those quantities (the weak conductance via the
-documented surrogate described in DESIGN.md).  Every function takes a
+surrogate that :func:`weak_conductance` documents).  Every function takes a
 :class:`~repro.graphs.csr.CSRGraph` (a :class:`networkx.Graph` works too);
 the graph algorithms run on :meth:`~repro.graphs.csr.CSRGraph.to_networkx`.
 """
@@ -133,7 +133,7 @@ def graph_conductance(graph: CSRGraph, *, exact_limit: int = 14) -> float:
     at most ``exact_limit`` nodes; larger graphs fall back to the spectral
     (Cheeger) estimate ``λ₂ / 2 <= Φ <= sqrt(2 λ₂)`` and return the Fiedler
     based lower estimate ``λ₂ / 2``, which is the quantity the bound
-    comparisons need (an order-of-magnitude proxy, documented in DESIGN.md).
+    comparisons need (an order-of-magnitude proxy, not the exact minimum).
     """
     graph = _as_networkx(graph)
     _require_connected(graph)

@@ -8,9 +8,8 @@ few severe bottlenecks, such as the barbell, where uniform gossip is slow.
 
 The original protocol interleaves randomized uniform exchanges with
 deterministic exchanges driven by internal neighbour lists.  Reproducing those
-lists exactly is out of scope (they belong to [5], not to this paper); as
-documented in DESIGN.md we simulate the protocol with the structure this paper
-actually relies on:
+lists exactly is out of scope (they belong to [5], not to this paper), so we
+simulate the protocol with the structure this paper actually relies on:
 
 * every node ``v`` maintains a **monotone n-bit string** recording the nodes
   it has heard from (directly or indirectly), initialised to the unit vector

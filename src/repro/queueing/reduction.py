@@ -16,7 +16,9 @@ Theorem 1 bounds uniform algebraic gossip by:
 This module makes each step executable so the reduction itself can be
 validated: the predicted stopping time (analytic and Monte-Carlo versions of
 the queueing system) must upper-bound the measured stopping time of the real
-gossip simulation on the same graph — that is experiment E7 in DESIGN.md.
+gossip simulation on the same graph.  ``benchmarks/bench_theorem2_queueing.py``
+(experiment E7) checks it; see the Theorem 2 row of
+``docs/reproducing_results.md``.
 """
 
 from __future__ import annotations

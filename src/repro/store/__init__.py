@@ -11,8 +11,8 @@ for the layout, concurrency and integrity semantics.
 
 from .result_store import (
     ResultStore,
+    Shard,
     StoreRecord,
-    StoreSnapshot,
     diff_snapshots,
     iter_records,
     load_snapshot,
@@ -21,8 +21,8 @@ from .result_store import (
 
 __all__ = [
     "ResultStore",
+    "Shard",
     "StoreRecord",
-    "StoreSnapshot",
     "diff_snapshots",
     "iter_records",
     "load_snapshot",

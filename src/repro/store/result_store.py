@@ -46,10 +46,11 @@ A newline-terminated line that does not parse, is not a JSON object, has an
 unknown ``kind`` or carries a fingerprint that contradicts its shard raises
 :class:`~repro.errors.StoreError` naming the file and line.  A final
 *unterminated* line is different: it is the signature of a writer killed
-mid-append, and is truncated away on the next load (counted in
-:attr:`ResultStore.last_load_dropped_partial`; the truncation only happens
-while the file has not grown since it was read) so that a crashed sweep can
-always resume from its own store and later appends start on a clean line.
+mid-append.  Every reader stops before it (a load counts it in
+:attr:`ResultStore.last_load_dropped_partial`) and leaves the file as it
+is, so a crashed sweep can always resume from its own store.  Reading never
+modifies a file: the next append, under the write lock, truncates the
+fragment just before it writes, so a new record never merges into it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 try:
     import fcntl
@@ -71,8 +72,8 @@ from ..errors import AnalysisError, ReproError, StoreError
 
 __all__ = [
     "ResultStore",
+    "Shard",
     "StoreRecord",
-    "StoreSnapshot",
     "iter_records",
     "load_snapshot",
     "diff_snapshots",
@@ -128,26 +129,44 @@ TRIAL_KINDS = ("result", "summary")
 
 
 @dataclass
-class _Shard:
-    """In-memory image of one fingerprint's shard."""
+class Shard:
+    """One workload's records as every reader sees them: first record wins.
+
+    ``spec`` is the workload's canonical JSON (``None`` without a spec
+    record); ``results`` and ``summaries`` map ``(seed, trial)`` to the
+    payload of each trial-record kind; ``raw_records`` counts the records
+    behind the image, duplicates included.  A :class:`ResultStore` builds
+    one per shard file it reads, and :func:`load_snapshot` returns them by
+    fingerprint from a store directory or an export file alike.
+    """
 
     fingerprint: str
     spec: dict[str, Any] | None = None
     results: dict[tuple[int, int], dict[str, Any]] = field(default_factory=dict)
     summaries: dict[tuple[int, int], dict[str, Any]] = field(default_factory=dict)
     raw_records: int = 0
-    dropped_partial: bool = False
 
     def bucket(self, kind: str) -> dict[tuple[int, int], dict[str, Any]]:
         """The ``(seed, trial) -> payload`` map of one trial-record kind."""
         return self.results if kind == "result" else self.summaries
 
+    def add(self, record: StoreRecord) -> None:
+        """Fold in one record read from a file; a key keeps its first record."""
+        self.raw_records += 1
+        if record.kind == "spec":
+            if self.spec is None:
+                self.spec = dict(record.payload)
+        elif record.kind in TRIAL_KINDS:
+            self.bucket(record.kind).setdefault(
+                (record.seed, record.trial), dict(record.payload)
+            )
 
-def _parse_record(line: str, *, source: str, line_number: int) -> StoreRecord:
+
+def _parse_record(line: bytes, *, source: str, line_number: int) -> StoreRecord:
     """Parse one committed JSONL line into a :class:`StoreRecord`."""
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # bad JSON, or bytes that are not UTF-8
         raise StoreError(
             f"{source}:{line_number}: corrupt store record (not valid JSON: {error})"
         ) from None
@@ -196,114 +215,72 @@ def _parse_record(line: str, *, source: str, line_number: int) -> StoreRecord:
     )
 
 
-def _parse_lines(text: str, *, source: str) -> tuple[list[StoreRecord], bool]:
-    """Parse a shard/export body; returns records and a dropped-partial flag.
+def _read_records(
+    path: Path,
+    fingerprint: "str | None" = None,
+    on_fragment: "Callable[[], None] | None" = None,
+) -> Iterator[StoreRecord]:
+    """The records of a shard or export file's committed lines, in file order.
 
-    A trailing chunk without a terminating newline is an interrupted append
-    (the writer died mid-line): it is dropped rather than treated as
-    corruption, so resuming against a killed run's store always works.
+    A line is committed once its newline is written.  A last line without
+    one is a writer killed mid-append: reading stops there (calling
+    ``on_fragment``) and the file is left as it is — only an append removes
+    the fragment.  Given a shard's ``fingerprint``, a record that names
+    another workload raises :class:`StoreError`.
     """
-    records: list[StoreRecord] = []
-    dropped_partial = False
-    lines = text.split("\n")
-    if lines and lines[-1] != "":
-        dropped_partial = True
-    committed = lines[:-1]
-    for number, line in enumerate(committed, start=1):
-        if not line.strip():
-            continue
-        records.append(_parse_record(line, source=source, line_number=number))
-    return records, dropped_partial
+    source = str(path)
+    try:
+        handle = open(path, "rb")
+    except OSError as error:
+        raise StoreError(f"cannot read store file {path}: {error}") from None
+    with handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.endswith(b"\n"):
+                if on_fragment is not None:
+                    on_fragment()
+                return
+            if not line.strip():
+                continue
+            record = _parse_record(line, source=source, line_number=number)
+            if fingerprint is not None and record.fingerprint != fingerprint:
+                raise StoreError(
+                    f"{path}: record fingerprint {record.fingerprint[:12]}... "
+                    f"does not match its shard {fingerprint[:12]}..."
+                )
+            yield record
 
 
 def iter_records(path: "str | Path") -> Iterator[StoreRecord]:
     """Iterate the records of one shard or export file (header lines skipped)."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise StoreError(f"cannot read store file {path}: {error}") from None
-    records, _ = _parse_lines(text, source=str(path))
-    for record in records:
+    for record in _read_records(Path(path)):
         if record.kind != "header":
             yield record
 
 
-@dataclass
-class StoreSnapshot:
-    """A read-only image of store contents, keyed by fingerprint.
+def load_snapshot(path: "str | Path") -> dict[str, Shard]:
+    """The :class:`Shard` images of a store directory *or* an export file.
 
-    ``results[fingerprint]`` maps ``(seed, trial)`` to the raw result
-    dictionary, ``summaries[fingerprint]`` to the raw streaming-summary
-    payloads; ``specs[fingerprint]`` holds the workload's canonical JSON
-    when a spec header was present.  Built by :func:`load_snapshot` from
-    either a store directory or an export file — the shape the CLI's
-    ``store diff`` compares.
-    """
-
-    specs: dict[str, dict[str, Any]] = field(default_factory=dict)
-    results: dict[str, dict[tuple[int, int], dict[str, Any]]] = field(default_factory=dict)
-    summaries: dict[str, dict[tuple[int, int], dict[str, Any]]] = field(default_factory=dict)
-
-    def add(self, record: StoreRecord) -> None:
-        if record.kind == "spec":
-            self.specs.setdefault(record.fingerprint, dict(record.payload))
-        elif record.kind in TRIAL_KINDS:
-            buckets = self.results if record.kind == "result" else self.summaries
-            bucket = buckets.setdefault(record.fingerprint, {})
-            bucket.setdefault((record.seed, record.trial), dict(record.payload))
-
-    @property
-    def trial_count(self) -> int:
-        """Distinct ``(fingerprint, seed, trial)`` keys with a record of either kind.
-
-        A key holding both a full record and its summary counts once.
-        """
-        return len({
-            (fingerprint, key)
-            for buckets in (self.results, self.summaries)
-            for fingerprint, bucket in buckets.items()
-            for key in bucket
-        })
-
-
-def load_snapshot(path: "str | Path") -> StoreSnapshot:
-    """Load a store directory *or* an export file into a :class:`StoreSnapshot`.
-
-    A directory must actually look like a store (carry a ``shards/``
-    subdirectory): a mistyped path pointing at some unrelated existing
-    directory raises instead of quietly reading as an empty snapshot —
-    ``store diff`` against an empty "store" would otherwise always succeed.
+    Keyed by fingerprint.  A directory yields the shards a read-only
+    :class:`ResultStore` loads, so it must actually be a store (carry a
+    ``shards/`` subdirectory): a mistyped path pointing at some unrelated
+    directory raises instead of reading as an empty store, against which
+    ``store diff`` would always succeed.  An export file's records are
+    folded into one shard per fingerprint by the same :meth:`Shard.add`.
     """
     path = Path(path)
-    snapshot = StoreSnapshot()
     if path.is_dir():
-        if not (path / "shards").is_dir():
-            raise StoreError(
-                f"{path} is not a result store (no shards/ directory) — "
-                "pass a store directory or an export file"
-            )
-        # Pure inspection: never modify (repair) the files being read.
-        store = ResultStore(path, create=False, repair=False)
-        for fingerprint in store.fingerprints():
-            shard = store._load(fingerprint)
-            if shard.spec is not None:
-                snapshot.specs[fingerprint] = dict(shard.spec)
-            snapshot.results[fingerprint] = {
-                key: dict(value) for key, value in shard.results.items()
-            }
-            if shard.summaries:
-                snapshot.summaries[fingerprint] = {
-                    key: dict(value) for key, value in shard.summaries.items()
-                }
-        return snapshot
+        store = ResultStore(path, create=False)
+        return {fp: store._load(fp) for fp in store.fingerprints()}
+    shards: dict[str, Shard] = {}
     for record in iter_records(path):
-        snapshot.add(record)
-    return snapshot
+        shards.setdefault(record.fingerprint, Shard(record.fingerprint)).add(record)
+    return shards
 
 
-def diff_snapshots(left: StoreSnapshot, right: StoreSnapshot) -> dict[str, Any]:
-    """Compare two snapshots record-for-record.
+def diff_snapshots(
+    left: Mapping[str, Shard], right: Mapping[str, Shard]
+) -> dict[str, Any]:
+    """Compare two snapshots (see :func:`load_snapshot`) record-for-record.
 
     Returns a report dictionary: fingerprints (with trial counts) present on
     one side only, trial keys present on one side only for shared
@@ -317,14 +294,17 @@ def diff_snapshots(left: StoreSnapshot, right: StoreSnapshot) -> dict[str, Any]:
     # archived a workload through put_summaries diffs against one that
     # archived it through put_many as "trials only on one side" rather than
     # as spurious payload divergence.
-    def _records(snapshot: StoreSnapshot) -> dict[str, dict[tuple[str, int, int], dict[str, Any]]]:
-        merged: dict[str, dict[tuple[str, int, int], dict[str, Any]]] = {}
-        for kind, buckets in zip(TRIAL_KINDS, (snapshot.results, snapshot.summaries)):
-            for fp, bucket in buckets.items():
-                view = merged.setdefault(fp, {})
-                for (seed, trial), payload in bucket.items():
-                    view[(kind, seed, trial)] = payload
-        return merged
+    def _records(
+        shards: Mapping[str, Shard],
+    ) -> dict[str, dict[tuple[str, int, int], dict[str, Any]]]:
+        return {
+            fp: {
+                (kind, seed, trial): payload
+                for kind in TRIAL_KINDS
+                for (seed, trial), payload in shard.bucket(kind).items()
+            }
+            for fp, shard in shards.items()
+        }
 
     left_records = _records(left)
     right_records = _records(right)
@@ -372,15 +352,9 @@ class ResultStore:
         When ``False``, a missing directory raises :class:`StoreError`
         instead of being created — the read-only CLI commands use this so a
         typo'd path fails loudly.
-    repair:
-        When ``False``, loading a shard with a trailing half-record skips
-        the fragment in memory but never truncates it on disk — pure
-        inspection (``store ls``/``show``/``diff``, :func:`load_snapshot`)
-        must not modify the files it reads.  Writers keep the default
-        (``True``): they repair before appending so the fragment cannot
-        merge into a new record.
 
-    The cache-hit counters (:attr:`hits`, :attr:`misses`, :attr:`puts`) are
+    Reading never modifies a file; only an append or :meth:`gc` does.  The
+    cache-hit counters (:attr:`hits`, :attr:`misses`, :attr:`puts`) are
     per-instance and start at zero, so a caller can assert "this invocation
     computed nothing new" with ``store.puts == 0`` after a fully-cached run.
 
@@ -416,9 +390,7 @@ class ResultStore:
     (2, [], 7.0)
     """
 
-    def __init__(
-        self, root: "str | Path", *, create: bool = True, repair: bool = True
-    ) -> None:
+    def __init__(self, root: "str | Path", *, create: bool = True) -> None:
         self.root = Path(root)
         if self.root.is_dir() and not create and not (self.root / "shards").is_dir():
             # Read-only opens must not treat an arbitrary existing directory
@@ -445,18 +417,17 @@ class ResultStore:
         self.misses = 0
         self.puts = 0
         self.last_load_dropped_partial = 0
-        self._cache: dict[str, _Shard] = {}
+        self._cache: dict[str, Shard] = {}
         self._lock_depth = 0
-        self._repair = repair
 
     @contextlib.contextmanager
     def _write_lock(self):
         """Serialise mutating operations across processes sharing this store.
 
-        An advisory ``flock`` on ``<root>/.lock`` held around every append,
-        partial-line repair and ``gc`` rewrite: O_APPEND keeps individual
-        writes whole on its own, but the lock is what makes the *compound*
-        operations safe — a repair's check-then-truncate cannot race a
+        An advisory ``flock`` on ``<root>/.lock`` held around every append
+        and ``gc`` rewrite: O_APPEND keeps individual writes whole on its
+        own, but the lock is what makes the *compound* operations safe — an
+        append's check-then-truncate of a half-written line cannot race a
         concurrent append, and a ``gc`` read-rewrite-replace cannot drop a
         record appended in between.  Re-entrant within an instance (process
         concurrency is the model here, one store instance per process); a
@@ -473,9 +444,8 @@ class ResultStore:
             descriptor = os.open(self.root / ".lock", os.O_CREAT | os.O_RDWR, 0o644)
         except OSError:
             # Read-only store (e.g. a shared snapshot mount): locking is
-            # impossible but reads must still work — proceed unlocked; the
-            # degraded paths (_repair_partial, _append) handle the read-only
-            # case themselves.
+            # impossible — proceed unlocked; _append then raises its own
+            # StoreError when it cannot open the shard for writing.
             self._lock_depth += 1
             try:
                 yield
@@ -521,109 +491,26 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _load(self, fingerprint: str) -> _Shard:
-        """The in-memory image of one shard, reading it on first access.
+    def _load(self, fingerprint: str) -> Shard:
+        """The image of one shard, read on first access and cached.
 
-        A trailing half-record (a writer killed mid-append) is *repaired* by
-        truncating it away before it is skipped: every writer loads a shard
-        before appending to it, so the orphan fragment is gone before any new
-        line could merge into it.  The truncation only happens when the file
-        has not grown since it was read (a grown file means another process
-        already repaired it — re-read and check again).
+        Like every reader, it leaves the file as it is: a half-written last
+        line is skipped (counted in :attr:`last_load_dropped_partial`) and
+        left for the next append to truncate.
         """
         shard = self._cache.get(fingerprint)
         if shard is not None:
             return shard
-        shard = _Shard(fingerprint)
+        shard = Shard(fingerprint)
         path = self._shard_path(fingerprint)
         if path.exists():
-            raw = path.read_bytes()
-            if raw and not raw.endswith(b"\n"):
-                if self._repair:
-                    # Repair under the store's write lock, so the size check
-                    # and the truncation cannot race a concurrent append.
-                    with self._write_lock():
-                        raw = self._repair_partial(path, shard)
-                else:
-                    # Inspection-only store: skip the fragment in memory,
-                    # leave the file byte-for-byte untouched.
-                    self.last_load_dropped_partial += 1
-                    shard.dropped_partial = True
-                    raw = raw[: raw.rfind(b"\n") + 1]
-            records, dropped = _parse_lines(
-                raw.decode("utf-8"), source=str(path)
-            )
-            shard.dropped_partial = shard.dropped_partial or dropped
-            shard.raw_records = len(records)
-            for record in records:
-                if record.fingerprint != fingerprint:
-                    raise StoreError(
-                        f"{path}: record fingerprint {record.fingerprint[:12]}... "
-                        f"does not match its shard {fingerprint[:12]}..."
-                    )
-                if record.kind == "spec":
-                    if shard.spec is None:
-                        shard.spec = dict(record.payload)
-                elif record.kind in TRIAL_KINDS:
-                    shard.bucket(record.kind).setdefault(
-                        (record.seed, record.trial), dict(record.payload)
-                    )
+            for record in _read_records(path, fingerprint, self._count_fragment):
+                shard.add(record)
         self._cache[fingerprint] = shard
         return shard
 
-    def _repair_partial(self, path: Path, shard: _Shard) -> bytes:
-        """Resolve a trailing half-record; returns the committed shard bytes.
-
-        Called with the write lock held.  On locking platforms the file
-        cannot grow underneath us; where ``fcntl`` is unavailable the lock is
-        a no-op, so when the truncation's size check fails the file is
-        re-read and re-evaluated (a grown file means a concurrent writer
-        appended — its committed records must not be dropped from the view).
-        An unchanged file that cannot be truncated is a read-only store: the
-        fragment is skipped in memory only and ``_append`` terminates it if
-        this instance ever writes.
-        """
-        raw = path.read_bytes()
-        for _ in range(16):  # bounded: each retry means another writer appended
-            if not raw or raw.endswith(b"\n"):
-                return raw
-            committed = raw.rfind(b"\n") + 1
-            if self._truncate_partial(path, expected_size=len(raw), keep=committed):
-                self.last_load_dropped_partial += 1
-                return raw[:committed]
-            reread = path.read_bytes()
-            if reread == raw:
-                self.last_load_dropped_partial += 1
-                shard.dropped_partial = True
-                return raw[:committed]
-            raw = reread
-        # Still racing after many retries: skip the fragment in memory only.
-        committed = raw.rfind(b"\n") + 1
+    def _count_fragment(self) -> None:
         self.last_load_dropped_partial += 1
-        shard.dropped_partial = True
-        return raw[:committed]
-
-    @staticmethod
-    def _truncate_partial(path: Path, *, expected_size: int, keep: int) -> bool:
-        """Drop a trailing half-record, but only if the file has not grown.
-
-        Returns ``True`` when the file now ends at ``keep`` bytes (repaired
-        by us, or already repaired elsewhere); ``False`` when another writer
-        appended in the meantime (caller re-reads) or the file cannot be
-        opened for writing (read-only store — the fragment is then merely
-        skipped, not removed).
-        """
-        try:
-            descriptor = os.open(path, os.O_RDWR)
-        except OSError:
-            return False
-        try:
-            if os.fstat(descriptor).st_size != expected_size:
-                return False
-            os.ftruncate(descriptor, keep)
-            return True
-        finally:
-            os.close(descriptor)
 
     def refresh(self) -> None:
         """Drop the in-memory index; the next access re-reads the shards.
@@ -726,34 +613,6 @@ class ResultStore:
             and (effective_seed, t) not in shard.summaries
         ]
 
-    def _iter_shard_records(self, fingerprint: str) -> Iterator[StoreRecord]:
-        """Stream one shard's committed records without materialising it.
-
-        Used by :meth:`aggregate` so that a 10^5-record summary shard never
-        holds more than one parsed line in memory.  The trailing
-        unterminated line of a writer killed mid-append is skipped, never
-        repaired — this is a read-only pass and must not modify the file.
-        Records come back in file order; first-record-wins deduplication is
-        the caller's job.
-        """
-        path = self._shard_path(fingerprint)
-        if not path.exists():
-            return
-        source = str(path)
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            for number, line in enumerate(handle, start=1):
-                if not line.endswith("\n"):
-                    break
-                if not line.strip():
-                    continue
-                record = _parse_record(line, source=source, line_number=number)
-                if record.fingerprint != fingerprint:
-                    raise StoreError(
-                        f"{path}: record fingerprint {record.fingerprint[:12]}... "
-                        f"does not match its shard {fingerprint[:12]}..."
-                    )
-                yield record
-
     @staticmethod
     def _stopping_value(
         source: str, key: tuple[int, int], payload: Mapping[str, Any]
@@ -783,14 +642,16 @@ class ResultStore:
         """Stopping-time statistics over cached trials ``0 .. trials-1``.
 
         Consumes full ``result`` records and streaming ``summary`` records
-        interchangeably, and **streams**: only the scalar
-        ``(rounds, completed)`` pair of each trial is ever held — a shard
-        not already resident in this instance's cache is read line by line
-        without populating the cache, so aggregating a 10^5-trial summary
-        shard costs O(trials) floats, not O(shard bytes) of decoded
-        :class:`~repro.core.results.RunResult` objects.  The samples are
-        assembled in trial-index order, exactly as the materialising path
-        always did, so the statistics are bit-identical.
+        interchangeably, and **streams**: the shard file is read line by
+        line without populating the cache, and only the scalar
+        ``(rounds, completed)`` pair of each trial's first record is held,
+        so aggregating a 10^5-trial summary shard costs O(trials) floats,
+        not O(shard bytes) of decoded
+        :class:`~repro.core.results.RunResult` objects.  A key's full record
+        and summary agree by the admission rule, so whichever comes first
+        gives the same pair.  The samples are assembled in trial-index
+        order, as :func:`~repro.core.results.aggregate_results` does, so the
+        statistics are bit-identical.
 
         Raises :class:`StoreError` naming the missing indices when the store
         does not hold the full trial range — an aggregate over a partial
@@ -805,31 +666,18 @@ class ResultStore:
                 )
             trials = spec.trials
         effective_seed = self._seed_for(spec, seed)
-        source = str(self._shard_path(fingerprint))
+        path = self._shard_path(fingerprint)
         values: dict[int, tuple[float, bool]] = {}
-        shard = self._cache.get(fingerprint)
-        if shard is not None:
-            # Already resident: read the scalar pair straight off the cached
-            # payload dictionaries (full results first — both kinds agree by
-            # the conflict invariant, so priority only breaks exact ties).
-            for bucket in (shard.results, shard.summaries):
-                for (record_seed, trial), payload in bucket.items():
-                    if record_seed != effective_seed or not 0 <= trial < trials:
-                        continue
-                    if trial not in values:
-                        values[trial] = self._stopping_value(
-                            source, (record_seed, trial), payload
-                        )
-        else:
-            for record in self._iter_shard_records(fingerprint):
-                if record.kind not in TRIAL_KINDS:
-                    continue
-                if record.seed != effective_seed or not 0 <= record.trial < trials:
-                    continue
-                if record.trial not in values:
-                    values[record.trial] = self._stopping_value(
-                        source, (record.seed, record.trial), record.payload
-                    )
+        for record in _read_records(path, fingerprint) if path.exists() else ():
+            if (
+                record.kind in TRIAL_KINDS
+                and record.seed == effective_seed
+                and 0 <= record.trial < trials
+                and record.trial not in values
+            ):
+                values[record.trial] = self._stopping_value(
+                    str(path), (record.seed, record.trial), record.payload
+                )
         missing = [t for t in range(trials) if t not in values]
         if missing:
             raise StoreError(
@@ -889,23 +737,28 @@ class ResultStore:
         )
 
     def _append(self, fingerprint: str, lines: list[str]) -> None:
-        """Append whole lines in one O_APPEND write, under the write lock."""
+        """Append whole lines in one O_APPEND write, under the write lock.
+
+        The only code that modifies a shard's bytes, ``gc``'s rewrite aside:
+        a half-written last line (a writer killed mid-append) is truncated
+        away just before the write, whatever this instance's cached view
+        says, so a new record never merges into it.
+        """
         path = self._shard_path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         data = "".join(f"{line}\n" for line in lines).encode("utf-8")
-        shard = self._cache.get(fingerprint)
         with self._write_lock():
-            if shard is not None and shard.dropped_partial:
-                # The shard ends in an interrupted half-record the load-time
-                # repair could not truncate (read-only then); terminate it so
-                # the new records start on their own lines (the orphaned
-                # fragment stays unparsed — blank/partial lines are skipped
-                # on read — and gc() removes it).
-                data = b"\n" + data
-                shard.dropped_partial = False
             try:
-                descriptor = os.open(path, os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644)
+                descriptor = os.open(path, os.O_APPEND | os.O_CREAT | os.O_RDWR, 0o644)
                 try:
+                    size = os.fstat(descriptor).st_size
+                    os.lseek(descriptor, max(size - 1, 0), os.SEEK_SET)
+                    if os.read(descriptor, 1) not in (b"", b"\n"):
+                        committed = path.read_bytes().rfind(b"\n", 0, size) + 1
+                        # Without fcntl the lock does nothing: truncate only
+                        # while no other writer has appended since the read.
+                        if os.fstat(descriptor).st_size == size:
+                            os.ftruncate(descriptor, committed)
                     # POSIX permits short writes (signals, disk pressure);
                     # every byte must land or the shard would end mid-record.
                     view = memoryview(data)
@@ -1006,7 +859,7 @@ class ResultStore:
 
     def _admit(
         self,
-        shard: _Shard,
+        shard: Shard,
         admitted: Mapping[tuple[str, tuple[int, int]], dict[str, Any]],
         kind: str,
         key: tuple[int, int],
@@ -1059,7 +912,7 @@ class ResultStore:
 
     def _commit(
         self,
-        shard: _Shard,
+        shard: Shard,
         admitted: Mapping[tuple[str, tuple[int, int]], dict[str, Any]],
         spec_payload: "dict[str, Any] | None",
     ) -> int:
@@ -1201,7 +1054,7 @@ class ResultStore:
         self.refresh()
         return stats
 
-    def _shard_lines(self, shard: _Shard) -> list[str]:
+    def _shard_lines(self, shard: Shard) -> list[str]:
         """A shard's compact record stream: spec, results, then summaries, by key."""
         lines = [] if shard.spec is None else [
             self._spec_line(shard.fingerprint, shard.spec)

@@ -17,6 +17,8 @@ an uninterrupted run) live in ``tests/test_store_resume.py``.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 
@@ -26,7 +28,7 @@ import pytest
 from repro.core import RunResult, json_ready
 from repro.errors import AnalysisError, StoreError
 from repro.scenarios import ScenarioSpec, default_scenario_config
-from repro.store import ResultStore, StoreSnapshot, diff_snapshots, load_snapshot
+from repro.store import ResultStore, diff_snapshots, load_snapshot
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -335,6 +337,17 @@ class TestConcurrencyAndIntegrity:
         survivor.put(spec, 1, _result(6))
         assert ResultStore(tmp_path).results(spec, 2) == {0: _result(5), 1: _result(6)}
 
+    def test_an_append_never_merges_into_another_writers_half_line(self, tmp_path):
+        spec = _spec()
+        writer = ResultStore(tmp_path)
+        writer.put(spec, 0, _result(5))  # the writer now caches the shard
+        path = self._shard_path(tmp_path, spec)
+        with path.open("a", encoding="utf-8") as handle:
+            # Another writer, killed mid-append, behind the cached view.
+            handle.write('{"kind": "result", "fingerp')
+        writer.put(spec, 1, _result(6))
+        assert ResultStore(tmp_path).results(spec, 2) == {0: _result(5), 1: _result(6)}
+
 
 class TestGcExportImport:
     def test_gc_keep_prunes_other_workloads(self, tmp_path):
@@ -363,7 +376,7 @@ class TestGcExportImport:
             load_snapshot(tmp_path / "random-dir")
         # ... but a real (even empty) store loads fine.
         ResultStore(tmp_path / "empty-store")
-        assert load_snapshot(tmp_path / "empty-store").trial_count == 0
+        assert load_snapshot(tmp_path / "empty-store") == {}
 
     def test_gc_keep_accepts_prefixes_and_rejects_misses(self, tmp_path):
         keep_spec, drop_spec = _spec(), _spec(topology="grid", n=9)
@@ -463,16 +476,51 @@ class TestGcExportImport:
         store.export(tmp_path / "snapshot.jsonl")
         from_dir = load_snapshot(tmp_path / "store")
         from_file = load_snapshot(tmp_path / "snapshot.jsonl")
-        assert from_dir.results == from_file.results
-        assert from_dir.specs == from_file.specs
+        assert list(from_dir) == [spec.fingerprint()]
+        assert from_dir == from_file
 
-    def test_snapshot_counts_a_key_with_both_kinds_once(self):
-        """Trial 0 has a full record, trial 1 a summary, trial 2 both."""
-        snapshot = StoreSnapshot(
-            results={"f" * 64: {(7, 0): {"rounds": 3}, (7, 2): {"rounds": 5}}},
-            summaries={"f" * 64: {(7, 1): {"rounds": 4}, (7, 2): {"rounds": 5}}},
-        )
-        assert snapshot.trial_count == 3
+
+def _store_ls(root, spec, out_dir):
+    """The trial count ``repro store ls`` prints for the one workload."""
+    from repro.cli import main
+
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(["store", "ls", "--store", str(root)]) == 0
+    row = printed.getvalue().splitlines()[-1]
+    return [cell.strip() for cell in row.split("|")][6]
+
+
+#: Every way to read a store, and what each must see of a shard that holds
+#: trials 0 and 1 (rounds 5 and 6) and ends in half of trial 2's line.
+READERS = {
+    "get": (
+        lambda root, spec, _: [ResultStore(root).get(spec, t) for t in range(3)],
+        [_result(5), _result(6), None],
+    ),
+    "missing_trials": (
+        lambda root, spec, _: ResultStore(root).missing_trials(spec), [2, 3]
+    ),
+    "missing_summary_trials": (
+        lambda root, spec, _: ResultStore(root).missing_summary_trials(spec), [2, 3]
+    ),
+    "aggregate": (
+        lambda root, spec, _: ResultStore(root).aggregate(spec, 2).samples, (5.0, 6.0)
+    ),
+    "trial_keys": (
+        lambda root, spec, _: ResultStore(root).trial_keys(spec.fingerprint()),
+        [(11, 0), (11, 1)],
+    ),
+    "export": (
+        lambda root, spec, out_dir: ResultStore(root).export(out_dir / "export.jsonl"),
+        2,
+    ),
+    "load_snapshot": (
+        lambda root, spec, _: sorted(load_snapshot(root)[spec.fingerprint()].results),
+        [(11, 0), (11, 1)],
+    ),
+    "store_ls": (_store_ls, "2"),
+}
 
 
 class TestInspectionIsReadOnly:
@@ -484,12 +532,33 @@ class TestInspectionIsReadOnly:
         path = tmp_path / "shards" / fingerprint[:2] / f"{fingerprint}.jsonl"
         truncated = path.read_bytes()[:-10]  # kill the writer mid final record
         path.write_bytes(truncated)
-        from repro.store import load_snapshot
 
         snapshot = load_snapshot(tmp_path)
-        assert list(snapshot.results[fingerprint]) == [(spec.seed, 0)]
+        assert list(snapshot[fingerprint].results) == [(spec.seed, 0)]
         assert path.read_bytes() == truncated, "inspection must not modify shards"
-        # A writing store (repair on) truncates the fragment before appending.
+        # An append truncates the fragment before it writes.
         writer = ResultStore(tmp_path)
         writer.put(spec, 1, _result(6))
         assert ResultStore(tmp_path).results(spec, 2) == {0: _result(5), 1: _result(6)}
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_reading_never_writes(self, reader, tmp_path):
+        spec = _spec()
+        root = tmp_path / "store"
+        ResultStore(root).put_many(spec, {0: _result(5), 1: _result(6)})
+        fingerprint = spec.fingerprint()
+        path = root / "shards" / fingerprint[:2] / f"{fingerprint}.jsonl"
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"kind":"result","fingerprint":"' + fingerprint[:20])
+        before = path.read_bytes()
+
+        read, seen = READERS[reader]
+        assert read(root, spec, tmp_path) == seen
+        assert path.read_bytes() == before, f"{reader} modified the shard it read"
+
+        # The next append truncates the fragment, and the shard is whole.
+        assert ResultStore(root).put_many(spec, {2: _result(7)}) == 1
+        assert ResultStore(root).results(spec, 3) == {
+            0: _result(5), 1: _result(6), 2: _result(7)
+        }
+        assert path.read_bytes().count(b"\n") == 4  # the spec and three trials
