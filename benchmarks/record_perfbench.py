@@ -10,7 +10,10 @@ into ``benchmarks/output/BENCH_perf-<workload>.json``:
 * ``layers`` — the per-layer split of the traced run,
   ``<workload>-seed1-trace1.json``;
 * ``git_rev`` and ``src_sha256`` — the revision and ``src/`` digest the
-  untraced run measured;
+  untraced run measured; ``git_rev`` ends in ``-dirty`` when a tracked file
+  of the checkout differs from that revision as the records are written,
+  since the runs then measured an uncommitted tree (record from the tree
+  the runs measured);
 * ``previous`` — the ``metrics``, ``git_rev`` and ``src_sha256`` of the
   record this one replaces, when one is committed.
 
@@ -28,6 +31,7 @@ runs of every workload::
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,8 +46,24 @@ def _values(run: dict) -> dict[str, float]:
     return {name: metric["value"] for name, metric in sorted(run["metrics"].items())}
 
 
-def build_record(workload: str, untraced: dict, traced: dict, previous: "dict | None") -> dict:
-    """The committed record of one workload (see the module docstring)."""
+def tree_is_dirty(checkout: Path = ROOT) -> bool:
+    """Whether a tracked file of ``checkout`` differs from its commit;
+    ``False`` outside a git checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--"],
+            cwd=checkout, capture_output=True, timeout=10,
+        )
+    except OSError:
+        return False
+    return done.returncode == 1
+
+
+def build_record(
+    workload: str, untraced: dict, traced: dict, previous: "dict | None", *, dirty: bool = False
+) -> dict:
+    """The committed record of one workload (see the module docstring);
+    ``dirty`` marks ``git_rev`` as an uncommitted tree's."""
     for run in (untraced, traced):
         if not run.get("correct"):
             raise ValueError(
@@ -51,6 +71,9 @@ def build_record(workload: str, untraced: dict, traced: dict, previous: "dict | 
                 "only correct runs are recorded"
             )
     environment = untraced.get("environment", {})
+    git_rev = environment.get("git")
+    if dirty and git_rev:
+        git_rev += "-dirty"
     record = {
         "workload": workload,
         "seed": untraced["seed"],
@@ -60,7 +83,7 @@ def build_record(workload: str, untraced: dict, traced: dict, previous: "dict | 
             for name, metric in sorted(untraced["metrics"].items())
         },
         "layers": _values(traced),
-        "git_rev": environment.get("git"),
+        "git_rev": git_rev,
         "src_sha256": environment.get("src_sha256"),
         "nproc": environment.get("nproc"),
     }
@@ -73,7 +96,7 @@ def build_record(workload: str, untraced: dict, traced: dict, previous: "dict | 
     return record
 
 
-def record_workload(workload: str, results: Path, output: Path) -> Path:
+def record_workload(workload: str, results: Path, output: Path, *, dirty: bool = False) -> Path:
     """Write ``BENCH_perf-<workload>.json`` from the results directory."""
     runs = [
         json.loads((results / f"{workload}-seed{SEED}-trace{trace}.json").read_text())
@@ -81,16 +104,19 @@ def record_workload(workload: str, results: Path, output: Path) -> Path:
     ]
     path = output / f"BENCH_perf-{workload}.json"
     previous = json.loads(path.read_text()) if path.exists() else None
-    record = build_record(workload, *runs, previous)
+    record = build_record(workload, *runs, previous, dirty=dirty)
     output.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 
 def main() -> int:
+    # Asked once, before the first record makes the tree dirty itself.
+    dirty = tree_is_dirty()
     try:
         for workload in WORKLOADS:
-            print(f"wrote {record_workload(workload, RESULTS_DIR, OUTPUT_DIR)}")
+            path = record_workload(workload, RESULTS_DIR, OUTPUT_DIR, dirty=dirty)
+            print(f"wrote {path}")
     except (OSError, ValueError, KeyError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

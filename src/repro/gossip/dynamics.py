@@ -155,7 +155,10 @@ class NodeDynamics:
         weights.  Both engines call this same method per trial, which is what
         keeps them bit-identical; the event engine
         passes its :class:`~repro.core.rng.BlockDraws` reader as ``rng``,
-        which serves these two calls draw for draw.
+        which serves these two calls draw for draw.  The one exception is
+        the event engine's asynchronous uniform gossip under EXCHANGE at
+        loss 0 without churn or rates, which makes the inactive case's
+        ``rng.integers(0, n)`` draw itself.
 
         Callers that already hold this round's :meth:`down_mask` pass it as
         ``down`` so the slot pays for the mask only once.

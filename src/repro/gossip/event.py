@@ -27,9 +27,11 @@ bookkeeping:
   node's rank to ``k`` increments ``finished`` and records the completion
   round right there, so neither ``finished_nodes()`` nor any per-tick
   ``O(n)`` scan exists.  An asynchronous timeslot costs O(1) bookkeeping
-  plus two O(k) encode/eliminate steps.
+  plus at most two O(k) encode/eliminate steps.
 * **Only state-changing work** — a packet that cannot help its receiver
-  is never built or eliminated (see below), and every draw is served by a
+  is never built or eliminated, a timeslot that cannot change any state
+  makes no encode or delivery call in the uniform-gossip case described
+  below, and every draw is served by a
   :class:`~repro.core.rng.BlockDraws` reader instead of a numpy call.
 
 One round loop
@@ -42,9 +44,11 @@ player (every protocol) buckets each alive node's ``(deliver, sender,
 receiver, payload)`` wakeup entries and delivers them at the round end in
 wakeup order, as the paper's synchronous semantics require.  The
 asynchronous players play ``n`` timeslots of one waking node each and stop
-once every node is complete; uniform gossip's has its wakeup written
-inline, as that loop is the ``sparse-event`` hot path.  Uniform gossip's
-wakeup and TAG's phase 2 are one exchange step on the eliminator.
+once every node is complete.  One delivers each waking node's wakeup
+entries; the other, for uniform gossip under EXCHANGE at loss 0 without
+churn or rates (the ``sparse-event`` hot path), has the exchange written
+inline and plays dead slots without it (see "Dead slots" below).  Uniform
+gossip's wakeup and TAG's phase 2 are one exchange step on the eliminator.
 
 TAG and standalone spanning trees
 ---------------------------------
@@ -84,12 +88,14 @@ Bit-identical by construction
 -----------------------------
 The engine is a *pure optimisation*: given the same per-trial generator it
 emits exactly the :class:`~repro.core.results.RunResult` the scalar engine
-would, and leaves the generator in the same state.  The
-asynchronous wakeup draw is delegated to the very same
-:class:`~repro.gossip.dynamics.NodeDynamics` methods (for uniform clocks,
-``rng.integers(0, n)`` *is* the embedded jump chain of ``n`` i.i.d.
-exponential node clocks, so the per-node-clock view and the paper's
-one-uniform-node-per-slot view are the same process draw for draw); partner
+would, and leaves the generator in the same state.  The asynchronous
+wakeup is drawn by :meth:`~repro.gossip.dynamics.NodeDynamics.choose_wakeup`,
+the very method the scalar engine calls.  The one exception is uniform
+gossip's player under EXCHANGE at loss 0 without churn or rates, which
+makes that method's one draw for such a run, ``rng.integers(0, n)``,
+itself.  For uniform clocks that draw *is* the embedded jump chain of ``n``
+i.i.d. exponential node clocks, so the per-node-clock view and the paper's
+one-uniform-node-per-slot view are the same process draw for draw.  Partner
 selection indexes the same sorted neighbour tuples; coefficients are drawn
 against the canonical RREF basis, whose uniqueness makes every encoded packet
 and helpfulness flag coincide with the scalar decoder's; churn kills a
@@ -108,6 +114,13 @@ transmission before the loss draw, consuming no randomness.
   full-rank receiver.  A receiver's subspace only grows between encode and
   delivery, because crashes are processed only at the start of a round, so
   a packet that could not help at encode cannot help at delivery.
+* **Dead slots** — under EXCHANGE at loss 0 with no churn and no rates, a
+  timeslot whose two ends both have rank 0 (neither sends) or both rank
+  ``k`` (both packets are skipped, and no loss coin is drawn) changes no
+  state, so that case's asynchronous player makes no encode or delivery
+  for it.  At rank ``k`` it consumes the ``2k`` coefficient draws and
+  counts the two messages those calls would have.  Any other run plays
+  every slot through them.
 * **Block reader** — the wakeup, partner, coefficient and loss draws go
   through one :class:`~repro.core.rng.BlockDraws` per run, which serves
   them from blocks of raw 64-bit outputs with numpy's own algorithms and,
@@ -215,7 +228,10 @@ class EventGossipEngine:
         # Nodes are exactly 0..n-1, so position == node id throughout.
         self._nodes = graph.nodes()
         self._n = len(self._nodes)
-        self._start_of, self._neighbour = graph.indptr.item, graph.indices.item
+        # Subscripting a memoryview reads one int without a copy, in about
+        # half the time of ``ndarray.item``.
+        self._indptr = memoryview(graph.indptr)
+        self._indices = memoryview(graph.indices)
         self._messages_sent = 0
         self._helpful_messages = 0
         self._dropped_messages = 0
@@ -301,7 +317,13 @@ class EventGossipEngine:
             wakeup = self._uniform_wakeup
         if self.config.time_model is TimeModel.SYNCHRONOUS:
             play = self._play_synchronous_round
-        elif self._stp is None:
+        elif (
+            self._stp is None
+            and self._push
+            and self._pull
+            and not self._loss_probability
+            and not self._dynamics.active
+        ):
             play = self._play_uniform_slots
         else:
             play = self._play_wakeup_slots
@@ -363,7 +385,7 @@ class EventGossipEngine:
     def _play_wakeup_slots(
         self, round_index: int, down: np.ndarray | None, wakeup: Callable
     ) -> None:
-        """One asynchronous round of TAG or a standalone tree, slot by slot."""
+        """One asynchronous round, slot by slot, through ``wakeup``'s entries."""
         n, draws = self._n, self._draws
         choose_wakeup = self._dynamics.choose_wakeup
         timeslot, round_end = self._timeslot, round_index * n
@@ -378,27 +400,39 @@ class EventGossipEngine:
     def _play_uniform_slots(
         self, round_index: int, down: np.ndarray | None, wakeup: Callable
     ) -> None:
-        """:meth:`_play_wakeup_slots` for uniform gossip, with
-        :meth:`_uniform_wakeup` inline (``wakeup`` is not called): through
-        the entry list, the ``sparse-event`` hot loop measured 11–16% slower
-        (three trials, 2-core host)."""
+        """:meth:`_play_wakeup_slots` for uniform gossip under EXCHANGE at
+        loss 0 with inactive dynamics (``sparse-event``'s case), with
+        :meth:`_uniform_wakeup` inline (``wakeup`` is not called): a dead
+        slot makes no :meth:`_encode` or :meth:`_deliver` call (see "Dead
+        slots" in the module docstring).
+
+        The wakeup is ``choose_wakeup``'s one draw for inactive dynamics,
+        ``integers(0, n)``, made here: through the method call,
+        ``sparse-event``'s ``timeslot_us`` measured 7% higher (10 of 10
+        alternating pairs, 2-core host).
+        """
         n, draws = self._n, self._draws
-        choose_wakeup, integers = self._dynamics.choose_wakeup, draws.integers
+        integers = draws.integers
+        skip_elements = draws.skip_elements
         encode, deliver = self._encode, self._deliver
-        start_of, neighbour = self._start_of, self._neighbour
-        do_push, do_pull = self._push, self._pull
+        indptr, indices = self._indptr, self._indices
+        ranks, k, order = self._ranks, self._k, self._order
         timeslot, round_end = self._timeslot, round_index * n
         while timeslot < round_end and self._finished < n:
-            pos = choose_wakeup(draws, round_index, down)
+            pos = integers(0, n)
             timeslot += 1
-            if pos is None:
+            start = indptr[pos]
+            partner = indices[start + integers(0, indptr[pos + 1] - start)]
+            rank = ranks[pos]
+            if rank == ranks[partner] and (not rank or rank == k):
+                # Dead: at rank k, the two skipped packets' draws and messages.
+                if rank:
+                    skip_elements(order, 2 * k)
+                    self._messages_sent += 2
                 continue
-            start = start_of(pos)
-            partner = neighbour(start + integers(0, start_of(pos + 1) - start))
             # As in _exchange: both packets are encoded before either is
             # delivered, matching the scalar on_wakeup (PUSH draws first).
-            push = encode(pos, partner) if do_push else None
-            pull = encode(partner, pos) if do_pull else None
+            push, pull = encode(pos, partner), encode(partner, pos)
             if push is not None:
                 deliver(pos, partner, push, round_index, down)
             if pull is not None:
@@ -413,9 +447,9 @@ class EventGossipEngine:
     def _uniform_wakeup(self, pos: int, draws: BlockDraws) -> list[tuple]:
         """``AlgebraicGossip.on_wakeup``: a uniform neighbour, then an
         :meth:`_exchange` in the configured action's directions."""
-        start_of = self._start_of
-        start = start_of(pos)
-        partner = self._neighbour(start + draws.integers(0, start_of(pos + 1) - start))
+        indptr = self._indptr
+        start = indptr[pos]
+        partner = self._indices[start + draws.integers(0, indptr[pos + 1] - start)]
         return self._exchange(pos, partner, self._push, self._pull)
 
     def _exchange(self, pos: int, partner: int, push: bool, pull: bool) -> list[tuple]:

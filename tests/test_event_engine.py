@@ -11,7 +11,9 @@ Three layers of guarantees:
   and the table-added odd-field byte rows of
   :class:`~repro.backends.rows.RowEliminator` — while never building or
   eliminating a packet that cannot help: one for a full-rank receiver, or
-  between two nodes that span the same subspace.
+  between two nodes that span the same subspace; and, under asynchronous
+  EXCHANGE at loss 0 with no churn and no rates, while encoding nothing for
+  a timeslot whose two ends both have rank 0 or both rank ``k``.
 * **Reset** — ``RowEliminator.reset`` returns a problem to a
   freshly-constructed state (its generated traces are held to
   ``row_reduce`` in ``tests/test_backend_conformance.py``).
@@ -268,6 +270,43 @@ def test_event_engine_builds_and_eliminates_only_what_can_help(case, monkeypatch
         assert calls["equal_subspace_skips"] > 0
     monkeypatch.undo()
     assert event == _measure(spec, "scalar", trials=2)
+
+
+#: The asynchronous uniform runs under EXCHANGE at loss 0 with no churn and
+#: no rates: the ones whose dead slots are played without an encode.
+DEAD_SLOTS_SKIPPED = ("gf2bit-er-logn", "async-grid", "async-binary-tree")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*DEAD_SLOTS_SKIPPED, "async-loss", "async-push", "async-pull",
+     "async-churn-pause", "async-two-speed"],
+)
+def test_dead_exchange_slots_reach_no_encode(case, monkeypatch):
+    """A slot whose two ends both have rank 0, or both rank ``k``, changes
+    no state.  Under EXCHANGE at loss 0 with no churn and no rates, the
+    asynchronous uniform player plays it without an encode; every other run
+    still encodes such slots.  Either way, the result and the generator
+    state are the scalar engine's."""
+    from repro.gossip import GossipEngine
+
+    dead = []
+    encode = EventGossipEngine._encode
+
+    def spy_encode(self, sender, receiver):
+        ranks = self._eliminator.ranks
+        rank, k = ranks[sender], self._eliminator.pivot_limit
+        dead.append(rank == ranks[receiver] and rank in (0, k))
+        return encode(self, sender, receiver)
+
+    materialized = _spec(trials=1, **EQUIVALENCE_CASES[case]).materialize()
+    scalar, scalar_rng = _direct_run(GossipEngine, materialized, 20260808)
+    monkeypatch.setattr(EventGossipEngine, "_encode", spy_encode)
+    event, event_rng = _direct_run(EventGossipEngine, materialized, 20260808)
+    assert dead
+    assert any(dead) == (case not in DEAD_SLOTS_SKIPPED)
+    assert event == scalar
+    assert event_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 def test_only_the_scalar_path_asks_every_node_its_rank(monkeypatch):

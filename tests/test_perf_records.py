@@ -87,6 +87,14 @@ def test_first_record_is_the_baseline(tmp_path, capsys):
     assert "baseline" in capsys.readouterr().out
 
 
+def test_a_record_of_an_uncommitted_tree_says_so(tmp_path):
+    _write_results(tmp_path / "results")
+    path = record_perfbench.record_workload(
+        "paper-campaign", tmp_path / "results", tmp_path / "output", dirty=True
+    )
+    assert json.loads(path.read_text())["git_rev"] == "abc123-dirty"
+
+
 def test_rerecording_moves_the_committed_values_to_previous(tmp_path):
     _record(tmp_path)
     record = _record(tmp_path, scale=1.1)
@@ -254,8 +262,10 @@ def test_the_git_revision_marks_a_dirty_checkout(tmp_path):
     head = git("rev-parse", "HEAD")
     (tmp_path / "untracked.txt").write_text("notes\n")
     assert bench_utils._git_revision(tmp_path) == head
+    assert not record_perfbench.tree_is_dirty(tmp_path)
     tracked.write_text("edited\n")
     assert bench_utils._git_revision(tmp_path) == f"{head}-dirty"
+    assert record_perfbench.tree_is_dirty(tmp_path)
 
 
 def test_store_aggregates_read_summary_records_once_per_trial(tmp_path, capsys):
